@@ -28,8 +28,6 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -
     parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; execution is single-threaded")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,8 +67,6 @@ def _load(args) -> "workflows.ExperimentConfig":
         cfg.train.seed = args.seed
         if cfg.data.synthetic is not None:
             cfg.data.synthetic.seed = args.seed
-    if args.threads < 1:
-        raise ConfigError("threads must be >= 1")
     return cfg
 
 

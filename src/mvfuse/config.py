@@ -204,7 +204,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("eval.grid values must lie in [0, 1]")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     cfg = ExperimentConfig(seed=seed, data=data, encoder=encoder, fusion=fusion,
                            aug=aug, train=train, eval=eval_cfg)

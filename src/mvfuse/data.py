@@ -327,6 +327,13 @@ def save_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:
     return manifest_path
 
 
+def _required(node, key: str, where: str):
+    """``node[key]``, or a DataError naming the key missing from ``where``."""
+    if not isinstance(node, dict) or key not in node:
+        raise DataError(f"{where} is missing required key {key!r}")
+    return node[key]
+
+
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     """Load a dataset from its manifest; all view files must agree on row count."""
     manifest_path = Path(manifest_path)
@@ -336,14 +343,17 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
         manifest = json.load(fh)
     base = manifest_path.parent
 
-    targets = manifest["targets"]
-    task = targets["task"]
-    target_file = base / targets["path"]
+    targets = _required(manifest, "targets", f"manifest {manifest_path}")
+    where = f"manifest {manifest_path} targets"
+    task = _required(targets, "task", where)
+    target_file = base / _required(targets, "path", where)
     if not target_file.exists():
         raise FileNotFoundError(f"targets file not found: {target_file}")
     y_vals = []
     with open(target_file, newline="") as fh:
         reader = csv.DictReader(fh)
+        if "y" not in (reader.fieldnames or []):
+            raise DataError(f"targets file {target_file} has no 'y' column")
         for ln, row in enumerate(reader, start=2):
             y_vals.append(_float_field(row["y"], f"{target_file}:{ln}"))
     y = np.asarray(y_vals)
@@ -353,13 +363,14 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
 
     specs: list[ViewSpec] = []
     views: dict[str, np.ndarray] = {}
-    for entry in manifest["views"]:
-        vid, kind = entry["id"], entry["kind"]
-        path = base / entry["path"]
+    for v, entry in enumerate(_required(manifest, "views", f"manifest {manifest_path}")):
+        where = f"manifest {manifest_path} views[{v}]"
+        vid, kind = _required(entry, "id", where), _required(entry, "kind", where)
+        path = base / _required(entry, "path", where)
         if not path.exists():
             raise FileNotFoundError(f"view file not found: {path}")
         if kind == "temporal":
-            T, c = entry["dims"]
+            T, c = _required(entry, "dims", where)
             spec = ViewSpec(id=vid, kind=kind, time_steps=T, channels=c)
             arr = np.full((n, T, c), np.nan)
             with open(path, newline="") as fh:
@@ -378,7 +389,7 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
             if np.isnan(arr).any():
                 raise RowCountError(f"view {vid!r} is missing (sample, step) rows")
         elif kind == "static":
-            (c,) = entry["dims"]
+            (c,) = _required(entry, "dims", where)
             spec = ViewSpec(id=vid, kind=kind, channels=c)
             rows = []
             with open(path, newline="") as fh:
@@ -391,7 +402,7 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
                 raise RowCountError(
                     f"view {vid!r} has {arr.shape[0]} samples, targets have {n}")
         elif kind == "categorical":
-            card = entry["cardinality"]
+            card = _required(entry, "cardinality", where)
             spec = ViewSpec(id=vid, kind=kind, cardinality=card)
             codes = []
             with open(path, newline="") as fh:

@@ -93,11 +93,7 @@ def one_hot_batch(indices: np.ndarray, cardinality: int) -> np.ndarray:
 
 
 class TemporalEncoder(Module):
-    """Conv1d stack with ReLU and dropout, mean-pooled over time, layer normalized.
-
-    ``calls`` counts forward invocations; training asserts encoders run once
-    per view per step no matter how many view combinations are fused.
-    """
+    """Conv1d stack with ReLU and dropout, mean-pooled over time, layer normalized."""
 
     def __init__(self, channels: int, cfg: EncoderConfig, rng: np.random.Generator):
         d = cfg.latent_dim
@@ -105,13 +101,11 @@ class TemporalEncoder(Module):
                       for i in range(cfg.layers)]
         self.norm = LayerNorm(d)
         self.dropout = Dropout(cfg.dropout)
-        self.calls = 0
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
                  train: bool = False) -> Tensor:
         if x.shape[-2] < 1:
             raise ValueError("temporal encoder needs a non-empty series")
-        self.calls += 1
         out = x
         for conv in self.convs:
             out = self.dropout(conv(out).relu(), rng=rng, train=train)
@@ -128,11 +122,9 @@ class StaticEncoder(Module):
                         for i in range(cfg.layers)]
         self.norm = LayerNorm(d)
         self.dropout = Dropout(cfg.dropout)
-        self.calls = 0
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
                  train: bool = False) -> Tensor:
-        self.calls += 1
         out = x
         for affine in self.affines:
             out = self.dropout(affine(out).relu(), rng=rng, train=train)

@@ -6,7 +6,7 @@ which is what lets a model literally ignore missing views instead of imputing
 them. Concatenation with zero imputation is kept as the fixed-size baseline.
 
 All fuse methods take a full-length row list with None marking missing views;
-rows are single encodings (d,) or batches (B, d).
+every row is a batch (B, d), a single sample included as (1, d).
 """
 
 from __future__ import annotations
@@ -48,27 +48,25 @@ class FusionConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
-def _split_rows(rows: list) -> tuple[list[int], list[Tensor], bool]:
-    """Available indices and their rows, promoted to (B, d); flags single-sample input."""
+def _present(rows: list) -> tuple[list[int], list[Tensor]]:
+    """Indices and rows of the available views."""
     avail = [i for i, r in enumerate(rows) if r is not None]
     if not avail:
         raise ValueError("fusion needs at least one available view")
-    single = rows[avail[0]].ndim == 1
-    promoted = [rows[i].reshape((1, -1)) if single else rows[i] for i in avail]
-    return avail, promoted, single
+    return avail, [rows[i] for i in avail]
+
+
+def _slots(rows: list) -> list[Tensor]:
+    """One row per view, a shared zero block standing in for every missing view."""
+    zero = Tensor(np.zeros(_present(rows)[1][0].shape))
+    return [zero if r is None else r for r in rows]
 
 
 class AverageFusion(Module):
     """Mean of the available encodings; permutation invariant by construction."""
 
-    def __init__(self):
-        self.calls = 0
-
     def fuse(self, rows: list, rng=None, train: bool = False) -> Tensor:
-        self.calls += 1
-        _, avail_rows, single = _split_rows(rows)
-        fused = stack(avail_rows, axis=-2).mean(axis=-2)
-        return fused[0] if single else fused
+        return stack(_present(rows)[1], axis=-2).mean(axis=-2)
 
 
 class GatedFusion(Module):
@@ -85,19 +83,6 @@ class GatedFusion(Module):
         self.b = Tensor(np.zeros(d * m), requires_grad=True)
         self.m = m
         self.d = d
-        self.calls = 0
-
-    def _full_stack(self, rows: list) -> tuple[Tensor, np.ndarray, bool]:
-        avail, avail_rows, single = _split_rows(rows)
-        batch = avail_rows[0].shape[0]
-        zero = Tensor(np.zeros((batch, self.d)))
-        by_slot = []
-        it = iter(avail_rows)
-        for v in range(self.m):
-            by_slot.append(next(it) if v in avail else zero)
-        available = np.zeros(self.m, dtype=bool)
-        available[avail] = True
-        return stack(by_slot, axis=-2), available, single
 
     def gate_weights(self, z_full: Tensor, available: np.ndarray) -> Tensor:
         """Per-dimension view weights, shape (..., d, m); missing columns are 0."""
@@ -107,11 +92,9 @@ class GatedFusion(Module):
         return logits.softmax(axis=-1, exclude=~available)
 
     def fuse(self, rows: list, rng=None, train: bool = False) -> Tensor:
-        self.calls += 1
-        z_full, available, single = self._full_stack(rows)
-        weights = self.gate_weights(z_full, available)
-        fused = (weights.swapaxes(-1, -2) * z_full).sum(axis=-2)
-        return fused[0] if single else fused
+        z_full = stack(_slots(rows), axis=-2)
+        weights = self.gate_weights(z_full, np.array([r is not None for r in rows]))
+        return (weights.swapaxes(-1, -2) * z_full).sum(axis=-2)
 
 
 class CrossAttentionFusion(Module):
@@ -130,37 +113,25 @@ class CrossAttentionFusion(Module):
                        for _ in range(cfg.layers)]
         self.m = m
         self.d = d
-        self.calls = 0
+
+    def _sequence(self, rows: list) -> Tensor:
+        """The token row followed by each available view, (B, 1 + m_avail, d)."""
+        avail, avail_rows = _present(rows)
+        ones = Tensor(np.ones((avail_rows[0].shape[0], 1)))
+        token_row = ones @ (self.token + self.positional[0]).reshape((1, self.d))
+        return stack([token_row] + [row + self.positional[1 + v]
+                                    for v, row in zip(avail, avail_rows)], axis=-2)
 
     def fuse(self, rows: list, rng=None, train: bool = False) -> Tensor:
-        self.calls += 1
-        avail, avail_rows, single = _split_rows(rows)
-        batch = avail_rows[0].shape[0]
-        ones = Tensor(np.ones((batch, 1)))
-        token_row = ones @ (self.token + self.positional[0]).reshape((1, self.d))
-        sequence = [token_row]
-        for v, row in zip(avail, avail_rows):
-            sequence.append(row + self.positional[1 + v])
-        z = stack(sequence, axis=-2)
+        z = self._sequence(rows)
         for block in self.blocks:
             z = block(z, rng=rng, train=train)
-        fused = z[:, 0, :]
-        return fused[0] if single else fused
+        return z[:, 0, :]
 
     def token_attention(self, rows: list) -> np.ndarray:
-        """First-layer token attention over (token + available views), eval mode.
-
-        Shape (heads, 1 + m_avail) for single rows, batched otherwise.
-        """
-        avail, avail_rows, single = _split_rows(rows)
-        batch = avail_rows[0].shape[0]
-        ones = Tensor(np.ones((batch, 1)))
-        token_row = ones @ (self.token + self.positional[0]).reshape((1, self.d))
-        sequence = [token_row] + [row + self.positional[1 + v]
-                                  for v, row in zip(avail, avail_rows)]
-        z = stack(sequence, axis=-2)
-        weights = self.blocks[0].attention_weights(z)[..., 0, :]
-        return weights[0] if single else weights
+        """First-layer token attention over (token + available views), eval
+        mode, shape (B, heads, 1 + m_avail)."""
+        return self.blocks[0].attention_weights(self._sequence(rows))[..., 0, :]
 
 
 class MemoryFusion(Module):
@@ -181,7 +152,6 @@ class MemoryFusion(Module):
         self.dropout = Dropout(cfg.dropout)
         self.permute = cfg.permute
         self.d = d
-        self.calls = 0
 
     @staticmethod
     def _run_direction(cell: LSTMCell, seq: list[Tensor]) -> tuple[list[Tensor], Tensor]:
@@ -194,14 +164,11 @@ class MemoryFusion(Module):
         return outputs, h
 
     def fuse(self, rows: list, rng=None, train: bool = False) -> Tensor:
-        self.calls += 1
-        _, avail_rows, single = _split_rows(rows)
+        _, seq = _present(rows)
         if self.permute and train:
             if rng is None:
                 raise ValueError("permuted memory fusion needs a generator at train time")
-            order = rng.permutation(len(avail_rows))
-            avail_rows = [avail_rows[i] for i in order]
-        seq = avail_rows
+            seq = [seq[i] for i in rng.permutation(len(seq))]
         final_fwd = final_bwd = None
         for layer, (fwd, bwd) in enumerate(zip(self.forward_cells, self.backward_cells)):
             if layer > 0 and train:
@@ -210,8 +177,7 @@ class MemoryFusion(Module):
             out_bwd, final_bwd = self._run_direction(bwd, seq[::-1])
             out_bwd = out_bwd[::-1]
             seq = [concat([f, b], axis=-1) for f, b in zip(out_fwd, out_bwd)]
-        fused = concat([final_fwd, final_bwd], axis=-1)
-        return fused[0] if single else fused
+        return concat([final_fwd, final_bwd], axis=-1)
 
 
 class ConcatFusion(Module):
@@ -220,17 +186,9 @@ class ConcatFusion(Module):
     def __init__(self, m: int, d: int):
         self.m = m
         self.d = d
-        self.calls = 0
 
     def fuse(self, rows: list, rng=None, train: bool = False) -> Tensor:
-        self.calls += 1
-        avail, avail_rows, single = _split_rows(rows)
-        batch = avail_rows[0].shape[0]
-        zero = Tensor(np.zeros((batch, self.d)))
-        it = iter(avail_rows)
-        slots = [next(it) if v in avail else zero for v in range(self.m)]
-        fused = concat(slots, axis=-1)
-        return fused[0] if single else fused
+        return concat(_slots(rows), axis=-1)
 
 
 def concat_zero_impute(items: list, slot_dims: list[int]) -> np.ndarray:

@@ -193,41 +193,32 @@ class MultiHeadAttention(Module):
         self.scaling = scaling
         self.dropout = Dropout(dropout)
 
+    def _split_heads(self, t: Tensor) -> Tensor:
+        B, n, _ = t.shape
+        return t.reshape((B, n, self.heads, self.d // self.heads)).transpose((0, 2, 1, 3))
+
+    def _probs(self, z: Tensor) -> Tensor:
+        """Attention probabilities of a batched input (B, n, d), shape (B, heads, n, n)."""
+        q = self._split_heads(z @ self.W_Q)
+        k = self._split_heads(z @ self.W_K)
+        logits = q @ k.transpose((0, 1, 3, 2))
+        if self.scaling:
+            logits = logits * (1.0 / np.sqrt(self.d // self.heads))
+        logits = logits + self.bias.reshape((1, self.heads, 1, 1))
+        return logits.softmax(axis=-1)
+
     def __call__(self, z: Tensor, rng: np.random.Generator | None = None,
                  train: bool = False) -> Tensor:
         single = z.ndim == 2
         if single:
             z = z.reshape((1,) + z.shape)
-        B, n, d = z.shape
-        h, dh = self.heads, self.d // self.heads
-
-        def split_heads(t: Tensor) -> Tensor:
-            return t.reshape((B, n, h, dh)).transpose((0, 2, 1, 3))
-
-        q = split_heads(z @ self.W_Q)
-        k = split_heads(z @ self.W_K)
-        v = split_heads(z @ self.W_V)
-        logits = q @ k.transpose((0, 1, 3, 2))
-        if self.scaling:
-            logits = logits * (1.0 / np.sqrt(dh))
-        logits = logits + self.bias.reshape((1, h, 1, 1))
-        probs = logits.softmax(axis=-1)
-        probs = self.dropout(probs, rng=rng, train=train)
-        out = (probs @ v).transpose((0, 2, 1, 3)).reshape((B, n, d))
+        probs = self.dropout(self._probs(z), rng=rng, train=train)
+        out = (probs @ self._split_heads(z @ self.W_V)).transpose((0, 2, 1, 3))
+        out = out.reshape(z.shape)
         return out[0] if single else out
 
     def attention_weights(self, z: Tensor) -> np.ndarray:
         """Evaluation-mode attention probabilities, shape (batch, heads, n, n)."""
         single = z.ndim == 2
-        if single:
-            z = z.reshape((1,) + z.shape)
-        B, n, d = z.shape
-        h, dh = self.heads, self.d // self.heads
-        q = (z @ self.W_Q).reshape((B, n, h, dh)).transpose((0, 2, 1, 3))
-        k = (z @ self.W_K).reshape((B, n, h, dh)).transpose((0, 2, 1, 3))
-        logits = q @ k.transpose((0, 1, 3, 2))
-        if self.scaling:
-            logits = logits * (1.0 / np.sqrt(dh))
-        logits = logits + self.bias.reshape((1, h, 1, 1))
-        probs = logits.softmax(axis=-1)
-        return probs.data[0] if single else probs.data
+        probs = self._probs(z.reshape((1,) + z.shape) if single else z).data
+        return probs[0] if single else probs

@@ -23,14 +23,29 @@ from .tensor import Tensor, no_grad
 LEVELS = ("input", "feature")
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def batch_views(views: dict[str, np.ndarray], indices) -> dict[str, np.ndarray]:
     return {vid: arr[indices] for vid, arr in views.items()}
+
+
+def raw_input(spec: ViewSpec, arr: np.ndarray) -> np.ndarray:
+    """A view's raw batch as its encoder reads it: one-hot rows for
+    categorical codes, float64 values otherwise."""
+    if spec.kind == "categorical":
+        return one_hot_batch(arr, spec.cardinality)
+    return np.asarray(arr, dtype=np.float64)
+
+
+def mask_groups(available: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Samples grouped by availability pattern, in ascending index-tuple order.
+
+    ``available`` is a boolean (N, m) matrix; each group is the tuple of
+    available view indices and the ascending sample indices that share it.
+    """
+    patterns, inverse = np.unique(available, axis=0, return_inverse=True)
+    inverse = np.asarray(inverse).reshape(-1)  # 2-D on some numpy versions
+    groups = [(tuple(int(v) for v in np.flatnonzero(pattern)), np.flatnonzero(inverse == g))
+              for g, pattern in enumerate(patterns)]
+    return sorted(groups, key=lambda group: group[0])
 
 
 class _BaseModel(Module):
@@ -44,9 +59,14 @@ class _BaseModel(Module):
     def view_ids(self) -> list[str]:
         return [s.id for s in self.view_specs]
 
+    def forward_masks(self, views: dict[str, np.ndarray], masks: list[tuple[int, ...]],
+                      rng=None, train: bool = False) -> list[Tensor]:
+        """Outputs (B, n_outputs) for the batch under each index-tuple mask."""
+        raise NotImplementedError
+
     def forward_masked(self, views: dict[str, np.ndarray], mask: tuple[int, ...],
                        rng=None, train: bool = False) -> Tensor:
-        raise NotImplementedError
+        return self.forward_masks(views, [mask], rng=rng, train=train)[0]
 
     def predict(self, views: dict[str, np.ndarray],
                 available: np.ndarray) -> np.ndarray:
@@ -56,21 +76,16 @@ class _BaseModel(Module):
         availability pattern so each group runs as one batch; outputs are
         class probabilities (N, K) or regression values (N,).
         """
-        n = available.shape[0]
-        patterns, inverse = np.unique(available, axis=0, return_inverse=True)
-        inverse = np.asarray(inverse).reshape(-1)  # 2-D on some numpy versions
         out = None
         with no_grad():
-            for gi in range(patterns.shape[0]):
-                idx = np.flatnonzero(inverse == gi)
-                mask = tuple(int(v) for v in np.flatnonzero(patterns[gi]))
-                preds = self.forward_masked(batch_views(views, idx), mask).data
+            for mask, idx in mask_groups(available):
+                preds = self.forward_masked(batch_views(views, idx), mask)
                 if self.task == "classification":
-                    preds = _softmax_rows(preds)
+                    preds = preds.softmax(axis=-1).data
                 else:
-                    preds = preds[:, 0]
+                    preds = preds.data[:, 0]
                 if out is None:
-                    out = np.zeros((n,) + preds.shape[1:])
+                    out = np.zeros((available.shape[0],) + preds.shape[1:])
                 out[idx] = preds
         return out
 
@@ -79,8 +94,11 @@ class FeatureFusionModel(_BaseModel):
     """Encoders per view, merge function, one-layer prediction head.
 
     The head consumes width d for dynamic merges and m*d for feature-level
-    concatenation. At input level the model zero-imputes the raw data of
-    missing views and always fuses all m encodings.
+    concatenation. At feature level ``forward_masks`` encodes each view that
+    some mask needs once and repeats only fusion and head per mask, which
+    merge just the mask's encodings. At input level the model zero-imputes
+    the raw data of missing views, so every mask is a full forward that
+    fuses all m encodings.
     """
 
     def __init__(self, view_specs: list[ViewSpec], encoder_cfg: EncoderConfig,
@@ -95,45 +113,31 @@ class FeatureFusionModel(_BaseModel):
         self.head = Affine(fused_width(fusion_cfg, m, d), n_outputs, rng)
         self.task = task
         self.level = level
-        self.head_calls = 0
-
-    def _encoder_input(self, spec: ViewSpec, arr: np.ndarray) -> Tensor:
-        if spec.kind == "categorical":
-            return Tensor(one_hot_batch(arr, spec.cardinality))
-        return Tensor(arr)
 
     def encode_view(self, index: int, arr: np.ndarray, rng=None,
                     train: bool = False) -> Tensor:
         spec = self.view_specs[index]
-        return self.encoders[index](self._encoder_input(spec, arr), rng=rng, train=train)
-
-    def encode_all(self, views: dict[str, np.ndarray], rng=None,
-                   train: bool = False) -> list[Tensor]:
-        return [self.encode_view(i, views[spec.id], rng=rng, train=train)
-                for i, spec in enumerate(self.view_specs)]
+        return self.encoders[index](Tensor(raw_input(spec, arr)), rng=rng, train=train)
 
     def fuse_head(self, rows: list, rng=None, train: bool = False) -> Tensor:
-        self.head_calls += 1
-        fused = self.fusion.fuse(rows, rng=rng, train=train)
-        return self.head(fused)
+        return self.head(self.fusion.fuse(rows, rng=rng, train=train))
 
-    def forward_masked(self, views: dict[str, np.ndarray], mask: tuple[int, ...],
-                       rng=None, train: bool = False) -> Tensor:
+    def forward_masks(self, views: dict[str, np.ndarray], masks: list[tuple[int, ...]],
+                      rng=None, train: bool = False) -> list[Tensor]:
+        m = len(self.view_specs)
         if self.level == "input":
-            rows = []
-            for i, spec in enumerate(self.view_specs):
-                if spec.kind == "categorical":
-                    x = one_hot_batch(views[spec.id], spec.cardinality)
-                else:
-                    x = np.asarray(views[spec.id], dtype=np.float64)
-                if i not in mask:
-                    x = np.zeros_like(x)
-                rows.append(self.encoders[i](Tensor(x), rng=rng, train=train))
-            return self.fuse_head(rows, rng=rng, train=train)
-        rows = [self.encode_view(i, views[self.view_specs[i].id], rng=rng, train=train)
-                if i in mask else None
-                for i in range(len(self.view_specs))]
-        return self.fuse_head(rows, rng=rng, train=train)
+            raw = [raw_input(spec, views[spec.id]) for spec in self.view_specs]
+            return [self.fuse_head([enc(Tensor(x if i in mask else np.zeros_like(x)),
+                                        rng=rng, train=train)
+                                    for i, (enc, x) in enumerate(zip(self.encoders, raw))],
+                                   rng=rng, train=train)
+                    for mask in masks]
+        needed = set().union(*masks)
+        encoded = {i: self.encode_view(i, views[self.view_specs[i].id], rng=rng, train=train)
+                   for i in range(m) if i in needed}
+        return [self.fuse_head([encoded[i] if i in mask else None for i in range(m)],
+                               rng=rng, train=train)
+                for mask in masks]
 
 
 class InputConcatModel(_BaseModel):
@@ -147,26 +151,16 @@ class InputConcatModel(_BaseModel):
         self.head = Affine(encoder_cfg.latent_dim, n_outputs, rng)
         self.task = task
         self.level = "input"
-        self.head_calls = 0
 
-    def _flat_views(self, views: dict[str, np.ndarray],
-                    mask: tuple[int, ...]) -> np.ndarray:
-        items = []
-        for i, spec in enumerate(self.view_specs):
-            if i not in mask:
-                items.append(None)
-            elif spec.kind == "categorical":
-                items.append(one_hot_batch(views[spec.id], spec.cardinality))
-            else:
-                arr = np.asarray(views[spec.id], dtype=np.float64)
-                items.append(arr.reshape(arr.shape[0], -1))
-        return concat_zero_impute(items, self.slot_dims)
-
-    def forward_masked(self, views: dict[str, np.ndarray], mask: tuple[int, ...],
-                       rng=None, train: bool = False) -> Tensor:
-        self.head_calls += 1
-        flat = Tensor(self._flat_views(views, mask))
-        return self.head(self.encoder(flat, rng=rng, train=train))
+    def forward_masks(self, views: dict[str, np.ndarray], masks: list[tuple[int, ...]],
+                      rng=None, train: bool = False) -> list[Tensor]:
+        outs = []
+        for mask in masks:
+            flat = concat_zero_impute([raw_input(spec, views[spec.id]) if i in mask else None
+                                       for i, spec in enumerate(self.view_specs)],
+                                      self.slot_dims)
+            outs.append(self.head(self.encoder(Tensor(flat), rng=rng, train=train)))
+        return outs
 
 
 def build_model(view_specs: list[ViewSpec], encoder_cfg: EncoderConfig,
@@ -216,5 +210,8 @@ def load_model(model_dir: str | Path) -> _BaseModel:
         if set(arrays.files) != set(params):
             raise ValueError("snapshot parameters do not match the architecture")
         for name, p in params.items():
+            if arrays[name].shape != p.data.shape:
+                raise ValueError(f"snapshot parameter {name} has shape {arrays[name].shape}, "
+                                 f"the architecture expects {p.data.shape}")
             p.data = arrays[name]
     return model

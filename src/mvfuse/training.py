@@ -15,7 +15,7 @@ import numpy as np
 
 from .augmentation import AugPolicy, enumerate_combinations, sensd_mask, tempd_mask
 from .data import MultiViewDataset
-from .model import FeatureFusionModel, _BaseModel, batch_views
+from .model import _BaseModel, batch_views, mask_groups
 from .rng import stream
 from .tensor import Adam, Tensor, no_grad
 
@@ -133,18 +133,6 @@ class EarlyStopper:
 # -- steps ---------------------------------------------------------------------------
 
 
-def _masks_for_step(model: _BaseModel, aug: AugPolicy, combos: list[tuple],
-                    batch_size: int, rng: np.random.Generator):
-    """Shared-mask list for the step, or per-sample masks for view dropping."""
-    m = len(model.view_specs)
-    full = tuple(range(m))
-    if aug.kind == "com":
-        return combos, None
-    if aug.kind == "sensd":
-        return None, [sensd_mask(m, rng) for _ in range(batch_size)]
-    return [full], None
-
-
 def _apply_tempd(model: _BaseModel, views: dict[str, np.ndarray], ratio: float,
                  rng: np.random.Generator) -> dict[str, np.ndarray]:
     out = dict(views)
@@ -157,60 +145,38 @@ def _apply_tempd(model: _BaseModel, views: dict[str, np.ndarray], ratio: float,
     return out
 
 
-def _grouped_mask_loss(model: _BaseModel, views: dict[str, np.ndarray],
-                       y: np.ndarray, masks: list[tuple], task: str,
-                       weights, rng, train: bool) -> Tensor:
-    """Mean per-sample loss when each sample carries its own mask.
-
-    Samples are grouped by identical mask so each group runs as one batch;
-    group means are recombined weighted by group size.
-    """
-    order = {}
-    for i, mask in enumerate(masks):
-        order.setdefault(mask, []).append(i)
-    n = len(masks)
-    total = None
-    for mask in sorted(order):
-        idx = np.asarray(order[mask])
-        out = model.forward_masked(batch_views(views, idx), mask, rng=rng, train=train)
-        part = batch_loss(out, y[idx], task, weights) * (len(idx) / n)
-        total = part if total is None else total + part
-    return total
-
-
 def train_step(model: _BaseModel, views: dict[str, np.ndarray], y: np.ndarray,
                aug: AugPolicy, combos: list[tuple], optimizer: Adam, task: str,
                weights: np.ndarray | None, mask_rng: np.random.Generator,
                dropout_rng: np.random.Generator) -> float:
     """One optimizer update; returns the step loss.
 
-    For combination augmentation at feature level the encoders run once and
-    only fusion plus head repeat per combination; at input level every
+    View dropping (``sensd``) draws a mask per sample and groups the samples
+    by mask; the loss is the mean per-sample loss, each group one batch.
+    Every other kind runs ``model.forward_masks`` over the combinations
+    (``com``) or the full mask alone and takes ``combination_loss`` of the
+    per-mask losses: at feature level the encoders run once per step and only
+    fusion plus head repeat per combination, at input level every
     combination is a full forward over zero-imputed inputs.
     """
     if aug.kind == "tempd":
         views = _apply_tempd(model, views, aug.tempd_ratio, mask_rng)
-    batch = y.shape[0]
-    shared, per_sample = _masks_for_step(model, aug, combos, batch, mask_rng)
-
+    m = len(model.view_specs)
     optimizer.zero_grad()
-    if per_sample is not None:
-        loss = _grouped_mask_loss(model, views, y, per_sample, task, weights,
-                                  dropout_rng, True)
-    elif (aug.kind == "com" and isinstance(model, FeatureFusionModel)
-          and model.level == "feature"):
-        rows = model.encode_all(views, rng=dropout_rng, train=True)
-        parts = []
-        for mask in shared:
-            subset = [rows[i] if i in mask else None for i in range(len(rows))]
-            out = model.fuse_head(subset, rng=dropout_rng, train=True)
-            parts.append(batch_loss(out, y, task, weights))
-        loss = combination_loss(parts)
+    if aug.kind == "sensd":
+        available = np.zeros((y.shape[0], m), dtype=bool)
+        for i in range(y.shape[0]):
+            available[i, list(sensd_mask(m, mask_rng))] = True
+        loss = None
+        for mask, idx in mask_groups(available):
+            out = model.forward_masked(batch_views(views, idx), mask, rng=dropout_rng,
+                                       train=True)
+            part = batch_loss(out, y[idx], task, weights) * (len(idx) / y.shape[0])
+            loss = part if loss is None else loss + part
     else:
-        parts = [batch_loss(model.forward_masked(views, mask, rng=dropout_rng,
-                                                 train=True), y, task, weights)
-                 for mask in shared]
-        loss = combination_loss(parts)
+        masks = combos if aug.kind == "com" else [tuple(range(m))]
+        outs = model.forward_masks(views, masks, rng=dropout_rng, train=True)
+        loss = combination_loss([batch_loss(out, y, task, weights) for out in outs])
     loss.backward()
     optimizer.step()
     return loss.item()
@@ -219,12 +185,10 @@ def train_step(model: _BaseModel, views: dict[str, np.ndarray], y: np.ndarray,
 def validation_losses(model: _BaseModel, ds: MultiViewDataset,
                       masks: list[tuple]) -> dict[tuple, float]:
     """Unweighted evaluation-mode loss per mask over the whole validation set."""
-    out = {}
     with no_grad():
-        for mask in masks:
-            pred = model.forward_masked(ds.views, mask)
-            out[mask] = batch_loss(pred, ds.y, model.task).item()
-    return out
+        outs = model.forward_masks(ds.views, masks)
+        return {mask: batch_loss(out, ds.y, model.task).item()
+                for mask, out in zip(masks, outs)}
 
 
 @dataclass

@@ -16,14 +16,14 @@ import yaml
 from mvfuse.augmentation import enumerate_combinations
 from mvfuse.cli import main as cli_main
 from mvfuse.config import parse_config
-from mvfuse.encoders import EncoderConfig, ViewSpec
+from mvfuse.encoders import EncoderConfig, StaticEncoder, ViewSpec
 from mvfuse.evaluation import (MissingScenario, auc_pr, class_change_ratio,
                                deformation, evaluate_scenarios, f1_macro, mape,
                                prs, r2, sweep)
-from mvfuse.fusion import FusionConfig
+from mvfuse.fusion import AverageFusion, FusionConfig, _slots
 from mvfuse.gradcheck import run_suite
 from mvfuse.model import FeatureFusionModel, build_model
-from mvfuse.tensor import Adam, Tensor, backward
+from mvfuse.tensor import Adam, Tensor, backward, stack
 from mvfuse.training import (EarlyStopper, batch_loss, combination_loss,
                              train_step)
 from mvfuse.workflows import fit_model, prepare_data
@@ -100,14 +100,15 @@ def test_criterion_2_ignore_missing_equivalence():
                 if kind == "gated":
                     rows = [model.encode_view(i, views[f"v{i}"]) if i in mask else None
                             for i in range(m)]
-                    z_full, available, _ = model.fusion._full_stack(rows)
+                    z_full = stack(_slots(rows), axis=-2)
+                    available = np.array([r is not None for r in rows])
                     weights = model.fusion.gate_weights(z_full, available).data
                     absent = [i for i in range(m) if i not in mask]
                     if absent:
                         assert np.all(weights[..., absent] == 0.0)
 
 
-def test_criterion_3_com_mechanics():
+def test_criterion_3_com_mechanics(spy):
     with criterion(3, "combination counts, balanced loss, encoder-once execution"):
         # counts against a bitmask oracle for m = 1..8
         for m in range(1, 9):
@@ -136,12 +137,15 @@ def test_criterion_3_com_mechanics():
         y = rng.normal(size=6)
         from mvfuse.augmentation import AugPolicy
         opt = Adam(model.parameters())
+        encoder_calls = spy((StaticEncoder, "__call__"))
+        fusion_calls = spy((AverageFusion, "fuse"))
+        head_calls = spy((FeatureFusionModel, "fuse_head"))
         train_step(model, views, y, AugPolicy(kind="com"), enumerate_combinations(m),
                    opt, "regression", None, np.random.default_rng(0),
                    np.random.default_rng(0))
-        assert [enc.calls for enc in model.encoders] == [1] * m
-        assert model.fusion.calls == 2**m - 1
-        assert model.head_calls == 2**m - 1
+        assert [encoder_calls[enc] for enc in model.encoders] == [1] * m
+        assert fusion_calls[model.fusion] == 2**m - 1
+        assert head_calls[model] == 2**m - 1
 
         # shared encodings give the same gradients as naive re-encoding
         def gradient_run(shared: bool):
@@ -151,10 +155,8 @@ def test_criterion_3_com_mechanics():
                 np.random.default_rng(3))
             combos = enumerate_combinations(m)
             if shared:
-                rows = net.encode_all(views)
-                parts = [batch_loss(net.fuse_head([rows[i] if i in mask else None
-                                                   for i in range(m)]), y, "regression")
-                         for mask in combos]
+                parts = [batch_loss(out, y, "regression")
+                         for out in net.forward_masks(views, combos)]
             else:
                 parts = [batch_loss(net.forward_masked(views, mask), y, "regression")
                          for mask in combos]

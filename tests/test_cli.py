@@ -186,6 +186,24 @@ class TestErrors:
         main(["train", "--config", cfg, "--out", str(out)])
         assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 3
 
+    def test_boolean_seed_is_config_error(self, tmp_path):
+        raw = base_config()
+        raw["seed"] = True
+        cfg = write_config(tmp_path, raw)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+    def test_manifest_without_targets_is_runtime_error(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "data")]) == 0
+        manifest = tmp_path / "data" / "manifest.json"
+        entries = json.loads(manifest.read_text())
+        del entries["targets"]
+        manifest.write_text(json.dumps(entries))
+        raw = base_config()
+        raw["data"] = {"source": "manifest", "manifest": str(manifest), "val_fraction": 0.25}
+        cfg = write_config(tmp_path, raw, name="from_manifest.yaml")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+
     def test_invalid_fusion_kind(self, tmp_path):
         raw = base_config()
         raw["fusion"]["kind"] = "median"

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvfuse.data import (MalformedFieldError, MultiViewDataset, RowCountError,
+from mvfuse.data import (DataError, MalformedFieldError, MultiViewDataset, RowCountError,
                          SyntheticConfig, SyntheticViewConfig, UnknownViewError,
                          generate_synthetic, kfold_indices, load_dataset,
                          save_dataset, train_val_split, zscore_apply, zscore_fit,
@@ -211,6 +211,32 @@ class TestLoaderErrors:
         data["views"][0]["kind"] = "volumetric"
         manifest.write_text(json.dumps(data))
         with pytest.raises(UnknownViewError):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "targets"), (("targets",), "task"), (("targets",), "path"), ((), "views"),
+        (("views", 0), "id"), (("views", 0), "kind"), (("views", 0), "path"),
+        (("views", 0), "dims"), (("views", 1), "dims"), (("views", 2), "cardinality")])
+    def test_missing_manifest_key_names_the_key(self, tmp_path, path, key):
+        import json
+        manifest = self._write_broken(tmp_path, lambda base: None)
+        data = json.loads(manifest.read_text())
+        node = data
+        for step in path:
+            node = node[step]
+        del node[key]
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(DataError, match=repr(key)):
+            load_dataset(manifest)
+
+    def test_targets_without_y_column(self, tmp_path):
+        def rename_y(base):
+            path = base / "targets.csv"
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(["label"] + lines[1:]) + "\n")
+
+        manifest = self._write_broken(tmp_path, rename_y)
+        with pytest.raises(DataError, match="'y' column"):
             load_dataset(manifest)
 
     def test_dataset_view_lookup_errors(self):

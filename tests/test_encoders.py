@@ -58,13 +58,6 @@ class TestTemporalEncoder:
         with pytest.raises(ValueError):
             enc(Tensor(np.zeros((0, 2))))
 
-    def test_call_counter_increments(self):
-        enc = TemporalEncoder(2, CFG, np.random.default_rng(0))
-        x = Tensor(np.random.default_rng(1).normal(size=(3, 4, 2)))
-        enc(x)
-        enc(x)
-        assert enc.calls == 2
-
 
 class TestStaticEncoder:
     @pytest.mark.parametrize("c", [2, 5, 17])

@@ -8,38 +8,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfuse.fusion import (AverageFusion, ConcatFusion, CrossAttentionFusion,
-                           FusionConfig, GatedFusion, MemoryFusion,
+                           FusionConfig, GatedFusion, MemoryFusion, _slots,
                            concat_zero_impute, fused_width, make_fusion)
 from mvfuse.gradcheck import check_gradients
-from mvfuse.tensor import Tensor
+from mvfuse.tensor import Tensor, stack
 
 
-def rows_for(m, d, rng, mask, batch=None):
-    """Row list with None outside the mask."""
-    shape = (d,) if batch is None else (batch, d)
-    return [Tensor(rng.normal(size=shape)) if i in mask else None for i in range(m)]
+def rows_for(m, d, rng, mask, batch=1):
+    """Row list of (batch, d) encodings with None outside the mask."""
+    return [Tensor(rng.normal(size=(batch, d))) if i in mask else None for i in range(m)]
 
 
 class TestAverage:
     def test_identical_rows_return_that_row(self):
-        z = np.array([0.5, -1.0, 2.0])
+        z = np.array([[0.5, -1.0, 2.0]])
         rows = [Tensor(z.copy()) for _ in range(3)]
         np.testing.assert_allclose(AverageFusion().fuse(rows).data, z, atol=1e-15)
 
     def test_singleton_mask_is_exact(self):
-        z = np.array([1.0, 2.0])
+        z = np.array([[1.0, 2.0]])
         rows = [None, Tensor(z), None]
         np.testing.assert_array_equal(AverageFusion().fuse(rows).data, z)
 
     def test_two_rows_analytic(self):
-        rows = [Tensor(np.array([1.0, 3.0])), Tensor(np.array([3.0, 1.0]))]
-        np.testing.assert_allclose(AverageFusion().fuse(rows).data, [2.0, 2.0], atol=1e-15)
+        rows = [Tensor(np.array([[1.0, 3.0]])), Tensor(np.array([[3.0, 1.0]]))]
+        np.testing.assert_allclose(AverageFusion().fuse(rows).data, [[2.0, 2.0]], atol=1e-15)
 
     @given(st.permutations(list(range(4))))
     @settings(max_examples=24, deadline=None)
     def test_permutation_invariant(self, perm):
         rng = np.random.default_rng(0)
-        vals = [rng.normal(size=5) for _ in range(4)]
+        vals = [rng.normal(size=(1, 5)) for _ in range(4)]
         base = AverageFusion().fuse([Tensor(v) for v in vals]).data
         shuffled = AverageFusion().fuse([Tensor(vals[i]) for i in perm]).data
         np.testing.assert_allclose(base, shuffled, atol=1e-12)
@@ -49,7 +48,7 @@ class TestGated:
     def test_singleton_support_returns_row_exactly(self):
         rng = np.random.default_rng(0)
         gated = GatedFusion(3, 4, rng)
-        z = rng.normal(size=4)
+        z = rng.normal(size=(1, 4))
         out = gated.fuse([None, Tensor(z), None]).data
         np.testing.assert_allclose(out, z, atol=1e-15)
 
@@ -58,7 +57,7 @@ class TestGated:
         gated = GatedFusion(3, 4, rng)
         gated.W_G.data = np.zeros_like(gated.W_G.data)
         gated.b.data = np.zeros_like(gated.b.data)
-        a, b = rng.normal(size=4), rng.normal(size=4)
+        a, b = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         out = gated.fuse([Tensor(a), Tensor(b), None]).data
         np.testing.assert_allclose(out, (a + b) / 2.0, atol=1e-14)
 
@@ -81,15 +80,16 @@ class TestGated:
         weights[:, kept] = probs_kept
         expected = np.einsum("dm,md->d", weights, stack)
 
-        rows = [Tensor(z[i]) if i in mask else None for i in range(m)]
-        np.testing.assert_allclose(gated.fuse(rows).data, expected, atol=1e-12)
+        rows = [Tensor(z[i][None]) if i in mask else None for i in range(m)]
+        np.testing.assert_allclose(gated.fuse(rows).data, expected[None], atol=1e-12)
 
     def test_missing_view_weights_are_exactly_zero(self):
         rng = np.random.default_rng(3)
         m, d = 4, 5
         gated = GatedFusion(m, d, rng)
         rows = rows_for(m, d, rng, mask=(1, 3), batch=2)
-        z_full, available, _ = gated._full_stack(rows)
+        z_full = stack(_slots(rows), axis=-2)
+        available = np.array([r is not None for r in rows])
         weights = gated.gate_weights(z_full, available).data
         assert np.all(weights[..., [0, 2]] == 0.0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
@@ -99,7 +99,7 @@ class TestGated:
         # different view slots, because slot identity enters through W_G
         rng = np.random.default_rng(4)
         gated = GatedFusion(3, 4, rng)
-        a, b = rng.normal(size=4), rng.normal(size=4)
+        a, b = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         one = gated.fuse([Tensor(a), Tensor(b), None]).data
         two = gated.fuse([Tensor(b), Tensor(a), None]).data
         assert not np.allclose(one, two)
@@ -114,7 +114,7 @@ class TestCrossAttention:
         cross = CrossAttentionFusion(4, 8, self.cfg(), rng)
         rows = rows_for(4, 8, rng, mask=(0, 2, 3))
         weights = cross.token_attention(rows)
-        assert weights.shape == (2, 4)  # heads x (token + three views)
+        assert weights.shape == (1, 2, 4)  # batch x heads x (token + three views)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("mask", [(0,), (1, 3), (0, 1, 2), (0, 1, 2, 3)])
@@ -122,14 +122,14 @@ class TestCrossAttention:
         rng = np.random.default_rng(1)
         cross = CrossAttentionFusion(4, 8, self.cfg(), rng)
         out = cross.fuse(rows_for(4, 8, rng, mask))
-        assert out.shape == (8,)
+        assert out.shape == (1, 8)
 
     def test_absent_views_never_influence_output(self):
         # fusing {a, b} must match fusing {a, b, c} with c physically deleted,
         # bit for bit, because only available rows are ever stacked
         rng = np.random.default_rng(2)
         cross = CrossAttentionFusion(3, 8, self.cfg(), rng)
-        a, b = rng.normal(size=8), rng.normal(size=8)
+        a, b = rng.normal(size=(1, 8)), rng.normal(size=(1, 8))
         with_absent = cross.fuse([Tensor(a), Tensor(b), None]).data
         only_two = cross.fuse([Tensor(a.copy()), Tensor(b.copy()), None]).data
         assert np.array_equal(with_absent, only_two)
@@ -138,7 +138,7 @@ class TestCrossAttention:
         # view 2 keeps its own embedding even when it is the only view present
         rng = np.random.default_rng(3)
         cross = CrossAttentionFusion(3, 8, self.cfg(), rng)
-        z = rng.normal(size=8)
+        z = rng.normal(size=(1, 8))
         alone = cross.fuse([None, None, Tensor(z)]).data
         as_first = cross.fuse([Tensor(z), None, None]).data
         assert not np.allclose(alone, as_first)
@@ -173,7 +173,7 @@ class TestMemory:
     def test_order_sensitivity_witness(self):
         rng = np.random.default_rng(1)
         memory = MemoryFusion(6, self.cfg(), rng)
-        vals = [rng.normal(size=6) for _ in range(3)]
+        vals = [rng.normal(size=(1, 6)) for _ in range(3)]
         forward = memory.fuse([Tensor(v) for v in vals]).data
         reversed_ = memory.fuse([Tensor(v) for v in vals[::-1]]).data
         assert not np.allclose(forward, reversed_)
@@ -196,7 +196,7 @@ class TestMemory:
         with pytest.raises(ValueError):
             memory.fuse(rows, train=True)
         out = memory.fuse(rows, rng=np.random.default_rng(1), train=True)
-        assert out.shape == (6,)
+        assert out.shape == (1, 6)
 
 
 class TestConcat:
@@ -270,7 +270,7 @@ class TestIgnoreMissingEquivalence:
         for r in range(1, m + 1):
             for mask in itertools.combinations(range(m), r):
                 out = fusion.fuse(rows_for(m, d, rng, mask))
-                assert out.shape == (d,)
+                assert out.shape == (1, d)
         assert fused_width(FusionConfig(kind=kind, heads=2), m, d) == d
 
     def test_empty_mask_rejected(self):

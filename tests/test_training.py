@@ -7,9 +7,9 @@ import pytest
 
 from mvfuse.augmentation import AugPolicy, enumerate_combinations
 from mvfuse.data import SyntheticConfig, SyntheticViewConfig, generate_synthetic
-from mvfuse.encoders import EncoderConfig
-from mvfuse.fusion import FusionConfig
-from mvfuse.model import build_model
+from mvfuse.encoders import EncoderConfig, StaticEncoder, TemporalEncoder
+from mvfuse.fusion import AverageFusion, FusionConfig
+from mvfuse.model import FeatureFusionModel, build_model, load_model, save_model
 from mvfuse.tensor import Adam, Tensor, backward
 from mvfuse.training import (EarlyStopper, TrainConfig, batch_loss, class_weights,
                              combination_loss, cross_entropy, per_sample_loss,
@@ -94,21 +94,28 @@ class TestBatchLosses:
         assert abs(a - b) <= 1e-12
 
 
+def spy_step(spy):
+    """Per-instance call counters for encoders, average fusion and the head."""
+    encoders = spy((TemporalEncoder, "__call__"), (StaticEncoder, "__call__"))
+    return encoders, spy((AverageFusion, "fuse")), spy((FeatureFusionModel, "fuse_head"))
+
+
 class TestComStepMechanics:
-    def test_counts_two_views(self):
+    def test_counts_two_views(self, spy):
         ds = tiny_dataset()
         model = tiny_model(ds)
         opt = Adam(model.parameters())
         rng = np.random.default_rng(0)
         combos = enumerate_combinations(2)
+        encoder_calls, fusion_calls, head_calls = spy_step(spy)
         train_step(model, ds.views, ds.y, AugPolicy(kind="com"), combos, opt,
                    ds.task, None, rng, rng)
         for enc in model.encoders:
-            assert enc.calls == 1
-        assert model.fusion.calls == 3  # 2^2 - 1
-        assert model.head_calls == 3
+            assert encoder_calls[enc] == 1
+        assert fusion_calls[model.fusion] == 3  # 2^2 - 1
+        assert head_calls[model] == 3
 
-    def test_counts_three_views_full_grid(self):
+    def test_counts_three_views_full_grid(self, spy):
         cfg = SyntheticConfig(
             n_samples=20, latent_dim=4, task="classification", classes=2, seed=1,
             views=[SyntheticViewConfig(id=f"v{i}", kind="static", channels=3,
@@ -117,10 +124,11 @@ class TestComStepMechanics:
         model = tiny_model(ds)
         opt = Adam(model.parameters())
         rng = np.random.default_rng(0)
+        encoder_calls, _, head_calls = spy_step(spy)
         train_step(model, ds.views, ds.y, AugPolicy(kind="com"),
                    enumerate_combinations(3), opt, ds.task, None, rng, rng)
-        assert [enc.calls for enc in model.encoders] == [1, 1, 1]
-        assert model.head_calls == 7
+        assert [encoder_calls[enc] for enc in model.encoders] == [1, 1, 1]
+        assert head_calls[model] == 7
 
     def test_gradients_match_naive_reencoding(self):
         # encoding once and fusing per combination must give the same gradients
@@ -130,10 +138,8 @@ class TestComStepMechanics:
 
         shared = tiny_model(ds, seed=3)
         params_shared = shared.parameters()
-        rows = shared.encode_all(ds.views)
-        parts = [batch_loss(shared.fuse_head([rows[i] if i in mask else None
-                                              for i in range(2)]), ds.y, ds.task)
-                 for mask in combos]
+        parts = [batch_loss(out, ds.y, ds.task)
+                 for out in shared.forward_masks(ds.views, combos)]
         grads_shared = backward(combination_loss(parts), params_shared)
 
         naive = tiny_model(ds, seed=3)
@@ -149,12 +155,10 @@ class TestComStepMechanics:
         ds = tiny_dataset(n=16)
         combos = enumerate_combinations(2)
         model = tiny_model(ds, seed=4)
-        rows = model.encode_all(ds.views)
 
         def step_loss(order):
-            parts = [batch_loss(model.fuse_head([rows[i] if i in mask else None
-                                                 for i in range(2)]), ds.y, ds.task)
-                     for mask in order]
+            parts = [batch_loss(out, ds.y, ds.task)
+                     for out in model.forward_masks(ds.views, order)]
             return combination_loss(parts).item()
 
         assert abs(step_loss(combos) - step_loss(combos[::-1])) <= 1e-12
@@ -170,15 +174,16 @@ class TestComStepMechanics:
                             ds.task).item()
         assert abs(stepped - direct) <= 1e-12
 
-    def test_com_at_input_level_reencodes_every_combination(self):
+    def test_com_at_input_level_reencodes_every_combination(self, spy):
         # zero-imputed inputs change the encoder output, so no sharing is possible
         ds = tiny_dataset(n=12)
         model = tiny_model(ds, level="input")
         opt = Adam(model.parameters())
         rng = np.random.default_rng(0)
+        encoder_calls, _, _ = spy_step(spy)
         train_step(model, ds.views, ds.y, AugPolicy(kind="com", level="input"),
                    enumerate_combinations(2), opt, ds.task, None, rng, rng)
-        assert all(enc.calls == 3 for enc in model.encoders)
+        assert all(encoder_calls[enc] == 3 for enc in model.encoders)
 
     def test_input_level_masking_equals_manual_zeroing(self):
         ds = tiny_dataset(n=8)
@@ -235,6 +240,20 @@ def test_permuted_memory_fusion_trains():
     result = train_model(model, ds.subset(np.arange(14)), ds.subset(np.arange(14, 20)),
                          AugPolicy(kind="com"), cfg)
     assert len(result.log) == 1
+
+
+def test_load_model_rejects_wrong_parameter_shape(tmp_path):
+    ds = tiny_dataset(n=10)
+    enc_cfg = EncoderConfig(latent_dim=8, layers=1, dropout=0.0)
+    fusion_cfg = FusionConfig(kind="average", heads=2, dropout=0.0)
+    model = build_model(ds.view_specs, enc_cfg, fusion_cfg, ds.task, ds.n_outputs,
+                        "feature", np.random.default_rng(0))
+    save_model(model, enc_cfg, fusion_cfg, ds.n_outputs, tmp_path)
+    arrays = dict(np.load(tmp_path / "model.npz"))
+    arrays["encoders.1.affines.0.W"] = np.zeros(1)
+    np.savez(tmp_path / "model.npz", **arrays)
+    with pytest.raises(ValueError, match=r"encoders\.1\.affines\.0\.W.*\(1,\).*\(3, 8\)"):
+        load_model(tmp_path)
 
 
 class TestEarlyStopper:
