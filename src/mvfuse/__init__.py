@@ -9,17 +9,16 @@ robustness by simulating missingness at evaluation time.
 from .augmentation import AugPolicy, enumerate_combinations, sensd_mask, tempd_mask
 from .data import (MultiViewDataset, SyntheticConfig, SyntheticViewConfig,
                    generate_synthetic, load_dataset, save_dataset, zscore_apply,
-                   zscore_fit, zscore_invert)
-from .encoders import EncoderConfig, ViewSpec, one_hot
+                   zscore_fit)
+from .encoders import EncoderConfig, ViewSpec
 from .evaluation import (EvalReport, MissingScenario, auc_pr, class_change_ratio,
                          deformation, evaluate_scenarios, f1_macro, mape, prs, r2,
                          scenario_availability, sweep)
 from .fusion import (AverageFusion, ConcatFusion, CrossAttentionFusion, FusionConfig,
-                     GatedFusion, MemoryFusion, concat_zero_impute, make_fusion)
+                     GatedFusion, MemoryFusion, make_fusion)
 from .model import FeatureFusionModel, InputConcatModel, build_model, load_model, save_model
-from .tensor import Adam, EmptySupportError, Tensor, no_grad, softmax, tensor
-from .training import (EarlyStopper, TrainConfig, class_weights, cross_entropy,
-                       per_sample_loss, train_model)
+from .tensor import Adam, EmptySupportError, Tensor, no_grad
+from .training import EarlyStopper, TrainConfig, class_weights, cross_entropy, train_model
 
 __version__ = "0.1.0"
 
@@ -29,11 +28,9 @@ __all__ = [
     "FeatureFusionModel", "FusionConfig", "GatedFusion", "InputConcatModel",
     "MemoryFusion", "MissingScenario", "MultiViewDataset", "SyntheticConfig",
     "SyntheticViewConfig", "Tensor", "TrainConfig", "ViewSpec", "auc_pr",
-    "build_model", "class_change_ratio", "class_weights", "concat_zero_impute",
-    "cross_entropy", "deformation", "enumerate_combinations", "evaluate_scenarios",
-    "f1_macro", "generate_synthetic", "load_dataset", "load_model", "make_fusion",
-    "mape", "no_grad", "one_hot", "per_sample_loss", "prs", "r2", "save_dataset",
-    "save_model", "scenario_availability", "sensd_mask", "softmax", "sweep",
-    "tempd_mask", "tensor", "train_model", "zscore_apply", "zscore_fit",
-    "zscore_invert",
+    "build_model", "class_change_ratio", "class_weights", "cross_entropy",
+    "deformation", "enumerate_combinations", "evaluate_scenarios", "f1_macro",
+    "generate_synthetic", "load_dataset", "load_model", "make_fusion", "mape",
+    "no_grad", "prs", "r2", "save_dataset", "save_model", "scenario_availability",
+    "sensd_mask", "sweep", "tempd_mask", "train_model", "zscore_apply", "zscore_fit",
 ]

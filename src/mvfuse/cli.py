@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, set_seed
 from .data import DataError
 from .gradcheck import DEFAULT_TOLERANCE
 from . import workflows
@@ -61,12 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> "workflows.ExperimentConfig":
     cfg = load_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        cfg.seed = args.seed
-        cfg.train.seed = args.seed
-        if cfg.data.synthetic is not None:
-            cfg.data.synthetic.seed = args.seed
+        set_seed(cfg, args.seed)
     return cfg
 
 

@@ -203,15 +203,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if any(not 0.0 <= float(p) <= 1.0 for p in eval_cfg.grid):
         raise ConfigError("eval.grid values must lie in [0, 1]")
 
-    seed = raw.get("seed", 0)
+    cfg = ExperimentConfig(data=data, encoder=encoder, fusion=fusion, aug=aug,
+                           train=train, eval=eval_cfg)
+    set_seed(cfg, raw.get("seed", 0))
+    return cfg
+
+
+def set_seed(cfg: ExperimentConfig, seed) -> None:
+    """Validate ``seed`` and hand it to every section that draws randomness."""
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    cfg = ExperimentConfig(seed=seed, data=data, encoder=encoder, fusion=fusion,
-                           aug=aug, train=train, eval=eval_cfg)
+    cfg.seed = seed
     cfg.train.seed = seed
     if cfg.data.synthetic is not None:
         cfg.data.synthetic.seed = seed
-    return cfg
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

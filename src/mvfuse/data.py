@@ -36,6 +36,19 @@ class MalformedFieldError(DataError):
     """A CSV field could not be parsed as the expected number."""
 
 
+def _check_view(spec: ViewSpec, arr: np.ndarray) -> None:
+    """DataError naming the view unless ``arr`` has the layout its spec declares."""
+    shape = () if spec.kind == "categorical" else spec.raw_shape
+    if arr.shape[1:] != shape:
+        raise DataError(f"view {spec.id!r} has per-sample shape {arr.shape[1:]}, "
+                        f"its spec declares {shape}")
+    if spec.kind == "categorical":
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise DataError(f"view {spec.id!r} needs integer codes, got {arr.dtype}")
+        if arr.size and (arr.min() < 0 or arr.max() >= spec.cardinality):
+            raise DataError(f"view {spec.id!r} has codes outside [0, {spec.cardinality})")
+
+
 class MultiViewDataset:
     """Per-sample view arrays plus targets.
 
@@ -61,6 +74,7 @@ class MultiViewDataset:
             if rows != n:
                 raise RowCountError(
                     f"view {spec.id!r} has {rows} samples, targets have {n}")
+            _check_view(spec, self.views[spec.id])
 
     @property
     def n_samples(self) -> int:
@@ -69,18 +83,6 @@ class MultiViewDataset:
     @property
     def view_ids(self) -> list[str]:
         return [s.id for s in self.view_specs]
-
-    def spec(self, view_id: str) -> ViewSpec:
-        for s in self.view_specs:
-            if s.id == view_id:
-                return s
-        raise UnknownViewError(f"view {view_id!r} not declared")
-
-    def view_index(self, view_id: str) -> int:
-        for i, s in enumerate(self.view_specs):
-            if s.id == view_id:
-                return i
-        raise UnknownViewError(f"view {view_id!r} not declared")
 
     def subset(self, indices: np.ndarray) -> "MultiViewDataset":
         views = {vid: arr[indices] for vid, arr in self.views.items()}
@@ -262,19 +264,6 @@ def zscore_apply(ds: MultiViewDataset, stats: dict) -> MultiViewDataset:
     return MultiViewDataset(ds.view_specs, views, ds.y, ds.task, ds.n_classes)
 
 
-def zscore_invert(ds: MultiViewDataset, stats: dict) -> MultiViewDataset:
-    views = {}
-    for spec in ds.view_specs:
-        arr = ds.views[spec.id]
-        if spec.id in stats:
-            mean = np.asarray(stats[spec.id]["mean"])
-            std = np.asarray(stats[spec.id]["std"])
-            views[spec.id] = arr * std + mean
-        else:
-            views[spec.id] = arr
-    return MultiViewDataset(ds.view_specs, views, ds.y, ds.task, ds.n_classes)
-
-
 # -- CSV and manifest round trip ----------------------------------------------
 
 
@@ -378,6 +367,9 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
                 header = next(reader)
                 for ln, row in enumerate(reader, start=2):
                     where = f"{path}:{ln}"
+                    if len(row) != c + 2:
+                        raise DataError(f"{where}: expected sample_id, t and {c} values, "
+                                        f"got {len(row)} fields")
                     i = int(_float_field(row[0], where))
                     t = int(_float_field(row[1], where))
                     if not 0 <= i < n:
@@ -396,11 +388,10 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
                 reader = csv.reader(fh)
                 next(reader)
                 for ln, row in enumerate(reader, start=2):
+                    if len(row) != c:
+                        raise DataError(f"{path}:{ln}: expected {c} values, got {len(row)}")
                     rows.append([_float_field(v, f"{path}:{ln}") for v in row])
-            arr = np.asarray(rows).reshape(-1, c) if rows else np.zeros((0, c))
-            if arr.shape[0] != n:
-                raise RowCountError(
-                    f"view {vid!r} has {arr.shape[0]} samples, targets have {n}")
+            arr = np.asarray(rows).reshape(len(rows), c)
         elif kind == "categorical":
             card = _required(entry, "cardinality", where)
             spec = ViewSpec(id=vid, kind=kind, cardinality=card)
@@ -411,9 +402,6 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
                 for ln, row in enumerate(reader, start=2):
                     codes.append(int(_float_field(row[0], f"{path}:{ln}")))
             arr = np.asarray(codes, dtype=np.int64)
-            if arr.shape[0] != n:
-                raise RowCountError(
-                    f"view {vid!r} has {arr.shape[0]} samples, targets have {n}")
         else:
             raise UnknownViewError(f"view {vid!r} has unknown kind {kind!r}")
         specs.append(spec)

@@ -50,13 +50,14 @@ class ViewSpec:
                 raise ValueError("categorical view needs cardinality >= 2")
 
     @property
-    def flat_dim(self) -> int:
-        """Length of this view once flattened, the slot width for concatenation."""
+    def raw_shape(self) -> tuple[int, ...]:
+        """Per-sample shape of the view as its encoder reads it; categorical
+        codes arrive one-hot."""
         if self.kind == "temporal":
-            return self.time_steps * self.channels
+            return (self.time_steps, self.channels)
         if self.kind == "static":
-            return self.channels
-        return self.cardinality
+            return (self.channels,)
+        return (self.cardinality,)
 
 
 @dataclass
@@ -73,20 +74,12 @@ class EncoderConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
-def one_hot(index: int, cardinality: int) -> np.ndarray:
-    """One-hot vector for a categorical code; raises on out-of-range codes."""
-    idx = int(index)
-    if not 0 <= idx < cardinality:
-        raise ValueError(f"categorical code {idx} out of range [0, {cardinality})")
-    out = np.zeros(cardinality)
-    out[idx] = 1.0
-    return out
-
-
 def one_hot_batch(indices: np.ndarray, cardinality: int) -> np.ndarray:
+    """One-hot rows (N, cardinality) for integer codes or class labels (N,);
+    raises on out-of-range values."""
     idx = np.asarray(indices, dtype=int)
     if idx.min() < 0 or idx.max() >= cardinality:
-        raise ValueError("categorical code out of range")
+        raise ValueError(f"code out of range [0, {cardinality})")
     out = np.zeros((idx.shape[0], cardinality))
     out[np.arange(idx.shape[0]), idx] = 1.0
     return out

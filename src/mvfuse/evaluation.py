@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import MultiViewDataset, UnknownViewError
+from .encoders import one_hot_batch
 from .model import _BaseModel
 from .rng import stream
 
@@ -185,12 +186,6 @@ def deformation(y_full: np.ndarray, y_miss: np.ndarray) -> float:
     return _rmse(full, y_miss) / spread
 
 
-def one_hot_targets(y: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((y.shape[0], n_classes))
-    out[np.arange(y.shape[0]), np.asarray(y, dtype=int)] = 1.0
-    return out
-
-
 # -- report -----------------------------------------------------------------------
 
 
@@ -262,7 +257,7 @@ def _performance_rows(report: EvalReport, scenario: MissingScenario, ds,
         report.add(key, view, p, "auc_pr", fold, seed, auc_pr(ds.y, preds))
         report.add(key, view, p, "class_change", fold, seed,
                    class_change_ratio(full_preds, preds))
-        onehot = one_hot_targets(ds.y, preds.shape[1])
+        onehot = one_hot_batch(ds.y, preds.shape[1])
         report.add(key, view, p, "prs", fold, seed, prs(onehot, preds, full_preds))
     else:
         report.add(key, view, p, "r2", fold, seed, r2(ds.y, preds))

@@ -191,33 +191,6 @@ class ConcatFusion(Module):
         return concat(_slots(rows), axis=-1)
 
 
-def concat_zero_impute(items: list, slot_dims: list[int]) -> np.ndarray:
-    """Concatenate flattened per-view arrays, filling missing slots with zeros.
-
-    ``items[v]`` is a (batch, dims...) array or None; the output always has
-    width sum(slot_dims) regardless of which views are missing.
-    """
-    if len(items) != len(slot_dims):
-        raise ValueError("one slot dimension per view required")
-    batch = None
-    for item in items:
-        if item is not None:
-            batch = np.asarray(item).shape[0]
-            break
-    if batch is None:
-        raise ValueError("concatenation needs at least one available view")
-    parts = []
-    for item, dim in zip(items, slot_dims):
-        if item is None:
-            parts.append(np.zeros((batch, dim)))
-        else:
-            arr = np.asarray(item, dtype=np.float64).reshape(batch, -1)
-            if arr.shape[1] != dim:
-                raise ValueError(f"view slot expects {dim} values, got {arr.shape[1]}")
-            parts.append(arr)
-    return np.concatenate(parts, axis=1)
-
-
 def make_fusion(cfg: FusionConfig, m: int, d: int, rng: np.random.Generator) -> Module:
     if cfg.kind == "average":
         return AverageFusion()

@@ -16,7 +16,7 @@ import numpy as np
 
 from .encoders import (EncoderConfig, StaticEncoder, ViewSpec, make_encoder,
                        one_hot_batch)
-from .fusion import FusionConfig, concat_zero_impute, fused_width, make_fusion
+from .fusion import FusionConfig, fused_width, make_fusion
 from .layers import Affine, Module
 from .tensor import Tensor, no_grad
 
@@ -67,6 +67,20 @@ class _BaseModel(Module):
     def forward_masked(self, views: dict[str, np.ndarray], mask: tuple[int, ...],
                        rng=None, train: bool = False) -> Tensor:
         return self.forward_masks(views, [mask], rng=rng, train=train)[0]
+
+    def raw_inputs(self, views: dict[str, np.ndarray],
+                   mask: tuple[int, ...]) -> list[np.ndarray]:
+        """Every view's raw batch under ``mask``, the input-level zero imputation.
+
+        A view outside the mask becomes zeros of its per-sample shape; its
+        data is never read.
+        """
+        if not mask:
+            raise ValueError("a mask needs at least one available view")
+        batch = views[self.view_specs[mask[0]].id].shape[0]
+        return [raw_input(spec, views[spec.id]) if i in mask
+                else np.zeros((batch,) + spec.raw_shape)
+                for i, spec in enumerate(self.view_specs)]
 
     def predict(self, views: dict[str, np.ndarray],
                 available: np.ndarray) -> np.ndarray:
@@ -126,10 +140,9 @@ class FeatureFusionModel(_BaseModel):
                       rng=None, train: bool = False) -> list[Tensor]:
         m = len(self.view_specs)
         if self.level == "input":
-            raw = [raw_input(spec, views[spec.id]) for spec in self.view_specs]
-            return [self.fuse_head([enc(Tensor(x if i in mask else np.zeros_like(x)),
-                                        rng=rng, train=train)
-                                    for i, (enc, x) in enumerate(zip(self.encoders, raw))],
+            return [self.fuse_head([enc(Tensor(x), rng=rng, train=train)
+                                    for enc, x in zip(self.encoders,
+                                                      self.raw_inputs(views, mask))],
                                    rng=rng, train=train)
                     for mask in masks]
         needed = set().union(*masks)
@@ -146,8 +159,8 @@ class InputConcatModel(_BaseModel):
     def __init__(self, view_specs: list[ViewSpec], encoder_cfg: EncoderConfig,
                  task: str, n_outputs: int, rng: np.random.Generator):
         self.view_specs = list(view_specs)
-        self.slot_dims = [spec.flat_dim for spec in self.view_specs]
-        self.encoder = StaticEncoder(sum(self.slot_dims), encoder_cfg, rng)
+        width = sum(int(np.prod(spec.raw_shape)) for spec in self.view_specs)
+        self.encoder = StaticEncoder(width, encoder_cfg, rng)
         self.head = Affine(encoder_cfg.latent_dim, n_outputs, rng)
         self.task = task
         self.level = "input"
@@ -156,9 +169,8 @@ class InputConcatModel(_BaseModel):
                       rng=None, train: bool = False) -> list[Tensor]:
         outs = []
         for mask in masks:
-            flat = concat_zero_impute([raw_input(spec, views[spec.id]) if i in mask else None
-                                       for i, spec in enumerate(self.view_specs)],
-                                      self.slot_dims)
+            flat = np.concatenate([x.reshape(x.shape[0], -1)
+                                   for x in self.raw_inputs(views, mask)], axis=1)
             outs.append(self.head(self.encoder(Tensor(flat), rng=rng, train=train)))
         return outs
 
@@ -210,8 +222,11 @@ def load_model(model_dir: str | Path) -> _BaseModel:
         if set(arrays.files) != set(params):
             raise ValueError("snapshot parameters do not match the architecture")
         for name, p in params.items():
-            if arrays[name].shape != p.data.shape:
-                raise ValueError(f"snapshot parameter {name} has shape {arrays[name].shape}, "
+            value = arrays[name]
+            if value.shape != p.data.shape:
+                raise ValueError(f"snapshot parameter {name} has shape {value.shape}, "
                                  f"the architecture expects {p.data.shape}")
-            p.data = arrays[name]
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"snapshot parameter {name} has non-finite values")
+            p.data = value
     return model

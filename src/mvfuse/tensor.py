@@ -14,7 +14,7 @@ tolerances.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -382,10 +382,6 @@ class Tensor:
 # -- module-level helpers ----------------------------------------------------------
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     ts = [_coerce(t) for t in tensors]
     out_data = np.concatenate([t.data for t in ts], axis=axis)
@@ -410,29 +406,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             t._accumulate(np.take(g, i, axis=axis))
 
     return Tensor._result(out_data, tuple(ts), backward, "stack")
-
-
-def softmax(x, exclude: Iterable[int] = ()) -> Tensor | np.ndarray:
-    """Softmax of a vector with an optional set of excluded indices.
-
-    Excluded entries are removed from the normalization and come back as
-    exact zeros. Accepts a Tensor (differentiable) or a plain array.
-    """
-    excl_idx = sorted(set(int(i) for i in exclude))
-    is_tensor = isinstance(x, Tensor)
-    arr = x.data if is_tensor else np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("softmax expects a vector")
-    for i in excl_idx:
-        if not 0 <= i < arr.shape[0]:
-            raise IndexError(f"excluded index {i} out of range")
-    mask = np.zeros(arr.shape[0], dtype=bool)
-    mask[excl_idx] = True
-    if mask.all():
-        raise EmptySupportError("all indices excluded from softmax")
-    t = x if is_tensor else Tensor(arr)
-    out = t.softmax(axis=0, exclude=mask if excl_idx else None)
-    return out if is_tensor else out.data
 
 
 def backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:

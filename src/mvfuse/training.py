@@ -15,6 +15,7 @@ import numpy as np
 
 from .augmentation import AugPolicy, enumerate_combinations, sensd_mask, tempd_mask
 from .data import MultiViewDataset
+from .encoders import one_hot_batch
 from .model import _BaseModel, batch_views, mask_groups
 from .rng import stream
 from .tensor import Adam, Tensor, no_grad
@@ -63,12 +64,7 @@ def cross_entropy(logits: Tensor, y: np.ndarray,
                   weights: np.ndarray | None = None) -> Tensor:
     """Mean weighted cross-entropy over a batch of logits (B, K)."""
     y = np.asarray(y, dtype=int)
-    k = logits.shape[-1]
-    if y.min() < 0 or y.max() >= k:
-        raise ValueError("class label out of range")
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(y.shape[0]), y] = 1.0
-    picked = (_log_softmax(logits) * Tensor(onehot)).sum(axis=-1)
+    picked = (_log_softmax(logits) * Tensor(one_hot_batch(y, logits.shape[-1]))).sum(axis=-1)
     if weights is not None:
         picked = picked * Tensor(weights[y])
     return -picked.mean()
@@ -93,20 +89,6 @@ def combination_loss(parts: list[Tensor]) -> Tensor:
     for part in parts[1:]:
         total = total + part
     return total * (1.0 / len(parts))
-
-
-def per_sample_loss(y, y_hat, task: str,
-                    weights: np.ndarray | None = None) -> float:
-    """Loss of a single prediction: weighted cross-entropy on a probability
-    vector for classification, squared error for regression."""
-    if task == "classification":
-        p = np.asarray(y_hat, dtype=np.float64)
-        label = int(y)
-        if not 0 <= label < p.shape[0]:
-            raise ValueError(f"class label {label} out of range")
-        w = 1.0 if weights is None else float(weights[label])
-        return float(-w * math.log(max(p[label], 1e-300)))
-    return float((float(y) - float(y_hat)) ** 2)
 
 
 # -- early stopping ------------------------------------------------------------------

@@ -43,20 +43,37 @@ def prepare_data(cfg: ExperimentConfig):
     return split_dataset(cfg, load_raw_dataset(cfg))
 
 
-def default_scenarios(cfg: ExperimentConfig, view_ids: list[str]) -> list[MissingScenario]:
-    if cfg.eval.scenarios:
-        return list(cfg.eval.scenarios)
-    view = cfg.eval.view or view_ids[0]
-    return [MissingScenario(kind="none"),
-            MissingScenario(kind="only_missing", view=view),
-            MissingScenario(kind="only_available", view=view)]
-
-
 def focus_view(cfg: ExperimentConfig, view_ids: list[str]) -> str:
     view = cfg.eval.view or view_ids[0]
     if view not in view_ids:
         raise ConfigError(f"eval.view {view!r} is not a declared view")
     return view
+
+
+def checked_scenarios(scenarios: list[MissingScenario],
+                      view_ids: list[str]) -> list[MissingScenario]:
+    """``scenarios``, unless one leaves some sample with no view at all, which
+    only happens when it masks the single view of a one-view dataset."""
+    for s in scenarios:
+        if [s.view] == view_ids and (s.kind == "only_missing"
+                                     or (s.kind == "fraction" and s.p > 0)):
+            raise ConfigError(f"scenario {s.key()} leaves samples with no view: "
+                              f"{s.view!r} is the only view")
+    return scenarios
+
+
+def focus_scenarios(cfg: ExperimentConfig, view_ids: list[str]) -> list[MissingScenario]:
+    """No view missing, the focus view missing, and only the focus view."""
+    view = focus_view(cfg, view_ids)
+    return checked_scenarios([MissingScenario(kind="none"),
+                              MissingScenario(kind="only_missing", view=view),
+                              MissingScenario(kind="only_available", view=view)], view_ids)
+
+
+def default_scenarios(cfg: ExperimentConfig, view_ids: list[str]) -> list[MissingScenario]:
+    if cfg.eval.scenarios:
+        return checked_scenarios(list(cfg.eval.scenarios), view_ids)
+    return focus_scenarios(cfg, view_ids)
 
 
 def fit_model(cfg: ExperimentConfig, ds_train, ds_val, init_stream=("init",),
@@ -132,6 +149,7 @@ def run_evaluate(cfg: ExperimentConfig, out_dir: str | Path,
     report = EvalReport()
     if cfg.eval.folds > 1:
         ds = load_raw_dataset(cfg)
+        scenarios = default_scenarios(cfg, ds.view_ids)
         folds = data_mod.kfold_indices(ds.n_samples, cfg.eval.folds,
                                        cfg.eval.repeats, cfg.seed)
         for fold_id, (train_idx, val_idx) in enumerate(folds):
@@ -141,13 +159,12 @@ def run_evaluate(cfg: ExperimentConfig, out_dir: str | Path,
                 work = data_mod.zscore_apply(work, stats)
             ds_train, ds_val = work.subset(train_idx), work.subset(val_idx)
             model, _ = fit_model(cfg, ds_train, ds_val, init_stream=("init", fold_id))
-            scenarios = default_scenarios(cfg, ds_val.view_ids)
             report.extend(evaluate_scenarios(model, ds_val, scenarios, cfg.seed,
                                              fold=fold_id))
     else:
         ds_train, ds_val = prepare_data(cfg)
-        model = _model_for_eval(cfg, out, model_dir, ds_train, ds_val)
         scenarios = default_scenarios(cfg, ds_val.view_ids)
+        model = _model_for_eval(cfg, out, model_dir, ds_train, ds_val)
         report = evaluate_scenarios(model, ds_val, scenarios, cfg.seed)
     report.to_csv(out / "report.csv")
     report.write_summary(out / "summary.json", config=resolved_dict(cfg), seed=cfg.seed)
@@ -160,8 +177,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds_train, ds_val = prepare_data(cfg)
-    model = _model_for_eval(cfg, out, model_dir, ds_train, ds_val)
     view = focus_view(cfg, ds_val.view_ids)
+    checked_scenarios([MissingScenario(kind="fraction", view=view, p=float(p))
+                       for p in cfg.eval.grid], ds_val.view_ids)
+    model = _model_for_eval(cfg, out, model_dir, ds_train, ds_val)
     report = sweep(model, ds_val, view, cfg.eval.grid, cfg.seed)
     report.to_csv(out / "report.csv")
     report.write_summary(out / "summary.json", config=resolved_dict(cfg), seed=cfg.seed)
@@ -195,10 +214,7 @@ def run_ablate(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds_train, ds_val = prepare_data(cfg)
-    view = focus_view(cfg, ds_val.view_ids)
-    scenarios = [MissingScenario(kind="none"),
-                 MissingScenario(kind="only_missing", view=view),
-                 MissingScenario(kind="only_available", view=view)]
+    scenarios = focus_scenarios(cfg, ds_val.view_ids)
     metric = "f1" if ds_val.task == "classification" else "r2"
     rows = []
     for kind, level in ABLATION_GRID:

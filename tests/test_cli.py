@@ -35,6 +35,14 @@ def base_config(task="classification", aug="com", fusion="average", seed=11):
     }
 
 
+def one_view_config():
+    """Input-level training on the radar view alone."""
+    raw = base_config(aug="none")
+    raw["data"]["synthetic"]["views"] = raw["data"]["synthetic"]["views"][1:]
+    raw["aug"]["level"] = "input"
+    return raw
+
+
 def write_config(tmp_path, cfg, name="config.yaml"):
     path = tmp_path / name
     with open(path, "w") as fh:
@@ -203,6 +211,42 @@ class TestErrors:
         raw["data"] = {"source": "manifest", "manifest": str(manifest), "val_fraction": 0.25}
         cfg = write_config(tmp_path, raw, name="from_manifest.yaml")
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep", "ablate"])
+    def test_undeclared_eval_view_is_config_error(self, tmp_path, command):
+        raw = base_config()
+        raw["eval"]["view"] = "thermal"
+        out = tmp_path / "run"
+        assert main([command, "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 2
+        assert not (out / "model.json").exists()  # rejected before training
+
+    @pytest.mark.parametrize("command, eval_node", [
+        ("evaluate", {"scenarios": [{"kind": "only_missing", "view": "radar"}]}),
+        ("evaluate", {"scenarios": [{"kind": "fraction", "view": "radar", "p": 0.5}]}),
+        ("evaluate", {}),  # the default scenarios drop the focus view
+        ("sweep", {"grid": [0.0, 0.5]}),
+        ("ablate", {})])
+    def test_scenario_leaving_no_view_is_config_error(self, tmp_path, command, eval_node):
+        raw = one_view_config()
+        raw["eval"] = eval_node
+        out = tmp_path / "run"
+        assert main([command, "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 2
+        assert not (out / "model.json").exists()  # rejected before training
+
+    def test_one_view_scenarios_that_keep_the_view_run(self, tmp_path):
+        raw = one_view_config()
+        raw["eval"] = {"scenarios": [{"kind": "none"},
+                                     {"kind": "only_available", "view": "radar"},
+                                     {"kind": "fraction", "view": "radar", "p": 0.0}]}
+        assert main(["evaluate", "--config", write_config(tmp_path, raw),
+                     "--out", str(tmp_path / "run")]) == 0
 
     def test_invalid_fusion_kind(self, tmp_path):
         raw = base_config()

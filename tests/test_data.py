@@ -1,5 +1,6 @@
 """Synthetic generation, normalization, CSV round trip, loader errors."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,7 @@ import pytest
 from mvfuse.data import (DataError, MalformedFieldError, MultiViewDataset, RowCountError,
                          SyntheticConfig, SyntheticViewConfig, UnknownViewError,
                          generate_synthetic, kfold_indices, load_dataset,
-                         save_dataset, train_val_split, zscore_apply, zscore_fit,
-                         zscore_invert)
+                         save_dataset, train_val_split, zscore_apply, zscore_fit)
 from mvfuse.encoders import ViewSpec
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy"
@@ -114,9 +114,10 @@ class TestZScore:
     def test_round_trip_recovers_input(self):
         ds = generate_synthetic(small_config())
         stats = zscore_fit(ds)
-        back = zscore_invert(zscore_apply(ds, stats), stats)
+        normed = zscore_apply(ds, stats)
         for vid in ("optical", "radar"):
-            np.testing.assert_allclose(back.views[vid], ds.views[vid], atol=1e-12)
+            back = normed.views[vid] * np.asarray(stats[vid]["std"]) + stats[vid]["mean"]
+            np.testing.assert_allclose(back, ds.views[vid], atol=1e-12)
 
     def test_stats_ignore_validation_rows(self):
         ds = generate_synthetic(small_config())
@@ -152,7 +153,6 @@ class TestRoundTrip:
         assert ds.task == "classification"
 
     def test_manifest_norm_stats_applied_on_load(self, tmp_path):
-        import json
         ds = generate_synthetic(small_config())
         manifest = save_dataset(ds, tmp_path / "data")
         stats = zscore_fit(ds)
@@ -205,7 +205,6 @@ class TestLoaderErrors:
             load_dataset(manifest)
 
     def test_unknown_view_kind(self, tmp_path):
-        import json
         manifest = self._write_broken(tmp_path, lambda base: None)
         data = json.loads(manifest.read_text())
         data["views"][0]["kind"] = "volumetric"
@@ -218,7 +217,6 @@ class TestLoaderErrors:
         (("views", 0), "id"), (("views", 0), "kind"), (("views", 0), "path"),
         (("views", 0), "dims"), (("views", 1), "dims"), (("views", 2), "cardinality")])
     def test_missing_manifest_key_names_the_key(self, tmp_path, path, key):
-        import json
         manifest = self._write_broken(tmp_path, lambda base: None)
         data = json.loads(manifest.read_text())
         node = data
@@ -241,5 +239,69 @@ class TestLoaderErrors:
 
     def test_dataset_view_lookup_errors(self):
         ds = generate_synthetic(small_config())
-        with pytest.raises(UnknownViewError):
-            ds.view_index("thermal")
+        specs = ds.view_specs + [ViewSpec(id="thermal", kind="static", channels=2)]
+        with pytest.raises(UnknownViewError, match="thermal"):
+            MultiViewDataset(specs, ds.views, ds.y, ds.task, ds.n_classes)
+
+    def test_static_row_width_names_file_and_line(self, tmp_path):
+        # 2 rows of 4 values under dims [2] used to load as 4 scrambled samples
+        (tmp_path / "targets.csv").write_text("y\n0\n1\n0\n1\n")
+        (tmp_path / "view_s.csv").write_text("c0,c1\n1,2,3,4\n5,6,7,8\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "targets": {"path": "targets.csv", "task": "classification"},
+            "views": [{"id": "s", "kind": "static", "path": "view_s.csv", "dims": [2]}]}))
+        with pytest.raises(DataError, match=r"view_s\.csv:2: expected 2 values, got 4"):
+            load_dataset(manifest)
+
+    def test_temporal_row_width_names_file_and_line(self, tmp_path):
+        def widen(base):
+            path = base / "view_optical.csv"
+            lines = path.read_text().splitlines()
+            lines[3] += ",0.5"
+            path.write_text("\n".join(lines) + "\n")
+
+        manifest = self._write_broken(tmp_path, widen)
+        with pytest.raises(DataError, match=r"view_optical\.csv:4: .* got 5 fields"):
+            load_dataset(manifest)
+
+    def test_out_of_range_code_rejected_at_load(self, tmp_path):
+        def corrupt(base):
+            path = base / "view_cover.csv"
+            lines = path.read_text().splitlines()
+            lines[5] = "9"
+            path.write_text("\n".join(lines) + "\n")
+
+        manifest = self._write_broken(tmp_path, corrupt)
+        with pytest.raises(DataError, match="'cover' has codes outside"):
+            load_dataset(manifest)
+
+
+class TestViewLayout:
+    """Each view array must match its ViewSpec: (N, T, c), (N, c) or (N,) codes."""
+
+    @pytest.mark.parametrize("vid, shape", [
+        ("optical", (80, 6, 3)), ("optical", (80, 12)), ("radar", (80, 4, 1)),
+        ("radar", (80,)), ("cover", (80, 1))])
+    def test_wrong_shape_names_the_view(self, vid, shape):
+        ds = generate_synthetic(small_config())
+        views = dict(ds.views)
+        views[vid] = np.zeros(shape, dtype=ds.views[vid].dtype)
+        with pytest.raises(DataError, match=repr(vid)):
+            MultiViewDataset(ds.view_specs, views, ds.y, ds.task, ds.n_classes)
+
+    @pytest.mark.parametrize("code", [-1, 4])
+    def test_out_of_range_code_names_the_view(self, code):
+        ds = generate_synthetic(small_config())
+        views = dict(ds.views)
+        views["cover"] = ds.views["cover"].copy()
+        views["cover"][7] = code
+        with pytest.raises(DataError, match=r"'cover' has codes outside \[0, 4\)"):
+            MultiViewDataset(ds.view_specs, views, ds.y, ds.task, ds.n_classes)
+
+    def test_float_codes_rejected(self):
+        ds = generate_synthetic(small_config())
+        views = dict(ds.views)
+        views["cover"] = ds.views["cover"].astype(float)
+        with pytest.raises(DataError, match="'cover' needs integer codes"):
+            MultiViewDataset(ds.view_specs, views, ds.y, ds.task, ds.n_classes)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvfuse.encoders import (EncoderConfig, StaticEncoder, TemporalEncoder, ViewSpec,
-                             make_encoder, one_hot, one_hot_batch)
+                             make_encoder, one_hot_batch)
 from mvfuse.tensor import Tensor
 
 CFG = EncoderConfig(latent_dim=12, layers=2, dropout=0.2)
@@ -94,14 +94,14 @@ class TestStaticEncoder:
 
 class TestOneHot:
     def test_examples(self):
-        np.testing.assert_array_equal(one_hot(2, 4), [0, 0, 1, 0])
-        np.testing.assert_array_equal(one_hot(0, 2), [1, 0])
+        np.testing.assert_array_equal(one_hot_batch(np.array([2]), 4), [[0, 0, 1, 0]])
+        np.testing.assert_array_equal(one_hot_batch(np.array([0]), 2), [[1, 0]])
 
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
-            one_hot(5, 4)
+            one_hot_batch(np.array([5]), 4)
         with pytest.raises(ValueError):
-            one_hot(-1, 4)
+            one_hot_batch(np.array([-1]), 4)
 
     def test_batch_variant(self):
         out = one_hot_batch(np.array([0, 2, 1]), 3)
@@ -119,10 +119,10 @@ class TestViewSpec:
         with pytest.raises(ValueError):
             ViewSpec(id="a", kind="spatial")
 
-    def test_flat_dims(self):
-        assert ViewSpec(id="a", kind="temporal", time_steps=4, channels=3).flat_dim == 12
-        assert ViewSpec(id="b", kind="static", channels=5).flat_dim == 5
-        assert ViewSpec(id="c", kind="categorical", cardinality=7).flat_dim == 7
+    def test_raw_shapes(self):
+        assert ViewSpec(id="a", kind="temporal", time_steps=4, channels=3).raw_shape == (4, 3)
+        assert ViewSpec(id="b", kind="static", channels=5).raw_shape == (5,)
+        assert ViewSpec(id="c", kind="categorical", cardinality=7).raw_shape == (7,)
 
     def test_factory_routes_by_kind(self):
         rng = np.random.default_rng(0)

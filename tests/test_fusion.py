@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvfuse.encoders import EncoderConfig, ViewSpec
 from mvfuse.fusion import (AverageFusion, ConcatFusion, CrossAttentionFusion,
                            FusionConfig, GatedFusion, MemoryFusion, _slots,
-                           concat_zero_impute, fused_width, make_fusion)
+                           fused_width, make_fusion)
 from mvfuse.gradcheck import check_gradients
+from mvfuse.model import InputConcatModel
 from mvfuse.tensor import Tensor, stack
 
 
@@ -199,24 +201,39 @@ class TestMemory:
         assert out.shape == (1, 6)
 
 
+def concat_input(views, mask):
+    """What InputConcatModel's MLP reads under ``mask`` for a static view of 3
+    channels followed by a temporal view of 5 steps x 1 channel."""
+    specs = [ViewSpec(id="a", kind="static", channels=3),
+             ViewSpec(id="b", kind="temporal", time_steps=5, channels=1)]
+    model = InputConcatModel(specs, EncoderConfig(latent_dim=4, layers=1, dropout=0.0),
+                             "regression", 1, np.random.default_rng(0))
+    seen = []
+    encoder = model.encoder
+    model.encoder = lambda x, rng=None, train=False: (seen.append(x.data)
+                                                      or encoder(x, rng=rng, train=train))
+    model.forward_masked(views, mask)
+    return seen[0]
+
+
 class TestConcat:
     def test_full_mask_is_plain_concatenation(self):
         a = np.ones((2, 3))
-        b = np.full((2, 2), 2.0)
-        out = concat_zero_impute([a, b], [3, 2])
-        np.testing.assert_array_equal(out, np.concatenate([a, b], axis=1))
+        b = np.full((2, 5, 1), 2.0)
+        out = concat_input({"a": a, "b": b}, (0, 1))
+        np.testing.assert_array_equal(out, np.concatenate([a, b[:, :, 0]], axis=1))
 
     def test_missing_slot_is_zeros(self):
-        b = np.full((2, 2), 2.0)
-        out = concat_zero_impute([None, b], [3, 2])
+        # the missing view's data is never read, so not even NaN reaches the model
+        b = np.full((2, 5, 1), 2.0)
+        out = concat_input({"a": np.full((2, 3), np.nan), "b": b}, (1,))
         np.testing.assert_array_equal(out[:, :3], np.zeros((2, 3)))
-        np.testing.assert_array_equal(out[:, 3:], b)
+        np.testing.assert_array_equal(out[:, 3:], b[:, :, 0])
 
     @pytest.mark.parametrize("mask", [(0, 1), (0,), (1,)])
     def test_fixed_output_length(self, mask):
-        items = [np.ones((4, 3)) if 0 in mask else None,
-                 np.ones((4, 5)) if 1 in mask else None]
-        assert concat_zero_impute(items, [3, 5]).shape == (4, 8)
+        views = {"a": np.ones((4, 3)), "b": np.ones((4, 5, 1))}
+        assert concat_input(views, mask).shape == (4, 8)
 
     def test_feature_level_module(self):
         rng = np.random.default_rng(0)

@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfuse.gradcheck import check_gradients, numerical_gradient, relative_error
-from mvfuse.tensor import Adam, EmptySupportError, Tensor, backward, concat, softmax, stack
+from mvfuse.tensor import Adam, EmptySupportError, Tensor, backward, concat, stack
 
 
 def sum_sq(t):
     return (t * t).sum() * 0.5
+
+
+def softmax(x, exclude=()):
+    """Tensor.softmax over a vector, excluding the positions listed in ``exclude``."""
+    mask = np.zeros(len(x), dtype=bool)
+    mask[list(exclude)] = True
+    return Tensor(x).softmax(axis=0, exclude=mask if exclude else None).data
 
 
 class TestSoftmax:
@@ -35,10 +42,6 @@ class TestSoftmax:
         with pytest.raises(EmptySupportError):
             softmax(np.array([1.0, 2.0]), exclude={0, 1})
 
-    def test_vector_required(self):
-        with pytest.raises(ValueError):
-            softmax(np.zeros((2, 2)))
-
     @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8),
            st.floats(-10, 10))
     @settings(max_examples=60, deadline=None)
@@ -59,7 +62,8 @@ class TestSoftmax:
 
     def test_differentiable_through_mask(self):
         x = Tensor(np.array([0.5, -0.2, 1.0]), requires_grad=True)
-        errs = check_gradients(lambda: sum_sq(softmax(x, exclude={1})), {"x": x})
+        exclude = np.array([False, True, False])
+        errs = check_gradients(lambda: sum_sq(x.softmax(axis=0, exclude=exclude)), {"x": x})
         assert errs["x"] < 1e-4
 
 

@@ -12,8 +12,7 @@ from mvfuse.fusion import AverageFusion, FusionConfig
 from mvfuse.model import FeatureFusionModel, build_model, load_model, save_model
 from mvfuse.tensor import Adam, Tensor, backward
 from mvfuse.training import (EarlyStopper, TrainConfig, batch_loss, class_weights,
-                             combination_loss, cross_entropy, per_sample_loss,
-                             train_model, train_step)
+                             combination_loss, cross_entropy, train_model, train_step)
 
 
 def tiny_dataset(task="classification", n=60, seed=0):
@@ -35,24 +34,29 @@ def tiny_model(ds, kind="average", level="feature", dropout=0.0, seed=0, d=8):
 
 
 class TestPerSampleLoss:
+    """The loss of a one-sample batch, from logits (classification) or values."""
+
     def test_perfect_one_hot_is_near_zero(self):
-        assert per_sample_loss(1, [0.0, 1.0, 0.0], "classification") < 1e-12
+        logits = Tensor(np.array([[-50.0, 50.0, -50.0]]))
+        assert batch_loss(logits, np.array([1]), "classification").item() < 1e-12
 
     def test_regression_exact_hit_is_zero(self):
-        assert per_sample_loss(2.5, 2.5, "regression") == 0.0
+        assert batch_loss(Tensor(np.array([[2.5]])), np.array([2.5]),
+                          "regression").item() == 0.0
 
     def test_binary_half_probability_is_ln_two(self):
-        assert abs(per_sample_loss(0, [0.5, 0.5], "classification") - math.log(2)) < 1e-12
+        loss = batch_loss(Tensor(np.zeros((1, 2))), np.array([0]), "classification")
+        assert abs(loss.item() - math.log(2)) < 1e-12
 
     def test_invalid_class_raises(self):
         with pytest.raises(ValueError):
-            per_sample_loss(3, [0.5, 0.5], "classification")
+            batch_loss(Tensor(np.zeros((1, 2))), np.array([3]), "classification")
 
     def test_class_weight_scales(self):
-        base = per_sample_loss(0, [0.5, 0.5], "classification")
-        weighted = per_sample_loss(0, [0.5, 0.5], "classification",
-                                   weights=np.array([2.0, 0.5]))
-        assert abs(weighted - 2.0 * base) < 1e-12
+        base = batch_loss(Tensor(np.zeros((1, 2))), np.array([0]), "classification")
+        weighted = batch_loss(Tensor(np.zeros((1, 2))), np.array([0]), "classification",
+                              weights=np.array([2.0, 0.5]))
+        assert abs(weighted.item() - 2.0 * base.item()) < 1e-12
 
 
 class TestClassWeights:
@@ -214,6 +218,51 @@ class TestComStepMechanics:
         assert np.isfinite(loss)
 
 
+def categorical_dataset(n=24):
+    cfg = SyntheticConfig(
+        n_samples=n, latent_dim=4, task="classification", classes=3, seed=2,
+        views=[SyntheticViewConfig(id="a", kind="temporal", time_steps=5, channels=2,
+                                   loading_seed=1),
+               SyntheticViewConfig(id="c", kind="categorical", cardinality=3,
+                                   loading_seed=3)])
+    return generate_synthetic(cfg)
+
+
+# feature level, input level, and the InputConcatModel baseline
+MODEL_PATHS = [("average", "feature"), ("average", "input"), ("concat", "input")]
+
+
+@pytest.mark.parametrize("kind, level", MODEL_PATHS)
+class TestMissingInputPaths:
+    def test_categorical_view_trains_and_predicts(self, kind, level):
+        ds = categorical_dataset()
+        model = tiny_model(ds, kind=kind, level=level)
+        train_model(model, ds.subset(np.arange(16)), ds.subset(np.arange(16, 24)),
+                    AugPolicy(kind="com", level=level),
+                    TrainConfig(batch_size=8, max_epochs=1, patience=1, seed=0))
+        only_codes = model.predict(ds.views, np.tile([False, True], (24, 1)))
+        # with only the categorical view, a prediction is a function of the code
+        distinct = {code: np.unique(only_codes[ds.views["c"] == code], axis=0)
+                    for code in range(3)}
+        assert all(rows.shape[0] == 1 for rows in distinct.values())
+        assert len({rows.tobytes() for rows in distinct.values()}) == 3
+
+    def test_out_of_range_code_in_excluded_view_is_never_read(self, kind, level):
+        ds = categorical_dataset(n=8)
+        model = tiny_model(ds, kind=kind, level=level)
+        garbage = {"a": ds.views["a"], "c": np.full(8, 7)}  # cardinality is 3
+        np.testing.assert_array_equal(model.forward_masked(garbage, (0,)).data,
+                                      model.forward_masked(ds.views, (0,)).data)
+        with pytest.raises(ValueError, match="out of range"):
+            model.forward_masked(garbage, (0, 1))
+
+    def test_empty_mask_raises(self, kind, level):
+        ds = categorical_dataset(n=8)
+        model = tiny_model(ds, kind=kind, level=level)
+        with pytest.raises(ValueError, match="at least one available view"):
+            model.forward_masked(ds.views, ())
+
+
 @pytest.mark.parametrize("kind", ["average", "gated", "cross", "memory", "concat"])
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_training_smoke_every_fusion(kind, task):
@@ -242,7 +291,8 @@ def test_permuted_memory_fusion_trains():
     assert len(result.log) == 1
 
 
-def test_load_model_rejects_wrong_parameter_shape(tmp_path):
+def save_with_parameter(tmp_path, name, value):
+    """Snapshot a small model into ``tmp_path`` with one parameter overwritten."""
     ds = tiny_dataset(n=10)
     enc_cfg = EncoderConfig(latent_dim=8, layers=1, dropout=0.0)
     fusion_cfg = FusionConfig(kind="average", heads=2, dropout=0.0)
@@ -250,9 +300,19 @@ def test_load_model_rejects_wrong_parameter_shape(tmp_path):
                         "feature", np.random.default_rng(0))
     save_model(model, enc_cfg, fusion_cfg, ds.n_outputs, tmp_path)
     arrays = dict(np.load(tmp_path / "model.npz"))
-    arrays["encoders.1.affines.0.W"] = np.zeros(1)
+    arrays[name] = value(arrays[name])
     np.savez(tmp_path / "model.npz", **arrays)
+
+
+def test_load_model_rejects_wrong_parameter_shape(tmp_path):
+    save_with_parameter(tmp_path, "encoders.1.affines.0.W", lambda w: np.zeros(1))
     with pytest.raises(ValueError, match=r"encoders\.1\.affines\.0\.W.*\(1,\).*\(3, 8\)"):
+        load_model(tmp_path)
+
+
+def test_load_model_rejects_non_finite_parameter(tmp_path):
+    save_with_parameter(tmp_path, "head.W", lambda w: np.full_like(w, np.nan))
+    with pytest.raises(ValueError, match=r"head\.W has non-finite values"):
         load_model(tmp_path)
 
 
