@@ -323,6 +323,15 @@ def _required(node, key: str, where: str):
     return node[key]
 
 
+def _csv_rows(path: Path):
+    """``(line number, fields)`` of each data row of a view CSV, after its header."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) is None:
+            raise DataError(f"{path} is empty: expected a header row")
+        yield from enumerate(reader, start=2)
+
+
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     """Load a dataset from its manifest; all view files must agree on row count."""
     manifest_path = Path(manifest_path)
@@ -362,45 +371,38 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
             T, c = _required(entry, "dims", where)
             spec = ViewSpec(id=vid, kind=kind, time_steps=T, channels=c)
             arr = np.full((n, T, c), np.nan)
-            with open(path, newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader)
-                for ln, row in enumerate(reader, start=2):
-                    where = f"{path}:{ln}"
-                    if len(row) != c + 2:
-                        raise DataError(f"{where}: expected sample_id, t and {c} values, "
-                                        f"got {len(row)} fields")
-                    i = int(_float_field(row[0], where))
-                    t = int(_float_field(row[1], where))
-                    if not 0 <= i < n:
-                        raise RowCountError(
-                            f"view {vid!r} references sample {i}, targets have {n} rows")
-                    if not 0 <= t < T:
-                        raise RowCountError(f"view {vid!r} has step {t} outside 0..{T - 1}")
-                    arr[i, t] = [_float_field(v, where) for v in row[2:]]
+            for ln, row in _csv_rows(path):
+                where = f"{path}:{ln}"
+                if len(row) != c + 2:
+                    raise DataError(f"{where}: expected sample_id, t and {c} values, "
+                                    f"got {len(row)} fields")
+                i = int(_float_field(row[0], where))
+                t = int(_float_field(row[1], where))
+                if not 0 <= i < n:
+                    raise RowCountError(
+                        f"view {vid!r} references sample {i}, targets have {n} rows")
+                if not 0 <= t < T:
+                    raise RowCountError(f"view {vid!r} has step {t} outside 0..{T - 1}")
+                arr[i, t] = [_float_field(v, where) for v in row[2:]]
             if np.isnan(arr).any():
                 raise RowCountError(f"view {vid!r} is missing (sample, step) rows")
         elif kind == "static":
             (c,) = _required(entry, "dims", where)
             spec = ViewSpec(id=vid, kind=kind, channels=c)
             rows = []
-            with open(path, newline="") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                for ln, row in enumerate(reader, start=2):
-                    if len(row) != c:
-                        raise DataError(f"{path}:{ln}: expected {c} values, got {len(row)}")
-                    rows.append([_float_field(v, f"{path}:{ln}") for v in row])
+            for ln, row in _csv_rows(path):
+                if len(row) != c:
+                    raise DataError(f"{path}:{ln}: expected {c} values, got {len(row)}")
+                rows.append([_float_field(v, f"{path}:{ln}") for v in row])
             arr = np.asarray(rows).reshape(len(rows), c)
         elif kind == "categorical":
             card = _required(entry, "cardinality", where)
             spec = ViewSpec(id=vid, kind=kind, cardinality=card)
             codes = []
-            with open(path, newline="") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                for ln, row in enumerate(reader, start=2):
-                    codes.append(int(_float_field(row[0], f"{path}:{ln}")))
+            for ln, row in _csv_rows(path):
+                if len(row) != 1:
+                    raise DataError(f"{path}:{ln}: expected 1 code, got {len(row)} fields")
+                codes.append(int(_float_field(row[0], f"{path}:{ln}")))
             arr = np.asarray(codes, dtype=np.int64)
         else:
             raise UnknownViewError(f"view {vid!r} has unknown kind {kind!r}")

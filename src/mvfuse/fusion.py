@@ -94,7 +94,7 @@ class GatedFusion(Module):
     def fuse(self, rows: list, rng=None, train: bool = False) -> Tensor:
         z_full = stack(_slots(rows), axis=-2)
         weights = self.gate_weights(z_full, np.array([r is not None for r in rows]))
-        return (weights.swapaxes(-1, -2) * z_full).sum(axis=-2)
+        return (weights.transpose((0, 2, 1)) * z_full).sum(axis=-2)
 
 
 class CrossAttentionFusion(Module):

@@ -133,7 +133,7 @@ def run_suite(seeds: Sequence[int] = tuple(range(20)),
         record("lstm", max(errs.values()))
 
         # multi-head attention
-        z = unit((3, 8))
+        z = unit((1, 3, 8))
         mha = layers.MultiHeadAttention(8, heads=2, rng=rng)
         params = {"z": z, "W_Q": mha.W_Q, "W_K": mha.W_K, "W_V": mha.W_V,
                   "bias": mha.bias}

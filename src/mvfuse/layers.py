@@ -63,8 +63,8 @@ class Conv1d(Module):
     """Temporal convolution with symmetric zero padding, output length == input length.
 
     Input is (..., T, c_in); the kernel must be odd so 'same' padding stays
-    symmetric. Realized as a sum of shifted tap matmuls, so gradients flow
-    through existing primitives.
+    symmetric. Realized as one matmul of the unfolded windows (..., T, K*c_in)
+    with the taps W (K, c_in, c_out) read as one (K*c_in, c_out) matrix.
     """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, kernel: int = 3):
@@ -77,19 +77,12 @@ class Conv1d(Module):
         self.c_out = c_out
 
     def __call__(self, x: Tensor) -> Tensor:
-        T = x.shape[-2]
-        if T < 1:
+        if x.shape[-2] < 1:
             raise ValueError("conv1d needs at least one time step")
         if x.shape[-1] != self.c_in:
             raise ValueError(f"conv1d expects {self.c_in} channels, got {x.shape[-1]}")
-        pad = self.kernel // 2
-        xp = x.pad_axis(axis=-2, before=pad, after=pad)
-        out = None
-        for tau in range(self.kernel):
-            sel = (Ellipsis, slice(tau, tau + T), slice(None))
-            tap = xp[sel] @ self.W[tau]
-            out = tap if out is None else out + tap
-        return out + self.b
+        W = self.W.reshape((self.kernel * self.c_in, self.c_out))
+        return x.unfold(self.kernel) @ W + self.b
 
 
 class LayerNorm(Module):
@@ -174,7 +167,7 @@ class LSTMCell(Module):
 class MultiHeadAttention(Module):
     """Scaled dot-product self-attention over a set of rows.
 
-    Input is (n, d) or (batch, n, d). Per-head logits are Q K^T, optionally
+    Input is (batch, n, d). Per-head logits are Q K^T, optionally
     scaled by 1/sqrt(d/heads), plus a learned per-head scalar bias; head
     outputs are value projections concatenated back to width d. Dropout, when
     enabled, is applied to the attention probabilities.
@@ -209,16 +202,10 @@ class MultiHeadAttention(Module):
 
     def __call__(self, z: Tensor, rng: np.random.Generator | None = None,
                  train: bool = False) -> Tensor:
-        single = z.ndim == 2
-        if single:
-            z = z.reshape((1,) + z.shape)
         probs = self.dropout(self._probs(z), rng=rng, train=train)
         out = (probs @ self._split_heads(z @ self.W_V)).transpose((0, 2, 1, 3))
-        out = out.reshape(z.shape)
-        return out[0] if single else out
+        return out.reshape(z.shape)
 
     def attention_weights(self, z: Tensor) -> np.ndarray:
         """Evaluation-mode attention probabilities, shape (batch, heads, n, n)."""
-        single = z.ndim == 2
-        probs = self._probs(z.reshape((1,) + z.shape) if single else z).data
-        return probs[0] if single else probs
+        return self._probs(z).data

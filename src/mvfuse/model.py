@@ -10,6 +10,7 @@ the flattened, zero-imputed concatenation of all views.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -188,8 +189,23 @@ def build_model(view_specs: list[ViewSpec], encoder_cfg: EncoderConfig,
 # -- snapshots -------------------------------------------------------------------
 
 
+def _replace_atomically(path: Path, write) -> None:
+    """``write(fh)`` into a temporary file, then rename it over ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_model(model: _BaseModel, encoder_cfg: EncoderConfig, fusion_cfg: FusionConfig,
                n_outputs: int, out_dir: str | Path) -> Path:
+    """Write ``model.npz``, then ``model.json``, each atomically, so a failed
+    save never leaves a ``model.json`` without its ``model.npz``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     arch = {
@@ -200,23 +216,30 @@ def save_model(model: _BaseModel, encoder_cfg: EncoderConfig, fusion_cfg: Fusion
         "n_outputs": n_outputs,
         "level": model.level,
     }
-    with open(out / "model.json", "w") as fh:
-        json.dump(arch, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     arrays = {name: p.data for name, p in model.named_parameters()}
-    np.savez(out / "model.npz", **arrays)
+    # np.savez appends ".npz" to a path without it, so it gets the open handle
+    _replace_atomically(out / "model.npz", lambda fh: np.savez(fh, **arrays))
+    text = json.dumps(arch, indent=2, sort_keys=True) + "\n"
+    _replace_atomically(out / "model.json", lambda fh: fh.write(text.encode()))
     return out / "model.json"
 
 
 def load_model(model_dir: str | Path) -> _BaseModel:
     model_dir = Path(model_dir)
-    with open(model_dir / "model.json") as fh:
+    arch_path = model_dir / "model.json"
+    with open(arch_path) as fh:
         arch = json.load(fh)
-    specs = [ViewSpec(**entry) for entry in arch["views"]]
-    encoder_cfg = EncoderConfig(**arch["encoder"])
-    fusion_cfg = FusionConfig(**arch["fusion"])
-    model = build_model(specs, encoder_cfg, fusion_cfg, arch["task"],
-                        arch["n_outputs"], arch["level"], np.random.default_rng(0))
+    for key in ("views", "encoder", "fusion", "task", "n_outputs", "level"):
+        if not isinstance(arch, dict) or key not in arch:
+            raise ValueError(f"{arch_path} is missing required key {key!r}")
+    try:
+        specs = [ViewSpec(**entry) for entry in arch["views"]]
+        encoder_cfg = EncoderConfig(**arch["encoder"])
+        fusion_cfg = FusionConfig(**arch["fusion"])
+        model = build_model(specs, encoder_cfg, fusion_cfg, arch["task"],
+                            arch["n_outputs"], arch["level"], np.random.default_rng(0))
+    except (TypeError, ValueError) as exc:  # an unknown, missing or ill-typed field
+        raise ValueError(f"{arch_path}: {exc}") from exc
     with np.load(model_dir / "model.npz") as arrays:
         params = dict(model.named_parameters())
         if set(arrays.files) != set(params):

@@ -6,6 +6,10 @@ into them. ``Tensor.backward()`` on a scalar walks that graph once in reverse
 topological order. Tensors are treated as immutable values; no operation
 modifies its inputs, so they are safe to share read-only.
 
+Gradients are values too: the first contribution to ``.grad`` is assigned
+as is and later ones are added into a new array, so one array may be shared
+by several nodes. Nothing may write into a ``.grad`` in place.
+
 Everything is 64-bit: gradient checking against central finite differences is
 the correctness backbone of this package and float32 would force loose
 tolerances.
@@ -86,11 +90,8 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        if self.requires_grad:
+            self.grad = grad if self.grad is None else self.grad + grad
 
     # -- basic introspection ---------------------------------------------------
 
@@ -176,30 +177,15 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         a, b = self, _coerce(other)
-        a2 = a.data[None, :] if a.data.ndim == 1 else a.data
-        b2 = b.data[:, None] if b.data.ndim == 1 else b.data
-        out2 = a2 @ b2
-        if a.data.ndim == 1 and b.data.ndim == 1:
-            out_data = out2.reshape(())
-        elif a.data.ndim == 1:
-            out_data = np.squeeze(out2, axis=-2)
-        elif b.data.ndim == 1:
-            out_data = np.squeeze(out2, axis=-1)
-        else:
-            out_data = out2
+        if a.ndim < 2 or b.ndim < 2:
+            raise ValueError(f"matmul needs operands of at least two dimensions, "
+                             f"got shapes {a.shape} and {b.shape}")
 
         def backward(g):
-            g2 = g
-            if b.data.ndim == 1:
-                g2 = np.expand_dims(g2, axis=-1)
-            if a.data.ndim == 1:
-                g2 = np.expand_dims(g2, axis=-2)
-            ga = g2 @ np.swapaxes(b2, -1, -2)
-            gb = np.swapaxes(a2, -1, -2) @ g2
-            a._accumulate(_unbroadcast(ga, a2.shape).reshape(a.shape))
-            b._accumulate(_unbroadcast(gb, b2.shape).reshape(b.shape))
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
-        return Tensor._result(out_data, (a, b), backward, "matmul")
+        return Tensor._result(a.data @ b.data, (a, b), backward, "matmul")
 
     # -- reductions ----------------------------------------------------------------
 
@@ -208,11 +194,9 @@ class Tensor:
         out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.shape).copy())
-            else:
-                g2 = g if keepdims else np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(g2, a.shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            a._accumulate(np.broadcast_to(g, a.shape))
 
         return Tensor._result(out_data, (a,), backward, "sum")
 
@@ -285,14 +269,6 @@ class Tensor:
 
         return Tensor._result(a.data.transpose(axes), (a,), backward, "transpose")
 
-    def swapaxes(self, ax1: int, ax2: int) -> "Tensor":
-        a = self
-
-        def backward(g):
-            a._accumulate(g.swapaxes(ax1, ax2))
-
-        return Tensor._result(a.data.swapaxes(ax1, ax2), (a,), backward, "swapaxes")
-
     def __getitem__(self, key) -> "Tensor":
         a = self
 
@@ -303,20 +279,27 @@ class Tensor:
 
         return Tensor._result(a.data[key], (a,), backward, "slice")
 
-    def pad_axis(self, axis: int, before: int, after: int) -> "Tensor":
-        """Zero-pad along one axis."""
+    def unfold(self, kernel: int) -> "Tensor":
+        """Zero-padded windows over the time axis, (..., T, c) -> (..., T, kernel*c).
+
+        Row t holds steps t - kernel//2 .. t + kernel//2 in tap-major order, so
+        ``x.unfold(K) @ W.reshape((K*c, c_out))`` is a 'same' convolution with
+        taps ``W[tau]``; the kernel must be odd.
+        """
         a = self
-        widths = [(0, 0)] * a.ndim
-        widths[axis] = (before, after)
-        out_data = np.pad(a.data, widths)
-        sel = [slice(None)] * a.ndim
-        sel[axis] = slice(before, before + a.shape[axis])
-        sel = tuple(sel)
+        T, c = a.shape[-2:]
+        pad = kernel // 2
+        padded = np.pad(a.data, [(0, 0)] * (a.ndim - 2) + [(pad, pad), (0, 0)])
+        out_data = np.concatenate([padded[..., tau:tau + T, :] for tau in range(kernel)],
+                                  axis=-1)
 
         def backward(g):
-            a._accumulate(g[sel])
+            folded = np.zeros(padded.shape)
+            for tau in range(kernel):
+                folded[..., tau:tau + T, :] += g[..., tau * c:(tau + 1) * c]
+            a._accumulate(folded[..., pad:pad + T, :])
 
-        return Tensor._result(out_data, (a,), backward, "pad")
+        return Tensor._result(out_data, (a,), backward, "unfold")
 
     # -- softmax -----------------------------------------------------------------
 

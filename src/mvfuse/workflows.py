@@ -189,6 +189,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | Path,
 
 def run_gradcheck(out_dir: str | Path, seeds: int = 20) -> dict[str, float]:
     """Finite-difference battery over every layer and fusion function."""
+    if seeds < 1:
+        raise ConfigError(f"gradcheck needs at least one seed, got {seeds}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = run_suite(seeds=range(seeds))

@@ -158,6 +158,12 @@ class TestGradcheckCommand:
         assert payload["passed"] is True
         assert payload["max_relative_error"] < 1e-4
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_seed_count_below_one_is_config_error(self, tmp_path, seeds):
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--out", str(out), "--gradcheck-seeds", seeds]) == 2
+        assert not (out / "gradcheck.json").exists()
+
 
 class TestAblate:
     def test_grid_has_six_rows(self, tmp_path):
@@ -247,6 +253,18 @@ class TestErrors:
                                      {"kind": "fraction", "view": "radar", "p": 0.0}]}
         assert main(["evaluate", "--config", write_config(tmp_path, raw),
                      "--out", str(tmp_path / "run")]) == 0
+
+    def test_snapshot_without_task_is_runtime_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        trained = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out", str(trained)]) == 0
+        arch = json.loads((trained / "model.json").read_text())
+        del arch["task"]
+        (trained / "model.json").write_text(json.dumps(arch))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--model", str(trained)]) == 3
+        assert "missing required key 'task'" in capsys.readouterr().err
 
     def test_invalid_fusion_kind(self, tmp_path):
         raw = base_config()

@@ -276,6 +276,26 @@ class TestLoaderErrors:
         with pytest.raises(DataError, match="'cover' has codes outside"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("view", ["optical", "radar", "cover"])
+    def test_empty_view_file_names_the_file(self, tmp_path, view):
+        manifest = self._write_broken(
+            tmp_path, lambda base: (base / f"view_{view}.csv").write_text(""))
+        with pytest.raises(DataError, match=rf"view_{view}\.csv is empty"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("row, fields", [("", 0), ("1,2", 2)])
+    def test_categorical_row_width_names_file_and_line(self, tmp_path, row, fields):
+        def corrupt(base):
+            path = base / "view_cover.csv"
+            lines = path.read_text().splitlines()
+            lines[5] = row
+            path.write_text("\n".join(lines) + "\n")
+
+        manifest = self._write_broken(tmp_path, corrupt)
+        with pytest.raises(DataError, match=rf"view_cover\.csv:6: expected 1 code, "
+                                            rf"got {fields} fields"):
+            load_dataset(manifest)
+
 
 class TestViewLayout:
     """Each view array must match its ViewSpec: (N, T, c), (N, c) or (N,) codes."""

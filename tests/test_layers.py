@@ -42,17 +42,42 @@ class TestAffine:
 
 
 def conv_oracle(x, W, b):
-    """Direct sliding-window convolution with zero padding."""
-    T, c_in = x.shape
+    """Direct sliding-window convolution with zero padding over (..., T, c_in)."""
+    T, c_in = x.shape[-2:]
     k, _, c_out = W.shape
     pad = k // 2
-    xp = np.zeros((T + 2 * pad, c_in))
-    xp[pad:pad + T] = x
-    out = np.zeros((T, c_out))
+    xp = np.zeros(x.shape[:-2] + (T + 2 * pad, c_in))
+    xp[..., pad:pad + T, :] = x
+    out = np.zeros(x.shape[:-2] + (T, c_out))
     for t in range(T):
         for tau in range(k):
-            out[t] += xp[t + tau] @ W[tau]
+            out[..., t, :] += xp[..., t + tau, :] @ W[tau]
     return out + b
+
+
+def graph_ops(out):
+    """Ops of every non-leaf node reachable from ``out``."""
+    ops, seen, stack = [], set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.op:
+            continue
+        seen.add(id(node))
+        ops.append(node.op)
+        stack.extend(node._parents)
+    return ops
+
+
+# (seed, kernel, input shape); the first three keep their historical ids
+ORACLE_CASES = [pytest.param(seed, 3, (7, 3), id=str(seed)) for seed in (0, 1, 2)] + [
+    pytest.param(3, 1, (7, 3), id="kernel1"),
+    pytest.param(4, 5, (7, 3), id="kernel5"),
+    pytest.param(5, 1, (4, 6, 3), id="batched-kernel1"),
+    pytest.param(6, 3, (4, 6, 3), id="batched-kernel3"),
+    pytest.param(7, 5, (4, 6, 3), id="batched-kernel5"),
+    pytest.param(8, 5, (1, 3), id="T1-kernel5"),
+    pytest.param(9, 5, (2, 1, 3), id="batched-T1-kernel5"),
+]
 
 
 class TestConv1d:
@@ -70,13 +95,28 @@ class TestConv1d:
         out = conv(Tensor(np.full((10, 1), 5.0))).data
         np.testing.assert_allclose(out[1:-1], np.full((8, 1), 5.0), atol=1e-12)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_sliding_window_oracle(self, seed):
+    @pytest.mark.parametrize("seed, kernel, shape", ORACLE_CASES)
+    def test_matches_sliding_window_oracle(self, seed, kernel, shape):
         rng = np.random.default_rng(seed)
-        conv = Conv1d(3, 2, rng, kernel=3)
-        x = rng.normal(size=(7, 3))
+        conv = Conv1d(3, 2, rng, kernel=kernel)
+        conv.b.data = rng.normal(size=2)
+        x = rng.normal(size=shape)
         expected = conv_oracle(x, conv.W.data, conv.b.data)
         np.testing.assert_allclose(conv(Tensor(x)).data, expected, atol=1e-12)
+
+    def test_kernel_five_passes_gradient_check(self):
+        rng = np.random.default_rng(6)
+        conv = Conv1d(2, 3, rng, kernel=5)
+        conv.b.data = rng.uniform(-1, 1, 3)
+        x = Tensor(rng.uniform(-1, 1, (2, 4, 2)), requires_grad=True)
+        errs = check_gradients(lambda: sum_sq(conv(x)), {"x": x, "W": conv.W, "b": conv.b})
+        assert max(errs.values()) < 1e-4
+
+    def test_layer_is_four_graph_nodes(self):
+        conv = Conv1d(3, 2, np.random.default_rng(0), kernel=3)
+        # a gradient-tracked input, as for every conv layer after the first
+        out = conv(Tensor(np.ones((2, 7, 3)), requires_grad=True))
+        assert sorted(graph_ops(out)) == ["add", "matmul", "reshape", "unfold"]
 
     @pytest.mark.parametrize("T", [1, 2, 5, 11])
     def test_same_length_output(self, T):
@@ -209,13 +249,13 @@ class TestMultiHeadAttention:
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         mha = MultiHeadAttention(8, heads=2, rng=rng)
-        weights = mha.attention_weights(Tensor(rng.normal(size=(5, 8))))
-        np.testing.assert_allclose(weights.sum(axis=-1), np.ones((2, 5)), atol=1e-12)
+        weights = mha.attention_weights(Tensor(rng.normal(size=(1, 5, 8))))
+        np.testing.assert_allclose(weights.sum(axis=-1), np.ones((1, 2, 5)), atol=1e-12)
 
     def test_single_row_returns_its_value_projection(self):
         rng = np.random.default_rng(1)
         mha = MultiHeadAttention(6, heads=3, rng=rng)
-        z = rng.normal(size=(1, 6))
+        z = rng.normal(size=(1, 1, 6))
         out = mha(Tensor(z)).data
         np.testing.assert_allclose(out, z @ mha.W_V.data, atol=1e-12)
 
@@ -223,16 +263,16 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(2)
         mha = MultiHeadAttention(4, heads=1, rng=rng)
         mha.bias.data = np.array([0.37])
-        z = rng.normal(size=(3, 4))
-        q, k, v = z @ mha.W_Q.data, z @ mha.W_K.data, z @ mha.W_V.data
+        z = rng.normal(size=(1, 3, 4))
+        q, k, v = z[0] @ mha.W_Q.data, z[0] @ mha.W_K.data, z[0] @ mha.W_V.data
         logits = q @ k.T / np.sqrt(4.0) + 0.37
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs = e / e.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(mha(Tensor(z)).data, probs @ v, atol=1e-12)
+        np.testing.assert_allclose(mha(Tensor(z)).data[0], probs @ v, atol=1e-12)
 
     def test_scaling_flag_changes_logits(self):
         rng = np.random.default_rng(3)
-        z = rng.normal(size=(4, 8))
+        z = rng.normal(size=(1, 4, 8))
         scaled = MultiHeadAttention(8, 2, np.random.default_rng(5), scaling=True)
         literal = MultiHeadAttention(8, 2, np.random.default_rng(5), scaling=False)
         assert not np.allclose(scaled(Tensor(z)).data, literal(Tensor(z)).data)
@@ -244,7 +284,7 @@ class TestMultiHeadAttention:
     def test_gradients_through_attention(self):
         rng = np.random.default_rng(4)
         mha = MultiHeadAttention(4, heads=2, rng=rng)
-        z = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+        z = Tensor(rng.uniform(-1, 1, (1, 3, 4)), requires_grad=True)
         errs = check_gradients(lambda: sum_sq(mha(z)),
                                {"z": z, "W_Q": mha.W_Q, "W_V": mha.W_V, "bias": mha.bias})
         assert max(errs.values()) < 1e-4

@@ -1,5 +1,6 @@
 """Training: losses, class weights, combination step mechanics, early stopping."""
 
+import json
 import math
 
 import numpy as np
@@ -314,6 +315,57 @@ def test_load_model_rejects_non_finite_parameter(tmp_path):
     save_with_parameter(tmp_path, "head.W", lambda w: np.full_like(w, np.nan))
     with pytest.raises(ValueError, match=r"head\.W has non-finite values"):
         load_model(tmp_path)
+
+
+def save_with_architecture(tmp_path, edit):
+    """Snapshot a small model into ``tmp_path`` with ``edit`` applied to model.json."""
+    save_with_parameter(tmp_path, "head.W", lambda w: w)
+    arch = json.loads((tmp_path / "model.json").read_text())
+    edit(arch)
+    (tmp_path / "model.json").write_text(json.dumps(arch))
+
+
+@pytest.mark.parametrize("key", ["views", "encoder", "fusion", "task", "n_outputs", "level"])
+def test_load_model_names_a_missing_architecture_key(tmp_path, key):
+    save_with_architecture(tmp_path, lambda arch: arch.pop(key))
+    with pytest.raises(ValueError, match=rf"model\.json is missing required key '{key}'"):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda arch: arch["views"][1].update(colour="red"), "colour"),
+    (lambda arch: arch["views"][0].pop("id"), "id"),
+    (lambda arch: arch["encoder"].update(width=3), "width"),
+    (lambda arch: arch["fusion"].update(depth=2), "depth")],
+    ids=["view-unknown", "view-missing", "encoder-unknown", "fusion-unknown"])
+def test_load_model_names_a_bad_section_field(tmp_path, edit, key):
+    save_with_architecture(tmp_path, edit)
+    with pytest.raises(ValueError, match=rf"model\.json: .*'{key}'"):
+        load_model(tmp_path)
+
+
+def test_failed_save_leaves_no_partial_snapshot(tmp_path, monkeypatch):
+    ds = tiny_dataset(n=10)
+    enc_cfg = EncoderConfig(latent_dim=8, layers=1, dropout=0.0)
+    fusion_cfg = FusionConfig(kind="average", heads=2, dropout=0.0)
+    old, new = (build_model(ds.view_specs, enc_cfg, fusion_cfg, ds.task, ds.n_outputs,
+                            "feature", np.random.default_rng(seed)) for seed in (0, 1))
+    save_model(old, enc_cfg, fusion_cfg, ds.n_outputs, tmp_path / "snap")
+
+    def savez_that_fails_partway(fh, **arrays):
+        fh.write(b"PK\x03\x04 truncated")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_that_fails_partway)
+    for out in (tmp_path / "snap", tmp_path / "fresh"):
+        with pytest.raises(OSError, match="disk full"):
+            save_model(new, enc_cfg, fusion_cfg, ds.n_outputs, out)
+    monkeypatch.undo()
+    assert list((tmp_path / "fresh").iterdir()) == []
+    assert sorted(p.name for p in (tmp_path / "snap").iterdir()) == ["model.json", "model.npz"]
+    loaded = dict(load_model(tmp_path / "snap").named_parameters())
+    for name, p in old.named_parameters():
+        np.testing.assert_array_equal(loaded[name].data, p.data)
 
 
 class TestEarlyStopper:
