@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .model import LEVELS
+
 AUG_KINDS = ("none", "com", "sensd", "tempd")
-AUG_LEVELS = ("input", "feature")
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class AugPolicy:
     def __post_init__(self):
         if self.kind not in AUG_KINDS:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
-        if self.level not in AUG_LEVELS:
+        if self.level not in LEVELS:
             raise ValueError(f"unknown augmentation level {self.level!r}")
         if not 0.0 <= self.tempd_ratio < 1.0:
             raise ValueError("tempd_ratio must be in [0, 1)")

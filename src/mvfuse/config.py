@@ -2,11 +2,11 @@
 
 Schema (all sections optional unless noted, defaults in parentheses):
 
-    seed: int (0)
-    data:
+    seed: int (0)                         # the one seed of every random stream
+    data:                                 # required
       source: synthetic | manifest (synthetic)
       manifest: path                      # required for source: manifest
-      synthetic:
+      synthetic:                          # required for source: synthetic
         n_samples: int (1000)
         latent_dim: int (8)
         task: classification | regression (classification)
@@ -41,7 +41,7 @@ Schema (all sections optional unless noted, defaults in parentheses):
       tempd_ratio: float (0.3)
     train:
       batch_size: int (128)
-      lr: float (0.001)
+      lr: float (0.001)                   # finite, >= 0
       max_epochs: int (50)
       patience: int (5)
       class_weighting: bool (true)
@@ -54,17 +54,31 @@ Schema (all sections optional unless noted, defaults in parentheses):
           p: float                        # fraction only
       folds: int (1)                      # >1 runs k-fold cross-validation
       repeats: int (1)
+
+Each section is the dataclass that holds it: a key must name one of its
+fields (``YAML_NAMES`` renames the few whose YAML name differs), and each
+value is checked against the field's annotation before the dataclass checks
+its ranges. An int is never a bool, a float field takes an int, and ``null``
+is allowed only where a field may be unset. Any mismatch is a ``ConfigError``
+naming the path, such as ``eval.scenarios[1]``. The synthetic data and the
+training loop take their seed from the top-level ``seed`` (``INTERNAL``), so
+no section sets its own. ``resolved_dict`` writes a config back in this
+schema, so ``parse_config(resolved_dict(cfg)) == cfg`` and a run's
+``resolved_config.json`` is itself a config that reruns it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
 from .augmentation import AugPolicy
-from .data import SyntheticConfig, SyntheticViewConfig
+from .data import SyntheticConfig
 from .encoders import EncoderConfig
 from .evaluation import MissingScenario
 from .fusion import FusionConfig
@@ -83,6 +97,16 @@ class DataConfig:
     val_fraction: float = 0.2
     normalize: bool = True
 
+    def __post_init__(self):
+        if self.source not in ("synthetic", "manifest"):
+            raise ValueError(f"unknown data source {self.source!r}")
+        if self.source == "synthetic" and self.synthetic is None:
+            raise ValueError("a synthetic section is required for the synthetic source")
+        if self.source == "manifest" and not self.manifest:
+            raise ValueError("a manifest path is required for the manifest source")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError("val_fraction must be in (0, 1)")
+
 
 @dataclass
 class EvalConfig:
@@ -91,6 +115,12 @@ class EvalConfig:
     scenarios: list[MissingScenario] = field(default_factory=list)
     folds: int = 1
     repeats: int = 1
+
+    def __post_init__(self):
+        if self.folds < 1 or self.repeats < 1:
+            raise ValueError("folds and repeats must be >= 1")
+        if any(not 0.0 <= p <= 1.0 for p in self.grid):
+            raise ValueError("grid values must lie in [0, 1]")
 
 
 @dataclass
@@ -104,108 +134,62 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-def _require_mapping(node, where: str) -> dict:
-    if node is None:
-        return {}
+# Field name -> YAML key, where the two differ.
+YAML_NAMES = {ExperimentConfig: {"encoder": "model"},
+              EncoderConfig: {"layers": "encoder_layers", "dropout": "encoder_dropout"}}
+# Fields that ``set_seed`` fills in; a config file never sets or shows them.
+INTERNAL = {TrainConfig: {"seed"}, SyntheticConfig: {"seed"}}
+
+
+def _keys(cls) -> dict[str, str]:
+    """YAML key -> field name, for every field of ``cls`` a config file sets."""
+    names = YAML_NAMES.get(cls, {})
+    return {names.get(f.name, f.name): f.name for f in fields(cls)
+            if f.name not in INTERNAL.get(cls, ())}
+
+
+def _build(cls, node, path: str):
+    """A ``cls`` from a YAML mapping; ``None`` is an empty section."""
+    where = path or "config"
+    node = {} if node is None else node
     if not isinstance(node, dict):
         raise ConfigError(f"{where} must be a mapping")
-    return node
-
-
-def _check_keys(node: dict, allowed: set[str], where: str) -> None:
-    unknown = set(node) - allowed
+    keys = _keys(cls)
+    unknown = set(node) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _build(cls, node: dict, where: str):
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(map(str, unknown)))}")
+    hints = get_type_hints(cls)
+    values = {keys[k]: _typed(hints[keys[k]], v, f"{path}.{k}" if path else k)
+              for k, v in node.items()}
     try:
-        return cls(**node)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-def parse_config(raw: dict) -> ExperimentConfig:
-    raw = _require_mapping(raw, "config")
-    _check_keys(raw, {"seed", "data", "model", "fusion", "aug", "train", "eval"},
-                "config")
+def _typed(hint, value, path: str):
+    """``value`` checked against the annotation ``hint``."""
+    if get_origin(hint) is UnionType:  # ``X | None``
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not NoneType]
+    if get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return [_typed(get_args(hint)[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if is_dataclass(hint):
+        return _build(hint, value, path)
+    if hint is float and type(value) is int:
+        return float(value)
+    if isinstance(value, hint) and not (hint is int and isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{path} must be {hint.__name__}, got {value!r}")
 
-    data_node = _require_mapping(raw.get("data"), "data")
-    _check_keys(data_node, {"source", "manifest", "synthetic", "val_fraction",
-                            "normalize"}, "data")
-    synth = None
-    synth_node = _require_mapping(data_node.get("synthetic"), "data.synthetic")
-    if synth_node:
-        _check_keys(synth_node, {"n_samples", "latent_dim", "task", "classes",
-                                 "basis_order", "views", "seed"}, "data.synthetic")
-        views_node = synth_node.pop("views", None)
-        if not views_node:
-            raise ConfigError("data.synthetic.views must list at least one view")
-        views = []
-        for i, v in enumerate(views_node):
-            v = _require_mapping(v, f"data.synthetic.views[{i}]")
-            _check_keys(v, {"id", "kind", "time_steps", "channels", "cardinality",
-                            "noise", "redundancy", "loading_seed"},
-                        f"data.synthetic.views[{i}]")
-            view = _build(SyntheticViewConfig, v, f"data.synthetic.views[{i}]")
-            try:
-                view.spec()
-            except ValueError as exc:
-                raise ConfigError(f"invalid data.synthetic.views[{i}]: {exc}") from exc
-            views.append(view)
-        synth = _build(SyntheticConfig, {**synth_node, "views": views},
-                       "data.synthetic")
-    data = _build(DataConfig, {**{k: v for k, v in data_node.items()
-                                  if k != "synthetic"}, "synthetic": synth}, "data")
-    if data.source not in ("synthetic", "manifest"):
-        raise ConfigError(f"unknown data source {data.source!r}")
-    if data.source == "synthetic" and data.synthetic is None:
-        raise ConfigError("data.synthetic section is required for synthetic source")
-    if data.source == "manifest" and not data.manifest:
-        raise ConfigError("data.manifest path is required for manifest source")
-    if not 0.0 < data.val_fraction < 1.0:
-        raise ConfigError("data.val_fraction must be in (0, 1)")
 
-    model_node = _require_mapping(raw.get("model"), "model")
-    _check_keys(model_node, {"latent_dim", "encoder_layers", "encoder_dropout",
-                             "conv_kernel"}, "model")
-    renames = {"latent_dim": "latent_dim", "encoder_layers": "layers",
-               "encoder_dropout": "dropout", "conv_kernel": "conv_kernel"}
-    encoder = _build(EncoderConfig,
-                     {renames[k]: v for k, v in model_node.items()}, "model")
-
-    fusion_node = _require_mapping(raw.get("fusion"), "fusion")
-    _check_keys(fusion_node, {"kind", "heads", "layers", "dropout", "permute",
-                              "attention_scaling"}, "fusion")
-    fusion = _build(FusionConfig, fusion_node, "fusion")
-
-    aug_node = _require_mapping(raw.get("aug"), "aug")
-    _check_keys(aug_node, {"kind", "level", "tempd_ratio"}, "aug")
-    aug = _build(AugPolicy, aug_node, "aug")
-
-    train_node = _require_mapping(raw.get("train"), "train")
-    _check_keys(train_node, {"batch_size", "lr", "max_epochs", "patience",
-                             "class_weighting"}, "train")
-    train = _build(TrainConfig, train_node, "train")
-
-    eval_node = _require_mapping(raw.get("eval"), "eval")
-    _check_keys(eval_node, {"view", "grid", "scenarios", "folds", "repeats"}, "eval")
-    scenarios = []
-    for i, s in enumerate(eval_node.get("scenarios", []) or []):
-        s = _require_mapping(s, f"eval.scenarios[{i}]")
-        _check_keys(s, {"kind", "view", "p"}, f"eval.scenarios[{i}]")
-        scenarios.append(_build(MissingScenario, s, f"eval.scenarios[{i}]"))
-    eval_cfg = _build(EvalConfig, {**{k: v for k, v in eval_node.items()
-                                      if k != "scenarios"},
-                                   "scenarios": scenarios}, "eval")
-    if eval_cfg.folds < 1 or eval_cfg.repeats < 1:
-        raise ConfigError("eval.folds and eval.repeats must be >= 1")
-    if any(not 0.0 <= float(p) <= 1.0 for p in eval_cfg.grid):
-        raise ConfigError("eval.grid values must lie in [0, 1]")
-
-    cfg = ExperimentConfig(data=data, encoder=encoder, fusion=fusion, aug=aug,
-                           train=train, eval=eval_cfg)
-    set_seed(cfg, raw.get("seed", 0))
+def parse_config(raw) -> ExperimentConfig:
+    """The config a YAML/JSON mapping describes; ``raw`` is left unchanged."""
+    cfg = _build(ExperimentConfig, raw, "")
+    set_seed(cfg, cfg.seed)
     return cfg
 
 
@@ -220,47 +204,26 @@ def set_seed(cfg: ExperimentConfig, seed) -> None:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse a ``.json`` file as JSON and any other file as YAML."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
         try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+            raw = json.load(fh) if path.suffix == ".json" else yaml.safe_load(fh)
+        except (ValueError, yaml.YAMLError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return parse_config(raw or {})
+    return parse_config(raw)
 
 
 def resolved_dict(cfg: ExperimentConfig) -> dict:
-    """Plain JSON-serializable echo of a config, embedded in artifacts."""
-    out = {
-        "seed": cfg.seed,
-        "data": {
-            "source": cfg.data.source,
-            "manifest": cfg.data.manifest,
-            "val_fraction": cfg.data.val_fraction,
-            "normalize": cfg.data.normalize,
-        },
-        "model": dict(vars(cfg.encoder)),
-        "fusion": dict(vars(cfg.fusion)),
-        "aug": {"kind": cfg.aug.kind, "level": cfg.aug.level,
-                "tempd_ratio": cfg.aug.tempd_ratio},
-        "train": {k: v for k, v in vars(cfg.train).items()},
-        "eval": {
-            "view": cfg.eval.view,
-            "grid": list(cfg.eval.grid),
-            "scenarios": [{"kind": s.kind, "view": s.view, "p": s.p}
-                          for s in cfg.eval.scenarios],
-            "folds": cfg.eval.folds,
-            "repeats": cfg.eval.repeats,
-        },
-    }
-    if cfg.data.synthetic is not None:
-        synth = cfg.data.synthetic
-        out["data"]["synthetic"] = {
-            "n_samples": synth.n_samples, "latent_dim": synth.latent_dim,
-            "task": synth.task, "classes": synth.classes,
-            "basis_order": synth.basis_order, "seed": synth.seed,
-            "views": [dict(vars(v)) for v in synth.views],
-        }
-    return out
+    """The config as a JSON-serializable mapping in the schema above."""
+    return _echo(cfg)
+
+
+def _echo(value):
+    if is_dataclass(value):
+        return {key: _echo(getattr(value, name)) for key, name in _keys(type(value)).items()}
+    if isinstance(value, list):
+        return [_echo(v) for v in value]
+    return value

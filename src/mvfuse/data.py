@@ -113,8 +113,9 @@ class SyntheticViewConfig:
     def __post_init__(self):
         if not 0.0 <= self.redundancy <= 1.0:
             raise ValueError("redundancy must be in [0, 1]")
-        if self.noise < 0.0:
+        if not self.noise >= 0.0:
             raise ValueError("noise must be >= 0")
+        self.spec()
 
     def spec(self) -> ViewSpec:
         return ViewSpec(id=self.id, kind=self.kind, time_steps=self.time_steps,

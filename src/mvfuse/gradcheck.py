@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, backward
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -56,14 +56,11 @@ def check_gradients(build_loss: Callable[[], Tensor],
     """
     for p in params.values():
         p.grad = None
-    loss = build_loss()
-    loss.backward()
-    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for name, p in params.items()}
+    analytic = backward(build_loss(), list(params.values()))
     errors = {}
-    for name, p in params.items():
+    for (name, p), grad in zip(params.items(), analytic):
         numeric = numerical_gradient(lambda: build_loss().item(), p.data, h=h)
-        errors[name] = relative_error(analytic[name], numeric)
+        errors[name] = relative_error(grad, numeric)
     return errors
 
 
@@ -152,28 +149,16 @@ def run_suite(seeds: Sequence[int] = tuple(range(20)),
         m, d = 3, 4
         rows_avail = [unit((2, d)), None, unit((2, d))]
 
-        avg = AverageFusion()
-        params = {f"z{i}": r for i, r in enumerate(rows_avail) if r is not None}
-        errs = check_gradients(lambda: _sum_squares(avg.fuse(rows_avail)), params, h=h)
-        record("fusion_average", max(errs.values()))
-
-        gated = GatedFusion(m, d, rng)
-        params = {f"z{i}": r for i, r in enumerate(rows_avail) if r is not None}
-        params.update({"W_G": gated.W_G, "b": gated.b})
-        errs = check_gradients(lambda: _sum_squares(gated.fuse(rows_avail)), params, h=h)
-        record("fusion_gated", max(errs.values()))
-
-        cross = CrossAttentionFusion(m, d, FusionConfig(kind="cross", heads=2, layers=1,
-                                                        dropout=0.0), rng)
-        params = {f"z{i}": r for i, r in enumerate(rows_avail) if r is not None}
-        params.update(dict(cross.named_parameters("cross")))
-        errs = check_gradients(lambda: _sum_squares(cross.fuse(rows_avail)), params, h=h)
-        record("fusion_cross", max(errs.values()))
-
-        memory = MemoryFusion(d, FusionConfig(kind="memory", layers=2, dropout=0.0), rng)
-        params = {f"z{i}": r for i, r in enumerate(rows_avail) if r is not None}
-        params.update(dict(memory.named_parameters("memory")))
-        errs = check_gradients(lambda: _sum_squares(memory.fuse(rows_avail)), params, h=h)
-        record("fusion_memory", max(errs.values()))
+        fusions = [("fusion_average", AverageFusion()),
+                   ("fusion_gated", GatedFusion(m, d, rng)),
+                   ("fusion_cross", CrossAttentionFusion(
+                       m, d, FusionConfig(kind="cross", heads=2, layers=1, dropout=0.0), rng)),
+                   ("fusion_memory", MemoryFusion(
+                       d, FusionConfig(kind="memory", layers=2, dropout=0.0), rng))]
+        for name, fusion in fusions:
+            params = {f"z{i}": r for i, r in enumerate(rows_avail) if r is not None}
+            params.update(dict(fusion.named_parameters(name)))
+            errs = check_gradients(lambda: _sum_squares(fusion.fuse(rows_avail)), params, h=h)
+            record(name, max(errs.values()))
 
     return results

@@ -29,18 +29,19 @@ def load_raw_dataset(cfg: ExperimentConfig) -> data_mod.MultiViewDataset:
     return data_mod.generate_synthetic(cfg.data.synthetic)
 
 
-def split_dataset(cfg: ExperimentConfig, ds: data_mod.MultiViewDataset):
-    """Deterministic train/validation split plus train-fitted normalization."""
-    rng = stream(cfg.seed, "data", "split")
-    train_idx, val_idx = data_mod.train_val_split(ds.n_samples, cfg.data.val_fraction, rng)
+def split_dataset(cfg: ExperimentConfig, ds: data_mod.MultiViewDataset, train_idx, val_idx):
+    """Training and validation subsets, normalized with training statistics."""
     if cfg.data.normalize:
-        stats = data_mod.zscore_fit(ds, train_idx)
-        ds = data_mod.zscore_apply(ds, stats)
+        ds = data_mod.zscore_apply(ds, data_mod.zscore_fit(ds, train_idx))
     return ds.subset(train_idx), ds.subset(val_idx)
 
 
 def prepare_data(cfg: ExperimentConfig):
-    return split_dataset(cfg, load_raw_dataset(cfg))
+    """The dataset split by the seed's ``data/split`` stream."""
+    ds = load_raw_dataset(cfg)
+    rng = stream(cfg.seed, "data", "split")
+    return split_dataset(cfg, ds, *data_mod.train_val_split(ds.n_samples,
+                                                            cfg.data.val_fraction, rng))
 
 
 def focus_view(cfg: ExperimentConfig, view_ids: list[str]) -> str:
@@ -106,21 +107,20 @@ def run_synth(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     ds = data_mod.generate_synthetic(cfg.data.synthetic)
     out = Path(out_dir)
     manifest = data_mod.save_dataset(ds, out)
-    _write_json(out / "resolved_config.json", {"config": resolved_dict(cfg),
-                                               "seed": cfg.seed})
+    _write_json(out / "resolved_config.json", resolved_dict(cfg))
     return manifest
 
 
 def run_train(cfg: ExperimentConfig, out_dir: str | Path):
-    """Train one model per the config; writes snapshot, log, resolved config."""
+    """Train one model per the config; writes snapshot, log, and the resolved
+    config, which reruns the run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds_train, ds_val = prepare_data(cfg)
     model, result = fit_model(cfg, ds_train, ds_val)
     save_model(model, cfg.encoder, cfg.fusion, ds_train.n_outputs, out)
     _write_log(out / "train_log.jsonl", result)
-    _write_json(out / "resolved_config.json", {"config": resolved_dict(cfg),
-                                               "seed": cfg.seed})
+    _write_json(out / "resolved_config.json", resolved_dict(cfg))
     return model, result
 
 
@@ -153,11 +153,7 @@ def run_evaluate(cfg: ExperimentConfig, out_dir: str | Path,
         folds = data_mod.kfold_indices(ds.n_samples, cfg.eval.folds,
                                        cfg.eval.repeats, cfg.seed)
         for fold_id, (train_idx, val_idx) in enumerate(folds):
-            work = ds
-            if cfg.data.normalize:
-                stats = data_mod.zscore_fit(work, train_idx)
-                work = data_mod.zscore_apply(work, stats)
-            ds_train, ds_val = work.subset(train_idx), work.subset(val_idx)
+            ds_train, ds_val = split_dataset(cfg, ds, train_idx, val_idx)
             model, _ = fit_model(cfg, ds_train, ds_val, init_stream=("init", fold_id))
             report.extend(evaluate_scenarios(model, ds_val, scenarios, cfg.seed,
                                              fold=fold_id))

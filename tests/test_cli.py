@@ -35,6 +35,28 @@ def base_config(task="classification", aug="com", fusion="average", seed=11):
     }
 
 
+# (dotted path, value): each makes base_config() malformed.
+MALFORMED = [
+    ("eval.grid", 5), ("eval.grid", "ab"), ("eval.grid", [0.0, 1.5]),
+    ("eval.scenarios", 5), ("eval.scenarios", [{"kind": "none"}, {"kind": "bogus"}]),
+    ("eval.folds", "2"), ("eval.folds", 0),
+    ("data.synthetic.views", 5), ("data.synthetic.seed", 3), ("data.val_fraction", "x"),
+    ("train.max_epochs", 1.5), ("train.batch_size", 2.5), ("train.lr", "x"),
+    ("train.lr", -1), ("train.patience", True), ("model.latent_dim", None),
+]
+
+
+def with_value(path, value):
+    """base_config() with the dotted ``path`` set to ``value``."""
+    raw = base_config()
+    *parents, key = path.split(".")
+    node = raw
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    return raw
+
+
 def one_view_config():
     """Input-level training on the radar view alone."""
     raw = base_config(aug="none")
@@ -73,6 +95,17 @@ class TestTrain:
                    for line in (out / "train_log.jsonl").read_text().splitlines()]
         assert records[0]["epoch"] == 1
         assert "val_loss" in records[0]
+
+    def test_resolved_config_reruns_the_run(self, tmp_path):
+        raw = base_config()
+        raw["train"]["lr"] = 5e-05  # written as 5e-05, which YAML would read as a string
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["train", "--config", write_config(tmp_path, raw),
+                     "--out", str(first)]) == 0
+        assert main(["train", "--config", str(first / "resolved_config.json"),
+                     "--out", str(second)]) == 0
+        for name in ("model.npz", "train_log.jsonl", "resolved_config.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -187,6 +220,15 @@ class TestErrors:
         raw["trian"] = raw.pop("train")
         cfg = write_config(tmp_path, raw)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("path, value", MALFORMED)
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, path, value):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--config", write_config(tmp_path, with_value(path, value)),
+                     "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (out / "model.json").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.yaml"),
