@@ -58,9 +58,10 @@ Schema (all sections optional unless noted, defaults in parentheses):
 Each section is the dataclass that holds it: a key must name one of its
 fields (``YAML_NAMES`` renames the few whose YAML name differs), and each
 value is checked against the field's annotation before the dataclass checks
-its ranges. An int is never a bool, a float field takes an int, and ``null``
-is allowed only where a field may be unset. Any mismatch is a ``ConfigError``
-naming the path, such as ``eval.scenarios[1]``. The synthetic data and the
+its ranges (``ExperimentConfig`` checks those that span sections). An int is
+never a bool, a float field takes an int, and ``null`` is allowed only where
+a field may be unset. Any mismatch is a ``ConfigError`` naming the path, such
+as ``eval.scenarios[1]``. The synthetic data and the
 training loop take their seed from the top-level ``seed`` (``INTERNAL``), so
 no section sets its own. ``resolved_dict`` writes a config back in this
 schema, so ``parse_config(resolved_dict(cfg)) == cfg`` and a run's
@@ -78,7 +79,7 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .augmentation import AugPolicy
-from .data import SyntheticConfig
+from .data import SyntheticConfig, validation_size
 from .encoders import EncoderConfig
 from .evaluation import MissingScenario
 from .fusion import FusionConfig
@@ -132,6 +133,15 @@ class ExperimentConfig:
     aug: AugPolicy = field(default_factory=AugPolicy)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
+
+    def __post_init__(self):
+        if self.data.source == "synthetic":
+            validation_size(self.data.synthetic.n_samples, self.data.val_fraction)
+        d, heads = self.encoder.latent_dim, self.fusion.heads
+        if self.fusion.kind == "cross" and d % heads != 0:
+            raise ValueError(f"model.latent_dim {d} is not divisible by fusion.heads {heads}")
+        if self.fusion.kind == "memory" and d % 2 != 0:
+            raise ValueError(f"memory fusion needs an even model.latent_dim, got {d}")
 
 
 # Field name -> YAML key, where the two differ.

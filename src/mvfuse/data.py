@@ -133,8 +133,8 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+        if self.n_samples < 1 or self.latent_dim < 1 or self.basis_order < 1:
+            raise ValueError("n_samples, latent_dim and basis_order must be >= 1")
         if not self.views:
             raise ValueError("need at least one view")
         if self.task == "classification" and self.classes < 2:
@@ -202,13 +202,19 @@ def generate_synthetic(cfg: SyntheticConfig) -> MultiViewDataset:
 # -- splits ---------------------------------------------------------------------
 
 
-def train_val_split(n: int, val_fraction: float,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def validation_size(n: int, val_fraction: float) -> int:
+    """Validation samples in a split of ``n``; at least one is left to train on."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must be in (0, 1)")
     n_val = max(1, int(round(val_fraction * n)))
     if n_val >= n:
-        raise ValueError("split leaves no training samples")
+        raise ValueError(f"a {val_fraction:g} split of {n} samples leaves none for training")
+    return n_val
+
+
+def train_val_split(n: int, val_fraction: float,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    n_val = validation_size(n, val_fraction)
     perm = rng.permutation(n)
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 

@@ -72,6 +72,8 @@ class EncoderConfig:
             raise ValueError("latent_dim and layers must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:
+            raise ValueError("conv_kernel must be odd and positive")
 
 
 def one_hot_batch(indices: np.ndarray, cardinality: int) -> np.ndarray:

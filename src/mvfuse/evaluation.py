@@ -3,7 +3,7 @@
 Scenarios mask views in the validation data; metrics compare predictions to
 targets and, for the robustness scores, to the full-view predictions of the
 same model. All metrics are plain functions of arrays and invariant to sample
-order.
+order. An evaluation predicts each distinct availability pattern only once.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ def scenario_availability(scenario: MissingScenario, n: int, view_ids: list[str]
     permutation, so masked sets are nested across p for a fixed seed and
     the sweep endpoints coincide with the none and only-missing scenarios.
     """
-    m = len(view_ids)
-    avail = np.ones((n, m), dtype=bool)
+    avail = np.ones((n, len(view_ids)), dtype=bool)
     if scenario.kind == "none":
         return avail
     if scenario.view not in view_ids:
@@ -270,15 +269,14 @@ def _performance_rows(report: EvalReport, scenario: MissingScenario, ds,
 def evaluate_scenarios(model: _BaseModel, ds: MultiViewDataset,
                        scenarios: list[MissingScenario], seed: int,
                        fold: int = 0) -> EvalReport:
-    """Metrics for each scenario on one validation dataset."""
+    """Metrics for each scenario on one validation dataset, from one ``predict``
+    call over the full-view and every scenario's availability matrix."""
     report = EvalReport()
-    view_ids = [s.id for s in model.view_specs]
-    full_avail = np.ones((ds.n_samples, len(view_ids)), dtype=bool)
-    full_preds = model.predict(ds.views, full_avail)
-    for scenario in scenarios:
-        avail = scenario_availability(scenario, ds.n_samples, view_ids, seed)
-        preds = full_preds if scenario.kind == "none" else model.predict(ds.views, avail)
-        _performance_rows(report, scenario, ds, preds, full_preds, fold, seed)
+    available = np.stack([scenario_availability(s, ds.n_samples, model.view_ids, seed)
+                          for s in [MissingScenario("none")] + scenarios])
+    full_preds, *preds = model.predict(ds.views, available)
+    for scenario, scenario_preds in zip(scenarios, preds):
+        _performance_rows(report, scenario, ds, scenario_preds, full_preds, fold, seed)
     return report
 
 

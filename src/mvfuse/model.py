@@ -36,19 +36,6 @@ def raw_input(spec: ViewSpec, arr: np.ndarray) -> np.ndarray:
     return np.asarray(arr, dtype=np.float64)
 
 
-def mask_groups(available: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """Samples grouped by availability pattern, in ascending index-tuple order.
-
-    ``available`` is a boolean (N, m) matrix; each group is the tuple of
-    available view indices and the ascending sample indices that share it.
-    """
-    patterns, inverse = np.unique(available, axis=0, return_inverse=True)
-    inverse = np.asarray(inverse).reshape(-1)  # 2-D on some numpy versions
-    groups = [(tuple(int(v) for v in np.flatnonzero(pattern)), np.flatnonzero(inverse == g))
-              for g, pattern in enumerate(patterns)]
-    return sorted(groups, key=lambda group: group[0])
-
-
 class _BaseModel(Module):
     """Shared prediction plumbing for both model families."""
 
@@ -87,22 +74,22 @@ class _BaseModel(Module):
                 available: np.ndarray) -> np.ndarray:
         """Evaluation-mode predictions under per-sample availability.
 
-        ``available`` is a boolean (N, m) matrix. Samples are grouped by
-        availability pattern so each group runs as one batch; outputs are
-        class probabilities (N, K) or regression values (N,).
+        ``available`` is a boolean (..., N, m) array, such as one (N, m) matrix
+        per scenario stacked as (S, N, m). One ``forward_masks`` call runs all
+        N samples under each distinct pattern and each sample takes the row of
+        its own pattern: at feature level every view is encoded once per call
+        and fusion plus head run once per pattern. Every scenario kind adds at
+        most one pattern to the full one, so stacked scenarios never cost more
+        than a forward per scenario. Returns probabilities (..., N, K) or
+        values (..., N).
         """
-        out = None
+        m = available.shape[-1]
+        patterns, inverse = np.unique(available.reshape(-1, m), axis=0, return_inverse=True)
+        masks = [tuple(int(v) for v in np.flatnonzero(pattern)) for pattern in patterns]
         with no_grad():
-            for mask, idx in mask_groups(available):
-                preds = self.forward_masked(batch_views(views, idx), mask)
-                if self.task == "classification":
-                    preds = preds.softmax(axis=-1).data
-                else:
-                    preds = preds.data[:, 0]
-                if out is None:
-                    out = np.zeros((available.shape[0],) + preds.shape[1:])
-                out[idx] = preds
-        return out
+            rows = np.stack([out.softmax(axis=-1).data if self.task == "classification"
+                             else out.data[:, 0] for out in self.forward_masks(views, masks)])
+        return rows[inverse.reshape(available.shape[:-1]), np.arange(available.shape[-2])]
 
 
 class FeatureFusionModel(_BaseModel):

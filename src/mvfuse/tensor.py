@@ -138,9 +138,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other) -> "Tensor":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         a, b = self, _coerce(other)
         out_data = a.data * b.data
@@ -162,9 +159,6 @@ class Tensor:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
         return Tensor._result(out_data, (a, b), backward, "div")
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return _coerce(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         a, p = self, float(exponent)

@@ -16,7 +16,7 @@ import numpy as np
 from .augmentation import AugPolicy, enumerate_combinations, sensd_mask, tempd_mask
 from .data import MultiViewDataset
 from .encoders import one_hot_batch
-from .model import _BaseModel, batch_views, mask_groups
+from .model import _BaseModel, batch_views
 from .rng import stream
 from .tensor import Adam, Tensor, no_grad
 
@@ -135,8 +135,8 @@ def train_step(model: _BaseModel, views: dict[str, np.ndarray], y: np.ndarray,
                dropout_rng: np.random.Generator) -> float:
     """One optimizer update; returns the step loss.
 
-    View dropping (``sensd``) draws a mask per sample and groups the samples
-    by mask; the loss is the mean per-sample loss, each group one batch.
+    View dropping (``sensd``) draws a mask per sample and runs each mask's
+    samples as one batch, masks ascending; the loss is the per-sample mean.
     Every other kind runs ``model.forward_masks`` over the combinations
     (``com``) or the full mask alone and takes ``combination_loss`` of the
     per-mask losses: at feature level the encoders run once per step and only
@@ -148,11 +148,11 @@ def train_step(model: _BaseModel, views: dict[str, np.ndarray], y: np.ndarray,
     m = len(model.view_specs)
     optimizer.zero_grad()
     if aug.kind == "sensd":
-        available = np.zeros((y.shape[0], m), dtype=bool)
+        groups: dict[tuple[int, ...], list[int]] = {}
         for i in range(y.shape[0]):
-            available[i, list(sensd_mask(m, mask_rng))] = True
+            groups.setdefault(sensd_mask(m, mask_rng), []).append(i)
         loss = None
-        for mask, idx in mask_groups(available):
+        for mask, idx in sorted(groups.items()):
             out = model.forward_masked(batch_views(views, idx), mask, rng=dropout_rng,
                                        train=True)
             part = batch_loss(out, y[idx], task, weights) * (len(idx) / y.shape[0])

@@ -53,9 +53,11 @@ def focus_view(cfg: ExperimentConfig, view_ids: list[str]) -> str:
 
 def checked_scenarios(scenarios: list[MissingScenario],
                       view_ids: list[str]) -> list[MissingScenario]:
-    """``scenarios``, unless one leaves some sample with no view at all, which
-    only happens when it masks the single view of a one-view dataset."""
+    """``scenarios``, unless one names an undeclared view or leaves a sample
+    with no view, which only masking the view of a one-view dataset does."""
     for s in scenarios:
+        if s.kind != "none" and s.view not in view_ids:
+            raise ConfigError(f"scenario {s.key()}: {s.view!r} is not a declared view")
         if [s.view] == view_ids and (s.kind == "only_missing"
                                      or (s.kind == "fraction" and s.p > 0)):
             raise ConfigError(f"scenario {s.key()} leaves samples with no view: "

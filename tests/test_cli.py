@@ -43,17 +43,24 @@ MALFORMED = [
     ("data.synthetic.views", 5), ("data.synthetic.seed", 3), ("data.val_fraction", "x"),
     ("train.max_epochs", 1.5), ("train.batch_size", 2.5), ("train.lr", "x"),
     ("train.lr", -1), ("train.patience", True), ("model.latent_dim", None),
+    ("data.synthetic.n_samples", 0), ("data.synthetic.n_samples", 1), ("data.val_fraction", 0.999),
+    ("data.synthetic.basis_order", 0), ("model.conv_kernel", 0), ("model.conv_kernel", 2),
+    pytest.param(("fusion.kind", "fusion.heads"), ("cross", 3), id="cross-heads-3"),
+    pytest.param(("fusion.kind", "model.latent_dim"), ("memory", 7), id="memory-latent_dim-7"),
 ]
 
 
 def with_value(path, value):
-    """base_config() with the dotted ``path`` set to ``value``."""
+    """base_config() with the dotted ``path`` set to ``value``, or each of a
+    tuple of paths set to the matching entry of a tuple of values."""
     raw = base_config()
-    *parents, key = path.split(".")
-    node = raw
-    for name in parents:
-        node = node[name]
-    node[key] = value
+    pairs = zip(path, value) if isinstance(path, tuple) else [(path, value)]
+    for dotted, new in pairs:
+        *parents, key = dotted.split(".")
+        node = raw
+        for name in parents:
+            node = node[name]
+        node[key] = new
     return raw
 
 
@@ -230,17 +237,23 @@ class TestErrors:
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not (out / "model.json").exists()
 
+    def test_heads_need_not_divide_the_width_of_average_fusion(self, tmp_path):
+        cfg = write_config(tmp_path, with_value("fusion.heads", 3))
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path / "x")]) == 2
 
-    def test_bad_scenario_view_is_runtime_error(self, tmp_path):
+    def test_bad_scenario_view_is_config_error(self, tmp_path, capsys):
         raw = base_config()
         raw["eval"]["scenarios"] = [{"kind": "only_missing", "view": "thermal"}]
-        cfg = write_config(tmp_path, raw)
         out = tmp_path / "run"
-        main(["train", "--config", cfg, "--out", str(out)])
-        assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 3
+        capsys.readouterr()
+        assert main(["evaluate", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (out / "model.json").exists()
 
     def test_boolean_seed_is_config_error(self, tmp_path):
         raw = base_config()

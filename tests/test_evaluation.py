@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfuse.data import SyntheticConfig, SyntheticViewConfig, generate_synthetic
-from mvfuse.encoders import EncoderConfig
+from mvfuse.encoders import EncoderConfig, StaticEncoder, TemporalEncoder
 from mvfuse.evaluation import (EvalReport, MissingScenario, auc_pr,
                                class_change_ratio, deformation, evaluate_scenarios,
                                f1_macro, mape, prs, r2, scenario_availability,
                                sweep)
 from mvfuse.fusion import FusionConfig
-from mvfuse.model import build_model
+from mvfuse.model import FeatureFusionModel, batch_views, build_model
+from mvfuse.tensor import no_grad
 
 VIEWS = ["optical", "radar", "weather", "soil"]
 
@@ -268,6 +269,90 @@ class TestSweep:
         assert deform[0] == 0.0
         assert deform[1] >= 0.0
         assert report.values("fraction:optical:0", "prs")[0] == 1.0
+
+
+def mixed_model(kind, level, task):
+    """An untrained model over a temporal, a static and a categorical view."""
+    cfg = SyntheticConfig(
+        n_samples=40, latent_dim=4, task=task, classes=3, seed=3,
+        views=[SyntheticViewConfig(id="optical", kind="temporal", time_steps=4, channels=2,
+                                   loading_seed=0),
+               SyntheticViewConfig(id="radar", kind="static", channels=3, loading_seed=1),
+               SyntheticViewConfig(id="soil", kind="categorical", cardinality=3,
+                                   loading_seed=2)])
+    ds = generate_synthetic(cfg)
+    model = build_model(ds.view_specs, EncoderConfig(latent_dim=8, layers=1, dropout=0.3),
+                        FusionConfig(kind=kind, heads=2, dropout=0.3), ds.task,
+                        ds.n_outputs, level, np.random.default_rng(5))
+    return model, ds
+
+
+PREDICT_SCENARIOS = [MissingScenario("none"), MissingScenario("only_missing", "optical"),
+                     MissingScenario("only_available", "radar"),
+                     MissingScenario("fraction", "soil", 0.5)]
+
+
+def grouped_predictions(model, views, available):
+    """Oracle: per (N, m) matrix, one ``forward_masked`` per availability
+    pattern on the rows that share it."""
+    out = []
+    for matrix in available:
+        rows = {}
+        for pattern in np.unique(matrix, axis=0):
+            idx = np.flatnonzero((matrix == pattern).all(axis=1))
+            with no_grad():
+                logits = model.forward_masked(batch_views(views, idx),
+                                              tuple(np.flatnonzero(pattern)))
+            preds = (logits.softmax(axis=-1).data if model.task == "classification"
+                     else logits.data[:, 0])
+            rows.update(zip(idx, preds))
+        out.append([rows[i] for i in range(matrix.shape[0])])
+    return np.array(out)
+
+
+# every fusion kind at feature level, average at input level, InputConcatModel
+PREDICT_PATHS = [(kind, "feature") for kind in ("average", "gated", "cross", "memory", "concat")]
+PREDICT_PATHS += [("average", "input"), ("concat", "input")]
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("kind, level", PREDICT_PATHS)
+class TestPredictContract:
+    def stacked(self, model, ds):
+        return np.stack([scenario_availability(s, ds.n_samples, model.view_ids, seed=2)
+                         for s in PREDICT_SCENARIOS])
+
+    def test_stacked_scenarios_match_per_pattern_forwards(self, kind, level, task):
+        model, ds = mixed_model(kind, level, task)
+        available = self.stacked(model, ds)
+        assert len(np.unique(available[3], axis=0)) == 2  # the fraction scenario
+        preds = model.predict(ds.views, available)
+        expected = grouped_predictions(model, ds.views, available)
+        assert preds.shape == expected.shape
+        np.testing.assert_allclose(preds, expected, rtol=0, atol=1e-12)
+
+    def test_encoders_once_and_fusion_once_per_pattern(self, kind, level, task, spy):
+        model, ds = mixed_model(kind, level, task)
+        available = self.stacked(model, ds)
+        n_patterns = len(np.unique(available.reshape(-1, 3), axis=0))
+        encoders = spy((TemporalEncoder, "__call__"), (StaticEncoder, "__call__"))
+        heads = spy((FeatureFusionModel, "fuse_head"))
+        model.predict(ds.views, available)
+        per_encoder = 1 if level == "feature" else n_patterns
+        if kind == "concat" and level == "input":  # one MLP, no fusion
+            assert encoders == {model.encoder: per_encoder}
+        else:
+            assert encoders == {enc: per_encoder for enc in model.encoders}
+            assert heads == {model: n_patterns}
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("kind", ["average", "gated", "cross", "memory", "concat"])
+def test_feature_level_encoders_run_once_per_evaluation(kind, task, spy):
+    model, ds = mixed_model(kind, "feature", task)
+    encoders = spy((TemporalEncoder, "__call__"), (StaticEncoder, "__call__"))
+    evaluate_scenarios(model, ds, PREDICT_SCENARIOS, seed=2)
+    assert encoders == {enc: 1 for enc in model.encoders}
 
 
 class TestReport:

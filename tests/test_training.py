@@ -1,16 +1,18 @@
 """Training: losses, class weights, combination step mechanics, early stopping."""
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
 
-from mvfuse.augmentation import AugPolicy, enumerate_combinations
+from mvfuse.augmentation import AugPolicy, enumerate_combinations, sensd_mask
 from mvfuse.data import SyntheticConfig, SyntheticViewConfig, generate_synthetic
 from mvfuse.encoders import EncoderConfig, StaticEncoder, TemporalEncoder
 from mvfuse.fusion import AverageFusion, FusionConfig
-from mvfuse.model import FeatureFusionModel, build_model, load_model, save_model
+from mvfuse.model import (FeatureFusionModel, batch_views, build_model, load_model,
+                          save_model)
 from mvfuse.tensor import Adam, Tensor, backward
 from mvfuse.training import (EarlyStopper, TrainConfig, batch_loss, class_weights,
                              combination_loss, cross_entropy, train_model, train_step)
@@ -207,6 +209,30 @@ class TestComStepMechanics:
                           opt, ds.task, None, np.random.default_rng(1),
                           np.random.default_rng(2))
         assert np.isfinite(loss)
+
+    @pytest.mark.parametrize("level", ["feature", "input"])
+    def test_sensd_loss_groups_by_ascending_mask(self, level):
+        ds = tiny_dataset(n=24)
+        model = tiny_model(ds, level=level, dropout=0.3, seed=6)
+        twin = copy.deepcopy(model)
+        # seed 0 first draws (1,), then (0, 1), then (0,): neither the draw
+        # order nor the order of np.unique's boolean rows is the tuple order
+        mask_rng, dropout_rng = np.random.default_rng(0), np.random.default_rng(2)
+        twin_mask_rng, twin_dropout_rng = copy.deepcopy(mask_rng), copy.deepcopy(dropout_rng)
+        loss = train_step(model, ds.views, ds.y, AugPolicy(kind="sensd", level=level), None,
+                          Adam(model.parameters()), ds.task, None, mask_rng, dropout_rng)
+        # oracle: samples grouped by mask, groups in ascending tuple order, each
+        # group's samples in ascending order, dropout drawn group after group
+        masks = [sensd_mask(2, twin_mask_rng) for _ in range(24)]
+        expected = None
+        for mask in sorted(set(masks)):
+            idx = np.array([i for i, drawn in enumerate(masks) if drawn == mask])
+            out = twin.forward_masked(batch_views(ds.views, idx), mask, rng=twin_dropout_rng,
+                                      train=True)
+            part = batch_loss(out, ds.y[idx], ds.task, None) * (len(idx) / 24)
+            expected = part if expected is None else expected + part
+        assert len(set(masks)) == 3
+        assert loss.hex() == expected.item().hex()
 
     def test_tempd_step_runs(self):
         ds = tiny_dataset(n=24)
