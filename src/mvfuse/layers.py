@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, concat
+from .tensor import Tensor, concat, lstm
 
 
 class Module:
@@ -134,7 +134,8 @@ class LSTMCell(Module):
     """Standard LSTM gate equations for one step.
 
     Gate weights are stored as one (d_in + d_h, 4*d_h) matrix in input,
-    forget, output, candidate order.
+    forget, output, candidate order. A step is six graph nodes: concat,
+    matmul, bias add, one fused ``lstm`` node and the h/c split.
     """
 
     def __init__(self, d_in: int, d_h: int, rng: np.random.Generator,
@@ -149,15 +150,8 @@ class LSTMCell(Module):
     def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
         if x.shape[-1] != self.d_in:
             raise ValueError(f"lstm step expects input dim {self.d_in}, got {x.shape[-1]}")
-        d = self.d_h
-        z = concat([x, h_prev], axis=-1) @ self.W + self.b
-        i = z[..., 0:d].sigmoid()
-        f = z[..., d:2 * d].sigmoid()
-        o = z[..., 2 * d:3 * d].sigmoid()
-        g = z[..., 3 * d:4 * d].tanh()
-        c = f * c_prev + i * g
-        h = o * c.tanh()
-        return h, c
+        hc = lstm(concat([x, h_prev], axis=-1) @ self.W + self.b, c_prev)
+        return hc[..., :self.d_h], hc[..., self.d_h:]
 
     def zero_state(self, batch_shape: tuple = ()) -> tuple[Tensor, Tensor]:
         shape = batch_shape + (self.d_h,)

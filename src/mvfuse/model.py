@@ -19,7 +19,7 @@ from .encoders import (EncoderConfig, StaticEncoder, ViewSpec, make_encoder,
                        one_hot_batch)
 from .fusion import FusionConfig, fused_width, make_fusion
 from .layers import Affine, Module
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, check_finite, no_grad
 
 LEVELS = ("input", "feature")
 
@@ -70,6 +70,18 @@ class _BaseModel(Module):
                 else np.zeros((batch,) + spec.raw_shape)
                 for i, spec in enumerate(self.view_specs)]
 
+    def check_outputs(self, views: dict[str, np.ndarray], masks: list[tuple[int, ...]],
+                      outs: list[Tensor], what: str) -> None:
+        """Raise ValueError if an evaluation-mode output is not finite.
+
+        Outputs built under ``no_grad`` have no graph, so on failure only the
+        failing mask's forward runs again with its graph recorded and the
+        error names the op of its first non-finite node.
+        """
+        for mask, out in zip(masks, outs):
+            if not np.isfinite(out.data).all():
+                check_finite(self.forward_masked(views, mask), f"{what} under mask {mask}")
+
     def predict(self, views: dict[str, np.ndarray],
                 available: np.ndarray) -> np.ndarray:
         """Evaluation-mode predictions under per-sample availability.
@@ -81,14 +93,16 @@ class _BaseModel(Module):
         and fusion plus head run once per pattern. Every scenario kind adds at
         most one pattern to the full one, so stacked scenarios never cost more
         than a forward per scenario. Returns probabilities (..., N, K) or
-        values (..., N).
+        values (..., N); a non-finite output raises ValueError.
         """
         m = available.shape[-1]
         patterns, inverse = np.unique(available.reshape(-1, m), axis=0, return_inverse=True)
         masks = [tuple(int(v) for v in np.flatnonzero(pattern)) for pattern in patterns]
         with no_grad():
-            rows = np.stack([out.softmax(axis=-1).data if self.task == "classification"
-                             else out.data[:, 0] for out in self.forward_masks(views, masks)])
+            outs = self.forward_masks(views, masks)
+        self.check_outputs(views, masks, outs, "prediction")
+        rows = np.stack([out.softmax(axis=-1).data if self.task == "classification"
+                         else out.data[:, 0] for out in outs])
         return rows[inverse.reshape(available.shape[:-1]), np.arange(available.shape[-2])]
 
 

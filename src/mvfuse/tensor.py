@@ -1,10 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The computation graph is implicit: every operation returns a new Tensor that
-records its parent tensors and a closure that routes the output gradient back
-into them. ``Tensor.backward()`` on a scalar walks that graph once in reverse
-topological order. Tensors are treated as immutable values; no operation
-modifies its inputs, so they are safe to share read-only.
+records its parent tensors, a closure that routes the output gradient back
+into them, and a creation sequence number. ``Tensor.backward()`` on a scalar
+runs the reachable nodes once in reverse creation order, which is a reverse
+topological order because a node's inputs always exist before it. Tensors
+are treated as immutable values; no operation modifies its inputs, so they
+are safe to share read-only.
+
+Finiteness is checked where values enter and leave the graph: ``Tensor(...)``
+rejects non-finite data, parameters and constants; ``backward`` rejects a
+non-finite root; ``Adam.step`` rejects every non-finite gradient before any
+parameter moves; and ``check_finite`` serves the model's predictions and
+validation outputs. Every op output in between is trusted unchecked. On a
+failure the graph is walked in creation order and the error names the op of
+the first non-finite node.
 
 Gradients are values too: the first contribution to ``.grad`` is assigned
 as is and later ones are added into a new array, so one array may be shared
@@ -18,11 +28,13 @@ tolerances.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import count
 from typing import Sequence
 
 import numpy as np
 
 _GRAD_ENABLED = True
+_SEQUENCE = count()
 
 
 @contextmanager
@@ -60,11 +72,12 @@ class Tensor:
     """A dense float64 array plus the bookkeeping for reverse-mode autodiff.
 
     Each tensor is one node of the graph: ``op`` names the operation that
-    produced it (empty for leaves), ``_parents`` are its inputs and
-    ``_backward`` accumulates the chain-rule contribution into them.
+    produced it (empty for leaves), ``_parents`` are its inputs,
+    ``_backward`` accumulates the chain-rule contribution into them and
+    ``_seq`` orders the recorded nodes by creation.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -81,12 +94,19 @@ class Tensor:
 
     @staticmethod
     def _result(data: np.ndarray, parents: tuple, backward, op: str) -> "Tensor":
-        out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            out.requires_grad = True
+        """An op output: trusted finite, so it skips the scan of ``Tensor(...)``."""
+        out = Tensor.__new__(Tensor)
+        out.data = np.asarray(data, dtype=np.float64)
+        out.grad = None
+        out.op = ""
+        out._parents = ()
+        out._backward = None
+        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        if out.requires_grad:
             out.op = op
             out._parents = parents
             out._backward = backward
+            out._seq = next(_SEQUENCE)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -108,7 +128,9 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        if self.size != 1:
+            raise ValueError(f"item() needs a tensor of size 1, got shape {self.shape}")
+        return self.data.item()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op or 'leaf'})"
@@ -170,14 +192,30 @@ class Tensor:
         return Tensor._result(out_data, (a,), backward, "pow")
 
     def __matmul__(self, other) -> "Tensor":
+        """Matrix product; a (..., k) @ (k, n) weight product folds the leading
+        axes so that forward and both gradients are single 2-D GEMMs."""
         a, b = self, _coerce(other)
         if a.ndim < 2 or b.ndim < 2:
             raise ValueError(f"matmul needs operands of at least two dimensions, "
                              f"got shapes {a.shape} and {b.shape}")
+        if b.ndim == 2 and a.ndim > 2:
+            a2 = a.data.reshape(-1, a.shape[-1])
+            out_data = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[-1],))
+
+            def backward(g):
+                g2 = g.reshape(-1, g.shape[-1])
+                if a.requires_grad:
+                    a._accumulate((g2 @ b.data.T).reshape(a.shape))
+                if b.requires_grad:
+                    b._accumulate(a2.T @ g2)
+
+            return Tensor._result(out_data, (a, b), backward, "matmul")
 
         def backward(g):
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
         return Tensor._result(a.data @ b.data, (a, b), backward, "matmul")
 
@@ -264,11 +302,20 @@ class Tensor:
         return Tensor._result(a.data.transpose(axes), (a,), backward, "transpose")
 
     def __getitem__(self, key) -> "Tensor":
+        """Indexing. A basic index (slices, integers, ``...``, ``None``)
+        selects each element at most once, so its backward assigns; an
+        advanced index may repeat elements, so its backward adds them up."""
         a = self
+        basic = all(k is None or k is Ellipsis or isinstance(k, slice)
+                    or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+                    for k in (key if isinstance(key, tuple) else (key,)))
 
         def backward(g):
             full = np.zeros_like(a.data)
-            full[key] = g
+            if basic:
+                full[key] = g
+            else:
+                np.add.at(full, key, g)
             a._accumulate(full)
 
         return Tensor._result(a.data[key], (a,), backward, "slice")
@@ -328,32 +375,44 @@ class Tensor:
     # -- backward pass ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar root.
+        """Reverse-mode pass from a finite scalar root.
 
-        Visits each node exactly once in reverse topological order and adds
+        Runs each reachable node once in reverse creation order and adds
         gradients into ``.grad`` of every reachable tensor that requires one.
         """
         if self.size != 1:
             raise ValueError("backward root must be a scalar")
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+        check_finite(self, "backward root")
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+        for node in reversed(_tape(self)):
+            node._backward(node.grad)
+
+
+def _tape(root: Tensor) -> list[Tensor]:
+    """The recorded nodes reachable from ``root``, in creation order."""
+    nodes: list[Tensor] = []
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node._backward is None or node._seq in seen:
+            continue
+        seen.add(node._seq)
+        nodes.append(node)
+        stack.extend(node._parents)
+    nodes.sort(key=lambda node: node._seq)
+    return nodes
+
+
+def check_finite(t: Tensor, what: str) -> None:
+    """Raise ValueError if ``t`` holds a non-finite value, naming the op of
+    the first non-finite node of its recorded graph in creation order."""
+    if np.isfinite(t.data).all():
+        return
+    first = next((node for node in _tape(t) if not np.isfinite(node.data).all()), None)
+    origin = ("no recorded op produced it" if first is None else
+              f"first non-finite value from op '{first.op}' with output shape {first.shape}")
+    raise ValueError(f"{what} is not finite: {origin}")
 
 
 # -- module-level helpers ----------------------------------------------------------
@@ -383,6 +442,31 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             t._accumulate(np.take(g, i, axis=axis))
 
     return Tensor._result(out_data, tuple(ts), backward, "stack")
+
+
+def lstm(z: Tensor, c_prev: Tensor) -> Tensor:
+    """One fused LSTM cell update from gate pre-activations.
+
+    ``z`` is (..., 4*d) in input, forget, output, candidate order and
+    ``c_prev`` is (..., d). Returns ``[h, c]`` concatenated along the last
+    axis, (..., 2*d), with ``c = f * c_prev + i * g`` and ``h = o * tanh(c)``.
+    """
+    d = c_prev.shape[-1]
+    gates = 1.0 / (1.0 + np.exp(-z.data[..., :3 * d]))
+    i, f, o = gates[..., :d], gates[..., d:2 * d], gates[..., 2 * d:]
+    g = np.tanh(z.data[..., 3 * d:])
+    c = f * c_prev.data + i * g
+    tanh_c = np.tanh(c)
+    h = o * tanh_c
+
+    def backward(grad):
+        dc = grad[..., d:] + grad[..., :d] * o * (1.0 - tanh_c * tanh_c)
+        dgates = np.concatenate([dc * g, dc * c_prev.data, grad[..., :d] * tanh_c], axis=-1)
+        z._accumulate(np.concatenate([dgates * gates * (1.0 - gates),
+                                      dc * i * (1.0 - g * g)], axis=-1))
+        c_prev._accumulate(dc * f)
+
+    return Tensor._result(np.concatenate([h, c], axis=-1), (z, c_prev), backward, "lstm")
 
 
 def backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
@@ -422,15 +506,19 @@ class Adam:
             p.grad = None
 
     def step(self) -> None:
+        """One update; every gradient is checked before any parameter moves."""
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            if g.shape != p.data.shape:
+                raise ValueError(
+                    f"gradient shape {g.shape} does not match parameter shape {p.data.shape}")
+            if not np.isfinite(g).all():
+                raise ValueError(f"gradient of parameter {i} (shape {p.data.shape}) is not finite")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise ValueError(
-                    f"gradient shape {g.shape} does not match parameter shape {p.data.shape}")
+        for i, (p, g) in enumerate(zip(self.params, grads)):
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
             m_hat = self.m[i] / bc1

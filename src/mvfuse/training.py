@@ -168,11 +168,12 @@ def train_step(model: _BaseModel, views: dict[str, np.ndarray], y: np.ndarray,
 
 def validation_losses(model: _BaseModel, ds: MultiViewDataset,
                       masks: list[tuple]) -> dict[tuple, float]:
-    """Unweighted evaluation-mode loss per mask over the whole validation set."""
+    """Unweighted evaluation-mode loss per mask over the whole validation set;
+    a non-finite model output raises ValueError."""
     with no_grad():
         outs = model.forward_masks(ds.views, masks)
-        return {mask: batch_loss(out, ds.y, model.task).item()
-                for mask, out in zip(masks, outs)}
+    model.check_outputs(ds.views, masks, outs, "validation output")
+    return {mask: batch_loss(out, ds.y, model.task).item() for mask, out in zip(masks, outs)}
 
 
 @dataclass

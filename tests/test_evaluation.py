@@ -130,8 +130,22 @@ class TestMetricOracles:
         assert abs(mape(np.array([100.0, 200.0]), np.array([110.0, 180.0])) - 0.10) < 1e-12
 
     def test_mape_rejects_zero_targets(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="MAPE undefined for zero targets"):
             mape(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("metric, y, pred, message", [
+        (f1_macro, [], [], "non-empty aligned label vectors"),
+        (f1_macro, [0, 1], [0, 1, 1], "non-empty aligned label vectors"),
+        (r2, [], [], "non-empty aligned vectors"),
+        (r2, [1.0, 2.0], [1.0], "non-empty aligned vectors"),
+        (r2, [3.0, 3.0], [1.0, 2.0], "targets are constant"),
+        (mape, [], [], "non-empty aligned vectors"),
+        (mape, [1.0, 2.0], [[1.0, 2.0]], "non-empty aligned vectors"),
+    ], ids=["f1-empty", "f1-misaligned", "r2-empty", "r2-misaligned", "r2-constant",
+            "mape-empty", "mape-misaligned"])
+    def test_input_guards(self, metric, y, pred, message):
+        with pytest.raises(ValueError, match=message):
+            metric(np.array(y), np.array(pred))
 
     def test_auc_pr_matches_brute_force(self):
         rng = np.random.default_rng(2)

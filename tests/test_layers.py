@@ -37,7 +37,7 @@ class TestAffine:
 
     def test_dim_mismatch_raises(self):
         aff = Affine(3, 2, np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="affine expects last dim 3, got 4"):
             aff(Tensor(np.ones((2, 4))))
 
 
@@ -55,9 +55,9 @@ def conv_oracle(x, W, b):
     return out + b
 
 
-def graph_ops(out):
-    """Ops of every non-leaf node reachable from ``out``."""
-    ops, seen, stack = [], set(), [out]
+def graph_ops(*outs):
+    """Ops of every non-leaf node reachable from ``outs``."""
+    ops, seen, stack = [], set(), list(outs)
     while stack:
         node = stack.pop()
         if id(node) in seen or not node.op:
@@ -136,6 +136,16 @@ class TestConv1d:
         with pytest.raises(ValueError):
             Conv1d(1, 1, np.random.default_rng(0), kernel=2)
 
+    def test_empty_time_axis_rejected(self):
+        conv = Conv1d(3, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least one time step"):
+            conv(Tensor(np.ones((4, 0, 3))))
+
+    def test_channel_mismatch_rejected(self):
+        conv = Conv1d(3, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="conv1d expects 3 channels, got 2"):
+            conv(Tensor(np.ones((5, 2))))
+
 
 class TestLayerNorm:
     def test_zero_mean_unit_variance(self):
@@ -190,6 +200,10 @@ class TestDropout:
         with pytest.raises(ValueError):
             Dropout(1.0)
 
+    def test_train_time_dropout_needs_a_generator(self):
+        with pytest.raises(ValueError, match="train-time dropout needs a generator"):
+            Dropout(0.5)(Tensor(np.ones(3)), train=True)
+
 
 def lstm_oracle(x, h, c, W, b):
     """Hand-rolled gate equations: input, forget, output, candidate order."""
@@ -238,10 +252,16 @@ class TestLSTM:
         errs = check_gradients(loss, params)
         assert max(errs.values()) < 1e-4
 
+    def test_step_is_six_graph_nodes(self):
+        cell = LSTMCell(3, 4, np.random.default_rng(0))
+        x, h, c = (Tensor(np.ones((2, d)), requires_grad=True) for d in (3, 4, 4))
+        h2, c2 = cell.step(x, h, c)
+        assert sorted(graph_ops(h2, c2)) == ["add", "concat", "lstm", "matmul", "slice", "slice"]
+
     def test_input_dim_mismatch_raises(self):
         cell = LSTMCell(3, 4, np.random.default_rng(0))
         h, c = cell.zero_state((1,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lstm step expects input dim 3, got 5"):
             cell.step(Tensor(np.ones((1, 5))), h, c)
 
 

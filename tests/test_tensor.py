@@ -108,6 +108,36 @@ class TestBackward:
         (grad,) = backward(y.sum(), [p])
         np.testing.assert_allclose(grad, [4.0])
 
+    def test_node_reused_after_later_nodes_matches_finite_differences(self):
+        # h and the leaf x feed the last op again, after nodes created later
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True)
+
+        def loss():
+            h = x @ w
+            deep = (h.tanh() * h).sigmoid() @ w
+            return sum_sq(deep + h + x)
+
+        errs = check_gradients(loss, {"x": x, "w": w})
+        assert max(errs.values()) < 1e-4
+
+    def test_size_one_root_and_item(self):
+        p = Tensor(np.array([1.5]), requires_grad=True)
+        y = p * p
+        y.backward()
+        assert y.item() == 2.25
+        np.testing.assert_array_equal(p.grad, [3.0])
+        with pytest.raises(ValueError, match=r"size 1, got shape \(2,\)"):
+            Tensor(np.ones(2)).item()
+
+    def test_non_finite_parameter_fails_backward_naming_the_op(self):
+        x = Tensor(np.ones((2, 3)))
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        w.data = np.where(np.eye(3, 2) > 0, np.inf, 1.0)
+        with pytest.raises(ValueError, match="backward root is not finite: .*op 'matmul'"):
+            sum_sq(x @ w).backward()
+
     def test_shared_gradient_arrays_are_never_written_in_place(self):
         # add hands one gradient array to both operands, so a's second
         # contribution must not be added into the array b and y also hold
@@ -127,6 +157,7 @@ OPS = {
     "mul": lambda a, b: a * b,
     "div": lambda a, b: a / (b + 2.5),
     "matmul": lambda a, b: a @ b.transpose((1, 0)),
+    "matmul_3d_2d": lambda a, b: a.reshape((2, 1, 3)) @ b.transpose((1, 0)),
     "pow": lambda a, b: ((a * a) + 0.5) ** 1.5,
     "exp": lambda a, b: a.exp(),
     "log": lambda a, b: ((a * a) + 0.5).log(),
@@ -138,6 +169,7 @@ OPS = {
     "sum_keepdims": lambda a, b: a.sum(axis=1, keepdims=True),
     "reshape": lambda a, b: a.reshape((6,)),
     "slice": lambda a, b: a[1:, :2],
+    "gather_repeated": lambda a, b: a[np.array([0, 0, 1]), 1:] * b[np.array([1, 1, 0]), :2],
     "softmax_rows": lambda a, b: a.softmax(axis=-1),
     "concat": lambda a, b: concat([a, b], axis=1),
     "stack": lambda a, b: stack([a, b], axis=0),
@@ -216,6 +248,19 @@ class TestAdam:
         p.grad = np.zeros(2)
         with pytest.raises(ValueError):
             opt.step()
+
+    def test_non_finite_gradient_raises_before_any_parameter_moves(self):
+        # the loss sqrt(0) is finite, its gradient at 0 is not
+        p = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+        x = Tensor(np.zeros(3), requires_grad=True)
+        opt = Adam([p, x], lr=0.1)
+        before = [p.data.tobytes(), x.data.tobytes()]
+        with np.errstate(divide="ignore"):
+            ((p * p).sum() + (x ** 0.5).sum()).backward()
+        with pytest.raises(ValueError, match=r"gradient of parameter 1 \(shape \(3,\)\)"):
+            opt.step()
+        assert [p.data.tobytes(), x.data.tobytes()] == before
+        assert opt.step_count == 0
 
     def test_step_counter_and_decay(self):
         p = Tensor(np.array([1.0]), requires_grad=True)

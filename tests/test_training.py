@@ -15,7 +15,8 @@ from mvfuse.model import (FeatureFusionModel, batch_views, build_model, load_mod
                           save_model)
 from mvfuse.tensor import Adam, Tensor, backward
 from mvfuse.training import (EarlyStopper, TrainConfig, batch_loss, class_weights,
-                             combination_loss, cross_entropy, train_model, train_step)
+                             combination_loss, cross_entropy, train_model, train_step,
+                             validation_losses)
 
 
 def tiny_dataset(task="classification", n=60, seed=0):
@@ -341,6 +342,18 @@ def test_load_model_rejects_non_finite_parameter(tmp_path):
     save_with_parameter(tmp_path, "head.W", lambda w: np.full_like(w, np.nan))
     with pytest.raises(ValueError, match=r"head\.W has non-finite values"):
         load_model(tmp_path)
+
+
+def test_nan_parameter_fails_predict_and_validation_naming_the_op():
+    ds = tiny_dataset(n=20)
+    model = tiny_model(ds)
+    model.head.W.data = np.full_like(model.head.W.data, np.nan)
+    with pytest.raises(ValueError, match=r"prediction under mask \(0, 1\) is not finite: "
+                                         r".*op 'matmul'"):
+        model.predict(ds.views, np.ones((20, 2), dtype=bool))
+    with pytest.raises(ValueError, match=r"validation output under mask \(0, 1\) is not "
+                                         r"finite: .*op 'matmul'"):
+        validation_losses(model, ds, [(0, 1)])
 
 
 def save_with_architecture(tmp_path, edit):
