@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -276,9 +277,12 @@ def zscore_apply(ds: MultiViewDataset, stats: dict) -> MultiViewDataset:
 
 def _float_field(text: str, where: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise MalformedFieldError(f"{where}: cannot parse {text!r} as a number") from exc
+    if not math.isfinite(value):
+        raise MalformedFieldError(f"{where}: {text!r} is not a finite number")
+    return value
 
 
 def save_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:

@@ -5,8 +5,36 @@ fused vector of the encoder width d no matter how many views are available,
 which is what lets a model literally ignore missing views instead of imputing
 them. Concatenation with zero imputation is kept as the fixed-size baseline.
 
-All fuse methods take a full-length row list with None marking missing views;
-every row is a batch (B, d), a single sample included as (1, d).
+``fuse(rows, available)`` fuses many availability patterns in one call.
+``rows`` holds one (B, d) encoding per view, a single sample included as
+(1, d), or None for a view that no pattern uses. ``available`` is a boolean
+(..., m) array of patterns and defaults to the views that have a row, so
+``fuse(rows)`` is the one-pattern case. The result has shape
+``available.shape[:-1] + (B, width)``.
+
+Every weight that multiplies a view's encoding is applied once per view per
+call; each pattern then only sums, masks and normalizes, and a pattern's
+missing views are left out of its normalization, never imputed:
+
+- average: one (K, u) @ (u, B*d) product of weights 1/|pattern| over the u
+  views some pattern uses;
+- gated: one product of each view with its block of ``W_G``, one
+  pattern-matrix product for all logits, then one fused masked softmax and
+  weighted sum over the view axis;
+- cross: one token-plus-views sequence and one Q/K/V projection per layer
+  for all patterns; a pattern's missing views are excluded keys, and the
+  final layer computes only the token's queries;
+- concat: the zero-filled concatenation times each pattern's mask.
+
+Memory fusion runs its recurrence once per pattern inside ``fuse``. Its
+fused LSTM step is already bound by its arithmetic, and a dense carry over
+every pattern's view slots would step each slot whether its view is present
+or not: twice the arithmetic over the 127 patterns of seven views.
+
+Random draws (attention dropout, memory's inter-layer dropout and its
+permutation) are made pattern after pattern in the order of ``available``,
+with the shapes and order of one call per pattern. So ``permute`` draws one
+permutation per pattern.
 """
 
 from __future__ import annotations
@@ -16,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Dropout, LSTMCell, Module, MultiHeadAttention, glorot
-from .tensor import Tensor, concat, stack
+from .tensor import Tensor, concat, no_grad, softmax_mix, stack
 
 FUSION_KINDS = ("average", "gated", "cross", "memory", "concat")
 
@@ -48,34 +76,74 @@ class FusionConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
-def _present(rows: list) -> tuple[list[int], list[Tensor]]:
-    """Indices and rows of the available views."""
-    avail = [i for i, r in enumerate(rows) if r is not None]
-    if not avail:
+def _patterns(rows: list, available) -> tuple[np.ndarray, np.ndarray]:
+    """``available`` as a boolean (..., m) array, by default the views that
+    have a row, and its patterns flattened to (K, m)."""
+    if available is None:
+        available = np.array([r is not None for r in rows])
+    available = np.asarray(available, dtype=bool)
+    if available.ndim == 0 or available.shape[-1] != len(rows):
+        raise ValueError(f"availability of shape {available.shape} does not cover "
+                         f"{len(rows)} views")
+    patterns = available.reshape(-1, len(rows))
+    if patterns.shape[0] == 0 or not patterns.any(axis=1).all():
         raise ValueError("fusion needs at least one available view")
-    return avail, [rows[i] for i in avail]
+    for v in np.flatnonzero(patterns.any(axis=0)):
+        if rows[v] is None:
+            raise ValueError(f"view {v} is available in some pattern but has no row")
+    return available, patterns
 
 
-def _slots(rows: list) -> list[Tensor]:
-    """One row per view, a shared zero block standing in for every missing view."""
-    zero = Tensor(np.zeros(_present(rows)[1][0].shape))
-    return [zero if r is None else r for r in rows]
+class Fusion(Module):
+    """A merge function applied under one or many availability patterns."""
+
+    def fuse(self, rows: list, available=None, rng=None, train: bool = False) -> Tensor:
+        """Fused rows, shape ``available.shape[:-1] + (B, width)``.
+
+        ``rows`` holds one (B, d) encoding per view, or None for a view that
+        no pattern uses; ``available`` is a boolean (..., m) array of
+        patterns and defaults to the views that have a row.
+        """
+        available, patterns = _patterns(rows, available)
+        out = self._fuse(rows, patterns, rng, train)
+        shape = available.shape[:-1] + out.shape[1:]
+        return out if out.shape == shape else out.reshape(shape)
+
+    def _fuse(self, rows: list, patterns: np.ndarray, rng, train: bool) -> Tensor:
+        """Fused rows (K, B, width) for the (K, m) boolean ``patterns``."""
+        raise NotImplementedError
 
 
-class AverageFusion(Module):
-    """Mean of the available encodings; permutation invariant by construction."""
+def _used(rows: list, patterns: np.ndarray) -> tuple[np.ndarray, Tensor, np.ndarray]:
+    """The views some pattern uses, their rows stacked as (u, B, d), and the
+    patterns restricted to them, (K, u)."""
+    used = np.flatnonzero(patterns.any(axis=0))
+    return used, stack([rows[v] for v in used], axis=0), patterns[:, used]
 
-    def fuse(self, rows: list, rng=None, train: bool = False) -> Tensor:
-        return stack(_present(rows)[1], axis=-2).mean(axis=-2)
+
+class AverageFusion(Fusion):
+    """Mean of the available encodings; permutation invariant by construction.
+
+    All patterns are one (K, u) @ (u, B*d) product with weights 1/|pattern|.
+    """
+
+    def _fuse(self, rows, patterns, rng, train):
+        _, z, on = _used(rows, patterns)
+        u, batch, d = z.shape
+        weights = Tensor(on / on.sum(axis=1, keepdims=True))
+        return (weights @ z.reshape((u, batch * d))).reshape((len(on), batch, d))
 
 
-class GatedFusion(Module):
+class GatedFusion(Fusion):
     """Data-driven per-dimension weighting across views.
 
-    Logits come from the zero-imputed full stack (so they are computable for
-    any availability pattern), but the per-dimension softmax across views
-    excludes missing columns from the normalization, making their weights
-    exact zeros.
+    Logits are those of the zero-imputed full stack (so they are computable
+    for any availability pattern), but the per-dimension softmax across views
+    excludes missing views from the normalization, making their weights
+    exact zeros. ``W_G`` is applied one view block at a time: each view's
+    encoding is multiplied once per call and a pattern's logits are the sum
+    of its views' blocks plus the bias. A view no pattern uses is a zero
+    block, as in the zero-imputed stack.
     """
 
     def __init__(self, m: int, d: int, rng: np.random.Generator):
@@ -84,25 +152,46 @@ class GatedFusion(Module):
         self.m = m
         self.d = d
 
-    def gate_weights(self, z_full: Tensor, available: np.ndarray) -> Tensor:
-        """Per-dimension view weights, shape (..., d, m); missing columns are 0."""
-        batch = z_full.shape[0]
-        flat = z_full.reshape((batch, self.m * self.d))
-        logits = (flat @ self.W_G + self.b).reshape((batch, self.d, self.m))
-        return logits.softmax(axis=-1, exclude=~available)
+    def _logits(self, rows: list, patterns: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Every view's rows (m, B, d), zeros for a view no pattern uses, and
+        the logits (K, B, m, d) of output view v and dimension i."""
+        m, d = self.m, self.d
+        batch = next(r.shape[0] for r in rows if r is not None)
+        zero = Tensor(np.zeros((batch, d)))
+        z = stack([zero if r is None else r for r in rows], axis=0)
+        # W_G's columns are (dimension, view); regroup them as (view, dimension)
+        blocks = self.W_G.reshape((m, d, d, m)).transpose((0, 1, 3, 2)).reshape((m, d, m * d))
+        per_view = (z @ blocks).reshape((m, batch * m * d))
+        bias = self.b.reshape((d, m)).transpose((1, 0)).reshape((1, m * d))
+        bias_row = (Tensor(np.ones((batch, 1))) @ bias).reshape((1, batch * m * d))
+        sums = Tensor(np.concatenate([patterns, np.ones((len(patterns), 1))], axis=1))
+        logits = sums @ concat([per_view, bias_row], axis=0)
+        return z, logits.reshape((len(patterns), batch, m, d))
 
-    def fuse(self, rows: list, rng=None, train: bool = False) -> Tensor:
-        z_full = stack(_slots(rows), axis=-2)
-        weights = self.gate_weights(z_full, np.array([r is not None for r in rows]))
-        return (weights.transpose((0, 2, 1)) * z_full).sum(axis=-2)
+    def _fuse(self, rows, patterns, rng, train):
+        z, logits = self._logits(rows, patterns)
+        return softmax_mix(logits, z.transpose((1, 0, 2)), ~patterns[:, None, :, None])
+
+    def gate_weights(self, rows: list, available=None) -> np.ndarray:
+        """Evaluation-mode per-dimension view weights, shape
+        ``available.shape[:-1] + (B, d, m)``; a missing view's weights are 0."""
+        available, patterns = _patterns(rows, available)
+        with no_grad():
+            _, logits = self._logits(rows, patterns)
+            weights = logits.softmax(axis=-2, exclude=~patterns[:, None, :, None]).data
+        return weights.transpose((0, 1, 3, 2)).reshape(
+            available.shape[:-1] + weights.shape[1:2] + (self.d, self.m))
 
 
-class CrossAttentionFusion(Module):
+class CrossAttentionFusion(Fusion):
     """A learned fusion token queries the available views through self-attention.
 
-    Only available views are stacked, each with its view-specific positional
-    embedding, so missing views are never attended. The fused vector is the
-    token's row after the final attention layer.
+    The sequence holds the token row and every used view, each with its
+    view-specific positional embedding. A pattern's missing views are
+    excluded as keys from every softmax, so they are never attended and
+    their attention weights are exact zeros. The fused vector is the token's
+    row after the final attention layer, so the final layer computes only
+    the token's queries.
     """
 
     def __init__(self, m: int, d: int, cfg: FusionConfig, rng: np.random.Generator):
@@ -114,33 +203,74 @@ class CrossAttentionFusion(Module):
         self.m = m
         self.d = d
 
-    def _sequence(self, rows: list) -> Tensor:
-        """The token row followed by each available view, (B, 1 + m_avail, d)."""
-        avail, avail_rows = _present(rows)
-        ones = Tensor(np.ones((avail_rows[0].shape[0], 1)))
+    def _sequence(self, rows: list, patterns: np.ndarray):
+        """Used views, the sequence (B, 1 + u, d) of the token row and the used
+        views, and the keys each pattern excludes, (K, 1, 1, 1, 1 + u)."""
+        used, z, on = _used(rows, patterns)
+        ones = Tensor(np.ones((z.shape[1], 1)))
         token_row = ones @ (self.token + self.positional[0]).reshape((1, self.d))
-        return stack([token_row] + [row + self.positional[1 + v]
-                                    for v, row in zip(avail, avail_rows)], axis=-2)
+        seq = stack([token_row] + [rows[v] + self.positional[1 + v] for v in used], axis=-2)
+        keys = np.concatenate([np.ones((len(on), 1), dtype=bool), on], axis=1)
+        return used, seq, ~keys[:, None, None, None, :]
 
-    def fuse(self, rows: list, rng=None, train: bool = False) -> Tensor:
-        z = self._sequence(rows)
-        for block in self.blocks:
-            z = block(z, rng=rng, train=train)
-        return z[:, 0, :]
+    def _keep_masks(self, patterns: np.ndarray, used: np.ndarray, batch: int,
+                    rng, train: bool) -> list:
+        """Per layer, the dropout keep masks of all patterns as one dense array.
 
-    def token_attention(self, rows: list) -> np.ndarray:
-        """First-layer token attention over (token + available views), eval
-        mode, shape (B, heads, 1 + m_avail)."""
-        return self.blocks[0].attention_weights(self._sequence(rows))[..., 0, :]
+        Each pattern draws its (B, heads, n_k, n_k) mask per layer, patterns in
+        order and layers within a pattern, exactly as fusing the patterns one
+        at a time would; the masks are scattered to the token and view slots
+        of the pattern. The final layer keeps only the token's row.
+        """
+        if not train or self.blocks[0].dropout.rate == 0.0:
+            return [None] * len(self.blocks)
+        n, heads, last = 1 + len(used), self.blocks[0].heads, len(self.blocks) - 1
+        slot = np.zeros(self.m, dtype=int)
+        slot[used] = np.arange(1, n)
+        keeps = [np.zeros((len(patterns), batch, heads, 1 if i == last else n, n))
+                 for i in range(len(self.blocks))]
+        for k, pattern in enumerate(patterns):
+            pos = np.concatenate([[0], slot[pattern]])
+            for i, block in enumerate(self.blocks):
+                drawn = block.dropout.mask((batch, heads, len(pos), len(pos)), rng, train)
+                if i == last:
+                    keeps[i][k][:, :, 0, pos] = drawn[:, :, 0]
+                else:
+                    keeps[i][k][:, :, pos[:, None], pos] = drawn
+        return keeps
+
+    def _fuse(self, rows, patterns, rng, train):
+        used, z, exclude = self._sequence(rows, patterns)
+        keeps = self._keep_masks(patterns, used, z.shape[0], rng, train)
+        last = len(self.blocks) - 1
+        for i, (block, keep) in enumerate(zip(self.blocks, keeps)):
+            z = block.attend(z, exclude=exclude, keep=keep, first_row=i == last)
+        return z[..., 0, :]
+
+    def token_attention(self, rows: list, available=None) -> np.ndarray:
+        """First-layer token attention in evaluation mode, shape
+        ``available.shape[:-1] + (B, heads, 1 + m)``: the token, then each
+        view in declaration order; a missing view's weight is 0."""
+        available, patterns = _patterns(rows, available)
+        with no_grad():
+            used, z, exclude = self._sequence(rows, patterns)
+            probs = self.blocks[0].probs(z, exclude, first_row=True).data[..., 0, :]
+        full = np.zeros(probs.shape[:-1] + (1 + self.m,))
+        full[..., np.concatenate([[0], 1 + used])] = probs
+        return full.reshape(available.shape[:-1] + full.shape[1:])
 
 
-class MemoryFusion(Module):
+class MemoryFusion(Fusion):
     """Recurrent fusion: a stacked bidirectional LSTM consumes the available
     encodings one view at a time from an empty initial memory; the fused
     vector is the final memory state.
 
     Views are fed in declaration order, so this merge is order sensitive; a
-    random train-time permutation can be enabled to counter order bias.
+    random train-time permutation can be enabled to counter order bias. It
+    draws one permutation per pattern, patterns in order. Each pattern runs
+    its own recurrence: a step's fused LSTM node is already bound by its
+    arithmetic, and a dense carry over all patterns' view slots would step
+    every slot, present or not.
     """
 
     def __init__(self, d: int, cfg: FusionConfig, rng: np.random.Generator):
@@ -163,8 +293,8 @@ class MemoryFusion(Module):
             outputs.append(h)
         return outputs, h
 
-    def fuse(self, rows: list, rng=None, train: bool = False) -> Tensor:
-        _, seq = _present(rows)
+    def _recur(self, seq: list[Tensor], rng, train: bool) -> Tensor:
+        """The final memory state (B, d) after one pattern's views."""
         if self.permute and train:
             if rng is None:
                 raise ValueError("permuted memory fusion needs a generator at train time")
@@ -179,19 +309,30 @@ class MemoryFusion(Module):
             seq = [concat([f, b], axis=-1) for f, b in zip(out_fwd, out_bwd)]
         return concat([final_fwd, final_bwd], axis=-1)
 
+    def _fuse(self, rows, patterns, rng, train):
+        return stack([self._recur([rows[v] for v in np.flatnonzero(pattern)], rng, train)
+                      for pattern in patterns], axis=0)
 
-class ConcatFusion(Module):
-    """Feature-level concatenation with zero imputation; output width m*d."""
+
+class ConcatFusion(Fusion):
+    """Feature-level concatenation with zero imputation; output width m*d.
+
+    All patterns are one product of the zero-filled concatenation with the
+    patterns' (K, 1, m*d) masks.
+    """
 
     def __init__(self, m: int, d: int):
         self.m = m
         self.d = d
 
-    def fuse(self, rows: list, rng=None, train: bool = False) -> Tensor:
-        return concat(_slots(rows), axis=-1)
+    def _fuse(self, rows, patterns, rng, train):
+        batch = next(r.shape[0] for r in rows if r is not None)
+        zero = Tensor(np.zeros((batch, self.d)))
+        flat = concat([zero if r is None else r for r in rows], axis=-1)
+        return flat * Tensor(np.repeat(patterns, self.d, axis=1)[:, None, :].astype(float))
 
 
-def make_fusion(cfg: FusionConfig, m: int, d: int, rng: np.random.Generator) -> Module:
+def make_fusion(cfg: FusionConfig, m: int, d: int, rng: np.random.Generator) -> Fusion:
     if cfg.kind == "average":
         return AverageFusion()
     if cfg.kind == "gated":

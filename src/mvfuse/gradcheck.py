@@ -145,9 +145,12 @@ def run_suite(seeds: Sequence[int] = tuple(range(20)),
             lambda: _sum_squares(x.softmax(axis=-1, exclude=mask)), {"x": x}, h=h)
         record("masked_softmax", max(errs.values()))
 
-        # fusion paths over available subset {0, 2} of 3 views
+        # fusion paths over available subset {0, 2} of 3 views, and over
+        # three views under mixed patterns, one batch fused under each
         m, d = 3, 4
         rows_avail = [unit((2, d)), None, unit((2, d))]
+        rows_all = [unit((2, d)) for _ in range(m)]
+        mixed = np.array([[True, True, False], [False, True, True]])
 
         fusions = [("fusion_average", AverageFusion()),
                    ("fusion_gated", GatedFusion(m, d, rng)),
@@ -156,9 +159,12 @@ def run_suite(seeds: Sequence[int] = tuple(range(20)),
                    ("fusion_memory", MemoryFusion(
                        d, FusionConfig(kind="memory", layers=2, dropout=0.0), rng))]
         for name, fusion in fusions:
-            params = {f"z{i}": r for i, r in enumerate(rows_avail) if r is not None}
-            params.update(dict(fusion.named_parameters(name)))
-            errs = check_gradients(lambda: _sum_squares(fusion.fuse(rows_avail)), params, h=h)
-            record(name, max(errs.values()))
+            for suffix, rows, available in (("", rows_avail, None),
+                                            ("_mixed", rows_all, mixed)):
+                params = {f"z{i}": r for i, r in enumerate(rows) if r is not None}
+                params.update(dict(fusion.named_parameters(name)))
+                errs = check_gradients(
+                    lambda: _sum_squares(fusion.fuse(rows, available)), params, h=h)
+                record(name + suffix, max(errs.values()))
 
     return results

@@ -119,15 +119,20 @@ class Dropout:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
 
-    def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 train: bool = False) -> Tensor:
+    def mask(self, shape: tuple, rng: np.random.Generator | None = None,
+             train: bool = False) -> np.ndarray | None:
+        """One draw of the scaled keep mask, or None where dropout is the identity."""
         if not train or self.rate == 0.0:
-            return x
+            return None
         if rng is None:
             raise ValueError("train-time dropout needs a generator")
         keep = 1.0 - self.rate
-        mask = (rng.random(x.shape) < keep) / keep
-        return x * Tensor(mask)
+        return (rng.random(shape) < keep) / keep
+
+    def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
+                 train: bool = False) -> Tensor:
+        mask = self.mask(x.shape, rng, train)
+        return x if mask is None else x * Tensor(mask)
 
 
 class LSTMCell(Module):
@@ -161,10 +166,15 @@ class LSTMCell(Module):
 class MultiHeadAttention(Module):
     """Scaled dot-product self-attention over a set of rows.
 
-    Input is (batch, n, d). Per-head logits are Q K^T, optionally
+    Input is (..., n, d). Per-head logits are Q K^T, optionally
     scaled by 1/sqrt(d/heads), plus a learned per-head scalar bias; head
     outputs are value projections concatenated back to width d. Dropout, when
     enabled, is applied to the attention probabilities.
+
+    ``attend`` also takes keys to exclude and a dropout keep mask, both
+    broadcasting with the probabilities (..., heads, n_q, n), so one input
+    is attended under several key sets at once, and can compute the first
+    row's queries alone.
     """
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator,
@@ -181,25 +191,37 @@ class MultiHeadAttention(Module):
         self.dropout = Dropout(dropout)
 
     def _split_heads(self, t: Tensor) -> Tensor:
-        B, n, _ = t.shape
-        return t.reshape((B, n, self.heads, self.d // self.heads)).transpose((0, 2, 1, 3))
+        """(..., n, d) -> (..., heads, n, d/heads)."""
+        lead = t.ndim - 2
+        split = t.reshape(t.shape[:-1] + (self.heads, self.d // self.heads))
+        return split.transpose(tuple(range(lead)) + (lead + 1, lead, lead + 2))
 
-    def _probs(self, z: Tensor) -> Tensor:
-        """Attention probabilities of a batched input (B, n, d), shape (B, heads, n, n)."""
-        q = self._split_heads(z @ self.W_Q)
+    def probs(self, z: Tensor, exclude: np.ndarray | None = None,
+              first_row: bool = False) -> Tensor:
+        """Attention probabilities of an input (..., n, d), shape
+        (..., heads, n_q, n); n_q is 1 when only the first row queries."""
+        q = self._split_heads((z[..., :1, :] if first_row else z) @ self.W_Q)
         k = self._split_heads(z @ self.W_K)
-        logits = q @ k.transpose((0, 1, 3, 2))
+        logits = q @ k.transpose(tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
         if self.scaling:
             logits = logits * (1.0 / np.sqrt(self.d // self.heads))
-        logits = logits + self.bias.reshape((1, self.heads, 1, 1))
-        return logits.softmax(axis=-1)
+        logits = logits + self.bias.reshape((self.heads, 1, 1))
+        return logits.softmax(axis=-1, exclude=exclude)
+
+    def attend(self, z: Tensor, exclude: np.ndarray | None = None,
+               keep: np.ndarray | None = None, first_row: bool = False) -> Tensor:
+        """Attention output (..., n_q, d): ``exclude`` marks keys left out of
+        the softmax and ``keep`` is a scaled dropout mask on the probabilities."""
+        probs = self.probs(z, exclude, first_row)
+        if keep is not None:
+            probs = probs * Tensor(keep)
+        out = probs @ self._split_heads(z @ self.W_V)
+        lead = out.ndim - 3
+        out = out.transpose(tuple(range(lead)) + (lead + 1, lead, lead + 2))
+        return out.reshape(out.shape[:-2] + (self.d,))
 
     def __call__(self, z: Tensor, rng: np.random.Generator | None = None,
                  train: bool = False) -> Tensor:
-        probs = self.dropout(self._probs(z), rng=rng, train=train)
-        out = (probs @ self._split_heads(z @ self.W_V)).transpose((0, 2, 1, 3))
-        return out.reshape(z.shape)
-
-    def attention_weights(self, z: Tensor) -> np.ndarray:
-        """Evaluation-mode attention probabilities, shape (batch, heads, n, n)."""
-        return self._probs(z).data
+        n = z.shape[-2]
+        keep = self.dropout.mask(z.shape[:-2] + (self.heads, n, n), rng, train)
+        return self.attend(z, keep=keep)

@@ -19,7 +19,7 @@ from .encoders import (EncoderConfig, StaticEncoder, ViewSpec, make_encoder,
                        one_hot_batch)
 from .fusion import FusionConfig, fused_width, make_fusion
 from .layers import Affine, Module
-from .tensor import Tensor, check_finite, no_grad
+from .tensor import Tensor, check_finite, concat, no_grad, stack
 
 LEVELS = ("input", "feature")
 
@@ -48,8 +48,9 @@ class _BaseModel(Module):
         return [s.id for s in self.view_specs]
 
     def forward_masks(self, views: dict[str, np.ndarray], masks: list[tuple[int, ...]],
-                      rng=None, train: bool = False) -> list[Tensor]:
-        """Outputs (B, n_outputs) for the batch under each index-tuple mask."""
+                      rng=None, train: bool = False) -> Tensor:
+        """Outputs (K, B, n_outputs) for the batch under each of the K
+        index-tuple masks."""
         raise NotImplementedError
 
     def forward_masked(self, views: dict[str, np.ndarray], mask: tuple[int, ...],
@@ -71,15 +72,15 @@ class _BaseModel(Module):
                 for i, spec in enumerate(self.view_specs)]
 
     def check_outputs(self, views: dict[str, np.ndarray], masks: list[tuple[int, ...]],
-                      outs: list[Tensor], what: str) -> None:
+                      outs: Tensor, what: str) -> None:
         """Raise ValueError if an evaluation-mode output is not finite.
 
         Outputs built under ``no_grad`` have no graph, so on failure only the
         failing mask's forward runs again with its graph recorded and the
         error names the op of its first non-finite node.
         """
-        for mask, out in zip(masks, outs):
-            if not np.isfinite(out.data).all():
+        for k, mask in enumerate(masks):
+            if not np.isfinite(outs.data[k]).all():
                 check_finite(self.forward_masked(views, mask), f"{what} under mask {mask}")
 
     def predict(self, views: dict[str, np.ndarray],
@@ -90,8 +91,8 @@ class _BaseModel(Module):
         per scenario stacked as (S, N, m). One ``forward_masks`` call runs all
         N samples under each distinct pattern and each sample takes the row of
         its own pattern: at feature level every view is encoded once per call
-        and fusion plus head run once per pattern. Every scenario kind adds at
-        most one pattern to the full one, so stacked scenarios never cost more
+        and all patterns are fused together. Every scenario kind adds at most
+        one pattern to the full one, so stacked scenarios never cost more
         than a forward per scenario. Returns probabilities (..., N, K) or
         values (..., N); a non-finite output raises ValueError.
         """
@@ -101,9 +102,23 @@ class _BaseModel(Module):
         with no_grad():
             outs = self.forward_masks(views, masks)
         self.check_outputs(views, masks, outs, "prediction")
-        rows = np.stack([out.softmax(axis=-1).data if self.task == "classification"
-                         else out.data[:, 0] for out in outs])
+        rows = (outs.softmax(axis=-1).data if self.task == "classification"
+                else outs.data[..., 0])
         return rows[inverse.reshape(available.shape[:-1]), np.arange(available.shape[-2])]
+
+
+def pattern_matrix(masks: list[tuple[int, ...]], m: int) -> np.ndarray:
+    """Index-tuple masks as a boolean (K, m) availability matrix."""
+    patterns = np.zeros((len(masks), m), dtype=bool)
+    for k, mask in enumerate(masks):
+        patterns[k, list(mask)] = True
+    return patterns
+
+
+# Pattern rows (patterns x batch rows) fused per call. It covers all 127
+# patterns of seven views at the default batch of 128, and bounds evaluation,
+# which fuses every validation row under every pattern.
+PATTERN_ROWS = 2**14
 
 
 class FeatureFusionModel(_BaseModel):
@@ -111,10 +126,10 @@ class FeatureFusionModel(_BaseModel):
 
     The head consumes width d for dynamic merges and m*d for feature-level
     concatenation. At feature level ``forward_masks`` encodes each view that
-    some mask needs once and repeats only fusion and head per mask, which
-    merge just the mask's encodings. At input level the model zero-imputes
-    the raw data of missing views, so every mask is a full forward that
-    fuses all m encodings.
+    some mask needs once and fuses all masks in one ``fuse_head`` call per
+    group of at most ``PATTERN_ROWS // B`` masks. At input level the model
+    zero-imputes the raw data of missing views, so every mask is a full
+    forward that fuses all m encodings.
     """
 
     def __init__(self, view_specs: list[ViewSpec], encoder_cfg: EncoderConfig,
@@ -135,24 +150,26 @@ class FeatureFusionModel(_BaseModel):
         spec = self.view_specs[index]
         return self.encoders[index](Tensor(raw_input(spec, arr)), rng=rng, train=train)
 
-    def fuse_head(self, rows: list, rng=None, train: bool = False) -> Tensor:
-        return self.head(self.fusion.fuse(rows, rng=rng, train=train))
+    def fuse_head(self, rows: list, available=None, rng=None, train: bool = False) -> Tensor:
+        return self.head(self.fusion.fuse(rows, available, rng=rng, train=train))
 
     def forward_masks(self, views: dict[str, np.ndarray], masks: list[tuple[int, ...]],
-                      rng=None, train: bool = False) -> list[Tensor]:
+                      rng=None, train: bool = False) -> Tensor:
         m = len(self.view_specs)
         if self.level == "input":
-            return [self.fuse_head([enc(Tensor(x), rng=rng, train=train)
-                                    for enc, x in zip(self.encoders,
-                                                      self.raw_inputs(views, mask))],
-                                   rng=rng, train=train)
-                    for mask in masks]
-        needed = set().union(*masks)
-        encoded = {i: self.encode_view(i, views[self.view_specs[i].id], rng=rng, train=train)
-                   for i in range(m) if i in needed}
-        return [self.fuse_head([encoded[i] if i in mask else None for i in range(m)],
-                               rng=rng, train=train)
-                for mask in masks]
+            return stack([self.fuse_head([enc(Tensor(x), rng=rng, train=train)
+                                          for enc, x in zip(self.encoders,
+                                                            self.raw_inputs(views, mask))],
+                                         rng=rng, train=train)
+                          for mask in masks])
+        patterns = pattern_matrix(masks, m)
+        rows = [self.encode_view(i, views[self.view_specs[i].id], rng=rng, train=train)
+                if patterns[:, i].any() else None for i in range(m)]
+        batch = next((r.shape[0] for r in rows if r is not None), 1)
+        group = max(1, PATTERN_ROWS // batch)
+        outs = [self.fuse_head(rows, patterns[start:start + group], rng=rng, train=train)
+                for start in range(0, len(masks), group)]
+        return outs[0] if len(outs) == 1 else concat(outs, axis=0)
 
 
 class InputConcatModel(_BaseModel):
@@ -168,13 +185,13 @@ class InputConcatModel(_BaseModel):
         self.level = "input"
 
     def forward_masks(self, views: dict[str, np.ndarray], masks: list[tuple[int, ...]],
-                      rng=None, train: bool = False) -> list[Tensor]:
+                      rng=None, train: bool = False) -> Tensor:
         outs = []
         for mask in masks:
             flat = np.concatenate([x.reshape(x.shape[0], -1)
                                    for x in self.raw_inputs(views, mask)], axis=1)
             outs.append(self.head(self.encoder(Tensor(flat), rng=rng, train=train)))
-        return outs
+        return stack(outs)
 
 
 def build_model(view_specs: list[ViewSpec], encoder_cfg: EncoderConfig,

@@ -68,6 +68,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _excluded(exclude, ndim: int, axis: int) -> np.ndarray:
+    """``exclude`` as a boolean array of at least ``ndim`` dimensions;
+    raises EmptySupportError if it excludes every index of a slice."""
+    excl = np.asarray(exclude, dtype=bool)
+    excl = excl.reshape((1,) * (ndim - excl.ndim) + excl.shape)
+    if excl.all(axis=axis).any():
+        raise EmptySupportError("softmax support is empty for some slice")
+    return excl
+
+
 class Tensor:
     """A dense float64 array plus the bookkeeping for reverse-mode autodiff.
 
@@ -142,8 +152,10 @@ class Tensor:
         out_data = a.data + b.data
 
         def backward(g):
-            a._accumulate(_unbroadcast(g, a.shape))
-            b._accumulate(_unbroadcast(g, b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g, a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g, b.shape))
 
         return Tensor._result(out_data, (a, b), backward, "add")
 
@@ -165,8 +177,10 @@ class Tensor:
         out_data = a.data * b.data
 
         def backward(g):
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g * b.data, a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g * a.data, b.shape))
 
         return Tensor._result(out_data, (a, b), backward, "mul")
 
@@ -177,8 +191,10 @@ class Tensor:
         out_data = a.data / b.data
 
         def backward(g):
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g / b.data, a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
         return Tensor._result(out_data, (a, b), backward, "div")
 
@@ -347,30 +363,39 @@ class Tensor:
     def softmax(self, axis: int = -1, exclude: np.ndarray | None = None) -> "Tensor":
         """Softmax along ``axis``, optionally excluding masked indices.
 
-        ``exclude`` is a boolean array broadcastable to the tensor's shape;
-        True marks indices removed from the normalization. Excluded outputs
-        are exactly zero, so downstream weighted sums literally ignore them.
+        ``exclude`` is a boolean array that broadcasts with the tensor; True
+        marks indices removed from the normalization. The result has the
+        broadcast shape, so one set of logits can be normalized under several
+        exclusion patterns at once; the backward sums the gradient back to
+        the input's shape. Excluded outputs are exactly zero, so downstream
+        weighted sums literally ignore them.
         """
         a = self
-        x = a.data
-        if exclude is not None:
-            excl = np.broadcast_to(np.asarray(exclude, dtype=bool), x.shape)
-            if excl.all(axis=axis).any():
-                raise EmptySupportError("softmax support is empty for some slice")
-            shifted = np.where(excl, -np.inf, x)
-            mx = shifted.max(axis=axis, keepdims=True)
-            e = np.exp(np.where(excl, 0.0, x - mx))
-            e = np.where(excl, 0.0, e)
+        if exclude is None:
+            out_data = a.data - a.data.max(axis=axis, keepdims=True)
         else:
-            mx = x.max(axis=axis, keepdims=True)
-            e = np.exp(x - mx)
-        out_data = e / e.sum(axis=axis, keepdims=True)
+            excl = _excluded(exclude, a.ndim, axis)
+            out_data = np.where(excl, -np.inf, a.data)
+            out_data -= out_data.max(axis=axis, keepdims=True)
+        np.exp(out_data, out=out_data)
+        out_data /= out_data.sum(axis=axis, keepdims=True)
 
         def backward(g):
             dot = (g * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (g - dot))
+            a._accumulate(_unbroadcast(out_data * (g - dot), a.shape))
 
         return Tensor._result(out_data, (a,), backward, "softmax")
+
+    def log_softmax(self, axis: int = -1) -> "Tensor":
+        """Log of the softmax along ``axis`` as a shifted log-sum-exp."""
+        a = self
+        out_data = a.data - a.data.max(axis=axis, keepdims=True)
+        out_data -= np.log(np.exp(out_data).sum(axis=axis, keepdims=True))
+
+        def backward(g):
+            a._accumulate(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
+
+        return Tensor._result(out_data, (a,), backward, "log_softmax")
 
     # -- backward pass ------------------------------------------------------------
 
@@ -467,6 +492,33 @@ def lstm(z: Tensor, c_prev: Tensor) -> Tensor:
         c_prev._accumulate(dc * f)
 
     return Tensor._result(np.concatenate([h, c], axis=-1), (z, c_prev), backward, "lstm")
+
+
+def softmax_mix(logits: Tensor, values: Tensor, exclude: np.ndarray) -> Tensor:
+    """Softmax weights over axis -2 applied to ``values`` and summed over it.
+
+    ``logits`` is (..., n, d) and ``values`` broadcasts to it, so one set of
+    n rows can be mixed under many weightings at once; ``exclude`` marks
+    rows removed from the normalization, which get weight exactly zero.
+    Returns (..., d). One node with a hand-written backward, so the weights
+    are the only full-size array it adds to the graph.
+    """
+    weights = np.where(_excluded(exclude, logits.ndim, -2), -np.inf, logits.data)
+    weights -= weights.max(axis=-2, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-2, keepdims=True)
+    out = np.einsum("...vi,...vi->...i", weights, values.data)
+
+    def backward(g):
+        gw = weights * g[..., None, :]
+        if logits.requires_grad:
+            dlogits = values.data - out[..., None, :]
+            dlogits *= gw
+            logits._accumulate(_unbroadcast(dlogits, logits.shape))
+        if values.requires_grad:
+            values._accumulate(_unbroadcast(gw, values.shape))
+
+    return Tensor._result(out, (logits, values), backward, "softmax_mix")
 
 
 def backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:

@@ -1,8 +1,9 @@
 """Training loop with combination augmentation and baselines.
 
-The core step encodes each view once per batch, then fuses and predicts once
-per view combination; the step loss is the mean over combinations of the mean
-per-sample loss, so every availability pattern weighs the same. Early
+The core step encodes each view once per batch, then fuses and predicts all
+view combinations in one call; the step loss is the mean per-sample loss
+over the stacked combinations, which is the mean over combinations of the
+mean per-sample loss, so every availability pattern weighs the same. Early
 stopping watches the unweighted full-view validation loss.
 """
 
@@ -56,17 +57,12 @@ def class_weights(labels: np.ndarray, n_classes: int | None = None) -> np.ndarra
     return w * (k / w.sum())
 
 
-def _log_softmax(logits: Tensor) -> Tensor:
-    shift = Tensor(logits.data.max(axis=-1, keepdims=True))
-    z = logits - shift
-    return z - z.exp().sum(axis=-1, keepdims=True).log()
-
-
 def cross_entropy(logits: Tensor, y: np.ndarray,
                   weights: np.ndarray | None = None) -> Tensor:
     """Mean weighted cross-entropy over a batch of logits (B, K)."""
     y = np.asarray(y, dtype=int)
-    picked = (_log_softmax(logits) * Tensor(one_hot_batch(y, logits.shape[-1]))).sum(axis=-1)
+    one_hot = Tensor(one_hot_batch(y, logits.shape[-1]))
+    picked = (logits.log_softmax(axis=-1) * one_hot).sum(axis=-1)
     if weights is not None:
         picked = picked * Tensor(weights[y])
     return -picked.mean()
@@ -82,15 +78,6 @@ def batch_loss(outputs: Tensor, y: np.ndarray, task: str,
     if task == "classification":
         return cross_entropy(outputs, y, weights)
     return mse(outputs[:, 0], y)
-
-
-def combination_loss(parts: list[Tensor]) -> Tensor:
-    """Balanced objective over view combinations: the plain mean, so every
-    availability pattern weighs the same regardless of enumeration order."""
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total * (1.0 / len(parts))
 
 
 # -- early stopping ------------------------------------------------------------------
@@ -137,11 +124,12 @@ def train_step(model: _BaseModel, views: dict[str, np.ndarray], y: np.ndarray,
 
     View dropping (``sensd``) draws a mask per sample and runs each mask's
     samples as one batch, masks ascending; the loss is the per-sample mean.
-    Every other kind runs ``model.forward_masks`` over the combinations
-    (``com``) or the full mask alone and takes ``combination_loss`` of the
-    per-mask losses: at feature level the encoders run once per step and only
-    fusion plus head repeat per combination, at input level every
-    combination is a full forward over zero-imputed inputs.
+    Every other kind runs one ``model.forward_masks`` over the combinations
+    (``com``) or the full mask alone and takes the per-sample loss over all
+    (combination, sample) rows, so every combination weighs the same: at
+    feature level the encoders run once per step and all combinations are
+    fused together, at input level every combination is a full forward over
+    zero-imputed inputs.
     """
     if aug.kind == "tempd":
         views = _apply_tempd(model, views, aug.tempd_ratio, mask_rng)
@@ -160,7 +148,8 @@ def train_step(model: _BaseModel, views: dict[str, np.ndarray], y: np.ndarray,
     else:
         masks = combos if aug.kind == "com" else [tuple(range(m))]
         outs = model.forward_masks(views, masks, rng=dropout_rng, train=True)
-        loss = combination_loss([batch_loss(out, y, task, weights) for out in outs])
+        loss = batch_loss(outs.reshape((-1, outs.shape[-1])), np.tile(y, len(masks)),
+                          task, weights)
     loss.backward()
     optimizer.step()
     return loss.item()
@@ -173,7 +162,7 @@ def validation_losses(model: _BaseModel, ds: MultiViewDataset,
     with no_grad():
         outs = model.forward_masks(ds.views, masks)
     model.check_outputs(ds.views, masks, outs, "validation output")
-    return {mask: batch_loss(out, ds.y, model.task).item() for mask, out in zip(masks, outs)}
+    return {mask: batch_loss(outs[k], ds.y, model.task).item() for k, mask in enumerate(masks)}
 
 
 @dataclass

@@ -20,12 +20,11 @@ from mvfuse.encoders import EncoderConfig, StaticEncoder, ViewSpec
 from mvfuse.evaluation import (MissingScenario, auc_pr, class_change_ratio,
                                deformation, evaluate_scenarios, f1_macro, mape,
                                prs, r2, sweep)
-from mvfuse.fusion import AverageFusion, FusionConfig, _slots
+from mvfuse.fusion import AverageFusion, FusionConfig
 from mvfuse.gradcheck import run_suite
 from mvfuse.model import FeatureFusionModel, build_model
-from mvfuse.tensor import Adam, Tensor, backward, stack
-from mvfuse.training import (EarlyStopper, batch_loss, combination_loss,
-                             train_step)
+from mvfuse.tensor import Adam, backward
+from mvfuse.training import EarlyStopper, batch_loss, train_step
 from mvfuse.workflows import fit_model, prepare_data
 
 from test_evaluation import brute_force_auc_pr, brute_force_f1
@@ -71,7 +70,9 @@ def test_criterion_1_gradient_suite():
         assert elapsed < 60.0, f"suite took {elapsed:.1f}s"
         expected_cases = {"affine", "conv1d", "layer_norm", "lstm", "attention",
                           "masked_softmax", "fusion_average", "fusion_gated",
-                          "fusion_cross", "fusion_memory"}
+                          "fusion_cross", "fusion_memory", "fusion_average_mixed",
+                          "fusion_gated_mixed", "fusion_cross_mixed",
+                          "fusion_memory_mixed"}
         assert expected_cases <= set(results)
         for name, err in results.items():
             assert err < 1e-4, f"{name}: {err:.3e}"
@@ -100,16 +101,15 @@ def test_criterion_2_ignore_missing_equivalence():
                 if kind == "gated":
                     rows = [model.encode_view(i, views[f"v{i}"]) if i in mask else None
                             for i in range(m)]
-                    z_full = stack(_slots(rows), axis=-2)
-                    available = np.array([r is not None for r in rows])
-                    weights = model.fusion.gate_weights(z_full, available).data
+                    weights = model.fusion.gate_weights(rows)
                     absent = [i for i in range(m) if i not in mask]
                     if absent:
                         assert np.all(weights[..., absent] == 0.0)
 
 
 def test_criterion_3_com_mechanics(spy):
-    with criterion(3, "combination counts, balanced loss, encoder-once execution"):
+    with criterion(3, "combination counts, balanced loss, encoders once and one fuse "
+                      "call for all combinations"):
         # counts against a bitmask oracle for m = 1..8
         for m in range(1, 9):
             combos = enumerate_combinations(m)
@@ -118,15 +118,9 @@ def test_criterion_3_com_mechanics(spy):
             assert len(combos) == 2**m - 1
             assert set(combos) == oracle
 
-        # balanced loss is the exact mean and is order invariant
-        parts = [Tensor(float(v)) for v in (1.0, 2.0, 3.0)]
-        assert combination_loss(parts).item() == 2.0
+        # one step over m = 3 views: encoders once each, one fusion and head
+        # call for all 2^m - 1 combinations
         rng = np.random.default_rng(0)
-        vals = [Tensor(v) for v in rng.normal(size=7)]
-        assert abs(combination_loss(vals).item()
-                   - combination_loss(vals[::-1]).item()) <= 1e-12
-
-        # one step over m = 3 views: encoders once each, fusion and head 2^m - 1
         m = 3
         specs = [ViewSpec(id=f"v{i}", kind="static", channels=3) for i in range(m)]
         model = FeatureFusionModel(
@@ -144,26 +138,36 @@ def test_criterion_3_com_mechanics(spy):
                    opt, "regression", None, np.random.default_rng(0),
                    np.random.default_rng(0))
         assert [encoder_calls[enc] for enc in model.encoders] == [1] * m
-        assert fusion_calls[model.fusion] == 2**m - 1
-        assert head_calls[model] == 2**m - 1
+        assert fusion_calls[model.fusion] == 1
+        assert head_calls[model] == 1
 
-        # shared encodings give the same gradients as naive re-encoding
-        def gradient_run(shared: bool):
-            net = FeatureFusionModel(
-                specs, EncoderConfig(latent_dim=8, layers=1, dropout=0.0),
-                FusionConfig(kind="average", dropout=0.0), "regression", 1,
-                np.random.default_rng(3))
-            combos = enumerate_combinations(m)
-            if shared:
-                parts = [batch_loss(out, y, "regression")
-                         for out in net.forward_masks(views, combos)]
-            else:
-                parts = [batch_loss(net.forward_masked(views, mask), y, "regression")
-                         for mask in combos]
-            return backward(combination_loss(parts), net.parameters())
+        # oracle: the per-combination loop, re-encoding for every combination,
+        # with the plain mean of the per-combination losses as the balanced
+        # loss; outputs and gradients of every fusion kind match it
+        combos = enumerate_combinations(m)
+        for kind in ("average", "gated", "cross", "memory", "concat"):
+            def fresh():
+                return FeatureFusionModel(
+                    specs, EncoderConfig(latent_dim=8, layers=1, dropout=0.0),
+                    FusionConfig(kind=kind, heads=2, dropout=0.0), "regression", 1,
+                    np.random.default_rng(3))
 
-        for a, b in zip(gradient_run(True), gradient_run(False)):
-            assert np.max(np.abs(a - b)) <= 1e-10
+            fused, looped = fresh(), fresh()
+            outs = fused.forward_masks(views, combos)
+            loss = batch_loss(outs.reshape((-1, 1)), np.tile(y, len(combos)), "regression")
+            per_combo = [looped.forward_masked(views, mask) for mask in combos]
+            parts = [batch_loss(out, y, "regression") for out in per_combo]
+            mean = parts[0]
+            for part in parts[1:]:
+                mean = mean + part
+            mean = mean * (1.0 / len(parts))
+            for k, out in enumerate(per_combo):
+                assert np.max(np.abs(outs.data[k] - out.data)) <= 1e-12, (kind, combos[k])
+            assert abs(loss.item() - mean.item()) <= 1e-12, kind
+            grads = zip(backward(loss, fused.parameters()),
+                        backward(mean, looped.parameters()))
+            for a, b in grads:
+                assert np.max(np.abs(a - b)) <= 1e-10, kind
 
 
 def test_criterion_4_metric_oracles():

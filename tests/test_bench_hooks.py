@@ -31,10 +31,10 @@ def test_instrumented_wraps_every_target_and_restores_it():
     for owner, attr, original in originals:
         assert getattr(owner, attr) is original, attr
     counts = {name: row["count"] for name, row in tracer.totals().items()}
-    # one forward_masks over all samples: fusion and head once per pattern,
-    # each encoder once per call, and no forward_masked per sample group
+    # one forward_masks over all samples: each encoder once, one fusion and
+    # head call for both patterns, and no forward_masked per sample group
     assert counts["model.predict"] == 1
     assert "model.forward_masked" not in counts
-    assert counts["model.fuse_head"] == 2
-    assert counts["fusion.average.fuse"] == 2
+    assert counts["model.fuse_head"] == 1
+    assert counts["fusion.average.fuse"] == 1
     assert counts["encoders.static"] == 2

@@ -10,6 +10,8 @@ import yaml
 from mvfuse.cli import main
 from mvfuse.data import load_dataset
 
+from test_data import replace_field, toy_copy
+
 
 def base_config(task="classification", aug="com", fusion="average", seed=11):
     return {
@@ -326,3 +328,77 @@ class TestErrors:
         raw["fusion"]["kind"] = "median"
         cfg = write_config(tmp_path, raw)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+def drop_line(path, line):
+    """Delete the 1-based ``line`` of a text file."""
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:line - 1] + lines[line:]) + "\n")
+
+
+# (edit of a copy of the toy dataset, typed error, words of its message)
+BROKEN_DATA = [
+    pytest.param(lambda d: (d / "manifest.json").unlink(), "FileNotFoundError",
+                 "manifest not found", id="missing-manifest"),
+    pytest.param(lambda d: (d / "targets.csv").unlink(), "FileNotFoundError",
+                 "targets file not found", id="missing-targets"),
+    pytest.param(lambda d: (d / "view_soil.csv").unlink(), "FileNotFoundError",
+                 "view file not found", id="missing-view"),
+    pytest.param(lambda d: replace_field(d / "view_optical.csv", 2, 0, "9"), "RowCountError",
+                 "references sample 9, targets have 4 rows", id="sample-out-of-range"),
+    pytest.param(lambda d: replace_field(d / "view_optical.csv", 2, 1, "3"), "RowCountError",
+                 "has step 3 outside 0..2", id="step-out-of-range"),
+    pytest.param(lambda d: drop_line(d / "view_optical.csv", 5), "RowCountError",
+                 "is missing (sample, step) rows", id="missing-rows"),
+    pytest.param(lambda d: replace_field(d / "view_soil.csv", 3, 1, "nan"),
+                 "MalformedFieldError", "view_soil.csv:3: 'nan' is not a finite number",
+                 id="non-finite-value"),
+]
+
+
+class TestBoundaries:
+    """Each input boundary fails with its typed error, exit code and JSON record."""
+
+    def run(self, capsys, argv):
+        capsys.readouterr()
+        code = main(argv)
+        return code, json.loads(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("edit, error, words", BROKEN_DATA)
+    def test_broken_dataset_is_runtime_error(self, tmp_path, capsys, edit, error, words):
+        manifest = toy_copy(tmp_path)
+        edit(tmp_path)
+        raw = base_config()
+        raw["data"] = {"source": "manifest", "manifest": str(manifest), "val_fraction": 0.25}
+        out = tmp_path / "run"
+        code, record = self.run(capsys, ["train", "--config", write_config(tmp_path, raw),
+                                         "--out", str(out)])
+        assert code == 3
+        assert record["error"] == error
+        assert words in record["message"]
+        assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("text, words", [
+        ("seed: [1, 2\n", "cannot parse"),
+        (yaml.safe_dump({**base_config(), "train": 5}), "train must be a mapping")],
+        ids=["yaml-parse-error", "non-mapping-section"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, text, words):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        code, record = self.run(capsys, ["train", "--config", str(path),
+                                         "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert record["error"] == "config"
+        assert words in record["message"]
+
+    def test_synth_without_synthetic_section_is_config_error(self, tmp_path, capsys):
+        raw = base_config()
+        raw["data"] = {"source": "manifest", "manifest": str(toy_copy(tmp_path)),
+                       "val_fraction": 0.25}
+        out = tmp_path / "data"
+        code, record = self.run(capsys, ["synth", "--config", write_config(tmp_path, raw),
+                                         "--out", str(out)])
+        assert code == 2
+        assert record == {"error": "config",
+                          "message": "synth needs a data.synthetic section"}
+        assert not out.exists()

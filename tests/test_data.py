@@ -166,6 +166,22 @@ class TestRoundTrip:
                                        atol=1e-12)
 
 
+def toy_copy(tmp_path):
+    """The toy fixture copied into ``tmp_path``; returns its manifest."""
+    for src in FIXTURE.iterdir():
+        (tmp_path / src.name).write_text(src.read_text())
+    return tmp_path / "manifest.json"
+
+
+def replace_field(path, line, field, text):
+    """Replace one field (1-based ``line``, 0-based ``field``) of a CSV file."""
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[field] = text
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestLoaderErrors:
     def _write_broken(self, tmp_path, mutate):
         ds = generate_synthetic(small_config())
@@ -202,6 +218,17 @@ class TestLoaderErrors:
 
         manifest = self._write_broken(tmp_path, corrupt)
         with pytest.raises(MalformedFieldError):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("file, line, field, text", [
+        ("view_soil.csv", 2, 0, "nan"), ("view_optical.csv", 3, 3, "inf"),
+        ("view_optical.csv", 2, 2, "-Infinity"), ("targets.csv", 4, 0, "NaN")],
+        ids=["static-nan", "temporal-inf", "temporal-neg-inf", "targets-nan"])
+    def test_non_finite_field_names_file_and_line(self, tmp_path, file, line, field, text):
+        manifest = toy_copy(tmp_path)
+        replace_field(tmp_path / file, line, field, text)
+        with pytest.raises(MalformedFieldError,
+                           match=rf"{file}:{line}: '{text}' is not a finite number"):
             load_dataset(manifest)
 
     def test_unknown_view_kind(self, tmp_path):

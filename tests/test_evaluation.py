@@ -345,19 +345,21 @@ class TestPredictContract:
         assert preds.shape == expected.shape
         np.testing.assert_allclose(preds, expected, rtol=0, atol=1e-12)
 
-    def test_encoders_once_and_fusion_once_per_pattern(self, kind, level, task, spy):
+    def test_encoder_and_fusion_call_counts(self, kind, level, task, spy):
+        # feature level: every encoder once and one fusion call for all
+        # patterns; input level: one full forward per pattern
         model, ds = mixed_model(kind, level, task)
         available = self.stacked(model, ds)
         n_patterns = len(np.unique(available.reshape(-1, 3), axis=0))
         encoders = spy((TemporalEncoder, "__call__"), (StaticEncoder, "__call__"))
         heads = spy((FeatureFusionModel, "fuse_head"))
         model.predict(ds.views, available)
-        per_encoder = 1 if level == "feature" else n_patterns
+        per_call = 1 if level == "feature" else n_patterns
         if kind == "concat" and level == "input":  # one MLP, no fusion
-            assert encoders == {model.encoder: per_encoder}
+            assert encoders == {model.encoder: per_call}
         else:
-            assert encoders == {enc: per_encoder for enc in model.encoders}
-            assert heads == {model: n_patterns}
+            assert encoders == {enc: per_call for enc in model.encoders}
+            assert heads == {model: per_call}
 
 
 @pytest.mark.parametrize("task", ["classification", "regression"])

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfuse.encoders import EncoderConfig, ViewSpec
+from mvfuse.augmentation import enumerate_combinations
 from mvfuse.fusion import (AverageFusion, ConcatFusion, CrossAttentionFusion,
-                           FusionConfig, GatedFusion, MemoryFusion, _slots,
-                           fused_width, make_fusion)
+                           FusionConfig, GatedFusion, MemoryFusion, fused_width,
+                           make_fusion)
 from mvfuse.gradcheck import check_gradients
-from mvfuse.model import InputConcatModel
-from mvfuse.tensor import Tensor, stack
+from mvfuse.model import InputConcatModel, pattern_matrix
+from mvfuse.tensor import Tensor, backward, stack
 
 
 def rows_for(m, d, rng, mask, batch=1):
@@ -90,11 +91,23 @@ class TestGated:
         m, d = 4, 5
         gated = GatedFusion(m, d, rng)
         rows = rows_for(m, d, rng, mask=(1, 3), batch=2)
-        z_full = stack(_slots(rows), axis=-2)
-        available = np.array([r is not None for r in rows])
-        weights = gated.gate_weights(z_full, available).data
+        weights = gated.gate_weights(rows)
+        assert weights.shape == (2, d, m)
         assert np.all(weights[..., [0, 2]] == 0.0)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_gate_weights_of_many_patterns_match_one_pattern_each(self):
+        rng = np.random.default_rng(5)
+        m, d = 3, 4
+        gated = GatedFusion(m, d, rng)
+        rows = rows_for(m, d, rng, mask=(0, 1, 2), batch=2)
+        available = pattern_matrix(enumerate_combinations(m), m).reshape(7, 1, m)
+        weights = gated.gate_weights(rows, available)
+        assert weights.shape == (7, 1, 2, d, m)
+        for pattern, got in zip(available[:, 0], weights[:, 0]):
+            assert np.all(got[..., ~pattern] == 0.0)
+            alone = gated.gate_weights([r if on else None for r, on in zip(rows, pattern)])
+            np.testing.assert_allclose(got, alone, rtol=0, atol=1e-12)
 
     def test_identity_assignment_witness(self):
         # the same two encodings produce different outputs when they occupy
@@ -116,8 +129,22 @@ class TestCrossAttention:
         cross = CrossAttentionFusion(4, 8, self.cfg(), rng)
         rows = rows_for(4, 8, rng, mask=(0, 2, 3))
         weights = cross.token_attention(rows)
-        assert weights.shape == (1, 2, 4)  # batch x heads x (token + three views)
+        assert weights.shape == (1, 2, 5)  # batch x heads x (token + four views)
+        assert np.all(weights[..., 2] == 0.0)  # view 1 is missing
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_token_attention_of_many_patterns_matches_one_pattern_each(self):
+        rng = np.random.default_rng(6)
+        m = 3
+        cross = CrossAttentionFusion(m, 8, self.cfg(), rng)
+        rows = rows_for(m, 8, rng, mask=(0, 1, 2), batch=2)
+        available = pattern_matrix(enumerate_combinations(m), m)
+        weights = cross.token_attention(rows, available)
+        assert weights.shape == (7, 2, 2, 1 + m)
+        for pattern, got in zip(available, weights):
+            assert np.all(got[..., 1:][..., ~pattern] == 0.0)
+            alone = cross.token_attention([r if on else None for r, on in zip(rows, pattern)])
+            np.testing.assert_allclose(got, alone, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mask", [(0,), (1, 3), (0, 1, 2), (0, 1, 2, 3)])
     def test_output_width_for_any_subset(self, mask):
@@ -144,6 +171,22 @@ class TestCrossAttention:
         alone = cross.fuse([None, None, Tensor(z)]).data
         as_first = cross.fuse([Tensor(z), None, None]).data
         assert not np.allclose(alone, as_first)
+
+    def test_dropout_draws_match_attention_over_present_views(self):
+        # oracle: the sequence of the token and the present views alone, run
+        # through each layer's own forward, which draws its dropout mask
+        rng = np.random.default_rng(5)
+        cross = CrossAttentionFusion(4, 8, FusionConfig(kind="cross", heads=2, layers=2,
+                                                        dropout=0.3), rng)
+        rows = rows_for(4, 8, rng, (0, 2, 3), batch=3)
+        fused = cross.fuse(rows, rng=np.random.default_rng(6), train=True).data
+        twin = np.random.default_rng(6)
+        token = np.tile(cross.token.data + cross.positional.data[0], (3, 1))
+        z = Tensor(np.stack([token] + [rows[v].data + cross.positional.data[1 + v]
+                                       for v in (0, 2, 3)], axis=1))
+        for block in cross.blocks:
+            z = block(z, rng=twin, train=True)
+        np.testing.assert_allclose(fused, z.data[:, 0], rtol=0, atol=1e-12)
 
     def test_stacked_layers_run(self):
         rng = np.random.default_rng(4)
@@ -190,6 +233,21 @@ class TestMemory:
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
             MemoryFusion(5, self.cfg(), np.random.default_rng(0))
+
+    def test_permutation_is_drawn_per_pattern_in_pattern_order(self):
+        rng = np.random.default_rng(4)
+        memory = MemoryFusion(6, self.cfg(permute=True), rng)
+        rows = rows_for(3, 6, rng, (0, 1, 2), batch=2)
+        available = pattern_matrix([(0, 1, 2), (0, 2), (1, 2)], 3)
+        fused = memory.fuse(rows, available, rng=np.random.default_rng(5), train=True)
+        twin = np.random.default_rng(5)
+        for pattern, got in zip(available, fused.data):
+            views = np.flatnonzero(pattern)
+            order = views[twin.permutation(len(views))]
+            # without dropout, train mode only permutes; evaluation feeds the
+            # rows in list order
+            expected = memory.fuse([rows[v] for v in order]).data
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_train_time_permutation_needs_rng(self):
         rng = np.random.default_rng(3)
@@ -315,3 +373,89 @@ class TestFusionGradients:
 
         errs = check_gradients(loss, params)
         assert max(errs.values()) < 1e-4, errs
+
+    @pytest.mark.parametrize("kind", ALL_DYNAMIC + ["concat"])
+    def test_gradients_flow_through_mixed_patterns(self, kind):
+        m, d = 3, 4
+        rng = np.random.default_rng(9)
+        fusion = build_fusion(kind, m, d, rng)
+        rows = [Tensor(rng.uniform(-1, 1, (2, d)), requires_grad=True) for _ in range(m)]
+        available = pattern_matrix([(0, 2), (1,), (0, 1, 2)], m)
+        params = {f"z{i}": r for i, r in enumerate(rows)}
+        params.update(dict(fusion.named_parameters("f")))
+
+        def loss():
+            out = fusion.fuse(rows, available)
+            return (out * out).sum() * 0.5
+
+        errs = check_gradients(loss, params)
+        assert max(errs.values()) < 1e-4, errs
+
+
+def dropout_fusion(kind, m, d, rng):
+    """A fusion whose train-time forward draws from the generator: attention
+    and inter-layer dropout at two layers, memory with permutation too."""
+    layers = 2 if kind in ("cross", "memory") else None
+    return make_fusion(FusionConfig(kind=kind, heads=2, layers=layers, dropout=0.3,
+                                    permute=kind == "memory"), m, d, rng)
+
+
+class TestPatterns:
+    """One fuse call over many availability patterns equals one call per
+    pattern, draws from the generator included."""
+
+    @pytest.mark.parametrize("kind", ALL_DYNAMIC + ["concat"])
+    def test_all_patterns_match_one_call_per_pattern(self, kind):
+        m, d = 3, 4
+        rng = np.random.default_rng(10)
+        fusion = dropout_fusion(kind, m, d, rng)
+        rows = [Tensor(rng.normal(size=(5, d)), requires_grad=True) for _ in range(m)]
+        available = pattern_matrix(enumerate_combinations(m), m)
+        params = rows + fusion.parameters()
+
+        fused = fusion.fuse(rows, available, rng=np.random.default_rng(11), train=True)
+        readout = rng.normal(size=fused.shape)
+        grads = backward((fused * Tensor(readout)).sum(), params)
+
+        oracle_rng = np.random.default_rng(11)
+        oracle = stack([fusion.fuse([r if on else None for r, on in zip(rows, pattern)],
+                                    rng=oracle_rng, train=True)
+                        for pattern in available])
+        for p in params:
+            p.grad = None
+        oracle_grads = backward((oracle * Tensor(readout)).sum(), params)
+
+        assert fused.shape == oracle.shape
+        np.testing.assert_allclose(fused.data, oracle.data, rtol=0, atol=1e-12)
+        for got, expected in zip(grads, oracle_grads):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ALL_DYNAMIC + ["concat"])
+    def test_leading_axes_of_availability_shape_the_output(self, kind):
+        m, d = 3, 4
+        rng = np.random.default_rng(12)
+        fusion = build_fusion(kind, m, d, rng)
+        rows = rows_for(m, d, rng, (0, 1, 2), batch=2)
+        available = pattern_matrix(enumerate_combinations(m)[:6], m)
+        flat = fusion.fuse(rows, available).data
+        shaped = fusion.fuse(rows, available.reshape(2, 3, m)).data
+        assert shaped.shape == (2, 3) + flat.shape[1:]
+        np.testing.assert_array_equal(shaped.reshape(flat.shape), flat)
+
+    def test_unused_view_may_have_no_row(self):
+        rng = np.random.default_rng(13)
+        fusion = build_fusion("gated", 3, 4, rng)
+        rows = rows_for(3, 4, rng, (0, 2), batch=2)
+        out = fusion.fuse(rows, pattern_matrix([(0,), (0, 2)], 3))
+        assert out.shape == (2, 2, 4)
+        with pytest.raises(ValueError, match="view 1 is available"):
+            fusion.fuse(rows, pattern_matrix([(0, 1)], 3))
+
+    @pytest.mark.parametrize("available", [np.zeros((2, 3), dtype=bool),
+                                           np.ones((2, 4), dtype=bool)],
+                             ids=["empty-pattern", "wrong-width"])
+    def test_bad_availability_rejected(self, available):
+        rng = np.random.default_rng(14)
+        fusion = build_fusion("average", 3, 4, rng)
+        with pytest.raises(ValueError):
+            fusion.fuse(rows_for(3, 4, rng, (0, 1, 2)), available)

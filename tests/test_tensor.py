@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvfuse import tensor as tensor_module
 from mvfuse.gradcheck import check_gradients, numerical_gradient, relative_error
-from mvfuse.tensor import Adam, EmptySupportError, Tensor, backward, concat, stack
+from mvfuse.tensor import (Adam, EmptySupportError, Tensor, backward, concat, softmax_mix,
+                           stack)
 
 
 def sum_sq(t):
@@ -59,6 +61,32 @@ class TestSoftmax:
         moved = x.copy()
         moved[[0, 1, 3]] += 7.5
         np.testing.assert_allclose(base, softmax(moved, exclude={2}), atol=1e-12)
+
+    @pytest.mark.parametrize("exclude", [None, np.array([False, True, False, False]),
+                                         np.array([[[True, False, False, True]],
+                                                   [[False, False, False, False]]])],
+                             ids=["none", "mask", "broadcast"])
+    def test_bit_identical_to_separate_buffers(self, exclude):
+        # the softmax as separate where, exp and division buffers
+        x = np.random.default_rng(4).normal(size=(3, 4)) * 20.0
+        if exclude is None:
+            e = np.exp(x - x.max(axis=-1, keepdims=True))
+        else:
+            excl = np.broadcast_to(exclude, np.broadcast_shapes(x.shape, exclude.shape))
+            mx = np.where(excl, -np.inf, x).max(axis=-1, keepdims=True)
+            e = np.where(excl, 0.0, np.exp(np.where(excl, 0.0, x - mx)))
+        expected = e / e.sum(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(Tensor(x).softmax(axis=-1, exclude=exclude).data,
+                                      expected)
+
+    def test_exclude_broadcasts_the_input(self):
+        # one set of logits under two exclusion patterns, each as its own softmax
+        x = np.array([[0.5, -0.2, 1.0], [2.0, 0.1, -1.0]])
+        patterns = np.array([[False, True, False], [True, False, False]])
+        out = Tensor(x).softmax(axis=-1, exclude=patterns[:, None, :]).data
+        assert out.shape == (2, 2, 3)
+        for pattern, got in zip(patterns, out):
+            np.testing.assert_array_equal(got, Tensor(x).softmax(axis=-1, exclude=pattern).data)
 
     def test_differentiable_through_mask(self):
         x = Tensor(np.array([0.5, -0.2, 1.0]), requires_grad=True)
@@ -171,6 +199,12 @@ OPS = {
     "slice": lambda a, b: a[1:, :2],
     "gather_repeated": lambda a, b: a[np.array([0, 0, 1]), 1:] * b[np.array([1, 1, 0]), :2],
     "softmax_rows": lambda a, b: a.softmax(axis=-1),
+    "softmax_broadcast_exclude": lambda a, b: (a * b).softmax(
+        axis=-1, exclude=np.array([[[False, True, False]], [[True, False, True]]])),
+    "log_softmax_rows": lambda a, b: a.log_softmax(axis=-1),
+    "softmax_mix": lambda a, b: softmax_mix(
+        a.reshape((2, 1, 3, 1)), b.reshape((2, 3, 1)),
+        np.array([[False, True, False], [False, False, False]]).reshape((2, 1, 3, 1))),
     "concat": lambda a, b: concat([a, b], axis=1),
     "stack": lambda a, b: stack([a, b], axis=0),
 }
@@ -200,6 +234,41 @@ def test_vector_operand_to_matmul_raises(shapes):
     a, b = (Tensor(np.ones(shape)) for shape in shapes)
     with pytest.raises(ValueError, match="at least two dimensions"):
         a @ b
+
+
+def test_log_softmax_matches_log_of_softmax():
+    x = np.random.default_rng(6).normal(size=(4, 5)) * 30.0
+    np.testing.assert_allclose(Tensor(x).log_softmax(axis=-1).data,
+                               np.log(Tensor(x).softmax(axis=-1).data), rtol=0, atol=1e-12)
+
+
+def test_softmax_mix_matches_composed_ops():
+    rng = np.random.default_rng(7)
+    logits, values = rng.normal(size=(3, 2, 4, 5)), rng.normal(size=(2, 4, 5))
+    exclude = rng.random((3, 1, 4, 1)) < 0.5
+    exclude[:, :, 0] = False
+    out = softmax_mix(Tensor(logits), Tensor(values), exclude).data
+    weights = Tensor(logits).softmax(axis=-2, exclude=exclude).data
+    assert np.all(weights[np.broadcast_to(exclude, weights.shape)] == 0.0)
+    np.testing.assert_allclose(out, (weights * values).sum(axis=-2), rtol=0, atol=1e-14)
+
+
+def test_operand_without_gradient_gets_no_gradient_work(monkeypatch):
+    # the mask of a product needs no gradient, so its side is never computed
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    mask = Tensor(np.full((2, 3), 2.0))
+    seen = []
+    unbroadcast = tensor_module._unbroadcast
+
+    def spied(grad, shape):
+        seen.append(shape)
+        return unbroadcast(grad, shape)
+
+    monkeypatch.setattr(tensor_module, "_unbroadcast", spied)
+    for op in (lambda: x * mask, lambda: x + mask, lambda: x / mask):
+        seen.clear()
+        op().sum().backward()
+        assert seen == [(2, 3)]
 
 
 def test_ops_are_deterministic():

@@ -14,9 +14,9 @@ from mvfuse.fusion import AverageFusion, FusionConfig
 from mvfuse.model import (FeatureFusionModel, batch_views, build_model, load_model,
                           save_model)
 from mvfuse.tensor import Adam, Tensor, backward
+from mvfuse.model import PATTERN_ROWS, pattern_matrix
 from mvfuse.training import (EarlyStopper, TrainConfig, batch_loss, class_weights,
-                             combination_loss, cross_entropy, train_model, train_step,
-                             validation_losses)
+                             cross_entropy, train_model, train_step, validation_losses)
 
 
 def tiny_dataset(task="classification", n=60, seed=0):
@@ -90,16 +90,28 @@ class TestBatchLosses:
         expected = -(math.log(0.8) + math.log(0.9)) / 2
         assert abs(got - expected) < 1e-12
 
-    def test_combination_mean_example(self):
-        parts = [Tensor(1.0), Tensor(2.0), Tensor(3.0)]
-        assert combination_loss(parts).item() == 2.0
-
-    def test_combination_order_invariance(self):
+    @pytest.mark.parametrize("task, weights", [("regression", None),
+                                               ("classification", np.array([0.5, 2.0, 1.0]))])
+    def test_stacked_loss_is_the_mean_over_combinations(self, task, weights):
         rng = np.random.default_rng(0)
-        vals = [Tensor(v) for v in rng.normal(size=7)]
-        a = combination_loss(vals).item()
-        b = combination_loss(vals[::-1]).item()
-        assert abs(a - b) <= 1e-12
+        outs = Tensor(rng.normal(size=(7, 5, 3 if task == "classification" else 1)))
+        y = rng.integers(0, 3, 5) if task == "classification" else rng.normal(size=5)
+        parts = [batch_loss(outs[k], y, task, weights).item() for k in range(7)]
+        assert abs(stacked_loss(outs, y, task, weights).item() - np.mean(parts)) <= 1e-12
+
+
+def stacked_loss(outs, y, task, weights=None):
+    """The step loss of (K, B, n) outputs: the per-sample loss over all K*B rows."""
+    return batch_loss(outs.reshape((-1, outs.shape[-1])), np.tile(y, outs.shape[0]),
+                      task, weights)
+
+
+def mean_loss(parts):
+    """The per-combination oracle: the plain mean of per-combination losses."""
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total * (1.0 / len(parts))
 
 
 def spy_step(spy):
@@ -120,8 +132,8 @@ class TestComStepMechanics:
                    ds.task, None, rng, rng)
         for enc in model.encoders:
             assert encoder_calls[enc] == 1
-        assert fusion_calls[model.fusion] == 3  # 2^2 - 1
-        assert head_calls[model] == 3
+        assert fusion_calls[model.fusion] == 1  # all 2^2 - 1 combinations at once
+        assert head_calls[model] == 1
 
     def test_counts_three_views_full_grid(self, spy):
         cfg = SyntheticConfig(
@@ -136,7 +148,7 @@ class TestComStepMechanics:
         train_step(model, ds.views, ds.y, AugPolicy(kind="com"),
                    enumerate_combinations(3), opt, ds.task, None, rng, rng)
         assert [encoder_calls[enc] for enc in model.encoders] == [1, 1, 1]
-        assert head_calls[model] == 7
+        assert head_calls[model] == 1
 
     def test_gradients_match_naive_reencoding(self):
         # encoding once and fusing per combination must give the same gradients
@@ -146,15 +158,14 @@ class TestComStepMechanics:
 
         shared = tiny_model(ds, seed=3)
         params_shared = shared.parameters()
-        parts = [batch_loss(out, ds.y, ds.task)
-                 for out in shared.forward_masks(ds.views, combos)]
-        grads_shared = backward(combination_loss(parts), params_shared)
+        grads_shared = backward(stacked_loss(shared.forward_masks(ds.views, combos),
+                                             ds.y, ds.task), params_shared)
 
         naive = tiny_model(ds, seed=3)
         params_naive = naive.parameters()
         parts = [batch_loss(naive.forward_masked(ds.views, mask), ds.y, ds.task)
                  for mask in combos]
-        grads_naive = backward(combination_loss(parts), params_naive)
+        grads_naive = backward(mean_loss(parts), params_naive)
 
         for a, b in zip(grads_shared, grads_naive):
             assert np.max(np.abs(a - b)) <= 1e-10
@@ -165,11 +176,32 @@ class TestComStepMechanics:
         model = tiny_model(ds, seed=4)
 
         def step_loss(order):
-            parts = [batch_loss(out, ds.y, ds.task)
-                     for out in model.forward_masks(ds.views, order)]
-            return combination_loss(parts).item()
+            return stacked_loss(model.forward_masks(ds.views, order), ds.y, ds.task).item()
 
         assert abs(step_loss(combos) - step_loss(combos[::-1])) <= 1e-12
+
+    def test_pattern_groups_are_bounded(self, monkeypatch):
+        # B rows under K patterns are fused in groups of PATTERN_ROWS // B
+        # patterns, in order; the groups together equal one pattern at a time
+        batch = PATTERN_ROWS // 2 - 1
+        ds = tiny_dataset(n=batch, seed=1)
+        model = tiny_model(ds, kind="gated", seed=8)
+        combos = enumerate_combinations(2)
+        groups = []
+        fuse_head = FeatureFusionModel.fuse_head
+
+        def recorded(self, rows, available=None, rng=None, train=False):
+            groups.append(available.copy())
+            return fuse_head(self, rows, available, rng=rng, train=train)
+
+        monkeypatch.setattr(FeatureFusionModel, "fuse_head", recorded)
+        outs = model.forward_masks(ds.views, combos)
+        assert [g.shape[0] for g in groups] == [2, 1]
+        np.testing.assert_array_equal(np.concatenate(groups), pattern_matrix(combos, 2))
+        monkeypatch.undo()
+        for k, mask in enumerate(combos):
+            np.testing.assert_allclose(outs.data[k], model.forward_masked(ds.views, mask).data,
+                                       rtol=0, atol=1e-12)
 
     def test_no_augmentation_equals_direct_step(self):
         ds = tiny_dataset(n=16)
@@ -342,6 +374,17 @@ def test_load_model_rejects_non_finite_parameter(tmp_path):
     save_with_parameter(tmp_path, "head.W", lambda w: np.full_like(w, np.nan))
     with pytest.raises(ValueError, match=r"head\.W has non-finite values"):
         load_model(tmp_path)
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_nan_parameter_fails_training_naming_the_op(task):
+    ds = tiny_dataset(task=task, n=20)
+    model = tiny_model(ds)
+    model.head.W.data = np.full_like(model.head.W.data, np.nan)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"backward root is not finite: .*op 'matmul'"):
+        train_step(model, ds.views, ds.y, AugPolicy(kind="com"), enumerate_combinations(2),
+                   Adam(model.parameters()), ds.task, None, rng, rng)
 
 
 def test_nan_parameter_fails_predict_and_validation_naming_the_op():
