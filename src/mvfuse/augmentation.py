@@ -4,6 +4,10 @@ Three families: enumerating every non-empty view combination (the core
 augmentation of this engine), dropping whole views at random, and dropping
 random time steps of a series. All generators are pure functions of their
 inputs and the supplied generator, so training stays reproducible.
+
+Combinations and dropping masks are index tuples, which name patterns in the
+training layer; ``pattern_matrix`` is the one conversion into the boolean
+(K, m) availability patterns that the model and the fusions take.
 """
 
 from __future__ import annotations
@@ -49,6 +53,15 @@ def enumerate_combinations(views) -> list[tuple]:
     for size in range(m, 0, -1):
         out.extend(combinations(items, size))
     return out
+
+
+def pattern_matrix(masks: list[tuple[int, ...]], m: int) -> np.ndarray:
+    """Index-tuple masks as the boolean (K, m) availability patterns the
+    model and the fusions take."""
+    patterns = np.zeros((len(masks), m), dtype=bool)
+    for k, mask in enumerate(masks):
+        patterns[k, list(mask)] = True
+    return patterns
 
 
 def sensd_mask(m: int, rng: np.random.Generator) -> tuple[int, ...]:

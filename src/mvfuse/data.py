@@ -50,6 +50,9 @@ def _check_view(spec: ViewSpec, arr: np.ndarray) -> None:
             raise DataError(f"view {spec.id!r} has codes outside [0, {spec.cardinality})")
 
 
+TASKS = ("classification", "regression")
+
+
 class MultiViewDataset:
     """Per-sample view arrays plus targets.
 
@@ -60,7 +63,7 @@ class MultiViewDataset:
 
     def __init__(self, view_specs: list[ViewSpec], views: dict[str, np.ndarray],
                  y: np.ndarray, task: str, n_classes: int | None = None):
-        if task not in ("classification", "regression"):
+        if task not in TASKS:
             raise ValueError(f"unknown task {task!r}")
         self.view_specs = list(view_specs)
         self.views = dict(views)
@@ -138,6 +141,8 @@ class SyntheticConfig:
             raise ValueError("n_samples, latent_dim and basis_order must be >= 1")
         if not self.views:
             raise ValueError("need at least one view")
+        if self.task not in TASKS:
+            raise ValueError(f"unknown task {self.task!r}")
         if self.task == "classification" and self.classes < 2:
             raise ValueError("classification needs >= 2 classes")
 

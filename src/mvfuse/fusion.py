@@ -10,7 +10,9 @@ them. Concatenation with zero imputation is kept as the fixed-size baseline.
 (1, d), or None for a view that no pattern uses. ``available`` is a boolean
 (..., m) array of patterns and defaults to the views that have a row, so
 ``fuse(rows)`` is the one-pattern case. The result has shape
-``available.shape[:-1] + (B, width)``.
+``available.shape[:-1] + (B, width)``. ``check_available`` is the one check
+of such an array, shared with the model: it must be boolean, cover the m
+views, and give every pattern a view.
 
 Every weight that multiplies a view's encoding is applied once per view per
 call; each pattern then only sums, masks and normalizes, and a pattern's
@@ -76,18 +78,30 @@ class FusionConfig:
             raise ValueError("dropout must be in [0, 1)")
 
 
+def check_available(available, m: int) -> np.ndarray:
+    """``available`` as a boolean (..., m) array of availability patterns.
+
+    Raises ValueError unless it is boolean, its last axis covers the m views
+    and every pattern has an available view. An index tuple such as ``(0, 1)``
+    is an integer array, so it is rejected rather than read as booleans.
+    """
+    available = np.asarray(available)
+    if available.dtype != bool:
+        raise ValueError(f"availability must be a boolean array, not {available.dtype}")
+    if available.ndim == 0 or available.shape[-1] != m:
+        raise ValueError(f"availability of shape {available.shape} does not cover {m} views")
+    if available.size == 0 or not available.any(axis=-1).all():
+        raise ValueError("every pattern needs at least one available view")
+    return available
+
+
 def _patterns(rows: list, available) -> tuple[np.ndarray, np.ndarray]:
-    """``available`` as a boolean (..., m) array, by default the views that
-    have a row, and its patterns flattened to (K, m)."""
+    """``available`` checked, by default the views that have a row, and its
+    patterns flattened to (K, m)."""
     if available is None:
         available = np.array([r is not None for r in rows])
-    available = np.asarray(available, dtype=bool)
-    if available.ndim == 0 or available.shape[-1] != len(rows):
-        raise ValueError(f"availability of shape {available.shape} does not cover "
-                         f"{len(rows)} views")
+    available = check_available(available, len(rows))
     patterns = available.reshape(-1, len(rows))
-    if patterns.shape[0] == 0 or not patterns.any(axis=1).all():
-        raise ValueError("fusion needs at least one available view")
     for v in np.flatnonzero(patterns.any(axis=0)):
         if rows[v] is None:
             raise ValueError(f"view {v} is available in some pattern but has no row")

@@ -132,8 +132,7 @@ def run_suite(seeds: Sequence[int] = tuple(range(20)),
         # multi-head attention
         z = unit((1, 3, 8))
         mha = layers.MultiHeadAttention(8, heads=2, rng=rng)
-        params = {"z": z, "W_Q": mha.W_Q, "W_K": mha.W_K, "W_V": mha.W_V,
-                  "bias": mha.bias}
+        params = {"z": z, "W_Q": mha.W_Q, "W_K": mha.W_K, "W_V": mha.W_V}
         errs = check_gradients(lambda: _sum_squares(mha(z)), params, h=h)
         record("attention", max(errs.values()))
 

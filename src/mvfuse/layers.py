@@ -167,9 +167,10 @@ class MultiHeadAttention(Module):
     """Scaled dot-product self-attention over a set of rows.
 
     Input is (..., n, d). Per-head logits are Q K^T, optionally
-    scaled by 1/sqrt(d/heads), plus a learned per-head scalar bias; head
-    outputs are value projections concatenated back to width d. Dropout, when
-    enabled, is applied to the attention probabilities.
+    scaled by 1/sqrt(d/heads); head outputs are value projections
+    concatenated back to width d. Dropout, when enabled, is applied to the
+    attention probabilities. There is no learned per-head scalar logit bias:
+    added to every logit of its head, it would cancel in the softmax.
 
     ``attend`` also takes keys to exclude and a dropout keep mask, both
     broadcasting with the probabilities (..., heads, n_q, n), so one input
@@ -184,7 +185,6 @@ class MultiHeadAttention(Module):
         self.W_Q = glorot(rng, d, d, (d, d))
         self.W_K = glorot(rng, d, d, (d, d))
         self.W_V = glorot(rng, d, d, (d, d))
-        self.bias = Tensor(np.zeros(heads), requires_grad=True)
         self.heads = heads
         self.d = d
         self.scaling = scaling
@@ -205,7 +205,6 @@ class MultiHeadAttention(Module):
         logits = q @ k.transpose(tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
         if self.scaling:
             logits = logits * (1.0 / np.sqrt(self.d // self.heads))
-        logits = logits + self.bias.reshape((self.heads, 1, 1))
         return logits.softmax(axis=-1, exclude=exclude)
 
     def attend(self, z: Tensor, exclude: np.ndarray | None = None,

@@ -5,6 +5,11 @@ encoder per view and merges the encodings; missing views are either ignored
 at the merge (feature level) or zero-imputed in the raw input (input level).
 The input-concat family is the classical input-level baseline: one MLP over
 the flattened, zero-imputed concatenation of all views.
+
+Which views are present is a boolean availability pattern, one (m,) row per
+pattern, checked by ``fusion.check_available``. The input level is one loop
+in ``_BaseModel.forward_masks``: each pattern zero-imputes its missing views'
+raw inputs and runs the family's ``_forward_inputs``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .encoders import (EncoderConfig, StaticEncoder, ViewSpec, make_encoder,
                        one_hot_batch)
-from .fusion import FusionConfig, fused_width, make_fusion
+from .fusion import FusionConfig, check_available, fused_width, make_fusion
 from .layers import Affine, Module
 from .tensor import Tensor, check_finite, concat, no_grad, stack
 
@@ -47,41 +52,55 @@ class _BaseModel(Module):
     def view_ids(self) -> list[str]:
         return [s.id for s in self.view_specs]
 
-    def forward_masks(self, views: dict[str, np.ndarray], masks: list[tuple[int, ...]],
+    def forward_masks(self, views: dict[str, np.ndarray], available: np.ndarray,
                       rng=None, train: bool = False) -> Tensor:
         """Outputs (K, B, n_outputs) for the batch under each of the K
-        index-tuple masks."""
+        boolean availability patterns of ``available`` (K, m).
+
+        This is the input level: every pattern, in order, is a full forward of
+        ``_forward_inputs`` over its zero-imputed inputs.
+        """
+        available = check_available(available, len(self.view_specs))
+        return stack([self._forward_inputs(self.raw_inputs(views, pattern), rng=rng, train=train)
+                      for pattern in available])
+
+    def _forward_inputs(self, inputs: list[np.ndarray], rng=None,
+                        train: bool = False) -> Tensor:
+        """Outputs (B, n_outputs) from every view's raw batch."""
         raise NotImplementedError
 
-    def forward_masked(self, views: dict[str, np.ndarray], mask: tuple[int, ...],
+    def forward_masked(self, views: dict[str, np.ndarray], pattern: np.ndarray,
                        rng=None, train: bool = False) -> Tensor:
-        return self.forward_masks(views, [mask], rng=rng, train=train)[0]
+        """Outputs (B, n_outputs) under one boolean (m,) availability pattern."""
+        return self.forward_masks(views, [pattern], rng=rng, train=train)[0]
 
     def raw_inputs(self, views: dict[str, np.ndarray],
-                   mask: tuple[int, ...]) -> list[np.ndarray]:
-        """Every view's raw batch under ``mask``, the input-level zero imputation.
+                   pattern: np.ndarray) -> list[np.ndarray]:
+        """Every view's raw batch under the boolean (m,) ``pattern``, the
+        input-level zero imputation.
 
-        A view outside the mask becomes zeros of its per-sample shape; its
-        data is never read.
+        A view the pattern leaves out becomes zeros of its per-sample shape;
+        its data is never read.
         """
-        if not mask:
-            raise ValueError("a mask needs at least one available view")
-        batch = views[self.view_specs[mask[0]].id].shape[0]
-        return [raw_input(spec, views[spec.id]) if i in mask
+        pattern = check_available(pattern, len(self.view_specs))
+        batch = views[self.view_specs[int(np.argmax(pattern))].id].shape[0]
+        return [raw_input(spec, views[spec.id]) if present
                 else np.zeros((batch,) + spec.raw_shape)
-                for i, spec in enumerate(self.view_specs)]
+                for spec, present in zip(self.view_specs, pattern)]
 
-    def check_outputs(self, views: dict[str, np.ndarray], masks: list[tuple[int, ...]],
+    def check_outputs(self, views: dict[str, np.ndarray], available: np.ndarray,
                       outs: Tensor, what: str) -> None:
         """Raise ValueError if an evaluation-mode output is not finite.
 
         Outputs built under ``no_grad`` have no graph, so on failure only the
-        failing mask's forward runs again with its graph recorded and the
-        error names the op of its first non-finite node.
+        failing pattern's forward runs again with its graph recorded and the
+        error names the pattern's views and the op of its first non-finite
+        node.
         """
-        for k, mask in enumerate(masks):
-            if not np.isfinite(outs.data[k]).all():
-                check_finite(self.forward_masked(views, mask), f"{what} under mask {mask}")
+        for pattern, out in zip(available, outs.data):
+            if not np.isfinite(out).all():
+                names = tuple(s.id for s, present in zip(self.view_specs, pattern) if present)
+                check_finite(self.forward_masked(views, pattern), f"{what} under views {names}")
 
     def predict(self, views: dict[str, np.ndarray],
                 available: np.ndarray) -> np.ndarray:
@@ -96,23 +115,15 @@ class _BaseModel(Module):
         than a forward per scenario. Returns probabilities (..., N, K) or
         values (..., N); a non-finite output raises ValueError.
         """
-        m = available.shape[-1]
+        m = len(self.view_specs)
+        available = check_available(available, m)
         patterns, inverse = np.unique(available.reshape(-1, m), axis=0, return_inverse=True)
-        masks = [tuple(int(v) for v in np.flatnonzero(pattern)) for pattern in patterns]
         with no_grad():
-            outs = self.forward_masks(views, masks)
-        self.check_outputs(views, masks, outs, "prediction")
+            outs = self.forward_masks(views, patterns)
+        self.check_outputs(views, patterns, outs, "prediction")
         rows = (outs.softmax(axis=-1).data if self.task == "classification"
                 else outs.data[..., 0])
         return rows[inverse.reshape(available.shape[:-1]), np.arange(available.shape[-2])]
-
-
-def pattern_matrix(masks: list[tuple[int, ...]], m: int) -> np.ndarray:
-    """Index-tuple masks as a boolean (K, m) availability matrix."""
-    patterns = np.zeros((len(masks), m), dtype=bool)
-    for k, mask in enumerate(masks):
-        patterns[k, list(mask)] = True
-    return patterns
 
 
 # Pattern rows (patterns x batch rows) fused per call. It covers all 127
@@ -126,10 +137,10 @@ class FeatureFusionModel(_BaseModel):
 
     The head consumes width d for dynamic merges and m*d for feature-level
     concatenation. At feature level ``forward_masks`` encodes each view that
-    some mask needs once and fuses all masks in one ``fuse_head`` call per
-    group of at most ``PATTERN_ROWS // B`` masks. At input level the model
-    zero-imputes the raw data of missing views, so every mask is a full
-    forward that fuses all m encodings.
+    some pattern uses once and fuses all patterns in one ``fuse_head`` call
+    per group of at most ``PATTERN_ROWS // B`` patterns. At input level the
+    model zero-imputes the raw data of missing views, so every pattern is a
+    full forward that fuses all m encodings.
     """
 
     def __init__(self, view_specs: list[ViewSpec], encoder_cfg: EncoderConfig,
@@ -153,22 +164,22 @@ class FeatureFusionModel(_BaseModel):
     def fuse_head(self, rows: list, available=None, rng=None, train: bool = False) -> Tensor:
         return self.head(self.fusion.fuse(rows, available, rng=rng, train=train))
 
-    def forward_masks(self, views: dict[str, np.ndarray], masks: list[tuple[int, ...]],
+    def _forward_inputs(self, inputs, rng=None, train=False):
+        rows = [enc(Tensor(x), rng=rng, train=train) for enc, x in zip(self.encoders, inputs)]
+        return self.fuse_head(rows, rng=rng, train=train)
+
+    def forward_masks(self, views: dict[str, np.ndarray], available: np.ndarray,
                       rng=None, train: bool = False) -> Tensor:
-        m = len(self.view_specs)
         if self.level == "input":
-            return stack([self.fuse_head([enc(Tensor(x), rng=rng, train=train)
-                                          for enc, x in zip(self.encoders,
-                                                            self.raw_inputs(views, mask))],
-                                         rng=rng, train=train)
-                          for mask in masks])
-        patterns = pattern_matrix(masks, m)
+            return super().forward_masks(views, available, rng=rng, train=train)
+        m = len(self.view_specs)
+        available = check_available(available, m)
         rows = [self.encode_view(i, views[self.view_specs[i].id], rng=rng, train=train)
-                if patterns[:, i].any() else None for i in range(m)]
-        batch = next((r.shape[0] for r in rows if r is not None), 1)
+                if available[:, i].any() else None for i in range(m)]
+        batch = next(r.shape[0] for r in rows if r is not None)
         group = max(1, PATTERN_ROWS // batch)
-        outs = [self.fuse_head(rows, patterns[start:start + group], rng=rng, train=train)
-                for start in range(0, len(masks), group)]
+        outs = [self.fuse_head(rows, available[start:start + group], rng=rng, train=train)
+                for start in range(0, len(available), group)]
         return outs[0] if len(outs) == 1 else concat(outs, axis=0)
 
 
@@ -184,14 +195,9 @@ class InputConcatModel(_BaseModel):
         self.task = task
         self.level = "input"
 
-    def forward_masks(self, views: dict[str, np.ndarray], masks: list[tuple[int, ...]],
-                      rng=None, train: bool = False) -> Tensor:
-        outs = []
-        for mask in masks:
-            flat = np.concatenate([x.reshape(x.shape[0], -1)
-                                   for x in self.raw_inputs(views, mask)], axis=1)
-            outs.append(self.head(self.encoder(Tensor(flat), rng=rng, train=train)))
-        return stack(outs)
+    def _forward_inputs(self, inputs, rng=None, train=False):
+        flat = np.concatenate([x.reshape(x.shape[0], -1) for x in inputs], axis=1)
+        return self.head(self.encoder(Tensor(flat), rng=rng, train=train))
 
 
 def build_model(view_specs: list[ViewSpec], encoder_cfg: EncoderConfig,

@@ -5,6 +5,10 @@ view combinations in one call; the step loss is the mean per-sample loss
 over the stacked combinations, which is the mean over combinations of the
 mean per-sample loss, so every availability pattern weighs the same. Early
 stopping watches the unweighted full-view validation loss.
+
+Combinations and masks are index tuples here: they name the patterns in the
+validation losses and the training log, and fix the order of ``sensd``'s
+mask groups. The model takes them as boolean patterns from ``pattern_matrix``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augmentation import AugPolicy, enumerate_combinations, sensd_mask, tempd_mask
+from .augmentation import (AugPolicy, enumerate_combinations, pattern_matrix, sensd_mask,
+                           tempd_mask)
 from .data import MultiViewDataset
 from .encoders import one_hot_batch
 from .model import _BaseModel, batch_views
@@ -140,14 +145,17 @@ def train_step(model: _BaseModel, views: dict[str, np.ndarray], y: np.ndarray,
         for i in range(y.shape[0]):
             groups.setdefault(sensd_mask(m, mask_rng), []).append(i)
         loss = None
-        for mask, idx in sorted(groups.items()):
-            out = model.forward_masked(batch_views(views, idx), mask, rng=dropout_rng,
+        masks = sorted(groups)
+        for mask, pattern in zip(masks, pattern_matrix(masks, m)):
+            idx = groups[mask]
+            out = model.forward_masked(batch_views(views, idx), pattern, rng=dropout_rng,
                                        train=True)
             part = batch_loss(out, y[idx], task, weights) * (len(idx) / y.shape[0])
             loss = part if loss is None else loss + part
     else:
         masks = combos if aug.kind == "com" else [tuple(range(m))]
-        outs = model.forward_masks(views, masks, rng=dropout_rng, train=True)
+        outs = model.forward_masks(views, pattern_matrix(masks, m), rng=dropout_rng,
+                                   train=True)
         loss = batch_loss(outs.reshape((-1, outs.shape[-1])), np.tile(y, len(masks)),
                           task, weights)
     loss.backward()
@@ -159,9 +167,10 @@ def validation_losses(model: _BaseModel, ds: MultiViewDataset,
                       masks: list[tuple]) -> dict[tuple, float]:
     """Unweighted evaluation-mode loss per mask over the whole validation set;
     a non-finite model output raises ValueError."""
+    patterns = pattern_matrix(masks, len(model.view_specs))
     with no_grad():
-        outs = model.forward_masks(ds.views, masks)
-    model.check_outputs(ds.views, masks, outs, "validation output")
+        outs = model.forward_masks(ds.views, patterns)
+    model.check_outputs(ds.views, patterns, outs, "validation output")
     return {mask: batch_loss(outs[k], ds.y, model.task).item() for k, mask in enumerate(masks)}
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mvfuse.augmentation import enumerate_combinations
+from mvfuse.augmentation import enumerate_combinations, pattern_matrix
 from mvfuse.cli import main as cli_main
 from mvfuse.config import parse_config
 from mvfuse.encoders import EncoderConfig, StaticEncoder, ViewSpec
@@ -92,11 +92,11 @@ def test_criterion_2_ignore_missing_equivalence():
                 specs, EncoderConfig(latent_dim=d, layers=1, dropout=0.0),
                 FusionConfig(kind=kind, heads=2, dropout=0.0),
                 "regression", 1, np.random.default_rng(1))
-            for mask in masks:
-                clean = model.forward_masked(views, mask).data
+            for mask, pattern in zip(masks, pattern_matrix(masks, m)):
+                clean = model.forward_masked(views, pattern).data
                 poisoned = {vid: arr if int(vid[1]) in mask else arr * 1e9 + 7.0
                             for vid, arr in views.items()}
-                dirty = model.forward_masked(poisoned, mask).data
+                dirty = model.forward_masked(poisoned, pattern).data
                 assert np.max(np.abs(clean - dirty)) <= 1e-12, (kind, mask)
                 if kind == "gated":
                     rows = [model.encode_view(i, views[f"v{i}"]) if i in mask else None
@@ -153,9 +153,10 @@ def test_criterion_3_com_mechanics(spy):
                     np.random.default_rng(3))
 
             fused, looped = fresh(), fresh()
-            outs = fused.forward_masks(views, combos)
+            outs = fused.forward_masks(views, pattern_matrix(combos, m))
             loss = batch_loss(outs.reshape((-1, 1)), np.tile(y, len(combos)), "regression")
-            per_combo = [looped.forward_masked(views, mask) for mask in combos]
+            per_combo = [looped.forward_masked(views, pattern)
+                         for pattern in pattern_matrix(combos, m)]
             parts = [batch_loss(out, y, "regression") for out in per_combo]
             mean = parts[0]
             for part in parts[1:]:

@@ -1,13 +1,20 @@
-"""The benchmark's traced run wraps engine functions by name; a rename must fail here."""
+"""The benchmark calls and wraps engine functions by name and checks its
+reference case against stored outputs; a rename or a moved output must fail here."""
 
+import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
+import run  # noqa: E402
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 from mvfuse.encoders import EncoderConfig, ViewSpec  # noqa: E402
 from mvfuse.fusion import FusionConfig  # noqa: E402
@@ -38,3 +45,13 @@ def test_instrumented_wraps_every_target_and_restores_it():
     assert counts["model.fuse_head"] == 1
     assert counts["fusion.average.fuse"] == 1
     assert counts["encoders.static"] == 2
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_reference_case_matches_reference_json(name, tmp_path):
+    stored = json.loads((PERFBENCH / "reference.json").read_text())[name]
+    got = workloads.reference_values(workloads.WORKLOADS[name], tmp_path)
+    assert set(got) == set(stored)
+    for key, want in stored.items():
+        assert math.isclose(got[key], want, rel_tol=run.RTOL, abs_tol=run.ATOL), \
+            (key, got[key], want)

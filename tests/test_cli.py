@@ -49,16 +49,26 @@ MALFORMED = [
     ("data.synthetic.basis_order", 0), ("model.conv_kernel", 0), ("model.conv_kernel", 2),
     pytest.param(("fusion.kind", "fusion.heads"), ("cross", 3), id="cross-heads-3"),
     pytest.param(("fusion.kind", "model.latent_dim"), ("memory", 7), id="memory-latent_dim-7"),
+    ("data.synthetic.task", "regresion"), ("data.source", "bogus"), ("data.source", "manifest"),
+    ("data.val_fraction", 0), ("data.val_fraction", 1.0),
+    ("data.synthetic.views.0.redundancy", 1.5), ("data.synthetic.views.0.noise", -1),
+    ("data.synthetic.views.1.channels", 0), ("data.synthetic.latent_dim", 0),
+    ("data.synthetic.views", []), ("data.synthetic.classes", 1),
+    ("model.encoder_layers", 0), ("model.encoder_dropout", 1.0),
+    ("fusion.layers", 0), ("fusion.heads", 0), ("fusion.dropout", 1.0),
+    ("train.batch_size", 0), ("train.patience", 0), ("train.max_epochs", 0),
+    ("aug.tempd_ratio", 1.0),
 ]
 
 
 def with_value(path, value):
     """base_config() with the dotted ``path`` set to ``value``, or each of a
-    tuple of paths set to the matching entry of a tuple of values."""
+    tuple of paths set to the matching entry of a tuple of values. A numeric
+    segment indexes a list."""
     raw = base_config()
     pairs = zip(path, value) if isinstance(path, tuple) else [(path, value)]
     for dotted, new in pairs:
-        *parents, key = dotted.split(".")
+        *parents, key = [int(name) if name.isdigit() else name for name in dotted.split(".")]
         node = raw
         for name in parents:
             node = node[name]

@@ -93,6 +93,10 @@ class TestSplits:
             union |= set(val)
         assert union == set(range(50))
 
+    def test_kfold_needs_two_folds(self):
+        with pytest.raises(ValueError, match="k >= 2"):
+            kfold_indices(50, folds=1)
+
 
 class TestZScore:
     def test_train_split_maps_to_zero_mean_unit_std(self):

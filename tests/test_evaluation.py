@@ -315,8 +315,7 @@ def grouped_predictions(model, views, available):
         for pattern in np.unique(matrix, axis=0):
             idx = np.flatnonzero((matrix == pattern).all(axis=1))
             with no_grad():
-                logits = model.forward_masked(batch_views(views, idx),
-                                              tuple(np.flatnonzero(pattern)))
+                logits = model.forward_masked(batch_views(views, idx), pattern)
             preds = (logits.softmax(axis=-1).data if model.task == "classification"
                      else logits.data[:, 0])
             rows.update(zip(idx, preds))

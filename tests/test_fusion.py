@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfuse.encoders import EncoderConfig, ViewSpec
-from mvfuse.augmentation import enumerate_combinations
+from mvfuse.augmentation import enumerate_combinations, pattern_matrix
 from mvfuse.fusion import (AverageFusion, ConcatFusion, CrossAttentionFusion,
                            FusionConfig, GatedFusion, MemoryFusion, fused_width,
                            make_fusion)
 from mvfuse.gradcheck import check_gradients
-from mvfuse.model import InputConcatModel, pattern_matrix
+from mvfuse.model import InputConcatModel
 from mvfuse.tensor import Tensor, backward, stack
 
 
@@ -259,9 +259,10 @@ class TestMemory:
         assert out.shape == (1, 6)
 
 
-def concat_input(views, mask):
-    """What InputConcatModel's MLP reads under ``mask`` for a static view of 3
-    channels followed by a temporal view of 5 steps x 1 channel."""
+def concat_input(views, pattern):
+    """What InputConcatModel's MLP reads under the boolean ``pattern`` for a
+    static view of 3 channels followed by a temporal view of 5 steps x 1
+    channel."""
     specs = [ViewSpec(id="a", kind="static", channels=3),
              ViewSpec(id="b", kind="temporal", time_steps=5, channels=1)]
     model = InputConcatModel(specs, EncoderConfig(latent_dim=4, layers=1, dropout=0.0),
@@ -270,7 +271,7 @@ def concat_input(views, mask):
     encoder = model.encoder
     model.encoder = lambda x, rng=None, train=False: (seen.append(x.data)
                                                       or encoder(x, rng=rng, train=train))
-    model.forward_masked(views, mask)
+    model.forward_masked(views, np.array(pattern))
     return seen[0]
 
 
@@ -278,17 +279,17 @@ class TestConcat:
     def test_full_mask_is_plain_concatenation(self):
         a = np.ones((2, 3))
         b = np.full((2, 5, 1), 2.0)
-        out = concat_input({"a": a, "b": b}, (0, 1))
+        out = concat_input({"a": a, "b": b}, [True, True])
         np.testing.assert_array_equal(out, np.concatenate([a, b[:, :, 0]], axis=1))
 
     def test_missing_slot_is_zeros(self):
         # the missing view's data is never read, so not even NaN reaches the model
         b = np.full((2, 5, 1), 2.0)
-        out = concat_input({"a": np.full((2, 3), np.nan), "b": b}, (1,))
+        out = concat_input({"a": np.full((2, 3), np.nan), "b": b}, [False, True])
         np.testing.assert_array_equal(out[:, :3], np.zeros((2, 3)))
         np.testing.assert_array_equal(out[:, 3:], b[:, :, 0])
 
-    @pytest.mark.parametrize("mask", [(0, 1), (0,), (1,)])
+    @pytest.mark.parametrize("mask", [[True, True], [True, False], [False, True]])
     def test_fixed_output_length(self, mask):
         views = {"a": np.ones((4, 3)), "b": np.ones((4, 5, 1))}
         assert concat_input(views, mask).shape == (4, 8)
@@ -329,11 +330,12 @@ class TestIgnoreMissingEquivalence:
         views = {f"v{i}": data_rng.normal(size=(3, 3)) for i in range(m)}
         for r in range(1, m + 1):
             for mask in itertools.combinations(range(m), r):
-                clean = model.forward_masked(views, mask).data
+                pattern = pattern_matrix([mask], m)[0]
+                clean = model.forward_masked(views, pattern).data
                 poisoned = {
                     vid: arr if int(vid[1]) in mask else arr * 1e6 + 123.0
                     for vid, arr in views.items()}
-                dirty = model.forward_masked(poisoned, mask).data
+                dirty = model.forward_masked(poisoned, pattern).data
                 assert np.max(np.abs(clean - dirty)) <= 1e-12
                 assert np.array_equal(clean, dirty)
 
@@ -452,8 +454,9 @@ class TestPatterns:
             fusion.fuse(rows, pattern_matrix([(0, 1)], 3))
 
     @pytest.mark.parametrize("available", [np.zeros((2, 3), dtype=bool),
-                                           np.ones((2, 4), dtype=bool)],
-                             ids=["empty-pattern", "wrong-width"])
+                                           np.ones((2, 4), dtype=bool),
+                                           np.ones((2, 3), dtype=int), (0, 1, 2)],
+                             ids=["empty-pattern", "wrong-width", "int-array", "index-tuple"])
     def test_bad_availability_rejected(self, available):
         rng = np.random.default_rng(14)
         fusion = build_fusion("average", 3, 4, rng)

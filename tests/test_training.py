@@ -7,14 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from mvfuse.augmentation import AugPolicy, enumerate_combinations, sensd_mask
+from mvfuse.augmentation import (AugPolicy, enumerate_combinations, pattern_matrix,
+                                 sensd_mask)
 from mvfuse.data import SyntheticConfig, SyntheticViewConfig, generate_synthetic
 from mvfuse.encoders import EncoderConfig, StaticEncoder, TemporalEncoder
 from mvfuse.fusion import AverageFusion, FusionConfig
 from mvfuse.model import (FeatureFusionModel, batch_views, build_model, load_model,
                           save_model)
 from mvfuse.tensor import Adam, Tensor, backward
-from mvfuse.model import PATTERN_ROWS, pattern_matrix
+from mvfuse.model import PATTERN_ROWS
 from mvfuse.training import (EarlyStopper, TrainConfig, batch_loss, class_weights,
                              cross_entropy, train_model, train_step, validation_losses)
 
@@ -158,13 +159,14 @@ class TestComStepMechanics:
 
         shared = tiny_model(ds, seed=3)
         params_shared = shared.parameters()
-        grads_shared = backward(stacked_loss(shared.forward_masks(ds.views, combos),
+        grads_shared = backward(stacked_loss(shared.forward_masks(ds.views,
+                                                                  pattern_matrix(combos, 2)),
                                              ds.y, ds.task), params_shared)
 
         naive = tiny_model(ds, seed=3)
         params_naive = naive.parameters()
-        parts = [batch_loss(naive.forward_masked(ds.views, mask), ds.y, ds.task)
-                 for mask in combos]
+        parts = [batch_loss(naive.forward_masked(ds.views, pattern), ds.y, ds.task)
+                 for pattern in pattern_matrix(combos, 2)]
         grads_naive = backward(mean_loss(parts), params_naive)
 
         for a, b in zip(grads_shared, grads_naive):
@@ -176,7 +178,8 @@ class TestComStepMechanics:
         model = tiny_model(ds, seed=4)
 
         def step_loss(order):
-            return stacked_loss(model.forward_masks(ds.views, order), ds.y, ds.task).item()
+            return stacked_loss(model.forward_masks(ds.views, pattern_matrix(order, 2)), ds.y,
+                                ds.task).item()
 
         assert abs(step_loss(combos) - step_loss(combos[::-1])) <= 1e-12
 
@@ -195,12 +198,13 @@ class TestComStepMechanics:
             return fuse_head(self, rows, available, rng=rng, train=train)
 
         monkeypatch.setattr(FeatureFusionModel, "fuse_head", recorded)
-        outs = model.forward_masks(ds.views, combos)
+        patterns = pattern_matrix(combos, 2)
+        outs = model.forward_masks(ds.views, patterns)
         assert [g.shape[0] for g in groups] == [2, 1]
-        np.testing.assert_array_equal(np.concatenate(groups), pattern_matrix(combos, 2))
+        np.testing.assert_array_equal(np.concatenate(groups), patterns)
         monkeypatch.undo()
-        for k, mask in enumerate(combos):
-            np.testing.assert_allclose(outs.data[k], model.forward_masked(ds.views, mask).data,
+        for k, pattern in enumerate(patterns):
+            np.testing.assert_allclose(outs.data[k], model.forward_masked(ds.views, pattern).data,
                                        rtol=0, atol=1e-12)
 
     def test_no_augmentation_equals_direct_step(self):
@@ -210,7 +214,7 @@ class TestComStepMechanics:
         rng = np.random.default_rng(0)
         stepped = train_step(model, ds.views, ds.y, AugPolicy(kind="none"), None,
                              opt, ds.task, None, rng, rng)
-        direct = batch_loss(model.forward_masked(ds.views, (0, 1)), ds.y,
+        direct = batch_loss(model.forward_masked(ds.views, np.array([True, True])), ds.y,
                             ds.task).item()
         assert abs(stepped - direct) <= 1e-12
 
@@ -228,10 +232,10 @@ class TestComStepMechanics:
     def test_input_level_masking_equals_manual_zeroing(self):
         ds = tiny_dataset(n=8)
         model = tiny_model(ds, level="input")
-        masked = model.forward_masked(ds.views, (0,)).data
+        masked = model.forward_masked(ds.views, np.array([True, False])).data
         zeroed = dict(ds.views)
         zeroed["b"] = np.zeros_like(ds.views["b"])
-        manual = model.forward_masked(zeroed, (0, 1)).data
+        manual = model.forward_masked(zeroed, np.array([True, True])).data
         np.testing.assert_array_equal(masked, manual)
 
     def test_sensd_step_groups_by_mask(self):
@@ -260,8 +264,8 @@ class TestComStepMechanics:
         expected = None
         for mask in sorted(set(masks)):
             idx = np.array([i for i, drawn in enumerate(masks) if drawn == mask])
-            out = twin.forward_masked(batch_views(ds.views, idx), mask, rng=twin_dropout_rng,
-                                      train=True)
+            out = twin.forward_masked(batch_views(ds.views, idx), pattern_matrix([mask], 2)[0],
+                                      rng=twin_dropout_rng, train=True)
             part = batch_loss(out, ds.y[idx], ds.task, None) * (len(idx) / 24)
             expected = part if expected is None else expected + part
         assert len(set(masks)) == 3
@@ -311,16 +315,32 @@ class TestMissingInputPaths:
         ds = categorical_dataset(n=8)
         model = tiny_model(ds, kind=kind, level=level)
         garbage = {"a": ds.views["a"], "c": np.full(8, 7)}  # cardinality is 3
-        np.testing.assert_array_equal(model.forward_masked(garbage, (0,)).data,
-                                      model.forward_masked(ds.views, (0,)).data)
+        first = np.array([True, False])
+        np.testing.assert_array_equal(model.forward_masked(garbage, first).data,
+                                      model.forward_masked(ds.views, first).data)
         with pytest.raises(ValueError, match="out of range"):
-            model.forward_masked(garbage, (0, 1))
+            model.forward_masked(garbage, np.array([True, True]))
 
     def test_empty_mask_raises(self, kind, level):
         ds = categorical_dataset(n=8)
         model = tiny_model(ds, kind=kind, level=level)
         with pytest.raises(ValueError, match="at least one available view"):
-            model.forward_masked(ds.views, ())
+            model.forward_masked(ds.views, np.array([False, False]))
+        # checked before any pattern runs, the full pattern included
+        with pytest.raises(ValueError, match="every pattern needs at least one available view"):
+            model.forward_masks(ds.views, np.array([[True, True], [False, False]]))
+
+    @pytest.mark.parametrize("available", [np.ones((8, 2), dtype=int), [(0, 1)] * 8],
+                             ids=["int-array", "index-tuples"])
+    def test_non_boolean_availability_raises(self, kind, level, available):
+        # an index tuple is never read as booleans: (0, 1) would mean view 1 alone
+        ds = categorical_dataset(n=8)
+        model = tiny_model(ds, kind=kind, level=level)
+        for call in (model.forward_masks, model.predict):
+            with pytest.raises(ValueError, match="must be a boolean array"):
+                call(ds.views, available)
+        with pytest.raises(ValueError, match="must be a boolean array"):
+            model.forward_masked(ds.views, available[0])
 
 
 @pytest.mark.parametrize("kind", ["average", "gated", "cross", "memory", "concat"])
@@ -391,11 +411,11 @@ def test_nan_parameter_fails_predict_and_validation_naming_the_op():
     ds = tiny_dataset(n=20)
     model = tiny_model(ds)
     model.head.W.data = np.full_like(model.head.W.data, np.nan)
-    with pytest.raises(ValueError, match=r"prediction under mask \(0, 1\) is not finite: "
-                                         r".*op 'matmul'"):
-        model.predict(ds.views, np.ones((20, 2), dtype=bool))
-    with pytest.raises(ValueError, match=r"validation output under mask \(0, 1\) is not "
+    with pytest.raises(ValueError, match=r"prediction under views \('a', 'b'\) is not "
                                          r"finite: .*op 'matmul'"):
+        model.predict(ds.views, np.ones((20, 2), dtype=bool))
+    with pytest.raises(ValueError, match=r"validation output under views \('a', 'b'\) is "
+                                         r"not finite: .*op 'matmul'"):
         validation_losses(model, ds, [(0, 1)])
 
 
