@@ -28,10 +28,15 @@ missing views are left out of its normalization, never imputed:
   final layer computes only the token's queries;
 - concat: the zero-filled concatenation times each pattern's mask.
 
-Memory fusion runs its recurrence once per pattern inside ``fuse``. Its
-fused LSTM step is already bound by its arithmetic, and a dense carry over
-every pattern's view slots would step each slot whether its view is present
-or not: twice the arithmetic over the 127 patterns of seven views.
+Memory fusion steps all patterns together. Its first layer has no dropout
+before it, so a state there depends only on the views read so far: every
+distinct ordered prefix of the patterns' view sequences is stepped once, and
+every reversed suffix in the backward direction, all of one length in one
+LSTM step. Later layers step all patterns with the same number of views
+together, with no padding, and read each position's first-layer output from
+the prefix and suffix tables through one-hot products. Over the 127 patterns
+of seven views that is 7 first-layer steps per direction over 127 prefixes
+and 28 later-layer steps over the patterns' 448 view slots.
 
 Random draws (attention dropout, memory's inter-layer dropout and its
 permutation) are made pattern after pattern in the order of ``available``,
@@ -41,6 +46,7 @@ permutation per pattern.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,6 +280,42 @@ class CrossAttentionFusion(Fusion):
         return full.reshape(available.shape[:-1] + full.shape[1:])
 
 
+def _select(table: Tensor, index: list[int], batch: int) -> Tensor:
+    """Blocks ``index`` of ``batch`` rows each from a table of such blocks,
+    as one one-hot product, whose backward is one GEMM too where an advanced
+    index would scatter with ``np.add.at``. The identity and a single block
+    are taken without one."""
+    n = table.shape[0] // batch
+    if index == list(range(n)):
+        return table
+    if len(index) == 1:
+        return table[index[0] * batch:(index[0] + 1) * batch]
+    onehot = np.zeros((len(index), n))
+    onehot[np.arange(len(index)), index] = 1.0
+    return (Tensor(onehot) @ table.reshape((n, -1))).reshape((len(index) * batch, -1))
+
+
+def _prefix_states(cell: LSTMCell, rows: list, seqs: list[tuple], batch: int):
+    """The cell's h after every distinct ordered prefix of the view
+    sequences ``seqs``, from an empty memory. Per length t it returns a map
+    from prefix to block and a table of the n_t prefixes' (B, d_h) blocks
+    stacked along the rows; all prefixes of length t are one step from
+    their parents' states."""
+    where, tables = [{}], [None]
+    for t in range(1, max(map(len, seqs)) + 1):
+        prefixes = list(dict.fromkeys(q[:t] for q in seqs if len(q) >= t))
+        if t == 1:
+            h, c = cell.zero_state((len(prefixes) * batch,))
+        else:
+            parents = [where[-1][p[:-1]] for p in prefixes]
+            h, c = _select(h, parents, batch), _select(c, parents, batch)
+        x = [rows[p[-1]] for p in prefixes]
+        h, c = cell.step(x[0] if len(x) == 1 else concat(x, axis=0), h, c)
+        where.append({p: i for i, p in enumerate(prefixes)})
+        tables.append(h)
+    return where, tables
+
+
 class MemoryFusion(Fusion):
     """Recurrent fusion: a stacked bidirectional LSTM consumes the available
     encodings one view at a time from an empty initial memory; the fused
@@ -281,10 +323,15 @@ class MemoryFusion(Fusion):
 
     Views are fed in declaration order, so this merge is order sensitive; a
     random train-time permutation can be enabled to counter order bias. It
-    draws one permutation per pattern, patterns in order. Each pattern runs
-    its own recurrence: a step's fused LSTM node is already bound by its
-    arithmetic, and a dense carry over all patterns' view slots would step
-    every slot, present or not.
+    draws one permutation per pattern, patterns in order.
+
+    Patterns are stepped together. The first layer has no dropout before
+    it, so its forward state after t views depends only on the pattern's
+    first t views and its backward state only on its last t: every distinct
+    ordered prefix, and every reversed suffix, is stepped once, all of one
+    length in one step. Later layers step all patterns with the same number
+    of views together, reading each position's first-layer output from
+    those prefix and suffix tables.
     """
 
     def __init__(self, d: int, cfg: FusionConfig, rng: np.random.Generator):
@@ -298,34 +345,90 @@ class MemoryFusion(Fusion):
         self.d = d
 
     @staticmethod
-    def _run_direction(cell: LSTMCell, seq: list[Tensor]) -> tuple[list[Tensor], Tensor]:
-        batch = seq[0].shape[0]
-        h, c = cell.zero_state((batch,))
-        outputs = []
+    def _run_direction(cell: LSTMCell, seq: list[Tensor]):
+        """The cell's h after each element of ``seq``, from an empty memory."""
+        h, c = cell.zero_state(seq[0].shape[:-1])
         for x in seq:
             h, c = cell.step(x, h, c)
-            outputs.append(h)
-        return outputs, h
+            yield h
 
-    def _recur(self, seq: list[Tensor], rng, train: bool) -> Tensor:
-        """The final memory state (B, d) after one pattern's views."""
-        if self.permute and train:
-            if rng is None:
-                raise ValueError("permuted memory fusion needs a generator at train time")
-            seq = [seq[i] for i in rng.permutation(len(seq))]
-        final_fwd = final_bwd = None
-        for layer, (fwd, bwd) in enumerate(zip(self.forward_cells, self.backward_cells)):
-            if layer > 0 and train:
-                seq = [self.dropout(x, rng=rng, train=train) for x in seq]
-            out_fwd, final_fwd = self._run_direction(fwd, seq)
-            out_bwd, final_bwd = self._run_direction(bwd, seq[::-1])
-            out_bwd = out_bwd[::-1]
-            seq = [concat([f, b], axis=-1) for f, b in zip(out_fwd, out_bwd)]
-        return concat([final_fwd, final_bwd], axis=-1)
+    def _draws(self, patterns: np.ndarray, lengths: np.ndarray, groups: list[np.ndarray],
+               batch: int, rng, train: bool) -> tuple[list[tuple], list]:
+        """Each pattern's view order and, per group of the G patterns with
+        ``lengths[g]`` = s views, their inter-layer dropout masks (layers - 1,
+        s, G*B, d), B rows per pattern, or None where dropout is the identity.
+
+        Draws are made pattern after pattern as one recurrence per pattern
+        would make them: the permutation, then each later layer's masks
+        position by position.
+        """
+        if self.permute and train and rng is None:
+            raise ValueError("permuted memory fusion needs a generator at train time")
+        later = len(self.forward_cells) - 1
+        drop = train and later > 0 and self.dropout.rate > 0.0
+        keeps = [np.empty((later, s, len(members) * batch, self.d)) if drop else None
+                 for s, members in zip(lengths, groups)]
+        place = {k: (g, j) for g, members in enumerate(groups) for j, k in enumerate(members)}
+        seqs = []
+        for k, pattern in enumerate(patterns):
+            seq = np.flatnonzero(pattern)
+            if self.permute and train:
+                seq = seq[rng.permutation(len(seq))]
+            seqs.append(tuple(seq.tolist()))
+            if drop:
+                g, j = place[k]
+                for layer in range(later):
+                    for t in range(len(seq)):
+                        keeps[g][layer, t, j * batch:(j + 1) * batch] = self.dropout.mask(
+                            (batch, self.d), rng, train)
+        return seqs, keeps
 
     def _fuse(self, rows, patterns, rng, train):
-        return stack([self._recur([rows[v] for v in np.flatnonzero(pattern)], rng, train)
-                      for pattern in patterns], axis=0)
+        batch = next(r.shape[0] for r in rows if r is not None)
+        sizes = patterns.sum(axis=1)
+        lengths, first = np.unique(sizes, return_index=True)
+        groups = [np.flatnonzero(sizes == s) for s in lengths]
+        seqs, keeps = self._draws(patterns, lengths, groups, batch, rng, train)
+        fwd_at, fwd = _prefix_states(self.forward_cells[0], rows, seqs, batch)
+        bwd_at, bwd = _prefix_states(self.backward_cells[0], rows, [q[::-1] for q in seqs], batch)
+        outs = [None] * len(groups)
+        # longest patterns first, so each first-layer table is dropped after its last read
+        for g in reversed(range(len(groups))):
+            group = [seqs[k] for k in groups[g]]
+            s = len(group[0])
+
+            def prefix(t):
+                return _select(fwd[t + 1], [fwd_at[t + 1][q[:t + 1]] for q in group], batch)
+
+            def suffix(t):
+                return _select(bwd[s - t], [bwd_at[s - t][q[t:][::-1]] for q in group], batch)
+
+            if len(self.forward_cells) == 1:
+                final_fwd, final_bwd = prefix(s - 1), suffix(0)
+            else:
+                seq = [concat([prefix(t), suffix(t)], axis=-1) for t in range(s)]
+                for layer, (fwd_cell, bwd_cell) in enumerate(
+                        zip(self.forward_cells[1:], self.backward_cells[1:]), start=1):
+                    if keeps[g] is not None:
+                        seq = [x * Tensor(keeps[g][layer - 1, t]) for t, x in enumerate(seq)]
+                    out_fwd = self._run_direction(fwd_cell, seq)
+                    out_bwd = self._run_direction(bwd_cell, seq[::-1])
+                    if layer == len(self.forward_cells) - 1:
+                        # only the last step of each direction is read, so no
+                        # other step's output is kept
+                        final_fwd, final_bwd = deque(out_fwd, 1)[0], deque(out_bwd, 1)[0]
+                    else:
+                        seq = [concat([f, b], axis=-1)
+                               for f, b in zip(list(out_fwd), list(out_bwd)[::-1])]
+            outs[g] = concat([final_fwd, final_bwd], axis=-1)
+            del fwd[s:], bwd[s:]
+        # groups in the order their length first appears, so patterns already
+        # grouped by length, as enumerate_combinations lists them, keep their order
+        appearance = np.argsort(first)
+        out = concat([outs[g] for g in appearance], axis=0) if len(outs) > 1 else outs[0]
+        order = np.concatenate([groups[g] for g in appearance])
+        out = _select(out, np.argsort(order).tolist(), batch)
+        return out.reshape((len(patterns), batch, self.d))
 
 
 class ConcatFusion(Fusion):

@@ -145,11 +145,13 @@ def run_suite(seeds: Sequence[int] = tuple(range(20)),
         record("masked_softmax", max(errs.values()))
 
         # fusion paths over available subset {0, 2} of 3 views, and over
-        # three views under mixed patterns, one batch fused under each
+        # three views under mixed patterns, one batch fused under each; the
+        # mixed patterns share the prefix (0, 1) and the suffix (1, 2) and
+        # have two lengths, so memory fusion shares first-layer states
         m, d = 3, 4
         rows_avail = [unit((2, d)), None, unit((2, d))]
         rows_all = [unit((2, d)) for _ in range(m)]
-        mixed = np.array([[True, True, False], [False, True, True]])
+        mixed = np.array([[True, True, False], [False, True, True], [True, True, True]])
 
         fusions = [("fusion_average", AverageFusion()),
                    ("fusion_gated", GatedFusion(m, d, rng)),

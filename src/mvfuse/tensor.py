@@ -68,6 +68,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``a^T @ g`` over the last two axes, the gradient of the right operand.
+
+    Where the output is narrower than the input (n < k) it is taken as
+    ``(g^T @ a)^T``: the same product, several times faster in BLAS at a
+    prediction head's (rows, k) x (rows, 3) shape and slower where n > k.
+    """
+    if g.shape[-1] < a.shape[-1]:
+        return np.swapaxes(np.swapaxes(g, -1, -2) @ a, -1, -2)
+    return np.swapaxes(a, -1, -2) @ g
+
+
 def _excluded(exclude, ndim: int, axis: int) -> np.ndarray:
     """``exclude`` as a boolean array of at least ``ndim`` dimensions;
     raises EmptySupportError if it excludes every index of a slice."""
@@ -223,7 +235,7 @@ class Tensor:
                 if a.requires_grad:
                     a._accumulate((g2 @ b.data.T).reshape(a.shape))
                 if b.requires_grad:
-                    b._accumulate(a2.T @ g2)
+                    b._accumulate(_weight_grad(a2, g2))
 
             return Tensor._result(out_data, (a, b), backward, "matmul")
 
@@ -231,7 +243,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+                b._accumulate(_unbroadcast(_weight_grad(a.data, g), b.shape))
 
         return Tensor._result(a.data @ b.data, (a, b), backward, "matmul")
 

@@ -14,7 +14,8 @@ from mvfuse.fusion import (AverageFusion, ConcatFusion, CrossAttentionFusion,
                            make_fusion)
 from mvfuse.gradcheck import check_gradients
 from mvfuse.model import InputConcatModel
-from mvfuse.tensor import Tensor, backward, stack
+from mvfuse import layers as layers_module
+from mvfuse.tensor import Tensor, backward, lstm, stack
 
 
 def rows_for(m, d, rng, mask, batch=1):
@@ -406,15 +407,11 @@ class TestPatterns:
     """One fuse call over many availability patterns equals one call per
     pattern, draws from the generator included."""
 
-    @pytest.mark.parametrize("kind", ALL_DYNAMIC + ["concat"])
-    def test_all_patterns_match_one_call_per_pattern(self, kind):
-        m, d = 3, 4
-        rng = np.random.default_rng(10)
-        fusion = dropout_fusion(kind, m, d, rng)
-        rows = [Tensor(rng.normal(size=(5, d)), requires_grad=True) for _ in range(m)]
-        available = pattern_matrix(enumerate_combinations(m), m)
+    @staticmethod
+    def assert_matches_one_call_per_pattern(fusion, rows, available, rng):
+        """Train-time outputs (1e-12) and gradients (1e-10) of one call equal
+        those of one call per pattern drawing from the same generator."""
         params = rows + fusion.parameters()
-
         fused = fusion.fuse(rows, available, rng=np.random.default_rng(11), train=True)
         readout = rng.normal(size=fused.shape)
         grads = backward((fused * Tensor(readout)).sum(), params)
@@ -431,6 +428,62 @@ class TestPatterns:
         np.testing.assert_allclose(fused.data, oracle.data, rtol=0, atol=1e-12)
         for got, expected in zip(grads, oracle_grads):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ALL_DYNAMIC + ["concat"])
+    def test_all_patterns_match_one_call_per_pattern(self, kind):
+        m, d = 3, 4
+        rng = np.random.default_rng(10)
+        fusion = dropout_fusion(kind, m, d, rng)
+        rows = [Tensor(rng.normal(size=(5, d)), requires_grad=True) for _ in range(m)]
+        self.assert_matches_one_call_per_pattern(
+            fusion, rows, pattern_matrix(enumerate_combinations(m), m), rng)
+
+    @pytest.mark.parametrize("permute", [False, True], ids=["ordered", "permute"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_memory_in_any_pattern_order_matches_one_call_per_pattern(self, layers, permute):
+        # all 31 patterns of five views out of size order, as predict sends them
+        m, d = 5, 4
+        rng = np.random.default_rng(20 + layers)
+        fusion = make_fusion(FusionConfig(kind="memory", layers=layers, dropout=0.3,
+                                          permute=permute), m, d, rng)
+        rows = [Tensor(rng.normal(size=(3, d)), requires_grad=True) for _ in range(m)]
+        available = pattern_matrix(enumerate_combinations(m), m)
+        self.assert_matches_one_call_per_pattern(
+            fusion, rows, available[rng.permutation(len(available))], rng)
+
+    def test_memory_steps_each_prefix_and_pattern_length_once(self, monkeypatch):
+        # the 31 patterns of five views hold 80 view slots; the first layer
+        # steps each of the 31 distinct prefixes (and suffixes) once, at most
+        # one step per length, the second one step per position of each
+        # length: 1 + 2 + 3 + 4 + 5 = 15
+        m, batch = 5, 4
+        rng = np.random.default_rng(22)
+        fusion = make_fusion(FusionConfig(kind="memory", layers=2, dropout=0.0), m, 4, rng)
+        steps = []
+        for layer, cells in enumerate(zip(fusion.forward_cells, fusion.backward_cells)):
+            for direction, cell in enumerate(cells):
+                def spy(x, h, c, step=cell.step, key=(layer, direction)):
+                    steps.append((key, x.size // x.shape[-1]))
+                    return step(x, h, c)
+                monkeypatch.setattr(cell, "step", spy)
+        lstm_nodes = []
+
+        def counted_lstm(z, c_prev):
+            lstm_nodes.append(z.shape)
+            return lstm(z, c_prev)
+
+        monkeypatch.setattr(layers_module, "lstm", counted_lstm)
+        rows = rows_for(m, 4, rng, range(m), batch=batch)
+        fusion.fuse(rows, pattern_matrix(enumerate_combinations(m), m))
+
+        assert len(lstm_nodes) == len(steps) <= 2 * m + 2 * 15
+        for direction in (0, 1):
+            first = [n for key, n in steps if key == (0, direction)]
+            later = [n for key, n in steps if key == (1, direction)]
+            assert sum(first) == 31 * batch
+            assert len(first) <= m
+            assert sum(later) == 80 * batch
+            assert len(later) <= 15
 
     @pytest.mark.parametrize("kind", ALL_DYNAMIC + ["concat"])
     def test_leading_axes_of_availability_shape_the_output(self, kind):

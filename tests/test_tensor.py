@@ -228,6 +228,24 @@ def test_batched_matmul_gradients():
     assert max(errs.values()) < 1e-4
 
 
+@pytest.mark.parametrize("a_shape, w_shape", [((40, 9), (9, 3)), ((40, 3), (3, 9)),
+                                               ((2, 20, 9), (9, 3)), ((2, 20, 3), (2, 3, 9)),
+                                               ((2, 20, 9), (2, 9, 3))],
+                         ids=["narrow", "wide", "folded-narrow", "batched-wide",
+                              "batched-narrow"])
+def test_weight_gradient_is_input_transpose_times_output_gradient(a_shape, w_shape):
+    # the product is taken in either orientation, chosen by shape
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.normal(size=a_shape))
+    w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+    readout = rng.normal(size=a_shape[:-1] + w_shape[-1:])
+    (a @ w * Tensor(readout)).sum().backward()
+    expected = np.swapaxes(a.data, -1, -2) @ readout
+    if len(w_shape) < len(a_shape):
+        expected = expected.sum(axis=0)
+    np.testing.assert_allclose(w.grad, expected, rtol=1e-13, atol=1e-13)
+
+
 @pytest.mark.parametrize("shapes", [(4, (4, 3)), ((3, 4), 4), (4, 4)],
                          ids=["vector-matrix", "matrix-vector", "vector-vector"])
 def test_vector_operand_to_matmul_raises(shapes):
