@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -38,20 +37,17 @@ class AugPolicy:
             raise ValueError("tempd_ratio must be in [0, 1)")
 
 
-def enumerate_combinations(views) -> list[tuple]:
-    """All non-empty view subsets, largest first, then lexicographic.
+def enumerate_combinations(m: int) -> list[tuple[int, ...]]:
+    """All non-empty subsets of ``range(m)``, largest first, then lexicographic.
 
-    ``views`` is a view count or a sequence of view identifiers. The order is
-    deterministic so training runs are reproducible; the combination loss is
-    order invariant, so the choice costs nothing.
+    The order is deterministic so training runs are reproducible; the
+    combination loss is order invariant, so the choice costs nothing.
     """
-    items: Sequence = range(views) if isinstance(views, int) else list(views)
-    m = len(items)
     if m < 1:
         raise ValueError("need at least one view")
-    out: list[tuple] = []
+    out: list[tuple[int, ...]] = []
     for size in range(m, 0, -1):
-        out.extend(combinations(items, size))
+        out.extend(combinations(range(m), size))
     return out
 
 

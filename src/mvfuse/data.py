@@ -58,7 +58,7 @@ class MultiViewDataset:
 
     ``views[id]`` is (N, T, c) for temporal views, (N, c) for static views,
     and (N,) integer codes for categorical views. Targets are integer class
-    labels or float regression values.
+    labels in [0, n_classes) or float regression values.
     """
 
     def __init__(self, view_specs: list[ViewSpec], views: dict[str, np.ndarray],
@@ -79,6 +79,12 @@ class MultiViewDataset:
                 raise RowCountError(
                     f"view {spec.id!r} has {rows} samples, targets have {n}")
             _check_view(spec, self.views[spec.id])
+        if task == "classification":
+            if n_classes is None or n_classes < 2:
+                raise DataError(f"classification needs classes >= 2, got {n_classes!r}")
+            if n and (self.y.min() < 0 or self.y.max() >= n_classes):
+                raise DataError(f"targets have labels outside [0, {n_classes}) "
+                                f"for classes {n_classes}")
 
     @property
     def n_samples(self) -> int:
@@ -290,6 +296,16 @@ def _float_field(text: str, where: str) -> float:
     return value
 
 
+def _int_field(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        value = _float_field(text, where)
+    if not value.is_integer():
+        raise MalformedFieldError(f"{where}: {text!r} is not an integer")
+    return int(value)
+
+
 def save_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:
     """Write one CSV per view plus targets and a JSON manifest; returns the manifest path."""
     out = Path(out_dir)
@@ -332,11 +348,28 @@ def save_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:
     return manifest_path
 
 
-def _required(node, key: str, where: str):
-    """``node[key]``, or a DataError naming the key missing from ``where``."""
+def _required(node, key: str, where: str, valid=None, expected: str = ""):
+    """``node[key]``, or a DataError naming the key if ``where`` lacks it or,
+    given ``valid``, if ``valid(node[key])`` is false: it must be ``expected``."""
     if not isinstance(node, dict) or key not in node:
         raise DataError(f"{where} is missing required key {key!r}")
+    if valid is not None and not valid(node[key]):
+        raise DataError(f"{where} key {key!r} must be {expected}, got {node[key]!r}")
     return node[key]
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _count(least: int):
+    """A check that a value is an integer >= ``least``."""
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _counts(n: int):
+    """A check that a value is a list of ``n`` integers >= 1."""
+    return lambda v: isinstance(v, list) and len(v) == n and all(map(_count(1), v))
 
 
 def _csv_rows(path: Path):
@@ -360,7 +393,9 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     targets = _required(manifest, "targets", f"manifest {manifest_path}")
     where = f"manifest {manifest_path} targets"
     task = _required(targets, "task", where)
-    target_file = base / _required(targets, "path", where)
+    if "classes" in targets:
+        _required(targets, "classes", where, _count(2), "an integer >= 2")
+    target_file = base / _required(targets, "path", where, _is_str, "a string")
     if not target_file.exists():
         raise FileNotFoundError(f"targets file not found: {target_file}")
     y_vals = []
@@ -368,23 +403,25 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
         reader = csv.DictReader(fh)
         if "y" not in (reader.fieldnames or []):
             raise DataError(f"targets file {target_file} has no 'y' column")
+        label = _int_field if task == "classification" else _float_field
         for ln, row in enumerate(reader, start=2):
-            y_vals.append(_float_field(row["y"], f"{target_file}:{ln}"))
-    y = np.asarray(y_vals)
+            y_vals.append(label(row["y"], f"{target_file}:{ln}"))
+    y = np.asarray(y_vals, dtype=np.int64 if task == "classification" else np.float64)
     n = y.shape[0]
-    if task == "classification":
-        y = y.astype(np.int64)
 
     specs: list[ViewSpec] = []
     views: dict[str, np.ndarray] = {}
-    for v, entry in enumerate(_required(manifest, "views", f"manifest {manifest_path}")):
+    entries = _required(manifest, "views", f"manifest {manifest_path}",
+                        lambda v: isinstance(v, list), "a list")
+    for v, entry in enumerate(entries):
         where = f"manifest {manifest_path} views[{v}]"
-        vid, kind = _required(entry, "id", where), _required(entry, "kind", where)
-        path = base / _required(entry, "path", where)
+        vid = _required(entry, "id", where, _is_str, "a string")
+        kind = _required(entry, "kind", where)
+        path = base / _required(entry, "path", where, _is_str, "a string")
         if not path.exists():
             raise FileNotFoundError(f"view file not found: {path}")
         if kind == "temporal":
-            T, c = _required(entry, "dims", where)
+            T, c = _required(entry, "dims", where, _counts(2), "a list of 2 integers >= 1")
             spec = ViewSpec(id=vid, kind=kind, time_steps=T, channels=c)
             arr = np.full((n, T, c), np.nan)
             for ln, row in _csv_rows(path):
@@ -392,8 +429,7 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
                 if len(row) != c + 2:
                     raise DataError(f"{where}: expected sample_id, t and {c} values, "
                                     f"got {len(row)} fields")
-                i = int(_float_field(row[0], where))
-                t = int(_float_field(row[1], where))
+                i, t = _int_field(row[0], where), _int_field(row[1], where)
                 if not 0 <= i < n:
                     raise RowCountError(
                         f"view {vid!r} references sample {i}, targets have {n} rows")
@@ -403,7 +439,7 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
             if np.isnan(arr).any():
                 raise RowCountError(f"view {vid!r} is missing (sample, step) rows")
         elif kind == "static":
-            (c,) = _required(entry, "dims", where)
+            (c,) = _required(entry, "dims", where, _counts(1), "a list of 1 integer >= 1")
             spec = ViewSpec(id=vid, kind=kind, channels=c)
             rows = []
             for ln, row in _csv_rows(path):
@@ -412,13 +448,13 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
                 rows.append([_float_field(v, f"{path}:{ln}") for v in row])
             arr = np.asarray(rows).reshape(len(rows), c)
         elif kind == "categorical":
-            card = _required(entry, "cardinality", where)
+            card = _required(entry, "cardinality", where, _count(2), "an integer >= 2")
             spec = ViewSpec(id=vid, kind=kind, cardinality=card)
             codes = []
             for ln, row in _csv_rows(path):
                 if len(row) != 1:
                     raise DataError(f"{path}:{ln}: expected 1 code, got {len(row)} fields")
-                codes.append(int(_float_field(row[0], f"{path}:{ln}")))
+                codes.append(_int_field(row[0], f"{path}:{ln}"))
             arr = np.asarray(codes, dtype=np.int64)
         else:
             raise UnknownViewError(f"view {vid!r} has unknown kind {kind!r}")

@@ -281,7 +281,7 @@ def evaluate_scenarios(model: _BaseModel, ds: MultiViewDataset,
 
 
 def sweep(model: _BaseModel, ds: MultiViewDataset, view: str, grid: list[float],
-          seed: int, fold: int = 0) -> EvalReport:
+          seed: int) -> EvalReport:
     """Fraction sweep over one view; masked sets are nested across the grid."""
     scenarios = [MissingScenario(kind="fraction", view=view, p=float(p)) for p in grid]
-    return evaluate_scenarios(model, ds, scenarios, seed, fold=fold)
+    return evaluate_scenarios(model, ds, scenarios, seed)

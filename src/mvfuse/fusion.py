@@ -46,7 +46,6 @@ permutation per pattern.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,12 +344,16 @@ class MemoryFusion(Fusion):
         self.d = d
 
     @staticmethod
-    def _run_direction(cell: LSTMCell, seq: list[Tensor]):
-        """The cell's h after each element of ``seq``, from an empty memory."""
+    def _run_direction(cell: LSTMCell, seq: list[Tensor], every: bool) -> list[Tensor]:
+        """The cell's h after each element of ``seq`` from an empty memory or,
+        unless ``every``, after the last one alone, so no other h is kept."""
         h, c = cell.zero_state(seq[0].shape[:-1])
+        hs = []
         for x in seq:
             h, c = cell.step(x, h, c)
-            yield h
+            if every:
+                hs.append(h)
+        return hs if every else [h]
 
     def _draws(self, patterns: np.ndarray, lengths: np.ndarray, groups: list[np.ndarray],
                batch: int, rng, train: bool) -> tuple[list[tuple], list]:
@@ -403,24 +406,20 @@ class MemoryFusion(Fusion):
             def suffix(t):
                 return _select(bwd[s - t], [bwd_at[s - t][q[t:][::-1]] for q in group], batch)
 
+            # the last layer's output is the forward state after the last view
+            # next to the backward state after the first
             if len(self.forward_cells) == 1:
-                final_fwd, final_bwd = prefix(s - 1), suffix(0)
+                seq = [concat([prefix(s - 1), suffix(0)], axis=-1)]
             else:
                 seq = [concat([prefix(t), suffix(t)], axis=-1) for t in range(s)]
-                for layer, (fwd_cell, bwd_cell) in enumerate(
-                        zip(self.forward_cells[1:], self.backward_cells[1:]), start=1):
-                    if keeps[g] is not None:
-                        seq = [x * Tensor(keeps[g][layer - 1, t]) for t, x in enumerate(seq)]
-                    out_fwd = self._run_direction(fwd_cell, seq)
-                    out_bwd = self._run_direction(bwd_cell, seq[::-1])
-                    if layer == len(self.forward_cells) - 1:
-                        # only the last step of each direction is read, so no
-                        # other step's output is kept
-                        final_fwd, final_bwd = deque(out_fwd, 1)[0], deque(out_bwd, 1)[0]
-                    else:
-                        seq = [concat([f, b], axis=-1)
-                               for f, b in zip(list(out_fwd), list(out_bwd)[::-1])]
-            outs[g] = concat([final_fwd, final_bwd], axis=-1)
+            for layer in range(1, len(self.forward_cells)):
+                every = layer < len(self.forward_cells) - 1
+                if keeps[g] is not None:
+                    seq = [x * Tensor(keeps[g][layer - 1, t]) for t, x in enumerate(seq)]
+                out_fwd = self._run_direction(self.forward_cells[layer], seq, every)
+                out_bwd = self._run_direction(self.backward_cells[layer], seq[::-1], every)
+                seq = [concat([f, b], axis=-1) for f, b in zip(out_fwd, out_bwd[::-1])]
+            outs[g] = seq[0]
             del fwd[s:], bwd[s:]
         # groups in the order their length first appears, so patterns already
         # grouped by length, as enumerate_combinations lists them, keep their order

@@ -15,12 +15,11 @@ import numpy as np
 
 from .tensor import Tensor, backward
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
 
 
-def numerical_gradient(f: Callable[[], float], x: np.ndarray,
-                       h: float = DEFAULT_STEP) -> np.ndarray:
+def numerical_gradient(f: Callable[[], float], x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of ``f`` with respect to ``x``.
 
     ``f`` must read ``x`` afresh on every call; ``x`` is perturbed in place
@@ -31,12 +30,12 @@ def numerical_gradient(f: Callable[[], float], x: np.ndarray,
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + STEP
         up = f()
-        flat[i] = orig - h
+        flat[i] = orig - STEP
         down = f()
         flat[i] = orig
-        gflat[i] = (up - down) / (2.0 * h)
+        gflat[i] = (up - down) / (2.0 * STEP)
     return grad
 
 
@@ -47,8 +46,7 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def check_gradients(build_loss: Callable[[], Tensor],
-                    params: Mapping[str, Tensor],
-                    h: float = DEFAULT_STEP) -> dict[str, float]:
+                    params: Mapping[str, Tensor]) -> dict[str, float]:
     """Compare reverse-mode gradients of a scalar loss against central differences.
 
     ``build_loss`` must run a deterministic forward pass that closes over the
@@ -59,7 +57,7 @@ def check_gradients(build_loss: Callable[[], Tensor],
     analytic = backward(build_loss(), list(params.values()))
     errors = {}
     for (name, p), grad in zip(params.items(), analytic):
-        numeric = numerical_gradient(lambda: build_loss().item(), p.data, h=h)
+        numeric = numerical_gradient(lambda: build_loss().item(), p.data)
         errors[name] = relative_error(grad, numeric)
     return errors
 
@@ -68,8 +66,7 @@ def _sum_squares(t: Tensor) -> Tensor:
     return (t * t).sum() * 0.5
 
 
-def run_suite(seeds: Sequence[int] = tuple(range(20)),
-              h: float = DEFAULT_STEP) -> dict[str, float]:
+def run_suite(seeds: Sequence[int] = tuple(range(20))) -> dict[str, float]:
     """Gradient-check every layer and fusion path over the given seeds.
 
     Returns the max relative error per case, aggregated over seeds. Shapes
@@ -94,14 +91,14 @@ def run_suite(seeds: Sequence[int] = tuple(range(20)),
         x = unit((3, 4))
         aff = layers.Affine(4, 5, rng)
         params = {"x": x, "W": aff.W, "b": aff.b}
-        errs = check_gradients(lambda: _sum_squares(aff(x)), params, h=h)
+        errs = check_gradients(lambda: _sum_squares(aff(x)), params)
         record("affine", max(errs.values()))
 
         # conv1d, same padding
         x = unit((6, 3))
         conv = layers.Conv1d(3, 4, rng, kernel=3)
         params = {"x": x, "W": conv.W, "b": conv.b}
-        errs = check_gradients(lambda: _sum_squares(conv(x)), params, h=h)
+        errs = check_gradients(lambda: _sum_squares(conv(x)), params)
         record("conv1d", max(errs.values()))
 
         # layer norm
@@ -110,7 +107,7 @@ def run_suite(seeds: Sequence[int] = tuple(range(20)),
         ln.gain.data = rng.uniform(0.5, 1.5, size=6)
         ln.shift.data = rng.uniform(-0.5, 0.5, size=6)
         params = {"x": x, "gain": ln.gain, "shift": ln.shift}
-        errs = check_gradients(lambda: _sum_squares(ln(x)), params, h=h)
+        errs = check_gradients(lambda: _sum_squares(ln(x)), params)
         record("layer_norm", max(errs.values()))
 
         # lstm cell, three chained steps
@@ -126,22 +123,21 @@ def run_suite(seeds: Sequence[int] = tuple(range(20)),
                 h_t, c_t = cell.step(x_t, h_t, c_t)
             return _sum_squares(h_t)
 
-        errs = check_gradients(lstm_loss, params, h=h)
+        errs = check_gradients(lstm_loss, params)
         record("lstm", max(errs.values()))
 
         # multi-head attention
         z = unit((1, 3, 8))
         mha = layers.MultiHeadAttention(8, heads=2, rng=rng)
         params = {"z": z, "W_Q": mha.W_Q, "W_K": mha.W_K, "W_V": mha.W_V}
-        errs = check_gradients(lambda: _sum_squares(mha(z)), params, h=h)
+        errs = check_gradients(lambda: _sum_squares(mha(z)), params)
         record("attention", max(errs.values()))
 
         # masked softmax
         x = unit((4, 5))
         mask = np.zeros(5, dtype=bool)
         mask[[1, 3]] = True
-        errs = check_gradients(
-            lambda: _sum_squares(x.softmax(axis=-1, exclude=mask)), {"x": x}, h=h)
+        errs = check_gradients(lambda: _sum_squares(x.softmax(axis=-1, exclude=mask)), {"x": x})
         record("masked_softmax", max(errs.values()))
 
         # fusion paths over available subset {0, 2} of 3 views, and over
@@ -164,8 +160,7 @@ def run_suite(seeds: Sequence[int] = tuple(range(20)),
                                             ("_mixed", rows_all, mixed)):
                 params = {f"z{i}": r for i, r in enumerate(rows) if r is not None}
                 params.update(dict(fusion.named_parameters(name)))
-                errs = check_gradients(
-                    lambda: _sum_squares(fusion.fuse(rows, available)), params, h=h)
+                errs = check_gradients(lambda: _sum_squares(fusion.fuse(rows, available)), params)
                 record(name + suffix, max(errs.values()))
 
     return results

@@ -88,14 +88,13 @@ class Conv1d(Module):
 class LayerNorm(Module):
     """Normalize the last axis to zero mean and unit variance, then scale and shift.
 
-    The variance guard eps is tiny (1e-12) so normalized variance is 1 up to
+    The variance guard is tiny (1e-12) so normalized variance is 1 up to
     1e-9 on ordinary inputs; a constant input maps to the shift vector.
     """
 
-    def __init__(self, dim: int, eps: float = 1e-12):
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.shift = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
         self.dim = dim
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -104,7 +103,7 @@ class LayerNorm(Module):
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)
-        normalized = centered * (var + self.eps) ** -0.5
+        normalized = centered * (var + 1e-12) ** -0.5
         return normalized * self.gain + self.shift
 
 
@@ -143,11 +142,10 @@ class LSTMCell(Module):
     matmul, bias add, one fused ``lstm`` node and the h/c split.
     """
 
-    def __init__(self, d_in: int, d_h: int, rng: np.random.Generator,
-                 forget_bias: float = 1.0):
+    def __init__(self, d_in: int, d_h: int, rng: np.random.Generator):
         self.W = glorot(rng, d_in + d_h, 4 * d_h, (d_in + d_h, 4 * d_h))
         bias = np.zeros(4 * d_h)
-        bias[d_h:2 * d_h] = forget_bias
+        bias[d_h:2 * d_h] = 1.0
         self.b = Tensor(bias, requires_grad=True)
         self.d_in = d_in
         self.d_h = d_h

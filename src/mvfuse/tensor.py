@@ -154,9 +154,6 @@ class Tensor:
             raise ValueError(f"item() needs a tensor of size 1, got shape {self.shape}")
         return self.data.item()
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, op={self.op or 'leaf'})"
-
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
@@ -197,18 +194,6 @@ class Tensor:
         return Tensor._result(out_data, (a, b), backward, "mul")
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        a, b = self, _coerce(other)
-        out_data = a.data / b.data
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-        return Tensor._result(out_data, (a, b), backward, "div")
 
     def __pow__(self, exponent: float) -> "Tensor":
         a, p = self, float(exponent)
@@ -265,41 +250,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- elementwise nonlinearities ---------------------------------------------
-
-    def exp(self) -> "Tensor":
-        a = self
-        out_data = np.exp(a.data)
-
-        def backward(g):
-            a._accumulate(g * out_data)
-
-        return Tensor._result(out_data, (a,), backward, "exp")
-
-    def log(self) -> "Tensor":
-        a = self
-
-        def backward(g):
-            a._accumulate(g / a.data)
-
-        return Tensor._result(np.log(a.data), (a,), backward, "log")
-
-    def tanh(self) -> "Tensor":
-        a = self
-        out_data = np.tanh(a.data)
-
-        def backward(g):
-            a._accumulate(g * (1.0 - out_data * out_data))
-
-        return Tensor._result(out_data, (a,), backward, "tanh")
-
-    def sigmoid(self) -> "Tensor":
-        a = self
-        out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-        def backward(g):
-            a._accumulate(g * out_data * (1.0 - out_data))
-
-        return Tensor._result(out_data, (a,), backward, "sigmoid")
 
     def relu(self) -> "Tensor":
         a = self
@@ -550,17 +500,15 @@ class Adam:
 
     State holds the step count plus first- and second-moment accumulators,
     one pair per parameter, shapes matching the parameters. The update is
-    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``; a zero gradient from a fresh
+    ``p -= lr * m_hat / (sqrt(v_hat) + EPS)``; a zero gradient from a fresh
     state therefore leaves the parameter untouched.
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -580,11 +528,11 @@ class Adam:
                 raise ValueError(f"gradient of parameter {i} (shape {p.data.shape}) is not finite")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - self.BETA1**t
+        bc2 = 1.0 - self.BETA2**t
         for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            self.m[i] = self.BETA1 * self.m[i] + (1.0 - self.BETA1) * g
+            self.v[i] = self.BETA2 * self.v[i] + (1.0 - self.BETA2) * g * g
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)

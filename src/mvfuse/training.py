@@ -213,7 +213,7 @@ def train_model(model: _BaseModel, ds_train: MultiViewDataset,
             epoch_loss += train_step(model, views, ds_train.y[idx], aug, combos,
                                      optimizer, task, weights, mask_rng, dropout_rng)
             steps += 1
-        val = validation_losses(model, ds_val, combos if aug.kind == "com" else [full])
+        val = validation_losses(model, ds_val, combos)
         val_loss = val[full]
         record = {"epoch": epoch, "train_loss": epoch_loss / steps, "val_loss": val_loss}
         if aug.kind == "com":

@@ -17,15 +17,11 @@ def bitmask_oracle(m):
 
 class TestEnumerateCombinations:
     def test_three_named_views_match_expected_order(self):
-        combos = enumerate_combinations(["optical", "radar", "weather"])
-        assert combos == [
-            ("optical", "radar", "weather"),
-            ("optical", "radar"), ("optical", "weather"), ("radar", "weather"),
-            ("optical",), ("radar",), ("weather",),
-        ]
+        combos = enumerate_combinations(3)
+        assert combos == [(0, 1, 2), (0, 1), (0, 2), (1, 2), (0,), (1,), (2,)]
 
     def test_single_view(self):
-        assert enumerate_combinations(["v"]) == [("v",)]
+        assert enumerate_combinations(1) == [(0,)]
 
     def test_four_views_give_fifteen(self):
         assert len(enumerate_combinations(4)) == 15

@@ -1,6 +1,9 @@
 """Command line: artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +349,35 @@ def drop_line(path, line):
     path.write_text("\n".join(lines[:line - 1] + lines[line:]) + "\n")
 
 
+def edit_manifest(d, change):
+    """Apply ``change`` to the parsed manifest of the dataset in ``d``."""
+    path = d / "manifest.json"
+    manifest = json.loads(path.read_text())
+    change(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def add_categorical(d, cardinality):
+    """Add a categorical view with codes 0..2 and the given manifest cardinality."""
+    (d / "view_cover.csv").write_text("code\n0\n1\n2\n0\n")
+    edit_manifest(d, lambda m: m["views"].append(
+        {"id": "cover", "kind": "categorical", "path": "view_cover.csv",
+         "cardinality": cardinality}))
+
+
+def set_key(*path_and_value):
+    """An edit that sets the manifest node at the key path to the value."""
+    *parents, key, value = path_and_value
+
+    def change(manifest):
+        node = manifest
+        for name in parents:
+            node = node[name]
+        node[key] = value
+
+    return lambda d: edit_manifest(d, change)
+
+
 # (edit of a copy of the toy dataset, typed error, words of its message)
 BROKEN_DATA = [
     pytest.param(lambda d: (d / "manifest.json").unlink(), "FileNotFoundError",
@@ -363,6 +395,25 @@ BROKEN_DATA = [
     pytest.param(lambda d: replace_field(d / "view_soil.csv", 3, 1, "nan"),
                  "MalformedFieldError", "view_soil.csv:3: 'nan' is not a finite number",
                  id="non-finite-value"),
+    pytest.param(set_key("targets", "classes", "3"), "DataError",
+                 "targets key 'classes' must be an integer >= 2, got '3'", id="classes-string"),
+    pytest.param(set_key("views", 0, "dims", 3), "DataError",
+                 "views[0] key 'dims' must be a list of 2 integers >= 1, got 3", id="dims-int"),
+    pytest.param(set_key("views", 0, "dims", ["4", 2]), "DataError",
+                 "views[0] key 'dims' must be a list of 2 integers >= 1, got ['4', 2]",
+                 id="dims-string-entry"),
+    pytest.param(set_key("views", 0, "dims", [4]), "DataError",
+                 "views[0] key 'dims' must be a list of 2 integers >= 1, got [4]",
+                 id="temporal-dims-too-short"),
+    pytest.param(lambda d: add_categorical(d, "3"), "DataError",
+                 "views[2] key 'cardinality' must be an integer >= 2, got '3'",
+                 id="cardinality-string"),
+    pytest.param(set_key("views", 5), "DataError", "key 'views' must be a list, got 5",
+                 id="views-int"),
+    pytest.param(set_key("views", 0, "id", 7), "DataError",
+                 "views[0] key 'id' must be a string, got 7", id="id-int"),
+    pytest.param(lambda d: replace_field(d / "targets.csv", 3, 0, "2"), "DataError",
+                 "targets have labels outside [0, 2) for classes 2", id="label-beyond-classes"),
 ]
 
 
@@ -412,3 +463,18 @@ class TestBoundaries:
         assert record == {"error": "config",
                           "message": "synth needs a data.synthetic section"}
         assert not out.exists()
+
+
+def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
+    raw = base_config()
+    raw["fusion"]["kind"] = "median"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "mvfuse.cli", "train", "--config",
+                           write_config(tmp_path, raw), "--out", str(tmp_path / "run")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    record = json.loads(proc.stderr)
+    assert record["error"] == "config"
+    assert "median" in record["message"]

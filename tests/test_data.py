@@ -235,6 +235,35 @@ class TestLoaderErrors:
                            match=rf"{file}:{line}: '{text}' is not a finite number"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("file, line, field, text", [
+        ("view_optical.csv", 2, 0, "1.5"), ("view_optical.csv", 3, 1, "0.5"),
+        ("view_cover.csv", 3, 0, "1.5"), ("targets.csv", 2, 0, "0.7")],
+        ids=["sample_id", "t", "code", "label"])
+    def test_integer_field_must_be_integral(self, tmp_path, file, line, field, text):
+        manifest = self._write_broken(
+            tmp_path, lambda base: replace_field(base / file, line, field, text))
+        with pytest.raises(MalformedFieldError,
+                           match=rf"{file}:{line}: '{text}' is not an integer"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("label", ["2", "-1"])
+    def test_label_outside_classes_rejected_at_load(self, tmp_path, label):
+        manifest = toy_copy(tmp_path)
+        replace_field(tmp_path / "targets.csv", 4, 0, label)
+        with pytest.raises(DataError, match=r"labels outside \[0, 2\) for classes 2"):
+            load_dataset(manifest)
+
+    def test_classes_inferred_from_the_largest_label(self, tmp_path):
+        manifest = toy_copy(tmp_path)
+        data = json.loads(manifest.read_text())
+        del data["targets"]["classes"]
+        manifest.write_text(json.dumps(data))
+        replace_field(tmp_path / "targets.csv", 3, 0, "2")
+        assert load_dataset(manifest).n_classes == 3
+        (tmp_path / "targets.csv").write_text("y\n0\n0\n0\n0\n")
+        with pytest.raises(DataError, match="classification needs classes >= 2, got 1"):
+            load_dataset(manifest)
+
     def test_unknown_view_kind(self, tmp_path):
         manifest = self._write_broken(tmp_path, lambda base: None)
         data = json.loads(manifest.read_text())

@@ -218,7 +218,7 @@ def lstm_oracle(x, h, c, W, b):
 
 class TestLSTM:
     def test_all_zero_parameters_give_zero_hidden(self):
-        cell = LSTMCell(3, 4, np.random.default_rng(0), forget_bias=0.0)
+        cell = LSTMCell(3, 4, np.random.default_rng(0))
         cell.W.data = np.zeros_like(cell.W.data)
         cell.b.data = np.zeros_like(cell.b.data)
         h, c = cell.zero_state((2,))

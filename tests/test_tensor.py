@@ -125,7 +125,7 @@ class TestBackward:
         w2 = Tensor(rng.uniform(-1, 1, (5, 2)), requires_grad=True)
 
         def loss():
-            return sum_sq((x @ w1 + b1).tanh() @ w2)
+            return sum_sq((x @ w1 + b1).relu() @ w2)
 
         errs = check_gradients(loss, {"x": x, "w1": w1, "b1": b1, "w2": w2})
         assert max(errs.values()) < 1e-4
@@ -144,7 +144,7 @@ class TestBackward:
 
         def loss():
             h = x @ w
-            deep = (h.tanh() * h).sigmoid() @ w
+            deep = (h.softmax(axis=-1) * h).log_softmax(axis=-1) @ w
             return sum_sq(deep + h + x)
 
         errs = check_gradients(loss, {"x": x, "w": w})
@@ -183,15 +183,10 @@ OPS = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
     "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / (b + 2.5),
     "matmul": lambda a, b: a @ b.transpose((1, 0)),
     "matmul_3d_2d": lambda a, b: a.reshape((2, 1, 3)) @ b.transpose((1, 0)),
     "pow": lambda a, b: ((a * a) + 0.5) ** 1.5,
-    "exp": lambda a, b: a.exp(),
-    "log": lambda a, b: ((a * a) + 0.5).log(),
-    "tanh": lambda a, b: a.tanh(),
     "unfold": lambda a, b: a.unfold(3),
-    "sigmoid": lambda a, b: a.sigmoid(),
     "relu": lambda a, b: (a + 0.01).relu(),
     "mean_axis": lambda a, b: a.mean(axis=0),
     "sum_keepdims": lambda a, b: a.sum(axis=1, keepdims=True),
@@ -283,7 +278,8 @@ def test_operand_without_gradient_gets_no_gradient_work(monkeypatch):
         return unbroadcast(grad, shape)
 
     monkeypatch.setattr(tensor_module, "_unbroadcast", spied)
-    for op in (lambda: x * mask, lambda: x + mask, lambda: x / mask):
+    for op in (lambda: x * mask, lambda: x + mask,
+               lambda: softmax_mix(x, mask, np.zeros((2, 3), dtype=bool))):
         seen.clear()
         op().sum().backward()
         assert seen == [(2, 3)]
@@ -292,8 +288,8 @@ def test_operand_without_gradient_gets_no_gradient_work(monkeypatch):
 def test_ops_are_deterministic():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 3))
-    first = (Tensor(a).tanh() @ Tensor(a)).softmax(axis=-1).data
-    second = (Tensor(a).tanh() @ Tensor(a)).softmax(axis=-1).data
+    first = (Tensor(a).log_softmax(axis=-1) @ Tensor(a)).softmax(axis=-1).data
+    second = (Tensor(a).log_softmax(axis=-1) @ Tensor(a)).softmax(axis=-1).data
     np.testing.assert_array_equal(first, second)
 
 

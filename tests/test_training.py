@@ -390,6 +390,18 @@ def test_load_model_rejects_wrong_parameter_shape(tmp_path):
         load_model(tmp_path)
 
 
+@pytest.mark.parametrize("edit", [lambda arrays: arrays.update(extra=np.zeros(2)),
+                                  lambda arrays: arrays.pop("head.b")],
+                         ids=["extra", "missing"])
+def test_load_model_rejects_a_different_parameter_set(tmp_path, edit):
+    save_with_parameter(tmp_path, "head.W", lambda w: w)
+    arrays = dict(np.load(tmp_path / "model.npz"))
+    edit(arrays)
+    np.savez(tmp_path / "model.npz", **arrays)
+    with pytest.raises(ValueError, match="snapshot parameters do not match the architecture"):
+        load_model(tmp_path)
+
+
 def test_load_model_rejects_non_finite_parameter(tmp_path):
     save_with_parameter(tmp_path, "head.W", lambda w: np.full_like(w, np.nan))
     with pytest.raises(ValueError, match=r"head\.W has non-finite values"):
