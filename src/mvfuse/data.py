@@ -72,6 +72,8 @@ class MultiViewDataset:
         self.n_classes = n_classes
         n = self.y.shape[0]
         for spec in self.view_specs:
+            if self.view_ids.count(spec.id) > 1:
+                raise DataError(f"view id {spec.id!r} is declared more than once")
             if spec.id not in self.views:
                 raise UnknownViewError(f"view {spec.id!r} missing from data")
             rows = self.views[spec.id].shape[0]
@@ -147,6 +149,9 @@ class SyntheticConfig:
             raise ValueError("n_samples, latent_dim and basis_order must be >= 1")
         if not self.views:
             raise ValueError("need at least one view")
+        repeated = [v.id for v in self.views if [w.id for w in self.views].count(v.id) > 1]
+        if repeated:
+            raise ValueError(f"view id {repeated[0]!r} is declared more than once")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.task == "classification" and self.classes < 2:
@@ -306,6 +311,13 @@ def _int_field(text: str, where: str) -> int:
     return int(value)
 
 
+def write_json(path: str | Path, payload: dict) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:
     """Write one CSV per view plus targets and a JSON manifest; returns the manifest path."""
     out = Path(out_dir)
@@ -341,11 +353,8 @@ def save_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:
         writer.writerow(["y"])
         for v in ds.y:
             writer.writerow([int(v) if ds.task == "classification" else repr(float(v))])
-    manifest_path = out / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest_path
+    write_json(out / "manifest.json", manifest)
+    return out / "manifest.json"
 
 
 def _required(node, key: str, where: str, valid=None, expected: str = ""):
@@ -367,18 +376,23 @@ def _count(least: int):
     return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least
 
 
-def _counts(n: int):
-    """A check that a value is a list of ``n`` integers >= 1."""
-    return lambda v: isinstance(v, list) and len(v) == n and all(map(_count(1), v))
+def _values(n: int, kind, above: float):
+    """A check that a value is a list of ``n`` finite numbers of ``kind`` > ``above``."""
+    return lambda v: isinstance(v, list) and len(v) == n and all(
+        isinstance(x, kind) and not isinstance(x, bool) and above < x < math.inf for x in v)
 
 
-def _csv_rows(path: Path):
-    """``(line number, fields)`` of each data row of a view CSV, after its header."""
+def _csv_rows(path: Path, width: int, expected: str):
+    """``(file:line, fields)`` of each data row of a view CSV after its header;
+    a row without ``width`` fields is a DataError saying it ``expected``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise DataError(f"{path} is empty: expected a header row")
-        yield from enumerate(reader, start=2)
+        for ln, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise DataError(f"{path}:{ln}: expected {expected}, got {len(row)} fields")
+            yield f"{path}:{ln}", row
 
 
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
@@ -421,41 +435,32 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
         if not path.exists():
             raise FileNotFoundError(f"view file not found: {path}")
         if kind == "temporal":
-            T, c = _required(entry, "dims", where, _counts(2), "a list of 2 integers >= 1")
+            T, c = _required(entry, "dims", where, _values(2, int, 0), "a list of 2 integers >= 1")
             spec = ViewSpec(id=vid, kind=kind, time_steps=T, channels=c)
             arr = np.full((n, T, c), np.nan)
-            for ln, row in _csv_rows(path):
-                where = f"{path}:{ln}"
-                if len(row) != c + 2:
-                    raise DataError(f"{where}: expected sample_id, t and {c} values, "
-                                    f"got {len(row)} fields")
+            for where, row in _csv_rows(path, c + 2, f"sample_id, t and {c} values"):
                 i, t = _int_field(row[0], where), _int_field(row[1], where)
                 if not 0 <= i < n:
                     raise RowCountError(
                         f"view {vid!r} references sample {i}, targets have {n} rows")
                 if not 0 <= t < T:
                     raise RowCountError(f"view {vid!r} has step {t} outside 0..{T - 1}")
+                if not math.isnan(arr[i, t, 0]):
+                    raise RowCountError(f"{where}: view {vid!r} repeats sample {i}, step {t}")
                 arr[i, t] = [_float_field(v, where) for v in row[2:]]
             if np.isnan(arr).any():
                 raise RowCountError(f"view {vid!r} is missing (sample, step) rows")
         elif kind == "static":
-            (c,) = _required(entry, "dims", where, _counts(1), "a list of 1 integer >= 1")
+            (c,) = _required(entry, "dims", where, _values(1, int, 0), "a list of 1 integer >= 1")
             spec = ViewSpec(id=vid, kind=kind, channels=c)
-            rows = []
-            for ln, row in _csv_rows(path):
-                if len(row) != c:
-                    raise DataError(f"{path}:{ln}: expected {c} values, got {len(row)}")
-                rows.append([_float_field(v, f"{path}:{ln}") for v in row])
+            rows = [[_float_field(v, where) for v in row]
+                    for where, row in _csv_rows(path, c, f"{c} values")]
             arr = np.asarray(rows).reshape(len(rows), c)
         elif kind == "categorical":
             card = _required(entry, "cardinality", where, _count(2), "an integer >= 2")
             spec = ViewSpec(id=vid, kind=kind, cardinality=card)
-            codes = []
-            for ln, row in _csv_rows(path):
-                if len(row) != 1:
-                    raise DataError(f"{path}:{ln}: expected 1 code, got {len(row)} fields")
-                codes.append(_int_field(row[0], f"{path}:{ln}"))
-            arr = np.asarray(codes, dtype=np.int64)
+            arr = np.asarray([_int_field(row[0], where)
+                              for where, row in _csv_rows(path, 1, "1 code")], dtype=np.int64)
         else:
             raise UnknownViewError(f"view {vid!r} has unknown kind {kind!r}")
         specs.append(spec)
@@ -465,6 +470,16 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     if task == "classification" and n_classes is None:
         n_classes = int(y.max()) + 1
     ds = MultiViewDataset(specs, views, y, task, n_classes)
-    if "norm_stats" in manifest:
-        ds = zscore_apply(ds, manifest["norm_stats"])
-    return ds
+    where = f"manifest {manifest_path}"
+    stats = manifest.get("norm_stats", {})
+    if not isinstance(stats, dict):
+        raise DataError(f"{where} key 'norm_stats' must be a mapping from view ids, got {stats!r}")
+    channels = {s.id: s.channels for s in specs if s.kind != "categorical"}
+    for vid, entry in stats.items():
+        if vid not in channels:
+            raise DataError(f"{where} norm_stats names {vid!r}, not a non-categorical view")
+        c = channels[vid]
+        for key, above, bound in (("mean", -math.inf, ""), ("std", 0.0, " > 0")):
+            _required(entry, key, f"{where} norm_stats[{vid!r}]", _values(c, (int, float), above),
+                      f"a list of {c} finite numbers{bound}")
+    return zscore_apply(ds, stats) if stats else ds

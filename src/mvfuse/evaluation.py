@@ -9,13 +9,12 @@ order. An evaluation predicts each distinct availability pattern only once.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import MultiViewDataset, UnknownViewError
+from .data import MultiViewDataset, UnknownViewError, write_json
 from .encoders import one_hot_batch
 from .model import _BaseModel
 from .rng import stream
@@ -239,9 +238,7 @@ class EvalReport:
             payload["config"] = config
         if seed is not None:
             payload["seed"] = seed
-        with open(path, "w", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, payload)
 
 
 # -- harness -----------------------------------------------------------------------

@@ -40,8 +40,9 @@ and 28 later-layer steps over the patterns' 448 view slots.
 
 Random draws (attention dropout, memory's inter-layer dropout and its
 permutation) are made pattern after pattern in the order of ``available``,
-with the shapes and order of one call per pattern. So ``permute`` draws one
-permutation per pattern.
+with the numbers and order of one call per pattern. So ``permute`` draws one
+permutation per pattern, and each pattern draws its dropout masks for all
+layers and positions as one array, the same numbers as one draw each.
 """
 
 from __future__ import annotations
@@ -236,26 +237,23 @@ class CrossAttentionFusion(Fusion):
                     rng, train: bool) -> list:
         """Per layer, the dropout keep masks of all patterns as one dense array.
 
-        Each pattern draws its (B, heads, n_k, n_k) mask per layer, patterns in
-        order and layers within a pattern, exactly as fusing the patterns one
-        at a time would; the masks are scattered to the token and view slots
-        of the pattern. The final layer keeps only the token's row.
+        Each pattern, in order, draws one (layers, B, heads, n_k, n_k) array,
+        the same numbers as one draw per layer, since every block has the
+        fusion's dropout rate. It is scattered to the token and view slots of
+        the pattern; the final layer keeps only the token's row.
         """
-        if not train or self.blocks[0].dropout.rate == 0.0:
+        dropout = self.blocks[0].dropout
+        if not train or dropout.rate == 0.0:
             return [None] * len(self.blocks)
         n, heads, last = 1 + len(used), self.blocks[0].heads, len(self.blocks) - 1
-        slot = np.zeros(self.m, dtype=int)
-        slot[used] = np.arange(1, n)
         keeps = [np.zeros((len(patterns), batch, heads, 1 if i == last else n, n))
                  for i in range(len(self.blocks))]
         for k, pattern in enumerate(patterns):
-            pos = np.concatenate([[0], slot[pattern]])
-            for i, block in enumerate(self.blocks):
-                drawn = block.dropout.mask((batch, heads, len(pos), len(pos)), rng, train)
-                if i == last:
-                    keeps[i][k][:, :, 0, pos] = drawn[:, :, 0]
-                else:
-                    keeps[i][k][:, :, pos[:, None], pos] = drawn
+            pos = np.concatenate([[0], 1 + np.flatnonzero(pattern[used])])
+            drawn = dropout.mask((len(keeps), batch, heads, len(pos), len(pos)), rng, train)
+            for keep, layer in zip(keeps, drawn):
+                queries = pos[:keep.shape[3]]
+                keep[k][:, :, queries[:, None], pos] = layer[:, :, :len(queries)]
         return keeps
 
     def _fuse(self, rows, patterns, rng, train):
@@ -355,43 +353,35 @@ class MemoryFusion(Fusion):
                 hs.append(h)
         return hs if every else [h]
 
-    def _draws(self, patterns: np.ndarray, lengths: np.ndarray, groups: list[np.ndarray],
-               batch: int, rng, train: bool) -> tuple[list[tuple], list]:
-        """Each pattern's view order and, per group of the G patterns with
-        ``lengths[g]`` = s views, their inter-layer dropout masks (layers - 1,
-        s, G*B, d), B rows per pattern, or None where dropout is the identity.
+    def _draws(self, patterns: np.ndarray, batch: int, rng,
+               train: bool) -> tuple[list[tuple], list]:
+        """Each pattern's view order and its inter-layer dropout masks
+        (layers - 1, s, B, d) for its s views, or None where dropout is the
+        identity.
 
-        Draws are made pattern after pattern as one recurrence per pattern
-        would make them: the permutation, then each later layer's masks
-        position by position.
+        Draws are made pattern after pattern: the permutation, then one mask
+        array, the same numbers as one (B, d) draw per later layer and
+        position.
         """
         if self.permute and train and rng is None:
             raise ValueError("permuted memory fusion needs a generator at train time")
         later = len(self.forward_cells) - 1
-        drop = train and later > 0 and self.dropout.rate > 0.0
-        keeps = [np.empty((later, s, len(members) * batch, self.d)) if drop else None
-                 for s, members in zip(lengths, groups)]
-        place = {k: (g, j) for g, members in enumerate(groups) for j, k in enumerate(members)}
-        seqs = []
-        for k, pattern in enumerate(patterns):
+        seqs, masks = [], []
+        for pattern in patterns:
             seq = np.flatnonzero(pattern)
             if self.permute and train:
                 seq = seq[rng.permutation(len(seq))]
             seqs.append(tuple(seq.tolist()))
-            if drop:
-                g, j = place[k]
-                for layer in range(later):
-                    for t in range(len(seq)):
-                        keeps[g][layer, t, j * batch:(j + 1) * batch] = self.dropout.mask(
-                            (batch, self.d), rng, train)
-        return seqs, keeps
+            masks.append(self.dropout.mask((later, len(seq), batch, self.d), rng, train)
+                         if later else None)
+        return seqs, masks
 
     def _fuse(self, rows, patterns, rng, train):
         batch = next(r.shape[0] for r in rows if r is not None)
         sizes = patterns.sum(axis=1)
         lengths, first = np.unique(sizes, return_index=True)
         groups = [np.flatnonzero(sizes == s) for s in lengths]
-        seqs, keeps = self._draws(patterns, lengths, groups, batch, rng, train)
+        seqs, masks = self._draws(patterns, batch, rng, train)
         fwd_at, fwd = _prefix_states(self.forward_cells[0], rows, seqs, batch)
         bwd_at, bwd = _prefix_states(self.backward_cells[0], rows, [q[::-1] for q in seqs], batch)
         outs = [None] * len(groups)
@@ -414,8 +404,10 @@ class MemoryFusion(Fusion):
                 seq = [concat([prefix(t), suffix(t)], axis=-1) for t in range(s)]
             for layer in range(1, len(self.forward_cells)):
                 every = layer < len(self.forward_cells) - 1
-                if keeps[g] is not None:
-                    seq = [x * Tensor(keeps[g][layer - 1, t]) for t, x in enumerate(seq)]
+                if masks[0] is not None:
+                    # a group's masks are its patterns' masks stacked along the rows
+                    keep = np.concatenate([masks[k][layer - 1] for k in groups[g]], axis=1)
+                    seq = [x * Tensor(keep[t]) for t, x in enumerate(seq)]
                 out_fwd = self._run_direction(self.forward_cells[layer], seq, every)
                 out_bwd = self._run_direction(self.backward_cells[layer], seq[::-1], every)
                 seq = [concat([f, b], axis=-1) for f, b in zip(out_fwd, out_bwd[::-1])]

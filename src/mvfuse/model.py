@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -89,18 +90,18 @@ class _BaseModel(Module):
                 for spec, present in zip(self.view_specs, pattern)]
 
     def check_outputs(self, views: dict[str, np.ndarray], available: np.ndarray,
-                      outs: Tensor, what: str) -> None:
-        """Raise ValueError if an evaluation-mode output is not finite.
-
-        Outputs built under ``no_grad`` have no graph, so on failure only the
-        failing pattern's forward runs again with its graph recorded and the
-        error names the pattern's views and the op of its first non-finite
-        node.
-        """
+                      what: str) -> Tensor:
+        """Evaluation-mode outputs (K, B, n_outputs) under the K patterns of
+        ``available``, built under ``no_grad``. If one is not finite, only its
+        pattern's forward runs again with its graph recorded, and the
+        ValueError names the pattern's views and its first non-finite op."""
+        with no_grad():
+            outs = self.forward_masks(views, available)
         for pattern, out in zip(available, outs.data):
             if not np.isfinite(out).all():
                 names = tuple(s.id for s, present in zip(self.view_specs, pattern) if present)
                 check_finite(self.forward_masked(views, pattern), f"{what} under views {names}")
+        return outs
 
     def predict(self, views: dict[str, np.ndarray],
                 available: np.ndarray) -> np.ndarray:
@@ -118,9 +119,7 @@ class _BaseModel(Module):
         m = len(self.view_specs)
         available = check_available(available, m)
         patterns, inverse = np.unique(available.reshape(-1, m), axis=0, return_inverse=True)
-        with no_grad():
-            outs = self.forward_masks(views, patterns)
-        self.check_outputs(views, patterns, outs, "prediction")
+        outs = self.check_outputs(views, patterns, "prediction")
         rows = (outs.softmax(axis=-1).data if self.task == "classification"
                 else outs.data[..., 0])
         return rows[inverse.reshape(available.shape[:-1]), np.arange(available.shape[-2])]
@@ -264,16 +263,22 @@ def load_model(model_dir: str | Path) -> _BaseModel:
                             arch["n_outputs"], arch["level"], np.random.default_rng(0))
     except (TypeError, ValueError) as exc:  # an unknown, missing or ill-typed field
         raise ValueError(f"{arch_path}: {exc}") from exc
-    with np.load(model_dir / "model.npz") as arrays:
-        params = dict(model.named_parameters())
-        if set(arrays.files) != set(params):
-            raise ValueError("snapshot parameters do not match the architecture")
-        for name, p in params.items():
-            value = arrays[name]
-            if value.shape != p.data.shape:
-                raise ValueError(f"snapshot parameter {name} has shape {value.shape}, "
-                                 f"the architecture expects {p.data.shape}")
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"snapshot parameter {name} has non-finite values")
-            p.data = value
+    npz = model_dir / "model.npz"
+    try:
+        with np.load(npz) as archive:
+            arrays = dict(archive)
+    except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        # empty, a lone .npy array (no context manager), not a zip, or truncated
+        raise ValueError(f"{npz} is not a readable snapshot: {exc}") from exc
+    params = dict(model.named_parameters())
+    if set(arrays) != set(params):
+        raise ValueError("snapshot parameters do not match the architecture")
+    for name, p in params.items():
+        value = arrays[name]
+        if value.shape != p.data.shape:
+            raise ValueError(f"snapshot parameter {name} has shape {value.shape}, "
+                             f"the architecture expects {p.data.shape}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"snapshot parameter {name} has non-finite values")
+        p.data = value
     return model

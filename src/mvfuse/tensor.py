@@ -80,14 +80,21 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2) @ g
 
 
-def _excluded(exclude, ndim: int, axis: int) -> np.ndarray:
-    """``exclude`` as a boolean array of at least ``ndim`` dimensions;
-    raises EmptySupportError if it excludes every index of a slice."""
-    excl = np.asarray(exclude, dtype=bool)
-    excl = excl.reshape((1,) * (ndim - excl.ndim) + excl.shape)
-    if excl.all(axis=axis).any():
-        raise EmptySupportError("softmax support is empty for some slice")
-    return excl
+def _softmax(data: np.ndarray, axis: int, exclude: np.ndarray | None) -> np.ndarray:
+    """The masked softmax of ``Tensor.softmax`` and ``softmax_mix``, in a new
+    array; raises EmptySupportError if ``exclude`` leaves a slice empty."""
+    if exclude is None:
+        out = data - data.max(axis=axis, keepdims=True)
+    else:
+        excl = np.asarray(exclude, dtype=bool)
+        excl = excl.reshape((1,) * (data.ndim - excl.ndim) + excl.shape)
+        if excl.all(axis=axis).any():
+            raise EmptySupportError("softmax support is empty for some slice")
+        out = np.where(excl, -np.inf, data)
+        out -= out.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 class Tensor:
@@ -333,14 +340,7 @@ class Tensor:
         weighted sums literally ignore them.
         """
         a = self
-        if exclude is None:
-            out_data = a.data - a.data.max(axis=axis, keepdims=True)
-        else:
-            excl = _excluded(exclude, a.ndim, axis)
-            out_data = np.where(excl, -np.inf, a.data)
-            out_data -= out_data.max(axis=axis, keepdims=True)
-        np.exp(out_data, out=out_data)
-        out_data /= out_data.sum(axis=axis, keepdims=True)
+        out_data = _softmax(a.data, axis, exclude)
 
         def backward(g):
             dot = (g * out_data).sum(axis=axis, keepdims=True)
@@ -465,10 +465,7 @@ def softmax_mix(logits: Tensor, values: Tensor, exclude: np.ndarray) -> Tensor:
     Returns (..., d). One node with a hand-written backward, so the weights
     are the only full-size array it adds to the graph.
     """
-    weights = np.where(_excluded(exclude, logits.ndim, -2), -np.inf, logits.data)
-    weights -= weights.max(axis=-2, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-2, keepdims=True)
+    weights = _softmax(logits.data, -2, exclude)
     out = np.einsum("...vi,...vi->...i", weights, values.data)
 
     def backward(g):

@@ -24,7 +24,7 @@ from .data import MultiViewDataset
 from .encoders import one_hot_batch
 from .model import _BaseModel, batch_views
 from .rng import stream
-from .tensor import Adam, Tensor, no_grad
+from .tensor import Adam, Tensor
 
 
 @dataclass
@@ -168,9 +168,7 @@ def validation_losses(model: _BaseModel, ds: MultiViewDataset,
     """Unweighted evaluation-mode loss per mask over the whole validation set;
     a non-finite model output raises ValueError."""
     patterns = pattern_matrix(masks, len(model.view_specs))
-    with no_grad():
-        outs = model.forward_masks(ds.views, patterns)
-    model.check_outputs(ds.views, patterns, outs, "validation output")
+    outs = model.check_outputs(ds.views, patterns, "validation output")
     return {mask: batch_loss(outs[k], ds.y, model.task).item() for k, mask in enumerate(masks)}
 
 

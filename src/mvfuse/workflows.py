@@ -90,12 +90,6 @@ def fit_model(cfg: ExperimentConfig, ds_train, ds_val, init_stream=("init",),
     return model, result
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_log(path: Path, result: TrainResult) -> None:
     with open(path, "w", newline="\n") as fh:
         for record in result.log:
@@ -109,7 +103,7 @@ def run_synth(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     ds = data_mod.generate_synthetic(cfg.data.synthetic)
     out = Path(out_dir)
     manifest = data_mod.save_dataset(ds, out)
-    _write_json(out / "resolved_config.json", resolved_dict(cfg))
+    data_mod.write_json(out / "resolved_config.json", resolved_dict(cfg))
     return manifest
 
 
@@ -122,7 +116,7 @@ def run_train(cfg: ExperimentConfig, out_dir: str | Path):
     model, result = fit_model(cfg, ds_train, ds_val)
     save_model(model, cfg.encoder, cfg.fusion, ds_train.n_outputs, out)
     _write_log(out / "train_log.jsonl", result)
-    _write_json(out / "resolved_config.json", resolved_dict(cfg))
+    data_mod.write_json(out / "resolved_config.json", resolved_dict(cfg))
     return model, result
 
 
@@ -195,7 +189,7 @@ def run_gradcheck(out_dir: str | Path, seeds: int = 20) -> dict[str, float]:
     worst = max(results.values())
     payload = {"cases": results, "max_relative_error": worst,
                "tolerance": DEFAULT_TOLERANCE, "passed": worst < DEFAULT_TOLERANCE}
-    _write_json(out / "gradcheck.json", payload)
+    data_mod.write_json(out / "gradcheck.json", payload)
     return results
 
 
@@ -233,6 +227,6 @@ def run_ablate(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
         for row in rows:
             fh.write(",".join(str(row[h]) if h in ("aug", "level") else repr(row[h])
                               for h in header) + "\n")
-    _write_json(out / "ablation.json", {"metric": metric, "rows": rows,
-                                        "config": resolved_dict(cfg), "seed": cfg.seed})
+    data_mod.write_json(out / "ablation.json", {"metric": metric, "rows": rows,
+                                                "config": resolved_dict(cfg), "seed": cfg.seed})
     return rows

@@ -1,5 +1,6 @@
 """Command line: artifacts, determinism, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -365,6 +366,18 @@ def add_categorical(d, cardinality):
          "cardinality": cardinality}))
 
 
+def npy_bytes(array):
+    """``array`` in the .npy format."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def append_line(path, line):
+    """Add ``line`` at the end of a text file."""
+    path.write_text(path.read_text() + line + "\n")
+
+
 def set_key(*path_and_value):
     """An edit that sets the manifest node at the key path to the value."""
     *parents, key, value = path_and_value
@@ -414,6 +427,27 @@ BROKEN_DATA = [
                  "views[0] key 'id' must be a string, got 7", id="id-int"),
     pytest.param(lambda d: replace_field(d / "targets.csv", 3, 0, "2"), "DataError",
                  "targets have labels outside [0, 2) for classes 2", id="label-beyond-classes"),
+    pytest.param(lambda d: append_line(d / "view_optical.csv", "0,0,0.1,1.0"), "RowCountError",
+                 "view_optical.csv:14: view 'optical' repeats sample 0, step 0",
+                 id="repeated-row"),
+    pytest.param(lambda d: append_line(d / "view_optical.csv", "2,1,7.0,7.0"), "RowCountError",
+                 "view_optical.csv:14: view 'optical' repeats sample 2, step 1",
+                 id="conflicting-repeated-row"),
+    pytest.param(set_key("norm_stats", 5), "DataError",
+                 "key 'norm_stats' must be a mapping from view ids, got 5", id="norm-stats-int"),
+    pytest.param(set_key("norm_stats", {"soil": {"mean": [0.0], "std": [1.0, 1.0]}}),
+                 "DataError",
+                 "norm_stats['soil'] key 'mean' must be a list of 2 finite numbers, got [0.0]",
+                 id="norm-stats-short-mean"),
+    pytest.param(set_key("norm_stats", {"soil": {"mean": [0.0, 0.0], "std": [1.0, 0.0]}}),
+                 "DataError",
+                 "norm_stats['soil'] key 'std' must be a list of 2 finite numbers > 0",
+                 id="norm-stats-zero-std"),
+    pytest.param(set_key("norm_stats", {"radar": {"mean": [0.0], "std": [1.0]}}), "DataError",
+                 "norm_stats names 'radar', not a non-categorical view",
+                 id="norm-stats-undeclared-view"),
+    pytest.param(lambda d: edit_manifest(d, lambda m: m["views"].append(dict(m["views"][1]))),
+                 "DataError", "view id 'soil' is declared more than once", id="repeated-view-id"),
 ]
 
 
@@ -463,6 +497,34 @@ class TestBoundaries:
         assert record == {"error": "config",
                           "message": "synth needs a data.synthetic section"}
         assert not out.exists()
+
+
+    def test_repeated_synthetic_view_id_is_config_error(self, tmp_path, capsys):
+        raw = base_config()
+        raw["data"]["synthetic"]["views"][1]["id"] = "optical"
+        out = tmp_path / "data"
+        code, record = self.run(capsys, ["synth", "--config", write_config(tmp_path, raw),
+                                         "--out", str(out)])
+        assert code == 2
+        assert record["error"] == "config"
+        assert "view id 'optical' is declared more than once" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw: raw[:100], lambda raw: b"", lambda raw: b"not a zip archive\n",
+        lambda raw: npy_bytes(np.zeros(3))],
+        ids=["truncated", "empty", "not-a-zip", "one-npy-array"])
+    def test_unreadable_snapshot_is_runtime_error(self, tmp_path, capsys, corrupt):
+        cfg = write_config(tmp_path, base_config())
+        trained = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out", str(trained)]) == 0
+        npz = trained / "model.npz"
+        npz.write_bytes(corrupt(npz.read_bytes()))
+        code, record = self.run(capsys, ["evaluate", "--config", cfg, "--out", str(trained)])
+        assert code == 3
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{npz} is not a readable snapshot")
+        assert not (trained / "report.csv").exists()
 
 
 def test_module_entry_point_exits_with_the_code_of_main(tmp_path):

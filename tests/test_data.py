@@ -356,6 +356,64 @@ class TestLoaderErrors:
                                             rf"got {fields} fields"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("values", ["exact", "9.0,-9.0"], ids=["exact", "conflicting"])
+    def test_repeated_temporal_row_names_file_line_and_pair(self, tmp_path, values):
+        # a repeat must not load silently, its values replacing the first row's
+        def repeat(base):
+            path = base / "view_optical.csv"
+            lines = path.read_text().splitlines()
+            first = lines[7] if values == "exact" else ",".join(lines[7].split(",")[:2] + [values])
+            path.write_text("\n".join(lines + [first]) + "\n")
+
+        manifest = self._write_broken(tmp_path, repeat)
+        lines = (tmp_path / "data" / "view_optical.csv").read_text().splitlines()
+        sample, step = lines[7].split(",")[:2]
+        with pytest.raises(RowCountError, match=rf"view_optical\.csv:{len(lines)}: view 'optical' "
+                                                rf"repeats sample {sample}, step {step}"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("stats, words", [
+        (5, "key 'norm_stats' must be a mapping from view ids, got 5"),
+        ({"cover": {"mean": [0.0], "std": [1.0]}}, "norm_stats names 'cover', not a non-"),
+        ({"sonar": {"mean": [0.0], "std": [1.0]}}, "norm_stats names 'sonar', not a non-"),
+        ({"radar": [0.0] * 4}, "norm_stats['radar'] is missing required key 'mean'"),
+        ({"radar": {"mean": [0.0] * 4}}, "norm_stats['radar'] is missing required key 'std'"),
+        ({"radar": {"mean": [0.0], "std": [1.0] * 4}},
+         "norm_stats['radar'] key 'mean' must be a list of 4 finite numbers, got [0.0]"),
+        ({"radar": {"mean": [0.0] * 4, "std": [1.0, 1.0, 0.0, 1.0]}},
+         "key 'std' must be a list of 4 finite numbers > 0"),
+        ({"optical": {"mean": [0.0, float("nan")], "std": [1.0, 1.0]}},
+         "norm_stats['optical'] key 'mean' must be a list of 2 finite numbers"),
+        ({"optical": {"mean": [0.0, "1"], "std": [1.0, 1.0]}},
+         "norm_stats['optical'] key 'mean' must be a list of 2 finite numbers"),
+        ({"optical": {"mean": [0.0, 0.0], "std": [1.0, float("inf")]}},
+         "norm_stats['optical'] key 'std' must be a list of 2 finite numbers > 0"),
+    ], ids=["int", "categorical-view", "undeclared-view", "entry-not-a-mapping", "no-std",
+            "short-mean", "zero-std", "nan-mean", "string-mean", "infinite-std"])
+    def test_norm_stats_checked_against_the_views(self, tmp_path, stats, words):
+        def add_stats(base):
+            path = base / "manifest.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), "norm_stats": stats}))
+
+        with pytest.raises(DataError) as info:
+            load_dataset(self._write_broken(tmp_path, add_stats))
+        assert words in str(info.value)
+
+    def test_repeated_view_id_is_named(self, tmp_path):
+        def repeat_view(base):
+            path = base / "manifest.json"
+            data = json.loads(path.read_text())
+            data["views"].append(dict(data["views"][1]))
+            path.write_text(json.dumps(data))
+
+        with pytest.raises(DataError, match="view id 'radar' is declared more than once"):
+            load_dataset(self._write_broken(tmp_path, repeat_view))
+
+    def test_synthetic_config_rejects_a_repeated_view_id(self):
+        views = small_config().views
+        with pytest.raises(ValueError, match="view id 'optical' is declared more than once"):
+            SyntheticConfig(views=views + [views[0]])
+
 
 class TestViewLayout:
     """Each view array must match its ViewSpec: (N, T, c), (N, c) or (N,) codes."""

@@ -485,6 +485,20 @@ class TestPatterns:
             assert sum(later) == 80 * batch
             assert len(later) <= 15
 
+    @pytest.mark.parametrize("kind, m", [("memory", 7), ("cross", 3)])
+    def test_each_pattern_draws_its_dropout_once(self, spy, kind, m):
+        # one Dropout.mask call per pattern covers every layer and position:
+        # 127 for memory over seven views, not one per view slot (448), and 7
+        # for two-layer cross over three, not one per layer; the tests above
+        # pin the numbers drawn
+        rng = np.random.default_rng(13)
+        fusion = make_fusion(FusionConfig(kind=kind, heads=2, layers=2, dropout=0.3), m, 4, rng)
+        calls = spy((layers_module.Dropout, "mask"))
+        available = pattern_matrix(enumerate_combinations(m), m)
+        fusion.fuse(rows_for(m, 4, rng, range(m), batch=2), available,
+                    rng=np.random.default_rng(14), train=True)
+        assert sum(calls.values()) == len(available)
+
     @pytest.mark.parametrize("kind", ALL_DYNAMIC + ["concat"])
     def test_leading_axes_of_availability_shape_the_output(self, kind):
         m, d = 3, 4
