@@ -20,9 +20,10 @@ missing views are left out of its normalization, never imputed:
 
 - average: one (K, u) @ (u, B*d) product of weights 1/|pattern| over the u
   views some pattern uses;
-- gated: one product of each view with its block of ``W_G``, one
-  pattern-matrix product for all logits, then one fused masked softmax and
-  weighted sum over the view axis;
+- gated: one product of each view with its blocks of ``W_G``; patterns are
+  grouped by their number of views s, and per group one selection product
+  gives the logits of the available slots only, (s, G, B, d), and one
+  fused softmax and weighted sum mixes over them;
 - cross: one token-plus-views sequence and one Q/K/V projection per layer
   for all patterns; a pattern's missing views are excluded keys, and the
   final layer computes only the token's queries;
@@ -157,13 +158,15 @@ class AverageFusion(Fusion):
 class GatedFusion(Fusion):
     """Data-driven per-dimension weighting across views.
 
-    Logits are those of the zero-imputed full stack (so they are computable
-    for any availability pattern), but the per-dimension softmax across views
-    excludes missing views from the normalization, making their weights
-    exact zeros. ``W_G`` is applied one view block at a time: each view's
-    encoding is multiplied once per call and a pattern's logits are the sum
-    of its views' blocks plus the bias. A view no pattern uses is a zero
-    block, as in the zero-imputed stack.
+    Logits are still those of the zero-imputed full stack: view v's logit
+    under a pattern is the sum, over the pattern's views u, of u's encoding
+    times the (u, v) block of ``W_G``, plus v's bias. The per-dimension
+    softmax runs over the available views only, so a missing view's weight
+    is an exact zero. Each used view is multiplied by its blocks once per
+    call. Patterns are then packed by their number of views s: per group of
+    G patterns one selection product sums those products into the logits of
+    the available slots only, (s, G, B, d), one one-hot product gathers the
+    slots' values, and one ``softmax_mix`` mixes over the s slots.
     """
 
     def __init__(self, m: int, d: int, rng: np.random.Generator):
@@ -172,35 +175,55 @@ class GatedFusion(Fusion):
         self.m = m
         self.d = d
 
-    def _logits(self, rows: list, patterns: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Every view's rows (m, B, d), zeros for a view no pattern uses, and
-        the logits (K, B, m, d) of output view v and dimension i."""
+    def _packed(self, used: np.ndarray, z: Tensor, on: np.ndarray):
+        """Per group of G patterns with s views, from ``_used``'s views, rows
+        and patterns: their indices into the patterns, each slot's position
+        among the used views, (s * G,) in (slot, pattern) order, and the
+        slots' logits (s, G, B, d)."""
         m, d = self.m, self.d
-        batch = next(r.shape[0] for r in rows if r is not None)
-        zero = Tensor(np.zeros((batch, d)))
-        z = stack([zero if r is None else r for r in rows], axis=0)
-        # W_G's columns are (dimension, view); regroup them as (view, dimension)
-        blocks = self.W_G.reshape((m, d, d, m)).transpose((0, 1, 3, 2)).reshape((m, d, m * d))
-        per_view = (z @ blocks).reshape((m, batch * m * d))
-        bias = self.b.reshape((d, m)).transpose((1, 0)).reshape((1, m * d))
-        bias_row = (Tensor(np.ones((batch, 1))) @ bias).reshape((1, batch * m * d))
-        sums = Tensor(np.concatenate([patterns, np.ones((len(patterns), 1))], axis=1))
-        logits = sums @ concat([per_view, bias_row], axis=0)
-        return z, logits.reshape((len(patterns), batch, m, d))
+        u, batch = len(used), z.shape[1]
+        # W_G's rows are (view, input dimension) and its columns (output
+        # dimension, view). Per used view v the table holds each used view w's
+        # rows times block (w, v), then v's bias: rows v * (u + 1) + w and
+        # v * (u + 1) + u. A slot of view v weights v's u + 1 rows by its
+        # pattern's ``terms``: its views, then the bias.
+        pairs = self.W_G.reshape((m, d, d, m)).transpose((3, 0, 1, 2)).reshape((m * m * d, d))
+        pairs = _select(pairs, (used[:, None] * m + used).ravel().tolist(), d)
+        bias = _select(self.b.reshape((d, m)).transpose((1, 0)), used.tolist(), 1)
+        table = concat([z.reshape((1, u, batch, d)) @ pairs.reshape((u, u, d, d)),
+                        Tensor(np.ones((1, 1, batch, 1))) @ bias.reshape((u, 1, 1, d))],
+                       axis=1).reshape((u * (u + 1), -1))
+        terms = np.concatenate([on, np.ones((len(on), 1))], axis=1)
+        for members in _by_length(on):
+            count, s = len(members), int(on[members[0]].sum())
+            views = np.nonzero(on[members])[1].reshape((count, s)).T
+            select = np.zeros((s, count, u, u + 1))
+            select[np.arange(s)[:, None], np.arange(count), views] = terms[members]
+            logits = Tensor(select.reshape((s * count, -1))) @ table
+            yield members, views.ravel(), logits.reshape((s, count, batch, d))
 
     def _fuse(self, rows, patterns, rng, train):
-        z, logits = self._logits(rows, patterns)
-        return softmax_mix(logits, z.transpose((1, 0, 2)), ~patterns[:, None, :, None])
+        used, z, on = _used(rows, patterns)
+        batch, table = z.shape[1], z.reshape((-1, self.d))
+        outs, groups = [], []
+        for members, views, logits in self._packed(used, z, on):
+            values = _select(table, views.tolist(), batch)
+            outs.append(softmax_mix(logits, values.reshape(logits.shape)).reshape((-1, self.d)))
+            groups.append(members)
+        return _ungroup(outs, groups, batch).reshape((len(patterns), batch, self.d))
 
     def gate_weights(self, rows: list, available=None) -> np.ndarray:
         """Evaluation-mode per-dimension view weights, shape
         ``available.shape[:-1] + (B, d, m)``; a missing view's weights are 0."""
         available, patterns = _patterns(rows, available)
         with no_grad():
-            _, logits = self._logits(rows, patterns)
-            weights = logits.softmax(axis=-2, exclude=~patterns[:, None, :, None]).data
-        return weights.transpose((0, 1, 3, 2)).reshape(
-            available.shape[:-1] + weights.shape[1:2] + (self.d, self.m))
+            used, z, on = _used(rows, patterns)
+            weights = np.zeros((len(patterns), self.m) + z.shape[1:])
+            for members, views, logits in self._packed(used, z, on):
+                weights[np.tile(members, logits.shape[0]), used[views]] = (
+                    logits.softmax(axis=0).data.reshape((-1,) + z.shape[1:]))
+        return weights.transpose((0, 2, 3, 1)).reshape(
+            available.shape[:-1] + z.shape[1:2] + (self.d, self.m))
 
 
 class CrossAttentionFusion(Fusion):
@@ -292,6 +315,21 @@ def _select(table: Tensor, index: list[int], batch: int) -> Tensor:
     return (Tensor(onehot) @ table.reshape((n, -1))).reshape((len(index) * batch, -1))
 
 
+def _by_length(patterns: np.ndarray) -> list[np.ndarray]:
+    """The indices of the patterns with each number of views, groups in the
+    order their length first appears, so patterns already grouped by
+    length, as enumerate_combinations lists them, keep their order."""
+    sizes = patterns.sum(axis=1)
+    return [np.flatnonzero(sizes == s) for s in dict.fromkeys(sizes.tolist())]
+
+
+def _ungroup(outs: list[Tensor], groups: list[np.ndarray], batch: int) -> Tensor:
+    """Per-group outputs, ``batch`` rows per pattern of each group in
+    ``groups``, as one table in the patterns' order."""
+    out = concat(outs, axis=0) if len(outs) > 1 else outs[0]
+    return _select(out, np.argsort(np.concatenate(groups)).tolist(), batch)
+
+
 def _prefix_states(cell: LSTMCell, rows: list, seqs: list[tuple], batch: int):
     """The cell's h after every distinct ordered prefix of the view
     sequences ``seqs``, from an empty memory. Per length t it returns a map
@@ -378,15 +416,13 @@ class MemoryFusion(Fusion):
 
     def _fuse(self, rows, patterns, rng, train):
         batch = next(r.shape[0] for r in rows if r is not None)
-        sizes = patterns.sum(axis=1)
-        lengths, first = np.unique(sizes, return_index=True)
-        groups = [np.flatnonzero(sizes == s) for s in lengths]
+        groups = _by_length(patterns)
         seqs, masks = self._draws(patterns, batch, rng, train)
         fwd_at, fwd = _prefix_states(self.forward_cells[0], rows, seqs, batch)
         bwd_at, bwd = _prefix_states(self.backward_cells[0], rows, [q[::-1] for q in seqs], batch)
         outs = [None] * len(groups)
         # longest patterns first, so each first-layer table is dropped after its last read
-        for g in reversed(range(len(groups))):
+        for g in sorted(range(len(groups)), key=lambda g: -len(seqs[groups[g][0]])):
             group = [seqs[k] for k in groups[g]]
             s = len(group[0])
 
@@ -413,13 +449,7 @@ class MemoryFusion(Fusion):
                 seq = [concat([f, b], axis=-1) for f, b in zip(out_fwd, out_bwd[::-1])]
             outs[g] = seq[0]
             del fwd[s:], bwd[s:]
-        # groups in the order their length first appears, so patterns already
-        # grouped by length, as enumerate_combinations lists them, keep their order
-        appearance = np.argsort(first)
-        out = concat([outs[g] for g in appearance], axis=0) if len(outs) > 1 else outs[0]
-        order = np.concatenate([groups[g] for g in appearance])
-        out = _select(out, np.argsort(order).tolist(), batch)
-        return out.reshape((len(patterns), batch, self.d))
+        return _ungroup(outs, groups, batch).reshape((len(patterns), batch, self.d))
 
 
 class ConcatFusion(Fusion):

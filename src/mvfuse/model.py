@@ -278,7 +278,10 @@ def load_model(model_dir: str | Path) -> _BaseModel:
         if value.shape != p.data.shape:
             raise ValueError(f"snapshot parameter {name} has shape {value.shape}, "
                              f"the architecture expects {p.data.shape}")
+        if not np.issubdtype(value.dtype, np.floating):
+            raise ValueError(f"snapshot parameter {name} has dtype {value.dtype}, "
+                             f"not a real floating type")
         if not np.all(np.isfinite(value)):
             raise ValueError(f"snapshot parameter {name} has non-finite values")
-        p.data = value
+        p.data = value.astype(np.float64, copy=False)
     return model

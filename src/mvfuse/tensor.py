@@ -81,8 +81,8 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _softmax(data: np.ndarray, axis: int, exclude: np.ndarray | None) -> np.ndarray:
-    """The masked softmax of ``Tensor.softmax`` and ``softmax_mix``, in a new
-    array; raises EmptySupportError if ``exclude`` leaves a slice empty."""
+    """The softmax of ``Tensor.softmax`` and ``softmax_mix``, in a new array;
+    raises EmptySupportError if ``exclude`` leaves a slice empty."""
     if exclude is None:
         out = data - data.max(axis=axis, keepdims=True)
     else:
@@ -456,22 +456,21 @@ def lstm(z: Tensor, c_prev: Tensor) -> Tensor:
     return Tensor._result(np.concatenate([h, c], axis=-1), (z, c_prev), backward, "lstm")
 
 
-def softmax_mix(logits: Tensor, values: Tensor, exclude: np.ndarray) -> Tensor:
-    """Softmax weights over axis -2 applied to ``values`` and summed over it.
+def softmax_mix(logits: Tensor, values: Tensor) -> Tensor:
+    """Softmax weights over axis 0 applied to ``values`` and summed over it.
 
-    ``logits`` is (..., n, d) and ``values`` broadcasts to it, so one set of
-    n rows can be mixed under many weightings at once; ``exclude`` marks
-    rows removed from the normalization, which get weight exactly zero.
-    Returns (..., d). One node with a hand-written backward, so the weights
+    ``logits`` is (n, ...) and ``values`` broadcasts with it, so n rows can
+    be mixed under many weightings at once. Returns the broadcast shape
+    without axis 0. One node with a hand-written backward, so the weights
     are the only full-size array it adds to the graph.
     """
-    weights = _softmax(logits.data, -2, exclude)
-    out = np.einsum("...vi,...vi->...i", weights, values.data)
+    weights = _softmax(logits.data, 0, None)
+    out = np.einsum("v...,v...->...", weights, values.data)
 
     def backward(g):
-        gw = weights * g[..., None, :]
+        gw = weights * g
         if logits.requires_grad:
-            dlogits = values.data - out[..., None, :]
+            dlogits = values.data - out
             dlogits *= gw
             logits._accumulate(_unbroadcast(dlogits, logits.shape))
         if values.requires_grad:

@@ -526,6 +526,27 @@ class TestBoundaries:
         assert record["message"].startswith(f"{npz} is not a readable snapshot")
         assert not (trained / "report.csv").exists()
 
+    @pytest.mark.parametrize("convert", [
+        lambda b: b.astype(str), lambda b: b.astype(np.int64), lambda b: b > 0,
+        lambda b: b + 1j], ids=["string", "int", "bool", "complex"])
+    def test_non_float_snapshot_parameter_is_runtime_error(self, tmp_path, capsys, convert):
+        raw = base_config()
+        raw["fusion"]["kind"] = "gated"
+        cfg = write_config(tmp_path, raw)
+        trained = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out", str(trained)]) == 0
+        npz = trained / "model.npz"
+        with np.load(npz) as archive:
+            arrays = dict(archive)
+        arrays["head.b"] = convert(arrays["head.b"])
+        np.savez(npz, **arrays)
+        code, record = self.run(capsys, ["evaluate", "--config", cfg, "--out", str(trained)])
+        assert code == 3
+        assert record == {"error": "ValueError", "message":
+                          f"snapshot parameter head.b has dtype {arrays['head.b'].dtype}, "
+                          f"not a real floating type"}
+        assert not (trained / "report.csv").exists()
+
 
 def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
     raw = base_config()

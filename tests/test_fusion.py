@@ -14,6 +14,7 @@ from mvfuse.fusion import (AverageFusion, ConcatFusion, CrossAttentionFusion,
                            make_fusion)
 from mvfuse.gradcheck import check_gradients
 from mvfuse.model import InputConcatModel
+from mvfuse import fusion as fusion_module
 from mvfuse import layers as layers_module
 from mvfuse.tensor import Tensor, backward, lstm, stack
 
@@ -119,6 +120,108 @@ class TestGated:
         one = gated.fuse([Tensor(a), Tensor(b), None]).data
         two = gated.fuse([Tensor(b), Tensor(a), None]).data
         assert not np.allclose(one, two)
+
+
+def dense_gated(W, b, rows, patterns, readout):
+    """The zero-imputed dense gated merge and its gradients, in numpy.
+
+    Every pattern's (B, d, m) logits come from the zero-imputed stack of all
+    m views, a masked softmax over the views weights them and the output is
+    the weighted sum of the views. Returns the outputs (K, B, d), the
+    weights (K, B, d, m) and the gradients of ``sum(outputs * readout)``
+    with respect to the rows, W and b.
+    """
+    m = len(rows)
+    batch, d = next(r.shape for r in rows if r is not None)
+    z = np.stack([np.zeros((batch, d)) if r is None else r for r in rows])  # (m, B, d)
+    flat = (z[None] * patterns[:, :, None, None]).transpose(0, 2, 1, 3).reshape(
+        len(patterns), batch, m * d)
+    logits = (flat @ W + b).reshape(len(patterns), batch, d, m)
+    logits = np.where(patterns[:, None, None, :], logits, -np.inf)
+    weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    values = z.transpose(1, 2, 0)  # (B, d, m)
+    out = (weights * values).sum(axis=-1)
+    dlogits = (weights * readout[..., None] * (values - out[..., None])).reshape(
+        len(patterns), batch, d * m)
+    dflat = (dlogits @ W.T).reshape(len(patterns), batch, m, d) * patterns[:, None, :, None]
+    drows = dflat.sum(axis=0).transpose(1, 0, 2) + (weights * readout[..., None]).sum(
+        axis=0).transpose(2, 0, 1)
+    dW = np.einsum("kbi,kbo->io", flat, dlogits)
+    return out, weights, drows, dW, dlogits.sum(axis=(0, 1))
+
+
+def assert_relative(got, expected, rtol=1e-12):
+    """Agreement within ``rtol`` of the largest magnitude of ``expected``."""
+    np.testing.assert_allclose(got, expected, rtol=rtol,
+                               atol=rtol * max(np.abs(expected).max(), 1e-300))
+
+
+class TestGatedPacking:
+    """Packing patterns by length gives the dense zero-imputed merge."""
+
+    CASES = {
+        "unsorted-lengths": (4, [[1, 1, 1, 1], [1, 0, 0, 0], [0, 0, 1, 0], [1, 1, 0, 0],
+                                 [0, 1, 0, 1], [0, 0, 1, 1]]),
+        "repeated-pattern": (3, [[1, 0, 1], [0, 1, 0], [1, 0, 1], [1, 1, 1], [1, 0, 1]]),
+        "unused-view": (4, [[1, 0, 1, 0], [0, 0, 1, 1], [1, 0, 0, 0], [1, 0, 1, 1]]),
+        "one-view": (1, [[1]]),
+        "single-pattern": (5, [[0, 1, 1, 0, 1]]),
+        "stacked": (3, [[[1, 1, 1], [1, 0, 0], [0, 1, 1], [0, 1, 1]],
+                        [[0, 0, 1], [1, 1, 0], [1, 1, 1], [1, 0, 1]]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_outputs_and_gradients_match_dense_oracle(self, case):
+        m, available = self.CASES[case]
+        available = np.array(available, dtype=bool)
+        if available.ndim == 2:
+            available = available[:, None, :]  # (K, 1, m): every row under every pattern
+        rng = np.random.default_rng(11)
+        d, batch = 3, 2
+        gated = GatedFusion(m, d, rng)
+        gated.b.data = rng.normal(size=gated.b.shape)
+        used = available.reshape(-1, m).any(axis=0)
+        rows = [Tensor(rng.normal(size=(batch, d)) * 3.0, requires_grad=True) if on else None
+                for on in used]
+        out = gated.fuse(rows, available)
+        readout = rng.normal(size=out.shape)
+        (out * Tensor(readout)).sum().backward()
+
+        patterns = available.reshape(-1, m)
+        expected, weights, drows, dW, db = dense_gated(
+            gated.W_G.data, gated.b.data, [None if r is None else r.data for r in rows],
+            patterns, readout.reshape(-1, batch, d))
+        assert out.shape == available.shape[:-1] + (batch, d)
+        assert_relative(out.data, expected.reshape(out.shape))
+        assert_relative(gated.W_G.grad, dW)
+        assert_relative(gated.b.grad, db)
+        for v, row in enumerate(rows):
+            if row is not None:
+                assert_relative(row.grad, drows[v])
+        got = gated.gate_weights(rows, available)
+        assert got.shape == available.shape[:-1] + (batch, d, m)
+        got = got.reshape(weights.shape)
+        assert np.all(got[np.broadcast_to(~patterns[:, None, None, :], got.shape)] == 0.0)
+        assert_relative(got, weights)
+
+    def test_mix_normalizes_only_available_slots(self, monkeypatch):
+        # 127 patterns of seven views have 448 available slots of 889
+        normalized = []
+        mix = fusion_module.softmax_mix
+
+        def spied(logits, values):
+            normalized.append(logits.size)
+            return mix(logits, values)
+
+        monkeypatch.setattr(fusion_module, "softmax_mix", spied)
+        rng = np.random.default_rng(12)
+        m, d, batch = 7, 8, 4
+        gated = GatedFusion(m, d, rng)
+        rows = [Tensor(rng.normal(size=(batch, d))) for _ in range(m)]
+        available = pattern_matrix(enumerate_combinations(m), m)
+        assert gated.fuse(rows, available).shape == (127, batch, d)
+        assert sum(normalized) == 448 * batch * d
 
 
 class TestCrossAttention:

@@ -197,9 +197,7 @@ OPS = {
     "softmax_broadcast_exclude": lambda a, b: (a * b).softmax(
         axis=-1, exclude=np.array([[[False, True, False]], [[True, False, True]]])),
     "log_softmax_rows": lambda a, b: a.log_softmax(axis=-1),
-    "softmax_mix": lambda a, b: softmax_mix(
-        a.reshape((2, 1, 3, 1)), b.reshape((2, 3, 1)),
-        np.array([[False, True, False], [False, False, False]]).reshape((2, 1, 3, 1))),
+    "softmax_mix": lambda a, b: softmax_mix(a.reshape((3, 1, 2)), b.reshape((3, 2, 1))),
     "concat": lambda a, b: concat([a, b], axis=1),
     "stack": lambda a, b: stack([a, b], axis=0),
 }
@@ -257,13 +255,11 @@ def test_log_softmax_matches_log_of_softmax():
 
 def test_softmax_mix_matches_composed_ops():
     rng = np.random.default_rng(7)
-    logits, values = rng.normal(size=(3, 2, 4, 5)), rng.normal(size=(2, 4, 5))
-    exclude = rng.random((3, 1, 4, 1)) < 0.5
-    exclude[:, :, 0] = False
-    out = softmax_mix(Tensor(logits), Tensor(values), exclude).data
-    weights = Tensor(logits).softmax(axis=-2, exclude=exclude).data
-    assert np.all(weights[np.broadcast_to(exclude, weights.shape)] == 0.0)
-    np.testing.assert_allclose(out, (weights * values).sum(axis=-2), rtol=0, atol=1e-14)
+    logits, values = rng.normal(size=(4, 3, 2, 5)), rng.normal(size=(4, 1, 2, 5))
+    out = softmax_mix(Tensor(logits), Tensor(values)).data
+    weights = Tensor(logits).softmax(axis=0).data
+    assert out.shape == (3, 2, 5)
+    np.testing.assert_allclose(out, (weights * values).sum(axis=0), rtol=0, atol=1e-14)
 
 
 def test_operand_without_gradient_gets_no_gradient_work(monkeypatch):
@@ -279,7 +275,7 @@ def test_operand_without_gradient_gets_no_gradient_work(monkeypatch):
 
     monkeypatch.setattr(tensor_module, "_unbroadcast", spied)
     for op in (lambda: x * mask, lambda: x + mask,
-               lambda: softmax_mix(x, mask, np.zeros((2, 3), dtype=bool))):
+               lambda: softmax_mix(x, mask)):
         seen.clear()
         op().sum().backward()
         assert seen == [(2, 3)]

@@ -408,6 +408,13 @@ def test_load_model_rejects_non_finite_parameter(tmp_path):
         load_model(tmp_path)
 
 
+def test_load_model_stores_float64_parameters(tmp_path):
+    save_with_parameter(tmp_path, "head.W", lambda w: w.astype(np.float32))
+    stored = np.load(tmp_path / "model.npz")["head.W"]
+    model = load_model(tmp_path)
+    assert model.head.W.data.dtype == np.float64
+    np.testing.assert_array_equal(model.head.W.data, stored)
+
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_nan_parameter_fails_training_naming_the_op(task):
     ds = tiny_dataset(task=task, n=20)
