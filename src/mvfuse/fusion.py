@@ -302,9 +302,8 @@ class CrossAttentionFusion(Fusion):
 
 def _select(table: Tensor, index: list[int], batch: int) -> Tensor:
     """Blocks ``index`` of ``batch`` rows each from a table of such blocks,
-    as one one-hot product, whose backward is one GEMM too where an advanced
-    index would scatter with ``np.add.at``. The identity and a single block
-    are taken without one."""
+    as one one-hot product, whose backward is one GEMM too; a Tensor takes
+    no array index. The identity and a single block are taken without one."""
     n = table.shape[0] // batch
     if index == list(range(n)):
         return table

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, concat, lstm
+from .tensor import Tensor, lstm
 
 
 class Module:
@@ -138,8 +138,9 @@ class LSTMCell(Module):
     """Standard LSTM gate equations for one step.
 
     Gate weights are stored as one (d_in + d_h, 4*d_h) matrix in input,
-    forget, output, candidate order. A step is six graph nodes: concat,
-    matmul, bias add, one fused ``lstm`` node and the h/c split.
+    forget, output, candidate order. A step is three graph nodes: one fused
+    ``lstm`` node for the gate product and gate math, and the h/c split,
+    which returns C-contiguous h and c.
     """
 
     def __init__(self, d_in: int, d_h: int, rng: np.random.Generator):
@@ -153,8 +154,8 @@ class LSTMCell(Module):
     def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
         if x.shape[-1] != self.d_in:
             raise ValueError(f"lstm step expects input dim {self.d_in}, got {x.shape[-1]}")
-        hc = lstm(concat([x, h_prev], axis=-1) @ self.W + self.b, c_prev)
-        return hc[..., :self.d_h], hc[..., self.d_h:]
+        hc = lstm(x, h_prev, c_prev, self.W, self.b)
+        return hc[0], hc[1]
 
     def zero_state(self, batch_shape: tuple = ()) -> tuple[Tensor, Tensor]:
         shape = batch_shape + (self.d_h,)

@@ -287,20 +287,20 @@ class Tensor:
         return Tensor._result(a.data.transpose(axes), (a,), backward, "transpose")
 
     def __getitem__(self, key) -> "Tensor":
-        """Indexing. A basic index (slices, integers, ``...``, ``None``)
-        selects each element at most once, so its backward assigns; an
-        advanced index may repeat elements, so its backward adds them up."""
+        """Basic indexing: slices, integers, ``...`` and ``None``. Each element
+        is selected at most once, so the backward assigns. An array or list
+        key raises TypeError: gather rows with a one-hot product instead,
+        whose backward is one GEMM (see ``fusion._select``)."""
         a = self
-        basic = all(k is None or k is Ellipsis or isinstance(k, slice)
-                    or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
-                    for k in (key if isinstance(key, tuple) else (key,)))
+        for k in key if isinstance(key, tuple) else (key,):
+            if not (k is None or k is Ellipsis or isinstance(k, slice)
+                    or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))):
+                raise TypeError(f"tensor index takes slices, integers, ... and None, not "
+                                f"{type(k).__name__}; gather with a one-hot product instead")
 
         def backward(g):
             full = np.zeros_like(a.data)
-            if basic:
-                full[key] = g
-            else:
-                np.add.at(full, key, g)
+            full[key] = g
             a._accumulate(full)
 
         return Tensor._result(a.data[key], (a,), backward, "slice")
@@ -431,29 +431,79 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._result(out_data, tuple(ts), backward, "stack")
 
 
-def lstm(z: Tensor, c_prev: Tensor) -> Tensor:
-    """One fused LSTM cell update from gate pre-activations.
+def lstm(x: Tensor, h_prev: Tensor, c_prev: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """One LSTM cell step as one node: gate product, bias and gate math.
 
-    ``z`` is (..., 4*d) in input, forget, output, candidate order and
-    ``c_prev`` is (..., d). Returns ``[h, c]`` concatenated along the last
-    axis, (..., 2*d), with ``c = f * c_prev + i * g`` and ``h = o * tanh(c)``.
+    ``x`` is (..., k); ``h_prev`` and ``c_prev`` are (..., d) over the same
+    leading axes; ``W`` is (k + d, 4*d) and ``b`` is (4*d,), gates in input,
+    forget, output, candidate order. Returns h and c stacked on a new leading
+    axis, (2, ..., d), with ``c = f * c_prev + i * g`` and ``h = o * tanh(c)``.
+
+    The gates are feature-major: the pre-activations are one (4*d, rows)
+    array ``W[:k].T @ x.T + W[k:].T @ h_prev.T + b``, so ``[x, h_prev]`` is
+    never concatenated and each gate is a contiguous block of rows. The
+    row-major (rows, 4*d) layout would run the gate math on d-wide strided
+    column slices, several times slower at the small d of memory fusion.
+    The backward builds the pre-activation gradient in the same layout and
+    skips every gradient that no input needs, such as those of a zero state.
     """
-    d = c_prev.shape[-1]
-    gates = 1.0 / (1.0 + np.exp(-z.data[..., :3 * d]))
-    i, f, o = gates[..., :d], gates[..., d:2 * d], gates[..., 2 * d:]
-    g = np.tanh(z.data[..., 3 * d:])
-    c = f * c_prev.data + i * g
+    k, d = x.shape[-1], c_prev.shape[-1]
+    if x.shape[:-1] != c_prev.shape[:-1] or h_prev.shape != c_prev.shape:
+        raise ValueError(f"lstm needs x (..., k) and h, c (..., d) over the same leading axes, "
+                         f"got {x.shape}, {h_prev.shape} and {c_prev.shape}")
+    X, H = x.data.reshape(-1, k), h_prev.data.reshape(-1, d)
+    C = c_prev.data.reshape(-1, d).T
+    Wd = W.data
+    gates = Wd[:k].T @ X.T
+    gates += Wd[k:].T @ H.T
+    gates += b.data[:, None]
+    sig = gates[:3 * d]
+    np.negative(sig, out=sig)
+    with np.errstate(over="ignore"):  # exp overflows to inf where a gate is exactly 0
+        np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    np.tanh(gates[3 * d:], out=gates[3 * d:])
+    i, f, o, g = gates[:d], gates[d:2 * d], gates[2 * d:3 * d], gates[3 * d:]
+    c = f * C
+    c += i * g
     tanh_c = np.tanh(c)
-    h = o * tanh_c
+    hc = np.empty((2,) + c_prev.shape)
+    flat = hc.reshape(2, -1, d)
+    np.multiply(o, tanh_c, out=flat[0].T)
+    flat[1] = c.T
 
     def backward(grad):
-        dc = grad[..., d:] + grad[..., :d] * o * (1.0 - tanh_c * tanh_c)
-        dgates = np.concatenate([dc * g, dc * c_prev.data, grad[..., :d] * tanh_c], axis=-1)
-        z._accumulate(np.concatenate([dgates * gates * (1.0 - gates),
-                                      dc * i * (1.0 - g * g)], axis=-1))
-        c_prev._accumulate(dc * f)
+        dh, dc_next = (part.T for part in grad.reshape(2, -1, d))
+        dz = np.empty_like(gates)
+        di, df, do, dg = dz[:d], dz[d:2 * d], dz[2 * d:3 * d], dz[3 * d:]
+        np.multiply(dh, tanh_c, out=do)
+        dc = np.multiply(tanh_c, tanh_c)
+        np.subtract(1.0, dc, out=dc)
+        dc *= o
+        dc *= dh
+        dc += dc_next
+        if c_prev.requires_grad:
+            c_prev._accumulate((dc * f).T.reshape(c_prev.shape))
+        np.multiply(dc, g, out=di)
+        np.multiply(dc, C, out=df)
+        np.multiply(dc, i, out=dg)
+        np.multiply(g, g, out=dc)  # dc is spent: it holds 1 - g^2 from here
+        np.subtract(1.0, dc, out=dc)
+        dg *= dc
+        slope = np.subtract(1.0, sig)
+        slope *= sig
+        dz[:3 * d] *= slope
+        if x.requires_grad or h_prev.requires_grad:
+            dxh = Wd @ dz
+            x._accumulate(dxh[:k].T.reshape(x.shape))
+            h_prev._accumulate(dxh[k:].T.reshape(h_prev.shape))
+        if W.requires_grad:
+            W._accumulate(np.concatenate([dz @ X, dz @ H], axis=1).T)
+        if b.requires_grad:
+            b._accumulate(dz.sum(axis=1))
 
-    return Tensor._result(np.concatenate([h, c], axis=-1), (z, c_prev), backward, "lstm")
+    return Tensor._result(hc, (x, h_prev, c_prev, W, b), backward, "lstm")
 
 
 def softmax_mix(logits: Tensor, values: Tensor) -> Tensor:

@@ -571,9 +571,9 @@ class TestPatterns:
                 monkeypatch.setattr(cell, "step", spy)
         lstm_nodes = []
 
-        def counted_lstm(z, c_prev):
-            lstm_nodes.append(z.shape)
-            return lstm(z, c_prev)
+        def counted_lstm(x, h_prev, c_prev, W, b):
+            lstm_nodes.append(x.shape)
+            return lstm(x, h_prev, c_prev, W, b)
 
         monkeypatch.setattr(layers_module, "lstm", counted_lstm)
         rows = rows_for(m, 4, rng, range(m), batch=batch)

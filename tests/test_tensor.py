@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mvfuse import tensor as tensor_module
 from mvfuse.gradcheck import check_gradients, numerical_gradient, relative_error
-from mvfuse.tensor import (Adam, EmptySupportError, Tensor, backward, concat, softmax_mix,
-                           stack)
+from mvfuse.tensor import (Adam, EmptySupportError, Tensor, backward, concat, lstm,
+                           softmax_mix, stack)
 
 
 def sum_sq(t):
@@ -192,7 +192,6 @@ OPS = {
     "sum_keepdims": lambda a, b: a.sum(axis=1, keepdims=True),
     "reshape": lambda a, b: a.reshape((6,)),
     "slice": lambda a, b: a[1:, :2],
-    "gather_repeated": lambda a, b: a[np.array([0, 0, 1]), 1:] * b[np.array([1, 1, 0]), :2],
     "softmax_rows": lambda a, b: a.softmax(axis=-1),
     "softmax_broadcast_exclude": lambda a, b: (a * b).softmax(
         axis=-1, exclude=np.array([[[False, True, False]], [[True, False, True]]])),
@@ -211,6 +210,92 @@ def test_op_gradients_match_finite_differences(name, seed):
     b = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
     errs = check_gradients(lambda: sum_sq(OPS[name](a, b)), {"a": a, "b": b})
     assert max(errs.values()) < 1e-4, f"{name}: {errs}"
+
+
+@pytest.mark.parametrize("key", [np.array([0, 0, 1]), np.array([True, False]), [0, 1],
+                                 (slice(None), np.array([2, 0]))],
+                         ids=["int-array", "bool-array", "list", "tuple-with-array"])
+def test_array_index_raises_and_points_to_one_hot_product(key):
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    with pytest.raises(TypeError, match="not (ndarray|list); gather with a one-hot product"):
+        a[key]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lstm_gradients_match_finite_differences(seed):
+    # every input requires grad, over leading axes (2, 3)
+    rng = np.random.default_rng(seed)
+    k, d = 3, 2
+    inputs = {"x": (2, 3, k), "h": (2, 3, d), "c": (2, 3, d), "W": (k + d, 4 * d), "b": (4 * d,)}
+    ts = {name: Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+          for name, shape in inputs.items()}
+    errs = check_gradients(lambda: sum_sq(lstm(*ts.values())), ts)
+    assert max(errs.values()) < 1e-4, errs
+
+
+def test_lstm_inputs_over_different_leading_axes_raise():
+    x, h, c = Tensor(np.ones((6, 3))), Tensor(np.ones((2, 3, 2))), Tensor(np.ones((2, 3, 2)))
+    W, b = Tensor(np.ones((5, 8))), Tensor(np.ones(8))
+    with pytest.raises(ValueError, match="same leading axes"):
+        lstm(x, h, c, W, b)
+
+
+def composed_lstm(x, h, c, W, b, gh, gc):
+    """The LSTM step as separate numpy ops, concat, matmul, bias and gates in
+    row-major (..., 4*d) layout, with each op's backward written out: returns
+    h, c and the gradients of x, h, c, W and b under output gradients gh, gc."""
+    d = h.shape[-1]
+    xh = np.concatenate([x, h], axis=-1)
+    z = xh @ W + b
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-z[..., :3 * d]))
+    i, f, o = sig[..., :d], sig[..., d:2 * d], sig[..., 2 * d:]
+    g = np.tanh(z[..., 3 * d:])
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    dc = gc + gh * o * (1.0 - tanh_c * tanh_c)
+    dsig = np.concatenate([dc * g, dc * c, gh * tanh_c], axis=-1) * sig * (1.0 - sig)
+    dz = np.concatenate([dsig, dc * i * (1.0 - g * g)], axis=-1)
+    dxh = dz @ W.T
+    dz2, xh2 = dz.reshape(-1, 4 * d), xh.reshape(-1, xh.shape[-1])
+    return (o * tanh_c, c_new, dxh[..., :-d], dxh[..., -d:], dc * f, xh2.T @ dz2,
+            dz2.sum(axis=0))
+
+
+def assert_relative(got, want, rtol=1e-12):
+    scale = max(np.abs(want).max(), np.finfo(float).tiny)
+    assert np.abs(got - want).max() <= rtol * scale
+
+
+@pytest.mark.parametrize("state_grad", [True, False], ids=["state-grad", "constant-state"])
+def test_lstm_matches_composed_ops_with_saturated_rows(state_grad):
+    rng = np.random.default_rng(11)
+    k, d, rows = 4, 3, 6
+    x, h, c = rng.normal(size=(rows, k)), rng.normal(size=(rows, d)), rng.normal(size=(rows, d))
+    W, b = rng.normal(size=(k + d, 4 * d)) * 0.5, rng.normal(size=4 * d) * 0.1
+    # rows 4 and 5 read only x[:, 0] = +-1 through weights of +-800, so their
+    # pre-activations are about +-800: in row 4 i = f = o = 1 and g = -1, in
+    # row 5 i = f = o = 0 and g = 1
+    x[4:], h[4:] = 0.0, 0.0
+    x[4:, 0] = [1.0, -1.0]
+    W[0] = np.repeat([800.0, 800.0, 800.0, -800.0], d)
+    gh, gc = rng.normal(size=(rows, d)), rng.normal(size=(rows, d))
+    ts = [Tensor(x, requires_grad=True), Tensor(h, requires_grad=state_grad),
+          Tensor(c, requires_grad=state_grad), Tensor(W, requires_grad=True),
+          Tensor(b, requires_grad=True)]
+    hc = lstm(*ts)
+    (hc * Tensor(np.stack([gh, gc]))).sum().backward()
+    want = composed_lstm(x, h, c, W, b, gh, gc)
+    got = [hc.data[0], hc.data[1]] + [t.grad for t in ts]
+    for name, value, expected in zip(["h", "c", "dx", "dh", "dc", "dW", "db"], got, want):
+        if value is None:
+            assert not state_grad and name in ("dh", "dc")
+            continue
+        assert np.isfinite(value).all(), name
+        assert_relative(value, expected)
+    np.testing.assert_array_equal(hc.data[1, 4], c[4] - 1.0)
+    np.testing.assert_array_equal(hc.data[0, 4], np.tanh(c[4] - 1.0))
+    np.testing.assert_array_equal(hc.data[:, 5], np.zeros((2, d)))
 
 
 def test_batched_matmul_gradients():
