@@ -26,7 +26,11 @@ missing views are left out of its normalization, never imputed:
   fused softmax and weighted sum mixes over them;
 - cross: one token-plus-views sequence and one Q/K/V projection per layer
   for all patterns; a pattern's missing views are excluded keys, and the
-  final layer computes only the token's queries;
+  final layer computes only the token's queries. The first layer's input is
+  shared, so the patterns' key sets lie on its query axis: the token's
+  (B, heads, 1, n) logits become (B, heads, K, n) probabilities and one
+  (K, n) @ (n, d/heads) product per row and head; later layers carry their
+  own pattern axis;
 - concat: the zero-filled concatenation times each pattern's mask.
 
 Memory fusion steps all patterns together. Its first layer has no dropout
@@ -234,7 +238,9 @@ class CrossAttentionFusion(Fusion):
     excluded as keys from every softmax, so they are never attended and
     their attention weights are exact zeros. The fused vector is the token's
     row after the final attention layer, so the final layer computes only
-    the token's queries.
+    the token's queries. The first layer attends the shared sequence under
+    every pattern's key set at once, the patterns on its query axis; its
+    output, and every later layer, is (K, B, n_q, d).
     """
 
     def __init__(self, m: int, d: int, cfg: FusionConfig, rng: np.random.Generator):
@@ -258,25 +264,30 @@ class CrossAttentionFusion(Fusion):
 
     def _keep_masks(self, patterns: np.ndarray, used: np.ndarray, batch: int,
                     rng, train: bool) -> list:
-        """Per layer, the dropout keep masks of all patterns as one dense array.
+        """Per layer, the dropout keep masks of all patterns as one dense array
+        in the layout of its attention probabilities.
 
         Each pattern, in order, draws one (layers, B, heads, n_k, n_k) array,
         the same numbers as one draw per layer, since every block has the
         fusion's dropout rate. It is scattered to the token and view slots of
-        the pattern; the final layer keeps only the token's row.
+        the pattern: on the first layer's query axis, (B, heads, K, n_q, n),
+        and on the leading axis of later layers, (K, B, heads, n_q, n). The
+        final layer keeps only the token's row.
         """
         dropout = self.blocks[0].dropout
         if not train or dropout.rate == 0.0:
             return [None] * len(self.blocks)
-        n, heads, last = 1 + len(used), self.blocks[0].heads, len(self.blocks) - 1
-        keeps = [np.zeros((len(patterns), batch, heads, 1 if i == last else n, n))
-                 for i in range(len(self.blocks))]
+        count, n, heads = len(patterns), 1 + len(used), self.blocks[0].heads
+        last = len(self.blocks) - 1
+        keeps = [np.zeros(((batch, heads, count) if i == 0 else (count, batch, heads))
+                          + (1 if i == last else n, n)) for i in range(last + 1)]
         for k, pattern in enumerate(patterns):
             pos = np.concatenate([[0], 1 + np.flatnonzero(pattern[used])])
             drawn = dropout.mask((len(keeps), batch, heads, len(pos), len(pos)), rng, train)
-            for keep, layer in zip(keeps, drawn):
-                queries = pos[:keep.shape[3]]
-                keep[k][:, :, queries[:, None], pos] = layer[:, :, :len(queries)]
+            for i, (keep, layer) in enumerate(zip(keeps, drawn)):
+                queries = pos[:keep.shape[-2]]
+                target = keep[:, :, k] if i == 0 else keep[k]
+                target[:, :, queries[:, None], pos] = layer[:, :, :len(queries)]
         return keeps
 
     def _fuse(self, rows, patterns, rng, train):
@@ -295,6 +306,7 @@ class CrossAttentionFusion(Fusion):
         with no_grad():
             used, z, exclude = self._sequence(rows, patterns)
             probs = self.blocks[0].probs(z, exclude, first_row=True).data[..., 0, :]
+        probs = np.moveaxis(probs, -2, 0)
         full = np.zeros(probs.shape[:-1] + (1 + self.m,))
         full[..., np.concatenate([[0], 1 + used])] = probs
         return full.reshape(available.shape[:-1] + full.shape[1:])

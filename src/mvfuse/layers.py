@@ -171,10 +171,15 @@ class MultiHeadAttention(Module):
     attention probabilities. There is no learned per-head scalar logit bias:
     added to every logit of its head, it would cancel in the softmax.
 
-    ``attend`` also takes keys to exclude and a dropout keep mask, both
-    broadcasting with the probabilities (..., heads, n_q, n), so one input
-    is attended under several key sets at once, and can compute the first
-    row's queries alone.
+    ``attend`` also takes keys to exclude and a dropout keep mask, so one
+    input is attended under several key sets at once, and can compute the
+    first row's queries alone. An exclusion that broadcasts with the
+    probabilities (..., heads, n_q, n) applies to each row of an input that
+    carries its key sets on a leading axis. One with a leading axis more than
+    the probabilities holds K key sets of one shared input: they are laid out
+    on the query axis, so the probabilities are (..., heads, K, n_q, n) and
+    ``probs @ V`` is one (K * n_q, n) @ (n, d/heads) product per head, whose
+    V gradient needs no sum over the key sets.
     """
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator,
@@ -198,24 +203,36 @@ class MultiHeadAttention(Module):
     def probs(self, z: Tensor, exclude: np.ndarray | None = None,
               first_row: bool = False) -> Tensor:
         """Attention probabilities of an input (..., n, d), shape
-        (..., heads, n_q, n); n_q is 1 when only the first row queries."""
+        (..., heads, n_q, n), or (..., heads, K, n_q, n) under K key sets on
+        the query axis; n_q is 1 when only the first row queries."""
         q = self._split_heads((z[..., :1, :] if first_row else z) @ self.W_Q)
         k = self._split_heads(z @ self.W_K)
         logits = q @ k.transpose(tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
         if self.scaling:
             logits = logits * (1.0 / np.sqrt(self.d // self.heads))
+        if exclude is not None and exclude.ndim > logits.ndim:
+            # (K, ..., n_q, n) key sets of a shared input -> (..., K, n_q, n)
+            exclude = np.moveaxis(exclude, 0, -3)
+            logits = logits.reshape(logits.shape[:-2] + (1,) + logits.shape[-2:])
         return logits.softmax(axis=-1, exclude=exclude)
 
     def attend(self, z: Tensor, exclude: np.ndarray | None = None,
                keep: np.ndarray | None = None, first_row: bool = False) -> Tensor:
-        """Attention output (..., n_q, d): ``exclude`` marks keys left out of
-        the softmax and ``keep`` is a scaled dropout mask on the probabilities."""
+        """Attention output (..., n_q, d), or (K, ..., n_q, d) under K key
+        sets on the query axis: ``exclude`` marks keys left out of the
+        softmax and ``keep`` is a scaled dropout mask in the layout of the
+        probabilities."""
         probs = self.probs(z, exclude, first_row)
         if keep is not None:
             probs = probs * Tensor(keep)
-        out = probs @ self._split_heads(z @ self.W_V)
-        lead = out.ndim - 3
-        out = out.transpose(tuple(range(lead)) + (lead + 1, lead, lead + 2))
+        v = self._split_heads(z @ self.W_V)
+        lead, sets = v.ndim - 3, probs.ndim - v.ndim
+        # key sets on the query axis fold into it: one product per head
+        out = probs.reshape(v.shape[:-2] + (-1, probs.shape[-1])) @ v
+        out = out.reshape(probs.shape[:-1] + v.shape[-1:])
+        # (..., heads, [K,] n_q, d/heads) -> ([K,] ..., n_q, heads, d/heads)
+        out = out.transpose(tuple(range(lead + 1, lead + 1 + sets)) + tuple(range(lead))
+                            + (lead + 1 + sets, lead, lead + 2 + sets))
         return out.reshape(out.shape[:-2] + (self.d,))
 
     def __call__(self, z: Tensor, rng: np.random.Generator | None = None,

@@ -480,11 +480,14 @@ class TestFusionGradients:
         errs = check_gradients(loss, params)
         assert max(errs.values()) < 1e-4, errs
 
-    @pytest.mark.parametrize("kind", ALL_DYNAMIC + ["concat"])
-    def test_gradients_flow_through_mixed_patterns(self, kind):
+    @pytest.mark.parametrize("kind, layers", [(kind, None) for kind in ALL_DYNAMIC + ["concat"]]
+                             + [("cross", 2)], ids=ALL_DYNAMIC + ["concat", "cross-2-layers"])
+    def test_gradients_flow_through_mixed_patterns(self, kind, layers):
+        # two-layer cross folds the patterns into its first layer's query axis
         m, d = 3, 4
         rng = np.random.default_rng(9)
-        fusion = build_fusion(kind, m, d, rng)
+        fusion = make_fusion(FusionConfig(kind=kind, heads=2, layers=layers, dropout=0.0),
+                             m, d, rng)
         rows = [Tensor(rng.uniform(-1, 1, (2, d)), requires_grad=True) for _ in range(m)]
         available = pattern_matrix([(0, 2), (1,), (0, 1, 2)], m)
         params = {f"z{i}": r for i, r in enumerate(rows)}
@@ -553,6 +556,46 @@ class TestPatterns:
         available = pattern_matrix(enumerate_combinations(m), m)
         self.assert_matches_one_call_per_pattern(
             fusion, rows, available[rng.permutation(len(available))], rng)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_cross_in_any_pattern_order_matches_one_call_per_pattern(self, layers):
+        # all 15 patterns of four views out of size order, as predict sends
+        # them; the first layer lays them out on its query axis
+        m, d = 4, 4
+        rng = np.random.default_rng(30 + layers)
+        fusion = make_fusion(FusionConfig(kind="cross", heads=2, layers=layers, dropout=0.3),
+                             m, d, rng)
+        rows = [Tensor(rng.normal(size=(3, d)), requires_grad=True) for _ in range(m)]
+        available = pattern_matrix(enumerate_combinations(m), m)
+        self.assert_matches_one_call_per_pattern(
+            fusion, rows, available[rng.permutation(len(available))], rng)
+
+    def test_cross_lays_the_patterns_on_the_query_axis(self, monkeypatch):
+        # one (K, n) @ (n, d/heads) product per batch row and head, not one
+        # (1, n) product per pattern on a broadcast leading axis
+        m, d, heads, batch = 7, 16, 4, 3
+        rng = np.random.default_rng(15)
+        fusion = make_fusion(FusionConfig(kind="cross", heads=heads, layers=1, dropout=0.3),
+                             m, d, rng)
+        available = pattern_matrix(enumerate_combinations(m), m)
+        patterns = len(available)
+        shapes = []
+        result = Tensor._result
+
+        def recorded(data, parents, backward, op):
+            shapes.append((op, np.shape(data)))
+            return result(data, parents, backward, op)
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(recorded))
+        rows = [Tensor(rng.normal(size=(batch, d)), requires_grad=True) for _ in range(m)]
+        fused = fusion.fuse(rows, available, rng=np.random.default_rng(16), train=True)
+
+        assert fused.shape == (patterns, batch, d)
+        assert ("matmul", (batch, heads, patterns, d // heads)) in shapes
+        broadcast = [(op, shape) for op, shape in shapes
+                     if len(shape) == 5 and shape[0] == patterns
+                     and shape[1:3] == (batch, heads) and shape[3] == 1]
+        assert not broadcast, broadcast
 
     def test_memory_steps_each_prefix_and_pattern_length_once(self, monkeypatch):
         # the 31 patterns of five views hold 80 view slots; the first layer
