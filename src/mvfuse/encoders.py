@@ -88,7 +88,8 @@ def one_hot_batch(indices: np.ndarray, cardinality: int) -> np.ndarray:
 
 
 class TemporalEncoder(Module):
-    """Conv1d stack with ReLU and dropout, mean-pooled over time, layer normalized."""
+    """Conv1d stack with ReLU and dropout, mean-pooled over time, layer normalized;
+    each layer is one ``window_affine`` node with its dropout keep mask."""
 
     def __init__(self, channels: int, cfg: EncoderConfig, rng: np.random.Generator):
         d = cfg.latent_dim
@@ -103,13 +104,15 @@ class TemporalEncoder(Module):
             raise ValueError("temporal encoder needs a non-empty series")
         out = x
         for conv in self.convs:
-            out = self.dropout(conv(out).relu(), rng=rng, train=train)
+            keep = self.dropout.mask(out.shape[:-1] + (conv.c_out,), rng, train)
+            out = conv(out, relu=True, keep=keep)
         pooled = out.mean(axis=-2)
         return self.norm(pooled)
 
 
 class StaticEncoder(Module):
-    """Affine stack with ReLU and dropout, layer normalized."""
+    """Affine stack with ReLU and dropout, layer normalized; each layer is one
+    ``window_affine`` node with its dropout keep mask."""
 
     def __init__(self, channels: int, cfg: EncoderConfig, rng: np.random.Generator):
         d = cfg.latent_dim
@@ -122,7 +125,8 @@ class StaticEncoder(Module):
                  train: bool = False) -> Tensor:
         out = x
         for affine in self.affines:
-            out = self.dropout(affine(out).relu(), rng=rng, train=train)
+            keep = self.dropout.mask(out.shape[:-1] + (affine.d_out,), rng, train)
+            out = affine(out, relu=True, keep=keep)
         return self.norm(out)
 
 

@@ -163,4 +163,12 @@ def run_suite(seeds: Sequence[int] = tuple(range(20))) -> dict[str, float]:
                 errs = check_gradients(lambda: _sum_squares(fusion.fuse(rows, available)), params)
                 record(name + suffix, max(errs.values()))
 
+        # encoder layer: conv1d, ReLU and a fixed keep mask in one node; last,
+        # so that no other case's data moves
+        x, conv = unit((2, 5, 3)), layers.Conv1d(3, 4, rng, kernel=3)
+        keep = (rng.random((2, 5, 4)) < 0.7) / 0.7
+        errs = check_gradients(lambda: _sum_squares(conv(x, relu=True, keep=keep)),
+                               {"x": x, "W": conv.W, "b": conv.b})
+        record("encoder_layer", max(errs.values()))
+
     return results

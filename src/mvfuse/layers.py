@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, lstm
+from .tensor import Tensor, lstm, window_affine
 
 
 class Module:
@@ -45,7 +45,8 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> Tensor
 
 
 class Affine(Module):
-    """y = x @ W + b over the last axis."""
+    """y = x @ W + b over the last axis, as one ``window_affine`` node; an
+    encoder layer also passes its rectifier and dropout keep mask into it."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.W = glorot(rng, d_in, d_out, (d_in, d_out))
@@ -53,18 +54,19 @@ class Affine(Module):
         self.d_in = d_in
         self.d_out = d_out
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, relu: bool = False, keep: np.ndarray | None = None) -> Tensor:
         if x.shape[-1] != self.d_in:
             raise ValueError(f"affine expects last dim {self.d_in}, got {x.shape[-1]}")
-        return x @ self.W + self.b
+        return window_affine(x, self.W, self.b, relu, keep)
 
 
 class Conv1d(Module):
     """Temporal convolution with symmetric zero padding, output length == input length.
 
     Input is (..., T, c_in); the kernel must be odd so 'same' padding stays
-    symmetric. Realized as one matmul of the unfolded windows (..., T, K*c_in)
-    with the taps W (K, c_in, c_out) read as one (K*c_in, c_out) matrix.
+    symmetric. One ``window_affine`` node: the windows (..., T, K*c_in) times
+    the taps W (K, c_in, c_out) read as one (K*c_in, c_out) matrix, plus the
+    bias, then an encoder layer's rectifier and dropout keep mask.
     """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, kernel: int = 3):
@@ -72,17 +74,15 @@ class Conv1d(Module):
             raise ValueError("kernel size must be odd and positive")
         self.W = glorot(rng, kernel * c_in, c_out, (kernel, c_in, c_out))
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
-        self.kernel = kernel
         self.c_in = c_in
         self.c_out = c_out
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, relu: bool = False, keep: np.ndarray | None = None) -> Tensor:
         if x.shape[-2] < 1:
             raise ValueError("conv1d needs at least one time step")
         if x.shape[-1] != self.c_in:
             raise ValueError(f"conv1d expects {self.c_in} channels, got {x.shape[-1]}")
-        W = self.W.reshape((self.kernel * self.c_in, self.c_out))
-        return x.unfold(self.kernel) @ W + self.b
+        return window_affine(x, self.W, self.b, relu, keep)
 
 
 class LayerNorm(Module):
@@ -110,7 +110,8 @@ class LayerNorm(Module):
 class Dropout:
     """Inverted dropout: scales kept units by 1/(1-p) at train time.
 
-    Identity when rate is 0 or train is False; evaluation never drops.
+    ``mask`` draws the keep mask that the caller's op multiplies in; there
+    is none when rate is 0 or train is False, so evaluation never drops.
     """
 
     def __init__(self, rate: float):
@@ -127,11 +128,6 @@ class Dropout:
             raise ValueError("train-time dropout needs a generator")
         keep = 1.0 - self.rate
         return (rng.random(shape) < keep) / keep
-
-    def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 train: bool = False) -> Tensor:
-        mask = self.mask(x.shape, rng, train)
-        return x if mask is None else x * Tensor(mask)
 
 
 class LSTMCell(Module):
@@ -205,8 +201,8 @@ class MultiHeadAttention(Module):
         """Attention probabilities of an input (..., n, d), shape
         (..., heads, n_q, n), or (..., heads, K, n_q, n) under K key sets on
         the query axis; n_q is 1 when only the first row queries."""
-        q = self._split_heads((z[..., :1, :] if first_row else z) @ self.W_Q)
-        k = self._split_heads(z @ self.W_K)
+        q = self._split_heads(window_affine(z[..., :1, :] if first_row else z, self.W_Q))
+        k = self._split_heads(window_affine(z, self.W_K))
         logits = q @ k.transpose(tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
         if self.scaling:
             logits = logits * (1.0 / np.sqrt(self.d // self.heads))
@@ -225,7 +221,7 @@ class MultiHeadAttention(Module):
         probs = self.probs(z, exclude, first_row)
         if keep is not None:
             probs = probs * Tensor(keep)
-        v = self._split_heads(z @ self.W_V)
+        v = self._split_heads(window_affine(z, self.W_V))
         lead, sets = v.ndim - 3, probs.ndim - v.ndim
         # key sets on the query axis fold into it: one product per head
         out = probs.reshape(v.shape[:-2] + (-1, probs.shape[-1])) @ v

@@ -42,6 +42,19 @@ def raw_input(spec: ViewSpec, arr: np.ndarray) -> np.ndarray:
     return np.asarray(arr, dtype=np.float64)
 
 
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` of boolean rows (n, m),
+    from one ``lexsort`` of the rows packed into bytes, first column most
+    significant: the same lexicographic order, many times faster."""
+    packed = np.packbits(rows, axis=1)
+    order = np.lexsort(packed.T[::-1])
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (packed[order[1:]] != packed[order[:-1]]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[order[first]], inverse
+
+
 class _BaseModel(Module):
     """Shared prediction plumbing for both model families."""
 
@@ -118,7 +131,7 @@ class _BaseModel(Module):
         """
         m = len(self.view_specs)
         available = check_available(available, m)
-        patterns, inverse = np.unique(available.reshape(-1, m), axis=0, return_inverse=True)
+        patterns, inverse = unique_rows(available.reshape(-1, m))
         outs = self.check_outputs(views, patterns, "prediction")
         rows = (outs.softmax(axis=-1).data if self.task == "classification"
                 else outs.data[..., 0])

@@ -68,8 +68,8 @@ def test_criterion_1_gradient_suite():
         results = run_suite(seeds=range(20))
         elapsed = time.time() - start
         assert elapsed < 60.0, f"suite took {elapsed:.1f}s"
-        expected_cases = {"affine", "conv1d", "layer_norm", "lstm", "attention",
-                          "masked_softmax", "fusion_average", "fusion_gated",
+        expected_cases = {"affine", "conv1d", "encoder_layer", "layer_norm", "lstm",
+                          "attention", "masked_softmax", "fusion_average", "fusion_gated",
                           "fusion_cross", "fusion_memory", "fusion_average_mixed",
                           "fusion_gated_mixed", "fusion_cross_mixed",
                           "fusion_memory_mixed"}

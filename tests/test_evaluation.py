@@ -12,7 +12,7 @@ from mvfuse.evaluation import (EvalReport, MissingScenario, auc_pr,
                                f1_macro, mape, prs, r2, scenario_availability,
                                sweep)
 from mvfuse.fusion import FusionConfig
-from mvfuse.model import FeatureFusionModel, batch_views, build_model
+from mvfuse.model import FeatureFusionModel, batch_views, build_model, unique_rows
 from mvfuse.tensor import no_grad
 
 VIEWS = ["optical", "radar", "weather", "soil"]
@@ -321,6 +321,20 @@ def grouped_predictions(model, views, available):
             rows.update(zip(idx, preds))
         out.append([rows[i] for i in range(matrix.shape[0])])
     return np.array(out)
+
+
+@pytest.mark.parametrize("m", [1, 5, 9, 70])
+def test_unique_rows_match_np_unique(m):
+    rng = np.random.default_rng(m)
+    rows = rng.random((300, m)) < 0.6
+    rows[:, (m + 1) // 2:] = rows[0, (m + 1) // 2:]  # rows differing only early on
+    rows[100:] = rows[rng.integers(0, 100, 200)]  # and repeats
+    for part in (rows, rows[:1]):
+        patterns, inverse = unique_rows(part)
+        want_patterns, want_inverse = np.unique(part, axis=0, return_inverse=True)
+        assert patterns.dtype == want_patterns.dtype
+        np.testing.assert_array_equal(patterns, want_patterns)
+        np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
 
 
 # every fusion kind at feature level, average at input level, InputConcatModel

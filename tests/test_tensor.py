@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mvfuse import tensor as tensor_module
 from mvfuse.gradcheck import check_gradients, numerical_gradient, relative_error
 from mvfuse.tensor import (Adam, EmptySupportError, Tensor, backward, concat, lstm,
-                           softmax_mix, stack)
+                           softmax_mix, stack, window_affine)
 
 
 def sum_sq(t):
@@ -79,6 +79,21 @@ class TestSoftmax:
         np.testing.assert_array_equal(Tensor(x).softmax(axis=-1, exclude=exclude).data,
                                       expected)
 
+    @pytest.mark.parametrize("keys", [1, 2, 8, 32, 33])
+    def test_shift_is_the_exact_maximum(self, keys):
+        # up to 32 keys the shift is a fold of np.maximum, not max()
+        rng = np.random.default_rng(keys)
+        logits = rng.normal(size=(6, 5, keys)) * 30.0
+        excl = rng.random(logits.shape) < 0.3
+        excl[..., 0] = False
+        masked = np.where(excl, -np.inf, logits)
+        for axis in (-1, 0):
+            np.testing.assert_array_equal(tensor_module._shift(masked, axis),
+                                          masked.max(axis=axis, keepdims=True))
+        e = np.exp(masked - masked.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(Tensor(logits).softmax(axis=-1, exclude=excl).data,
+                                      e / e.sum(axis=-1, keepdims=True))
+
     def test_exclude_broadcasts_the_input(self):
         # one set of logits under two exclusion patterns, each as its own softmax
         x = np.array([[0.5, -0.2, 1.0], [2.0, 0.1, -1.0]])
@@ -125,7 +140,7 @@ class TestBackward:
         w2 = Tensor(rng.uniform(-1, 1, (5, 2)), requires_grad=True)
 
         def loss():
-            return sum_sq((x @ w1 + b1).relu() @ w2)
+            return sum_sq(window_affine(x, w1, b1, relu=True) @ w2)
 
         errs = check_gradients(loss, {"x": x, "w1": w1, "b1": b1, "w2": w2})
         assert max(errs.values()) < 1e-4
@@ -179,6 +194,9 @@ class TestBackward:
         np.testing.assert_array_equal(y.grad, np.ones(3))
 
 
+# a scaled dropout keep mask at rate 0.2
+KEEP = np.array([[1.25, 0.0], [1.25, 1.25], [0.0, 1.25], [1.25, 1.25], [1.25, 0.0], [0.0, 1.25]])
+
 OPS = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
@@ -186,8 +204,20 @@ OPS = {
     "matmul": lambda a, b: a @ b.transpose((1, 0)),
     "matmul_3d_2d": lambda a, b: a.reshape((2, 1, 3)) @ b.transpose((1, 0)),
     "pow": lambda a, b: ((a * a) + 0.5) ** 1.5,
-    "unfold": lambda a, b: a.unfold(3),
-    "relu": lambda a, b: (a + 0.01).relu(),
+    # window_affine: K=1 reads W (3, 2) and bias (2,) off b; K=3 reads a as
+    # (2, 3, 1) series of 3 steps, W (3, 1, 2) and bias (2,) off b
+    "window_affine_k1": lambda a, b: window_affine(a, b.transpose((1, 0)), b[:, 0]),
+    "window_affine_k1_relu_keep": lambda a, b: window_affine(
+        a, b.transpose((1, 0)), b[:, 0], relu=True, keep=KEEP[:2, :2]),
+    "window_affine_k3": lambda a, b: window_affine(
+        a.reshape((2, 3, 1)), b.reshape((3, 1, 2)), b[0, :2]),
+    "window_affine_k3_relu": lambda a, b: window_affine(
+        a.reshape((2, 3, 1)), b.reshape((3, 1, 2)), b[0, :2], relu=True),
+    "window_affine_k3_keep": lambda a, b: window_affine(
+        a.reshape((2, 3, 1)), b.reshape((3, 1, 2)), b[0, :2], keep=KEEP.reshape((2, 3, 2))),
+    "window_affine_k3_relu_keep": lambda a, b: window_affine(
+        a.reshape((2, 3, 1)), b.reshape((3, 1, 2)), b[0, :2], relu=True,
+        keep=KEEP.reshape((2, 3, 2))),
     "mean_axis": lambda a, b: a.mean(axis=0),
     "sum_keepdims": lambda a, b: a.sum(axis=1, keepdims=True),
     "reshape": lambda a, b: a.reshape((6,)),
@@ -296,6 +326,69 @@ def test_lstm_matches_composed_ops_with_saturated_rows(state_grad):
     np.testing.assert_array_equal(hc.data[1, 4], c[4] - 1.0)
     np.testing.assert_array_equal(hc.data[0, 4], np.tanh(c[4] - 1.0))
     np.testing.assert_array_equal(hc.data[:, 5], np.zeros((2, d)))
+
+
+def composed_unfold(a, kernel):
+    """Zero-padded windows, (..., T, c) -> (..., T, kernel*c), as a node of
+    their own: the op a convolution layer ran before ``window_affine``."""
+    T, c = a.shape[-2:]
+    pad = kernel // 2
+    padded = np.pad(a.data, [(0, 0)] * (a.ndim - 2) + [(pad, pad), (0, 0)])
+    out = np.concatenate([padded[..., tau:tau + T, :] for tau in range(kernel)], axis=-1)
+
+    def backward(g):
+        folded = np.zeros(padded.shape)
+        for tau in range(kernel):
+            folded[..., tau:tau + T, :] += g[..., tau * c:(tau + 1) * c]
+        a._accumulate(folded[..., pad:pad + T, :])
+
+    return Tensor._result(out, (a,), backward, "unfold")
+
+
+def composed_relu(a):
+    def backward(g):
+        a._accumulate(g * (a.data > 0.0))
+
+    return Tensor._result(np.maximum(a.data, 0.0), (a,), backward, "relu")
+
+
+def composed_layer(x, W, b, relu=False, keep=None):
+    """An encoder layer as the graph unfold -> matmul -> add -> relu -> mul,
+    the matmul folding the leading axes into one 2-D product."""
+    if W.ndim == 3:
+        x = composed_unfold(x, W.shape[0])
+        W = W.reshape((-1, W.shape[-1]))
+    out = (x.reshape((-1, x.shape[-1])) @ W).reshape(x.shape[:-1] + W.shape[-1:]) + b
+    if relu:
+        out = composed_relu(out)
+    return out if keep is None else out * Tensor(keep)
+
+
+# n = 3 outputs: every case takes the weight gradient as (g^T a)^T but k1-wide
+@pytest.mark.parametrize("kernel, shape", [(None, (5, 4)), (1, (2, 5, 2)), (3, (5, 4)),
+                                           (3, (2, 5, 4)), (5, (2, 3, 5, 4)), (9, (2, 2, 4))],
+                         ids=["affine", "k1-wide", "k3", "batched-k3", "batched2-k5", "T2-k9"])
+@pytest.mark.parametrize("relu, keep", [(False, False), (True, False), (False, True),
+                                        (True, True)],
+                         ids=["plain", "relu", "keep", "relu-keep"])
+def test_window_affine_matches_composed_graph(kernel, shape, relu, keep):
+    rng = np.random.default_rng(12)
+    c, n = shape[-1], 3
+    x = rng.normal(size=shape)
+    W = rng.normal(size=(c, n) if kernel is None else (kernel, c, n))
+    b = rng.normal(size=n)
+    mask = (rng.random(shape[:-1] + (n,)) < 0.8) / 0.8 if keep else None
+    readout = rng.normal(size=shape[:-1] + (n,))
+    results = []
+    for layer in (window_affine, composed_layer):
+        ts = [Tensor(v, requires_grad=True) for v in (x, W, b)]
+        out = layer(*ts, relu=relu, keep=mask)
+        (out * Tensor(readout)).sum().backward()
+        results.append([out.data] + [t.grad for t in ts])
+    (fused, *grads), (composed, *expected) = results
+    np.testing.assert_array_equal(fused, composed)
+    for got, want in zip(grads, expected):
+        assert_relative(got, want)
 
 
 def test_batched_matmul_gradients():

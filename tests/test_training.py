@@ -421,7 +421,7 @@ def test_nan_parameter_fails_training_naming_the_op(task):
     model = tiny_model(ds)
     model.head.W.data = np.full_like(model.head.W.data, np.nan)
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match=r"backward root is not finite: .*op 'matmul'"):
+    with pytest.raises(ValueError, match=r"backward root is not finite: .*op 'window_affine'"):
         train_step(model, ds.views, ds.y, AugPolicy(kind="com"), enumerate_combinations(2),
                    Adam(model.parameters()), ds.task, None, rng, rng)
 
@@ -431,10 +431,10 @@ def test_nan_parameter_fails_predict_and_validation_naming_the_op():
     model = tiny_model(ds)
     model.head.W.data = np.full_like(model.head.W.data, np.nan)
     with pytest.raises(ValueError, match=r"prediction under views \('a', 'b'\) is not "
-                                         r"finite: .*op 'matmul'"):
+                                         r"finite: .*op 'window_affine'"):
         model.predict(ds.views, np.ones((20, 2), dtype=bool))
     with pytest.raises(ValueError, match=r"validation output under views \('a', 'b'\) is "
-                                         r"not finite: .*op 'matmul'"):
+                                         r"not finite: .*op 'window_affine'"):
         validation_losses(model, ds, [(0, 1)])
 
 
