@@ -52,8 +52,8 @@ Schema (all sections optional unless noted, defaults in parentheses):
         - kind: none | only_missing | only_available | fraction
           view: str
           p: float                        # fraction only
-      folds: int (1)                      # >1 runs k-fold cross-validation
-      repeats: int (1)
+      folds: int (1)                      # >1 runs k-fold cross-validation, <= samples
+      repeats: int (1)                    # >1 needs folds > 1
 
 Each section is the dataclass that holds it: a key must name one of its
 fields (``YAML_NAMES`` renames the few whose YAML name differs), and each
@@ -120,6 +120,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.folds < 1 or self.repeats < 1:
             raise ValueError("folds and repeats must be >= 1")
+        if self.repeats > 1 and self.folds == 1:
+            raise ValueError(f"repeats {self.repeats} needs folds > 1, got folds 1")
         if any(not 0.0 <= p <= 1.0 for p in self.grid):
             raise ValueError("grid values must lie in [0, 1]")
 

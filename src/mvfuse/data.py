@@ -241,6 +241,8 @@ def kfold_indices(n: int, folds: int = 5, repeats: int = 1,
     """(train, validation) index pairs for repeated k-fold cross-validation."""
     if folds < 2:
         raise ValueError("k-fold needs k >= 2")
+    if folds > n:
+        raise ValueError(f"{folds} folds need at least {folds} samples, got {n}")
     out = []
     for rep in range(repeats):
         perm = stream(seed, "folds", rep).permutation(n)
@@ -276,15 +278,10 @@ def zscore_fit(ds: MultiViewDataset, indices: np.ndarray | None = None) -> dict:
 
 
 def zscore_apply(ds: MultiViewDataset, stats: dict) -> MultiViewDataset:
-    views = {}
-    for spec in ds.view_specs:
-        arr = ds.views[spec.id]
-        if spec.id in stats:
-            mean = np.asarray(stats[spec.id]["mean"])
-            std = np.asarray(stats[spec.id]["std"])
-            views[spec.id] = (arr - mean) / std
-        else:
-            views[spec.id] = arr
+    views = {vid: ds.views[vid] for vid in ds.view_ids}
+    for vid, entry in stats.items():
+        if vid in views:
+            views[vid] = (views[vid] - np.asarray(entry["mean"])) / np.asarray(entry["std"])
     return MultiViewDataset(ds.view_specs, views, ds.y, ds.task, ds.n_classes)
 
 

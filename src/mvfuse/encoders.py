@@ -87,6 +87,15 @@ def one_hot_batch(indices: np.ndarray, cardinality: int) -> np.ndarray:
     return out
 
 
+def _run_layers(layers: list[Affine], dropout: Dropout, x: Tensor,
+                rng: np.random.Generator | None, train: bool) -> Tensor:
+    """Each layer as one node with ReLU and a keep mask drawn on its output shape."""
+    for layer in layers:
+        keep = dropout.mask(x.shape[:-1] + (layer.W.shape[-1],), rng, train)
+        x = layer(x, relu=True, keep=keep)
+    return x
+
+
 class TemporalEncoder(Module):
     """Conv1d stack with ReLU and dropout, mean-pooled over time, layer normalized;
     each layer is one ``window_affine`` node with its dropout keep mask."""
@@ -100,14 +109,7 @@ class TemporalEncoder(Module):
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
                  train: bool = False) -> Tensor:
-        if x.shape[-2] < 1:
-            raise ValueError("temporal encoder needs a non-empty series")
-        out = x
-        for conv in self.convs:
-            keep = self.dropout.mask(out.shape[:-1] + (conv.c_out,), rng, train)
-            out = conv(out, relu=True, keep=keep)
-        pooled = out.mean(axis=-2)
-        return self.norm(pooled)
+        return self.norm(_run_layers(self.convs, self.dropout, x, rng, train).mean(axis=-2))
 
 
 class StaticEncoder(Module):
@@ -123,11 +125,7 @@ class StaticEncoder(Module):
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
                  train: bool = False) -> Tensor:
-        out = x
-        for affine in self.affines:
-            keep = self.dropout.mask(out.shape[:-1] + (affine.d_out,), rng, train)
-            out = affine(out, relu=True, keep=keep)
-        return self.norm(out)
+        return self.norm(_run_layers(self.affines, self.dropout, x, rng, train))
 
 
 def make_encoder(spec: ViewSpec, cfg: EncoderConfig, rng: np.random.Generator) -> Module:

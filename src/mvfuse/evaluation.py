@@ -74,12 +74,17 @@ def scenario_availability(scenario: MissingScenario, n: int, view_ids: list[str]
 # -- performance metrics -----------------------------------------------------------
 
 
+def _aligned(y_true, y_pred, dtype, what: str = "vectors") -> tuple[np.ndarray, np.ndarray]:
+    """Both vectors as ``dtype`` arrays, checked non-empty and of one shape."""
+    y_true, y_pred = np.asarray(y_true, dtype=dtype), np.asarray(y_pred, dtype=dtype)
+    if y_true.size == 0 or y_true.shape != y_pred.shape:
+        raise ValueError(f"need non-empty aligned {what}")
+    return y_true, y_pred
+
+
 def f1_macro(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Macro-averaged F1 over the union of observed classes."""
-    y_true = np.asarray(y_true, dtype=int)
-    y_pred = np.asarray(y_pred, dtype=int)
-    if y_true.size == 0 or y_true.shape != y_pred.shape:
-        raise ValueError("need non-empty aligned label vectors")
+    y_true, y_pred = _aligned(y_true, y_pred, int, "label vectors")
     classes = np.union1d(y_true, y_pred)
     scores = []
     for c in classes:
@@ -92,10 +97,7 @@ def f1_macro(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 def r2(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if y_true.size == 0 or y_true.shape != y_pred.shape:
-        raise ValueError("need non-empty aligned vectors")
+    y_true, y_pred = _aligned(y_true, y_pred, np.float64)
     ss_tot = np.sum((y_true - y_true.mean()) ** 2)
     if ss_tot == 0.0:
         raise ValueError("targets are constant, R2 undefined")
@@ -135,10 +137,7 @@ def auc_pr(y_true: np.ndarray, scores: np.ndarray) -> float:
 
 
 def mape(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if y_true.size == 0 or y_true.shape != y_pred.shape:
-        raise ValueError("need non-empty aligned vectors")
+    y_true, y_pred = _aligned(y_true, y_pred, np.float64)
     if np.any(y_true == 0.0):
         raise ValueError("MAPE undefined for zero targets")
     return float(np.mean(np.abs((y_true - y_pred) / y_true)))

@@ -375,9 +375,9 @@ class MemoryFusion(Fusion):
     it, so its forward state after t views depends only on the pattern's
     first t views and its backward state only on its last t: every distinct
     ordered prefix, and every reversed suffix, is stepped once, all of one
-    length in one step. Later layers step all patterns with the same number
-    of views together, reading each position's first-layer output from
-    those prefix and suffix tables.
+    length in one step. Each group of patterns with s views reads those
+    tables at one list of (forward, backward) positions: (s - 1, 0) for one
+    layer, and (t, t) for each t when later layers step the group together.
     """
 
     def __init__(self, d: int, cfg: FusionConfig, rng: np.random.Generator):
@@ -436,19 +436,13 @@ class MemoryFusion(Fusion):
         for g in sorted(range(len(groups)), key=lambda g: -len(seqs[groups[g][0]])):
             group = [seqs[k] for k in groups[g]]
             s = len(group[0])
-
-            def prefix(t):
-                return _select(fwd[t + 1], [fwd_at[t + 1][q[:t + 1]] for q in group], batch)
-
-            def suffix(t):
-                return _select(bwd[s - t], [bwd_at[s - t][q[t:][::-1]] for q in group], batch)
-
-            # the last layer's output is the forward state after the last view
-            # next to the backward state after the first
-            if len(self.forward_cells) == 1:
-                seq = [concat([prefix(s - 1), suffix(0)], axis=-1)]
-            else:
-                seq = [concat([prefix(t), suffix(t)], axis=-1) for t in range(s)]
+            # first-layer (forward, backward) positions; one layer reads (last, first)
+            positions = ([(s - 1, 0)] if len(self.forward_cells) == 1
+                         else [(t, t) for t in range(s)])
+            seq = [concat([
+                _select(fwd[i + 1], [fwd_at[i + 1][q[:i + 1]] for q in group], batch),
+                _select(bwd[s - j], [bwd_at[s - j][q[j:][::-1]] for q in group], batch)], axis=-1)
+                for i, j in positions]
             for layer in range(1, len(self.forward_cells)):
                 every = layer < len(self.forward_cells) - 1
                 if masks[0] is not None:

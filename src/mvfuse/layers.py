@@ -46,27 +46,25 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> Tensor
 
 class Affine(Module):
     """y = x @ W + b over the last axis, as one ``window_affine`` node; an
-    encoder layer also passes its rectifier and dropout keep mask into it."""
+    encoder layer also passes its rectifier and dropout keep mask into it.
+    The input width is W's second-to-last axis, so a subclass may hold taps."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.W = glorot(rng, d_in, d_out, (d_in, d_out))
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
-        self.d_in = d_in
-        self.d_out = d_out
 
     def __call__(self, x: Tensor, relu: bool = False, keep: np.ndarray | None = None) -> Tensor:
-        if x.shape[-1] != self.d_in:
-            raise ValueError(f"affine expects last dim {self.d_in}, got {x.shape[-1]}")
+        if x.shape[-1] != self.W.shape[-2]:
+            raise ValueError(f"affine expects last dim {self.W.shape[-2]}, got {x.shape[-1]}")
         return window_affine(x, self.W, self.b, relu, keep)
 
 
-class Conv1d(Module):
+class Conv1d(Affine):
     """Temporal convolution with symmetric zero padding, output length == input length.
 
     Input is (..., T, c_in); the kernel must be odd so 'same' padding stays
-    symmetric. One ``window_affine`` node: the windows (..., T, K*c_in) times
-    the taps W (K, c_in, c_out) read as one (K*c_in, c_out) matrix, plus the
-    bias, then an encoder layer's rectifier and dropout keep mask.
+    symmetric. The ``Affine`` node over K taps: the windows (..., T, K*c_in)
+    times the taps W (K, c_in, c_out) read as one (K*c_in, c_out) matrix.
     """
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, kernel: int = 3):
@@ -74,15 +72,11 @@ class Conv1d(Module):
             raise ValueError("kernel size must be odd and positive")
         self.W = glorot(rng, kernel * c_in, c_out, (kernel, c_in, c_out))
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
-        self.c_in = c_in
-        self.c_out = c_out
 
     def __call__(self, x: Tensor, relu: bool = False, keep: np.ndarray | None = None) -> Tensor:
         if x.shape[-2] < 1:
             raise ValueError("conv1d needs at least one time step")
-        if x.shape[-1] != self.c_in:
-            raise ValueError(f"conv1d expects {self.c_in} channels, got {x.shape[-1]}")
-        return window_affine(x, self.W, self.b, relu, keep)
+        return super().__call__(x, relu, keep)
 
 
 class LayerNorm(Module):

@@ -68,6 +68,10 @@ class TestSensdMask:
             dropped = sum(view not in mask for mask in draws) / n
             assert abs(dropped - p) < 3 * sigma
 
+    def test_no_views_rejected(self):
+        with pytest.raises(ValueError, match="need at least one view"):
+            sensd_mask(0, np.random.default_rng(0))
+
     def test_deterministic_given_seed(self):
         a = [sensd_mask(4, np.random.default_rng(7)) for _ in range(20)]
         b = [sensd_mask(4, np.random.default_rng(7)) for _ in range(20)]

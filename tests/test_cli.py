@@ -61,7 +61,7 @@ MALFORMED = [
     ("model.encoder_layers", 0), ("model.encoder_dropout", 1.0),
     ("fusion.layers", 0), ("fusion.heads", 0), ("fusion.dropout", 1.0),
     ("train.batch_size", 0), ("train.patience", 0), ("train.max_epochs", 0),
-    ("aug.tempd_ratio", 1.0),
+    ("aug.tempd_ratio", 1.0), ("eval.repeats", 3),
 ]
 
 
@@ -546,6 +546,36 @@ class TestBoundaries:
                           f"snapshot parameter head.b has dtype {arrays['head.b'].dtype}, "
                           f"not a real floating type"}
         assert not (trained / "report.csv").exists()
+
+    @pytest.mark.parametrize("command, path, value, words", [
+        ("evaluate", "data.synthetic.views.1.id", "sonar", "its view 1 is ViewSpec(id='radar'"),
+        ("sweep", "data.synthetic.views.1.channels", 4,
+         "its view 1 is ViewSpec(id='radar', kind='static', time_steps=None, channels=3, "),
+        ("evaluate", "data.synthetic.classes", 4, "its head width is 3, the data's is 4")],
+        ids=["other-view-id", "other-channels", "other-class-count"])
+    def test_snapshot_that_does_not_fit_the_data_is_runtime_error(
+            self, tmp_path, capsys, command, path, value, words):
+        trained = tmp_path / "trained"
+        assert main(["train", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(trained)]) == 0
+        other = write_config(tmp_path, with_value(path, value), "other.yaml")
+        out = tmp_path / "run"
+        code, record = self.run(capsys, [command, "--config", other, "--out", str(out),
+                                         "--model", str(trained)])
+        assert code == 3
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"snapshot {trained} does not fit the data: {words}")
+        assert not (out / "report.csv").exists()
+
+    def test_more_folds_than_samples_fails_before_training(self, tmp_path, capsys):
+        raw = with_value(("eval.folds", "data.synthetic.n_samples"), (20, 12))
+        out = tmp_path / "run"
+        code, record = self.run(capsys, ["evaluate", "--config", write_config(tmp_path, raw),
+                                         "--out", str(out)])
+        assert code == 3
+        assert record == {"error": "ValueError",
+                          "message": "20 folds need at least 20 samples, got 12"}
+        assert not (out / "report.csv").exists()
 
 
 def test_module_entry_point_exits_with_the_code_of_main(tmp_path):

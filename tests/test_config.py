@@ -111,6 +111,13 @@ def test_error_names_the_path(path, value, message):
         parse_config(with_value(path, value))
 
 
+def test_config_without_data_section_is_config_error():
+    raw = base_config()
+    del raw["data"]
+    with pytest.raises(ConfigError, match="a synthetic section is required"):
+        parse_config(raw)
+
+
 def test_float_field_takes_an_int_and_int_field_rejects_a_bool():
     cfg = parse_config(with_value("train.lr", 1))
     assert cfg.train.lr == 1.0 and isinstance(cfg.train.lr, float)

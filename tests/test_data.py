@@ -9,7 +9,8 @@ import pytest
 from mvfuse.data import (DataError, MalformedFieldError, MultiViewDataset, RowCountError,
                          SyntheticConfig, SyntheticViewConfig, UnknownViewError,
                          generate_synthetic, kfold_indices, load_dataset,
-                         save_dataset, train_val_split, zscore_apply, zscore_fit)
+                         save_dataset, train_val_split, validation_size, zscore_apply,
+                         zscore_fit)
 from mvfuse.encoders import ViewSpec
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy"
@@ -97,6 +98,16 @@ class TestSplits:
         with pytest.raises(ValueError, match="k >= 2"):
             kfold_indices(50, folds=1)
 
+    def test_kfold_needs_a_sample_per_fold(self):
+        with pytest.raises(ValueError, match="20 folds need at least 20 samples, got 12"):
+            kfold_indices(12, folds=20)
+        assert [len(val) for _, val in kfold_indices(12, folds=12)] == [1] * 12
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])
+    def test_validation_size_needs_a_fraction_inside_0_1(self, fraction):
+        with pytest.raises(ValueError, match=r"val_fraction must be in \(0, 1\)"):
+            validation_size(10, fraction)
+
 
 class TestZScore:
     def test_train_split_maps_to_zero_mean_unit_std(self):
@@ -155,6 +166,14 @@ class TestRoundTrip:
         assert ds.views["optical"].shape == (4, 3, 2)
         assert ds.views["soil"].shape == (4, 2)
         assert ds.task == "classification"
+
+    def test_integral_float_code_loads_as_integer(self, tmp_path):
+        ds = generate_synthetic(small_config())
+        manifest = save_dataset(ds, tmp_path / "data")
+        replace_field(tmp_path / "data" / "view_cover.csv", 2, 0, "2.0")
+        codes = load_dataset(manifest).views["cover"]
+        assert codes.dtype == np.int64 and codes[0] == 2
+        np.testing.assert_array_equal(codes[1:], ds.views["cover"][1:])
 
     def test_manifest_norm_stats_applied_on_load(self, tmp_path):
         ds = generate_synthetic(small_config())
@@ -436,6 +455,11 @@ class TestViewLayout:
         views["cover"][7] = code
         with pytest.raises(DataError, match=r"'cover' has codes outside \[0, 4\)"):
             MultiViewDataset(ds.view_specs, views, ds.y, ds.task, ds.n_classes)
+
+    def test_unknown_task_rejected(self):
+        ds = generate_synthetic(small_config())
+        with pytest.raises(ValueError, match="unknown task 'ranking'"):
+            MultiViewDataset(ds.view_specs, ds.views, ds.y, "ranking", ds.n_classes)
 
     def test_float_codes_rejected(self):
         ds = generate_synthetic(small_config())

@@ -55,7 +55,7 @@ class TestTemporalEncoder:
 
     def test_empty_series_rejected(self):
         enc = TemporalEncoder(2, CFG, np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="conv1d needs at least one time step"):
             enc(Tensor(np.zeros((0, 2))))
 
 
@@ -114,6 +114,8 @@ class TestViewSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             ViewSpec(id="a", kind="temporal", time_steps=0, channels=2)
+        with pytest.raises(ValueError, match="temporal view needs channels >= 1"):
+            ViewSpec(id="a", kind="temporal", time_steps=3, channels=0)
         with pytest.raises(ValueError):
             ViewSpec(id="a", kind="categorical", cardinality=1)
         with pytest.raises(ValueError):

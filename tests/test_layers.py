@@ -146,7 +146,7 @@ class TestConv1d:
 
     def test_channel_mismatch_rejected(self):
         conv = Conv1d(3, 2, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="conv1d expects 3 channels, got 2"):
+        with pytest.raises(ValueError, match="affine expects last dim 3, got 2"):
             conv(Tensor(np.ones((5, 2))))
 
 

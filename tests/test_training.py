@@ -10,7 +10,7 @@ import pytest
 from mvfuse.augmentation import (AugPolicy, enumerate_combinations, pattern_matrix,
                                  sensd_mask)
 from mvfuse.data import SyntheticConfig, SyntheticViewConfig, generate_synthetic
-from mvfuse.encoders import EncoderConfig, StaticEncoder, TemporalEncoder
+from mvfuse.encoders import EncoderConfig, StaticEncoder, TemporalEncoder, ViewSpec
 from mvfuse.fusion import AverageFusion, FusionConfig
 from mvfuse.model import (FeatureFusionModel, batch_views, build_model, load_model,
                           save_model)
@@ -369,6 +369,60 @@ def test_permuted_memory_fusion_trains():
     result = train_model(model, ds.subset(np.arange(14)), ds.subset(np.arange(14, 20)),
                          AugPolicy(kind="com"), cfg)
     assert len(result.log) == 1
+
+
+# Parameter names and shapes of a temporal (T=5, c=2) + static (c=3) +
+# categorical (cardinality 4) model at d=4, two encoder layers, kernel 3,
+# 2 heads and 3 classes: the layout every snapshot of this architecture holds.
+SNAPSHOT_ENCODERS = [
+    ("encoders.0.convs.0.W", (3, 2, 4)), ("encoders.0.convs.0.b", (4,)),
+    ("encoders.0.convs.1.W", (3, 4, 4)), ("encoders.0.convs.1.b", (4,)),
+    ("encoders.0.norm.gain", (4,)), ("encoders.0.norm.shift", (4,)),
+    ("encoders.1.affines.0.W", (3, 4)), ("encoders.1.affines.0.b", (4,)),
+    ("encoders.1.affines.1.W", (4, 4)), ("encoders.1.affines.1.b", (4,)),
+    ("encoders.1.norm.gain", (4,)), ("encoders.1.norm.shift", (4,)),
+    ("encoders.2.affines.0.W", (4, 4)), ("encoders.2.affines.0.b", (4,)),
+    ("encoders.2.affines.1.W", (4, 4)), ("encoders.2.affines.1.b", (4,)),
+    ("encoders.2.norm.gain", (4,)), ("encoders.2.norm.shift", (4,))]
+SNAPSHOT_HEAD = [("head.W", (4, 3)), ("head.b", (3,))]
+SNAPSHOT_LAYOUTS = {
+    ("average", "feature"): SNAPSHOT_ENCODERS + SNAPSHOT_HEAD,
+    ("gated", "feature"): SNAPSHOT_ENCODERS + [("fusion.W_G", (12, 12)), ("fusion.b", (12,))]
+    + SNAPSHOT_HEAD,
+    ("cross", "feature"): SNAPSHOT_ENCODERS + [
+        ("fusion.token", (4,)), ("fusion.positional", (4, 4)), ("fusion.blocks.0.W_Q", (4, 4)),
+        ("fusion.blocks.0.W_K", (4, 4)), ("fusion.blocks.0.W_V", (4, 4))] + SNAPSHOT_HEAD,
+    ("memory", "feature"): SNAPSHOT_ENCODERS + [
+        ("fusion.forward_cells.0.W", (6, 8)), ("fusion.forward_cells.0.b", (8,)),
+        ("fusion.forward_cells.1.W", (6, 8)), ("fusion.forward_cells.1.b", (8,)),
+        ("fusion.backward_cells.0.W", (6, 8)), ("fusion.backward_cells.0.b", (8,)),
+        ("fusion.backward_cells.1.W", (6, 8)), ("fusion.backward_cells.1.b", (8,))]
+    + SNAPSHOT_HEAD,
+    ("concat", "feature"): SNAPSHOT_ENCODERS + [("head.W", (12, 3)), ("head.b", (3,))],
+    ("concat", "input"): [
+        ("encoder.affines.0.W", (17, 4)), ("encoder.affines.0.b", (4,)),
+        ("encoder.affines.1.W", (4, 4)), ("encoder.affines.1.b", (4,)),
+        ("encoder.norm.gain", (4,)), ("encoder.norm.shift", (4,))] + SNAPSHOT_HEAD,
+}
+
+
+@pytest.mark.parametrize("kind, level", list(SNAPSHOT_LAYOUTS))
+def test_snapshot_layout_is_pinned(kind, level):
+    specs = [ViewSpec(id="t", kind="temporal", time_steps=5, channels=2),
+             ViewSpec(id="s", kind="static", channels=3),
+             ViewSpec(id="c", kind="categorical", cardinality=4)]
+    model = build_model(specs, EncoderConfig(latent_dim=4, layers=2, conv_kernel=3),
+                        FusionConfig(kind=kind, heads=2), "classification", 3, level,
+                        np.random.default_rng(0))
+    layout = [(name, p.shape) for name, p in model.named_parameters()]
+    assert layout == SNAPSHOT_LAYOUTS[kind, level]
+
+
+def test_unknown_level_rejected():
+    ds = tiny_dataset(n=10)
+    with pytest.raises(ValueError, match="unknown level 'output'"):
+        FeatureFusionModel(ds.view_specs, EncoderConfig(latent_dim=4), FusionConfig(),
+                           ds.task, ds.n_outputs, np.random.default_rng(0), level="output")
 
 
 def save_with_parameter(tmp_path, name, value):
