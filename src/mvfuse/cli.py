@@ -3,7 +3,8 @@
 Commands: synth, train, evaluate, sweep, gradcheck, ablate. Each takes a
 config file and an output directory; artifacts land in the output directory
 and embed the resolved config and seed. Exit codes: 0 success, 2 config
-error, 3 runtime error (with a JSON error record on stderr).
+error, 3 runtime error, any OSError included (with a JSON error record on
+stderr).
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_RUNTIME

@@ -228,14 +228,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def resolved_dict(cfg: ExperimentConfig) -> dict:
-    """The config as a JSON-serializable mapping in the schema above."""
-    return _echo(cfg)
-
-
-def _echo(value):
-    if is_dataclass(value):
-        return {key: _echo(getattr(value, name)) for key, name in _keys(type(value)).items()}
-    if isinstance(value, list):
-        return [_echo(v) for v in value]
-    return value
+def resolved_dict(cfg):
+    """The config as a JSON-serializable mapping in the schema above; each
+    section, list and value echoes itself."""
+    if is_dataclass(cfg):
+        return {key: resolved_dict(getattr(cfg, name)) for key, name in _keys(type(cfg)).items()}
+    if isinstance(cfg, list):
+        return [resolved_dict(v) for v in cfg]
+    return cfg

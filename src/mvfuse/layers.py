@@ -4,6 +4,7 @@ dropout, LSTM cell, and multi-head self-attention.
 All layers are pure functions of (input, parameters); dropout additionally
 takes a generator and a train flag. Parameters live in small Module
 containers so models can enumerate them for the optimizer and snapshots.
+The ops in ``tensor`` check the operands' shapes, so the layers do not.
 """
 
 from __future__ import annotations
@@ -47,36 +48,27 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> Tensor
 class Affine(Module):
     """y = x @ W + b over the last axis, as one ``window_affine`` node; an
     encoder layer also passes its rectifier and dropout keep mask into it.
-    The input width is W's second-to-last axis, so a subclass may hold taps."""
+    The node checks the operands and reads a (K, c, n) ``W`` as taps."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.W = glorot(rng, d_in, d_out, (d_in, d_out))
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor, relu: bool = False, keep: np.ndarray | None = None) -> Tensor:
-        if x.shape[-1] != self.W.shape[-2]:
-            raise ValueError(f"affine expects last dim {self.W.shape[-2]}, got {x.shape[-1]}")
         return window_affine(x, self.W, self.b, relu, keep)
 
 
 class Conv1d(Affine):
     """Temporal convolution with symmetric zero padding, output length == input length.
 
-    Input is (..., T, c_in); the kernel must be odd so 'same' padding stays
-    symmetric. The ``Affine`` node over K taps: the windows (..., T, K*c_in)
-    times the taps W (K, c_in, c_out) read as one (K*c_in, c_out) matrix.
-    """
+    ``Affine``'s constructor over K taps W (K, c_in, c_out) for input
+    (..., T >= 1, c_in); the kernel must be odd so 'same' padding stays symmetric."""
 
     def __init__(self, c_in: int, c_out: int, rng: np.random.Generator, kernel: int = 3):
         if kernel < 1 or kernel % 2 == 0:
             raise ValueError("kernel size must be odd and positive")
         self.W = glorot(rng, kernel * c_in, c_out, (kernel, c_in, c_out))
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
-
-    def __call__(self, x: Tensor, relu: bool = False, keep: np.ndarray | None = None) -> Tensor:
-        if x.shape[-2] < 1:
-            raise ValueError("conv1d needs at least one time step")
-        return super().__call__(x, relu, keep)
 
 
 class LayerNorm(Module):
@@ -89,7 +81,6 @@ class LayerNorm(Module):
     def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.shift = Tensor(np.zeros(dim), requires_grad=True)
-        self.dim = dim
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] < 2:
@@ -129,8 +120,8 @@ class LSTMCell(Module):
 
     Gate weights are stored as one (d_in + d_h, 4*d_h) matrix in input,
     forget, output, candidate order. A step is three graph nodes: one fused
-    ``lstm`` node for the gate product and gate math, and the h/c split,
-    which returns C-contiguous h and c.
+    ``lstm`` node for the gate product and gate math, which checks the
+    operands, and the h/c split, which returns C-contiguous h and c.
     """
 
     def __init__(self, d_in: int, d_h: int, rng: np.random.Generator):
@@ -138,12 +129,9 @@ class LSTMCell(Module):
         bias = np.zeros(4 * d_h)
         bias[d_h:2 * d_h] = 1.0
         self.b = Tensor(bias, requires_grad=True)
-        self.d_in = d_in
         self.d_h = d_h
 
     def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        if x.shape[-1] != self.d_in:
-            raise ValueError(f"lstm step expects input dim {self.d_in}, got {x.shape[-1]}")
         hc = lstm(x, h_prev, c_prev, self.W, self.b)
         return hc[0], hc[1]
 

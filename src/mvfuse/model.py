@@ -75,7 +75,7 @@ class _BaseModel(Module):
         ``_forward_inputs`` over its zero-imputed inputs.
         """
         available = check_available(available, len(self.view_specs))
-        return stack([self._forward_inputs(self.raw_inputs(views, pattern), rng=rng, train=train)
+        return stack([self._forward_inputs(self._raw_inputs(views, pattern), rng=rng, train=train)
                       for pattern in available])
 
     def _forward_inputs(self, inputs: list[np.ndarray], rng=None,
@@ -88,15 +88,14 @@ class _BaseModel(Module):
         """Outputs (B, n_outputs) under one boolean (m,) availability pattern."""
         return self.forward_masks(views, [pattern], rng=rng, train=train)[0]
 
-    def raw_inputs(self, views: dict[str, np.ndarray],
-                   pattern: np.ndarray) -> list[np.ndarray]:
-        """Every view's raw batch under the boolean (m,) ``pattern``, the
-        input-level zero imputation.
+    def _raw_inputs(self, views: dict[str, np.ndarray],
+                    pattern: np.ndarray) -> list[np.ndarray]:
+        """Every view's raw batch under one checked boolean (m,) ``pattern``,
+        the input-level zero imputation.
 
         A view the pattern leaves out becomes zeros of its per-sample shape;
         its data is never read.
         """
-        pattern = check_available(pattern, len(self.view_specs))
         batch = views[self.view_specs[int(np.argmax(pattern))].id].shape[0]
         return [raw_input(spec, views[spec.id]) if present
                 else np.zeros((batch,) + spec.raw_shape)

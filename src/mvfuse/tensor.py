@@ -403,15 +403,22 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = False,
                   keep: np.ndarray | None = None) -> Tensor:
     """``window_K(x) @ W + b`` as one node of single 2-D GEMMs, then optionally
-    a rectifier and a scaled dropout keep mask of the output's shape. ``W`` is
-    (c, n), a weight over the last axis, or the (K, c, n) taps of a 'same'
-    convolution over the time axis of (..., T, c): window row t holds steps
-    t - K//2 .. t + K//2, tap-major, zero outside the series, for odd K. The
-    graph keeps only the window and the output; the backward folds into the
-    input's gradient."""
+    a rectifier and a scaled dropout keep mask of the output's shape. By rank,
+    ``W`` is (c, n), a weight over the last axis, or the (K, c, n) taps of a
+    'same' convolution over the time axis of (..., T >= 1, c), even at K = 1:
+    window row t holds steps t - K//2 .. t + K//2, tap-major, zero outside the
+    series, for odd K. ``b`` is (n,). The graph keeps only the window and the
+    output; the backward folds into the input's gradient."""
+    if W.ndim not in (2, 3) or (b is not None and b.shape != W.shape[-1:]):
+        raise ValueError(f"window_affine needs W (c, n) or (K, c, n) and b (n,), "
+                         f"got {W.shape} and {None if b is None else b.shape}")
+    if W.ndim == 3 and (x.ndim < 2 or x.shape[-2] < 1):
+        raise ValueError("conv1d needs at least one time step")
     n, c = W.shape[-1], x.shape[-1]
+    if W.shape[-2] != c:
+        raise ValueError(f"affine expects last dim {W.shape[-2]}, got {c}")
     Wm = W.data.reshape(-1, n)
-    kernel = Wm.shape[0] // c
+    kernel = W.shape[0] if W.ndim == 3 else 1
     win = x.data.reshape(-1, c)
     if kernel > 1:
         T, pad = x.shape[-2], kernel // 2
@@ -471,6 +478,10 @@ def lstm(x: Tensor, h_prev: Tensor, c_prev: Tensor, W: Tensor, b: Tensor) -> Ten
     if x.shape[:-1] != c_prev.shape[:-1] or h_prev.shape != c_prev.shape:
         raise ValueError(f"lstm needs x (..., k) and h, c (..., d) over the same leading axes, "
                          f"got {x.shape}, {h_prev.shape} and {c_prev.shape}")
+    if W.shape[1:] != (4 * d,) or b.shape != (4 * d,):
+        raise ValueError(f"lstm needs W (k+{d}, {4*d}), b ({4*d},), got {W.shape}, {b.shape}")
+    if W.shape[0] != k + d:
+        raise ValueError(f"lstm step expects input dim {W.shape[0] - d}, got {k}")
     X, H = x.data.reshape(-1, k), h_prev.data.reshape(-1, d)
     C = c_prev.data.reshape(-1, d).T
     Wd = W.data

@@ -45,6 +45,24 @@ def prepare_data(cfg: ExperimentConfig):
                                                             cfg.data.val_fraction, rng))
 
 
+def check_scorable(cfg: ExperimentConfig, ds: data_mod.MultiViewDataset, y,
+                   fold: int | None = None) -> None:
+    """Raise ValueError unless the validation targets ``y`` can be scored: a
+    classification split must hold each of ``ds``'s classes and a regression
+    split at least two distinct targets. The error names the fold as
+    ``report.csv`` numbers it, or else the configured split."""
+    split = (f"validation fold {fold}" if fold is not None
+             else f"the validation split (data.val_fraction {cfg.data.val_fraction:g})")
+    seen = set(y.tolist())
+    missing = sorted(set(range(ds.n_outputs)) - seen) if ds.task == "classification" else []
+    if missing:
+        raise ValueError(f"{split} has no sample of class "
+                         f"{' or '.join(map(str, missing))}, so its metrics are undefined")
+    if len(seen) < 2:  # a classification split with one class misses another
+        raise ValueError(f"{split} holds fewer than two distinct targets, "
+                         f"so its metrics are undefined")
+
+
 def focus_view(cfg: ExperimentConfig, view_ids: list[str]) -> str:
     view = cfg.eval.view or view_ids[0]
     if view not in view_ids:
@@ -152,7 +170,7 @@ def run_evaluate(cfg: ExperimentConfig, out_dir: str | Path,
 
     With eval.folds > 1 this runs repeated k-fold cross-validation, training
     one model per fold; otherwise it reuses (or trains) a single model on the
-    configured split.
+    configured split. Every validation split is checked before any training.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -162,6 +180,8 @@ def run_evaluate(cfg: ExperimentConfig, out_dir: str | Path,
         scenarios = default_scenarios(cfg, ds.view_ids)
         folds = data_mod.kfold_indices(ds.n_samples, cfg.eval.folds,
                                        cfg.eval.repeats, cfg.seed)
+        for fold_id, (_, val_idx) in enumerate(folds):
+            check_scorable(cfg, ds, ds.y[val_idx], fold_id)
         for fold_id, (train_idx, val_idx) in enumerate(folds):
             ds_train, ds_val = split_dataset(cfg, ds, train_idx, val_idx)
             model, _ = fit_model(cfg, ds_train, ds_val, init_stream=("init", fold_id))
@@ -170,6 +190,7 @@ def run_evaluate(cfg: ExperimentConfig, out_dir: str | Path,
     else:
         ds_train, ds_val = prepare_data(cfg)
         scenarios = default_scenarios(cfg, ds_val.view_ids)
+        check_scorable(cfg, ds_val, ds_val.y)
         model = _model_for_eval(cfg, out, model_dir, ds_train, ds_val)
         report = evaluate_scenarios(model, ds_val, scenarios, cfg.seed)
     report.to_csv(out / "report.csv")
@@ -186,6 +207,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str | Path,
     view = focus_view(cfg, ds_val.view_ids)
     checked_scenarios([MissingScenario(kind="fraction", view=view, p=float(p))
                        for p in cfg.eval.grid], ds_val.view_ids)
+    check_scorable(cfg, ds_val, ds_val.y)
     model = _model_for_eval(cfg, out, model_dir, ds_train, ds_val)
     report = sweep(model, ds_val, view, cfg.eval.grid, cfg.seed)
     report.to_csv(out / "report.csv")
@@ -223,6 +245,7 @@ def run_ablate(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
     out.mkdir(parents=True, exist_ok=True)
     ds_train, ds_val = prepare_data(cfg)
     scenarios = focus_scenarios(cfg, ds_val.view_ids)
+    check_scorable(cfg, ds_val, ds_val.y)
     metric = "f1" if ds_val.task == "classification" else "r2"
     rows = []
     for kind, level in ABLATION_GRID:

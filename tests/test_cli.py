@@ -577,6 +577,58 @@ class TestBoundaries:
                           "message": "20 folds need at least 20 samples, got 12"}
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("command, out, model, manifest_is_dir, error", [
+        ("train", "file", None, False, "FileExistsError"),
+        ("train", "file/sub", None, False, "NotADirectoryError"),
+        ("train", "run", None, True, "IsADirectoryError"),
+        ("evaluate", "run", "snapshot", False, "IsADirectoryError")],
+        ids=["out-is-a-file", "out-under-a-file", "manifest-is-a-directory",
+             "model-json-is-a-directory"])
+    def test_os_error_is_runtime_error(self, tmp_path, capsys, command, out, model,
+                                       manifest_is_dir, error):
+        (tmp_path / "file").write_text("not a directory\n")
+        (tmp_path / "snapshot" / "model.json").mkdir(parents=True)
+        raw = base_config()
+        if manifest_is_dir:
+            raw["data"] = {"source": "manifest", "manifest": str(tmp_path), "val_fraction": 0.25}
+        argv = [command, "--config", write_config(tmp_path, raw), "--out", str(tmp_path / out)]
+        if model:
+            argv += ["--model", str(tmp_path / model)]
+        code, record = self.run(capsys, argv)
+        assert code == 3
+        assert record["error"] == error
+        assert not (tmp_path / "run" / "model.json").exists()
+
+    @pytest.mark.parametrize("command, path, value, words", [
+        ("evaluate", "eval.folds", 4, "validation fold 0 has no sample of class 0 or 2"),
+        ("evaluate", "eval.folds", 1, "the validation split (data.val_fraction 0.25) has "
+                                      "no sample of class 0 or 2"),
+        ("sweep", "eval.folds", 1, "the validation split (data.val_fraction 0.25) has "
+                                   "no sample of class 0 or 2"),
+        ("ablate", "eval.folds", 1, "the validation split (data.val_fraction 0.25) has "
+                                    "no sample of class 0 or 2"),
+        ("evaluate", ("data.synthetic.task", "eval.folds"), ("regression", 12),
+         "validation fold 0 holds fewer than two distinct targets"),
+        ("evaluate", ("data.synthetic.task", "data.val_fraction"), ("regression", 0.05),
+         "the validation split (data.val_fraction 0.05) holds fewer than two distinct "
+         "targets")],
+        ids=["classification-folds", "classification-split", "sweep", "ablate",
+             "regression-folds", "regression-split"])
+    def test_unscorable_validation_split_fails_before_training(
+            self, tmp_path, capsys, command, path, value, words):
+        # 12 samples: 3 per fold at folds 4, and 3 in a 0.25 split, miss a class
+        paths = (path if isinstance(path, tuple) else (path,)) + ("data.synthetic.n_samples",)
+        values = (value if isinstance(value, tuple) else (value,)) + (12,)
+        out = tmp_path / "run"
+        code, record = self.run(capsys, [command, "--config",
+                                         write_config(tmp_path, with_value(paths, values)),
+                                         "--out", str(out)])
+        assert code == 3
+        assert record == {"error": "ValueError",
+                          "message": f"{words}, so its metrics are undefined"}
+        assert not (out / "model.json").exists()
+        assert not (out / "report.csv").exists()
+
 
 def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
     raw = base_config()

@@ -144,6 +144,12 @@ class TestConv1d:
         with pytest.raises(ValueError, match="at least one time step"):
             conv(Tensor(np.ones((4, 0, 3))))
 
+    def test_kernel_one_still_needs_a_time_step(self):
+        # window_affine reads a 3-D W as taps by its rank, even at kernel 1
+        conv = Conv1d(3, 2, np.random.default_rng(0), kernel=1)
+        with pytest.raises(ValueError, match="conv1d needs at least one time step"):
+            conv(Tensor(np.ones((4, 0, 3))))
+
     def test_channel_mismatch_rejected(self):
         conv = Conv1d(3, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="affine expects last dim 3, got 2"):
@@ -295,6 +301,13 @@ class TestMultiHeadAttention:
         scaled = MultiHeadAttention(8, 2, np.random.default_rng(5), scaling=True)
         literal = MultiHeadAttention(8, 2, np.random.default_rng(5), scaling=False)
         assert not np.allclose(scaled(Tensor(z)).data, literal(Tensor(z)).data)
+
+    @pytest.mark.parametrize("first_row", [False, True], ids=["all-rows", "first-row"])
+    def test_rows_of_another_width_rejected(self, first_row):
+        # a width-4 row must not be read as two taps of the (8, 8) projections
+        mha = MultiHeadAttention(8, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="affine expects last dim 8, got 4"):
+            mha.attend(Tensor(np.ones((3, 5, 4))), first_row=first_row)
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ValueError):

@@ -270,6 +270,19 @@ def test_lstm_inputs_over_different_leading_axes_raise():
         lstm(x, h, c, W, b)
 
 
+@pytest.mark.parametrize("W_shape, b_shape, words", [
+    ((6, 8), (8,), r"lstm step expects input dim 4, got 3"),
+    ((5, 12), (12,), r"lstm needs W \(k\+2, 8\), b \(8,\), got \(5, 12\), \(12,\)"),
+    ((5, 8), (6,), r"lstm needs W \(k\+2, 8\), b \(8,\), got \(5, 8\), \(6,\)"),
+    ((1, 5, 8), (8,), r"lstm needs W \(k\+2, 8\)")],
+    ids=["other-input-width", "other-state-width", "short-bias", "3d-weight"])
+def test_lstm_weights_for_other_widths_raise(W_shape, b_shape, words):
+    # x (6, 3) and a state of width 2 need W (5, 8) and b (8,)
+    x, h, c = Tensor(np.ones((6, 3))), Tensor(np.ones((6, 2))), Tensor(np.ones((6, 2)))
+    with pytest.raises(ValueError, match=words):
+        lstm(x, h, c, Tensor(np.ones(W_shape)), Tensor(np.ones(b_shape)))
+
+
 def composed_lstm(x, h, c, W, b, gh, gc):
     """The LSTM step as separate numpy ops, concat, matmul, bias and gates in
     row-major (..., 4*d) layout, with each op's backward written out: returns
@@ -389,6 +402,22 @@ def test_window_affine_matches_composed_graph(kernel, shape, relu, keep):
     np.testing.assert_array_equal(fused, composed)
     for got, want in zip(grads, expected):
         assert_relative(got, want)
+
+
+@pytest.mark.parametrize("x_shape, W_shape, b_shape, words", [
+    ((5, 4), (3, 2), (2,), r"affine expects last dim 3, got 4"),
+    ((2, 5, 4), (3, 3, 2), (2,), r"affine expects last dim 3, got 4"),
+    ((5, 3), (1, 1, 3, 2), (2,), r"needs W \(c, n\) or \(K, c, n\) and b \(n,\), "
+                                 r"got \(1, 1, 3, 2\) and \(2,\)"),
+    ((5, 3), (3, 2), (3,), r"and b \(n,\), got \(3, 2\) and \(3,\)"),
+    ((2, 0, 3), (1, 3, 2), (2,), "conv1d needs at least one time step"),
+    ((3,), (1, 3, 2), (2,), "conv1d needs at least one time step")],
+    ids=["affine-width", "taps-width", "4d-weight", "long-bias", "k1-empty-series",
+         "k1-no-time-axis"])
+def test_window_affine_rejects_operands_of_other_shapes(x_shape, W_shape, b_shape, words):
+    x, W, b = (Tensor(np.ones(shape)) for shape in (x_shape, W_shape, b_shape))
+    with pytest.raises(ValueError, match=words):
+        window_affine(x, W, b)
 
 
 def test_batched_matmul_gradients():
