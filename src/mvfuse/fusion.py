@@ -33,6 +33,15 @@ missing views are left out of its normalization, never imputed:
   own pattern axis;
 - concat: the zero-filled concatenation times each pattern's mask.
 
+``fuse(rows, available, head=head)`` returns the outputs of the model's
+prediction head ``Affine`` instead, ``available.shape[:-1] + (B, n_out)``.
+Average and concat are linear in the views, so they fold the head into the
+per-view products: one product of the (u, B, d) used views with each view's
+(d, n_out) weights (all of ``head.W`` for average, view v's row block of it
+for concat), then one (K, u) @ (u, B*n_out) mix and the head's bias. Concat
+never builds its (K, B, m*d) stack. The other kinds apply the head to their
+fused rows.
+
 Memory fusion steps all patterns together. Its first layer has no dropout
 before it, so a state there depends only on the views read so far: every
 distinct ordered prefix of the patterns' view sequences is stepped once, and
@@ -56,8 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Dropout, LSTMCell, Module, MultiHeadAttention, glorot
-from .tensor import Tensor, concat, no_grad, softmax_mix, stack
+from .layers import Affine, Dropout, LSTMCell, Module, MultiHeadAttention, glorot
+from .tensor import Tensor, concat, no_grad, softmax_mix, stack, window_affine
 
 FUSION_KINDS = ("average", "gated", "cross", "memory", "concat")
 
@@ -108,7 +117,7 @@ def check_available(available, m: int) -> np.ndarray:
 
 def _patterns(rows: list, available) -> tuple[np.ndarray, np.ndarray]:
     """``available`` checked, by default the views that have a row, and its
-    patterns flattened to (K, m)."""
+    patterns flattened to (K, m). Every row given must have the same count."""
     if available is None:
         available = np.array([r is not None for r in rows])
     available = check_available(available, len(rows))
@@ -116,27 +125,40 @@ def _patterns(rows: list, available) -> tuple[np.ndarray, np.ndarray]:
     for v in np.flatnonzero(patterns.any(axis=0)):
         if rows[v] is None:
             raise ValueError(f"view {v} is available in some pattern but has no row")
+    counts = [(v, r.shape[0]) for v, r in enumerate(rows) if r is not None]
+    for v, count in counts:
+        if count != counts[0][1]:
+            raise ValueError(f"view {v} has {count} rows, view {counts[0][0]} "
+                             f"has {counts[0][1]}")
     return available, patterns
 
 
 class Fusion(Module):
     """A merge function applied under one or many availability patterns."""
 
-    def fuse(self, rows: list, available=None, rng=None, train: bool = False) -> Tensor:
-        """Fused rows, shape ``available.shape[:-1] + (B, width)``.
+    def fuse(self, rows: list, available=None, rng=None, train: bool = False,
+             head: Affine | None = None) -> Tensor:
+        """Fused rows, shape ``available.shape[:-1] + (B, width)``, or with a
+        ``head`` its outputs on them, ``available.shape[:-1] + (B, n_out)``.
 
         ``rows`` holds one (B, d) encoding per view, or None for a view that
         no pattern uses; ``available`` is a boolean (..., m) array of
         patterns and defaults to the views that have a row.
         """
         available, patterns = _patterns(rows, available)
-        out = self._fuse(rows, patterns, rng, train)
+        out = (self._fuse(rows, patterns, rng, train) if head is None
+               else self._fuse_head(rows, patterns, rng, train, head))
         shape = available.shape[:-1] + out.shape[1:]
         return out if out.shape == shape else out.reshape(shape)
 
     def _fuse(self, rows: list, patterns: np.ndarray, rng, train: bool) -> Tensor:
         """Fused rows (K, B, width) for the (K, m) boolean ``patterns``."""
         raise NotImplementedError
+
+    def _fuse_head(self, rows: list, patterns: np.ndarray, rng, train: bool,
+                   head: Affine) -> Tensor:
+        """The head's outputs (K, B, n_out) on the fused rows."""
+        return head(self._fuse(rows, patterns, rng, train))
 
 
 def _used(rows: list, patterns: np.ndarray) -> tuple[np.ndarray, Tensor, np.ndarray]:
@@ -146,17 +168,28 @@ def _used(rows: list, patterns: np.ndarray) -> tuple[np.ndarray, Tensor, np.ndar
     return used, stack([rows[v] for v in used], axis=0), patterns[:, used]
 
 
+def _mix(weights: np.ndarray, z: Tensor) -> Tensor:
+    """Per-view rows (u, B, n) mixed under (K, u) pattern weights as one
+    (K, u) @ (u, B*n) product, (K, B, n)."""
+    u, batch, n = z.shape
+    return (Tensor(weights) @ z.reshape((u, batch * n))).reshape((len(weights), batch, n))
+
+
 class AverageFusion(Fusion):
     """Mean of the available encodings; permutation invariant by construction.
 
     All patterns are one (K, u) @ (u, B*d) product with weights 1/|pattern|.
+    With a head, ``head.W`` multiplies the used views once and the same
+    product mixes their (u, B, n_out) outputs.
     """
 
     def _fuse(self, rows, patterns, rng, train):
         _, z, on = _used(rows, patterns)
-        u, batch, d = z.shape
-        weights = Tensor(on / on.sum(axis=1, keepdims=True))
-        return (weights @ z.reshape((u, batch * d))).reshape((len(on), batch, d))
+        return _mix(on / on.sum(axis=1, keepdims=True), z)
+
+    def _fuse_head(self, rows, patterns, rng, train, head):
+        _, z, on = _used(rows, patterns)
+        return _mix(on / on.sum(axis=1, keepdims=True), window_affine(z, head.W)) + head.b
 
 
 class GatedFusion(Fusion):
@@ -461,7 +494,9 @@ class ConcatFusion(Fusion):
     """Feature-level concatenation with zero imputation; output width m*d.
 
     All patterns are one product of the zero-filled concatenation with the
-    patterns' (K, 1, m*d) masks.
+    patterns' (K, 1, m*d) masks. With a head, each used view is multiplied by
+    its row block of ``head.W`` once and the patterns' 0/1 weights mix the
+    (u, B, n_out) products, so the (K, B, m*d) stack is never built.
     """
 
     def __init__(self, m: int, d: int):
@@ -473,6 +508,11 @@ class ConcatFusion(Fusion):
         zero = Tensor(np.zeros((batch, self.d)))
         flat = concat([zero if r is None else r for r in rows], axis=-1)
         return flat * Tensor(np.repeat(patterns, self.d, axis=1)[:, None, :].astype(float))
+
+    def _fuse_head(self, rows, patterns, rng, train, head):
+        used, z, on = _used(rows, patterns)
+        blocks = _select(head.W, used.tolist(), self.d).reshape((len(used), self.d, -1))
+        return _mix(on.astype(float), z @ blocks) + head.b
 
 
 def make_fusion(cfg: FusionConfig, m: int, d: int, rng: np.random.Generator) -> Fusion:

@@ -73,7 +73,7 @@ def run_suite(seeds: Sequence[int] = tuple(range(20))) -> dict[str, float]:
     are kept tiny so the whole battery runs in seconds.
     """
     from . import layers
-    from .fusion import (AverageFusion, CrossAttentionFusion, FusionConfig,
+    from .fusion import (AverageFusion, ConcatFusion, CrossAttentionFusion, FusionConfig,
                          GatedFusion, MemoryFusion)
 
     results: dict[str, float] = {}
@@ -170,5 +170,23 @@ def run_suite(seeds: Sequence[int] = tuple(range(20))) -> dict[str, float]:
         errs = check_gradients(lambda: _sum_squares(conv(x, relu=True, keep=keep)),
                                {"x": x, "W": conv.W, "b": conv.b})
         record("encoder_layer", max(errs.values()))
+
+        # concat over the same rows, then average and concat with the head
+        # folded into their per-view products; after the encoder layer, so
+        # that no earlier case's data moves
+        concat_fusion = ConcatFusion(m, d)
+        for suffix, rows, available in (("", rows_avail, None), ("_mixed", rows_all, mixed)):
+            params = {f"z{i}": r for i, r in enumerate(rows) if r is not None}
+            errs = check_gradients(
+                lambda: _sum_squares(concat_fusion.fuse(rows, available)), params)
+            record("fusion_concat" + suffix, max(errs.values()))
+        for name, fusion, width in (("fusion_average_head_mixed", AverageFusion(), d),
+                                    ("fusion_concat_head_mixed", concat_fusion, m * d)):
+            head = layers.Affine(width, 3, rng)
+            params = {f"z{i}": r for i, r in enumerate(rows_all)}
+            params.update({"W": head.W, "b": head.b})
+            errs = check_gradients(
+                lambda: _sum_squares(fusion.fuse(rows_all, mixed, head=head)), params)
+            record(name, max(errs.values()))
 
     return results

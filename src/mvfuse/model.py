@@ -126,10 +126,15 @@ class _BaseModel(Module):
         and all patterns are fused together. Every scenario kind adds at most
         one pattern to the full one, so stacked scenarios never cost more
         than a forward per scenario. Returns probabilities (..., N, K) or
-        values (..., N); a non-finite output raises ValueError.
+        values (..., N). An availability without one (m,) row per sample, or a
+        non-finite output, raises ValueError.
         """
         m = len(self.view_specs)
         available = check_available(available, m)
+        counts = sorted({len(views[vid]) for vid in self.view_ids if vid in views})
+        if available.ndim < 2 or counts != [available.shape[-2]]:
+            raise ValueError(f"availability of shape {available.shape} needs one row per "
+                             f"sample; the views have {'/'.join(map(str, counts))} rows")
         patterns, inverse = unique_rows(available.reshape(-1, m))
         outs = self.check_outputs(views, patterns, "prediction")
         rows = (outs.softmax(axis=-1).data if self.task == "classification"
@@ -147,9 +152,10 @@ class FeatureFusionModel(_BaseModel):
     """Encoders per view, merge function, one-layer prediction head.
 
     The head consumes width d for dynamic merges and m*d for feature-level
-    concatenation. At feature level ``forward_masks`` encodes each view that
-    some pattern uses once and fuses all patterns in one ``fuse_head`` call
-    per group of at most ``PATTERN_ROWS // B`` patterns. At input level the
+    concatenation; average and concat fold it into their per-view products.
+    At feature level ``forward_masks`` encodes each view that some pattern
+    uses once and fuses all patterns in one ``fuse_head`` call per group of
+    at most ``PATTERN_ROWS // B`` patterns. At input level the
     model zero-imputes the raw data of missing views, so every pattern is a
     full forward that fuses all m encodings.
     """
@@ -173,7 +179,9 @@ class FeatureFusionModel(_BaseModel):
         return self.encoders[index](Tensor(raw_input(spec, arr)), rng=rng, train=train)
 
     def fuse_head(self, rows: list, available=None, rng=None, train: bool = False) -> Tensor:
-        return self.head(self.fusion.fuse(rows, available, rng=rng, train=train))
+        """Head outputs ``available.shape[:-1] + (B, n_outputs)`` of the
+        fused rows, from one ``fuse`` call that is passed the head."""
+        return self.fusion.fuse(rows, available, rng=rng, train=train, head=self.head)
 
     def _forward_inputs(self, inputs, rng=None, train=False):
         rows = [enc(Tensor(x), rng=rng, train=train) for enc, x in zip(self.encoders, inputs)]

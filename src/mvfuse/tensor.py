@@ -407,11 +407,14 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
     ``W`` is (c, n), a weight over the last axis, or the (K, c, n) taps of a
     'same' convolution over the time axis of (..., T >= 1, c), even at K = 1:
     window row t holds steps t - K//2 .. t + K//2, tap-major, zero outside the
-    series, for odd K. ``b`` is (n,). The graph keeps only the window and the
+    series; K must be odd. ``b`` is (n,). The graph keeps only the window and the
     output; the backward folds into the input's gradient."""
     if W.ndim not in (2, 3) or (b is not None and b.shape != W.shape[-1:]):
         raise ValueError(f"window_affine needs W (c, n) or (K, c, n) and b (n,), "
                          f"got {W.shape} and {None if b is None else b.shape}")
+    if W.ndim == 3 and W.shape[0] % 2 == 0:
+        raise ValueError(f"window_affine needs an odd tap count for a 'same' window, "
+                         f"got K={W.shape[0]}")
     if W.ndim == 3 and (x.ndim < 2 or x.shape[-2] < 1):
         raise ValueError("conv1d needs at least one time step")
     n, c = W.shape[-1], x.shape[-1]

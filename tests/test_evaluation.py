@@ -384,6 +384,14 @@ def test_feature_level_encoders_run_once_per_evaluation(kind, task, spy):
     assert encoders == {enc: 1 for enc in model.encoders}
 
 
+@pytest.mark.parametrize("shape", [(39, 3), (41, 3), (2, 39, 3)])
+def test_predict_rejects_availability_of_another_sample_count(shape):
+    # one row short used to return 39 predictions, one row over an IndexError
+    model, ds = mixed_model("average", "feature", "regression")
+    with pytest.raises(ValueError, match=rf"shape \({shape[0]}, .*the views have 40 rows"):
+        model.predict(ds.views, np.ones(shape, dtype=bool))
+
+
 class TestReport:
     def test_csv_round_trip_and_summary(self, tmp_path):
         report = EvalReport()

@@ -13,7 +13,8 @@ from mvfuse.fusion import (AverageFusion, ConcatFusion, CrossAttentionFusion,
                            FusionConfig, GatedFusion, MemoryFusion, fused_width,
                            make_fusion)
 from mvfuse.gradcheck import check_gradients
-from mvfuse.model import InputConcatModel
+from mvfuse.layers import Affine
+from mvfuse.model import FeatureFusionModel, InputConcatModel
 from mvfuse import fusion as fusion_module
 from mvfuse import layers as layers_module
 from mvfuse.tensor import Tensor, backward, lstm, stack
@@ -657,6 +658,14 @@ class TestPatterns:
         assert shaped.shape == (2, 3) + flat.shape[1:]
         np.testing.assert_array_equal(shaped.reshape(flat.shape), flat)
 
+    @pytest.mark.parametrize("kind", ALL_DYNAMIC + ["concat"])
+    def test_rows_of_unequal_batch_rejected(self, kind):
+        rng = np.random.default_rng(15)
+        fusion = build_fusion(kind, 3, 4, rng)
+        rows = [Tensor(rng.normal(size=(2, 4))), None, Tensor(rng.normal(size=(3, 4)))]
+        with pytest.raises(ValueError, match="view 2 has 3 rows, view 0 has 2"):
+            fusion.fuse(rows)
+
     def test_unused_view_may_have_no_row(self):
         rng = np.random.default_rng(13)
         fusion = build_fusion("gated", 3, 4, rng)
@@ -675,3 +684,76 @@ class TestPatterns:
         fusion = build_fusion("average", 3, 4, rng)
         with pytest.raises(ValueError):
             fusion.fuse(rows_for(3, 4, rng, (0, 1, 2)), available)
+
+
+def relative(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestHeadFold:
+    """Average and concat fold the head into their per-view products: the
+    outputs and gradients of ``fuse(..., head=head)`` equal those of
+    ``head(fuse(...))``."""
+
+    CASES = {
+        # all 127 patterns of seven views
+        "all-patterns": (7, (0, 1, 2, 3, 4, 5, 6),
+                         pattern_matrix(enumerate_combinations(7), 7)),
+        # a leading (S, N, m) availability, one (N, m) matrix per scenario
+        "leading-axes": (3, (0, 1, 2),
+                         pattern_matrix(enumerate_combinations(3)[:6], 3).reshape(2, 3, 3)),
+        # view 1 has no row, since no pattern uses it
+        "unused-view": (3, (0, 2), pattern_matrix([(0,), (0, 2), (2,)], 3)),
+    }
+
+    @pytest.mark.parametrize("kind", ["average", "concat"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_fold_matches_head_of_fused_rows(self, kind, case):
+        m, present, available = self.CASES[case]
+        d, batch = 4, 3
+        rng = np.random.default_rng(40)
+        fusion = build_fusion(kind, m, d, rng)
+        head = Affine(fused_width(FusionConfig(kind=kind), m, d), 3, rng)
+        rows = [Tensor(rng.normal(size=(batch, d)), requires_grad=True) if v in present
+                else None for v in range(m)]
+        params = [r for r in rows if r is not None] + head.parameters()
+        folded = fusion.fuse(rows, available, head=head)
+        assert folded.shape == available.shape[:-1] + (batch, 3)
+        readout = Tensor(rng.normal(size=folded.shape))
+        grads = backward((folded * readout).sum(), params)
+        for p in params:
+            p.grad = None
+        plain = head(fusion.fuse(rows, available))
+        want = backward((plain * readout).sum(), params)
+
+        assert relative(folded.data, plain.data) <= 1e-12
+        for got, expected in zip(grads, want):
+            assert relative(got, expected) <= 1e-10
+
+    def test_concat_com_step_never_builds_the_stack(self, monkeypatch):
+        # the head is folded, so an m = 7 concat step has no zero-filled
+        # (127, B, 7 d) node, forward or as the product's operand
+        from mvfuse.augmentation import AugPolicy
+        from mvfuse.tensor import Adam
+        from mvfuse.training import train_step
+
+        m, d, batch = 7, 4, 5
+        rng = np.random.default_rng(41)
+        specs = [ViewSpec(id=f"v{i}", kind="static", channels=2) for i in range(m)]
+        model = FeatureFusionModel(specs, EncoderConfig(latent_dim=d, layers=1, dropout=0.0),
+                                   FusionConfig(kind="concat"), "regression", 1, rng)
+        views = {spec.id: rng.normal(size=(batch, 2)) for spec in specs}
+        shapes = []
+        result = Tensor._result
+
+        def recorded(data, parents, backward, op):
+            shapes.append(np.shape(data))
+            return result(data, parents, backward, op)
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(recorded))
+        train_step(model, views, rng.normal(size=batch), AugPolicy(kind="com"),
+                   enumerate_combinations(m), Adam(model.parameters()), "regression", None,
+                   np.random.default_rng(0), np.random.default_rng(0))
+
+        assert (127, batch, 1) in shapes
+        assert (127, batch, m * d) not in shapes

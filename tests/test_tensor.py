@@ -411,9 +411,10 @@ def test_window_affine_matches_composed_graph(kernel, shape, relu, keep):
                                  r"got \(1, 1, 3, 2\) and \(2,\)"),
     ((5, 3), (3, 2), (3,), r"and b \(n,\), got \(3, 2\) and \(3,\)"),
     ((2, 0, 3), (1, 3, 2), (2,), "conv1d needs at least one time step"),
-    ((3,), (1, 3, 2), (2,), "conv1d needs at least one time step")],
+    ((3,), (1, 3, 2), (2,), "conv1d needs at least one time step"),
+    ((5, 1), (2, 1, 1), (1,), r"odd tap count for a 'same' window, got K=2")],
     ids=["affine-width", "taps-width", "4d-weight", "long-bias", "k1-empty-series",
-         "k1-no-time-axis"])
+         "k1-no-time-axis", "even-taps"])
 def test_window_affine_rejects_operands_of_other_shapes(x_shape, W_shape, b_shape, words):
     x, W, b = (Tensor(np.ones(shape)) for shape in (x_shape, W_shape, b_shape))
     with pytest.raises(ValueError, match=words):
