@@ -4,6 +4,10 @@ Scenarios mask views in the validation data; metrics compare predictions to
 targets and, for the robustness scores, to the full-view predictions of the
 same model. All metrics are plain functions of arrays and invariant to sample
 order. An evaluation predicts each distinct availability pattern only once.
+
+Each metric scores a stack of scenarios in one call: targets (1, N) against
+predictions (S, N) give S values. Arrays of one rank broadcast over leading
+axes, with the sample axis (then any class axis) last; unstacked ones give a float.
 """
 
 from __future__ import annotations
@@ -75,112 +79,114 @@ def scenario_availability(scenario: MissingScenario, n: int, view_ids: list[str]
 
 
 def _aligned(y_true, y_pred, dtype, what: str = "vectors") -> tuple[np.ndarray, np.ndarray]:
-    """Both vectors as ``dtype`` arrays, checked non-empty and of one shape."""
+    """Both as ``dtype`` arrays, non-empty, of one rank and sample count, and broadcastable."""
     y_true, y_pred = np.asarray(y_true, dtype=dtype), np.asarray(y_pred, dtype=dtype)
-    if y_true.size == 0 or y_true.shape != y_pred.shape:
+    if (y_true.size == 0 or y_true.ndim != y_pred.ndim or y_true.ndim == 0
+            or y_true.shape[-1] != y_pred.shape[-1]
+            or any(a != b and 1 not in (a, b) for a, b in zip(y_true.shape, y_pred.shape))):
         raise ValueError(f"need non-empty aligned {what}")
     return y_true, y_pred
 
 
-def f1_macro(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Macro-averaged F1 over the union of observed classes."""
+def _value(v: np.ndarray):
+    return float(v) if v.ndim == 0 else v  # a float for an unstacked call
+
+
+def f1_macro(y_true: np.ndarray, y_pred: np.ndarray):
+    """Macro-averaged F1 over the union of each scenario's observed classes:
+    those with ``2 tp + fp + fn > 0``."""
     y_true, y_pred = _aligned(y_true, y_pred, int, "label vectors")
     classes = np.union1d(y_true, y_pred)
-    scores = []
-    for c in classes:
-        tp = np.sum((y_pred == c) & (y_true == c))
-        fp = np.sum((y_pred == c) & (y_true != c))
-        fn = np.sum((y_pred != c) & (y_true == c))
-        denom = 2 * tp + fp + fn
-        scores.append(2 * tp / denom if denom > 0 else 0.0)
-    return float(np.mean(scores))
+    true, pred = y_true[..., None] == classes, y_pred[..., None] == classes
+    tp = (true & pred).sum(axis=-2)
+    denom = true.sum(axis=-2) + pred.sum(axis=-2)
+    scores = np.divide(2 * tp, denom, out=np.zeros(denom.shape), where=denom > 0)
+    return _value(scores.sum(axis=-1) / (denom > 0).sum(axis=-1))
 
 
-def r2(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+def r2(y_true: np.ndarray, y_pred: np.ndarray):
     y_true, y_pred = _aligned(y_true, y_pred, np.float64)
-    ss_tot = np.sum((y_true - y_true.mean()) ** 2)
-    if ss_tot == 0.0:
+    ss_tot = np.sum((y_true - y_true.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
+    if np.any(ss_tot == 0.0):
         raise ValueError("targets are constant, R2 undefined")
-    ss_res = np.sum((y_true - y_pred) ** 2)
-    return float(1.0 - ss_res / ss_tot)
+    return _value(1.0 - np.sum((y_true - y_pred) ** 2, axis=-1) / ss_tot)
 
 
-def _average_precision(y: np.ndarray, scores: np.ndarray) -> float:
-    """Step-interpolated area under the precision-recall curve, exact over
-    all score thresholds."""
-    n_pos = int(y.sum())
-    if n_pos == 0 or n_pos == y.shape[0]:
+def _average_precision(y: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Step-interpolated area under the precision-recall curve of each row of
+    (R, N) labels and scores, exact over all score thresholds."""
+    n_pos = y.sum(axis=-1, keepdims=True)
+    if np.any((n_pos == 0) | (n_pos == y.shape[-1])):
         raise ValueError("precision-recall AUC needs both classes present")
-    order = np.argsort(-scores, kind="stable")
-    y_sorted = y[order]
-    s_sorted = scores[order]
-    tp = np.cumsum(y_sorted)
-    fp = np.cumsum(1 - y_sorted)
-    # evaluate only at the last index of each tied score block
-    last_of_block = np.append(s_sorted[1:] != s_sorted[:-1], True)
-    tp, fp = tp[last_of_block], fp[last_of_block]
-    precision = tp / (tp + fp)
-    recall = tp / n_pos
-    recall_prev = np.concatenate([[0.0], recall[:-1]])
-    return float(np.sum((recall - recall_prev) * precision))
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    s_sorted = np.take_along_axis(scores, order, axis=-1)
+    tp = np.cumsum(np.take_along_axis(y, order, axis=-1), axis=-1)
+    # only the last index of each tied score block is a threshold; the recall
+    # before it is that of the threshold before, the running maximum of tp there
+    last_of_block = np.ones(tp.shape, dtype=bool)
+    last_of_block[:, :-1] = s_sorted[:, 1:] != s_sorted[:, :-1]
+    tp_prev = np.zeros(tp.shape, dtype=tp.dtype)
+    np.maximum.accumulate(np.where(last_of_block, tp, 0)[:, :-1], axis=-1, out=tp_prev[:, 1:])
+    precision = tp / np.arange(1, tp.shape[-1] + 1)
+    gain = np.where(last_of_block, tp / n_pos - tp_prev / n_pos, 0.0)
+    return np.sum(gain * precision, axis=-1)
 
 
-def auc_pr(y_true: np.ndarray, scores: np.ndarray) -> float:
-    """Precision-recall AUC; one-vs-rest macro average for multi-class scores."""
-    y_true = np.asarray(y_true, dtype=int)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim == 1:
-        return _average_precision((y_true == 1).astype(int), scores)
-    per_class = [_average_precision((y_true == c).astype(int), scores[:, c])
-                 for c in range(scores.shape[1])]
-    return float(np.mean(per_class))
+def auc_pr(y_true: np.ndarray, scores: np.ndarray):
+    """Precision-recall AUC of (..., N) binary scores, or the one-vs-rest macro
+    average over the classes of (..., N, C) scores; one stable argsort sorts
+    every (scenario, class) row at once."""
+    y_true, scores = np.asarray(y_true, dtype=int), np.asarray(scores, dtype=np.float64)
+    multi = scores.ndim == y_true.ndim + 1
+    if multi:  # one (..., C, N) row per one-vs-rest problem
+        y_true = np.swapaxes(y_true[..., None] == np.arange(scores.shape[-1]), -1, -2)
+        scores = np.swapaxes(scores, -1, -2)
+    rows = (-1, scores.shape[-1])
+    ap = _average_precision(np.broadcast_to(y_true == 1, scores.shape).reshape(rows),
+                            scores.reshape(rows)).reshape(scores.shape[:-1])
+    return _value(ap.mean(axis=-1) if multi else ap)
 
 
-def mape(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+def mape(y_true: np.ndarray, y_pred: np.ndarray):
     y_true, y_pred = _aligned(y_true, y_pred, np.float64)
     if np.any(y_true == 0.0):
         raise ValueError("MAPE undefined for zero targets")
-    return float(np.mean(np.abs((y_true - y_pred) / y_true)))
+    return _value(np.mean(np.abs((y_true - y_pred) / y_true), axis=-1))
 
 
 # -- robustness and shift scores -----------------------------------------------------
 
 
-def _rmse(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+def _rmse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.mean((np.asarray(a, dtype=np.float64) - b) ** 2, axis=-1))
 
 
-def prs(y_true: np.ndarray, y_miss: np.ndarray, y_full: np.ndarray) -> float:
-    """Predictive robustness: min(1, exp(1 - RMSE_miss / RMSE_full)).
-
-    For classification, pass one-hot targets and probability matrices; the
-    RMSE then runs over all class entries.
-    """
+def prs(y_true: np.ndarray, y_miss: np.ndarray, y_full: np.ndarray):
+    """Predictive robustness: min(1, exp(1 - RMSE_miss / RMSE_full)), the RMSE
+    over the last axis. For classification, pass one-hot targets and
+    probabilities flattened to (..., N*C); the RMSE then runs over all class entries."""
     rmse_full = _rmse(y_true, y_full)
-    if rmse_full == 0.0:
+    if np.any(rmse_full == 0.0):
         raise ValueError("full-view RMSE is zero, PRS undefined")
-    return float(min(1.0, np.exp(1.0 - _rmse(y_true, y_miss) / rmse_full)))
+    return _value(np.minimum(1.0, np.exp(1.0 - _rmse(y_true, y_miss) / rmse_full)))
 
 
-def class_change_ratio(y_full: np.ndarray, y_miss: np.ndarray) -> float:
-    """Fraction of samples whose predicted class changed."""
-    full = np.asarray(y_full)
-    miss = np.asarray(y_miss)
-    if full.ndim == 2:
-        full = full.argmax(axis=1)
-        miss = miss.argmax(axis=1)
-    return float(np.mean(full != miss))
+def class_change_ratio(y_full: np.ndarray, y_miss: np.ndarray):
+    """Fraction of samples whose predicted class changed, from (N,) labels or
+    from (..., N, C) probabilities."""
+    full, miss = np.asarray(y_full), np.asarray(y_miss)
+    if full.ndim > 1:
+        full, miss = full.argmax(axis=-1), miss.argmax(axis=-1)
+    return _value(np.mean(full != miss, axis=-1))
 
 
-def deformation(y_full: np.ndarray, y_miss: np.ndarray) -> float:
+def deformation(y_full: np.ndarray, y_miss: np.ndarray):
     """Prediction shift normalized by the spread of the full-view predictions."""
     full = np.asarray(y_full, dtype=np.float64)
-    spread = float(full.std())
-    if spread == 0.0:
+    spread = full.std(axis=-1)
+    if np.any(spread == 0.0):
         raise ValueError("full-view predictions are constant, deformation undefined")
-    return _rmse(full, y_miss) / spread
+    return _value(_rmse(full, y_miss) / spread)
 
 
 # -- report -----------------------------------------------------------------------
@@ -243,36 +249,28 @@ class EvalReport:
 # -- harness -----------------------------------------------------------------------
 
 
-def _performance_rows(report: EvalReport, scenario: MissingScenario, ds,
-                      preds: np.ndarray, full_preds: np.ndarray, fold: int,
-                      seed: int) -> None:
-    key, view, p = scenario.key(), scenario.view, scenario.p
-    if ds.task == "classification":
-        report.add(key, view, p, "f1", fold, seed, f1_macro(ds.y, preds.argmax(axis=1)))
-        report.add(key, view, p, "auc_pr", fold, seed, auc_pr(ds.y, preds))
-        report.add(key, view, p, "class_change", fold, seed,
-                   class_change_ratio(full_preds, preds))
-        onehot = one_hot_batch(ds.y, preds.shape[1])
-        report.add(key, view, p, "prs", fold, seed, prs(onehot, preds, full_preds))
-    else:
-        report.add(key, view, p, "r2", fold, seed, r2(ds.y, preds))
-        report.add(key, view, p, "mape", fold, seed, mape(ds.y, preds))
-        report.add(key, view, p, "deformation", fold, seed,
-                   deformation(full_preds, preds))
-        report.add(key, view, p, "prs", fold, seed, prs(ds.y, preds, full_preds))
-
-
 def evaluate_scenarios(model: _BaseModel, ds: MultiViewDataset,
                        scenarios: list[MissingScenario], seed: int,
                        fold: int = 0) -> EvalReport:
-    """Metrics for each scenario on one validation dataset, from one ``predict``
-    call over the full-view and every scenario's availability matrix."""
-    report = EvalReport()
+    """Metrics for each scenario on one validation dataset: one ``predict``
+    call over the full-view and every scenario's availability matrix, then
+    one call per metric over the stacked (S, N, ...) scenario predictions."""
     available = np.stack([scenario_availability(s, ds.n_samples, model.view_ids, seed)
                           for s in [MissingScenario("none")] + scenarios])
-    full_preds, *preds = model.predict(ds.views, available)
-    for scenario, scenario_preds in zip(scenarios, preds):
-        _performance_rows(report, scenario, ds, scenario_preds, full_preds, fold, seed)
+    full, preds = np.split(model.predict(ds.views, available), [1])
+    y = ds.y[None]
+    if ds.task == "classification":
+        onehot = one_hot_batch(ds.y, preds.shape[-1]).reshape(1, -1)
+        columns = {"f1": f1_macro(y, preds.argmax(axis=-1)), "auc_pr": auc_pr(y, preds),
+                   "class_change": class_change_ratio(full, preds),
+                   "prs": prs(onehot, preds.reshape(-1, onehot.size), full.reshape(1, -1))}
+    else:
+        columns = {"r2": r2(y, preds), "mape": mape(y, preds),
+                   "deformation": deformation(full, preds), "prs": prs(y, preds, full)}
+    report = EvalReport()
+    for i, s in enumerate(scenarios):
+        for metric, values in columns.items():
+            report.add(s.key(), s.view, s.p, metric, fold, seed, values[i])
     return report
 
 

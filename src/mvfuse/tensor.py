@@ -400,6 +400,11 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._result(out_data, tuple(ts), backward, "stack")
 
 
+# Window elements per block of an unrecorded convolution: 512 KiB, a quarter
+# of a 2 MiB per-core L2, so a block's window, input and output stay in cache.
+WINDOW_BLOCK = 2**16
+
+
 def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = False,
                   keep: np.ndarray | None = None) -> Tensor:
     """``window_K(x) @ W + b`` as one node of single 2-D GEMMs, then optionally
@@ -408,7 +413,9 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
     'same' convolution over the time axis of (..., T >= 1, c), even at K = 1:
     window row t holds steps t - K//2 .. t + K//2, tap-major, zero outside the
     series; K must be odd. ``b`` is (n,). The graph keeps only the window and the
-    output; the backward folds into the input's gradient."""
+    output; the backward folds into the input's gradient. A K-tap node that is
+    not recorded runs window and product over blocks of about ``WINDOW_BLOCK``
+    window elements of leading rows instead, bit-identical, into one output."""
     if W.ndim not in (2, 3) or (b is not None and b.shape != W.shape[-1:]):
         raise ValueError(f"window_affine needs W (c, n) or (K, c, n) and b (n,), "
                          f"got {W.shape} and {None if b is None else b.shape}")
@@ -422,6 +429,17 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
         raise ValueError(f"affine expects last dim {W.shape[-2]}, got {c}")
     Wm = W.data.reshape(-1, n)
     kernel = W.shape[0] if W.ndim == 3 else 1
+    parents = (x, W) if b is None else (x, W, b)
+
+    def finish(z, mask):  # bias, rectifier and keep mask, in place
+        if b is not None:
+            z += b.data
+        if relu:
+            np.maximum(z, 0.0, out=z)
+        if mask is not None:
+            z *= mask
+        return z
+
     win = x.data.reshape(-1, c)
     if kernel > 1:
         T, pad = x.shape[-2], kernel // 2
@@ -429,17 +447,25 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
         # steps lo+shift..hi+shift-1, so no slice bound is ever negative
         taps = [(tau, tau - pad, max(0, pad - tau), min(T, T + pad - tau))
                 for tau in range(kernel) if abs(tau - pad) < T]
+        xs = x.data.reshape(-1, T, c)
+        if not (_GRAD_ENABLED and any(p.requires_grad for p in parents)):
+            rows = max(1, WINDOW_BLOCK // (T * kernel * c))
+            buf = np.zeros((min(rows, len(xs)), T, kernel * c))
+            out = np.empty(x.shape[:-1] + (n,))
+            blocks = out.reshape(-1, T, n)
+            keeps = None if keep is None else keep.reshape(blocks.shape)
+            for lo in range(0, len(xs), rows):
+                z, part = blocks[lo:lo + rows], buf[:len(xs) - lo]
+                for tau, shift, t0, t1 in taps:
+                    part[:, t0:t1, tau * c:(tau + 1) * c] = xs[lo:lo + rows, t0 + shift:t1 + shift]
+                np.matmul(part.reshape(-1, kernel * c), Wm, out=z.reshape(-1, n))
+                finish(z, None if keeps is None else keeps[lo:lo + rows])
+            return Tensor._result(out, parents, None, "window_affine")
         win = np.zeros(x.shape[:-1] + (kernel * c,))
         for tau, shift, lo, hi in taps:
             win[..., lo:hi, tau * c:(tau + 1) * c] = x.data[..., lo + shift:hi + shift, :]
         win = win.reshape(-1, kernel * c)
-    out = (win @ Wm).reshape(x.shape[:-1] + (n,))
-    if b is not None:
-        out += b.data
-    if relu:
-        np.maximum(out, 0.0, out=out)
-    if keep is not None:
-        out *= keep
+    out = finish((win @ Wm).reshape(x.shape[:-1] + (n,)), keep)
 
     def backward(g):
         dz = g if keep is None else g * keep
@@ -458,7 +484,7 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
                 dx[..., lo + shift:hi + shift, :] += dwin[..., lo:hi, tau * c:(tau + 1) * c]
         x._accumulate(dx.reshape(x.shape))
 
-    return Tensor._result(out, (x, W) if b is None else (x, W, b), backward, "window_affine")
+    return Tensor._result(out, parents, backward, "window_affine")
 
 
 def lstm(x: Tensor, h_prev: Tensor, c_prev: Tensor, W: Tensor, b: Tensor) -> Tensor:

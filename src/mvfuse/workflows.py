@@ -49,8 +49,9 @@ def check_scorable(cfg: ExperimentConfig, ds: data_mod.MultiViewDataset, y,
                    fold: int | None = None) -> None:
     """Raise ValueError unless the validation targets ``y`` can be scored: a
     classification split must hold each of ``ds``'s classes and a regression
-    split at least two distinct targets. The error names the fold as
-    ``report.csv`` numbers it, or else the configured split."""
+    split at least two distinct targets and no zero, where MAPE is undefined.
+    The error names the fold as ``report.csv`` numbers it, or else the
+    configured split."""
     split = (f"validation fold {fold}" if fold is not None
              else f"the validation split (data.val_fraction {cfg.data.val_fraction:g})")
     seen = set(y.tolist())
@@ -61,6 +62,9 @@ def check_scorable(cfg: ExperimentConfig, ds: data_mod.MultiViewDataset, y,
     if len(seen) < 2:  # a classification split with one class misses another
         raise ValueError(f"{split} holds fewer than two distinct targets, "
                          f"so its metrics are undefined")
+    zeros = sum(v == 0.0 for v in y.tolist()) if ds.task == "regression" else 0
+    if zeros:
+        raise ValueError(f"{split} holds {zeros} zero target(s), so its MAPE is undefined")
 
 
 def focus_view(cfg: ExperimentConfig, view_ids: list[str]) -> str:

@@ -629,6 +629,31 @@ class TestBoundaries:
         assert not (out / "model.json").exists()
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("folds, words", [
+        (1, "the validation split (data.val_fraction 0.25) holds 4 zero target(s)"),
+        (4, "validation fold 0 holds 1 zero target(s)")], ids=["split", "folds"])
+    def test_zero_regression_target_fails_before_training(self, tmp_path, capsys,
+                                                         folds, words):
+        # every fifth of 60 targets is 0.0, where MAPE is undefined
+        raw = with_value(("data.synthetic.task", "data.synthetic.n_samples"), ("regression", 60))
+        data = tmp_path / "data"
+        assert main(["synth", "--config", write_config(tmp_path, raw), "--out", str(data)]) == 0
+        targets = data / "targets.csv"
+        lines = targets.read_text().splitlines()
+        lines[1::5] = ["0.0"] * len(lines[1::5])
+        targets.write_text("\n".join(lines) + "\n")
+        raw["data"] = {"source": "manifest", "manifest": str(data / "manifest.json"),
+                       "val_fraction": 0.25}
+        raw["eval"]["folds"] = folds
+        out = tmp_path / "run"
+        code, record = self.run(capsys, ["evaluate", "--config", write_config(tmp_path, raw),
+                                         "--out", str(out)])
+        assert code == 3
+        assert record == {"error": "ValueError",
+                          "message": f"{words}, so its MAPE is undefined"}
+        assert not (out / "model.json").exists()
+        assert not (out / "report.csv").exists()
+
 
 def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
     raw = base_config()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfuse.data import SyntheticConfig, SyntheticViewConfig, generate_synthetic
-from mvfuse.encoders import EncoderConfig, StaticEncoder, TemporalEncoder
+from mvfuse.encoders import EncoderConfig, StaticEncoder, TemporalEncoder, one_hot_batch
 from mvfuse.evaluation import (EvalReport, MissingScenario, auc_pr,
                                class_change_ratio, deformation, evaluate_scenarios,
                                f1_macro, mape, prs, r2, scenario_availability,
@@ -237,6 +237,95 @@ class TestRobustnessScores:
         labels = np.array([0, 1, 1, 0])
         assert class_change_ratio(labels, np.array([0, 1, 0, 0])) == 0.25
 
+
+def classification_stack(classes, seed=0, S=5, N=40):
+    """Labels, full-view probabilities (1, N, C) and S scenarios' (S, N, C),
+    rounded so that scores tie; scenario 1 never predicts the last class."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, classes, N)
+    y[:classes] = np.arange(classes)
+    scores = np.round(rng.random((S + 1, N, classes)), 1) + 0.05
+    scores[2, :, -1] = 0.0
+    probs = scores / scores.sum(axis=-1, keepdims=True)
+    return y, probs[:1], probs[1:]
+
+
+def classification_scores(y, full, preds):
+    """Each classification metric as evaluate_scenarios calls it on a stack."""
+    flat = preds.reshape(len(preds), -1)
+    return {"f1": f1_macro(y[None], preds.argmax(axis=-1)),
+            "auc_pr": auc_pr(y[None], preds),
+            "auc_pr_binary": auc_pr((y == 1)[None], preds[..., 1]),
+            "class_change": class_change_ratio(full, preds),
+            "prs": prs(one_hot_batch(y, preds.shape[-1]).reshape(1, -1), flat,
+                       full.reshape(1, -1))}
+
+
+def regression_stack(seed=0, S=5, N=40):
+    rng = np.random.default_rng(seed)
+    return 2.0 + rng.random(N), 2.0 + rng.normal(size=(1, N)), 2.0 + rng.normal(size=(S, N))
+
+
+def regression_scores(y, full, preds):
+    return {"r2": r2(y[None], preds), "mape": mape(y[None], preds),
+            "deformation": deformation(full, preds), "prs": prs(y[None], preds, full)}
+
+
+class TestStackedScoring:
+    """An (S, N, ...) stack of scenario predictions scores like S separate calls."""
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_classification_stack_matches_per_scenario_calls(self, classes):
+        y, full, preds = classification_stack(classes)
+        assert not (preds[1].argmax(axis=-1) == classes - 1).any()
+        stacked = classification_scores(y, full, preds)
+        for s, p in enumerate(preds):
+            single = {"f1": f1_macro(y, p.argmax(axis=-1)), "auc_pr": auc_pr(y, p),
+                      "auc_pr_binary": auc_pr(y == 1, p[:, 1]),
+                      "class_change": class_change_ratio(full[0], p),
+                      "prs": prs(one_hot_batch(y, classes).reshape(-1), p.reshape(-1),
+                                 full[0].reshape(-1))}
+            for metric, value in single.items():
+                assert isinstance(value, float)
+                assert abs(stacked[metric][s] - value) <= 1e-12, metric
+
+    def test_f1_counts_only_each_scenarios_observed_classes(self):
+        # class 2 is never a target; only the second scenario predicts it
+        y = np.array([0, 1, 0, 1, 1, 0])
+        labels = np.array([[0, 1, 1, 1, 1, 0], [0, 2, 0, 1, 1, 0]])
+        stacked = f1_macro(y[None], labels)
+        for s, pred in enumerate(labels):
+            assert abs(stacked[s] - brute_force_f1(list(y), list(pred))) <= 1e-12
+
+    def test_regression_stack_matches_per_scenario_calls(self):
+        y, full, preds = regression_stack()
+        stacked = regression_scores(y, full, preds)
+        for s, p in enumerate(preds):
+            single = {"r2": r2(y, p), "mape": mape(y, p), "deformation": deformation(full[0], p),
+                      "prs": prs(y, p, full[0])}
+            for metric, value in single.items():
+                assert isinstance(value, float)
+                assert abs(stacked[metric][s] - value) <= 1e-12, metric
+
+    @pytest.mark.parametrize("task", ["binary", "3-class", "regression"])
+    def test_identical_scenarios_score_identically(self, task):
+        # the sweep endpoints p=0 and p=1 repeat the none and only-missing rows
+        if task == "regression":
+            y, full, preds = regression_stack(seed=1)
+            preds[3], preds[4] = full[0], preds[1]
+            scores = regression_scores(y, full, preds)
+        else:
+            y, full, preds = classification_stack(2 if task == "binary" else 3, seed=1)
+            preds[3], preds[4] = full[0], preds[1]
+            scores = classification_scores(y, full, preds)
+        for metric, values in scores.items():
+            assert values[4] == values[1], metric
+            if metric in ("class_change", "prs", "deformation"):
+                assert values[3] == (0.0 if metric != "prs" else 1.0), metric
+
+    def test_stack_of_one_is_an_array(self):
+        y, full, preds = regression_stack(S=1)
+        assert all(v.shape == (1,) for v in regression_scores(y, full, preds).values())
 
 def fitted_model(task="classification", seed=0):
     cfg = SyntheticConfig(

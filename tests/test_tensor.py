@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mvfuse import tensor as tensor_module
 from mvfuse.gradcheck import check_gradients, numerical_gradient, relative_error
-from mvfuse.tensor import (Adam, EmptySupportError, Tensor, backward, concat, lstm,
-                           softmax_mix, stack, window_affine)
+from mvfuse.tensor import (WINDOW_BLOCK, Adam, EmptySupportError, Tensor, backward, concat,
+                           lstm, no_grad, softmax_mix, stack, window_affine)
 
 
 def sum_sq(t):
@@ -420,6 +420,56 @@ def test_window_affine_rejects_operands_of_other_shapes(x_shape, W_shape, b_shap
     with pytest.raises(ValueError, match=words):
         window_affine(x, W, b)
 
+
+# (shape, K, leading rows per block): at c = 8 a block holds 170 rows of
+# T = 16, K = 3 and 819 of T = 2, K = 5; every multi-block case ends ragged
+@pytest.mark.parametrize("shape, kernel, blocks", [
+    ((400, 16, 8), 3, 3), ((7, 60, 16, 8), 3, 3), ((1000, 2, 8), 5, 2), ((3, 5, 8), 3, 1)],
+    ids=["ragged-blocks", "two-leading-axes", "T-below-K", "one-block"])
+@pytest.mark.parametrize("bias, relu, keep", [(False, False, False), (True, True, False),
+                                              (True, True, True)],
+                         ids=["plain", "bias-relu", "bias-relu-keep"])
+def test_unrecorded_convolution_is_bit_identical_to_recorded(shape, kernel, blocks, bias,
+                                                             relu, keep):
+    rng = np.random.default_rng(sum(shape))
+    T, c, n = shape[-2], shape[-1], 5
+    rows = int(np.prod(shape[:-2]))
+    assert -(-rows // (WINDOW_BLOCK // (T * kernel * c))) == blocks
+    x = rng.normal(size=shape)
+    W = rng.normal(size=(kernel, c, n))
+    b = rng.normal(size=n) if bias else None
+    mask = (rng.random(shape[:-1] + (n,)) < 0.8) / 0.8 if keep else None
+
+    def call(requires_grad):
+        return window_affine(Tensor(x), Tensor(W, requires_grad=requires_grad),
+                             None if b is None else Tensor(b), relu=relu, keep=mask)
+
+    recorded = call(True)
+    with no_grad():
+        unrecorded = call(True)
+    assert recorded.requires_grad and not unrecorded.requires_grad
+    np.testing.assert_array_equal(unrecorded.data, recorded.data)
+    np.testing.assert_array_equal(call(False).data, recorded.data)  # no operand needs one
+
+
+def test_unrecorded_convolution_never_holds_the_whole_window():
+    # an eval-sized (512, 24, 64) -> 64, K=3 layer: its whole window is 18.9 MB
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    x, W, b = (Tensor(rng.normal(size=s)) for s in ((512, 24, 64), (3, 64, 64), (64,)))
+    whole = 512 * 24 * 3 * 64 * 8
+    peaks = []
+    for requires_grad in (False, True):
+        W.requires_grad = requires_grad
+        tracemalloc.start()
+        try:
+            out = window_affine(x, W, b, relu=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    unrecorded, recorded = peaks
+    assert recorded > whole
+    assert unrecorded < out.data.nbytes + 4 * 8 * WINDOW_BLOCK < whole / 2
 
 def test_batched_matmul_gradients():
     rng = np.random.default_rng(3)
