@@ -42,15 +42,17 @@ for concat), then one (K, u) @ (u, B*n_out) mix and the head's bias. Concat
 never builds its (K, B, m*d) stack. The other kinds apply the head to their
 fused rows.
 
-Memory fusion steps all patterns together. Its first layer has no dropout
-before it, so a state there depends only on the views read so far: every
-distinct ordered prefix of the patterns' view sequences is stepped once, and
-every reversed suffix in the backward direction, all of one length in one
-LSTM step. Later layers step all patterns with the same number of views
-together, with no padding, and read each position's first-layer output from
-the prefix and suffix tables through one-hot products. Over the 127 patterns
-of seven views that is 7 first-layer steps per direction over 127 prefixes
-and 28 later-layer steps over the patterns' 448 view slots.
+Memory fusion steps all patterns together, each recurrence as one
+``lstm_scan`` node. Its first layer has no dropout before it, so a state
+there depends only on the views read so far: every distinct ordered prefix
+of the patterns' view sequences is stepped once, and every reversed suffix
+in the backward direction, as one prefix-tree node per direction with all
+prefixes of one length in one step. Later layers step all patterns with the
+same number of views together as one chain node per direction, with no
+padding, and read each position's first-layer output from the prefix and
+suffix tables through one-hot products. Over the 127 patterns of seven views
+that is 7 first-layer steps per direction over 127 prefixes and 28
+later-layer steps over the patterns' 448 view slots.
 
 Random draws (attention dropout, memory's inter-layer dropout and its
 permutation) are made pattern after pattern in the order of ``available``,
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Affine, Dropout, LSTMCell, Module, MultiHeadAttention, glorot
-from .tensor import Tensor, concat, no_grad, softmax_mix, stack, window_affine
+from .tensor import Tensor, concat, lstm_scan, no_grad, softmax_mix, stack, window_affine
 
 FUSION_KINDS = ("average", "gated", "cross", "memory", "concat")
 
@@ -374,25 +376,21 @@ def _ungroup(outs: list[Tensor], groups: list[np.ndarray], batch: int) -> Tensor
     return _select(out, np.argsort(np.concatenate(groups)).tolist(), batch)
 
 
-def _prefix_states(cell: LSTMCell, rows: list, seqs: list[tuple], batch: int):
+def _prefix_states(cell: LSTMCell, rows: list, seqs: list[tuple]):
     """The cell's h after every distinct ordered prefix of the view
-    sequences ``seqs``, from an empty memory. Per length t it returns a map
-    from prefix to block and a table of the n_t prefixes' (B, d_h) blocks
-    stacked along the rows; all prefixes of length t are one step from
-    their parents' states."""
-    where, tables = [{}], [None]
+    sequences ``seqs``, from an empty memory, as one ``lstm_scan`` over the
+    prefix tree: each prefix of length t is one block of step t that
+    continues its parent's state. Per length t it returns a map from prefix
+    to block and a table of the n_t prefixes' (B, d_h) blocks stacked along
+    the rows."""
+    where, inputs, parents = [{}], [], []
     for t in range(1, max(map(len, seqs)) + 1):
         prefixes = list(dict.fromkeys(q[:t] for q in seqs if len(q) >= t))
-        if t == 1:
-            h, c = cell.zero_state((len(prefixes) * batch,))
-        else:
-            parents = [where[-1][p[:-1]] for p in prefixes]
-            h, c = _select(h, parents, batch), _select(c, parents, batch)
-        x = [rows[p[-1]] for p in prefixes]
-        h, c = cell.step(x[0] if len(x) == 1 else concat(x, axis=0), h, c)
+        inputs.append([p[-1] for p in prefixes])
+        if t > 1:
+            parents.append([where[-1][p[:-1]] for p in prefixes])
         where.append({p: i for i, p in enumerate(prefixes)})
-        tables.append(h)
-    return where, tables
+    return where, [None] + lstm_scan(rows, cell.W, cell.b, inputs, parents)
 
 
 class MemoryFusion(Fusion):
@@ -408,9 +406,11 @@ class MemoryFusion(Fusion):
     it, so its forward state after t views depends only on the pattern's
     first t views and its backward state only on its last t: every distinct
     ordered prefix, and every reversed suffix, is stepped once, all of one
-    length in one step. Each group of patterns with s views reads those
-    tables at one list of (forward, backward) positions: (s - 1, 0) for one
-    layer, and (t, t) for each t when later layers step the group together.
+    length in one step of one ``lstm_scan`` node per direction. Each group
+    of patterns with s views reads those tables at one list of (forward,
+    backward) positions: (s - 1, 0) for one layer, and (t, t) for each t
+    when later layers step the group together, as one chain node per
+    direction that returns only its last h at the last layer.
     """
 
     def __init__(self, d: int, cfg: FusionConfig, rng: np.random.Generator):
@@ -422,18 +422,6 @@ class MemoryFusion(Fusion):
         self.dropout = Dropout(cfg.dropout)
         self.permute = cfg.permute
         self.d = d
-
-    @staticmethod
-    def _run_direction(cell: LSTMCell, seq: list[Tensor], every: bool) -> list[Tensor]:
-        """The cell's h after each element of ``seq`` from an empty memory or,
-        unless ``every``, after the last one alone, so no other h is kept."""
-        h, c = cell.zero_state(seq[0].shape[:-1])
-        hs = []
-        for x in seq:
-            h, c = cell.step(x, h, c)
-            if every:
-                hs.append(h)
-        return hs if every else [h]
 
     def _draws(self, patterns: np.ndarray, batch: int, rng,
                train: bool) -> tuple[list[tuple], list]:
@@ -462,11 +450,10 @@ class MemoryFusion(Fusion):
         batch = next(r.shape[0] for r in rows if r is not None)
         groups = _by_length(patterns)
         seqs, masks = self._draws(patterns, batch, rng, train)
-        fwd_at, fwd = _prefix_states(self.forward_cells[0], rows, seqs, batch)
-        bwd_at, bwd = _prefix_states(self.backward_cells[0], rows, [q[::-1] for q in seqs], batch)
+        fwd_at, fwd = _prefix_states(self.forward_cells[0], rows, seqs)
+        bwd_at, bwd = _prefix_states(self.backward_cells[0], rows, [q[::-1] for q in seqs])
         outs = [None] * len(groups)
-        # longest patterns first, so each first-layer table is dropped after its last read
-        for g in sorted(range(len(groups)), key=lambda g: -len(seqs[groups[g][0]])):
+        for g in range(len(groups)):
             group = [seqs[k] for k in groups[g]]
             s = len(group[0])
             # first-layer (forward, backward) positions; one layer reads (last, first)
@@ -477,16 +464,16 @@ class MemoryFusion(Fusion):
                 _select(bwd[s - j], [bwd_at[s - j][q[j:][::-1]] for q in group], batch)], axis=-1)
                 for i, j in positions]
             for layer in range(1, len(self.forward_cells)):
-                every = layer < len(self.forward_cells) - 1
+                last = layer == len(self.forward_cells) - 1
                 if masks[0] is not None:
                     # a group's masks are its patterns' masks stacked along the rows
                     keep = np.concatenate([masks[k][layer - 1] for k in groups[g]], axis=1)
                     seq = [x * Tensor(keep[t]) for t, x in enumerate(seq)]
-                out_fwd = self._run_direction(self.forward_cells[layer], seq, every)
-                out_bwd = self._run_direction(self.backward_cells[layer], seq[::-1], every)
+                fw, bw = self.forward_cells[layer], self.backward_cells[layer]
+                out_fwd = lstm_scan(seq, fw.W, fw.b, last=last)
+                out_bwd = lstm_scan(seq[::-1], bw.W, bw.b, last=last)
                 seq = [concat([f, b], axis=-1) for f, b in zip(out_fwd, out_bwd[::-1])]
             outs[g] = seq[0]
-            del fwd[s:], bwd[s:]
         return _ungroup(outs, groups, batch).reshape((len(patterns), batch, self.d))
 
 

@@ -121,7 +121,10 @@ class LSTMCell(Module):
     Gate weights are stored as one (d_in + d_h, 4*d_h) matrix in input,
     forget, output, candidate order. A step is three graph nodes: one fused
     ``lstm`` node for the gate product and gate math, which checks the
-    operands, and the h/c split, which returns C-contiguous h and c.
+    operands, and the h/c split, which returns C-contiguous h and c. Memory
+    fusion does not step the cell: it runs each whole recurrence on the
+    cell's ``W`` and ``b`` as one ``tensor.lstm_scan`` node, whose outputs
+    are bit-identical to a loop of ``step``.
     """
 
     def __init__(self, d_in: int, d_h: int, rng: np.random.Generator):

@@ -18,6 +18,7 @@ import json
 import os
 import zipfile
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -267,7 +268,19 @@ def save_model(model: _BaseModel, encoder_cfg: EncoderConfig, fusion_cfg: Fusion
     return out / "model.json"
 
 
+def _typed_fields(cls, entry, key: str) -> dict:
+    """``entry``'s fields checked against ``cls``'s annotations as a config's
+    are, so a bool is not an int; an unknown field is left to the constructor."""
+    from .config import _typed  # config imports augmentation, which imports this module
+    if not isinstance(entry, dict):
+        raise TypeError(f"{key} must be a mapping, got {entry!r}")
+    hints = get_type_hints(cls)
+    return {name: _typed(hints[name], value, f"{key}.{name}") if name in hints else value
+            for name, value in entry.items()}
+
+
 def load_model(model_dir: str | Path) -> _BaseModel:
+    from .config import ConfigError
     model_dir = Path(model_dir)
     arch_path = model_dir / "model.json"
     with open(arch_path) as fh:
@@ -276,12 +289,13 @@ def load_model(model_dir: str | Path) -> _BaseModel:
         if not isinstance(arch, dict) or key not in arch:
             raise ValueError(f"{arch_path} is missing required key {key!r}")
     try:
-        specs = [ViewSpec(**entry) for entry in arch["views"]]
-        encoder_cfg = EncoderConfig(**arch["encoder"])
-        fusion_cfg = FusionConfig(**arch["fusion"])
+        specs = [ViewSpec(**_typed_fields(ViewSpec, entry, f"views[{i}]"))
+                 for i, entry in enumerate(arch["views"])]
+        encoder_cfg = EncoderConfig(**_typed_fields(EncoderConfig, arch["encoder"], "encoder"))
+        fusion_cfg = FusionConfig(**_typed_fields(FusionConfig, arch["fusion"], "fusion"))
         model = build_model(specs, encoder_cfg, fusion_cfg, arch["task"],
                             arch["n_outputs"], arch["level"], np.random.default_rng(0))
-    except (TypeError, ValueError) as exc:  # an unknown, missing or ill-typed field
+    except (TypeError, ValueError, ConfigError) as exc:  # an unknown, missing or ill-typed field
         raise ValueError(f"{arch_path}: {exc}") from exc
     npz = model_dir / "model.npz"
     try:

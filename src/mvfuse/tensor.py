@@ -502,6 +502,8 @@ def lstm(x: Tensor, h_prev: Tensor, c_prev: Tensor, W: Tensor, b: Tensor) -> Ten
     column slices, several times slower at the small d of memory fusion.
     The backward builds the pre-activation gradient in the same layout and
     skips every gradient that no input needs, such as those of a zero state.
+    ``lstm_scan`` runs these ops over a whole recurrence in one node; this
+    one-step node serves ``LSTMCell.step``.
     """
     k, d = x.shape[-1], c_prev.shape[-1]
     if x.shape[:-1] != c_prev.shape[:-1] or h_prev.shape != c_prev.shape:
@@ -564,6 +566,190 @@ def lstm(x: Tensor, h_prev: Tensor, c_prev: Tensor, W: Tensor, b: Tensor) -> Ten
             b._accumulate(dz.sum(axis=1))
 
     return Tensor._result(hc, (x, h_prev, c_prev, W, b), backward, "lstm")
+
+
+def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
+              inputs: list[list[int]] | None = None, parents: list[list[int]] | None = None,
+              last: bool = False) -> list[Tensor]:
+    """A whole LSTM recurrence from a zero state as one node: ``lstm``'s ops,
+    in its order, at every step.
+
+    ``xs`` holds input blocks of n rows each, (n, k), or None for a block no
+    step reads. Step t reads the blocks ``inputs[t]`` stacked along the rows,
+    by default block t alone: a plain chain. Each block of step t > 0
+    continues the state of block ``parents[t - 1][j]`` of step t - 1, by
+    default block j, so several blocks may share one parent, as the
+    prefixes of a tree do. The first step starts from zero, so it skips the
+    ``W[k:]`` product and its c is i * g. ``W`` is (k + d, 4*d) and ``b``
+    (4*d,), as for ``lstm``. Returns every step's h, (rows_t, d) row-major,
+    or with ``last`` the last step's alone.
+
+    h and c stay feature-major, (d, rows), between steps, the layout of the
+    gate math, so no step transposes its state; a shared parent's state is
+    gathered by block in numpy. Unrecorded, the node allocates its buffers
+    once at the widest step: one gate and one product buffer, two h and two
+    c buffers used in turn, and one for a step's stacked inputs. Recorded, it keeps each step's input rows,
+    its parents' h and c, its gates after their nonlinearity and tanh(c).
+    The backward then runs back through time inside the node, carrying dh
+    and dc feature-major and adding the blocks that share a parent, and
+    takes the x, W and b gradients after the step loop. The outputs are
+    views of one array; each hands its gradient to the node, so none
+    allocates a zero array for a slice.
+    """
+    steps = [[t] for t in range(len(xs))] if inputs is None else inputs
+    d = W.shape[-1] // 4
+    k = W.shape[0] - d
+    if W.ndim != 2 or W.shape[1] != 4 * d or k < 1 or b.shape != (4 * d,):
+        raise ValueError(f"lstm_scan needs W (k+d, 4*d) and b (4*d,), got {W.shape}, {b.shape}")
+    blocks = {i: xs[i] for step in steps for i in step}
+    n = next(iter(blocks.values())).shape[0]
+    for x in blocks.values():
+        if x.shape != (n, k):
+            raise ValueError(f"lstm_scan needs input blocks ({n}, {k}), got {x.shape}")
+    if parents is not None and ([len(up) for up in parents] != [len(s) for s in steps[1:]] or any(
+            not 0 <= p < len(prev) for up, prev in zip(parents, steps) for p in up)):
+        raise ValueError("lstm_scan needs one parent per block of every step after the first, "
+                         "a block of the step before")
+    ups = [None] * len(steps)  # per step, its blocks' parents where they differ from block j
+    if parents is not None:
+        ups[1:] = [None if up == list(range(len(prev))) else up
+                   for up, prev in zip(parents, steps)]
+    node_parents = tuple(blocks.values()) + (W, b)
+    record = _GRAD_ENABLED and any(p.requires_grad for p in node_parents)
+    rows = [len(step) * n for step in steps]
+    ends = np.cumsum(rows).tolist()
+    keep = record or not last
+    out = np.empty((ends[-1] if keep else rows[-1], d))
+    Wd = W.data
+    if not record:
+        wide = max(rows)  # buffers: gates, product, h and c by turn, stacked inputs
+        bufs = [np.empty(size * wide) for size in (4 * d, 4 * d, d, d, d, d, k)]
+
+    def array(buf: int, shape: tuple) -> np.ndarray:
+        """A fresh array when recorded, else the front of buffer ``buf``."""
+        return np.empty(shape) if record else bufs[buf][:shape[0] * shape[1]].reshape(shape)
+
+    saved = []
+    h = c = None
+    for t, step in enumerate(steps):
+        R, turn = rows[t], t % 2
+        X = (blocks[step[0]].data if len(step) == 1 else
+             np.concatenate([blocks[i].data for i in step], out=array(6, (R, k))))
+        gates = array(0, (4 * d, R))
+        np.matmul(Wd[:k].T, X.T, out=gates)
+        Hp = Cp = None
+        if t:
+            if ups[t] is None:
+                Hp, Cp = h, c
+            else:  # gather each block's parent state, fresh or into this turn's buffers
+                Hp, Cp = (np.take(s.reshape(d, -1, n), ups[t], axis=1, mode="clip",
+                                  out=array(buf, (d, R)).reshape(d, -1, n)).reshape(d, R)
+                          for s, buf in ((h, 2 + turn), (c, 4 + turn)))
+            gates += (Wd[k:].T @ Hp if record else
+                      np.matmul(Wd[k:].T, Hp, out=array(1, (4 * d, R))))
+        gates += b.data[:, None]
+        sig = gates[:3 * d]
+        np.negative(sig, out=sig)
+        with np.errstate(over="ignore"):  # exp overflows to inf where a gate is exactly 0
+            np.exp(sig, out=sig)
+        sig += 1.0
+        np.reciprocal(sig, out=sig)
+        np.tanh(gates[3 * d:], out=gates[3 * d:])
+        i, f, o, g = gates[:d], gates[d:2 * d], gates[2 * d:3 * d], gates[3 * d:]
+        c = array(4 + turn, (d, R))
+        if t:
+            np.multiply(f, Cp, out=c)
+            c += i * g if record else np.multiply(i, g, out=i)
+        else:
+            np.multiply(i, g, out=c)
+        tanh_c = np.tanh(c, out=None if record else f)
+        h = (out[ends[t] - R:ends[t]].T if keep else out.T if t == len(steps) - 1
+             else array(2 + turn, (d, R)))
+        np.multiply(o, tanh_c, out=h)
+        if record:
+            saved.append((X, Hp, Cp, gates, tanh_c))
+
+    shown = [len(steps) - 1] if last else range(len(steps))
+    views = [out[ends[t] - rows[t]:ends[t]] if keep else out for t in shown]
+    if not record:
+        return [Tensor._result(v, (), None, "lstm_scan") for v in views]
+    handed = [None] * len(steps)
+
+    def route(a: np.ndarray, up: list[int], count: int) -> np.ndarray:
+        """Feature-major block gradients (r, blocks * n) added into their
+        parents' blocks, (r, count * n)."""
+        total = np.zeros((a.shape[0], count, n))
+        for j, p in enumerate(up):
+            total[:, p] += a[:, j * n:(j + 1) * n]
+        return total.reshape(a.shape[0], -1)
+
+    def backward(_):
+        dhs = handed[:]
+        handed[:] = [None] * len(steps)
+        dzs = [None] * len(steps)
+        dh_next = dc_next = None
+        for t in reversed(range(len(steps))):
+            X, Hp, Cp, gates, tanh_c = saved[t]
+            dh = None if dhs[t] is None else dhs[t].T
+            if dh_next is not None:
+                dh = dh_next if dh is None else dh + dh_next
+            if dh is None:
+                dh = np.zeros_like(tanh_c)
+            i, f, o, g = gates[:d], gates[d:2 * d], gates[2 * d:3 * d], gates[3 * d:]
+            dz = dzs[t] = np.empty_like(gates)
+            di, df, do, dg = dz[:d], dz[d:2 * d], dz[2 * d:3 * d], dz[3 * d:]
+            np.multiply(dh, tanh_c, out=do)
+            dc = np.multiply(tanh_c, tanh_c)
+            np.subtract(1.0, dc, out=dc)
+            dc *= o
+            dc *= dh
+            if dc_next is not None:
+                dc += dc_next
+            np.multiply(dc, g, out=di)
+            np.multiply(dc, i, out=dg)
+            if t:
+                np.multiply(dc, Cp, out=df)
+                dc_next = dc * f
+            else:
+                df.fill(0.0)
+            np.multiply(g, g, out=dc)  # dc is spent: it holds 1 - g^2 from here
+            np.subtract(1.0, dc, out=dc)
+            dg *= dc
+            slope = np.subtract(1.0, gates[:3 * d])
+            slope *= gates[:3 * d]
+            dz[:3 * d] *= slope
+            if t:
+                dh_next = Wd[k:] @ dz
+                if ups[t] is not None:
+                    dh_next, dc_next = (route(a, ups[t], len(steps[t - 1]))
+                                        for a in (dh_next, dc_next))
+        if any(x.requires_grad for x in blocks.values()):
+            dxs = {}
+            for step, dz in zip(steps, dzs):
+                dX = Wd[:k] @ dz
+                for j, i in enumerate(step):
+                    part = dX[:, j * n:(j + 1) * n]
+                    dxs[i] = part if i not in dxs else dxs[i] + part
+            for i, dx in dxs.items():
+                blocks[i]._accumulate(dx.T)
+        if W.requires_grad:
+            dW = np.zeros((4 * d, k + d))
+            for dz, (X, Hp, _, _, _) in zip(dzs, saved):
+                dW[:, :k] += dz @ X
+                if Hp is not None:
+                    dW[:, k:] += dz @ Hp.T
+            W._accumulate(dW.T)
+        if b.requires_grad:
+            b._accumulate(sum(dz.sum(axis=1) for dz in dzs))
+
+    node = Tensor._result(out, node_parents, backward, "lstm_scan")
+
+    def hand(t: int):
+        def backward(g):
+            handed[t] = g
+        return backward
+
+    return [Tensor._result(v, (node,), hand(t), "lstm_scan_h") for t, v in zip(shown, views)]
 
 
 def softmax_mix(logits: Tensor, values: Tensor) -> Tensor:

@@ -547,6 +547,28 @@ class TestBoundaries:
                           f"not a real floating type"}
         assert not (trained / "report.csv").exists()
 
+    @pytest.mark.parametrize("key, value, words", [
+        ("heads", True, "fusion.heads must be int, got True"),
+        ("permute", 1, "fusion.permute must be bool, got 1")],
+        ids=["bool-heads", "int-permute"])
+    def test_ill_typed_snapshot_field_is_runtime_error(self, tmp_path, capsys, key, value,
+                                                       words):
+        # a bool is no int: "heads": true used to load and then fail with a
+        # raw TypeError inside the attention
+        cfg = write_config(tmp_path, base_config(fusion="cross"))
+        trained = tmp_path / "trained"
+        assert main(["train", "--config", cfg, "--out", str(trained)]) == 0
+        arch_path = trained / "model.json"
+        arch = json.loads(arch_path.read_text())
+        arch["fusion"][key] = value
+        arch_path.write_text(json.dumps(arch))
+        out = tmp_path / "run"
+        code, record = self.run(capsys, ["evaluate", "--config", cfg, "--out", str(out),
+                                         "--model", str(trained)])
+        assert code == 3
+        assert record == {"error": "ValueError", "message": f"{arch_path}: {words}"}
+        assert not (out / "report.csv").exists()
+
     @pytest.mark.parametrize("command, path, value, words", [
         ("evaluate", "data.synthetic.views.1.id", "sonar", "its view 1 is ViewSpec(id='radar'"),
         ("sweep", "data.synthetic.views.1.channels", 4,

@@ -17,7 +17,7 @@ from mvfuse.layers import Affine
 from mvfuse.model import FeatureFusionModel, InputConcatModel
 from mvfuse import fusion as fusion_module
 from mvfuse import layers as layers_module
-from mvfuse.tensor import Tensor, backward, lstm, stack
+from mvfuse.tensor import Tensor, backward, lstm_scan, stack
 
 
 def rows_for(m, d, rng, mask, batch=1):
@@ -600,37 +600,39 @@ class TestPatterns:
 
     def test_memory_steps_each_prefix_and_pattern_length_once(self, monkeypatch):
         # the 31 patterns of five views hold 80 view slots; the first layer
-        # steps each of the 31 distinct prefixes (and suffixes) once, at most
-        # one step per length, the second one step per position of each
-        # length: 1 + 2 + 3 + 4 + 5 = 15
+        # steps each of the 31 distinct prefixes (and suffixes) once, as one
+        # lstm_scan node per direction with a step per length; the second
+        # steps each pattern length as one chain node per direction, a step
+        # per position: 1 + 2 + 3 + 4 + 5 = 15 steps over 80 row blocks
         m, batch = 5, 4
         rng = np.random.default_rng(22)
         fusion = make_fusion(FusionConfig(kind="memory", layers=2, dropout=0.0), m, 4, rng)
-        steps = []
-        for layer, cells in enumerate(zip(fusion.forward_cells, fusion.backward_cells)):
-            for direction, cell in enumerate(cells):
-                def spy(x, h, c, step=cell.step, key=(layer, direction)):
-                    steps.append((key, x.size // x.shape[-1]))
-                    return step(x, h, c)
-                monkeypatch.setattr(cell, "step", spy)
-        lstm_nodes = []
+        keys = {id(cell.W): (layer, direction)
+                for layer, cells in enumerate(zip(fusion.forward_cells, fusion.backward_cells))
+                for direction, cell in enumerate(cells)}
+        scans = []
 
-        def counted_lstm(x, h_prev, c_prev, W, b):
-            lstm_nodes.append(x.shape)
-            return lstm(x, h_prev, c_prev, W, b)
+        def counted_scan(xs, W, b, inputs=None, parents=None, last=False):
+            steps = [[t] for t in range(len(xs))] if inputs is None else inputs
+            n = next(x for x in xs if x is not None).shape[0]
+            scans.append((keys[id(W)], len(steps), sum(map(len, steps)) * n))
+            return lstm_scan(xs, W, b, inputs, parents, last)
 
-        monkeypatch.setattr(layers_module, "lstm", counted_lstm)
+        def one_step(*args):
+            raise AssertionError("memory fusion made a one-step lstm node")
+
+        monkeypatch.setattr(fusion_module, "lstm_scan", counted_scan)
+        monkeypatch.setattr(layers_module, "lstm", one_step)
         rows = rows_for(m, 4, rng, range(m), batch=batch)
         fusion.fuse(rows, pattern_matrix(enumerate_combinations(m), m))
 
-        assert len(lstm_nodes) == len(steps) <= 2 * m + 2 * 15
+        assert len(scans) == 2 + 2 * m
         for direction in (0, 1):
-            first = [n for key, n in steps if key == (0, direction)]
-            later = [n for key, n in steps if key == (1, direction)]
-            assert sum(first) == 31 * batch
-            assert len(first) <= m
-            assert sum(later) == 80 * batch
-            assert len(later) <= 15
+            first = [(s, n) for key, s, n in scans if key == (0, direction)]
+            later = [(s, n) for key, s, n in scans if key == (1, direction)]
+            assert first == [(m, 31 * batch)]
+            assert sorted(s for s, _ in later) == [1, 2, 3, 4, 5]
+            assert sum(n for _, n in later) == 80 * batch
 
     @pytest.mark.parametrize("kind, m", [("memory", 7), ("cross", 3)])
     def test_each_pattern_draws_its_dropout_once(self, spy, kind, m):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mvfuse import tensor as tensor_module
 from mvfuse.gradcheck import check_gradients, numerical_gradient, relative_error
 from mvfuse.tensor import (WINDOW_BLOCK, Adam, EmptySupportError, Tensor, backward, concat,
-                           lstm, no_grad, softmax_mix, stack, window_affine)
+                           lstm, lstm_scan, no_grad, softmax_mix, stack, window_affine)
 
 
 def sum_sq(t):
@@ -339,6 +339,147 @@ def test_lstm_matches_composed_ops_with_saturated_rows(state_grad):
     np.testing.assert_array_equal(hc.data[1, 4], c[4] - 1.0)
     np.testing.assert_array_equal(hc.data[0, 4], np.tanh(c[4] - 1.0))
     np.testing.assert_array_equal(hc.data[:, 5], np.zeros((2, d)))
+
+
+def scan_oracle(cell, xs, inputs, parents):
+    """``lstm_scan``'s h per step as a loop of ``LSTMCell.step``: each step
+    stacks its input blocks and each block's parent state from the step
+    before, the first from the cell's zero state."""
+    n, hs = xs[inputs[0][0]].shape[0], []
+    for t, step in enumerate(inputs):
+        x = concat([xs[i] for i in step], axis=0)
+        if t == 0:
+            h, c = cell.zero_state((x.shape[0],))
+        else:
+            h, c = (concat([s[p * n:(p + 1) * n] for p in parents[t - 1]], axis=0)
+                    for s in (h, c))
+        h, c = cell.step(x, h, c)
+        hs.append(h)
+    return hs
+
+
+# (k, d, blocks of n rows, inputs per step, parents per step after the first)
+SCANS = {
+    "chain-d16": (32, 16, 40, [[0], [1], [2], [3]], [[0], [0], [0]]),
+    "chain-d32": (64, 32, 24, [[0], [1], [2], [3], [4]], [[0], [0], [0], [0]]),
+    # step 1's blocks 0 and 1 share parent 0, step 2's blocks both continue block 1
+    "tree": (6, 4, 5, [[0, 1, 2], [1, 2, 2, 0], [0, 2]], [[0, 0, 1, 2], [1, 1]]),
+}
+
+
+def scan_case(name, seed=0):
+    from mvfuse.layers import LSTMCell
+    k, d, n, inputs, parents = SCANS[name]
+    rng = np.random.default_rng(seed)
+    cell = LSTMCell(k, d, rng)
+    cell.b.data = rng.normal(size=4 * d)
+    xs = [Tensor(rng.normal(size=(n, k)), requires_grad=True)
+          for _ in range(max(map(max, inputs)) + 1)]
+    return cell, xs, inputs, parents
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_unrecorded_lstm_scan_is_bit_identical_to_step_loop(name):
+    cell, xs, inputs, parents = scan_case(name)
+    with no_grad():
+        want = [h.data for h in scan_oracle(cell, xs, inputs, parents)]
+        got = lstm_scan(xs, cell.W, cell.b, inputs, parents)
+        last = lstm_scan(xs, cell.W, cell.b, inputs, parents, last=True)
+    assert len(got) == len(want) and len(last) == 1
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.data, w)
+        assert g.data.flags.c_contiguous and not g.requires_grad
+    np.testing.assert_array_equal(last[0].data, want[-1])
+
+
+def test_lstm_scan_defaults_to_a_chain_over_its_blocks():
+    cell, xs, inputs, parents = scan_case("chain-d16")
+    with no_grad():
+        want = lstm_scan(xs, cell.W, cell.b, inputs, parents)
+        got = lstm_scan(xs, cell.W, cell.b)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.data, w.data)
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["every", "last"])
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_recorded_lstm_scan_matches_step_loop(name, last):
+    # outputs bit for bit; the gradients of the input blocks (the rows behind
+    # the shared parents of the tree), W and b within 1e-12
+    cell, xs, inputs, parents = scan_case(name, seed=3)
+    rng = np.random.default_rng(4)
+    params = xs + [cell.W, cell.b]
+
+    def run(hs):
+        hs = hs[-1:] if last else hs
+        weights = [Tensor(rng.normal(size=h.shape)) for h in hs]
+        for p in params:
+            p.grad = None
+        sum(((h * w).sum() for h, w in zip(hs, weights)), Tensor(0.0)).backward()
+        return [h.data for h in hs], [p.grad for p in params]
+
+    want_h, want_g = run(scan_oracle(cell, xs, inputs, parents))
+    rng = np.random.default_rng(4)
+    got_h, got_g = run(lstm_scan(xs, cell.W, cell.b, inputs, parents, last=last))
+    for g, w in zip(got_h, want_h):
+        np.testing.assert_array_equal(g, w)
+    for g, w in zip(got_g, want_g):
+        assert_relative(g, w)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lstm_scan_gradients_match_finite_differences(seed):
+    # a prefix tree with shared parents, every output read
+    cell, xs, inputs, parents = scan_case("tree", seed)
+    ts = {f"x{i}": x for i, x in enumerate(xs)} | {"W": cell.W, "b": cell.b}
+    errs = check_gradients(
+        lambda: sum((sum_sq(h) for h in lstm_scan(xs, cell.W, cell.b, inputs, parents)),
+                    Tensor(0.0)), ts)
+    assert max(errs.values()) < 1e-4, errs
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recorded", "unrecorded"])
+def test_lstm_scan_saturated_rows_stay_finite(record):
+    # rows 0 and 1 of every block read x[:, 0] = +-1 through weights of +-800,
+    # so their pre-activations stay near +-800 at every step: in row 0
+    # i = f = o = 1 and g = -1, so c falls by exactly 1 a step; in row 1
+    # i = f = o = 0 and g = 1, so h and c stay exactly 0
+    from mvfuse.layers import LSTMCell
+    k, d, n, steps = 4, 3, 5, 3
+    rng = np.random.default_rng(12)
+    cell = LSTMCell(k, d, rng)
+    cell.W.data *= 0.1
+    cell.W.data[0] = np.repeat([800.0, 800.0, 800.0, -800.0], d)
+    xs = []
+    for _ in range(steps):
+        x = rng.normal(size=(n, k)) * 0.1
+        x[:2] = 0.0
+        x[:2, 0] = [1.0, -1.0]
+        xs.append(Tensor(x, requires_grad=record))
+    if record:
+        hs = lstm_scan(xs, cell.W, cell.b)
+        sum((h.sum() for h in hs), Tensor(0.0)).backward()
+        for p in xs + [cell.W, cell.b]:
+            assert np.isfinite(p.grad).all()
+    else:
+        with no_grad():
+            hs = lstm_scan(xs, cell.W, cell.b)
+    for t, h in enumerate(hs):
+        assert np.isfinite(h.data).all()
+        np.testing.assert_array_equal(h.data[0], np.full(d, np.tanh(-(t + 1.0))))
+        np.testing.assert_array_equal(h.data[1], np.zeros(d))
+
+
+@pytest.mark.parametrize("xs_shape, W_shape, parents, words", [
+    ((6, 3), (6, 8), None, r"input blocks \(6, 4\), got \(6, 3\)"),
+    ((6, 4), (6, 12), None, r"W \(k\+d, 4\*d\) and b \(4\*d,\), got \(6, 12\), \(8,\)"),
+    ((6, 4), (6, 8), [[0, 0]], "one parent per block"),
+    ((6, 4), (6, 8), [[1]], "a block of the step before")],
+    ids=["other-input-width", "other-bias-width", "parent-count", "parent-out-of-range"])
+def test_lstm_scan_operand_checks(xs_shape, W_shape, parents, words):
+    xs = [Tensor(np.ones(xs_shape)), Tensor(np.ones(xs_shape))]
+    with pytest.raises(ValueError, match=words):
+        lstm_scan(xs, Tensor(np.ones(W_shape)), Tensor(np.ones(8)), parents=parents)
 
 
 def composed_unfold(a, kernel):
