@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, lstm, window_affine
+from .tensor import Tensor, lstm_scan, window_affine
 
 
 class Module:
@@ -119,12 +119,12 @@ class LSTMCell(Module):
     """Standard LSTM gate equations for one step.
 
     Gate weights are stored as one (d_in + d_h, 4*d_h) matrix in input,
-    forget, output, candidate order. A step is three graph nodes: one fused
-    ``lstm`` node for the gate product and gate math, which checks the
-    operands, and the h/c split, which returns C-contiguous h and c. Memory
-    fusion does not step the cell: it runs each whole recurrence on the
-    cell's ``W`` and ``b`` as one ``tensor.lstm_scan`` node, whose outputs
-    are bit-identical to a loop of ``step``.
+    forget, output, candidate order. A step of (rows, d_in) inputs from a
+    (rows, d_h) state is a one-step ``tensor.lstm_scan`` node, which checks
+    the operands and returns C-contiguous h and c. Memory fusion does not
+    step the cell: it runs each whole recurrence on the cell's ``W`` and
+    ``b`` as one ``lstm_scan`` node, whose outputs are bit-identical to a
+    loop of ``step``.
     """
 
     def __init__(self, d_in: int, d_h: int, rng: np.random.Generator):
@@ -135,8 +135,8 @@ class LSTMCell(Module):
         self.d_h = d_h
 
     def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        hc = lstm(x, h_prev, c_prev, self.W, self.b)
-        return hc[0], hc[1]
+        h, c = lstm_scan([x], self.W, self.b, state=(h_prev, c_prev))
+        return h, c
 
     def zero_state(self, batch_shape: tuple = ()) -> tuple[Tensor, Tensor]:
         shape = batch_shape + (self.d_h,)

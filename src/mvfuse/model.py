@@ -280,7 +280,7 @@ def _typed_fields(cls, entry, key: str) -> dict:
 
 
 def load_model(model_dir: str | Path) -> _BaseModel:
-    from .config import ConfigError
+    from .config import ConfigError, _typed
     model_dir = Path(model_dir)
     arch_path = model_dir / "model.json"
     with open(arch_path) as fh:
@@ -293,8 +293,9 @@ def load_model(model_dir: str | Path) -> _BaseModel:
                  for i, entry in enumerate(arch["views"])]
         encoder_cfg = EncoderConfig(**_typed_fields(EncoderConfig, arch["encoder"], "encoder"))
         fusion_cfg = FusionConfig(**_typed_fields(FusionConfig, arch["fusion"], "fusion"))
-        model = build_model(specs, encoder_cfg, fusion_cfg, arch["task"],
-                            arch["n_outputs"], arch["level"], np.random.default_rng(0))
+        scalars = {key: _typed(hint, arch[key], key) for key, hint in
+                   get_type_hints(build_model).items() if key in ("task", "n_outputs", "level")}
+        model = build_model(specs, encoder_cfg, fusion_cfg, rng=np.random.default_rng(0), **scalars)
     except (TypeError, ValueError, ConfigError) as exc:  # an unknown, missing or ill-typed field
         raise ValueError(f"{arch_path}: {exc}") from exc
     npz = model_dir / "model.npz"

@@ -28,7 +28,7 @@ tolerances.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from itertools import count
+from itertools import accumulate, count
 from typing import Sequence
 
 import numpy as np
@@ -487,114 +487,41 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
     return Tensor._result(out, parents, backward, "window_affine")
 
 
-def lstm(x: Tensor, h_prev: Tensor, c_prev: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """One LSTM cell step as one node: gate product, bias and gate math.
-
-    ``x`` is (..., k); ``h_prev`` and ``c_prev`` are (..., d) over the same
-    leading axes; ``W`` is (k + d, 4*d) and ``b`` is (4*d,), gates in input,
-    forget, output, candidate order. Returns h and c stacked on a new leading
-    axis, (2, ..., d), with ``c = f * c_prev + i * g`` and ``h = o * tanh(c)``.
-
-    The gates are feature-major: the pre-activations are one (4*d, rows)
-    array ``W[:k].T @ x.T + W[k:].T @ h_prev.T + b``, so ``[x, h_prev]`` is
-    never concatenated and each gate is a contiguous block of rows. The
-    row-major (rows, 4*d) layout would run the gate math on d-wide strided
-    column slices, several times slower at the small d of memory fusion.
-    The backward builds the pre-activation gradient in the same layout and
-    skips every gradient that no input needs, such as those of a zero state.
-    ``lstm_scan`` runs these ops over a whole recurrence in one node; this
-    one-step node serves ``LSTMCell.step``.
-    """
-    k, d = x.shape[-1], c_prev.shape[-1]
-    if x.shape[:-1] != c_prev.shape[:-1] or h_prev.shape != c_prev.shape:
-        raise ValueError(f"lstm needs x (..., k) and h, c (..., d) over the same leading axes, "
-                         f"got {x.shape}, {h_prev.shape} and {c_prev.shape}")
-    if W.shape[1:] != (4 * d,) or b.shape != (4 * d,):
-        raise ValueError(f"lstm needs W (k+{d}, {4*d}), b ({4*d},), got {W.shape}, {b.shape}")
-    if W.shape[0] != k + d:
-        raise ValueError(f"lstm step expects input dim {W.shape[0] - d}, got {k}")
-    X, H = x.data.reshape(-1, k), h_prev.data.reshape(-1, d)
-    C = c_prev.data.reshape(-1, d).T
-    Wd = W.data
-    gates = Wd[:k].T @ X.T
-    gates += Wd[k:].T @ H.T
-    gates += b.data[:, None]
-    sig = gates[:3 * d]
-    np.negative(sig, out=sig)
-    with np.errstate(over="ignore"):  # exp overflows to inf where a gate is exactly 0
-        np.exp(sig, out=sig)
-    sig += 1.0
-    np.reciprocal(sig, out=sig)
-    np.tanh(gates[3 * d:], out=gates[3 * d:])
-    i, f, o, g = gates[:d], gates[d:2 * d], gates[2 * d:3 * d], gates[3 * d:]
-    c = f * C
-    c += i * g
-    tanh_c = np.tanh(c)
-    hc = np.empty((2,) + c_prev.shape)
-    flat = hc.reshape(2, -1, d)
-    np.multiply(o, tanh_c, out=flat[0].T)
-    flat[1] = c.T
-
-    def backward(grad):
-        dh, dc_next = (part.T for part in grad.reshape(2, -1, d))
-        dz = np.empty_like(gates)
-        di, df, do, dg = dz[:d], dz[d:2 * d], dz[2 * d:3 * d], dz[3 * d:]
-        np.multiply(dh, tanh_c, out=do)
-        dc = np.multiply(tanh_c, tanh_c)
-        np.subtract(1.0, dc, out=dc)
-        dc *= o
-        dc *= dh
-        dc += dc_next
-        if c_prev.requires_grad:
-            c_prev._accumulate((dc * f).T.reshape(c_prev.shape))
-        np.multiply(dc, g, out=di)
-        np.multiply(dc, C, out=df)
-        np.multiply(dc, i, out=dg)
-        np.multiply(g, g, out=dc)  # dc is spent: it holds 1 - g^2 from here
-        np.subtract(1.0, dc, out=dc)
-        dg *= dc
-        slope = np.subtract(1.0, sig)
-        slope *= sig
-        dz[:3 * d] *= slope
-        if x.requires_grad or h_prev.requires_grad:
-            dxh = Wd @ dz
-            x._accumulate(dxh[:k].T.reshape(x.shape))
-            h_prev._accumulate(dxh[k:].T.reshape(h_prev.shape))
-        if W.requires_grad:
-            W._accumulate(np.concatenate([dz @ X, dz @ H], axis=1).T)
-        if b.requires_grad:
-            b._accumulate(dz.sum(axis=1))
-
-    return Tensor._result(hc, (x, h_prev, c_prev, W, b), backward, "lstm")
-
-
 def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
               inputs: list[list[int]] | None = None, parents: list[list[int]] | None = None,
-              last: bool = False) -> list[Tensor]:
-    """A whole LSTM recurrence from a zero state as one node: ``lstm``'s ops,
-    in its order, at every step.
+              last: bool = False, state: tuple[Tensor, Tensor] | None = None) -> list[Tensor]:
+    """A whole LSTM recurrence as one node: at every step the gates i, f, o,
+    g, then ``c = f * c_prev + i * g`` and ``h = o * tanh(c)``.
 
     ``xs`` holds input blocks of n rows each, (n, k), or None for a block no
     step reads. Step t reads the blocks ``inputs[t]`` stacked along the rows,
     by default block t alone: a plain chain. Each block of step t > 0
     continues the state of block ``parents[t - 1][j]`` of step t - 1, by
     default block j, so several blocks may share one parent, as the
-    prefixes of a tree do. The first step starts from zero, so it skips the
-    ``W[k:]`` product and its c is i * g. ``W`` is (k + d, 4*d) and ``b``
-    (4*d,), as for ``lstm``. Returns every step's h, (rows_t, d) row-major,
-    or with ``last`` the last step's alone.
+    prefixes of a tree do. The first step continues ``state``, h and c of
+    (rows_0, d), or else starts from zero, so it skips the ``W[k:]`` product
+    and its c is i * g. ``W`` is (k + d, 4*d) and ``b`` (4*d,), gates in
+    input, forget, output, candidate order. Returns every step's h,
+    (rows_t, d) row-major, or with ``last`` the last step's alone, and after
+    them, given a ``state``, the last step's c. ``LSTMCell.step`` is one
+    step from a state.
 
-    h and c stay feature-major, (d, rows), between steps, the layout of the
-    gate math, so no step transposes its state; a shared parent's state is
-    gathered by block in numpy. Unrecorded, the node allocates its buffers
-    once at the widest step: one gate and one product buffer, two h and two
-    c buffers used in turn, and one for a step's stacked inputs. Recorded, it keeps each step's input rows,
-    its parents' h and c, its gates after their nonlinearity and tanh(c).
-    The backward then runs back through time inside the node, carrying dh
-    and dc feature-major and adding the blocks that share a parent, and
-    takes the x, W and b gradients after the step loop. The outputs are
-    views of one array; each hands its gradient to the node, so none
-    allocates a zero array for a slice.
+    The gates are feature-major: a step's pre-activations are one (4*d, rows)
+    array ``W[:k].T @ x.T + W[k:].T @ h_prev.T + b``, so ``[x, h_prev]`` is
+    never concatenated and each gate is a contiguous block of rows. The
+    row-major layout would run the gate math on d-wide strided column
+    slices, several times slower at the small d of memory fusion. h and c
+    stay feature-major between steps, so no step transposes its state; a
+    shared parent's state is gathered by block in numpy. Unrecorded, the
+    node allocates its buffers once at the widest step: one gate and one
+    product buffer, two h and two c buffers used in turn, and one for a
+    step's stacked inputs. Recorded, it keeps each step's input rows, its
+    parents' h and c, its gates after their nonlinearity and tanh(c). The
+    backward then runs back through time inside the node, carrying dh and
+    dc feature-major and adding the blocks that share a parent, and takes
+    the x, W and b gradients after the step loop; it skips every gradient
+    that no input needs, such as a constant state's. The outputs hand their
+    gradients to the node, so none allocates a zero array for a slice.
     """
     steps = [[t] for t in range(len(xs))] if inputs is None else inputs
     d = W.shape[-1] // 4
@@ -603,6 +530,9 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
         raise ValueError(f"lstm_scan needs W (k+d, 4*d) and b (4*d,), got {W.shape}, {b.shape}")
     blocks = {i: xs[i] for step in steps for i in step}
     n = next(iter(blocks.values())).shape[0]
+    if state is not None and any(s.shape != (len(steps[0]) * n, d) for s in state):
+        raise ValueError(f"lstm_scan needs a state h, c ({len(steps[0]) * n}, {d}), "
+                         f"got {state[0].shape} and {state[1].shape}")
     for x in blocks.values():
         if x.shape != (n, k):
             raise ValueError(f"lstm_scan needs input blocks ({n}, {k}), got {x.shape}")
@@ -614,10 +544,10 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
     if parents is not None:
         ups[1:] = [None if up == list(range(len(prev))) else up
                    for up, prev in zip(parents, steps)]
-    node_parents = tuple(blocks.values()) + (W, b)
+    node_parents = tuple(blocks.values()) + (W, b) + tuple(state or ())
     record = _GRAD_ENABLED and any(p.requires_grad for p in node_parents)
     rows = [len(step) * n for step in steps]
-    ends = np.cumsum(rows).tolist()
+    ends = list(accumulate(rows))
     keep = record or not last
     out = np.empty((ends[-1] if keep else rows[-1], d))
     Wd = W.data
@@ -630,21 +560,19 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
         return np.empty(shape) if record else bufs[buf][:shape[0] * shape[1]].reshape(shape)
 
     saved = []
-    h = c = None
+    h, c = (None, None) if state is None else (s.data.T for s in state)
     for t, step in enumerate(steps):
         R, turn = rows[t], t % 2
         X = (blocks[step[0]].data if len(step) == 1 else
              np.concatenate([blocks[i].data for i in step], out=array(6, (R, k))))
         gates = array(0, (4 * d, R))
         np.matmul(Wd[:k].T, X.T, out=gates)
-        Hp = Cp = None
-        if t:
-            if ups[t] is None:
-                Hp, Cp = h, c
-            else:  # gather each block's parent state, fresh or into this turn's buffers
-                Hp, Cp = (np.take(s.reshape(d, -1, n), ups[t], axis=1, mode="clip",
-                                  out=array(buf, (d, R)).reshape(d, -1, n)).reshape(d, R)
-                          for s, buf in ((h, 2 + turn), (c, 4 + turn)))
+        Hp, Cp = h, c
+        if ups[t] is not None:  # gather each block's parent state, fresh or into the turn's buffers
+            Hp, Cp = (np.take(s.reshape(d, -1, n), ups[t], axis=1, mode="clip",
+                              out=array(buf, (d, R)).reshape(d, -1, n)).reshape(d, R)
+                      for s, buf in ((h, 2 + turn), (c, 4 + turn)))
+        if Hp is not None:
             gates += (Wd[k:].T @ Hp if record else
                       np.matmul(Wd[k:].T, Hp, out=array(1, (4 * d, R))))
         gates += b.data[:, None]
@@ -657,7 +585,7 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
         np.tanh(gates[3 * d:], out=gates[3 * d:])
         i, f, o, g = gates[:d], gates[d:2 * d], gates[2 * d:3 * d], gates[3 * d:]
         c = array(4 + turn, (d, R))
-        if t:
+        if Cp is not None:
             np.multiply(f, Cp, out=c)
             c += i * g if record else np.multiply(i, g, out=i)
         else:
@@ -671,9 +599,12 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
 
     shown = [len(steps) - 1] if last else range(len(steps))
     views = [out[ends[t] - rows[t]:ends[t]] if keep else out for t in shown]
+    if state is not None:
+        shown = [*shown, len(steps)]
+        views.append(np.ascontiguousarray(c.T))
     if not record:
         return [Tensor._result(v, (), None, "lstm_scan") for v in views]
-    handed = [None] * len(steps)
+    handed = [None] * (len(steps) + 1)  # each step's h, then the last c
 
     def route(a: np.ndarray, up: list[int], count: int) -> np.ndarray:
         """Feature-major block gradients (r, blocks * n) added into their
@@ -683,11 +614,13 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
             total[:, p] += a[:, j * n:(j + 1) * n]
         return total.reshape(a.shape[0], -1)
 
+    wants_x = any(x.requires_grad for x in blocks.values())
+
     def backward(_):
         dhs = handed[:]
-        handed[:] = [None] * len(steps)
+        handed[:] = [None] * len(handed)
         dzs = [None] * len(steps)
-        dh_next = dc_next = None
+        dh_next, dc_next = None, None if dhs[-1] is None else dhs[-1].T
         for t in reversed(range(len(steps))):
             X, Hp, Cp, gates, tanh_c = saved[t]
             dh = None if dhs[t] is None else dhs[t].T
@@ -707,26 +640,35 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
                 dc += dc_next
             np.multiply(dc, g, out=di)
             np.multiply(dc, i, out=dg)
-            if t:
-                np.multiply(dc, Cp, out=df)
-                dc_next = dc * f
-            else:
+            if Cp is None:
                 df.fill(0.0)
+            else:
+                np.multiply(dc, Cp, out=df)
+            dc_next = dc * f if Cp is not None and (t or state[1].requires_grad) else None
             np.multiply(g, g, out=dc)  # dc is spent: it holds 1 - g^2 from here
             np.subtract(1.0, dc, out=dc)
             dg *= dc
             slope = np.subtract(1.0, gates[:3 * d])
             slope *= gates[:3 * d]
             dz[:3 * d] *= slope
-            if t:
-                dh_next = Wd[k:] @ dz
-                if ups[t] is not None:
-                    dh_next, dc_next = (route(a, ups[t], len(steps[t - 1]))
-                                        for a in (dh_next, dc_next))
-        if any(x.requires_grad for x in blocks.values()):
+            dh_next = Wd[k:] @ dz if t else None
+            if ups[t] is not None:
+                dh_next, dc_next = (route(a, ups[t], len(steps[t - 1]))
+                                    for a in (dh_next, dc_next))
+        dxh = None
+        if state is not None and (wants_x or state[0].requires_grad):
+            # one product for the x and h gradients of a step from a state, so
+            # LSTMCell.step's gradients keep their values: at small shapes BLAS
+            # rounds the row-split products apart
+            dxh = Wd @ dzs[0]
+            dh_next = dxh[k:]
+        for s, ds in zip(state or (), (dh_next, dc_next)):
+            if s.requires_grad:
+                s._accumulate(ds.T)
+        if wants_x:
             dxs = {}
-            for step, dz in zip(steps, dzs):
-                dX = Wd[:k] @ dz
+            for t, (step, dz) in enumerate(zip(steps, dzs)):
+                dX = dxh[:k] if t == 0 and dxh is not None else Wd[:k] @ dz
                 for j, i in enumerate(step):
                     part = dX[:, j * n:(j + 1) * n]
                     dxs[i] = part if i not in dxs else dxs[i] + part
@@ -749,7 +691,8 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
             handed[t] = g
         return backward
 
-    return [Tensor._result(v, (node,), hand(t), "lstm_scan_h") for t, v in zip(shown, views)]
+    return [Tensor._result(v, (node,), hand(t), "lstm_scan_c" if t == len(steps) else "lstm_scan_h")
+            for t, v in zip(shown, views)]
 
 
 def softmax_mix(logits: Tensor, values: Tensor) -> Tensor:

@@ -547,20 +547,25 @@ class TestBoundaries:
                           f"not a real floating type"}
         assert not (trained / "report.csv").exists()
 
-    @pytest.mark.parametrize("key, value, words", [
-        ("heads", True, "fusion.heads must be int, got True"),
-        ("permute", 1, "fusion.permute must be bool, got 1")],
-        ids=["bool-heads", "int-permute"])
-    def test_ill_typed_snapshot_field_is_runtime_error(self, tmp_path, capsys, key, value,
+    @pytest.mark.parametrize("keys, value, words", [
+        (("fusion", "heads"), True, "fusion.heads must be int, got True"),
+        (("fusion", "permute"), 1, "fusion.permute must be bool, got 1"),
+        (("n_outputs",), True, "n_outputs must be int, got True"),
+        (("n_outputs",), "1", "n_outputs must be int, got '1'"),
+        (("n_outputs",), 1.0, "n_outputs must be int, got 1.0")],
+        ids=["bool-heads", "int-permute", "bool-n-outputs", "str-n-outputs", "float-n-outputs"])
+    def test_ill_typed_snapshot_field_is_runtime_error(self, tmp_path, capsys, keys, value,
                                                        words):
         # a bool is no int: "heads": true used to load and then fail with a
-        # raw TypeError inside the attention
+        # raw TypeError inside the attention; an ill-typed n_outputs failed
+        # with messages that did not name the key
         cfg = write_config(tmp_path, base_config(fusion="cross"))
         trained = tmp_path / "trained"
         assert main(["train", "--config", cfg, "--out", str(trained)]) == 0
         arch_path = trained / "model.json"
         arch = json.loads(arch_path.read_text())
-        arch["fusion"][key] = value
+        *section, key = keys
+        (arch[section[0]] if section else arch)[key] = value
         arch_path.write_text(json.dumps(arch))
         out = tmp_path / "run"
         code, record = self.run(capsys, ["evaluate", "--config", cfg, "--out", str(out),

@@ -254,20 +254,18 @@ class TestLSTM:
         errs = check_gradients(loss, params)
         assert max(errs.values()) < 1e-4
 
-    def test_step_is_three_graph_nodes_with_contiguous_h_and_c(self):
-        # the h and c tables are gathered by fusion._select, whose reshape is
-        # then a view
+    def test_step_is_one_scan_node_with_contiguous_h_and_c(self):
         cell = LSTMCell(3, 4, np.random.default_rng(0))
-        x, h, c = (Tensor(np.ones((2, 5, d)), requires_grad=True) for d in (3, 4, 4))
+        x, h, c = (Tensor(np.ones((10, d)), requires_grad=True) for d in (3, 4, 4))
         h2, c2 = cell.step(x, h, c)
-        assert sorted(graph_ops(h2, c2)) == ["lstm", "slice", "slice"]
-        assert h2.shape == c2.shape == (2, 5, 4)
+        assert sorted(graph_ops(h2, c2)) == ["lstm_scan", "lstm_scan_c", "lstm_scan_h"]
+        assert h2.shape == c2.shape == (10, 4)
         assert h2.data.flags.c_contiguous and c2.data.flags.c_contiguous
 
     def test_input_dim_mismatch_raises(self):
         cell = LSTMCell(3, 4, np.random.default_rng(0))
         h, c = cell.zero_state((1,))
-        with pytest.raises(ValueError, match="lstm step expects input dim 3, got 5"):
+        with pytest.raises(ValueError, match=r"lstm_scan needs input blocks \(1, 3\), got \(1, 5\)"):
             cell.step(Tensor(np.ones((1, 5))), h, c)
 
 

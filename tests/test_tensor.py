@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from mvfuse import tensor as tensor_module
 from mvfuse.gradcheck import check_gradients, numerical_gradient, relative_error
+from mvfuse.layers import LSTMCell
 from mvfuse.tensor import (WINDOW_BLOCK, Adam, EmptySupportError, Tensor, backward, concat,
-                           lstm, lstm_scan, no_grad, softmax_mix, stack, window_affine)
+                           lstm_scan, no_grad, softmax_mix, stack, window_affine)
 
 
 def sum_sq(t):
@@ -253,34 +254,40 @@ def test_array_index_raises_and_points_to_one_hot_product(key):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lstm_gradients_match_finite_differences(seed):
-    # every input requires grad, over leading axes (2, 3)
+    # one LSTMCell.step with every input requiring grad, h and c both read
     rng = np.random.default_rng(seed)
-    k, d = 3, 2
-    inputs = {"x": (2, 3, k), "h": (2, 3, d), "c": (2, 3, d), "W": (k + d, 4 * d), "b": (4 * d,)}
-    ts = {name: Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
-          for name, shape in inputs.items()}
-    errs = check_gradients(lambda: sum_sq(lstm(*ts.values())), ts)
+    k, d, rows = 3, 2, 6
+    x, h, c = (Tensor(rng.uniform(-1, 1, (rows, w)), requires_grad=True) for w in (k, d, d))
+    cell = LSTMCell(k, d, np.random.default_rng(0))
+    cell.W.data, cell.b.data = rng.uniform(-1, 1, (k + d, 4 * d)), rng.uniform(-1, 1, 4 * d)
+    errs = check_gradients(lambda: sum(map(sum_sq, cell.step(x, h, c)), Tensor(0.0)),
+                           {"x": x, "h": h, "c": c, "W": cell.W, "b": cell.b})
     assert max(errs.values()) < 1e-4, errs
 
 
-def test_lstm_inputs_over_different_leading_axes_raise():
-    x, h, c = Tensor(np.ones((6, 3))), Tensor(np.ones((2, 3, 2))), Tensor(np.ones((2, 3, 2)))
-    W, b = Tensor(np.ones((5, 8))), Tensor(np.ones(8))
-    with pytest.raises(ValueError, match="same leading axes"):
-        lstm(x, h, c, W, b)
+def test_lstm_scan_state_of_wrong_shape_raises():
+    # two blocks of 3 rows at step 0 need a state h, c of (6, 2)
+    xs, W, b = [Tensor(np.ones((3, 3)))] * 2, Tensor(np.ones((5, 8))), Tensor(np.ones(8))
+    fits, short = Tensor(np.ones((6, 2))), Tensor(np.ones((3, 2)))
+    for state, got in [((fits, short), r"\(6, 2\) and \(3, 2\)"),
+                       ((short, fits), r"\(3, 2\) and \(6, 2\)")]:
+        with pytest.raises(ValueError, match=rf"state h, c \(6, 2\), got {got}"):
+            lstm_scan(xs, W, b, inputs=[[0, 1]], state=state)
 
 
 @pytest.mark.parametrize("W_shape, b_shape, words", [
-    ((6, 8), (8,), r"lstm step expects input dim 4, got 3"),
-    ((5, 12), (12,), r"lstm needs W \(k\+2, 8\), b \(8,\), got \(5, 12\), \(12,\)"),
-    ((5, 8), (6,), r"lstm needs W \(k\+2, 8\), b \(8,\), got \(5, 8\), \(6,\)"),
-    ((1, 5, 8), (8,), r"lstm needs W \(k\+2, 8\)")],
+    ((6, 8), (8,), r"lstm_scan needs input blocks \(6, 4\), got \(6, 3\)"),
+    ((5, 12), (12,), r"lstm_scan needs a state h, c \(6, 3\), got \(6, 2\) and \(6, 2\)"),
+    ((5, 8), (6,), r"lstm_scan needs W \(k\+d, 4\*d\) and b \(4\*d,\), got \(5, 8\), \(6,\)"),
+    ((1, 5, 8), (8,), r"lstm_scan needs W \(k\+d, 4\*d\) and b \(4\*d,\), got \(1, 5, 8\)")],
     ids=["other-input-width", "other-state-width", "short-bias", "3d-weight"])
 def test_lstm_weights_for_other_widths_raise(W_shape, b_shape, words):
     # x (6, 3) and a state of width 2 need W (5, 8) and b (8,)
+    cell = LSTMCell(3, 2, np.random.default_rng(0))
+    cell.W, cell.b = Tensor(np.ones(W_shape)), Tensor(np.ones(b_shape))
     x, h, c = Tensor(np.ones((6, 3))), Tensor(np.ones((6, 2))), Tensor(np.ones((6, 2)))
     with pytest.raises(ValueError, match=words):
-        lstm(x, h, c, Tensor(np.ones(W_shape)), Tensor(np.ones(b_shape)))
+        cell.step(x, h, c)
 
 
 def composed_lstm(x, h, c, W, b, gh, gc):
@@ -323,22 +330,24 @@ def test_lstm_matches_composed_ops_with_saturated_rows(state_grad):
     x[4:, 0] = [1.0, -1.0]
     W[0] = np.repeat([800.0, 800.0, 800.0, -800.0], d)
     gh, gc = rng.normal(size=(rows, d)), rng.normal(size=(rows, d))
+    cell = LSTMCell(k, d, rng)
+    cell.W.data, cell.b.data = W, b
     ts = [Tensor(x, requires_grad=True), Tensor(h, requires_grad=state_grad),
-          Tensor(c, requires_grad=state_grad), Tensor(W, requires_grad=True),
-          Tensor(b, requires_grad=True)]
-    hc = lstm(*ts)
-    (hc * Tensor(np.stack([gh, gc]))).sum().backward()
+          Tensor(c, requires_grad=state_grad)]
+    h_new, c_new = cell.step(*ts)
+    ((h_new * Tensor(gh)).sum() + (c_new * Tensor(gc)).sum()).backward()
     want = composed_lstm(x, h, c, W, b, gh, gc)
-    got = [hc.data[0], hc.data[1]] + [t.grad for t in ts]
+    got = [h_new.data, c_new.data] + [t.grad for t in ts + [cell.W, cell.b]]
     for name, value, expected in zip(["h", "c", "dx", "dh", "dc", "dW", "db"], got, want):
         if value is None:
             assert not state_grad and name in ("dh", "dc")
             continue
         assert np.isfinite(value).all(), name
         assert_relative(value, expected)
-    np.testing.assert_array_equal(hc.data[1, 4], c[4] - 1.0)
-    np.testing.assert_array_equal(hc.data[0, 4], np.tanh(c[4] - 1.0))
-    np.testing.assert_array_equal(hc.data[:, 5], np.zeros((2, d)))
+    np.testing.assert_array_equal(c_new.data[4], c[4] - 1.0)
+    np.testing.assert_array_equal(h_new.data[4], np.tanh(c[4] - 1.0))
+    np.testing.assert_array_equal(h_new.data[5], np.zeros(d))
+    np.testing.assert_array_equal(c_new.data[5], np.zeros(d))
 
 
 def scan_oracle(cell, xs, inputs, parents):
@@ -368,7 +377,6 @@ SCANS = {
 
 
 def scan_case(name, seed=0):
-    from mvfuse.layers import LSTMCell
     k, d, n, inputs, parents = SCANS[name]
     rng = np.random.default_rng(seed)
     cell = LSTMCell(k, d, rng)
@@ -429,11 +437,16 @@ def test_recorded_lstm_scan_matches_step_loop(name, last):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lstm_scan_gradients_match_finite_differences(seed):
-    # a prefix tree with shared parents, every output read
+    # a prefix tree with shared parents from a tracked state of its first
+    # step's 3 blocks, every output read: each step's h and the last c
     cell, xs, inputs, parents = scan_case("tree", seed)
-    ts = {f"x{i}": x for i, x in enumerate(xs)} | {"W": cell.W, "b": cell.b}
+    rows = len(inputs[0]) * xs[0].shape[0]
+    rng = np.random.default_rng(seed + 10)
+    state = tuple(Tensor(rng.normal(size=(rows, cell.d_h)), requires_grad=True) for _ in "hc")
+    ts = {f"x{i}": x for i, x in enumerate(xs)} | {"W": cell.W, "b": cell.b, "h0": state[0],
+                                                   "c0": state[1]}
     errs = check_gradients(
-        lambda: sum((sum_sq(h) for h in lstm_scan(xs, cell.W, cell.b, inputs, parents)),
+        lambda: sum(map(sum_sq, lstm_scan(xs, cell.W, cell.b, inputs, parents, state=state)),
                     Tensor(0.0)), ts)
     assert max(errs.values()) < 1e-4, errs
 
@@ -444,7 +457,6 @@ def test_lstm_scan_saturated_rows_stay_finite(record):
     # so their pre-activations stay near +-800 at every step: in row 0
     # i = f = o = 1 and g = -1, so c falls by exactly 1 a step; in row 1
     # i = f = o = 0 and g = 1, so h and c stay exactly 0
-    from mvfuse.layers import LSTMCell
     k, d, n, steps = 4, 3, 5, 3
     rng = np.random.default_rng(12)
     cell = LSTMCell(k, d, rng)
