@@ -61,17 +61,18 @@ value is checked against the field's annotation before the dataclass checks
 its ranges (``ExperimentConfig`` checks those that span sections). An int is
 never a bool, a float field takes an int, and ``null`` is allowed only where
 a field may be unset. Any mismatch is a ``ConfigError`` naming the path, such
-as ``eval.scenarios[1]``. The synthetic data and the
-training loop take their seed from the top-level ``seed`` (``INTERNAL``), so
-no section sets its own. ``resolved_dict`` writes a config back in this
-schema, so ``parse_config(resolved_dict(cfg)) == cfg`` and a run's
-``resolved_config.json`` is itself a config that reruns it.
+as ``eval.scenarios[1]``; a field without a default is a required key. The
+synthetic data and the training loop take their seed from the top-level
+``seed`` (``INTERNAL``), so no section sets its own. ``resolved_dict`` writes a
+config back in this schema, so ``parse_config(resolved_dict(cfg)) == cfg`` and
+a run's ``resolved_config.json`` is itself a config that reruns it. A snapshot's
+``model.json`` is a ``model.Snapshot`` in this schema, with the same property.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -153,10 +154,10 @@ YAML_NAMES = {ExperimentConfig: {"encoder": "model"},
 INTERNAL = {TrainConfig: {"seed"}, SyntheticConfig: {"seed"}}
 
 
-def _keys(cls) -> dict[str, str]:
-    """YAML key -> field name, for every field of ``cls`` a config file sets."""
+def _keys(cls) -> dict[str, Field]:
+    """YAML key -> field, for every field of ``cls`` a config file sets."""
     names = YAML_NAMES.get(cls, {})
-    return {names.get(f.name, f.name): f.name for f in fields(cls)
+    return {names.get(f.name, f.name): f for f in fields(cls)
             if f.name not in INTERNAL.get(cls, ())}
 
 
@@ -170,8 +171,12 @@ def _build(cls, node, path: str):
     unknown = set(node) - set(keys)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(map(str, unknown)))}")
+    for k, f in keys.items():
+        if k not in node and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path} is missing required key {k!r}" if path
+                              else f"missing required key {k!r}")
     hints = get_type_hints(cls)
-    values = {keys[k]: _typed(hints[keys[k]], v, f"{path}.{k}" if path else k)
+    values = {keys[k].name: _typed(hints[keys[k].name], v, f"{path}.{k}" if path else k)
               for k, v in node.items()}
     try:
         return cls(**values)
@@ -232,7 +237,7 @@ def resolved_dict(cfg):
     """The config as a JSON-serializable mapping in the schema above; each
     section, list and value echoes itself."""
     if is_dataclass(cfg):
-        return {key: resolved_dict(getattr(cfg, name)) for key, name in _keys(type(cfg)).items()}
+        return {key: resolved_dict(getattr(cfg, f.name)) for key, f in _keys(type(cfg)).items()}
     if isinstance(cfg, list):
         return [resolved_dict(v) for v in cfg]
     return cfg

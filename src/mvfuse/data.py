@@ -398,7 +398,10 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     if not manifest_path.exists():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"cannot parse {manifest_path}: {exc}") from exc
     base = manifest_path.parent
 
     targets = _required(manifest, "targets", f"manifest {manifest_path}")

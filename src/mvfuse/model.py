@@ -10,6 +10,8 @@ Which views are present is a boolean availability pattern, one (m,) row per
 pattern, checked by ``fusion.check_available``. The input level is one loop
 in ``_BaseModel.forward_masks``: each pattern zero-imputes its missing views'
 raw inputs and runs the family's ``_forward_inputs``.
+
+A snapshot is ``model.npz`` plus ``model.json``, a ``Snapshot`` in the config schema.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from __future__ import annotations
 import json
 import os
 import zipfile
+from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
+from .data import MultiViewDataset
 from .encoders import (EncoderConfig, StaticEncoder, ViewSpec, make_encoder,
                        one_hot_batch)
 from .fusion import FusionConfig, check_available, fused_width, make_fusion
@@ -233,6 +237,18 @@ def build_model(view_specs: list[ViewSpec], encoder_cfg: EncoderConfig,
 # -- snapshots -------------------------------------------------------------------
 
 
+@dataclass
+class Snapshot:
+    """``build_model``'s arguments but the rng, as ``model.json`` holds them."""
+
+    views: list[ViewSpec]
+    encoder: EncoderConfig
+    fusion: FusionConfig
+    task: str
+    n_outputs: int
+    level: str
+
+
 def _replace_atomically(path: Path, write) -> None:
     """``write(fh)`` into a temporary file, then rename it over ``path``."""
     tmp = path.with_name(path.name + ".tmp")
@@ -247,56 +263,46 @@ def _replace_atomically(path: Path, write) -> None:
 
 
 def save_model(model: _BaseModel, encoder_cfg: EncoderConfig, fusion_cfg: FusionConfig,
-               n_outputs: int, out_dir: str | Path) -> Path:
+               out_dir: str | Path) -> Path:
     """Write ``model.npz``, then ``model.json``, each atomically, so a failed
     save never leaves a ``model.json`` without its ``model.npz``."""
+    from .config import resolved_dict  # config imports augmentation, which imports this module
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    arch = {
-        "views": [vars(s) for s in model.view_specs],
-        "encoder": vars(encoder_cfg),
-        "fusion": vars(fusion_cfg),
-        "task": model.task,
-        "n_outputs": n_outputs,
-        "level": model.level,
-    }
+    snap = Snapshot(model.view_specs, encoder_cfg, fusion_cfg, model.task,
+                    model.head.W.shape[-1], model.level)
     arrays = {name: p.data for name, p in model.named_parameters()}
     # np.savez appends ".npz" to a path without it, so it gets the open handle
     _replace_atomically(out / "model.npz", lambda fh: np.savez(fh, **arrays))
-    text = json.dumps(arch, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(resolved_dict(snap), indent=2, sort_keys=True) + "\n"
     _replace_atomically(out / "model.json", lambda fh: fh.write(text.encode()))
     return out / "model.json"
 
 
-def _typed_fields(cls, entry, key: str) -> dict:
-    """``entry``'s fields checked against ``cls``'s annotations as a config's
-    are, so a bool is not an int; an unknown field is left to the constructor."""
-    from .config import _typed  # config imports augmentation, which imports this module
-    if not isinstance(entry, dict):
-        raise TypeError(f"{key} must be a mapping, got {entry!r}")
-    hints = get_type_hints(cls)
-    return {name: _typed(hints[name], value, f"{key}.{name}") if name in hints else value
-            for name, value in entry.items()}
-
-
-def load_model(model_dir: str | Path) -> _BaseModel:
-    from .config import ConfigError, _typed
+def load_model(model_dir: str | Path, data: MultiViewDataset) -> _BaseModel:
+    """The snapshot in ``model_dir``, checked to fit ``data`` before any
+    parameter is allocated. A fault is a ValueError naming its file."""
+    from .config import ConfigError, _build
     model_dir = Path(model_dir)
     arch_path = model_dir / "model.json"
     with open(arch_path) as fh:
-        arch = json.load(fh)
-    for key in ("views", "encoder", "fusion", "task", "n_outputs", "level"):
-        if not isinstance(arch, dict) or key not in arch:
-            raise ValueError(f"{arch_path} is missing required key {key!r}")
+        try:
+            snap = _build(Snapshot, json.load(fh), "")
+        except ValueError as exc:  # only json raises one; _build raises ConfigError
+            raise ValueError(f"cannot parse {arch_path}: {exc}") from exc
+        except ConfigError as exc:
+            raise ValueError(f"{arch_path}: {exc}") from exc
+    fit = [(f"view {i}", have, want)
+           for i, (have, want) in enumerate(zip_longest(snap.views, data.view_specs))]
+    fit += [("task", snap.task, data.task), ("head width", snap.n_outputs, data.n_outputs)]
+    for name, have, want in fit:
+        if have != want:
+            raise ValueError(f"snapshot {model_dir} does not fit the data: "
+                             f"its {name} is {have!r}, the data's is {want!r}")
     try:
-        specs = [ViewSpec(**_typed_fields(ViewSpec, entry, f"views[{i}]"))
-                 for i, entry in enumerate(arch["views"])]
-        encoder_cfg = EncoderConfig(**_typed_fields(EncoderConfig, arch["encoder"], "encoder"))
-        fusion_cfg = FusionConfig(**_typed_fields(FusionConfig, arch["fusion"], "fusion"))
-        scalars = {key: _typed(hint, arch[key], key) for key, hint in
-                   get_type_hints(build_model).items() if key in ("task", "n_outputs", "level")}
-        model = build_model(specs, encoder_cfg, fusion_cfg, rng=np.random.default_rng(0), **scalars)
-    except (TypeError, ValueError, ConfigError) as exc:  # an unknown, missing or ill-typed field
+        model = build_model(snap.views, snap.encoder, snap.fusion, snap.task, snap.n_outputs,
+                            snap.level, np.random.default_rng(0))
+    except ValueError as exc:
         raise ValueError(f"{arch_path}: {exc}") from exc
     npz = model_dir / "model.npz"
     try:

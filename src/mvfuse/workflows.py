@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from itertools import zip_longest
 from pathlib import Path
 
 from . import data as data_mod
@@ -137,33 +136,19 @@ def run_train(cfg: ExperimentConfig, out_dir: str | Path):
     out.mkdir(parents=True, exist_ok=True)
     ds_train, ds_val = prepare_data(cfg)
     model, result = fit_model(cfg, ds_train, ds_val)
-    save_model(model, cfg.encoder, cfg.fusion, ds_train.n_outputs, out)
+    save_model(model, cfg.encoder, cfg.fusion, out)
     _write_log(out / "train_log.jsonl", result)
     data_mod.write_json(out / "resolved_config.json", resolved_dict(cfg))
     return model, result
-
-
-def _snapshot_for(model_dir: Path, ds: data_mod.MultiViewDataset):
-    """The snapshot in ``model_dir``, unless its views, task or head width
-    differ from those of the data ``ds``."""
-    model = load_model(model_dir)
-    fields = [(f"view {i}", have, want) for i, (have, want)
-              in enumerate(zip_longest(model.view_specs, ds.view_specs))]
-    fields += [("task", model.task, ds.task), ("head width", model.head.W.shape[-1], ds.n_outputs)]
-    for name, have, want in fields:
-        if have != want:
-            raise ValueError(f"snapshot {model_dir} does not fit the data: "
-                             f"its {name} is {have!r}, the data's is {want!r}")
-    return model
 
 
 def _model_for_eval(cfg: ExperimentConfig, out: Path, model_dir: str | Path | None,
                     ds_train, ds_val):
     for path in [Path(p) for p in (model_dir, out) if p is not None]:
         if (path / "model.json").exists():
-            return _snapshot_for(path, ds_val)
+            return load_model(path, ds_val)
     model, result = fit_model(cfg, ds_train, ds_val)
-    save_model(model, cfg.encoder, cfg.fusion, ds_train.n_outputs, out)
+    save_model(model, cfg.encoder, cfg.fusion, out)
     _write_log(out / "train_log.jsonl", result)
     return model
 

@@ -1,15 +1,20 @@
 """Command line: artifacts, determinism, exit codes."""
 
+import contextlib
+import copy
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvfuse.cli import main
 from mvfuse.data import load_dataset
@@ -335,7 +340,9 @@ class TestErrors:
         capsys.readouterr()
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "x"),
                      "--model", str(trained)]) == 3
-        assert "missing required key 'task'" in capsys.readouterr().err
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": f"{trained / 'model.json'}: missing required key 'task'"}
 
     def test_invalid_fusion_kind(self, tmp_path):
         raw = base_config()
@@ -574,6 +581,25 @@ class TestBoundaries:
         assert record == {"error": "ValueError", "message": f"{arch_path}: {words}"}
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("name, error", [("manifest.json", "DataError"),
+                                             ("model.json", "ValueError")])
+    def test_file_that_is_not_json_is_runtime_error(self, tmp_path, capsys, name, error):
+        raw = base_config()
+        if name == "manifest.json":
+            raw["data"] = {"source": "manifest", "manifest": str(toy_copy(tmp_path)),
+                           "val_fraction": 0.25}
+        cfg = write_config(tmp_path, raw)
+        trained = tmp_path / "trained"
+        if name == "model.json":
+            assert main(["train", "--config", cfg, "--out", str(trained)]) == 0
+        broken = (trained if name == "model.json" else tmp_path) / name
+        broken.write_text('{"views":\n')
+        code, record = self.run(capsys, ["evaluate", "--config", cfg, "--out", str(trained)])
+        assert code == 3
+        assert record == {"error": error, "message": f"cannot parse {broken}: "
+                                                     "Expecting value: line 2 column 1 (char 10)"}
+        assert not (trained / "report.csv").exists()
+
     @pytest.mark.parametrize("command, path, value, words", [
         ("evaluate", "data.synthetic.views.1.id", "sonar", "its view 1 is ViewSpec(id='radar'"),
         ("sweep", "data.synthetic.views.1.channels", 4,
@@ -695,3 +721,90 @@ def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
     record = json.loads(proc.stderr)
     assert record["error"] == "config"
     assert "median" in record["message"]
+
+
+# -- standing fuzz tests of the config and snapshot boundaries ------------------
+
+FUZZ = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+# Mutated numbers stay small, so no case allocates more than a few MB.
+SAME_TYPE = {bool: st.booleans(), int: st.integers(-3, 16), float: st.floats(-2.0, 2.0),
+             str: st.sampled_from(["", "x", "optical", "static", "categorical", "cross",
+                                   "memory", "concat", "input", "regression"])}
+LEAVES = st.one_of(*SAME_TYPE.values(), st.none(), st.just([]), st.just({}))
+
+
+def tiny_config():
+    """Cross fusion, so that heads must divide the width, on 60 samples for one epoch."""
+    raw = with_value(("data.synthetic.n_samples", "train.max_epochs"), (60, 1))
+    raw["fusion"]["kind"] = "cross"
+    return raw
+
+
+def key_paths(node, prefix=()):
+    """Every key path of a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else [])
+    return [path for key, value in items
+            for path in [prefix + (key,), *key_paths(value, prefix + (key,))]]
+
+
+def draw_mutated(data, tree):
+    """A copy of ``tree`` after one to three edits, each drawn from ``data``: a
+    key deleted, or its value replaced, mostly by a leaf of the same type."""
+    tree = copy.deepcopy(tree)
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parents, key = data.draw(st.sampled_from(key_paths(tree)))
+        node = tree
+        for name in parents:
+            node = node[name]
+        same = SAME_TYPE.get(type(node[key]))
+        if same is not None and data.draw(st.integers(0, 3)):
+            node[key] = data.draw(same)
+        elif data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(LEAVES)
+    return tree
+
+
+def exits_cleanly(argv, codes):
+    """Run ``main(argv)``: it exits with one of ``codes``, and any code but 0
+    writes one JSON record to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in codes
+    if code:
+        (line,) = err.getvalue().splitlines()
+        assert set(json.loads(line)) == {"error", "message"}
+
+
+@pytest.fixture(scope="module")
+def trained_snapshot(tmp_path_factory):
+    """A config and the snapshot ``train`` writes for it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = write_config(root, tiny_config())
+    assert main(["train", "--config", cfg, "--out", str(root / "trained")]) == 0
+    return cfg, root / "trained"
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_config_trains_or_fails_with_one_record(tmp_path_factory, data):
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+        cfg = write_config(Path(tmp), draw_mutated(data, tiny_config()))
+        exits_cleanly(["train", "--config", cfg, "--out", str(Path(tmp) / "run")], (0, 2, 3))
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_snapshot_evaluates_or_fails_with_one_record(trained_snapshot, data):
+    cfg, trained = trained_snapshot
+    arch = json.loads((trained / "model.json").read_text())
+    with tempfile.TemporaryDirectory(dir=trained.parent) as tmp:
+        snapshot = Path(tmp)
+        (snapshot / "model.npz").write_bytes((trained / "model.npz").read_bytes())
+        (snapshot / "model.json").write_text(json.dumps(draw_mutated(data, arch)))
+        # the config is valid, so every error is the snapshot's: exit 3
+        exits_cleanly(["evaluate", "--config", cfg, "--out", str(snapshot / "run"),
+                       "--model", str(snapshot)], (0, 3))

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from mvfuse import config
+from mvfuse.cli import main
 from mvfuse.config import ConfigError, load_config, parse_config, resolved_dict
 
-from test_cli import MALFORMED, base_config, with_value
+from test_cli import MALFORMED, base_config, with_value, write_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -109,6 +110,16 @@ def test_malformed_value_is_config_error(path, value):
 def test_error_names_the_path(path, value, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(with_value(path, value))
+
+
+def test_view_without_id_names_the_missing_key(tmp_path, capsys):
+    raw = base_config()
+    del raw["data"]["synthetic"]["views"][0]["id"]
+    assert main(["train", "--config", write_config(tmp_path, raw),
+                 "--out", str(tmp_path / "run")]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "message": "data.synthetic.views[0] is missing required key 'id'"}
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_without_data_section_is_config_error():

@@ -7,13 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from mvfuse import model as model_mod
 from mvfuse.augmentation import (AugPolicy, enumerate_combinations, pattern_matrix,
                                  sensd_mask)
+from mvfuse.config import _build, resolved_dict
 from mvfuse.data import SyntheticConfig, SyntheticViewConfig, generate_synthetic
 from mvfuse.encoders import EncoderConfig, StaticEncoder, TemporalEncoder, ViewSpec
-from mvfuse.fusion import AverageFusion, FusionConfig
-from mvfuse.model import (FeatureFusionModel, batch_views, build_model, load_model,
-                          save_model)
+from mvfuse.fusion import FUSION_KINDS, AverageFusion, FusionConfig
+from mvfuse.model import (LEVELS, FeatureFusionModel, Snapshot, batch_views, build_model,
+                          load_model, save_model)
 from mvfuse.tensor import Adam, Tensor, backward
 from mvfuse.model import PATTERN_ROWS
 from mvfuse.training import (EarlyStopper, TrainConfig, batch_loss, class_weights,
@@ -426,46 +428,48 @@ def test_unknown_level_rejected():
 
 
 def save_with_parameter(tmp_path, name, value):
-    """Snapshot a small model into ``tmp_path`` with one parameter overwritten."""
+    """Snapshot a small model into ``tmp_path`` with one parameter overwritten;
+    returns the data it fits."""
     ds = tiny_dataset(n=10)
     enc_cfg = EncoderConfig(latent_dim=8, layers=1, dropout=0.0)
     fusion_cfg = FusionConfig(kind="average", heads=2, dropout=0.0)
     model = build_model(ds.view_specs, enc_cfg, fusion_cfg, ds.task, ds.n_outputs,
                         "feature", np.random.default_rng(0))
-    save_model(model, enc_cfg, fusion_cfg, ds.n_outputs, tmp_path)
+    save_model(model, enc_cfg, fusion_cfg, tmp_path)
     arrays = dict(np.load(tmp_path / "model.npz"))
     arrays[name] = value(arrays[name])
     np.savez(tmp_path / "model.npz", **arrays)
+    return ds
 
 
 def test_load_model_rejects_wrong_parameter_shape(tmp_path):
-    save_with_parameter(tmp_path, "encoders.1.affines.0.W", lambda w: np.zeros(1))
+    ds = save_with_parameter(tmp_path, "encoders.1.affines.0.W", lambda w: np.zeros(1))
     with pytest.raises(ValueError, match=r"encoders\.1\.affines\.0\.W.*\(1,\).*\(3, 8\)"):
-        load_model(tmp_path)
+        load_model(tmp_path, ds)
 
 
 @pytest.mark.parametrize("edit", [lambda arrays: arrays.update(extra=np.zeros(2)),
                                   lambda arrays: arrays.pop("head.b")],
                          ids=["extra", "missing"])
 def test_load_model_rejects_a_different_parameter_set(tmp_path, edit):
-    save_with_parameter(tmp_path, "head.W", lambda w: w)
+    ds = save_with_parameter(tmp_path, "head.W", lambda w: w)
     arrays = dict(np.load(tmp_path / "model.npz"))
     edit(arrays)
     np.savez(tmp_path / "model.npz", **arrays)
     with pytest.raises(ValueError, match="snapshot parameters do not match the architecture"):
-        load_model(tmp_path)
+        load_model(tmp_path, ds)
 
 
 def test_load_model_rejects_non_finite_parameter(tmp_path):
-    save_with_parameter(tmp_path, "head.W", lambda w: np.full_like(w, np.nan))
+    ds = save_with_parameter(tmp_path, "head.W", lambda w: np.full_like(w, np.nan))
     with pytest.raises(ValueError, match=r"head\.W has non-finite values"):
-        load_model(tmp_path)
+        load_model(tmp_path, ds)
 
 
 def test_load_model_stores_float64_parameters(tmp_path):
-    save_with_parameter(tmp_path, "head.W", lambda w: w.astype(np.float32))
+    ds = save_with_parameter(tmp_path, "head.W", lambda w: w.astype(np.float32))
     stored = np.load(tmp_path / "model.npz")["head.W"]
-    model = load_model(tmp_path)
+    model = load_model(tmp_path, ds)
     assert model.head.W.data.dtype == np.float64
     np.testing.assert_array_equal(model.head.W.data, stored)
 
@@ -493,30 +497,92 @@ def test_nan_parameter_fails_predict_and_validation_naming_the_op():
 
 
 def save_with_architecture(tmp_path, edit):
-    """Snapshot a small model into ``tmp_path`` with ``edit`` applied to model.json."""
-    save_with_parameter(tmp_path, "head.W", lambda w: w)
+    """Snapshot a small model into ``tmp_path`` with ``edit`` applied to
+    model.json; returns the data it fits."""
+    ds = save_with_parameter(tmp_path, "head.W", lambda w: w)
     arch = json.loads((tmp_path / "model.json").read_text())
     edit(arch)
     (tmp_path / "model.json").write_text(json.dumps(arch))
+    return ds
 
 
 @pytest.mark.parametrize("key", ["views", "encoder", "fusion", "task", "n_outputs", "level"])
 def test_load_model_names_a_missing_architecture_key(tmp_path, key):
-    save_with_architecture(tmp_path, lambda arch: arch.pop(key))
-    with pytest.raises(ValueError, match=rf"model\.json is missing required key '{key}'"):
-        load_model(tmp_path)
+    ds = save_with_architecture(tmp_path, lambda arch: arch.pop(key))
+    with pytest.raises(ValueError) as err:
+        load_model(tmp_path, ds)
+    assert str(err.value) == f"{tmp_path / 'model.json'}: missing required key '{key}'"
 
 
-@pytest.mark.parametrize("edit, key", [
-    (lambda arch: arch["views"][1].update(colour="red"), "colour"),
-    (lambda arch: arch["views"][0].pop("id"), "id"),
-    (lambda arch: arch["encoder"].update(width=3), "width"),
-    (lambda arch: arch["fusion"].update(depth=2), "depth")],
-    ids=["view-unknown", "view-missing", "encoder-unknown", "fusion-unknown"])
-def test_load_model_names_a_bad_section_field(tmp_path, edit, key):
-    save_with_architecture(tmp_path, edit)
-    with pytest.raises(ValueError, match=rf"model\.json: .*'{key}'"):
-        load_model(tmp_path)
+@pytest.mark.parametrize("edit, words", [
+    (lambda arch: arch["views"][1].update(colour="red"), "unknown key(s) in views[1]: colour"),
+    (lambda arch: arch["views"][0].pop("id"), "views[0] is missing required key 'id'"),
+    (lambda arch: arch["encoder"].update(width=3), "unknown key(s) in encoder: width"),
+    (lambda arch: arch["fusion"].update(depth=2), "unknown key(s) in fusion: depth"),
+    (lambda arch: arch["encoder"].update(layers=arch["encoder"].pop("encoder_layers"),
+                                         dropout=arch["encoder"].pop("encoder_dropout")),
+     "unknown key(s) in encoder: dropout, layers"),
+    (lambda arch: arch["views"][0].update(kind="audio"),
+     "invalid views[0]: unknown view kind 'audio'")],
+    ids=["view-unknown", "view-missing", "encoder-unknown", "fusion-unknown",
+         "encoder-old-names", "view-kind"])
+def test_load_model_names_a_bad_section_field(tmp_path, edit, words):
+    ds = save_with_architecture(tmp_path, edit)
+    with pytest.raises(ValueError) as err:
+        load_model(tmp_path, ds)
+    assert str(err.value) == f"{tmp_path / 'model.json'}: {words}"
+
+
+def test_snapshot_that_does_not_fit_fails_before_building(tmp_path, monkeypatch):
+    ds = save_with_architecture(tmp_path, lambda arch: arch.update(n_outputs=4))
+
+    def build_model_spy(*args):
+        raise AssertionError("build_model ran")
+
+    monkeypatch.setattr(model_mod, "build_model", build_model_spy)
+    with pytest.raises(ValueError) as err:
+        load_model(tmp_path, ds)
+    assert str(err.value) == (f"snapshot {tmp_path} does not fit the data: "
+                              "its head width is 4, the data's is 3")
+
+
+def three_kind_views():
+    return [ViewSpec(id="a", kind="temporal", time_steps=5, channels=2),
+            ViewSpec(id="b", kind="static", channels=3),
+            ViewSpec(id="c", kind="categorical", cardinality=3)]
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("kind", FUSION_KINDS)
+def test_snapshot_round_trips_through_its_schema(kind, level):
+    snap = Snapshot(three_kind_views(), EncoderConfig(latent_dim=8, layers=2, dropout=0.1),
+                    FusionConfig(kind=kind, heads=2), "regression", 1, level)
+    echoed = json.loads(json.dumps(resolved_dict(snap)))
+    assert set(echoed["encoder"]) == {"latent_dim", "encoder_layers", "encoder_dropout",
+                                      "conv_kernel"}
+    assert _build(Snapshot, echoed, "") == snap
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("kind", FUSION_KINDS)
+def test_loaded_model_predicts_bit_identically(tmp_path, kind, level):
+    cfg = SyntheticConfig(
+        n_samples=12, latent_dim=4, classes=3, seed=4,
+        views=[SyntheticViewConfig(id=s.id, kind=s.kind, time_steps=s.time_steps,
+                                   channels=s.channels, cardinality=s.cardinality)
+               for s in three_kind_views()])
+    ds = generate_synthetic(cfg)
+    enc_cfg = EncoderConfig(latent_dim=8, layers=1, dropout=0.0)
+    fusion_cfg = FusionConfig(kind=kind, heads=2, dropout=0.0)
+    saved = build_model(ds.view_specs, enc_cfg, fusion_cfg, ds.task, ds.n_outputs, level,
+                        np.random.default_rng(3))
+    save_model(saved, enc_cfg, fusion_cfg, tmp_path)
+    loaded = load_model(tmp_path, ds)
+    assert type(loaded) is type(saved) and loaded.level == saved.level
+    available = np.random.default_rng(5).random((12, 3)) < 0.6
+    available[~available.any(axis=1), 0] = True
+    np.testing.assert_array_equal(loaded.predict(ds.views, available),
+                                  saved.predict(ds.views, available))
 
 
 def test_failed_save_leaves_no_partial_snapshot(tmp_path, monkeypatch):
@@ -525,7 +591,7 @@ def test_failed_save_leaves_no_partial_snapshot(tmp_path, monkeypatch):
     fusion_cfg = FusionConfig(kind="average", heads=2, dropout=0.0)
     old, new = (build_model(ds.view_specs, enc_cfg, fusion_cfg, ds.task, ds.n_outputs,
                             "feature", np.random.default_rng(seed)) for seed in (0, 1))
-    save_model(old, enc_cfg, fusion_cfg, ds.n_outputs, tmp_path / "snap")
+    save_model(old, enc_cfg, fusion_cfg, tmp_path / "snap")
 
     def savez_that_fails_partway(fh, **arrays):
         fh.write(b"PK\x03\x04 truncated")
@@ -534,11 +600,11 @@ def test_failed_save_leaves_no_partial_snapshot(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "savez", savez_that_fails_partway)
     for out in (tmp_path / "snap", tmp_path / "fresh"):
         with pytest.raises(OSError, match="disk full"):
-            save_model(new, enc_cfg, fusion_cfg, ds.n_outputs, out)
+            save_model(new, enc_cfg, fusion_cfg, out)
     monkeypatch.undo()
     assert list((tmp_path / "fresh").iterdir()) == []
     assert sorted(p.name for p in (tmp_path / "snap").iterdir()) == ["model.json", "model.npz"]
-    loaded = dict(load_model(tmp_path / "snap").named_parameters())
+    loaded = dict(load_model(tmp_path / "snap", ds).named_parameters())
     for name, p in old.named_parameters():
         np.testing.assert_array_equal(loaded[name].data, p.data)
 
