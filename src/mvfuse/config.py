@@ -66,7 +66,8 @@ synthetic data and the training loop take their seed from the top-level
 ``seed`` (``INTERNAL``), so no section sets its own. ``resolved_dict`` writes a
 config back in this schema, so ``parse_config(resolved_dict(cfg)) == cfg`` and
 a run's ``resolved_config.json`` is itself a config that reruns it. A snapshot's
-``model.json`` is a ``model.Snapshot`` in this schema, with the same property.
+``model.json`` (``model.Snapshot``) and a dataset's ``manifest.json``
+(``data.Manifest``) are documents of this schema too, with the same property.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def _keys(cls) -> dict[str, Field]:
 
 
 def _build(cls, node, path: str):
-    """A ``cls`` from a YAML mapping; ``None`` is an empty section."""
-    where = path or "config"
+    """A ``cls`` from a YAML or JSON mapping; ``None`` is an empty section."""
+    where = path or "document"
     node = {} if node is None else node
     if not isinstance(node, dict):
         raise ConfigError(f"{where} must be a mapping")
@@ -194,6 +195,10 @@ def _typed(hint, value, path: str):
         if not isinstance(value, list):
             raise ConfigError(f"{path} must be a list, got {value!r}")
         return [_typed(get_args(hint)[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if get_origin(hint) is dict:  # ``dict[str, X]``, as JSON objects have string keys
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be a mapping, got {value!r}")
+        return {k: _typed(get_args(hint)[1], v, f"{path}[{k!r}]") for k, v in value.items()}
     if is_dataclass(hint):
         return _build(hint, value, path)
     if hint is float and type(value) is int:
@@ -240,4 +245,6 @@ def resolved_dict(cfg):
         return {key: resolved_dict(getattr(cfg, f.name)) for key, f in _keys(type(cfg)).items()}
     if isinstance(cfg, list):
         return [resolved_dict(v) for v in cfg]
+    if isinstance(cfg, dict):
+        return {k: resolved_dict(v) for k, v in cfg.items()}
     return cfg

@@ -4,7 +4,7 @@ The synthetic generator draws a shared latent factor per sample and renders
 each view as a noisy linear readout of a mix between that shared factor and a
 view-private one; the redundancy knob controls how much signal the views
 share, which is what makes missing-view robustness measurable. Datasets round
-trip through plain CSV files plus a JSON manifest.
+trip through plain CSV files plus ``manifest.json``, a config-schema ``Manifest``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -315,68 +315,83 @@ def write_json(path: str | Path, payload: dict) -> None:
         fh.write("\n")
 
 
+@dataclass(frozen=True, kw_only=True)
+class ViewFile(ViewSpec):
+    """A manifest's view: its spec and the CSV file, relative to the manifest."""
+
+    path: str
+
+
+@dataclass
+class Targets:
+    path: str
+    task: str
+    classes: int | None = None  # inferred from the labels when unset
+
+    def __post_init__(self):
+        if self.task not in TASKS:
+            raise ValueError(f"unknown task {self.task!r}")
+        if self.classes is not None and self.classes < 2:
+            raise ValueError(f"classes must be >= 2, got {self.classes}")
+
+
+@dataclass
+class NormStats:
+    mean: list[float]
+    std: list[float]
+
+
+@dataclass
+class Manifest:
+    """``manifest.json``, a document of the config schema."""
+
+    targets: Targets
+    views: list[ViewFile]
+    norm_stats: dict[str, NormStats] = field(default_factory=dict)
+
+    def __post_init__(self):
+        channels = {v.id: v.channels for v in self.views if v.kind != "categorical"}
+        for vid, stats in self.norm_stats.items():
+            if vid not in channels:
+                raise ValueError(f"norm_stats names {vid!r}, not a non-categorical view")
+            for key, above, bound in (("mean", -math.inf, ""), ("std", 0.0, " > 0")):
+                values = getattr(stats, key)
+                if len(values) != channels[vid] or not all(above < x < math.inf for x in values):
+                    raise ValueError(f"norm_stats[{vid!r}].{key} must be {channels[vid]} finite "
+                                     f"numbers{bound}, got {values!r}")
+
+
 def save_dataset(ds: MultiViewDataset, out_dir: str | Path) -> Path:
     """Write one CSV per view plus targets and a JSON manifest; returns the manifest path."""
+    from .config import resolved_dict  # config imports this module
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"views": [], "targets": {"path": "targets.csv", "task": ds.task}}
-    if ds.n_classes is not None:
-        manifest["targets"]["classes"] = ds.n_classes
-    for spec in ds.view_specs:
-        path = f"view_{spec.id}.csv"
+    files = [ViewFile(**asdict(spec), path=f"view_{spec.id}.csv") for spec in ds.view_specs]
+    for spec in files:
         arr = ds.views[spec.id]
-        entry = {"id": spec.id, "kind": spec.kind, "path": path}
-        with open(out / path, "w", newline="") as fh:
+        with open(out / spec.path, "w", newline="") as fh:
             writer = csv.writer(fh)
             if spec.kind == "temporal":
-                entry["dims"] = [spec.time_steps, spec.channels]
                 writer.writerow(["sample_id", "t"] + [f"c{j}" for j in range(spec.channels)])
                 for i in range(arr.shape[0]):
                     for t in range(arr.shape[1]):
                         writer.writerow([i, t] + [repr(float(v)) for v in arr[i, t]])
             elif spec.kind == "static":
-                entry["dims"] = [spec.channels]
                 writer.writerow([f"c{j}" for j in range(spec.channels)])
                 for row in arr:
                     writer.writerow([repr(float(v)) for v in row])
             else:
-                entry["cardinality"] = spec.cardinality
                 writer.writerow(["code"])
                 for v in arr:
                     writer.writerow([int(v)])
-        manifest["views"].append(entry)
     with open(out / "targets.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y"])
         for v in ds.y:
             writer.writerow([int(v) if ds.task == "classification" else repr(float(v))])
-    write_json(out / "manifest.json", manifest)
+    manifest = Manifest(Targets("targets.csv", ds.task, ds.n_classes), files)
+    write_json(out / "manifest.json", resolved_dict(manifest))
     return out / "manifest.json"
-
-
-def _required(node, key: str, where: str, valid=None, expected: str = ""):
-    """``node[key]``, or a DataError naming the key if ``where`` lacks it or,
-    given ``valid``, if ``valid(node[key])`` is false: it must be ``expected``."""
-    if not isinstance(node, dict) or key not in node:
-        raise DataError(f"{where} is missing required key {key!r}")
-    if valid is not None and not valid(node[key]):
-        raise DataError(f"{where} key {key!r} must be {expected}, got {node[key]!r}")
-    return node[key]
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _count(least: int):
-    """A check that a value is an integer >= ``least``."""
-    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least
-
-
-def _values(n: int, kind, above: float):
-    """A check that a value is a list of ``n`` finite numbers of ``kind`` > ``above``."""
-    return lambda v: isinstance(v, list) and len(v) == n and all(
-        isinstance(x, kind) and not isinstance(x, bool) and above < x < math.inf for x in v)
 
 
 def _csv_rows(path: Path, width: int, expected: str):
@@ -394,22 +409,21 @@ def _csv_rows(path: Path, width: int, expected: str):
 
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     """Load a dataset from its manifest; all view files must agree on row count."""
+    from .config import ConfigError, _build  # config imports this module
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     with open(manifest_path) as fh:
         try:
-            manifest = json.load(fh)
-        except ValueError as exc:
+            manifest = _build(Manifest, json.load(fh), "")
+        except ValueError as exc:  # only json raises one; _build raises ConfigError
             raise DataError(f"cannot parse {manifest_path}: {exc}") from exc
+        except ConfigError as exc:
+            raise DataError(f"{manifest_path}: {exc}") from exc
     base = manifest_path.parent
 
-    targets = _required(manifest, "targets", f"manifest {manifest_path}")
-    where = f"manifest {manifest_path} targets"
-    task = _required(targets, "task", where)
-    if "classes" in targets:
-        _required(targets, "classes", where, _count(2), "an integer >= 2")
-    target_file = base / _required(targets, "path", where, _is_str, "a string")
+    task = manifest.targets.task
+    target_file = base / manifest.targets.path
     if not target_file.exists():
         raise FileNotFoundError(f"targets file not found: {target_file}")
     y_vals = []
@@ -423,20 +437,15 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     y = np.asarray(y_vals, dtype=np.int64 if task == "classification" else np.float64)
     n = y.shape[0]
 
-    specs: list[ViewSpec] = []
+    specs = [ViewSpec(v.id, v.kind, v.time_steps, v.channels, v.cardinality)
+             for v in manifest.views]
     views: dict[str, np.ndarray] = {}
-    entries = _required(manifest, "views", f"manifest {manifest_path}",
-                        lambda v: isinstance(v, list), "a list")
-    for v, entry in enumerate(entries):
-        where = f"manifest {manifest_path} views[{v}]"
-        vid = _required(entry, "id", where, _is_str, "a string")
-        kind = _required(entry, "kind", where)
-        path = base / _required(entry, "path", where, _is_str, "a string")
+    for entry in manifest.views:
+        vid, T, c = entry.id, entry.time_steps, entry.channels
+        path = base / entry.path
         if not path.exists():
             raise FileNotFoundError(f"view file not found: {path}")
-        if kind == "temporal":
-            T, c = _required(entry, "dims", where, _values(2, int, 0), "a list of 2 integers >= 1")
-            spec = ViewSpec(id=vid, kind=kind, time_steps=T, channels=c)
+        if entry.kind == "temporal":
             arr = np.full((n, T, c), np.nan)
             for where, row in _csv_rows(path, c + 2, f"sample_id, t and {c} values"):
                 i, t = _int_field(row[0], where), _int_field(row[1], where)
@@ -450,36 +459,18 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
                 arr[i, t] = [_float_field(v, where) for v in row[2:]]
             if np.isnan(arr).any():
                 raise RowCountError(f"view {vid!r} is missing (sample, step) rows")
-        elif kind == "static":
-            (c,) = _required(entry, "dims", where, _values(1, int, 0), "a list of 1 integer >= 1")
-            spec = ViewSpec(id=vid, kind=kind, channels=c)
+        elif entry.kind == "static":
             rows = [[_float_field(v, where) for v in row]
                     for where, row in _csv_rows(path, c, f"{c} values")]
             arr = np.asarray(rows).reshape(len(rows), c)
-        elif kind == "categorical":
-            card = _required(entry, "cardinality", where, _count(2), "an integer >= 2")
-            spec = ViewSpec(id=vid, kind=kind, cardinality=card)
+        else:
             arr = np.asarray([_int_field(row[0], where)
                               for where, row in _csv_rows(path, 1, "1 code")], dtype=np.int64)
-        else:
-            raise UnknownViewError(f"view {vid!r} has unknown kind {kind!r}")
-        specs.append(spec)
         views[vid] = arr
 
-    n_classes = targets.get("classes")
+    n_classes = manifest.targets.classes
     if task == "classification" and n_classes is None:
         n_classes = int(y.max()) + 1
     ds = MultiViewDataset(specs, views, y, task, n_classes)
-    where = f"manifest {manifest_path}"
-    stats = manifest.get("norm_stats", {})
-    if not isinstance(stats, dict):
-        raise DataError(f"{where} key 'norm_stats' must be a mapping from view ids, got {stats!r}")
-    channels = {s.id: s.channels for s in specs if s.kind != "categorical"}
-    for vid, entry in stats.items():
-        if vid not in channels:
-            raise DataError(f"{where} norm_stats names {vid!r}, not a non-categorical view")
-        c = channels[vid]
-        for key, above, bound in (("mean", -math.inf, ""), ("std", 0.0, " > 0")):
-            _required(entry, key, f"{where} norm_stats[{vid!r}]", _values(c, (int, float), above),
-                      f"a list of {c} finite numbers{bound}")
+    stats = {vid: asdict(entry) for vid, entry in manifest.norm_stats.items()}
     return zscore_apply(ds, stats) if stats else ds

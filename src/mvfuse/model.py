@@ -313,16 +313,17 @@ def load_model(model_dir: str | Path, data: MultiViewDataset) -> _BaseModel:
         raise ValueError(f"{npz} is not a readable snapshot: {exc}") from exc
     params = dict(model.named_parameters())
     if set(arrays) != set(params):
-        raise ValueError("snapshot parameters do not match the architecture")
+        missing, extra = sorted(params.keys() - arrays), sorted(arrays.keys() - params)
+        raise ValueError(f"{npz} does not match the architecture: missing {missing}, extra {extra}")
     for name, p in params.items():
         value = arrays[name]
         if value.shape != p.data.shape:
-            raise ValueError(f"snapshot parameter {name} has shape {value.shape}, "
+            raise ValueError(f"{npz}: parameter {name} has shape {value.shape}, "
                              f"the architecture expects {p.data.shape}")
         if not np.issubdtype(value.dtype, np.floating):
-            raise ValueError(f"snapshot parameter {name} has dtype {value.dtype}, "
+            raise ValueError(f"{npz}: parameter {name} has dtype {value.dtype}, "
                              f"not a real floating type")
         if not np.all(np.isfinite(value)):
-            raise ValueError(f"snapshot parameter {name} has non-finite values")
+            raise ValueError(f"{npz}: parameter {name} has non-finite values")
         p.data = value.astype(np.float64, copy=False)
     return model

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfuse.cli import main
-from mvfuse.data import load_dataset
+from mvfuse.data import (SyntheticConfig, SyntheticViewConfig, generate_synthetic, load_dataset,
+                         save_dataset, zscore_fit)
 
 from test_data import replace_field, toy_copy
 
@@ -398,61 +399,68 @@ def set_key(*path_and_value):
     return lambda d: edit_manifest(d, change)
 
 
-# (edit of a copy of the toy dataset, typed error, words of its message)
+# (edit of a copy of the toy dataset in ``d``, typed error, its message with
+# ``{d}`` for the dataset's directory and ``{m}`` for its manifest)
 BROKEN_DATA = [
     pytest.param(lambda d: (d / "manifest.json").unlink(), "FileNotFoundError",
-                 "manifest not found", id="missing-manifest"),
+                 "manifest not found: {m}", id="missing-manifest"),
     pytest.param(lambda d: (d / "targets.csv").unlink(), "FileNotFoundError",
-                 "targets file not found", id="missing-targets"),
+                 "targets file not found: {d}/targets.csv", id="missing-targets"),
     pytest.param(lambda d: (d / "view_soil.csv").unlink(), "FileNotFoundError",
-                 "view file not found", id="missing-view"),
+                 "view file not found: {d}/view_soil.csv", id="missing-view"),
     pytest.param(lambda d: replace_field(d / "view_optical.csv", 2, 0, "9"), "RowCountError",
-                 "references sample 9, targets have 4 rows", id="sample-out-of-range"),
+                 "view 'optical' references sample 9, targets have 4 rows",
+                 id="sample-out-of-range"),
     pytest.param(lambda d: replace_field(d / "view_optical.csv", 2, 1, "3"), "RowCountError",
-                 "has step 3 outside 0..2", id="step-out-of-range"),
+                 "view 'optical' has step 3 outside 0..2", id="step-out-of-range"),
     pytest.param(lambda d: drop_line(d / "view_optical.csv", 5), "RowCountError",
-                 "is missing (sample, step) rows", id="missing-rows"),
+                 "view 'optical' is missing (sample, step) rows", id="missing-rows"),
     pytest.param(lambda d: replace_field(d / "view_soil.csv", 3, 1, "nan"),
-                 "MalformedFieldError", "view_soil.csv:3: 'nan' is not a finite number",
+                 "MalformedFieldError", "{d}/view_soil.csv:3: 'nan' is not a finite number",
                  id="non-finite-value"),
     pytest.param(set_key("targets", "classes", "3"), "DataError",
-                 "targets key 'classes' must be an integer >= 2, got '3'", id="classes-string"),
+                 "{m}: targets.classes must be int, got '3'", id="classes-string"),
+    pytest.param(set_key("targets", "clases", 2), "DataError",
+                 "{m}: unknown key(s) in targets: clases", id="misspelled-classes"),
+    # the view format before time_steps and channels
     pytest.param(set_key("views", 0, "dims", 3), "DataError",
-                 "views[0] key 'dims' must be a list of 2 integers >= 1, got 3", id="dims-int"),
-    pytest.param(set_key("views", 0, "dims", ["4", 2]), "DataError",
-                 "views[0] key 'dims' must be a list of 2 integers >= 1, got ['4', 2]",
-                 id="dims-string-entry"),
-    pytest.param(set_key("views", 0, "dims", [4]), "DataError",
-                 "views[0] key 'dims' must be a list of 2 integers >= 1, got [4]",
+                 "{m}: unknown key(s) in views[0]: dims", id="dims-int"),
+    pytest.param(set_key("views", 0, "time_steps", "4"), "DataError",
+                 "{m}: views[0].time_steps must be int, got '4'", id="dims-string-entry"),
+    pytest.param(lambda d: edit_manifest(d, lambda m: m["views"][0].pop("channels")),
+                 "DataError", "{m}: invalid views[0]: temporal view needs channels >= 1",
                  id="temporal-dims-too-short"),
     pytest.param(lambda d: add_categorical(d, "3"), "DataError",
-                 "views[2] key 'cardinality' must be an integer >= 2, got '3'",
-                 id="cardinality-string"),
-    pytest.param(set_key("views", 5), "DataError", "key 'views' must be a list, got 5",
+                 "{m}: views[2].cardinality must be int, got '3'", id="cardinality-string"),
+    pytest.param(set_key("views", 5), "DataError", "{m}: views must be a list, got 5",
                  id="views-int"),
     pytest.param(set_key("views", 0, "id", 7), "DataError",
-                 "views[0] key 'id' must be a string, got 7", id="id-int"),
+                 "{m}: views[0].id must be str, got 7", id="id-int"),
     pytest.param(lambda d: replace_field(d / "targets.csv", 3, 0, "2"), "DataError",
                  "targets have labels outside [0, 2) for classes 2", id="label-beyond-classes"),
     pytest.param(lambda d: append_line(d / "view_optical.csv", "0,0,0.1,1.0"), "RowCountError",
-                 "view_optical.csv:14: view 'optical' repeats sample 0, step 0",
+                 "{d}/view_optical.csv:14: view 'optical' repeats sample 0, step 0",
                  id="repeated-row"),
     pytest.param(lambda d: append_line(d / "view_optical.csv", "2,1,7.0,7.0"), "RowCountError",
-                 "view_optical.csv:14: view 'optical' repeats sample 2, step 1",
+                 "{d}/view_optical.csv:14: view 'optical' repeats sample 2, step 1",
                  id="conflicting-repeated-row"),
     pytest.param(set_key("norm_stats", 5), "DataError",
-                 "key 'norm_stats' must be a mapping from view ids, got 5", id="norm-stats-int"),
+                 "{m}: norm_stats must be a mapping, got 5", id="norm-stats-int"),
     pytest.param(set_key("norm_stats", {"soil": {"mean": [0.0], "std": [1.0, 1.0]}}),
-                 "DataError",
-                 "norm_stats['soil'] key 'mean' must be a list of 2 finite numbers, got [0.0]",
-                 id="norm-stats-short-mean"),
+                 "DataError", "{m}: invalid document: norm_stats['soil'].mean must be 2 finite "
+                              "numbers, got [0.0]", id="norm-stats-short-mean"),
     pytest.param(set_key("norm_stats", {"soil": {"mean": [0.0, 0.0], "std": [1.0, 0.0]}}),
-                 "DataError",
-                 "norm_stats['soil'] key 'std' must be a list of 2 finite numbers > 0",
-                 id="norm-stats-zero-std"),
+                 "DataError", "{m}: invalid document: norm_stats['soil'].std must be 2 finite "
+                              "numbers > 0, got [1.0, 0.0]", id="norm-stats-zero-std"),
     pytest.param(set_key("norm_stats", {"radar": {"mean": [0.0], "std": [1.0]}}), "DataError",
-                 "norm_stats names 'radar', not a non-categorical view",
+                 "{m}: invalid document: norm_stats names 'radar', not a non-categorical view",
                  id="norm-stats-undeclared-view"),
+    pytest.param(set_key("norm_stat", {"soil": {"mean": [0.0, 0.0], "std": [1.0, 1.0]}}),
+                 "DataError", "{m}: unknown key(s) in document: norm_stat",
+                 id="misspelled-norm-stats"),
+    pytest.param(set_key("norm_stats", {"soil": {"mean": [0.0, 0.0], "sd": [1.0, 1.0]}}),
+                 "DataError", "{m}: unknown key(s) in norm_stats['soil']: sd",
+                 id="misspelled-std"),
     pytest.param(lambda d: edit_manifest(d, lambda m: m["views"].append(dict(m["views"][1]))),
                  "DataError", "view id 'soil' is declared more than once", id="repeated-view-id"),
 ]
@@ -466,8 +474,8 @@ class TestBoundaries:
         code = main(argv)
         return code, json.loads(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("edit, error, words", BROKEN_DATA)
-    def test_broken_dataset_is_runtime_error(self, tmp_path, capsys, edit, error, words):
+    @pytest.mark.parametrize("edit, error, message", BROKEN_DATA)
+    def test_broken_dataset_is_runtime_error(self, tmp_path, capsys, edit, error, message):
         manifest = toy_copy(tmp_path)
         edit(tmp_path)
         raw = base_config()
@@ -476,8 +484,7 @@ class TestBoundaries:
         code, record = self.run(capsys, ["train", "--config", write_config(tmp_path, raw),
                                          "--out", str(out)])
         assert code == 3
-        assert record["error"] == error
-        assert words in record["message"]
+        assert record == {"error": error, "message": message.format(d=tmp_path, m=manifest)}
         assert not (out / "model.json").exists()
 
     @pytest.mark.parametrize("text, words", [
@@ -550,7 +557,7 @@ class TestBoundaries:
         code, record = self.run(capsys, ["evaluate", "--config", cfg, "--out", str(trained)])
         assert code == 3
         assert record == {"error": "ValueError", "message":
-                          f"snapshot parameter head.b has dtype {arrays['head.b'].dtype}, "
+                          f"{npz}: parameter head.b has dtype {arrays['head.b'].dtype}, "
                           f"not a real floating type"}
         assert not (trained / "report.csv").exists()
 
@@ -581,9 +588,10 @@ class TestBoundaries:
         assert record == {"error": "ValueError", "message": f"{arch_path}: {words}"}
         assert not (out / "report.csv").exists()
 
-    @pytest.mark.parametrize("name, error", [("manifest.json", "DataError"),
-                                             ("model.json", "ValueError")])
-    def test_file_that_is_not_json_is_runtime_error(self, tmp_path, capsys, name, error):
+    def evaluate_after(self, tmp_path, capsys, name, rewrite):
+        """Exit code and record of ``evaluate`` on the toy dataset's manifest.json,
+        or on a trained snapshot's model.json, after ``rewrite(path)`` of that
+        file; and its path."""
         raw = base_config()
         if name == "manifest.json":
             raw["data"] = {"source": "manifest", "manifest": str(toy_copy(tmp_path)),
@@ -592,13 +600,30 @@ class TestBoundaries:
         trained = tmp_path / "trained"
         if name == "model.json":
             assert main(["train", "--config", cfg, "--out", str(trained)]) == 0
-        broken = (trained if name == "model.json" else tmp_path) / name
-        broken.write_text('{"views":\n')
+        path = (trained if name == "model.json" else tmp_path) / name
+        rewrite(path)
         code, record = self.run(capsys, ["evaluate", "--config", cfg, "--out", str(trained)])
+        assert not (trained / "report.csv").exists()
+        return code, record, path
+
+    @pytest.mark.parametrize("name, error", [("manifest.json", "DataError"),
+                                             ("model.json", "ValueError")])
+    def test_file_that_is_not_json_is_runtime_error(self, tmp_path, capsys, name, error):
+        code, record, broken = self.evaluate_after(
+            tmp_path, capsys, name, lambda path: path.write_text('{"views":\n'))
         assert code == 3
         assert record == {"error": error, "message": f"cannot parse {broken}: "
                                                      "Expecting value: line 2 column 1 (char 10)"}
-        assert not (trained / "report.csv").exists()
+
+    @pytest.mark.parametrize("name, error", [("manifest.json", "DataError"),
+                                             ("model.json", "ValueError")])
+    def test_unknown_top_level_key_is_runtime_error(self, tmp_path, capsys, name, error):
+        code, record, path = self.evaluate_after(
+            tmp_path, capsys, name,
+            lambda path: path.write_text(json.dumps({**json.loads(path.read_text()), "extra": 1})))
+        assert code == 3
+        assert record == {"error": error,
+                          "message": f"{path}: unknown key(s) in document: extra"}
 
     @pytest.mark.parametrize("command, path, value, words", [
         ("evaluate", "data.synthetic.views.1.id", "sonar", "its view 1 is ViewSpec(id='radar'"),
@@ -723,7 +748,7 @@ def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
     assert "median" in record["message"]
 
 
-# -- standing fuzz tests of the config and snapshot boundaries ------------------
+# -- standing fuzz tests of the config, snapshot and manifest boundaries --------
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 # Mutated numbers stay small, so no case allocates more than a few MB.
@@ -808,3 +833,31 @@ def test_mutated_snapshot_evaluates_or_fails_with_one_record(trained_snapshot, d
         # the config is valid, so every error is the snapshot's: exit 3
         exits_cleanly(["evaluate", "--config", cfg, "--out", str(snapshot / "run"),
                        "--model", str(snapshot)], (0, 3))
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory):
+    """A tiny dataset with a temporal, a static and a categorical view, saved
+    by ``save_dataset``; returns its manifest with norm_stats added, the path
+    of a manifest next to it, and a config that trains on that path."""
+    root = tmp_path_factory.mktemp("manifest-fuzz")
+    ds = generate_synthetic(SyntheticConfig(n_samples=24, latent_dim=3, views=[
+        SyntheticViewConfig(id="optical", kind="temporal", time_steps=3, channels=2),
+        SyntheticViewConfig(id="radar", kind="static", channels=2),
+        SyntheticViewConfig(id="cover", kind="categorical", cardinality=3)]))
+    saved = save_dataset(ds, root / "data")
+    manifest = {**json.loads(saved.read_text()), "norm_stats": zscore_fit(ds)}
+    mutated = saved.with_name("mutated.json")
+    raw = tiny_config()
+    raw["data"] = {"source": "manifest", "manifest": str(mutated), "val_fraction": 0.25}
+    return manifest, mutated, write_config(root, raw)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_manifest_trains_or_fails_with_one_record(saved_dataset, data):
+    manifest, mutated, cfg = saved_dataset
+    mutated.write_text(json.dumps(draw_mutated(data, manifest)))
+    with tempfile.TemporaryDirectory(dir=mutated.parent) as tmp:
+        # the config is valid, so every error is the manifest's: exit 3
+        exits_cleanly(["train", "--config", cfg, "--out", str(Path(tmp) / "run")], (0, 3))

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvfuse.data import (DataError, MalformedFieldError, MultiViewDataset, RowCountError,
-                         SyntheticConfig, SyntheticViewConfig, UnknownViewError,
-                         generate_synthetic, kfold_indices, load_dataset,
-                         save_dataset, train_val_split, validation_size, zscore_apply,
-                         zscore_fit)
+from mvfuse.config import _build, resolved_dict
+from mvfuse.data import (DataError, MalformedFieldError, Manifest, MultiViewDataset, NormStats,
+                         RowCountError, SyntheticConfig, SyntheticViewConfig, Targets,
+                         UnknownViewError, ViewFile, generate_synthetic, kfold_indices,
+                         load_dataset, save_dataset, train_val_split, validation_size,
+                         zscore_apply, zscore_fit)
 from mvfuse.encoders import ViewSpec
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy"
@@ -188,6 +189,26 @@ class TestRoundTrip:
             np.testing.assert_allclose(loaded.views[vid], expected.views[vid],
                                        atol=1e-12)
 
+    def test_manifest_round_trips_through_its_schema(self):
+        manifest = Manifest(
+            Targets("targets.csv", "classification", 3),
+            [ViewFile(id="optical", kind="temporal", time_steps=6, channels=2,
+                      path="view_optical.csv"),
+             ViewFile(id="radar", kind="static", channels=4, path="view_radar.csv"),
+             ViewFile(id="cover", kind="categorical", cardinality=4, path="view_cover.csv")],
+            {"optical": NormStats([0.5, -1.0], [2.0, 0.25]),
+             "radar": NormStats([0.0, 1.0, 2.0, 3.0], [1.0, 1.5, 2.0, 2.5])})
+        echoed = json.loads(json.dumps(resolved_dict(manifest)))
+        assert _build(Manifest, echoed, "") == manifest
+
+    def test_save_dataset_writes_its_manifest_in_the_schema(self, tmp_path):
+        ds = generate_synthetic(small_config())
+        written = json.loads(save_dataset(ds, tmp_path).read_text())
+        files = [ViewFile(id=s.id, kind=s.kind, time_steps=s.time_steps, channels=s.channels,
+                          cardinality=s.cardinality, path=f"view_{s.id}.csv")
+                 for s in ds.view_specs]
+        assert written == resolved_dict(Manifest(Targets("targets.csv", ds.task, 3), files))
+
 
 def toy_copy(tmp_path):
     """The toy fixture copied into ``tmp_path``; returns its manifest."""
@@ -203,6 +224,22 @@ def replace_field(path, line, field, text):
     fields[field] = text
     lines[line - 1] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
+
+
+# (key path to a manifest node, the key deleted from it, the message after the
+# manifest's path)
+MISSING_KEYS = [
+    ((), "targets", "missing required key 'targets'"),
+    (("targets",), "task", "targets is missing required key 'task'"),
+    (("targets",), "path", "targets is missing required key 'path'"),
+    ((), "views", "missing required key 'views'"),
+    (("views", 0), "id", "views[0] is missing required key 'id'"),
+    (("views", 0), "kind", "views[0] is missing required key 'kind'"),
+    (("views", 0), "path", "views[0] is missing required key 'path'"),
+    (("views", 0), "time_steps", "invalid views[0]: temporal view needs time_steps >= 1"),
+    (("views", 1), "channels", "invalid views[1]: static view needs channels >= 1"),
+    (("views", 2), "cardinality", "invalid views[2]: categorical view needs cardinality >= 2"),
+]
 
 
 class TestLoaderErrors:
@@ -288,14 +325,14 @@ class TestLoaderErrors:
         data = json.loads(manifest.read_text())
         data["views"][0]["kind"] = "volumetric"
         manifest.write_text(json.dumps(data))
-        with pytest.raises(UnknownViewError):
+        with pytest.raises(DataError) as info:
             load_dataset(manifest)
+        assert type(info.value) is DataError
+        assert str(info.value) == f"{manifest}: invalid views[0]: unknown view kind 'volumetric'"
 
-    @pytest.mark.parametrize("path, key", [
-        ((), "targets"), (("targets",), "task"), (("targets",), "path"), ((), "views"),
-        (("views", 0), "id"), (("views", 0), "kind"), (("views", 0), "path"),
-        (("views", 0), "dims"), (("views", 1), "dims"), (("views", 2), "cardinality")])
-    def test_missing_manifest_key_names_the_key(self, tmp_path, path, key):
+    @pytest.mark.parametrize("path, key, message", [
+        pytest.param(*case, id=f"path{i}-{case[1]}") for i, case in enumerate(MISSING_KEYS)])
+    def test_missing_manifest_key_names_the_key(self, tmp_path, path, key, message):
         manifest = self._write_broken(tmp_path, lambda base: None)
         data = json.loads(manifest.read_text())
         node = data
@@ -303,8 +340,9 @@ class TestLoaderErrors:
             node = node[step]
         del node[key]
         manifest.write_text(json.dumps(data))
-        with pytest.raises(DataError, match=repr(key)):
+        with pytest.raises(DataError) as info:
             load_dataset(manifest)
+        assert str(info.value) == f"{manifest}: {message}"
 
     def test_targets_without_y_column(self, tmp_path):
         def rename_y(base):
@@ -323,13 +361,13 @@ class TestLoaderErrors:
             MultiViewDataset(specs, ds.views, ds.y, ds.task, ds.n_classes)
 
     def test_static_row_width_names_file_and_line(self, tmp_path):
-        # 2 rows of 4 values under dims [2] used to load as 4 scrambled samples
+        # 2 rows of 4 values under 2 channels used to load as 4 scrambled samples
         (tmp_path / "targets.csv").write_text("y\n0\n1\n0\n1\n")
         (tmp_path / "view_s.csv").write_text("c0,c1\n1,2,3,4\n5,6,7,8\n")
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({
             "targets": {"path": "targets.csv", "task": "classification"},
-            "views": [{"id": "s", "kind": "static", "path": "view_s.csv", "dims": [2]}]}))
+            "views": [{"id": "s", "kind": "static", "path": "view_s.csv", "channels": 2}]}))
         with pytest.raises(DataError, match=r"view_s\.csv:2: expected 2 values, got 4"):
             load_dataset(manifest)
 
@@ -391,32 +429,37 @@ class TestLoaderErrors:
                                                 rf"repeats sample {sample}, step {step}"):
             load_dataset(manifest)
 
-    @pytest.mark.parametrize("stats, words", [
-        (5, "key 'norm_stats' must be a mapping from view ids, got 5"),
-        ({"cover": {"mean": [0.0], "std": [1.0]}}, "norm_stats names 'cover', not a non-"),
-        ({"sonar": {"mean": [0.0], "std": [1.0]}}, "norm_stats names 'sonar', not a non-"),
-        ({"radar": [0.0] * 4}, "norm_stats['radar'] is missing required key 'mean'"),
+    @pytest.mark.parametrize("stats, message", [
+        (5, "norm_stats must be a mapping, got 5"),
+        ({"cover": {"mean": [0.0], "std": [1.0]}},
+         "invalid document: norm_stats names 'cover', not a non-categorical view"),
+        ({"sonar": {"mean": [0.0], "std": [1.0]}},
+         "invalid document: norm_stats names 'sonar', not a non-categorical view"),
+        ({"radar": [0.0] * 4}, "norm_stats['radar'] must be a mapping"),
         ({"radar": {"mean": [0.0] * 4}}, "norm_stats['radar'] is missing required key 'std'"),
         ({"radar": {"mean": [0.0], "std": [1.0] * 4}},
-         "norm_stats['radar'] key 'mean' must be a list of 4 finite numbers, got [0.0]"),
+         "invalid document: norm_stats['radar'].mean must be 4 finite numbers, got [0.0]"),
         ({"radar": {"mean": [0.0] * 4, "std": [1.0, 1.0, 0.0, 1.0]}},
-         "key 'std' must be a list of 4 finite numbers > 0"),
+         "invalid document: norm_stats['radar'].std must be 4 finite numbers > 0, "
+         "got [1.0, 1.0, 0.0, 1.0]"),
         ({"optical": {"mean": [0.0, float("nan")], "std": [1.0, 1.0]}},
-         "norm_stats['optical'] key 'mean' must be a list of 2 finite numbers"),
+         "invalid document: norm_stats['optical'].mean must be 2 finite numbers, got [0.0, nan]"),
         ({"optical": {"mean": [0.0, "1"], "std": [1.0, 1.0]}},
-         "norm_stats['optical'] key 'mean' must be a list of 2 finite numbers"),
+         "norm_stats['optical'].mean[1] must be float, got '1'"),
         ({"optical": {"mean": [0.0, 0.0], "std": [1.0, float("inf")]}},
-         "norm_stats['optical'] key 'std' must be a list of 2 finite numbers > 0"),
+         "invalid document: norm_stats['optical'].std must be 2 finite numbers > 0, "
+         "got [1.0, inf]"),
     ], ids=["int", "categorical-view", "undeclared-view", "entry-not-a-mapping", "no-std",
             "short-mean", "zero-std", "nan-mean", "string-mean", "infinite-std"])
-    def test_norm_stats_checked_against_the_views(self, tmp_path, stats, words):
+    def test_norm_stats_checked_against_the_views(self, tmp_path, stats, message):
         def add_stats(base):
             path = base / "manifest.json"
             path.write_text(json.dumps({**json.loads(path.read_text()), "norm_stats": stats}))
 
+        manifest = self._write_broken(tmp_path, add_stats)
         with pytest.raises(DataError) as info:
-            load_dataset(self._write_broken(tmp_path, add_stats))
-        assert words in str(info.value)
+            load_dataset(manifest)
+        assert str(info.value) == f"{manifest}: {message}"
 
     def test_repeated_view_id_is_named(self, tmp_path):
         def repeat_view(base):

@@ -448,16 +448,19 @@ def test_load_model_rejects_wrong_parameter_shape(tmp_path):
         load_model(tmp_path, ds)
 
 
-@pytest.mark.parametrize("edit", [lambda arrays: arrays.update(extra=np.zeros(2)),
-                                  lambda arrays: arrays.pop("head.b")],
-                         ids=["extra", "missing"])
-def test_load_model_rejects_a_different_parameter_set(tmp_path, edit):
+@pytest.mark.parametrize("edit, missing, extra", [
+    (lambda arrays: arrays.update(zeta=np.zeros(2), alpha=np.zeros(1)), [], ["alpha", "zeta"]),
+    (lambda arrays: [arrays.pop(n) for n in ("head.b", "head.W")], ["head.W", "head.b"], [])],
+    ids=["extra", "missing"])
+def test_load_model_rejects_a_different_parameter_set(tmp_path, edit, missing, extra):
     ds = save_with_parameter(tmp_path, "head.W", lambda w: w)
     arrays = dict(np.load(tmp_path / "model.npz"))
     edit(arrays)
     np.savez(tmp_path / "model.npz", **arrays)
-    with pytest.raises(ValueError, match="snapshot parameters do not match the architecture"):
+    with pytest.raises(ValueError) as info:
         load_model(tmp_path, ds)
+    assert str(info.value) == (f"{tmp_path / 'model.npz'} does not match the architecture: "
+                               f"missing {missing}, extra {extra}")
 
 
 def test_load_model_rejects_non_finite_parameter(tmp_path):
