@@ -12,12 +12,12 @@ Schema (all sections optional unless noted, defaults in parentheses):
         task: classification | regression (classification)
         classes: int (3)
         basis_order: int (3)
-        views:                            # required, one entry per view
+        views:                            # required, at least one, distinct ids
           - id: str
             kind: temporal | static | categorical (static)
-            time_steps: int               # temporal only
-            channels: int                 # temporal and static
-            cardinality: int              # categorical only
+            time_steps: int               # temporal only, >= 1
+            channels: int                 # temporal and static, >= 1
+            cardinality: int              # categorical only, >= 2
             noise: float (0.1)
             redundancy: float (0.8)
             loading_seed: int (0)
@@ -47,7 +47,7 @@ Schema (all sections optional unless noted, defaults in parentheses):
       class_weighting: bool (true)
     eval:
       view: str                           # focus view for sweep and ablate
-      grid: [float] ([0, 0.25, 0.5, 0.75, 1.0])
+      grid: [float] ([0, 0.25, 0.5, 0.75, 1.0])  # at least one value, each in [0, 1]
       scenarios:
         - kind: none | only_missing | only_available | fraction
           view: str
@@ -58,7 +58,8 @@ Schema (all sections optional unless noted, defaults in parentheses):
 Each section is the dataclass that holds it: a key must name one of its
 fields (``YAML_NAMES`` renames the few whose YAML name differs), and each
 value is checked against the field's annotation before the dataclass checks
-its ranges (``ExperimentConfig`` checks those that span sections). An int is
+its ranges (``ExperimentConfig`` checks those that span sections); a view's
+dimension key that its kind does not take is an error too. An int is
 never a bool, a float field takes an int, and ``null`` is allowed only where
 a field may be unset. Any mismatch is a ``ConfigError`` naming the path, such
 as ``eval.scenarios[1]``; a field without a default is a required key. The
@@ -124,6 +125,8 @@ class EvalConfig:
             raise ValueError("folds and repeats must be >= 1")
         if self.repeats > 1 and self.folds == 1:
             raise ValueError(f"repeats {self.repeats} needs folds > 1, got folds 1")
+        if not self.grid:
+            raise ValueError("grid needs at least one value")
         if any(not 0.0 <= p <= 1.0 for p in self.grid):
             raise ValueError("grid values must lie in [0, 1]")
 

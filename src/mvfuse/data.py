@@ -53,27 +53,38 @@ def _check_view(spec: ViewSpec, arr: np.ndarray) -> None:
 TASKS = ("classification", "regression")
 
 
+def check_views(views: list[ViewSpec]) -> None:
+    """ValueError unless ``views`` is non-empty and its ids are distinct."""
+    if not views:
+        raise ValueError("need at least one view")
+    ids = [v.id for v in views]
+    for i, vid in enumerate(ids):
+        if vid in ids[:i]:
+            raise ValueError(f"view id {vid!r} is declared more than once")
+
+
 class MultiViewDataset:
     """Per-sample view arrays plus targets.
 
     ``views[id]`` is (N, T, c) for temporal views, (N, c) for static views,
     and (N,) integer codes for categorical views. Targets are integer class
-    labels in [0, n_classes) or float regression values.
+    labels in [0, n_classes) or float regression values. Each record of
+    ``view_specs``, a ``ViewFile`` say, is kept as its plain ``ViewSpec``.
     """
 
     def __init__(self, view_specs: list[ViewSpec], views: dict[str, np.ndarray],
                  y: np.ndarray, task: str, n_classes: int | None = None):
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}")
-        self.view_specs = list(view_specs)
+        check_views(view_specs)
+        self.view_specs = [ViewSpec(s.id, s.kind, s.time_steps, s.channels, s.cardinality)
+                           for s in view_specs]
         self.views = dict(views)
         self.y = np.asarray(y)
         self.task = task
         self.n_classes = n_classes
         n = self.y.shape[0]
         for spec in self.view_specs:
-            if self.view_ids.count(spec.id) > 1:
-                raise DataError(f"view id {spec.id!r} is declared more than once")
             if spec.id not in self.views:
                 raise UnknownViewError(f"view {spec.id!r} missing from data")
             rows = self.views[spec.id].shape[0]
@@ -109,15 +120,11 @@ class MultiViewDataset:
 # -- synthetic generation ------------------------------------------------------
 
 
-@dataclass
-class SyntheticViewConfig:
-    """How to render one synthetic view from the latent factors."""
+@dataclass(frozen=True, kw_only=True)
+class SyntheticViewConfig(ViewSpec):
+    """A view's spec and how to render it from the latent factors."""
 
-    id: str
     kind: str = "static"
-    time_steps: int | None = None
-    channels: int | None = None
-    cardinality: int | None = None
     noise: float = 0.1
     redundancy: float = 0.8
     loading_seed: int = 0
@@ -127,11 +134,7 @@ class SyntheticViewConfig:
             raise ValueError("redundancy must be in [0, 1]")
         if not self.noise >= 0.0:
             raise ValueError("noise must be >= 0")
-        self.spec()
-
-    def spec(self) -> ViewSpec:
-        return ViewSpec(id=self.id, kind=self.kind, time_steps=self.time_steps,
-                        channels=self.channels, cardinality=self.cardinality)
+        super().__post_init__()
 
 
 @dataclass
@@ -147,11 +150,7 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.n_samples < 1 or self.latent_dim < 1 or self.basis_order < 1:
             raise ValueError("n_samples, latent_dim and basis_order must be >= 1")
-        if not self.views:
-            raise ValueError("need at least one view")
-        repeated = [v.id for v in self.views if [w.id for w in self.views].count(v.id) > 1]
-        if repeated:
-            raise ValueError(f"view id {repeated[0]!r} is declared more than once")
+        check_views(self.views)
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.task == "classification" and self.classes < 2:
@@ -178,31 +177,28 @@ def generate_synthetic(cfg: SyntheticConfig) -> MultiViewDataset:
     u = rng.standard_normal((n, k))
 
     views: dict[str, np.ndarray] = {}
-    specs: list[ViewSpec] = []
-    for vcfg in cfg.views:
-        spec = vcfg.spec()
-        specs.append(spec)
-        load_rng = np.random.default_rng(vcfg.loading_seed)
+    for view in cfg.views:
+        load_rng = np.random.default_rng(view.loading_seed)
         private = rng.standard_normal((n, k))
-        mix = vcfg.redundancy * u + (1.0 - vcfg.redundancy) * private
-        if spec.kind == "temporal":
-            c, T, j = spec.channels, spec.time_steps, cfg.basis_order
+        mix = view.redundancy * u + (1.0 - view.redundancy) * private
+        if view.kind == "temporal":
+            c, T, j = view.channels, view.time_steps, cfg.basis_order
             loading = load_rng.standard_normal((j, c, k)) / np.sqrt(k)
             basis = _temporal_basis(j, T)
             coeffs = np.einsum("nk,jck->njc", mix, loading)
             series = np.einsum("jt,njc->ntc", basis, coeffs)
-            series += vcfg.noise * rng.standard_normal(series.shape)
-            views[spec.id] = series
-        elif spec.kind == "static":
-            c = spec.channels
+            series += view.noise * rng.standard_normal(series.shape)
+            views[view.id] = series
+        elif view.kind == "static":
+            c = view.channels
             loading = load_rng.standard_normal((c, k)) / np.sqrt(k)
-            x = mix @ loading.T + vcfg.noise * rng.standard_normal((n, c))
-            views[spec.id] = x
+            x = mix @ loading.T + view.noise * rng.standard_normal((n, c))
+            views[view.id] = x
         else:
             loading = load_rng.standard_normal(k) / np.sqrt(k)
-            raw = mix @ loading + vcfg.noise * rng.standard_normal(n)
-            edges = np.quantile(raw, np.linspace(0, 1, spec.cardinality + 1)[1:-1])
-            views[spec.id] = np.digitize(raw, edges).astype(np.int64)
+            raw = mix @ loading + view.noise * rng.standard_normal(n)
+            edges = np.quantile(raw, np.linspace(0, 1, view.cardinality + 1)[1:-1])
+            views[view.id] = np.digitize(raw, edges).astype(np.int64)
 
     label_rng = np.random.default_rng(cfg.seed + 1_000_003)
     if cfg.task == "classification":
@@ -213,7 +209,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> MultiViewDataset:
         readout = label_rng.standard_normal(k) / np.sqrt(k)
         y = u @ readout
         n_classes = None
-    return MultiViewDataset(specs, views, y, cfg.task, n_classes)
+    return MultiViewDataset(cfg.views, views, y, cfg.task, n_classes)
 
 
 # -- splits ---------------------------------------------------------------------
@@ -350,6 +346,7 @@ class Manifest:
     norm_stats: dict[str, NormStats] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_views(self.views)
         channels = {v.id: v.channels for v in self.views if v.kind != "categorical"}
         for vid, stats in self.norm_stats.items():
             if vid not in channels:
@@ -433,12 +430,14 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
             raise DataError(f"targets file {target_file} has no 'y' column")
         label = _int_field if task == "classification" else _float_field
         for ln, row in enumerate(reader, start=2):
+            if row["y"] is None:  # the row is shorter than the header
+                raise DataError(f"{target_file}:{ln}: expected a 'y' field")
             y_vals.append(label(row["y"], f"{target_file}:{ln}"))
+    if not y_vals:
+        raise DataError(f"targets file {target_file} has no rows after its header")
     y = np.asarray(y_vals, dtype=np.int64 if task == "classification" else np.float64)
     n = y.shape[0]
 
-    specs = [ViewSpec(v.id, v.kind, v.time_steps, v.channels, v.cardinality)
-             for v in manifest.views]
     views: dict[str, np.ndarray] = {}
     for entry in manifest.views:
         vid, T, c = entry.id, entry.time_steps, entry.channels
@@ -471,6 +470,6 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
     n_classes = manifest.targets.classes
     if task == "classification" and n_classes is None:
         n_classes = int(y.max()) + 1
-    ds = MultiViewDataset(specs, views, y, task, n_classes)
+    ds = MultiViewDataset(manifest.views, views, y, task, n_classes)
     stats = {vid: asdict(entry) for vid, entry in manifest.norm_stats.items()}
     return zscore_apply(ds, stats) if stats else ds

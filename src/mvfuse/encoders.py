@@ -16,7 +16,10 @@ import numpy as np
 from .layers import Affine, Conv1d, Dropout, LayerNorm, Module
 from .tensor import Tensor
 
-VIEW_KINDS = ("temporal", "static", "categorical")
+# kind -> the dimensions it takes, in ``raw_shape`` order, with each one's least value
+VIEW_DIMS = {"temporal": {"time_steps": 1, "channels": 1},
+             "static": {"channels": 1},
+             "categorical": {"cardinality": 2}}
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,7 @@ class ViewSpec:
 
     Temporal views are (time_steps, channels) series; static views are
     channel vectors; categorical views are single integer codes with the
-    given cardinality.
+    given cardinality. A dimension the kind does not take stays unset.
     """
 
     id: str
@@ -35,29 +38,22 @@ class ViewSpec:
     cardinality: int | None = None
 
     def __post_init__(self):
-        if self.kind not in VIEW_KINDS:
+        if self.kind not in VIEW_DIMS:
             raise ValueError(f"unknown view kind {self.kind!r}")
-        if self.kind == "temporal":
-            if not self.time_steps or self.time_steps < 1:
-                raise ValueError("temporal view needs time_steps >= 1")
-            if not self.channels or self.channels < 1:
-                raise ValueError("temporal view needs channels >= 1")
-        elif self.kind == "static":
-            if not self.channels or self.channels < 1:
-                raise ValueError("static view needs channels >= 1")
-        else:
-            if not self.cardinality or self.cardinality < 2:
-                raise ValueError("categorical view needs cardinality >= 2")
+        dims = VIEW_DIMS[self.kind]
+        for name in ("time_steps", "channels", "cardinality"):
+            value = getattr(self, name)
+            if name not in dims:
+                if value is not None:
+                    raise ValueError(f"{self.kind} view takes no {name}")
+            elif value is None or value < dims[name]:
+                raise ValueError(f"{self.kind} view needs {name} >= {dims[name]}")
 
     @property
     def raw_shape(self) -> tuple[int, ...]:
         """Per-sample shape of the view as its encoder reads it; categorical
         codes arrive one-hot."""
-        if self.kind == "temporal":
-            return (self.time_steps, self.channels)
-        if self.kind == "static":
-            return (self.channels,)
-        return (self.cardinality,)
+        return tuple(getattr(self, name) for name in VIEW_DIMS[self.kind])
 
 
 @dataclass
@@ -130,8 +126,5 @@ class StaticEncoder(Module):
 
 def make_encoder(spec: ViewSpec, cfg: EncoderConfig, rng: np.random.Generator) -> Module:
     """Build the encoder matching a view's kind; categorical views reuse the MLP."""
-    if spec.kind == "temporal":
-        return TemporalEncoder(spec.channels, cfg, rng)
-    if spec.kind == "static":
-        return StaticEncoder(spec.channels, cfg, rng)
-    return StaticEncoder(spec.cardinality, cfg, rng)
+    encoder = TemporalEncoder if spec.kind == "temporal" else StaticEncoder
+    return encoder(spec.raw_shape[-1], cfg, rng)

@@ -386,6 +386,17 @@ def append_line(path, line):
     path.write_text(path.read_text() + line + "\n")
 
 
+def without_csvs(edit):
+    """``edit`` after deleting the dataset's CSV files, so that an error shows
+    the manifest was rejected before any of them was opened."""
+    def run(d):
+        for path in d.glob("*.csv"):
+            path.unlink()
+        edit(d)
+
+    return run
+
+
 def set_key(*path_and_value):
     """An edit that sets the manifest node at the key path to the value."""
     *parents, key, value = path_and_value
@@ -461,8 +472,20 @@ BROKEN_DATA = [
     pytest.param(set_key("norm_stats", {"soil": {"mean": [0.0, 0.0], "sd": [1.0, 1.0]}}),
                  "DataError", "{m}: unknown key(s) in norm_stats['soil']: sd",
                  id="misspelled-std"),
-    pytest.param(lambda d: edit_manifest(d, lambda m: m["views"].append(dict(m["views"][1]))),
-                 "DataError", "view id 'soil' is declared more than once", id="repeated-view-id"),
+    pytest.param(without_csvs(lambda d: edit_manifest(
+                     d, lambda m: m["views"].append(dict(m["views"][1])))),
+                 "DataError", "{m}: invalid document: view id 'soil' is declared more than once",
+                 id="repeated-view-id"),
+    pytest.param(without_csvs(set_key("views", [])), "DataError",
+                 "{m}: invalid document: need at least one view", id="no-views"),
+    pytest.param(set_key("views", 1, "time_steps", 7), "DataError",
+                 "{m}: invalid views[1]: static view takes no time_steps", id="static-time-steps"),
+    pytest.param(lambda d: replace_field(d / "targets.csv", 1, 0, ",y"), "DataError",
+                 "{d}/targets.csv:2: expected a 'y' field", id="target-row-shorter-than-header"),
+    pytest.param(lambda d: ((d / "targets.csv").write_text("y\n"),
+                            edit_manifest(d, lambda m: m["targets"].pop("classes"))), "DataError",
+                 "targets file {d}/targets.csv has no rows after its header",
+                 id="header-only-targets"),
 ]
 
 
@@ -512,6 +535,18 @@ class TestBoundaries:
                           "message": "synth needs a data.synthetic section"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, raw, message", [
+        ("train", with_value("data.synthetic.views.1.time_steps", 7),
+         "invalid data.synthetic.views[1]: static view takes no time_steps"),
+        ("sweep", with_value("eval.grid", []), "invalid eval: grid needs at least one value")],
+        ids=["static-time-steps", "empty-grid"])
+    def test_config_rejection_writes_nothing(self, tmp_path, capsys, command, raw, message):
+        out = tmp_path / "run"
+        code, record = self.run(capsys, [command, "--config", write_config(tmp_path, raw),
+                                         "--out", str(out)])
+        assert code == 2
+        assert record == {"error": "config", "message": message}
+        assert not out.exists()
 
     def test_repeated_synthetic_view_id_is_config_error(self, tmp_path, capsys):
         raw = base_config()
@@ -566,8 +601,10 @@ class TestBoundaries:
         (("fusion", "permute"), 1, "fusion.permute must be bool, got 1"),
         (("n_outputs",), True, "n_outputs must be int, got True"),
         (("n_outputs",), "1", "n_outputs must be int, got '1'"),
-        (("n_outputs",), 1.0, "n_outputs must be int, got 1.0")],
-        ids=["bool-heads", "int-permute", "bool-n-outputs", "str-n-outputs", "float-n-outputs"])
+        (("n_outputs",), 1.0, "n_outputs must be int, got 1.0"),
+        (("views", 1, "time_steps"), 7, "invalid views[1]: static view takes no time_steps")],
+        ids=["bool-heads", "int-permute", "bool-n-outputs", "str-n-outputs", "float-n-outputs",
+             "static-time-steps"])
     def test_ill_typed_snapshot_field_is_runtime_error(self, tmp_path, capsys, keys, value,
                                                        words):
         # a bool is no int: "heads": true used to load and then fail with a
@@ -578,8 +615,11 @@ class TestBoundaries:
         assert main(["train", "--config", cfg, "--out", str(trained)]) == 0
         arch_path = trained / "model.json"
         arch = json.loads(arch_path.read_text())
-        *section, key = keys
-        (arch[section[0]] if section else arch)[key] = value
+        *parents, key = keys
+        node = arch
+        for name in parents:
+            node = node[name]
+        node[key] = value
         arch_path.write_text(json.dumps(arch))
         out = tmp_path / "run"
         code, record = self.run(capsys, ["evaluate", "--config", cfg, "--out", str(out),
@@ -861,3 +901,102 @@ def test_mutated_manifest_trains_or_fails_with_one_record(saved_dataset, data):
     with tempfile.TemporaryDirectory(dir=mutated.parent) as tmp:
         # the config is valid, so every error is the manifest's: exit 3
         exits_cleanly(["train", "--config", cfg, "--out", str(Path(tmp) / "run")], (0, 3))
+
+
+CSV_TOKENS = st.sampled_from(["", "x", "nan", "1e999", "1.5", "-1", "99", "0"])
+
+
+def draw_csv_edit(data, text):
+    """``text``, a CSV file, after one edit drawn from ``data``: a field
+    replaced by a token, dropped or added; a line deleted, duplicated or
+    truncated; or the whole file emptied."""
+    edit = data.draw(st.sampled_from(["replace", "drop", "add", "delete", "duplicate",
+                                      "truncate", "empty"]))
+    if edit == "empty":
+        return ""
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if edit in ("replace", "drop", "add"):
+        fields = lines[i].split(",")
+        j = data.draw(st.integers(0, len(fields) - 1))
+        if edit == "replace":
+            fields[j] = data.draw(CSV_TOKENS)
+        elif edit == "drop":
+            del fields[j]
+        else:
+            fields.insert(j, data.draw(CSV_TOKENS))
+        lines[i] = ",".join(fields)
+    elif edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_csv_trains_or_fails_with_one_record(saved_dataset, data):
+    manifest, mutated, _ = saved_dataset
+    names = sorted(path.name for path in mutated.parent.glob("*.csv"))
+    with tempfile.TemporaryDirectory(dir=mutated.parent) as tmp:
+        tmp = Path(tmp)
+        for name in names:
+            (tmp / name).write_text((mutated.parent / name).read_text())
+        name = data.draw(st.sampled_from(names))
+        (tmp / name).write_text(draw_csv_edit(data, (tmp / name).read_text()))
+        (tmp / "manifest.json").write_text(json.dumps(manifest))
+        raw = tiny_config()
+        raw["data"] = {"source": "manifest", "manifest": str(tmp / "manifest.json"),
+                       "val_fraction": 0.25}
+        # the config and the manifest are valid, so every error is a CSV's: exit 3
+        exits_cleanly(["train", "--config", write_config(tmp, raw), "--out", str(tmp / "run")],
+                      (0, 3))
+
+
+def draw_npz_edit(data, arrays):
+    """A copy of the ``model.npz`` arrays after one edit drawn from ``data``:
+    an array's dtype changed; it flattened, transposed, emptied or made a
+    scalar; a NaN or an infinity put in; it deleted; or an extra array added."""
+    arrays = dict(arrays)
+    name = data.draw(st.sampled_from(sorted(arrays)))
+    value = arrays[name]
+    edit = data.draw(st.sampled_from(["dtype", "flatten", "transpose", "empty", "scalar",
+                                      "non-finite", "delete", "extra"]))
+    if edit == "dtype":
+        arrays[name] = value.astype(data.draw(st.sampled_from(
+            [np.float16, np.float32, np.int64, np.bool_, np.uint8, np.complex128])))
+    elif edit == "flatten":
+        arrays[name] = value.ravel()
+    elif edit == "transpose":
+        arrays[name] = value.T
+    elif edit == "empty":
+        arrays[name] = value[:0]
+    elif edit == "scalar":
+        arrays[name] = np.float64(data.draw(st.floats(-2.0, 2.0)))
+    elif edit == "non-finite":
+        value = value.copy()
+        value.flat[data.draw(st.integers(0, value.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        arrays[name] = value
+    elif edit == "delete":
+        del arrays[name]
+    else:
+        arrays["extra"] = np.zeros(2)
+    return arrays
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_npz_evaluates_or_fails_with_one_record(trained_snapshot, data):
+    cfg, trained = trained_snapshot
+    with np.load(trained / "model.npz") as archive:
+        arrays = dict(archive)
+    with tempfile.TemporaryDirectory(dir=trained.parent) as tmp:
+        snapshot = Path(tmp)
+        (snapshot / "model.json").write_text((trained / "model.json").read_text())
+        np.savez(snapshot / "model.npz", **draw_npz_edit(data, arrays))
+        # the config and model.json are valid, so every error is model.npz's: exit 3
+        exits_cleanly(["evaluate", "--config", cfg, "--out", str(snapshot / "run"),
+                       "--model", str(snapshot)], (0, 3))

@@ -360,6 +360,20 @@ class TestLoaderErrors:
         with pytest.raises(UnknownViewError, match="thermal"):
             MultiViewDataset(specs, ds.views, ds.y, ds.task, ds.n_classes)
 
+    def test_dataset_keeps_each_view_record_as_its_plain_spec(self):
+        ds = generate_synthetic(small_config())
+        assert [type(s) for s in ds.view_specs] == [ViewSpec] * 3
+        assert ds.view_specs[1] == ViewSpec(id="radar", kind="static", channels=4)
+        assert ds.subset(np.arange(5)).view_specs == ds.view_specs
+
+    def test_dataset_view_list_is_checked(self):
+        ds = generate_synthetic(small_config())
+        with pytest.raises(ValueError, match="^need at least one view$"):
+            MultiViewDataset([], {}, ds.y, ds.task, ds.n_classes)
+        with pytest.raises(ValueError, match="^view id 'radar' is declared more than once$"):
+            MultiViewDataset(ds.view_specs + ds.view_specs[1:2], ds.views, ds.y, ds.task,
+                             ds.n_classes)
+
     def test_static_row_width_names_file_and_line(self, tmp_path):
         # 2 rows of 4 values under 2 channels used to load as 4 scrambled samples
         (tmp_path / "targets.csv").write_text("y\n0\n1\n0\n1\n")

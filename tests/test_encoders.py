@@ -121,6 +121,25 @@ class TestViewSpec:
         with pytest.raises(ValueError):
             ViewSpec(id="a", kind="spatial")
 
+    @pytest.mark.parametrize("dims, message", [
+        ({"kind": "temporal", "time_steps": 3}, "temporal view needs channels >= 1"),
+        ({"kind": "static"}, "static view needs channels >= 1"),
+        ({"kind": "categorical", "cardinality": None}, "categorical view needs cardinality >= 2"),
+        ({"kind": "static", "channels": 2, "time_steps": 7}, "static view takes no time_steps"),
+        ({"kind": "static", "channels": 2, "cardinality": 3},
+         "static view takes no cardinality"),
+        ({"kind": "temporal", "time_steps": 3, "channels": 2, "cardinality": 3},
+         "temporal view takes no cardinality"),
+        ({"kind": "categorical", "cardinality": 3, "channels": 1},
+         "categorical view takes no channels")],
+        ids=["temporal-no-channels", "static-no-channels", "categorical-no-cardinality",
+             "static-time-steps", "static-cardinality", "temporal-cardinality",
+             "categorical-channels"])
+    def test_each_kind_takes_its_own_dimensions(self, dims, message):
+        with pytest.raises(ValueError) as info:
+            ViewSpec(id="a", **dims)
+        assert str(info.value) == message
+
     def test_raw_shapes(self):
         assert ViewSpec(id="a", kind="temporal", time_steps=4, channels=3).raw_shape == (4, 3)
         assert ViewSpec(id="b", kind="static", channels=5).raw_shape == (5,)
