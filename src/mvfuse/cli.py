@@ -48,8 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if name in ("evaluate", "sweep"):
             p.add_argument("--model", default=None,
-                           help="directory with model.json/model.npz "
-                                "(default: --out, trains if absent)")
+                           help="directory holding a saved model.json/model.npz, "
+                                "which must exist (default: --out, trains there "
+                                "if absent)")
 
     p = sub.add_parser("gradcheck",
                        help="run the finite-difference gradient battery")

@@ -35,11 +35,14 @@ class MissingScenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+        if self.kind == "none" and self.view is not None:
+            raise ValueError("scenario 'none' takes no view")
         if self.kind != "none" and self.view is None:
             raise ValueError(f"scenario {self.kind!r} needs a view")
-        if self.kind == "fraction":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError("fraction scenario needs p in [0, 1]")
+        if self.kind != "fraction" and self.p is not None:
+            raise ValueError(f"scenario {self.kind!r} takes no p")
+        if self.kind == "fraction" and (self.p is None or not 0.0 <= self.p <= 1.0):
+            raise ValueError("fraction scenario needs p in [0, 1]")
 
     def key(self) -> str:
         if self.kind == "none":

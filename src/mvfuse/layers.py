@@ -138,10 +138,6 @@ class LSTMCell(Module):
         h, c = lstm_scan([x], self.W, self.b, state=(h_prev, c_prev))
         return h, c
 
-    def zero_state(self, batch_shape: tuple = ()) -> tuple[Tensor, Tensor]:
-        shape = batch_shape + (self.d_h,)
-        return Tensor(np.zeros(shape)), Tensor(np.zeros(shape))
-
 
 class MultiHeadAttention(Module):
     """Scaled dot-product self-attention over a set of rows.

@@ -400,7 +400,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._result(out_data, tuple(ts), backward, "stack")
 
 
-# Window elements per block of an unrecorded convolution: 512 KiB, a quarter
+# Window elements per block of an unrecorded K-tap node: 512 KiB, a quarter
 # of a 2 MiB per-core L2, so a block's window, input and output stay in cache.
 WINDOW_BLOCK = 2**16
 
@@ -412,10 +412,13 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
     ``W`` is (c, n), a weight over the last axis, or the (K, c, n) taps of a
     'same' convolution over the time axis of (..., T >= 1, c), even at K = 1:
     window row t holds steps t - K//2 .. t + K//2, tap-major, zero outside the
-    series; K must be odd. ``b`` is (n,). The graph keeps only the window and the
-    output; the backward folds into the input's gradient. A K-tap node that is
-    not recorded runs window and product over blocks of about ``WINDOW_BLOCK``
-    window elements of leading rows instead, bit-identical, into one output."""
+    series; K must be odd. ``b`` is (n,). One loop builds the window and runs
+    the product block by block over the leading rows into one output, with
+    bias, rectifier and mask applied in place per block. A block holds every
+    row at K = 1, where the window is the input itself, and when recorded,
+    as the backward reads the whole window for the weight gradient; else
+    about ``WINDOW_BLOCK`` window elements. The graph keeps only the window
+    and the output; the backward folds into the input's gradient."""
     if W.ndim not in (2, 3) or (b is not None and b.shape != W.shape[-1:]):
         raise ValueError(f"window_affine needs W (c, n) or (K, c, n) and b (n,), "
                          f"got {W.shape} and {None if b is None else b.shape}")
@@ -430,42 +433,31 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
     Wm = W.data.reshape(-1, n)
     kernel = W.shape[0] if W.ndim == 3 else 1
     parents = (x, W) if b is None else (x, W, b)
-
-    def finish(z, mask):  # bias, rectifier and keep mask, in place
+    T, pad = (x.shape[-2], kernel // 2) if W.ndim == 3 else (1, 0)
+    # window steps lo..hi-1 of each tap that reads the series take input
+    # steps lo+shift..hi+shift-1, so no slice bound is ever negative; at
+    # K = 1 the window is the input itself
+    taps = [(tau, tau - pad, max(0, pad - tau), min(T, T + pad - tau))
+            for tau in range(kernel) if abs(tau - pad) < T] if kernel > 1 else []
+    xs = x.data.reshape(-1, T, c)
+    whole = kernel == 1 or (_GRAD_ENABLED and any(p.requires_grad for p in parents))
+    rows = max(1, len(xs) if whole else WINDOW_BLOCK // (T * kernel * c))
+    win = xs if kernel == 1 else np.zeros((min(rows, len(xs)), T, kernel * c))
+    out = np.empty(x.shape[:-1] + (n,))
+    blocks = out.reshape(-1, T, n)
+    keeps = None if keep is None else keep.reshape(blocks.shape)
+    for lo in range(0, len(xs), rows):
+        z, part = blocks[lo:lo + rows], win[:len(xs) - lo]
+        for tau, shift, t0, t1 in taps:
+            part[:, t0:t1, tau * c:(tau + 1) * c] = xs[lo:lo + rows, t0 + shift:t1 + shift]
+        np.matmul(part.reshape(-1, kernel * c), Wm, out=z.reshape(-1, n))
         if b is not None:
             z += b.data
         if relu:
             np.maximum(z, 0.0, out=z)
-        if mask is not None:
-            z *= mask
-        return z
-
-    win = x.data.reshape(-1, c)
-    if kernel > 1:
-        T, pad = x.shape[-2], kernel // 2
-        # window steps lo..hi-1 of each tap that reads the series take input
-        # steps lo+shift..hi+shift-1, so no slice bound is ever negative
-        taps = [(tau, tau - pad, max(0, pad - tau), min(T, T + pad - tau))
-                for tau in range(kernel) if abs(tau - pad) < T]
-        xs = x.data.reshape(-1, T, c)
-        if not (_GRAD_ENABLED and any(p.requires_grad for p in parents)):
-            rows = max(1, WINDOW_BLOCK // (T * kernel * c))
-            buf = np.zeros((min(rows, len(xs)), T, kernel * c))
-            out = np.empty(x.shape[:-1] + (n,))
-            blocks = out.reshape(-1, T, n)
-            keeps = None if keep is None else keep.reshape(blocks.shape)
-            for lo in range(0, len(xs), rows):
-                z, part = blocks[lo:lo + rows], buf[:len(xs) - lo]
-                for tau, shift, t0, t1 in taps:
-                    part[:, t0:t1, tau * c:(tau + 1) * c] = xs[lo:lo + rows, t0 + shift:t1 + shift]
-                np.matmul(part.reshape(-1, kernel * c), Wm, out=z.reshape(-1, n))
-                finish(z, None if keeps is None else keeps[lo:lo + rows])
-            return Tensor._result(out, parents, None, "window_affine")
-        win = np.zeros(x.shape[:-1] + (kernel * c,))
-        for tau, shift, lo, hi in taps:
-            win[..., lo:hi, tau * c:(tau + 1) * c] = x.data[..., lo + shift:hi + shift, :]
-        win = win.reshape(-1, kernel * c)
-    out = finish((win @ Wm).reshape(x.shape[:-1] + (n,)), keep)
+        if keeps is not None:
+            z *= keeps[lo:lo + rows]
+    win = win.reshape(-1, kernel * c)
 
     def backward(g):
         dz = g if keep is None else g * keep
@@ -512,12 +504,13 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
     row-major layout would run the gate math on d-wide strided column
     slices, several times slower at the small d of memory fusion. h and c
     stay feature-major between steps, so no step transposes its state; a
-    shared parent's state is gathered by block in numpy. Unrecorded, the
-    node allocates its buffers once at the widest step: one gate and one
-    product buffer, two h and two c buffers used in turn, and one for a
-    step's stacked inputs. Recorded, it keeps each step's input rows, its
-    parents' h and c, its gates after their nonlinearity and tanh(c). The
-    backward then runs back through time inside the node, carrying dh and
+    shared parent's state is gathered by block in numpy. The forward takes
+    every temporary from ``array``: unrecorded, the front of a buffer
+    allocated once at the widest step (one gate and one product buffer, two
+    h and two c buffers used in turn, and one for a step's stacked inputs);
+    recorded, a fresh array, so each step's input rows, its parents' h and
+    c, its gates after their nonlinearity and tanh(c) stay for the
+    backward. That runs back through time inside the node, carrying dh and
     dc feature-major and adding the blocks that share a parent, and takes
     the x, W and b gradients after the step loop; it skips every gradient
     that no input needs, such as a constant state's. The outputs hand their
@@ -573,8 +566,7 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
                               out=array(buf, (d, R)).reshape(d, -1, n)).reshape(d, R)
                       for s, buf in ((h, 2 + turn), (c, 4 + turn)))
         if Hp is not None:
-            gates += (Wd[k:].T @ Hp if record else
-                      np.matmul(Wd[k:].T, Hp, out=array(1, (4 * d, R))))
+            gates += np.matmul(Wd[k:].T, Hp, out=array(1, (4 * d, R)))
         gates += b.data[:, None]
         sig = gates[:3 * d]
         np.negative(sig, out=sig)
@@ -587,10 +579,10 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
         c = array(4 + turn, (d, R))
         if Cp is not None:
             np.multiply(f, Cp, out=c)
-            c += i * g if record else np.multiply(i, g, out=i)
+            c += np.multiply(i, g, out=array(1, (d, R)))
         else:
             np.multiply(i, g, out=c)
-        tanh_c = np.tanh(c, out=None if record else f)
+        tanh_c = np.tanh(c, out=array(1, (d, R)))
         h = (out[ends[t] - R:ends[t]].T if keep else out.T if t == len(steps) - 1
              else array(2 + turn, (d, R)))
         np.multiply(o, tanh_c, out=h)
@@ -651,24 +643,17 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
             slope = np.subtract(1.0, gates[:3 * d])
             slope *= gates[:3 * d]
             dz[:3 * d] *= slope
-            dh_next = Wd[k:] @ dz if t else None
+            dh_next = Wd[k:] @ dz if Hp is not None and (t or state[0].requires_grad) else None
             if ups[t] is not None:
                 dh_next, dc_next = (route(a, ups[t], len(steps[t - 1]))
                                     for a in (dh_next, dc_next))
-        dxh = None
-        if state is not None and (wants_x or state[0].requires_grad):
-            # one product for the x and h gradients of a step from a state, so
-            # LSTMCell.step's gradients keep their values: at small shapes BLAS
-            # rounds the row-split products apart
-            dxh = Wd @ dzs[0]
-            dh_next = dxh[k:]
         for s, ds in zip(state or (), (dh_next, dc_next)):
             if s.requires_grad:
                 s._accumulate(ds.T)
         if wants_x:
             dxs = {}
-            for t, (step, dz) in enumerate(zip(steps, dzs)):
-                dX = dxh[:k] if t == 0 and dxh is not None else Wd[:k] @ dz
+            for step, dz in zip(steps, dzs):
+                dX = Wd[:k] @ dz
                 for j, i in enumerate(step):
                     part = dX[:, j * n:(j + 1) * n]
                     dxs[i] = part if i not in dxs else dxs[i] + part

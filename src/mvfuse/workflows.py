@@ -20,7 +20,7 @@ from .fusion import FusionConfig
 from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .model import build_model, load_model, save_model
 from .rng import stream
-from .training import TrainResult, train_model
+from .training import train_model
 
 
 def load_raw_dataset(cfg: ExperimentConfig) -> data_mod.MultiViewDataset:
@@ -112,10 +112,15 @@ def fit_model(cfg: ExperimentConfig, ds_train, ds_val, init_stream=("init",),
     return model, result
 
 
-def _write_log(path: Path, result: TrainResult) -> None:
-    with open(path, "w", newline="\n") as fh:
+def _train_and_save(cfg: ExperimentConfig, out: Path, ds_train, ds_val):
+    """``fit_model`` on the configured split, with its snapshot and
+    ``train_log.jsonl`` written into ``out``; returns (model, result)."""
+    model, result = fit_model(cfg, ds_train, ds_val)
+    save_model(model, cfg.encoder, cfg.fusion, out)
+    with open(out / "train_log.jsonl", "w", newline="\n") as fh:
         for record in result.log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return model, result
 
 
 def run_synth(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
@@ -134,23 +139,20 @@ def run_train(cfg: ExperimentConfig, out_dir: str | Path):
     config, which reruns the run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ds_train, ds_val = prepare_data(cfg)
-    model, result = fit_model(cfg, ds_train, ds_val)
-    save_model(model, cfg.encoder, cfg.fusion, out)
-    _write_log(out / "train_log.jsonl", result)
+    model, result = _train_and_save(cfg, out, *prepare_data(cfg))
     data_mod.write_json(out / "resolved_config.json", resolved_dict(cfg))
     return model, result
 
 
 def _model_for_eval(cfg: ExperimentConfig, out: Path, model_dir: str | Path | None,
                     ds_train, ds_val):
-    for path in [Path(p) for p in (model_dir, out) if p is not None]:
-        if (path / "model.json").exists():
-            return load_model(path, ds_val)
-    model, result = fit_model(cfg, ds_train, ds_val)
-    save_model(model, cfg.encoder, cfg.fusion, out)
-    _write_log(out / "train_log.jsonl", result)
-    return model
+    """The snapshot in ``model_dir``, which must hold one, or else the one in
+    ``out``, trained and saved there first if absent."""
+    if model_dir is not None:
+        return load_model(model_dir, ds_val)
+    if (out / "model.json").exists():
+        return load_model(out, ds_val)
+    return _train_and_save(cfg, out, ds_train, ds_val)[0]
 
 
 def run_evaluate(cfg: ExperimentConfig, out_dir: str | Path,

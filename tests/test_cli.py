@@ -68,6 +68,8 @@ MALFORMED = [
     ("fusion.layers", 0), ("fusion.heads", 0), ("fusion.dropout", 1.0),
     ("train.batch_size", 0), ("train.patience", 0), ("train.max_epochs", 0),
     ("aug.tempd_ratio", 1.0), ("eval.repeats", 3),
+    ("eval.scenarios", [{"kind": "only_missing", "view": "radar", "p": 0.3}]),
+    ("eval.scenarios", [{"kind": "none", "view": "radar"}]),
 ]
 
 
@@ -199,6 +201,19 @@ class TestSweep:
         lines = (out / "report.csv").read_text().splitlines()[1:]
         ps = sorted({line.split(",")[2] for line in lines})
         assert len(ps) == 3
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_explicit_model_dir_without_snapshot_is_runtime_error(self, tmp_path, capsys,
+                                                                 command):
+        out, missing = tmp_path / "run", tmp_path / "no-snapshot"
+        capsys.readouterr()
+        assert main([command, "--config", write_config(tmp_path, base_config()),
+                     "--out", str(out), "--model", str(missing)]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "FileNotFoundError"
+        assert str(missing / "model.json") in record["message"]
+        assert not (out / "model.json").exists()  # no fallback to --out, no training
+        assert not (out / "report.csv").exists()
 
     def test_explicit_model_dir_is_reused(self, tmp_path):
         cfg = write_config(tmp_path, base_config())

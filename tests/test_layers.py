@@ -223,7 +223,7 @@ class TestLSTM:
         cell = LSTMCell(3, 4, np.random.default_rng(0))
         cell.W.data = np.zeros_like(cell.W.data)
         cell.b.data = np.zeros_like(cell.b.data)
-        h, c = cell.zero_state((2,))
+        h, c = Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))
         h2, c2 = cell.step(Tensor(np.ones((2, 3))), h, c)
         np.testing.assert_allclose(h2.data, np.zeros((2, 4)), atol=1e-15)
         np.testing.assert_allclose(c2.data, np.zeros((2, 4)), atol=1e-15)
@@ -245,7 +245,7 @@ class TestLSTM:
         xs = [Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True) for _ in range(3)]
 
         def loss():
-            h, c = cell.zero_state((2,))
+            h, c = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))
             for x in xs:
                 h, c = cell.step(x, h, c)
             return sum_sq(h)
@@ -264,7 +264,7 @@ class TestLSTM:
 
     def test_input_dim_mismatch_raises(self):
         cell = LSTMCell(3, 4, np.random.default_rng(0))
-        h, c = cell.zero_state((1,))
+        h, c = Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4)))
         with pytest.raises(ValueError, match=r"lstm_scan needs input blocks \(1, 3\), got \(1, 5\)"):
             cell.step(Tensor(np.ones((1, 5))), h, c)
 

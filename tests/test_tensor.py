@@ -353,12 +353,12 @@ def test_lstm_matches_composed_ops_with_saturated_rows(state_grad):
 def scan_oracle(cell, xs, inputs, parents):
     """``lstm_scan``'s h per step as a loop of ``LSTMCell.step``: each step
     stacks its input blocks and each block's parent state from the step
-    before, the first from the cell's zero state."""
+    before, the first from a zero state."""
     n, hs = xs[inputs[0][0]].shape[0], []
     for t, step in enumerate(inputs):
         x = concat([xs[i] for i in step], axis=0)
         if t == 0:
-            h, c = cell.zero_state((x.shape[0],))
+            h, c = (Tensor(np.zeros((x.shape[0], cell.d_h))) for _ in range(2))
         else:
             h, c = (concat([s[p * n:(p + 1) * n] for p in parents[t - 1]], axis=0)
                     for s in (h, c))
@@ -574,11 +574,13 @@ def test_window_affine_rejects_operands_of_other_shapes(x_shape, W_shape, b_shap
         window_affine(x, W, b)
 
 
-# (shape, K, leading rows per block): at c = 8 a block holds 170 rows of
-# T = 16, K = 3 and 819 of T = 2, K = 5; every multi-block case ends ragged
+# (shape, K, blocks): at c = 8 a block holds 170 rows of T = 16, K = 3 and
+# 819 of T = 2, K = 5; every multi-block case ends ragged. K = 1 runs in one
+# block, as an affine call does
 @pytest.mark.parametrize("shape, kernel, blocks", [
-    ((400, 16, 8), 3, 3), ((7, 60, 16, 8), 3, 3), ((1000, 2, 8), 5, 2), ((3, 5, 8), 3, 1)],
-    ids=["ragged-blocks", "two-leading-axes", "T-below-K", "one-block"])
+    ((400, 16, 8), 3, 3), ((7, 60, 16, 8), 3, 3), ((1000, 2, 8), 5, 2), ((3, 5, 8), 3, 1),
+    ((7, 60, 16, 8), 1, 1)],
+    ids=["ragged-blocks", "two-leading-axes", "T-below-K", "one-block", "k1-two-leading-axes"])
 @pytest.mark.parametrize("bias, relu, keep", [(False, False, False), (True, True, False),
                                               (True, True, True)],
                          ids=["plain", "bias-relu", "bias-relu-keep"])
