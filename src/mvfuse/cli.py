@@ -49,8 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("evaluate", "sweep"):
             p.add_argument("--model", default=None,
                            help="directory holding a saved model.json/model.npz, "
-                                "which must exist (default: --out, trains there "
-                                "if absent)")
+                                "which must exist; not with eval.folds > 1 (default: "
+                                "--out, which this config must have trained, or "
+                                "trains there if absent)")
 
     p = sub.add_parser("gradcheck",
                        help="run the finite-difference gradient battery")
@@ -86,16 +87,11 @@ def main(argv: list[str] | None = None) -> int:
             _, result = workflows.run_train(cfg, args.out)
             print(f"best epoch {result.best_epoch}, "
                   f"validation loss {result.best_val_loss:.6f}")
-        elif args.command == "evaluate":
-            report = workflows.run_evaluate(cfg, args.out, model_dir=args.model)
-            for entry in report.summary():
+        elif args.command in ("evaluate", "sweep"):
+            run = workflows.run_evaluate if args.command == "evaluate" else workflows.run_sweep
+            for entry in run(cfg, args.out, model_dir=args.model).summary():
                 print(f"{entry['scenario']:28s} {entry['metric']:14s} "
                       f"{entry['mean']:.4f} +/- {entry['std']:.4f}")
-        elif args.command == "sweep":
-            report = workflows.run_sweep(cfg, args.out, model_dir=args.model)
-            for entry in report.summary():
-                print(f"{entry['scenario']:28s} {entry['metric']:14s} "
-                      f"{entry['mean']:.4f}")
         elif args.command == "ablate":
             rows = workflows.run_ablate(cfg, args.out)
             keys = [k for k in rows[0] if k not in ("aug", "level")]

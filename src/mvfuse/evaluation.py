@@ -239,14 +239,8 @@ class EvalReport:
                         "std": float(vals.std()), "n": int(vals.size)})
         return out
 
-    def write_summary(self, path: str | Path, config: dict | None = None,
-                      seed: int | None = None) -> None:
-        payload = {"results": self.summary()}
-        if config is not None:
-            payload["config"] = config
-        if seed is not None:
-            payload["seed"] = seed
-        write_json(path, payload)
+    def write_summary(self, path: str | Path, config: dict, seed: int) -> None:
+        write_json(path, {"results": self.summary(), "config": config, "seed": seed})
 
 
 # -- harness -----------------------------------------------------------------------

@@ -182,7 +182,9 @@ class TrainResult:
 def train_model(model: _BaseModel, ds_train: MultiViewDataset,
                 ds_val: MultiViewDataset, aug: AugPolicy,
                 cfg: TrainConfig) -> TrainResult:
-    """Fit in place; restores the best snapshot by full-view validation loss."""
+    """Fit in place; restores the best snapshot by full-view validation loss.
+    A ValueError of a step or of the validation pass, such as a non-finite
+    loss, is raised again prefixed with its epoch and step."""
     task = model.task
     m = len(model.view_specs)
     full = tuple(range(m))
@@ -208,10 +210,16 @@ def train_model(model: _BaseModel, ds_train: MultiViewDataset,
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             views = batch_views(ds_train.views, idx)
-            epoch_loss += train_step(model, views, ds_train.y[idx], aug, combos,
-                                     optimizer, task, weights, mask_rng, dropout_rng)
+            try:
+                epoch_loss += train_step(model, views, ds_train.y[idx], aug, combos,
+                                         optimizer, task, weights, mask_rng, dropout_rng)
+            except ValueError as exc:
+                raise ValueError(f"epoch {epoch}, step {steps + 1}: {exc}") from exc
             steps += 1
-        val = validation_losses(model, ds_val, combos)
+        try:
+            val = validation_losses(model, ds_val, combos)
+        except ValueError as exc:
+            raise ValueError(f"epoch {epoch}, validation: {exc}") from exc
         val_loss = val[full]
         record = {"epoch": epoch, "train_loss": epoch_loss / steps, "val_loss": val_loss}
         if aug.kind == "com":

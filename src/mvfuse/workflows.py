@@ -1,9 +1,10 @@
 """End-to-end workflows wiring configs to data, training, and evaluation.
 
 These functions back the command line but are plain Python so tests and
-notebooks can drive them directly. Every artifact embeds the resolved config
-and seed, and all randomness comes from named streams under the config seed,
-so reruns are byte-for-byte reproducible.
+notebooks can drive them directly. ``run_evaluate`` and ``run_sweep`` differ
+only in the scenarios they hand one scoring loop, ``_score``. Every artifact
+embeds the resolved config and seed, and all randomness comes from named
+streams under the config seed, so reruns are byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from pathlib import Path
 
 from . import data as data_mod
 from .augmentation import AugPolicy
-from .config import ConfigError, ExperimentConfig, resolved_dict
-from .evaluation import EvalReport, MissingScenario, evaluate_scenarios, sweep
+from .config import ConfigError, ExperimentConfig, load_config, resolved_dict
+from .evaluation import EvalReport, MissingScenario, evaluate_scenarios
 from .fusion import FusionConfig
 from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .model import build_model, load_model, save_model
@@ -36,12 +37,16 @@ def split_dataset(cfg: ExperimentConfig, ds: data_mod.MultiViewDataset, train_id
     return ds.subset(train_idx), ds.subset(val_idx)
 
 
+def configured_split(cfg: ExperimentConfig, ds: data_mod.MultiViewDataset):
+    """Training and validation indices drawn by the seed's ``data/split`` stream."""
+    return data_mod.train_val_split(ds.n_samples, cfg.data.val_fraction,
+                                    stream(cfg.seed, "data", "split"))
+
+
 def prepare_data(cfg: ExperimentConfig):
-    """The dataset split by the seed's ``data/split`` stream."""
+    """The dataset split as ``configured_split`` draws it."""
     ds = load_raw_dataset(cfg)
-    rng = stream(cfg.seed, "data", "split")
-    return split_dataset(cfg, ds, *data_mod.train_val_split(ds.n_samples,
-                                                            cfg.data.val_fraction, rng))
+    return split_dataset(cfg, ds, *configured_split(cfg, ds))
 
 
 def check_scorable(cfg: ExperimentConfig, ds: data_mod.MultiViewDataset, y,
@@ -101,6 +106,13 @@ def default_scenarios(cfg: ExperimentConfig, view_ids: list[str]) -> list[Missin
     return focus_scenarios(cfg, view_ids)
 
 
+def grid_scenarios(cfg: ExperimentConfig, view_ids: list[str]) -> list[MissingScenario]:
+    """The focus view missing in each fraction of ``eval.grid``."""
+    view = focus_view(cfg, view_ids)
+    return checked_scenarios([MissingScenario(kind="fraction", view=view, p=float(p))
+                              for p in cfg.eval.grid], view_ids)
+
+
 def fit_model(cfg: ExperimentConfig, ds_train, ds_val, init_stream=("init",),
               aug: AugPolicy | None = None, fusion: FusionConfig | None = None):
     """Build and train one model from config pieces; returns (model, result)."""
@@ -113,13 +125,16 @@ def fit_model(cfg: ExperimentConfig, ds_train, ds_val, init_stream=("init",),
 
 
 def _train_and_save(cfg: ExperimentConfig, out: Path, ds_train, ds_val):
-    """``fit_model`` on the configured split, with its snapshot and
-    ``train_log.jsonl`` written into ``out``; returns (model, result)."""
+    """``fit_model`` on the configured split, with its snapshot,
+    ``train_log.jsonl`` and the resolved config, which reruns the run, written
+    into ``out``, made before training if absent; returns (model, result)."""
+    out.mkdir(parents=True, exist_ok=True)
     model, result = fit_model(cfg, ds_train, ds_val)
     save_model(model, cfg.encoder, cfg.fusion, out)
     with open(out / "train_log.jsonl", "w", newline="\n") as fh:
         for record in result.log:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+    data_mod.write_json(out / "resolved_config.json", resolved_dict(cfg))
     return model, result
 
 
@@ -135,75 +150,69 @@ def run_synth(cfg: ExperimentConfig, out_dir: str | Path) -> Path:
 
 
 def run_train(cfg: ExperimentConfig, out_dir: str | Path):
-    """Train one model per the config; writes snapshot, log, and the resolved
-    config, which reruns the run."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    model, result = _train_and_save(cfg, out, *prepare_data(cfg))
-    data_mod.write_json(out / "resolved_config.json", resolved_dict(cfg))
-    return model, result
+    """Train one model per the config into ``out_dir`` (``_train_and_save``)."""
+    return _train_and_save(cfg, Path(out_dir), *prepare_data(cfg))
 
 
 def _model_for_eval(cfg: ExperimentConfig, out: Path, model_dir: str | Path | None,
                     ds_train, ds_val):
-    """The snapshot in ``model_dir``, which must hold one, or else the one in
-    ``out``, trained and saved there first if absent."""
+    """The snapshot in ``model_dir``, which must fit the data; else the one in ``out``,
+    trained there first if absent, whose config must match ``cfg`` but for ``eval``."""
     if model_dir is not None:
         return load_model(model_dir, ds_val)
-    if (out / "model.json").exists():
-        return load_model(out, ds_val)
-    return _train_and_save(cfg, out, ds_train, ds_val)[0]
+    if not (out / "model.json").exists():
+        return _train_and_save(cfg, out, ds_train, ds_val)[0]
+    path = out / "resolved_config.json"
+    try:
+        saved = resolved_dict(load_config(path))
+        why = next((f"its {path.name} differs in {k!r}" for k, v in resolved_dict(cfg).items()
+                    if k != "eval" and saved[k] != v), None)
+    except ConfigError as exc:  # missing, unparsable, or of another schema
+        why = f"{path.name}: {exc}"
+    if why:
+        raise ConfigError(f"--out {out} holds a snapshot this config did not train ({why}); "
+                          f"pass --model to score it anyway, or choose another --out")
+    return load_model(out, ds_val)
+
+
+def _score(cfg: ExperimentConfig, out_dir: str | Path, model_dir: str | Path | None,
+           scenarios_for) -> EvalReport:
+    """``scenarios_for(cfg, view_ids)`` scored on each validation split, all
+    checked before any training, into ``report.csv`` and ``summary.json``: the
+    k-fold splits with a model fit per fold if eval.folds > 1, which takes no
+    ``model_dir``, else the configured split with ``_model_for_eval``'s model."""
+    kfold = cfg.eval.folds > 1
+    if kfold and model_dir is not None:
+        raise ConfigError("--model takes one snapshot, but eval.folds > 1 trains one per fold")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    ds = load_raw_dataset(cfg)
+    scenarios = scenarios_for(cfg, ds.view_ids)
+    splits = (data_mod.kfold_indices(ds.n_samples, cfg.eval.folds, cfg.eval.repeats, cfg.seed)
+              if kfold else [configured_split(cfg, ds)])
+    for fold, (_, val_idx) in enumerate(splits):
+        check_scorable(cfg, ds, ds.y[val_idx], fold if kfold else None)
+    report = EvalReport()
+    for fold, (train_idx, val_idx) in enumerate(splits):
+        ds_train, ds_val = split_dataset(cfg, ds, train_idx, val_idx)
+        model = (fit_model(cfg, ds_train, ds_val, init_stream=("init", fold))[0] if kfold
+                 else _model_for_eval(cfg, out, model_dir, ds_train, ds_val))
+        report.extend(evaluate_scenarios(model, ds_val, scenarios, cfg.seed, fold=fold))
+    report.to_csv(out / "report.csv")
+    report.write_summary(out / "summary.json", config=resolved_dict(cfg), seed=cfg.seed)
+    return report
 
 
 def run_evaluate(cfg: ExperimentConfig, out_dir: str | Path,
                  model_dir: str | Path | None = None) -> EvalReport:
-    """Evaluate the configured scenarios on the validation data.
-
-    With eval.folds > 1 this runs repeated k-fold cross-validation, training
-    one model per fold; otherwise it reuses (or trains) a single model on the
-    configured split. Every validation split is checked before any training.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report = EvalReport()
-    if cfg.eval.folds > 1:
-        ds = load_raw_dataset(cfg)
-        scenarios = default_scenarios(cfg, ds.view_ids)
-        folds = data_mod.kfold_indices(ds.n_samples, cfg.eval.folds,
-                                       cfg.eval.repeats, cfg.seed)
-        for fold_id, (_, val_idx) in enumerate(folds):
-            check_scorable(cfg, ds, ds.y[val_idx], fold_id)
-        for fold_id, (train_idx, val_idx) in enumerate(folds):
-            ds_train, ds_val = split_dataset(cfg, ds, train_idx, val_idx)
-            model, _ = fit_model(cfg, ds_train, ds_val, init_stream=("init", fold_id))
-            report.extend(evaluate_scenarios(model, ds_val, scenarios, cfg.seed,
-                                             fold=fold_id))
-    else:
-        ds_train, ds_val = prepare_data(cfg)
-        scenarios = default_scenarios(cfg, ds_val.view_ids)
-        check_scorable(cfg, ds_val, ds_val.y)
-        model = _model_for_eval(cfg, out, model_dir, ds_train, ds_val)
-        report = evaluate_scenarios(model, ds_val, scenarios, cfg.seed)
-    report.to_csv(out / "report.csv")
-    report.write_summary(out / "summary.json", config=resolved_dict(cfg), seed=cfg.seed)
-    return report
+    """The configured scenarios (``default_scenarios``), scored by ``_score``."""
+    return _score(cfg, out_dir, model_dir, default_scenarios)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str | Path,
               model_dir: str | Path | None = None) -> EvalReport:
-    """Fraction-of-missing sweep over the focus view on the validation data."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ds_train, ds_val = prepare_data(cfg)
-    view = focus_view(cfg, ds_val.view_ids)
-    checked_scenarios([MissingScenario(kind="fraction", view=view, p=float(p))
-                       for p in cfg.eval.grid], ds_val.view_ids)
-    check_scorable(cfg, ds_val, ds_val.y)
-    model = _model_for_eval(cfg, out, model_dir, ds_train, ds_val)
-    report = sweep(model, ds_val, view, cfg.eval.grid, cfg.seed)
-    report.to_csv(out / "report.csv")
-    report.write_summary(out / "summary.json", config=resolved_dict(cfg), seed=cfg.seed)
-    return report
+    """The fraction-of-missing grid over the focus view, scored by ``_score``."""
+    return _score(cfg, out_dir, model_dir, grid_scenarios)
 
 
 def run_gradcheck(out_dir: str | Path, seeds: int = 20) -> dict[str, float]:

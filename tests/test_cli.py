@@ -17,8 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvfuse.cli import main
-from mvfuse.data import (SyntheticConfig, SyntheticViewConfig, generate_synthetic, load_dataset,
-                         save_dataset, zscore_fit)
+from mvfuse.config import parse_config
+from mvfuse.data import (SyntheticConfig, SyntheticViewConfig, generate_synthetic, kfold_indices,
+                         load_dataset, save_dataset, zscore_fit)
+from mvfuse.evaluation import evaluate_scenarios, sweep
+from mvfuse.model import load_model
+from mvfuse.workflows import (default_scenarios, fit_model, load_raw_dataset, prepare_data,
+                              run_evaluate, run_sweep, split_dataset)
 
 from test_data import replace_field, toy_copy
 
@@ -179,17 +184,84 @@ class TestEvaluate:
         assert payload["config"]["fusion"]["kind"] == "average"
         assert payload["results"]
 
-    def test_kfold_mode_produces_fold_rows(self, tmp_path):
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_kfold_mode_produces_fold_rows(self, tmp_path, command):
         raw = base_config()
         raw["eval"]["folds"] = 2
         raw["data"]["synthetic"]["n_samples"] = 60
         raw["train"]["max_epochs"] = 1
         cfg = write_config(tmp_path, raw)
         out = tmp_path / "cv"
-        assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 0
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "report.csv").read_text().splitlines()[1:]
         folds = {line.split(",")[4] for line in lines}
         assert folds == {"0", "1"}
+        assert not (out / "model.json").exists()  # fold models are not saved
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_explicit_model_with_folds_is_config_error(self, tmp_path, capsys, command):
+        trained = tmp_path / "trained"
+        assert main(["train", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(trained)]) == 0
+        out = tmp_path / "cv"
+        capsys.readouterr()
+        assert main([command, "--config", write_config(tmp_path, with_value("eval.folds", 2)),
+                     "--out", str(out), "--model", str(trained)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config",
+            "message": "--model takes one snapshot, but eval.folds > 1 trains one per fold"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--seed", "9"], "seed"),
+        (["--config", "gated.yaml"], "fusion")], ids=["seed", "fusion-kind"])
+    def test_out_trained_under_another_config_is_config_error(self, tmp_path, capsys,
+                                                              argv, key):
+        cfg = write_config(tmp_path, base_config())
+        write_config(tmp_path, base_config(fusion="gated"), "gated.yaml")
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        snapshot = [(out / name).read_bytes() for name in ("model.json", "model.npz")]
+        argv = [str(tmp_path / a) if a.endswith(".yaml") else a for a in argv]
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--out", str(out), *argv]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert record["message"].startswith(
+            f"--out {out} holds a snapshot this config did not train "
+            f"(its resolved_config.json differs in {key!r}); pass --model")
+        assert not (out / "report.csv").exists()
+        assert [(out / name).read_bytes() for name in ("model.json", "model.npz")] == snapshot
+
+    @pytest.mark.parametrize("edit, words", [
+        (lambda path: path.unlink(), "(resolved_config.json: config file not found: {path})"),
+        (lambda path: path.write_text('{"seed":\n'),
+         "(resolved_config.json: cannot parse {path}: "),
+        (lambda path: path.write_text('{"extra": 1}\n'),
+         "(resolved_config.json: unknown key(s) in document: extra)")],
+        ids=["missing", "not-json", "unknown-key"])
+    def test_out_without_a_readable_resolved_config_is_config_error(self, tmp_path, capsys,
+                                                                    edit, words):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+        edit(out / "resolved_config.json")
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+        assert words.format(path=out / "resolved_config.json") in record["message"]
+        assert not (out / "report.csv").exists()
+
+    def test_out_reuse_ignores_the_eval_section(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(out)]) == 0
+        model = (out / "model.npz").read_bytes()
+        raw = with_value("eval.grid", [0.0, 0.25])
+        assert main(["sweep", "--config", write_config(tmp_path, raw, "grid.yaml"),
+                     "--out", str(out)]) == 0
+        assert (out / "model.npz").read_bytes() == model
 
 
 class TestSweep:
@@ -224,6 +296,29 @@ class TestSweep:
                      "--model", str(trained)]) == 0
         assert not (out / "model.json").exists()  # no retraining happened
         assert (out / "summary.json").exists()
+
+
+class TestScoringLoop:
+    """``run_evaluate`` and ``run_sweep`` score what the library calls score."""
+
+    def test_sweep_on_the_configured_split_scores_the_model_in_out(self, tmp_path):
+        cfg = parse_config(with_value(("data.synthetic.n_samples", "train.max_epochs"), (60, 1)))
+        report = run_sweep(cfg, tmp_path)
+        _, ds_val = prepare_data(cfg)
+        expected = sweep(load_model(tmp_path, ds_val), ds_val, "optical", cfg.eval.grid, cfg.seed)
+        assert report.rows == expected.rows
+
+    def test_evaluate_on_folds_scores_one_fresh_model_per_fold(self, tmp_path):
+        cfg = parse_config(with_value(("data.synthetic.n_samples", "train.max_epochs",
+                                       "eval.folds"), (60, 1, 2)))
+        report = run_evaluate(cfg, tmp_path)
+        ds = load_raw_dataset(cfg)
+        for fold, (train_idx, val_idx) in enumerate(kfold_indices(60, 2, 1, cfg.seed)):
+            ds_train, ds_val = split_dataset(cfg, ds, train_idx, val_idx)
+            model, _ = fit_model(cfg, ds_train, ds_val, init_stream=("init", fold))
+            expected = evaluate_scenarios(model, ds_val, default_scenarios(cfg, ds.view_ids),
+                                          cfg.seed, fold=fold)
+            assert [r for r in report.rows if r["fold"] == fold] == expected.rows
 
 
 class TestGradcheckCommand:

@@ -487,6 +487,20 @@ def test_nan_parameter_fails_training_naming_the_op(task):
                    Adam(model.parameters()), ds.task, None, rng, rng)
 
 
+def test_nan_parameter_fails_training_naming_the_epoch_and_step():
+    ds = tiny_dataset(n=20)
+    model = tiny_model(ds)
+    model.head.W.data = np.full_like(model.head.W.data, np.nan)
+    with pytest.raises(ValueError, match=r"^epoch 1, step 1: backward root is not finite: "
+                                         r".*op 'window_affine'") as info:
+        train_model(model, ds, ds, AugPolicy(kind="com"), TrainConfig(batch_size=10))
+    assert isinstance(info.value.__cause__, ValueError)
+    ds_val = copy.deepcopy(ds)
+    ds_val.views["b"][:] = np.nan
+    with pytest.raises(ValueError, match=r"^epoch 1, validation: tensor values must be finite$"):
+        train_model(tiny_model(ds), ds, ds_val, AugPolicy(kind="com"), TrainConfig(batch_size=10))
+
+
 def test_nan_parameter_fails_predict_and_validation_naming_the_op():
     ds = tiny_dataset(n=20)
     model = tiny_model(ds)
