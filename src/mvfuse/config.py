@@ -24,7 +24,7 @@ Schema (all sections optional unless noted, defaults in parentheses):
       val_fraction: float (0.2)
       normalize: bool (true)
     model:
-      latent_dim: int (128)
+      latent_dim: int (128)               # >= 2: each encoder ends in a layer norm
       encoder_layers: int (2)
       encoder_dropout: float (0.2)
       conv_kernel: int (3)

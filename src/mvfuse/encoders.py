@@ -64,8 +64,9 @@ class EncoderConfig:
     conv_kernel: int = 3
 
     def __post_init__(self):
-        if self.latent_dim < 1 or self.layers < 1:
-            raise ValueError("latent_dim and layers must be >= 1")
+        if self.latent_dim < 2 or self.layers < 1:
+            raise ValueError("latent_dim must be >= 2, since every encoder ends in a layer "
+                             "norm over it, and layers must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:
@@ -84,10 +85,10 @@ def one_hot_batch(indices: np.ndarray, cardinality: int) -> np.ndarray:
 
 
 def _run_layers(layers: list[Affine], dropout: Dropout, x: Tensor,
-                rng: np.random.Generator | None, train: bool) -> Tensor:
+                rng: np.random.Generator | None) -> Tensor:
     """Each layer as one node with ReLU and a keep mask drawn on its output shape."""
     for layer in layers:
-        keep = dropout.mask(x.shape[:-1] + (layer.W.shape[-1],), rng, train)
+        keep = dropout.mask(x.shape[:-1] + (layer.W.shape[-1],), rng)
         x = layer(x, relu=True, keep=keep)
     return x
 
@@ -103,9 +104,8 @@ class TemporalEncoder(Module):
         self.norm = LayerNorm(d)
         self.dropout = Dropout(cfg.dropout)
 
-    def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 train: bool = False) -> Tensor:
-        return self.norm(_run_layers(self.convs, self.dropout, x, rng, train).mean(axis=-2))
+    def __call__(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+        return self.norm(_run_layers(self.convs, self.dropout, x, rng).mean(axis=-2))
 
 
 class StaticEncoder(Module):
@@ -119,9 +119,8 @@ class StaticEncoder(Module):
         self.norm = LayerNorm(d)
         self.dropout = Dropout(cfg.dropout)
 
-    def __call__(self, x: Tensor, rng: np.random.Generator | None = None,
-                 train: bool = False) -> Tensor:
-        return self.norm(_run_layers(self.affines, self.dropout, x, rng, train))
+    def __call__(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+        return self.norm(_run_layers(self.affines, self.dropout, x, rng))
 
 
 def make_encoder(spec: ViewSpec, cfg: EncoderConfig, rng: np.random.Generator) -> Module:

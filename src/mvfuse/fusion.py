@@ -55,10 +55,11 @@ that is 7 first-layer steps per direction over 127 prefixes and 28
 later-layer steps over the patterns' 448 view slots.
 
 Random draws (attention dropout, memory's inter-layer dropout and its
-permutation) are made pattern after pattern in the order of ``available``,
-with the numbers and order of one call per pattern. So ``permute`` draws one
-permutation per pattern, and each pattern draws its dropout masks for all
-layers and positions as one array, the same numbers as one draw each.
+permutation) are made only when ``fuse`` is given a generator, the train
+mode, pattern after pattern in the order of ``available``, with the numbers
+and order of one call per pattern. So ``permute`` draws one permutation per
+pattern, and each pattern draws its dropout masks for all layers and
+positions as one array, the same numbers as one draw each.
 """
 
 from __future__ import annotations
@@ -138,8 +139,7 @@ def _patterns(rows: list, available) -> tuple[np.ndarray, np.ndarray]:
 class Fusion(Module):
     """A merge function applied under one or many availability patterns."""
 
-    def fuse(self, rows: list, available=None, rng=None, train: bool = False,
-             head: Affine | None = None) -> Tensor:
+    def fuse(self, rows: list, available=None, rng=None, head: Affine | None = None) -> Tensor:
         """Fused rows, shape ``available.shape[:-1] + (B, width)``, or with a
         ``head`` its outputs on them, ``available.shape[:-1] + (B, n_out)``.
 
@@ -148,19 +148,18 @@ class Fusion(Module):
         patterns and defaults to the views that have a row.
         """
         available, patterns = _patterns(rows, available)
-        out = (self._fuse(rows, patterns, rng, train) if head is None
-               else self._fuse_head(rows, patterns, rng, train, head))
+        out = (self._fuse(rows, patterns, rng) if head is None
+               else self._fuse_head(rows, patterns, rng, head))
         shape = available.shape[:-1] + out.shape[1:]
         return out if out.shape == shape else out.reshape(shape)
 
-    def _fuse(self, rows: list, patterns: np.ndarray, rng, train: bool) -> Tensor:
+    def _fuse(self, rows: list, patterns: np.ndarray, rng) -> Tensor:
         """Fused rows (K, B, width) for the (K, m) boolean ``patterns``."""
         raise NotImplementedError
 
-    def _fuse_head(self, rows: list, patterns: np.ndarray, rng, train: bool,
-                   head: Affine) -> Tensor:
+    def _fuse_head(self, rows: list, patterns: np.ndarray, rng, head: Affine) -> Tensor:
         """The head's outputs (K, B, n_out) on the fused rows."""
-        return head(self._fuse(rows, patterns, rng, train))
+        return head(self._fuse(rows, patterns, rng))
 
 
 def _used(rows: list, patterns: np.ndarray) -> tuple[np.ndarray, Tensor, np.ndarray]:
@@ -185,11 +184,11 @@ class AverageFusion(Fusion):
     product mixes their (u, B, n_out) outputs.
     """
 
-    def _fuse(self, rows, patterns, rng, train):
+    def _fuse(self, rows, patterns, rng):
         _, z, on = _used(rows, patterns)
         return _mix(on / on.sum(axis=1, keepdims=True), z)
 
-    def _fuse_head(self, rows, patterns, rng, train, head):
+    def _fuse_head(self, rows, patterns, rng, head):
         _, z, on = _used(rows, patterns)
         return _mix(on / on.sum(axis=1, keepdims=True), window_affine(z, head.W)) + head.b
 
@@ -241,7 +240,7 @@ class GatedFusion(Fusion):
             logits = Tensor(select.reshape((s * count, -1))) @ table
             yield members, views.ravel(), logits.reshape((s, count, batch, d))
 
-    def _fuse(self, rows, patterns, rng, train):
+    def _fuse(self, rows, patterns, rng):
         used, z, on = _used(rows, patterns)
         batch, table = z.shape[1], z.reshape((-1, self.d))
         outs, groups = [], []
@@ -297,8 +296,7 @@ class CrossAttentionFusion(Fusion):
         keys = np.concatenate([np.ones((len(on), 1), dtype=bool), on], axis=1)
         return used, seq, ~keys[:, None, None, None, :]
 
-    def _keep_masks(self, patterns: np.ndarray, used: np.ndarray, batch: int,
-                    rng, train: bool) -> list:
+    def _keep_masks(self, patterns: np.ndarray, used: np.ndarray, batch: int, rng) -> list:
         """Per layer, the dropout keep masks of all patterns as one dense array
         in the layout of its attention probabilities.
 
@@ -310,7 +308,7 @@ class CrossAttentionFusion(Fusion):
         final layer keeps only the token's row.
         """
         dropout = self.blocks[0].dropout
-        if not train or dropout.rate == 0.0:
+        if rng is None or dropout.rate == 0.0:
             return [None] * len(self.blocks)
         count, n, heads = len(patterns), 1 + len(used), self.blocks[0].heads
         last = len(self.blocks) - 1
@@ -318,16 +316,16 @@ class CrossAttentionFusion(Fusion):
                           + (1 if i == last else n, n)) for i in range(last + 1)]
         for k, pattern in enumerate(patterns):
             pos = np.concatenate([[0], 1 + np.flatnonzero(pattern[used])])
-            drawn = dropout.mask((len(keeps), batch, heads, len(pos), len(pos)), rng, train)
+            drawn = dropout.mask((len(keeps), batch, heads, len(pos), len(pos)), rng)
             for i, (keep, layer) in enumerate(zip(keeps, drawn)):
                 queries = pos[:keep.shape[-2]]
                 target = keep[:, :, k] if i == 0 else keep[k]
                 target[:, :, queries[:, None], pos] = layer[:, :, :len(queries)]
         return keeps
 
-    def _fuse(self, rows, patterns, rng, train):
+    def _fuse(self, rows, patterns, rng):
         used, z, exclude = self._sequence(rows, patterns)
-        keeps = self._keep_masks(patterns, used, z.shape[0], rng, train)
+        keeps = self._keep_masks(patterns, used, z.shape[0], rng)
         last = len(self.blocks) - 1
         for i, (block, keep) in enumerate(zip(self.blocks, keeps)):
             z = block.attend(z, exclude=exclude, keep=keep, first_row=i == last)
@@ -399,8 +397,8 @@ class MemoryFusion(Fusion):
     vector is the final memory state.
 
     Views are fed in declaration order, so this merge is order sensitive; a
-    random train-time permutation can be enabled to counter order bias. It
-    draws one permutation per pattern, patterns in order.
+    random train-time permutation can be enabled to counter order bias. A
+    forward given a generator draws one permutation per pattern, in order.
 
     Patterns are stepped together. The first layer has no dropout before
     it, so its forward state after t views depends only on the pattern's
@@ -423,33 +421,30 @@ class MemoryFusion(Fusion):
         self.permute = cfg.permute
         self.d = d
 
-    def _draws(self, patterns: np.ndarray, batch: int, rng,
-               train: bool) -> tuple[list[tuple], list]:
-        """Each pattern's view order and its inter-layer dropout masks
-        (layers - 1, s, B, d) for its s views, or None where dropout is the
-        identity.
+    def _draws(self, patterns: np.ndarray, batch: int, rng) -> tuple[list[tuple], list]:
+        """Each pattern's view order, permuted only given ``rng``, and its
+        inter-layer dropout masks (layers - 1, s, B, d) for its s views, or
+        None where dropout is the identity.
 
         Draws are made pattern after pattern: the permutation, then one mask
         array, the same numbers as one (B, d) draw per later layer and
         position.
         """
-        if self.permute and train and rng is None:
-            raise ValueError("permuted memory fusion needs a generator at train time")
         later = len(self.forward_cells) - 1
         seqs, masks = [], []
         for pattern in patterns:
             seq = np.flatnonzero(pattern)
-            if self.permute and train:
+            if self.permute and rng is not None:
                 seq = seq[rng.permutation(len(seq))]
             seqs.append(tuple(seq.tolist()))
-            masks.append(self.dropout.mask((later, len(seq), batch, self.d), rng, train)
+            masks.append(self.dropout.mask((later, len(seq), batch, self.d), rng)
                          if later else None)
         return seqs, masks
 
-    def _fuse(self, rows, patterns, rng, train):
+    def _fuse(self, rows, patterns, rng):
         batch = next(r.shape[0] for r in rows if r is not None)
         groups = _by_length(patterns)
-        seqs, masks = self._draws(patterns, batch, rng, train)
+        seqs, masks = self._draws(patterns, batch, rng)
         fwd_at, fwd = _prefix_states(self.forward_cells[0], rows, seqs)
         bwd_at, bwd = _prefix_states(self.backward_cells[0], rows, [q[::-1] for q in seqs])
         outs = [None] * len(groups)
@@ -490,13 +485,13 @@ class ConcatFusion(Fusion):
         self.m = m
         self.d = d
 
-    def _fuse(self, rows, patterns, rng, train):
+    def _fuse(self, rows, patterns, rng):
         batch = next(r.shape[0] for r in rows if r is not None)
         zero = Tensor(np.zeros((batch, self.d)))
         flat = concat([zero if r is None else r for r in rows], axis=-1)
         return flat * Tensor(np.repeat(patterns, self.d, axis=1)[:, None, :].astype(float))
 
-    def _fuse_head(self, rows, patterns, rng, train, head):
+    def _fuse_head(self, rows, patterns, rng, head):
         used, z, on = _used(rows, patterns)
         blocks = _select(head.W, used.tolist(), self.d).reshape((len(used), self.d, -1))
         return _mix(on.astype(float), z @ blocks) + head.b

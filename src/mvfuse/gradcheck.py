@@ -74,7 +74,7 @@ def run_suite(seeds: Sequence[int] = tuple(range(20))) -> dict[str, float]:
     """
     from . import layers
     from .fusion import (AverageFusion, ConcatFusion, CrossAttentionFusion, FusionConfig,
-                         GatedFusion, MemoryFusion)
+                         GatedFusion, MemoryFusion, make_fusion)
 
     results: dict[str, float] = {}
 
@@ -188,5 +188,16 @@ def run_suite(seeds: Sequence[int] = tuple(range(20))) -> dict[str, float]:
             errs = check_gradients(
                 lambda: _sum_squares(fusion.fuse(rows_all, mixed, head=head)), params)
             record(name, max(errs.values()))
+
+        # cross and memory in train mode over the mixed patterns, the rows'
+        # gradients only: a freshly seeded generator per loss evaluation fixes
+        # the keep masks and the permutation; last, so no other data moves
+        for kind in ("cross", "memory"):
+            fusion = make_fusion(FusionConfig(kind=kind, heads=2, layers=2, dropout=0.4,
+                                              permute=kind == "memory"), m, d, rng)
+            params = {f"z{i}": r for i, r in enumerate(rows_all)}
+            errs = check_gradients(lambda: _sum_squares(
+                fusion.fuse(rows_all, mixed, rng=np.random.default_rng(seed))), params)
+            record(f"fusion_{kind}_train_mixed", max(errs.values()))
 
     return results

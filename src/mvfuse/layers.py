@@ -2,7 +2,7 @@
 dropout, LSTM cell, and multi-head self-attention.
 
 All layers are pure functions of (input, parameters); dropout additionally
-takes a generator and a train flag. Parameters live in small Module
+takes a generator, whose presence is the train mode. Parameters live in small Module
 containers so models can enumerate them for the optimizer and snapshots.
 The ops in ``tensor`` check the operands' shapes, so the layers do not.
 """
@@ -96,7 +96,7 @@ class Dropout:
     """Inverted dropout: scales kept units by 1/(1-p) at train time.
 
     ``mask`` draws the keep mask that the caller's op multiplies in; there
-    is none when rate is 0 or train is False, so evaluation never drops.
+    is none without a generator or at rate 0, so evaluation never drops.
     """
 
     def __init__(self, rate: float):
@@ -104,13 +104,10 @@ class Dropout:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
 
-    def mask(self, shape: tuple, rng: np.random.Generator | None = None,
-             train: bool = False) -> np.ndarray | None:
+    def mask(self, shape: tuple, rng: np.random.Generator | None = None) -> np.ndarray | None:
         """One draw of the scaled keep mask, or None where dropout is the identity."""
-        if not train or self.rate == 0.0:
+        if rng is None or self.rate == 0.0:
             return None
-        if rng is None:
-            raise ValueError("train-time dropout needs a generator")
         keep = 1.0 - self.rate
         return (rng.random(shape) < keep) / keep
 
@@ -212,8 +209,7 @@ class MultiHeadAttention(Module):
                             + (lead + 1 + sets, lead, lead + 2 + sets))
         return out.reshape(out.shape[:-2] + (self.d,))
 
-    def __call__(self, z: Tensor, rng: np.random.Generator | None = None,
-                 train: bool = False) -> Tensor:
+    def __call__(self, z: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         n = z.shape[-2]
-        keep = self.dropout.mask(z.shape[:-2] + (self.heads, n, n), rng, train)
+        keep = self.dropout.mask(z.shape[:-2] + (self.heads, n, n), rng)
         return self.attend(z, keep=keep)

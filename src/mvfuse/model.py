@@ -72,26 +72,24 @@ class _BaseModel(Module):
         return [s.id for s in self.view_specs]
 
     def forward_masks(self, views: dict[str, np.ndarray], available: np.ndarray,
-                      rng=None, train: bool = False) -> Tensor:
-        """Outputs (K, B, n_outputs) for the batch under each of the K
-        boolean availability patterns of ``available`` (K, m).
+                      rng=None) -> Tensor:
+        """Outputs (K, B, n_outputs) under each of the K boolean availability
+        patterns of ``available`` (K, m); a generator ``rng`` draws dropout.
 
         This is the input level: every pattern, in order, is a full forward of
         ``_forward_inputs`` over its zero-imputed inputs.
         """
         available = check_available(available, len(self.view_specs))
-        return stack([self._forward_inputs(self._raw_inputs(views, pattern), rng=rng, train=train)
+        return stack([self._forward_inputs(self._raw_inputs(views, pattern), rng=rng)
                       for pattern in available])
 
-    def _forward_inputs(self, inputs: list[np.ndarray], rng=None,
-                        train: bool = False) -> Tensor:
+    def _forward_inputs(self, inputs: list[np.ndarray], rng=None) -> Tensor:
         """Outputs (B, n_outputs) from every view's raw batch."""
         raise NotImplementedError
 
-    def forward_masked(self, views: dict[str, np.ndarray], pattern: np.ndarray,
-                       rng=None, train: bool = False) -> Tensor:
+    def forward_masked(self, views: dict[str, np.ndarray], pattern: np.ndarray, rng=None) -> Tensor:
         """Outputs (B, n_outputs) under one boolean (m,) availability pattern."""
-        return self.forward_masks(views, [pattern], rng=rng, train=train)[0]
+        return self.forward_masks(views, [pattern], rng=rng)[0]
 
     def _raw_inputs(self, views: dict[str, np.ndarray],
                     pattern: np.ndarray) -> list[np.ndarray]:
@@ -178,31 +176,30 @@ class FeatureFusionModel(_BaseModel):
         self.task = task
         self.level = level
 
-    def encode_view(self, index: int, arr: np.ndarray, rng=None,
-                    train: bool = False) -> Tensor:
+    def encode_view(self, index: int, arr: np.ndarray, rng=None) -> Tensor:
         spec = self.view_specs[index]
-        return self.encoders[index](Tensor(raw_input(spec, arr)), rng=rng, train=train)
+        return self.encoders[index](Tensor(raw_input(spec, arr)), rng=rng)
 
-    def fuse_head(self, rows: list, available=None, rng=None, train: bool = False) -> Tensor:
+    def fuse_head(self, rows: list, available=None, rng=None) -> Tensor:
         """Head outputs ``available.shape[:-1] + (B, n_outputs)`` of the
         fused rows, from one ``fuse`` call that is passed the head."""
-        return self.fusion.fuse(rows, available, rng=rng, train=train, head=self.head)
+        return self.fusion.fuse(rows, available, rng=rng, head=self.head)
 
-    def _forward_inputs(self, inputs, rng=None, train=False):
-        rows = [enc(Tensor(x), rng=rng, train=train) for enc, x in zip(self.encoders, inputs)]
-        return self.fuse_head(rows, rng=rng, train=train)
+    def _forward_inputs(self, inputs, rng=None):
+        rows = [enc(Tensor(x), rng=rng) for enc, x in zip(self.encoders, inputs)]
+        return self.fuse_head(rows, rng=rng)
 
     def forward_masks(self, views: dict[str, np.ndarray], available: np.ndarray,
-                      rng=None, train: bool = False) -> Tensor:
+                      rng=None) -> Tensor:
         if self.level == "input":
-            return super().forward_masks(views, available, rng=rng, train=train)
+            return super().forward_masks(views, available, rng=rng)
         m = len(self.view_specs)
         available = check_available(available, m)
-        rows = [self.encode_view(i, views[self.view_specs[i].id], rng=rng, train=train)
+        rows = [self.encode_view(i, views[self.view_specs[i].id], rng=rng)
                 if available[:, i].any() else None for i in range(m)]
         batch = next(r.shape[0] for r in rows if r is not None)
         group = max(1, PATTERN_ROWS // batch)
-        outs = [self.fuse_head(rows, available[start:start + group], rng=rng, train=train)
+        outs = [self.fuse_head(rows, available[start:start + group], rng=rng)
                 for start in range(0, len(available), group)]
         return outs[0] if len(outs) == 1 else concat(outs, axis=0)
 
@@ -219,9 +216,9 @@ class InputConcatModel(_BaseModel):
         self.task = task
         self.level = "input"
 
-    def _forward_inputs(self, inputs, rng=None, train=False):
+    def _forward_inputs(self, inputs, rng=None):
         flat = np.concatenate([x.reshape(x.shape[0], -1) for x in inputs], axis=1)
-        return self.head(self.encoder(Tensor(flat), rng=rng, train=train))
+        return self.head(self.encoder(Tensor(flat), rng=rng))
 
 
 def build_model(view_specs: list[ViewSpec], encoder_cfg: EncoderConfig,

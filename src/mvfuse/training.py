@@ -148,14 +148,12 @@ def train_step(model: _BaseModel, views: dict[str, np.ndarray], y: np.ndarray,
         masks = sorted(groups)
         for mask, pattern in zip(masks, pattern_matrix(masks, m)):
             idx = groups[mask]
-            out = model.forward_masked(batch_views(views, idx), pattern, rng=dropout_rng,
-                                       train=True)
+            out = model.forward_masked(batch_views(views, idx), pattern, rng=dropout_rng)
             part = batch_loss(out, y[idx], task, weights) * (len(idx) / y.shape[0])
             loss = part if loss is None else loss + part
     else:
         masks = combos if aug.kind == "com" else [tuple(range(m))]
-        outs = model.forward_masks(views, pattern_matrix(masks, m), rng=dropout_rng,
-                                   train=True)
+        outs = model.forward_masks(views, pattern_matrix(masks, m), rng=dropout_rng)
         loss = batch_loss(outs.reshape((-1, outs.shape[-1])), np.tile(y, len(masks)),
                           task, weights)
     loss.backward()

@@ -239,8 +239,11 @@ def run_ablate(cfg: ExperimentConfig, out_dir: str | Path) -> list[dict]:
 
     Input-level cells use concatenation fusion, feature-level cells the
     average merge. Each cell reports the primary metric without missing
-    views, with the focus view missing, and with only the focus view.
+    views, with the focus view missing, and with only the focus view, on the
+    configured split: eval.folds > 1 is a config error, before any loading.
     """
+    if cfg.eval.folds > 1:
+        raise ConfigError("ablate scores the configured split only, but eval.folds > 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds_train, ds_val = prepare_data(cfg)

@@ -21,6 +21,7 @@ from mvfuse.config import parse_config
 from mvfuse.data import (SyntheticConfig, SyntheticViewConfig, generate_synthetic, kfold_indices,
                          load_dataset, save_dataset, zscore_fit)
 from mvfuse.evaluation import evaluate_scenarios, sweep
+from mvfuse import workflows
 from mvfuse.model import load_model
 from mvfuse.workflows import (default_scenarios, fit_model, load_raw_dataset, prepare_data,
                               run_evaluate, run_sweep, split_dataset)
@@ -75,6 +76,7 @@ MALFORMED = [
     ("aug.tempd_ratio", 1.0), ("eval.repeats", 3),
     ("eval.scenarios", [{"kind": "only_missing", "view": "radar", "p": 0.3}]),
     ("eval.scenarios", [{"kind": "none", "view": "radar"}]),
+    ("model.latent_dim", 1),
 ]
 
 
@@ -351,6 +353,20 @@ class TestAblate:
         assert cells == {("none", "input"), ("none", "feature"),
                          ("sensd", "input"), ("sensd", "feature"),
                          ("com", "input"), ("com", "feature")}
+
+    def test_folds_are_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_loading(cfg):
+            raise AssertionError("ablate loaded the data")
+
+        monkeypatch.setattr(workflows, "load_raw_dataset", no_loading)
+        out = tmp_path / "ablate"
+        raw = with_value(("eval.folds", "eval.repeats"), (2, 2))
+        capsys.readouterr()
+        assert main(["ablate", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config",
+            "message": "ablate scores the configured split only, but eval.folds > 1"}
+        assert not (out / "ablation.csv").exists()
 
 
 class TestErrors:
@@ -712,9 +728,12 @@ class TestBoundaries:
         (("n_outputs",), True, "n_outputs must be int, got True"),
         (("n_outputs",), "1", "n_outputs must be int, got '1'"),
         (("n_outputs",), 1.0, "n_outputs must be int, got 1.0"),
-        (("views", 1, "time_steps"), 7, "invalid views[1]: static view takes no time_steps")],
+        (("views", 1, "time_steps"), 7, "invalid views[1]: static view takes no time_steps"),
+        (("encoder", "latent_dim"), 1, "invalid encoder: latent_dim must be >= 2, since every "
+                                       "encoder ends in a layer norm over it, and layers must "
+                                       "be >= 1")],
         ids=["bool-heads", "int-permute", "bool-n-outputs", "str-n-outputs", "float-n-outputs",
-             "static-time-steps"])
+             "static-time-steps", "latent-dim-1"])
     def test_ill_typed_snapshot_field_is_runtime_error(self, tmp_path, capsys, keys, value,
                                                        words):
         # a bool is no int: "heads": true used to load and then fail with a

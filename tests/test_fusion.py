@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from mvfuse.encoders import EncoderConfig, ViewSpec
 from mvfuse.augmentation import enumerate_combinations, pattern_matrix
-from mvfuse.fusion import (AverageFusion, ConcatFusion, CrossAttentionFusion,
+from mvfuse.fusion import (FUSION_KINDS, AverageFusion, ConcatFusion, CrossAttentionFusion,
                            FusionConfig, GatedFusion, MemoryFusion, fused_width,
                            make_fusion)
 from mvfuse.gradcheck import check_gradients
 from mvfuse.layers import Affine
-from mvfuse.model import FeatureFusionModel, InputConcatModel
+from mvfuse.model import FeatureFusionModel, InputConcatModel, build_model
 from mvfuse import fusion as fusion_module
 from mvfuse import layers as layers_module
 from mvfuse.tensor import Tensor, backward, lstm_scan, stack
@@ -284,13 +284,13 @@ class TestCrossAttention:
         cross = CrossAttentionFusion(4, 8, FusionConfig(kind="cross", heads=2, layers=2,
                                                         dropout=0.3), rng)
         rows = rows_for(4, 8, rng, (0, 2, 3), batch=3)
-        fused = cross.fuse(rows, rng=np.random.default_rng(6), train=True).data
+        fused = cross.fuse(rows, rng=np.random.default_rng(6)).data
         twin = np.random.default_rng(6)
         token = np.tile(cross.token.data + cross.positional.data[0], (3, 1))
         z = Tensor(np.stack([token] + [rows[v].data + cross.positional.data[1 + v]
                                        for v in (0, 2, 3)], axis=1))
         for block in cross.blocks:
-            z = block(z, rng=twin, train=True)
+            z = block(z, rng=twin)
         np.testing.assert_allclose(fused, z.data[:, 0], rtol=0, atol=1e-12)
 
     def test_stacked_layers_run(self):
@@ -344,7 +344,7 @@ class TestMemory:
         memory = MemoryFusion(6, self.cfg(permute=True), rng)
         rows = rows_for(3, 6, rng, (0, 1, 2), batch=2)
         available = pattern_matrix([(0, 1, 2), (0, 2), (1, 2)], 3)
-        fused = memory.fuse(rows, available, rng=np.random.default_rng(5), train=True)
+        fused = memory.fuse(rows, available, rng=np.random.default_rng(5))
         twin = np.random.default_rng(5)
         for pattern, got in zip(available, fused.data):
             views = np.flatnonzero(pattern)
@@ -353,15 +353,6 @@ class TestMemory:
             # rows in list order
             expected = memory.fuse([rows[v] for v in order]).data
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-
-    def test_train_time_permutation_needs_rng(self):
-        rng = np.random.default_rng(3)
-        memory = MemoryFusion(6, self.cfg(permute=True), rng)
-        rows = rows_for(3, 6, rng, (0, 1, 2))
-        with pytest.raises(ValueError):
-            memory.fuse(rows, train=True)
-        out = memory.fuse(rows, rng=np.random.default_rng(1), train=True)
-        assert out.shape == (1, 6)
 
 
 def concat_input(views, pattern):
@@ -374,8 +365,7 @@ def concat_input(views, pattern):
                              "regression", 1, np.random.default_rng(0))
     seen = []
     encoder = model.encoder
-    model.encoder = lambda x, rng=None, train=False: (seen.append(x.data)
-                                                      or encoder(x, rng=rng, train=train))
+    model.encoder = lambda x, rng=None: seen.append(x.data) or encoder(x, rng=rng)
     model.forward_masked(views, np.array(pattern))
     return seen[0]
 
@@ -406,6 +396,39 @@ class TestConcat:
         out = fusion.fuse(rows)
         assert out.shape == (2, 12)
         np.testing.assert_array_equal(out.data[:, 4:8], np.zeros((2, 4)))
+
+
+class TestGeneratorIsTrainMode:
+    """A forward given a generator is a training forward and draws its
+    dropout; one without is an evaluation forward."""
+
+    @staticmethod
+    def model(kind, level, dropout):
+        specs = [ViewSpec(id="a", kind="temporal", time_steps=4, channels=2),
+                 ViewSpec(id="b", kind="static", channels=3),
+                 ViewSpec(id="c", kind="categorical", cardinality=3)]
+        rates = {} if dropout else {"dropout": 0.0}
+        return build_model(specs, EncoderConfig(latent_dim=8, **rates),
+                           FusionConfig(kind=kind, heads=2, **rates), "regression", 1, level,
+                           np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind, level", [(kind, "feature") for kind in FUSION_KINDS]
+                             + [("concat", "input")])
+    def test_only_a_generator_draws(self, kind, level):
+        rng = np.random.default_rng(4)
+        views = {"a": rng.normal(size=(5, 4, 2)), "b": rng.normal(size=(5, 3)),
+                 "c": rng.integers(0, 3, size=5)}
+        available = pattern_matrix(enumerate_combinations(3), 3)
+        # every rate 0 and no permutation: the generator is never drawn from
+        still, g = self.model(kind, level, dropout=False), np.random.default_rng(5)
+        state = g.bit_generator.state
+        assert np.array_equal(still.forward_masks(views, available, rng=g).data,
+                              still.forward_masks(views, available).data)
+        assert g.bit_generator.state == state
+        # the default rates: a generator makes the forward drop
+        model = self.model(kind, level, dropout=True)
+        assert not np.array_equal(model.forward_masks(views, available, rng=g).data,
+                                  model.forward_masks(views, available).data)
 
 
 ALL_DYNAMIC = ["average", "gated", "cross", "memory"]
@@ -519,13 +542,13 @@ class TestPatterns:
         """Train-time outputs (1e-12) and gradients (1e-10) of one call equal
         those of one call per pattern drawing from the same generator."""
         params = rows + fusion.parameters()
-        fused = fusion.fuse(rows, available, rng=np.random.default_rng(11), train=True)
+        fused = fusion.fuse(rows, available, rng=np.random.default_rng(11))
         readout = rng.normal(size=fused.shape)
         grads = backward((fused * Tensor(readout)).sum(), params)
 
         oracle_rng = np.random.default_rng(11)
         oracle = stack([fusion.fuse([r if on else None for r, on in zip(rows, pattern)],
-                                    rng=oracle_rng, train=True)
+                                    rng=oracle_rng)
                         for pattern in available])
         for p in params:
             p.grad = None
@@ -589,7 +612,7 @@ class TestPatterns:
 
         monkeypatch.setattr(Tensor, "_result", staticmethod(recorded))
         rows = [Tensor(rng.normal(size=(batch, d)), requires_grad=True) for _ in range(m)]
-        fused = fusion.fuse(rows, available, rng=np.random.default_rng(16), train=True)
+        fused = fusion.fuse(rows, available, rng=np.random.default_rng(16))
 
         assert fused.shape == (patterns, batch, d)
         assert ("matmul", (batch, heads, patterns, d // heads)) in shapes
@@ -643,7 +666,7 @@ class TestPatterns:
         calls = spy((layers_module.Dropout, "mask"))
         available = pattern_matrix(enumerate_combinations(m), m)
         fusion.fuse(rows_for(m, 4, rng, range(m), batch=2), available,
-                    rng=np.random.default_rng(14), train=True)
+                    rng=np.random.default_rng(14))
         assert sum(calls.values()) == len(available)
 
     @pytest.mark.parametrize("kind", ALL_DYNAMIC + ["concat"])

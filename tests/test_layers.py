@@ -188,23 +188,19 @@ class TestLayerNorm:
 
 class TestDropout:
     def test_rate_zero_is_identity(self):
-        assert Dropout(0.0).mask((3, 4), np.random.default_rng(1), train=True) is None
+        assert Dropout(0.0).mask((3, 4), np.random.default_rng(1)) is None
 
     def test_eval_mode_is_identity(self):
-        assert Dropout(0.5).mask((3, 4), train=False) is None
+        assert Dropout(0.5).mask((3, 4)) is None
 
     def test_inverted_scaling_preserves_mean(self):
-        keep = Dropout(0.4).mask((200, 50), np.random.default_rng(42), train=True)
+        keep = Dropout(0.4).mask((200, 50), np.random.default_rng(42))
         assert abs(keep.mean() - 1.0) < 0.02
         np.testing.assert_allclose(keep[keep != 0.0], 1.0 / 0.6, atol=1e-12)
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
-
-    def test_train_time_dropout_needs_a_generator(self):
-        with pytest.raises(ValueError, match="train-time dropout needs a generator"):
-            Dropout(0.5).mask((3,), train=True)
 
 
 def lstm_oracle(x, h, c, W, b):

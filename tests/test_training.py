@@ -195,9 +195,9 @@ class TestComStepMechanics:
         groups = []
         fuse_head = FeatureFusionModel.fuse_head
 
-        def recorded(self, rows, available=None, rng=None, train=False):
+        def recorded(self, rows, available=None, rng=None):
             groups.append(available.copy())
-            return fuse_head(self, rows, available, rng=rng, train=train)
+            return fuse_head(self, rows, available, rng=rng)
 
         monkeypatch.setattr(FeatureFusionModel, "fuse_head", recorded)
         patterns = pattern_matrix(combos, 2)
@@ -267,7 +267,7 @@ class TestComStepMechanics:
         for mask in sorted(set(masks)):
             idx = np.array([i for i, drawn in enumerate(masks) if drawn == mask])
             out = twin.forward_masked(batch_views(ds.views, idx), pattern_matrix([mask], 2)[0],
-                                      rng=twin_dropout_rng, train=True)
+                                      rng=twin_dropout_rng)
             part = batch_loss(out, ds.y[idx], ds.task, None) * (len(idx) / 24)
             expected = part if expected is None else expected + part
         assert len(set(masks)) == 3
