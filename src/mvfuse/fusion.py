@@ -26,11 +26,12 @@ missing views are left out of its normalization, never imputed:
   fused softmax and weighted sum mixes over them;
 - cross: one token-plus-views sequence and one Q/K/V projection per layer
   for all patterns; a pattern's missing views are excluded keys, and the
-  final layer computes only the token's queries. The first layer's input is
-  shared, so the patterns' key sets lie on its query axis: the token's
-  (B, heads, 1, n) logits become (B, heads, K, n) probabilities and one
-  (K, n) @ (n, d/heads) product per row and head; later layers carry their
-  own pattern axis;
+  final layer computes only the token's queries. Each layer is one
+  ``tensor.attention`` node. The first layer's input is shared, so the
+  patterns' key sets lie on its query axis: the token's (B, heads, 1, n)
+  logits are exponentiated once, normalized under all K key sets by one
+  (..., n) @ (n, K) product and weight one (K, n) @ (n, d/heads) value
+  product per row and head; later layers carry their own pattern axis;
 - concat: the zero-filled concatenation times each pattern's mask.
 
 ``fuse(rows, available, head=head)`` returns the outputs of the model's
@@ -58,8 +59,10 @@ Random draws (attention dropout, memory's inter-layer dropout and its
 permutation) are made only when ``fuse`` is given a generator, the train
 mode, pattern after pattern in the order of ``available``, with the numbers
 and order of one call per pattern. So ``permute`` draws one permutation per
-pattern, and each pattern draws its dropout masks for all layers and
-positions as one array, the same numbers as one draw each.
+pattern, and memory draws each pattern's dropout masks for all layers and
+positions as one array, the same numbers as one draw each. Cross draws the
+numbers of all patterns, layers and positions as one array per call, since
+consecutive draws concatenate, and thresholds only the entries a layer reads.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .layers import Affine, Dropout, LSTMCell, Module, MultiHeadAttention, glorot
 from .tensor import Tensor, concat, lstm_scan, no_grad, softmax_mix, stack, window_affine
@@ -288,44 +292,63 @@ class CrossAttentionFusion(Fusion):
 
     def _sequence(self, rows: list, patterns: np.ndarray):
         """Used views, the sequence (B, 1 + u, d) of the token row and the used
-        views, and the keys each pattern excludes, (K, 1, 1, 1, 1 + u)."""
-        used, z, on = _used(rows, patterns)
-        ones = Tensor(np.ones((z.shape[1], 1)))
+        views, and the keys each pattern keeps, (K, 1 + u): the token and the
+        pattern's views."""
+        used = np.flatnonzero(patterns.any(axis=0))
+        ones = Tensor(np.ones((rows[used[0]].shape[0], 1)))
         token_row = ones @ (self.token + self.positional[0]).reshape((1, self.d))
         seq = stack([token_row] + [rows[v] + self.positional[1 + v] for v in used], axis=-2)
-        keys = np.concatenate([np.ones((len(on), 1), dtype=bool), on], axis=1)
-        return used, seq, ~keys[:, None, None, None, :]
+        return used, seq, np.concatenate([np.ones((len(patterns), 1), dtype=bool),
+                                          patterns[:, used]], axis=1)
 
-    def _keep_masks(self, patterns: np.ndarray, used: np.ndarray, batch: int, rng) -> list:
-        """Per layer, the dropout keep masks of all patterns as one dense array
-        in the layout of its attention probabilities.
+    def _keep_masks(self, keys: np.ndarray, batch: int, rng) -> list:
+        """Per layer, the dropout keep masks of the patterns that keep
+        ``keys``, in the layout of the layer's attention probabilities: on the
+        first layer's query axis, (B, heads, K, n_q, n), and on the leading
+        axis of later layers, (K, B, heads, n_q, n). The final layer keeps
+        only the token's query row. Each is stored pattern-major.
 
-        Each pattern, in order, draws one (layers, B, heads, n_k, n_k) array,
-        the same numbers as one draw per layer, since every block has the
-        fusion's dropout rate. It is scattered to the token and view slots of
-        the pattern: on the first layer's query axis, (B, heads, K, n_q, n),
-        and on the leading axis of later layers, (K, B, heads, n_q, n). The
-        final layer keeps only the token's row.
+        Pattern after pattern, each stands for one (layers, B * heads, n_k,
+        n_k) draw over its n_k keys, the same numbers as one draw per layer,
+        since every block has the fusion's dropout rate. One draw takes all
+        of them, the same numbers in the same order, and only the entries a
+        layer reads are thresholded: its query rows at the pattern's keys,
+        read for all patterns with n_k keys at once through a strided view.
         """
         dropout = self.blocks[0].dropout
-        if rng is None or dropout.rate == 0.0:
-            return [None] * len(self.blocks)
-        count, n, heads = len(patterns), 1 + len(used), self.blocks[0].heads
-        last = len(self.blocks) - 1
-        keeps = [np.zeros(((batch, heads, count) if i == 0 else (count, batch, heads))
-                          + (1 if i == last else n, n)) for i in range(last + 1)]
-        for k, pattern in enumerate(patterns):
-            pos = np.concatenate([[0], 1 + np.flatnonzero(pattern[used])])
-            drawn = dropout.mask((len(keeps), batch, heads, len(pos), len(pos)), rng)
-            for i, (keep, layer) in enumerate(zip(keeps, drawn)):
-                queries = pos[:keep.shape[-2]]
-                target = keep[:, :, k] if i == 0 else keep[k]
-                target[:, :, queries[:, None], pos] = layer[:, :, :len(queries)]
+        count, n = keys.shape
+        layers, heads = len(self.blocks), self.blocks[0].heads
+        rows = batch * heads
+        size = keys.sum(axis=1)
+        block = layers * rows * size**2  # each pattern's numbers
+        drawn = dropout.draw(int(block.sum()), rng)
+        if drawn is None:
+            return [None] * layers
+        starts, step = np.cumsum(block) - block, drawn.itemsize
+        keeps = []
+        for i in range(layers):
+            width = 1 if i == layers - 1 else n  # query rows
+            keep = np.zeros((count, rows, width * n))
+            for s in np.unique(size).tolist():
+                group = np.flatnonzero(size == s)
+                queries = min(width, s)
+                # at every offset, the (B * heads, queries, s) entries read
+                # from a (B * heads, s, s) block starting there
+                window = as_strided(drawn, (drawn.size - ((rows - 1) * s + queries) * s + 1,
+                                            rows, queries, s),
+                                    (step, step * s * s, step * s, step), writeable=False)
+                values = dropout.keep(window[starts[group] + i * rows * s * s])
+                pos = np.nonzero(keys[group])[1].reshape(len(group), s)
+                at = (pos[:, :queries, None] * n + pos[:, None, :]).reshape(len(group), -1)
+                keep[group[:, None], :, at] = np.swapaxes(values.reshape(len(group), rows, -1), 1, 2)
+            keep = keep.reshape((count, batch, heads, width, n))
+            keeps.append(np.moveaxis(keep, 0, 2) if i == 0 else keep)
         return keeps
 
     def _fuse(self, rows, patterns, rng):
-        used, z, exclude = self._sequence(rows, patterns)
-        keeps = self._keep_masks(patterns, used, z.shape[0], rng)
+        used, z, keys = self._sequence(rows, patterns)
+        keeps = self._keep_masks(keys, z.shape[0], rng)
+        exclude = ~keys[:, None, None, None, :]
         last = len(self.blocks) - 1
         for i, (block, keep) in enumerate(zip(self.blocks, keeps)):
             z = block.attend(z, exclude=exclude, keep=keep, first_row=i == last)
@@ -337,9 +360,9 @@ class CrossAttentionFusion(Fusion):
         view in declaration order; a missing view's weight is 0."""
         available, patterns = _patterns(rows, available)
         with no_grad():
-            used, z, exclude = self._sequence(rows, patterns)
-            probs = self.blocks[0].probs(z, exclude, first_row=True).data[..., 0, :]
-        probs = np.moveaxis(probs, -2, 0)
+            used, z, keys = self._sequence(rows, patterns)
+            probs = self.blocks[0].probs(z, ~keys[:, None, None, None, :], first_row=True)
+        probs = np.moveaxis(probs[..., 0, :], -2, 0)
         full = np.zeros(probs.shape[:-1] + (1 + self.m,))
         full[..., np.concatenate([[0], 1 + used])] = probs
         return full.reshape(available.shape[:-1] + full.shape[1:])

@@ -200,4 +200,22 @@ def run_suite(seeds: Sequence[int] = tuple(range(20))) -> dict[str, float]:
                 fusion.fuse(rows_all, mixed, rng=np.random.default_rng(seed))), params)
             record(f"fusion_{kind}_train_mixed", max(errs.values()))
 
+        # attention under three key sets on the query axis, the first row's
+        # queries alone and a fixed keep mask over the kept keys; then a
+        # layer's own train-time forward, a freshly seeded generator per loss
+        # evaluation fixing its keep mask; last, so no other data moves
+        z, mha = unit((2, 4, 4)), layers.MultiHeadAttention(4, heads=2, rng=rng)
+        params = {"z": z, "W_Q": mha.W_Q, "W_K": mha.W_K, "W_V": mha.W_V}
+        sets = np.array([[False, True, False, True], [False, False, True, False],
+                         [False, False, False, False]])
+        exclude = sets[:, None, None, None, :]
+        keep = (rng.random((2, 2, 3, 1, 4)) < 0.7) / 0.7 * ~sets[:, None, :]
+        errs = check_gradients(lambda: _sum_squares(
+            mha.attend(z, exclude=exclude, keep=keep, first_row=True)), params)
+        record("attention_key_sets", max(errs.values()))
+        mha.dropout = layers.Dropout(0.4)
+        errs = check_gradients(lambda: _sum_squares(mha(z, rng=np.random.default_rng(seed))),
+                               params)
+        record("attention_train", max(errs.values()))
+
     return results

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, lstm_scan, window_affine
+from .tensor import Tensor, attention, attention_probs, lstm_scan, window_affine
 
 
 class Module:
@@ -106,10 +106,19 @@ class Dropout:
 
     def mask(self, shape: tuple, rng: np.random.Generator | None = None) -> np.ndarray | None:
         """One draw of the scaled keep mask, or None where dropout is the identity."""
-        if rng is None or self.rate == 0.0:
-            return None
+        drawn = self.draw(shape, rng)
+        return None if drawn is None else self.keep(drawn)
+
+    def draw(self, shape: tuple | int,
+             rng: np.random.Generator | None = None) -> np.ndarray | None:
+        """The uniform numbers a keep mask of ``shape`` thresholds, or None
+        where dropout is the identity."""
+        return None if rng is None or self.rate == 0.0 else rng.random(shape)
+
+    def keep(self, drawn: np.ndarray) -> np.ndarray:
+        """The scaled keep mask of drawn numbers."""
         keep = 1.0 - self.rate
-        return (rng.random(shape) < keep) / keep
+        return (drawn < keep) / keep
 
 
 class LSTMCell(Module):
@@ -145,15 +154,17 @@ class MultiHeadAttention(Module):
     attention probabilities. There is no learned per-head scalar logit bias:
     added to every logit of its head, it would cancel in the softmax.
 
-    ``attend`` also takes keys to exclude and a dropout keep mask, so one
-    input is attended under several key sets at once, and can compute the
-    first row's queries alone. An exclusion that broadcasts with the
+    The logits, the masked softmax, the dropout keep mask and the value
+    product are one ``tensor.attention`` node; ``probs`` reads the same
+    probabilities. ``attend`` also takes keys to exclude and a keep mask, so
+    one input is attended under several key sets at once, and can compute
+    the first row's queries alone. An exclusion that broadcasts with the
     probabilities (..., heads, n_q, n) applies to each row of an input that
-    carries its key sets on a leading axis. One with a leading axis more than
-    the probabilities holds K key sets of one shared input: they are laid out
-    on the query axis, so the probabilities are (..., heads, K, n_q, n) and
-    ``probs @ V`` is one (K * n_q, n) @ (n, d/heads) product per head, whose
-    V gradient needs no sum over the key sets.
+    carries its key sets on a leading axis. One of shape (K, 1, ..., 1, n),
+    an axis more than the probabilities, holds K key sets of one shared
+    input: they are laid out on the query axis, the probabilities are
+    (..., heads, K, n_q, n), and the node normalizes the shared logits under
+    all K sets at once, without forming those probabilities.
     """
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator,
@@ -165,45 +176,37 @@ class MultiHeadAttention(Module):
         self.W_V = glorot(rng, d, d, (d, d))
         self.heads = heads
         self.d = d
-        self.scaling = scaling
+        self.scale = 1.0 / np.sqrt(d // heads) if scaling else 1.0
         self.dropout = Dropout(dropout)
 
-    def _split_heads(self, t: Tensor) -> Tensor:
-        """(..., n, d) -> (..., heads, n, d/heads)."""
+    def _heads(self, z: Tensor, W: Tensor) -> Tensor:
+        """z @ W split into heads: (..., n, d) -> (..., heads, n, d/heads)."""
+        t = window_affine(z, W)
         lead = t.ndim - 2
         split = t.reshape(t.shape[:-1] + (self.heads, self.d // self.heads))
         return split.transpose(tuple(range(lead)) + (lead + 1, lead, lead + 2))
 
+    def _queries_keys(self, z: Tensor, first_row: bool) -> tuple[Tensor, Tensor]:
+        return self._heads(z[..., :1, :] if first_row else z, self.W_Q), self._heads(z, self.W_K)
+
     def probs(self, z: Tensor, exclude: np.ndarray | None = None,
-              first_row: bool = False) -> Tensor:
+              first_row: bool = False) -> np.ndarray:
         """Attention probabilities of an input (..., n, d), shape
         (..., heads, n_q, n), or (..., heads, K, n_q, n) under K key sets on
         the query axis; n_q is 1 when only the first row queries."""
-        q = self._split_heads(window_affine(z[..., :1, :] if first_row else z, self.W_Q))
-        k = self._split_heads(window_affine(z, self.W_K))
-        logits = q @ k.transpose(tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
-        if self.scaling:
-            logits = logits * (1.0 / np.sqrt(self.d // self.heads))
-        if exclude is not None and exclude.ndim > logits.ndim:
-            # (K, ..., n_q, n) key sets of a shared input -> (..., K, n_q, n)
-            exclude = np.moveaxis(exclude, 0, -3)
-            logits = logits.reshape(logits.shape[:-2] + (1,) + logits.shape[-2:])
-        return logits.softmax(axis=-1, exclude=exclude)
+        q, k = self._queries_keys(z, first_row)
+        return attention_probs(q.data, k.data, self.scale, exclude)
 
     def attend(self, z: Tensor, exclude: np.ndarray | None = None,
                keep: np.ndarray | None = None, first_row: bool = False) -> Tensor:
         """Attention output (..., n_q, d), or (K, ..., n_q, d) under K key
         sets on the query axis: ``exclude`` marks keys left out of the
         softmax and ``keep`` is a scaled dropout mask in the layout of the
-        probabilities."""
-        probs = self.probs(z, exclude, first_row)
-        if keep is not None:
-            probs = probs * Tensor(keep)
-        v = self._split_heads(window_affine(z, self.W_V))
-        lead, sets = v.ndim - 3, probs.ndim - v.ndim
-        # key sets on the query axis fold into it: one product per head
-        out = probs.reshape(v.shape[:-2] + (-1, probs.shape[-1])) @ v
-        out = out.reshape(probs.shape[:-1] + v.shape[-1:])
+        probabilities. One ``tensor.attention`` node runs the heads."""
+        q, k = self._queries_keys(z, first_row)
+        v = self._heads(z, self.W_V)
+        out = attention(q, k, v, self.scale, exclude, keep)
+        lead, sets = v.ndim - 3, out.ndim - v.ndim
         # (..., heads, [K,] n_q, d/heads) -> ([K,] ..., n_q, heads, d/heads)
         out = out.transpose(tuple(range(lead + 1, lead + 1 + sets)) + tuple(range(lead))
                             + (lead + 1 + sets, lead, lead + 2 + sets))

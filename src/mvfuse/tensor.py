@@ -83,8 +83,9 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _shift(data: np.ndarray, axis: int) -> np.ndarray:
     """``data.max(axis=axis, keepdims=True)``, the softmax shift. Up to 32 keys
     on the last axis it is a fold of np.maximum, as exact and several times
-    faster there: 4.0 against 13.7 ms on cross fusion's (128, 8, 127, 1, 8)
-    logits, one thread; from about 64 keys max() is faster."""
+    faster there: 0.07 against 0.68 ms on (128, 8, 8, 8) attention logits of
+    8 keys, and 3.2 against 11.6 ms on a later cross layer's (127, 128, 8,
+    1, 8), one thread; from about 64 keys max() is faster."""
     if axis not in (-1, data.ndim - 1) or data.shape[-1] > 32:
         return data.max(axis=axis, keepdims=True)
     out = data[..., :1].copy()
@@ -701,6 +702,135 @@ def softmax_mix(logits: Tensor, values: Tensor) -> Tensor:
             values._accumulate(_unbroadcast(gw, values.shape))
 
     return Tensor._result(out, (logits, values), backward, "softmax_mix")
+
+
+# How far a logit may sit above its row's shared shift before ``attention``
+# normalizes each key set on its own: exp(64) is about 6e27, far from overflow.
+SHARED_SHIFT_BOUND = 64.0
+
+
+def _attention_weights(q: np.ndarray, k: np.ndarray, scale: float,
+                       exclude: np.ndarray | None) -> tuple:
+    """The softmax weights of ``attention`` as (e, den, kept) over the logits
+    ``scale * q @ k^T``, (..., n_q, n), with e four-axis as (..., K, n_q, n).
+
+    Without key sets e is the (optionally masked) softmax, K = 1, and den
+    and ``kept`` are None. With K key sets, ``kept`` is their (K, n) 0/1
+    keys. Where K > 1 and a logit sits at most ``SHARED_SHIFT_BOUND`` above
+    its row's max over the keys every set keeps, e is the shared
+    (..., 1, n_q, n) exp of the logits less that max, and den (..., K, n_q)
+    is one (..., n) @ (n, K) product of e with ``kept``; the shift is a kept
+    key of every set, so no normalizer is below 1 and no excluded key moves
+    it. Otherwise e is the masked softmax, each set shifted by its own max,
+    and den is None: one set gains nothing from sharing its exp, and the
+    row-wise backward is the cheaper one there.
+    """
+    logits = q @ np.swapaxes(k, -1, -2)
+    logits *= scale
+    n = logits.shape[-1]
+    if exclude is None or np.ndim(exclude) <= logits.ndim:
+        if exclude is not None:
+            try:
+                np.broadcast_to(exclude, logits.shape)
+            except ValueError:
+                raise ValueError(f"attention exclusion of shape {np.shape(exclude)} does not "
+                                 f"broadcast to the logits {logits.shape}") from None
+        return _softmax(logits, -1, exclude)[..., None, :, :], None, None
+    exclude = np.asarray(exclude, dtype=bool)
+    if exclude.shape[1:] != (1,) * (logits.ndim - 1) + (n,):
+        raise ValueError(f"attention key sets must be (K, {'1, ' * (logits.ndim - 1)}{n}) "
+                         f"for logits {logits.shape}, got {exclude.shape}")
+    kept = ~exclude.reshape(-1, n)
+    common = kept.all(axis=0)
+    if len(kept) > 1 and common.any():
+        e = logits - _shift(logits if common.all() else logits[..., common], -1)
+        if e.max() <= SHARED_SHIFT_BOUND:
+            kept = kept.astype(float)
+            np.exp(e, out=e)
+            den = (e.reshape(-1, n) @ kept.T).reshape(e.shape[:-1] + (-1,))
+            return e[..., None, :, :], np.swapaxes(den, -1, -2), kept
+    return (_softmax(logits[..., None, :, :], -1, exclude.reshape(-1, 1, n)), None,
+            kept.astype(float))
+
+
+def attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
+                    exclude: np.ndarray | None = None) -> np.ndarray:
+    """The probabilities by which ``attention`` weights the values, before
+    any keep mask: (..., K, n_q, n) under K key sets, else (..., n_q, n)."""
+    e, den, kept = _attention_weights(q, k, scale, exclude)
+    if den is not None:
+        e = e * kept[:, None, :] / den[..., None]
+    return e if kept is not None else e[..., 0, :, :]
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, exclude: np.ndarray | None = None,
+              keep: np.ndarray | None = None) -> Tensor:
+    """``softmax(scale * q @ k^T) @ v`` as one node, with keys excluded from
+    the softmax and the probabilities times a scaled dropout ``keep`` mask.
+
+    q is (..., n_q, c), k (..., n, c) and v (..., n, c_v), with the same
+    leading axes. ``exclude`` is boolean. One that broadcasts to the logits
+    (..., n_q, n) excludes keys per row, and the output is (..., n_q, c_v).
+    One of shape (K, 1, ..., 1, n), an axis more than the logits, holds K
+    key sets of the shared input, laid out on the query axis: the output is
+    (..., K, n_q, c_v). ``keep`` is in the layout of the probabilities that
+    ``attention_probs`` returns.
+
+    Key sets that share a shift (see ``_attention_weights``) never form
+    their probabilities. The one (..., K, n_q, n) array is e times the
+    sets' keys and ``keep``, which feeds the value product; the normalizers
+    divide the (..., K, n_q, c_v) output. The backward needs no other array
+    that wide: with gd = g / den, per query row dV = (e * mask)^T @ gd summed
+    over the sets, and the logits' gradient is rowsum(dV * V) less e times
+    (rowsum(g * out) / den) @ kept. Otherwise the weights are the masked
+    softmax and the backward is the row-wise one. The graph keeps the masked
+    weights, the output and the operands.
+    """
+    if (q.ndim < 2 or k.shape[:-1] != v.shape[:-1] or q.shape[:-2] != k.shape[:-2]
+            or q.shape[-1] != k.shape[-1]):
+        raise ValueError(f"attention needs q (..., n_q, c), k (..., n, c) and v (..., n, c_v), "
+                         f"got {q.shape}, {k.shape} and {v.shape}")
+    e, den, kept = _attention_weights(q.data, k.data, scale, exclude)
+    lead, n_q, n, c = q.shape[:-2], q.shape[-2], k.shape[-2], v.shape[-1]
+    sets = 1 if kept is None else len(kept)
+    shape = lead + (sets, n_q, n)
+    probs = shape if kept is not None else lead + (n_q, n)
+    if keep is not None and keep.shape != probs:
+        raise ValueError(f"attention keep mask of shape {keep.shape} is not in the layout "
+                         f"of the probabilities {probs}")
+    if keep is not None:
+        weights = e * keep.reshape(shape)
+        if den is not None:  # the probabilities, so a mask on them, are 0 at excluded keys
+            weights *= kept[:, None, :]
+    else:
+        weights = e if den is None else e * kept[:, None, :]
+    flat = lead + (sets * n_q, -1)
+    out = (weights.reshape(flat) @ v.data).reshape(lead + (sets, n_q, c))
+    if den is not None:
+        out /= den[..., None]
+
+    def backward(g):
+        g = g.reshape(out.shape)
+        gd = g if den is None else g / den[..., None]
+        dot = np.einsum("...c,...c->...", gd, out)  # rowsum(g * out) / den
+        if den is None:
+            dv = np.swapaxes(weights.reshape(flat), -1, -2) @ gd.reshape(flat)
+            dlogits = (gd.reshape(flat) @ np.swapaxes(v.data, -1, -2)).reshape(shape)
+            dlogits *= weights
+            dlogits -= e * dot[..., None]
+            dlogits = dlogits.sum(axis=-3)
+        else:
+            per_row = np.moveaxis(weights, -3, -1) @ np.swapaxes(gd, -3, -2)
+            dv = per_row.sum(axis=-3)
+            dlogits = (per_row * v.data[..., None, :, :]).sum(axis=-1)
+            dlogits -= e[..., 0, :, :] * (np.swapaxes(dot, -1, -2) @ kept)
+        dlogits *= scale
+        v._accumulate(dv)
+        q._accumulate(dlogits @ k.data)
+        k._accumulate(np.swapaxes(dlogits, -1, -2) @ q.data)
+
+    return Tensor._result(out if kept is not None else out.reshape(lead + (n_q, c)),
+                          (q, k, v), backward, "attention")
 
 
 def backward(loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:

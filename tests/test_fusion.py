@@ -293,6 +293,25 @@ class TestCrossAttention:
             z = block(z, rng=twin)
         np.testing.assert_allclose(fused, z.data[:, 0], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, -8.0, 1e4], ids=["near", "above", "far"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_excluded_views_never_move_a_pattern_bit(self, layers, scale):
+        # rows 0 and 1 agree on views 0-2 and differ on view 3: at -8 its
+        # token logits in row 1 are the row's largest, and at 1e4 they leave
+        # the shared shift's bound; all 15 patterns in one call, and each
+        # pattern that excludes view 3 gives both rows the same bits
+        m, d = 4, 8
+        rng = np.random.default_rng(40 + layers)
+        cross = CrossAttentionFusion(m, d, self.cfg(layers=layers), rng)
+        data = [rng.normal(size=(1, d)) for _ in range(m)]
+        rows = [Tensor(np.concatenate([x, x])) for x in data[:3]]
+        rows.append(Tensor(np.concatenate([data[3], scale * rng.normal(size=(1, d))])))
+        available = pattern_matrix(enumerate_combinations(m), m)
+        fused = cross.fuse(rows, available).data
+        without = ~available[:, 3]
+        assert np.array_equal(fused[without, 0], fused[without, 1])
+        assert not np.array_equal(fused[~without, 0], fused[~without, 1])
+
     def test_stacked_layers_run(self):
         rng = np.random.default_rng(4)
         cross = CrossAttentionFusion(3, 8, self.cfg(layers=2), rng)
@@ -594,32 +613,50 @@ class TestPatterns:
         self.assert_matches_one_call_per_pattern(
             fusion, rows, available[rng.permutation(len(available))], rng)
 
-    def test_cross_lays_the_patterns_on_the_query_axis(self, monkeypatch):
-        # one (K, n) @ (n, d/heads) product per batch row and head, not one
-        # (1, n) product per pattern on a broadcast leading axis
+    @staticmethod
+    def recorded_cross_nodes(monkeypatch):
+        """The (op, shape) of every node recorded by one train-time one-layer
+        cross ``fuse`` over the 127 patterns of seven views, and its
+        dimensions."""
         m, d, heads, batch = 7, 16, 4, 3
         rng = np.random.default_rng(15)
         fusion = make_fusion(FusionConfig(kind="cross", heads=heads, layers=1, dropout=0.3),
                              m, d, rng)
         available = pattern_matrix(enumerate_combinations(m), m)
-        patterns = len(available)
-        shapes = []
+        nodes = []
         result = Tensor._result
 
         def recorded(data, parents, backward, op):
-            shapes.append((op, np.shape(data)))
-            return result(data, parents, backward, op)
+            out = result(data, parents, backward, op)
+            if out.requires_grad:
+                nodes.append((op, np.shape(data)))
+            return out
 
         monkeypatch.setattr(Tensor, "_result", staticmethod(recorded))
         rows = [Tensor(rng.normal(size=(batch, d)), requires_grad=True) for _ in range(m)]
         fused = fusion.fuse(rows, available, rng=np.random.default_rng(16))
+        assert fused.shape == (len(available), batch, d)
+        return nodes, (len(available), batch, heads, d // heads)
 
-        assert fused.shape == (patterns, batch, d)
-        assert ("matmul", (batch, heads, patterns, d // heads)) in shapes
-        broadcast = [(op, shape) for op, shape in shapes
-                     if len(shape) == 5 and shape[0] == patterns
-                     and shape[1:3] == (batch, heads) and shape[3] == 1]
+    def test_cross_lays_the_patterns_on_the_query_axis(self, monkeypatch):
+        # one attention node per layer, the patterns on the first layer's
+        # query axis: its output is (B, heads, K, 1, d/heads), with no
+        # (K, B, heads, ...) node broadcast over the patterns
+        nodes, (patterns, batch, heads, width) = self.recorded_cross_nodes(monkeypatch)
+        attention = [shape for op, shape in nodes if op == "attention"]
+        assert attention == [(batch, heads, patterns, 1, width)]
+        broadcast = [(op, shape) for op, shape in nodes
+                     if len(shape) == 5 and shape[0] == patterns and shape[1:3] == (batch, heads)]
         assert not broadcast, broadcast
+
+    def test_one_layer_cross_records_a_fixed_node_count(self, monkeypatch):
+        # the sequence: the token row (4 nodes), each of the 7 views plus its
+        # positional row (2 each) and their stack (1); the layer: the token's
+        # query row (1), Q, K and V projections split into heads (3 each),
+        # the attention node (1) and the heads merged back (2); the token's
+        # output row (1): 33 nodes for all 127 patterns
+        nodes, _ = self.recorded_cross_nodes(monkeypatch)
+        assert len(nodes) == 33, nodes
 
     def test_memory_steps_each_prefix_and_pattern_length_once(self, monkeypatch):
         # the 31 patterns of five views hold 80 view slots; the first layer
@@ -657,17 +694,17 @@ class TestPatterns:
 
     @pytest.mark.parametrize("kind, m", [("memory", 7), ("cross", 3)])
     def test_each_pattern_draws_its_dropout_once(self, spy, kind, m):
-        # one Dropout.mask call per pattern covers every layer and position:
-        # 127 for memory over seven views, not one per view slot (448), and 7
-        # for two-layer cross over three, not one per layer; the tests above
-        # pin the numbers drawn
+        # memory draws once per pattern, for every layer and position: 127
+        # draws over seven views, not one per view slot (448); two-layer cross
+        # draws once per call, all 7 patterns' numbers for both layers; the
+        # tests above pin the numbers drawn
         rng = np.random.default_rng(13)
         fusion = make_fusion(FusionConfig(kind=kind, heads=2, layers=2, dropout=0.3), m, 4, rng)
-        calls = spy((layers_module.Dropout, "mask"))
+        calls = spy((layers_module.Dropout, "draw"))
         available = pattern_matrix(enumerate_combinations(m), m)
         fusion.fuse(rows_for(m, 4, rng, range(m), batch=2), available,
                     rng=np.random.default_rng(14))
-        assert sum(calls.values()) == len(available)
+        assert sum(calls.values()) == (len(available) if kind == "memory" else 1)
 
     @pytest.mark.parametrize("kind", ALL_DYNAMIC + ["concat"])
     def test_leading_axes_of_availability_shape_the_output(self, kind):

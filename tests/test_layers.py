@@ -269,7 +269,7 @@ class TestMultiHeadAttention:
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         mha = MultiHeadAttention(8, heads=2, rng=rng)
-        weights = mha.probs(Tensor(rng.normal(size=(1, 5, 8)))).data
+        weights = mha.probs(Tensor(rng.normal(size=(1, 5, 8))))
         np.testing.assert_allclose(weights.sum(axis=-1), np.ones((1, 2, 5)), atol=1e-12)
 
     def test_single_row_returns_its_value_projection(self):

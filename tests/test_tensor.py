@@ -1,5 +1,7 @@
 """Tensor core: softmax, reverse-mode gradients, Adam."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 from mvfuse import tensor as tensor_module
 from mvfuse.gradcheck import check_gradients, numerical_gradient, relative_error
 from mvfuse.layers import LSTMCell
-from mvfuse.tensor import (WINDOW_BLOCK, Adam, EmptySupportError, Tensor, backward, concat,
-                           lstm_scan, no_grad, softmax_mix, stack, window_affine)
+from mvfuse.tensor import (WINDOW_BLOCK, Adam, EmptySupportError, Tensor, attention,
+                           attention_probs, backward, concat, lstm_scan, no_grad, softmax_mix,
+                           stack, window_affine)
 
 
 def sum_sq(t):
@@ -673,6 +676,107 @@ def test_softmax_mix_matches_composed_ops():
     weights = Tensor(logits).softmax(axis=0).data
     assert out.shape == (3, 2, 5)
     np.testing.assert_allclose(out, (weights * values).sum(axis=0), rtol=0, atol=1e-14)
+
+
+# three key sets over four keys, key 0 kept by all, as cross fusion's token is
+KEY_SETS = np.array([[False, True, False, True], [False, False, True, False],
+                     [False, False, False, False]])
+
+
+def composed_attention(q, k, v, scale, exclude, keep):
+    """The generic ops the attention node replaces: logits, scale, masked
+    softmax (key sets broadcast on a new axis before the query rows), keep
+    mask and value product."""
+    logits = (q @ k.transpose((0, 1, 3, 2))) * scale
+    if exclude is not None and exclude.ndim > logits.ndim:
+        exclude = np.moveaxis(exclude, 0, -3)
+        logits = logits.reshape(logits.shape[:-2] + (1,) + logits.shape[-2:])
+    probs = logits.softmax(axis=-1, exclude=exclude)
+    if keep is not None:
+        probs = probs * Tensor(keep)
+    v = v.reshape(v.shape[:2] + (1,) * (probs.ndim - 4) + v.shape[2:]) if probs.ndim > 4 else v
+    return probs @ v
+
+
+def attention_case(rng, sets, queries, keep):
+    """q, k, v Tensors of 2 rows and 2 heads over 4 keys, the exclusion of
+    ``sets`` (K, 4) or None, and a keep mask over the kept keys or None."""
+    q, k, v = (Tensor(rng.normal(size=(2, 2, n, 3)), requires_grad=True)
+               for n in (queries, 4, 4))
+    exclude = None if sets is None else sets[:, None, None, None, :]
+    probs = (2, 2) + (() if sets is None else (len(sets),)) + (queries, 4)
+    mask = None
+    if keep:
+        mask = (rng.random(probs) < 0.6) / 0.6
+        if sets is not None:
+            mask *= ~sets[:, None, :]
+    return q, k, v, exclude, mask
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["no-keep", "keep"])
+@pytest.mark.parametrize("sets, queries", [(None, 4), (KEY_SETS, 1), (KEY_SETS, 4),
+                                           (KEY_SETS[1:], 1)],
+                         ids=["per-row", "key-sets-first-row", "key-sets-all-rows",
+                              "no-set-keeps-all"])
+def test_attention_matches_composed_ops(sets, queries, keep):
+    rng = np.random.default_rng(queries + (0 if sets is None else len(sets)))
+    q, k, v, exclude, mask = attention_case(rng, sets, queries, keep)
+    fused = attention(q, k, v, 0.5, exclude, mask)
+    readout = Tensor(rng.normal(size=fused.shape))
+    grads = backward((fused * readout).sum(), [q, k, v])
+    for t in (q, k, v):
+        t.grad = None
+    composed = composed_attention(q, k, v, 0.5, exclude, mask)
+    assert composed.shape == fused.shape
+    want = backward((composed * readout).sum(), [q, k, v])
+    assert_relative(fused.data, composed.data)
+    for got, expected in zip(grads, want):
+        assert_relative(got, expected)
+
+
+@pytest.mark.parametrize("far", ["excluded-key", "kept-key"])
+def test_attention_far_logits_match_reference_softmax(far):
+    # one query row whose logits are the keys themselves: key 3, excluded by
+    # the first set, or key 1, kept by the first and third, sits 1000 above
+    # the token; each set's masked softmax over the others stays exact
+    keys = np.array([0.0, 0.5, -0.25, 0.75])
+    keys[3 if far == "excluded-key" else 1] += 1000.0
+    q = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
+    k = Tensor(keys.reshape(1, 1, 4, 1), requires_grad=True)
+    v = Tensor(np.arange(8.0).reshape(1, 1, 4, 2) / 8.0, requires_grad=True)
+    exclude = KEY_SETS[:, None, None, None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = attention(q, k, v, 1.0, exclude)
+        out.sum().backward()
+        probs = attention_probs(q.data, k.data, 1.0, exclude)
+    for s, kept in enumerate(~KEY_SETS):
+        e = np.exp(keys[kept] - keys[kept].max())
+        want = e / e.sum()
+        np.testing.assert_allclose(probs[0, 0, s, 0, kept], want, rtol=0, atol=1e-12)
+        assert np.all(probs[0, 0, s, 0, ~kept] == 0.0)
+        np.testing.assert_allclose(out.data[0, 0, s, 0], want @ v.data[0, 0, kept],
+                                   rtol=0, atol=1e-12)
+    assert all(np.isfinite(t.grad).all() for t in (q, k, v))
+
+
+@pytest.mark.parametrize("exclude, keep, words", [
+    (KEY_SETS[:, None, None, :], None, "does not broadcast"),
+    (KEY_SETS[:, None, None, None, None, :], None, "key sets must be"),
+    (KEY_SETS.reshape(3, 1, 1, 1, 4), np.ones((2, 2, 1, 4)), "keep mask of shape"),
+    (None, np.ones((2, 2, 3, 1, 4)), "keep mask of shape"),
+])
+def test_attention_operand_checks(exclude, keep, words):
+    q, k, v = (Tensor(np.zeros((2, 2, n, 3))) for n in (1, 4, 4))
+    with pytest.raises(ValueError, match=words):
+        attention(q, k, v, 1.0, exclude, keep)
+
+
+def test_attention_key_set_excluding_every_key_raises():
+    q, k, v = (Tensor(np.zeros((2, 2, n, 3))) for n in (1, 4, 4))
+    sets = np.array([[False, False, False, False], [True, True, True, True]])
+    with pytest.raises(EmptySupportError):
+        attention(q, k, v, 1.0, sets[:, None, None, None, :])
 
 
 def test_operand_without_gradient_gets_no_gradient_work(monkeypatch):
