@@ -20,10 +20,11 @@ missing views are left out of its normalization, never imputed:
 
 - average: one (K, u) @ (u, B*d) product of weights 1/|pattern| over the u
   views some pattern uses;
-- gated: one product of each view with its blocks of ``W_G``; patterns are
-  grouped by their number of views s, and per group one selection product
-  gives the logits of the available slots only, (s, G, B, d), and one
-  fused softmax and weighted sum mixes over them;
+- gated: one ``tensor.gated_mix`` node. Each used view is multiplied by
+  its blocks of ``W_G`` once per call; patterns are grouped by their number
+  of views s, one selection product gives the logits of the available
+  slots only, (s, G, B, d) per group, the softmax over the s slots runs in
+  place and the mix reads each slot's row straight from the rows;
 - cross: one token-plus-views sequence and one Q/K/V projection per layer
   for all patterns; a pattern's missing views are excluded keys, and the
   final layer computes only the token's queries. Each layer is one
@@ -73,7 +74,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .layers import Affine, Dropout, LSTMCell, Module, MultiHeadAttention, glorot
-from .tensor import Tensor, concat, lstm_scan, no_grad, softmax_mix, stack, window_affine
+from .tensor import (Tensor, concat, gated_mix, gated_weights, lstm_scan, no_grad, stack,
+                     window_affine)
 
 FUSION_KINDS = ("average", "gated", "cross", "memory", "concat")
 
@@ -204,11 +206,12 @@ class GatedFusion(Fusion):
     under a pattern is the sum, over the pattern's views u, of u's encoding
     times the (u, v) block of ``W_G``, plus v's bias. The per-dimension
     softmax runs over the available views only, so a missing view's weight
-    is an exact zero. Each used view is multiplied by its blocks once per
-    call. Patterns are then packed by their number of views s: per group of
-    G patterns one selection product sums those products into the logits of
-    the available slots only, (s, G, B, d), one one-hot product gathers the
-    slots' values, and one ``softmax_mix`` mixes over the s slots.
+    is an exact zero. All patterns are one ``tensor.gated_mix`` node: each
+    used view is multiplied by its blocks once per call, and per group of G
+    patterns with s views one selection product sums those products into
+    the logits of the available slots only, (s, G, B, d), normalized over
+    the s slots and mixing the slots' rows. ``gate_weights`` reads the same
+    weights through ``tensor.gated_weights``.
     """
 
     def __init__(self, m: int, d: int, rng: np.random.Generator):
@@ -217,55 +220,15 @@ class GatedFusion(Fusion):
         self.m = m
         self.d = d
 
-    def _packed(self, used: np.ndarray, z: Tensor, on: np.ndarray):
-        """Per group of G patterns with s views, from ``_used``'s views, rows
-        and patterns: their indices into the patterns, each slot's position
-        among the used views, (s * G,) in (slot, pattern) order, and the
-        slots' logits (s, G, B, d)."""
-        m, d = self.m, self.d
-        u, batch = len(used), z.shape[1]
-        # W_G's rows are (view, input dimension) and its columns (output
-        # dimension, view). Per used view v the table holds each used view w's
-        # rows times block (w, v), then v's bias: rows v * (u + 1) + w and
-        # v * (u + 1) + u. A slot of view v weights v's u + 1 rows by its
-        # pattern's ``terms``: its views, then the bias.
-        pairs = self.W_G.reshape((m, d, d, m)).transpose((3, 0, 1, 2)).reshape((m * m * d, d))
-        pairs = _select(pairs, (used[:, None] * m + used).ravel().tolist(), d)
-        bias = _select(self.b.reshape((d, m)).transpose((1, 0)), used.tolist(), 1)
-        table = concat([z.reshape((1, u, batch, d)) @ pairs.reshape((u, u, d, d)),
-                        Tensor(np.ones((1, 1, batch, 1))) @ bias.reshape((u, 1, 1, d))],
-                       axis=1).reshape((u * (u + 1), -1))
-        terms = np.concatenate([on, np.ones((len(on), 1))], axis=1)
-        for members in _by_length(on):
-            count, s = len(members), int(on[members[0]].sum())
-            views = np.nonzero(on[members])[1].reshape((count, s)).T
-            select = np.zeros((s, count, u, u + 1))
-            select[np.arange(s)[:, None], np.arange(count), views] = terms[members]
-            logits = Tensor(select.reshape((s * count, -1))) @ table
-            yield members, views.ravel(), logits.reshape((s, count, batch, d))
-
     def _fuse(self, rows, patterns, rng):
-        used, z, on = _used(rows, patterns)
-        batch, table = z.shape[1], z.reshape((-1, self.d))
-        outs, groups = [], []
-        for members, views, logits in self._packed(used, z, on):
-            values = _select(table, views.tolist(), batch)
-            outs.append(softmax_mix(logits, values.reshape(logits.shape)).reshape((-1, self.d)))
-            groups.append(members)
-        return _ungroup(outs, groups, batch).reshape((len(patterns), batch, self.d))
+        return gated_mix(rows, self.W_G, self.b, patterns)
 
     def gate_weights(self, rows: list, available=None) -> np.ndarray:
         """Evaluation-mode per-dimension view weights, shape
         ``available.shape[:-1] + (B, d, m)``; a missing view's weights are 0."""
         available, patterns = _patterns(rows, available)
-        with no_grad():
-            used, z, on = _used(rows, patterns)
-            weights = np.zeros((len(patterns), self.m) + z.shape[1:])
-            for members, views, logits in self._packed(used, z, on):
-                weights[np.tile(members, logits.shape[0]), used[views]] = (
-                    logits.softmax(axis=0).data.reshape((-1,) + z.shape[1:]))
-        return weights.transpose((0, 2, 3, 1)).reshape(
-            available.shape[:-1] + z.shape[1:2] + (self.d, self.m))
+        weights = gated_weights(rows, self.W_G, self.b, patterns)
+        return weights.reshape(available.shape[:-1] + weights.shape[1:])
 
 
 class CrossAttentionFusion(Fusion):

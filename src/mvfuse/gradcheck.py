@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, gated_mix
 
 STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
@@ -217,5 +217,16 @@ def run_suite(seeds: Sequence[int] = tuple(range(20))) -> dict[str, float]:
         errs = check_gradients(lambda: _sum_squares(mha(z, rng=np.random.default_rng(seed))),
                                params)
         record("attention_train", max(errs.values()))
+
+        # the gated mix alone over four views, view 2 unused, under patterns
+        # of unsorted lengths, one of them repeated; last, so no other data
+        # moves
+        rows = [unit((2, 3)), unit((2, 3)), None, unit((2, 3))]
+        W, b = unit((12, 12)), unit((12,))
+        patterns = np.array([[1, 1, 0, 1], [1, 0, 0, 0], [0, 1, 0, 1], [1, 0, 0, 0],
+                             [1, 1, 0, 0]], dtype=bool)
+        params = {"z0": rows[0], "z1": rows[1], "z3": rows[3], "W": W, "b": b}
+        errs = check_gradients(lambda: _sum_squares(gated_mix(rows, W, b, patterns)), params)
+        record("gated_mix", max(errs.values()))
 
     return results

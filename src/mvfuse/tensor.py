@@ -95,8 +95,9 @@ def _shift(data: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _softmax(data: np.ndarray, axis: int, exclude: np.ndarray | None) -> np.ndarray:
-    """The softmax of ``Tensor.softmax`` and ``softmax_mix``, in a new array;
-    raises EmptySupportError if ``exclude`` leaves a slice empty."""
+    """The softmax of ``Tensor.softmax`` and ``attention``, in a new array of
+    the shape ``data`` and ``exclude`` broadcast to; raises EmptySupportError
+    if ``exclude`` leaves a slice empty."""
     if exclude is None:
         out = data - _shift(data, axis)
     else:
@@ -302,19 +303,20 @@ class Tensor:
     def softmax(self, axis: int = -1, exclude: np.ndarray | None = None) -> "Tensor":
         """Softmax along ``axis``, optionally excluding masked indices.
 
-        ``exclude`` is a boolean array that broadcasts with the tensor; True
-        marks indices removed from the normalization. The result has the
-        broadcast shape, so one set of logits can be normalized under several
-        exclusion patterns at once; the backward sums the gradient back to
-        the input's shape. Excluded outputs are exactly zero, so downstream
-        weighted sums literally ignore them.
+        ``exclude`` is a boolean array that broadcasts to the tensor's shape;
+        True marks indices removed from the normalization, and one larger
+        than the tensor raises ValueError. Excluded outputs are exactly
+        zero, so downstream weighted sums literally ignore them.
         """
         a = self
+        if exclude is not None and np.broadcast_shapes(np.shape(exclude), a.shape) != a.shape:
+            raise ValueError(f"softmax exclusion of shape {np.shape(exclude)} is larger than "
+                             f"the input {a.shape}")
         out_data = _softmax(a.data, axis, exclude)
 
         def backward(g):
             dot = (g * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(_unbroadcast(out_data * (g - dot), a.shape))
+            a._accumulate(out_data * (g - dot))
 
         return Tensor._result(out_data, (a,), backward, "softmax")
 
@@ -681,27 +683,183 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
             for t, v in zip(shown, views)]
 
 
-def softmax_mix(logits: Tensor, values: Tensor) -> Tensor:
-    """Softmax weights over axis 0 applied to ``values`` and summed over it.
+def _gated_plan(rows: Sequence, W: Tensor, b: Tensor, patterns: np.ndarray) -> tuple:
+    """The used views, their rows, the patterns' groups and their slots'
+    selection, for ``gated_mix`` and ``gated_weights``.
 
-    ``logits`` is (n, ...) and ``values`` broadcasts with it, so n rows can
-    be mixed under many weightings at once. Returns the broadcast shape
-    without axis 0. One node with a hand-written backward, so the weights
-    are the only full-size array it adds to the graph.
+    Patterns are grouped by their number of views s, groups in the order
+    their length first appears but single views last; a group is its G
+    member patterns and each slot's view among the used ones, (s, G), slot
+    k holding each member's k-th view. Over all slots in group order (slot
+    after slot, member after member), ``select`` (n, u*u) holds each slot's
+    pattern's views in the row block of its own view: a slot of view v sums
+    the pair products (v, w) over the pattern's views w.
     """
-    weights = _softmax(logits.data, 0, None)
-    out = np.einsum("v...,v...->...", weights, values.data)
+    patterns = np.asarray(patterns, dtype=bool)
+    m = len(rows)
+    used = np.flatnonzero(patterns.any(axis=0))
+    d = rows[used[0]].shape[-1]
+    if W.shape != (m * d, d * m) or b.shape != (d * m,) or patterns.shape[1:] != (m,):
+        raise ValueError(f"gated_mix needs W ({m * d}, {d * m}), b ({d * m},) and patterns "
+                         f"(K, {m}) for {m} views of width {d}, got {W.shape}, {b.shape} "
+                         f"and {patterns.shape}")
+    on = patterns[:, used]
+    sizes = on.sum(axis=1)
+    groups = []
+    for s in sorted(dict.fromkeys(sizes.tolist()), key=lambda s: s == 1):
+        members = np.flatnonzero(sizes == s)
+        groups.append((members, np.nonzero(on[members])[1].reshape(len(members), s).T))
+    views = np.concatenate([slots.ravel() for _, slots in groups])
+    select = np.zeros((len(views), len(used), len(used)))
+    select[np.arange(len(views)), views] = on[np.concatenate(
+        [np.tile(members, len(slots)) for members, slots in groups])]
+    return used, tuple(rows[v] for v in used), groups, select.reshape(len(views), -1)
+
+
+def _gated_blocks(W: np.ndarray, used: np.ndarray, d: int) -> np.ndarray:
+    """Blocks (u, u, d, d) of a gate weight W (m*d, d*m) between the used
+    views: [v, w] is block (w, v), W's rows (w, input dimension) by its
+    columns (output dimension, v)."""
+    m = len(W) // d
+    return W.reshape(m, d, d, m).transpose(3, 0, 1, 2)[used[:, None], used]
+
+
+def _gated_softmax(plan: tuple, W: np.ndarray, b: np.ndarray, fresh: bool) -> tuple:
+    """The used rows z (u, B*d), the gate weights of every slot of ``plan``
+    (n, B*d) in its slot order, and spare rows, at least 2G for the widest
+    group's G. All but ``fresh`` weights lie in one buffer allocated here.
+
+    A slot of view v under a pattern has the logits sum over the pattern's
+    views w of z_w @ W[w, v], plus v's bias: the u*u pair products are
+    formed once, v's bias is added to the pair (v, v) that each of its slots
+    sums, and one selection product sums them per slot. The softmax over
+    each pattern's s slots runs in place, its shift and normalizer in the
+    rows that held the pair products, which become the spare rows. A single
+    view's weight is exactly 1, so those slots, last, skip both.
+    """
+    used, used_rows, groups, select = plan
+    (u, n), (batch, d) = (len(used), len(select)), used_rows[0].shape
+    spare = max(u * u, 2 * max(len(members) for members, _ in groups))
+    work = np.empty((u + spare + (0 if fresh else n), batch * d))
+    z = np.stack([r.data for r in used_rows], out=work[:u].reshape(u, batch, d))
+    pairs = work[u:u + u * u].reshape(u, u, batch, d)
+    np.matmul(z, _gated_blocks(W, used, d), out=pairs)
+    pairs.reshape(u * u, batch, d)[::u + 1] += b.reshape(d, -1)[:, used].T[:, None]
+    weights = np.empty((n, batch * d)) if fresh else work[u + spare:]
+    multi = n - sum(len(members) for members, slots in groups if len(slots) == 1)
+    np.matmul(select[:multi], pairs.reshape(u * u, -1), out=weights[:multi])
+    weights[multi:] = 1.0
+    start = 0
+    for members, slots in groups:
+        s, count = slots.shape
+        if s == 1:
+            break
+        logits = weights[start:start + s * count].reshape(s, count, -1)
+        start += s * count
+        shift = work[u:u + count]
+        np.max(logits, axis=0, out=shift)
+        logits -= shift
+        np.exp(logits, out=logits)
+        logits *= np.reciprocal(np.sum(logits, axis=0, out=shift), out=shift)
+    return work[:u], weights, work[u:u + spare]
+
+
+def gated_mix(rows: Sequence[Tensor | None], W: Tensor, b: Tensor, patterns: np.ndarray) -> Tensor:
+    """A gated merge of the rows under K availability patterns as one node,
+    (K, B, d).
+
+    ``rows`` holds one (B, d) row per view, or None for a view no pattern
+    uses; ``patterns`` is a boolean (K, m) array. ``W`` (m*d, d*m) and ``b``
+    (d*m,) give view v's logits under a pattern: the pattern's views,
+    zero-imputed and concatenated, times W's columns (j, v) for each output
+    dimension j, plus b's. The softmax over each pattern's available views
+    weighs them per dimension, so a missing view's weight is an exact zero.
+
+    Patterns are grouped by their number of views (see ``_gated_plan`` and
+    ``_gated_softmax``). Per group the mix reads each slot's row straight
+    from the rows and its result is written at its patterns' positions. The
+    graph keeps only the weights; an unrecorded call keeps nothing and its
+    weights, like every temporary, lie in the one buffer that the call
+    allocates. The backward forms w * g per slot, whose sum per view is the
+    rows' gradient through the mix, and from it dlogits = w * g * (z - out);
+    one transposed selection product gives the pair products' gradients,
+    whence W's, the rows' through the logits, and b's from the pairs (v, v).
+    """
+    plan = _gated_plan(rows, W, b, patterns)
+    used, used_rows, groups, select = plan
+    (u, n), (batch, d) = (len(used), len(select)), used_rows[0].shape
+    record = _GRAD_ENABLED and any(p.requires_grad for p in used_rows + (W, b))
+    z, weights, spare = _gated_softmax(plan, W.data, b.data, record)
+    out = np.empty((len(patterns), batch * d))
+    start = 0
+    for members, slots in groups:
+        s, count = slots.shape
+        mix, gathered = spare[:count], spare[count:2 * count]
+        for k in range(s):  # take writes straight into ``out`` unless mode is "raise"
+            into = gathered if k else mix
+            np.take(z, slots[k], axis=0, out=into, mode="clip")
+            into *= weights[start + k * count:start + (k + 1) * count]
+            if k:
+                mix += gathered
+        out[members] = mix
+        start += s * count
+    out = out.reshape(len(patterns), batch, d)
 
     def backward(g):
-        gw = weights * g
-        if logits.requires_grad:
-            dlogits = values.data - out
-            dlogits *= gw
-            logits._accumulate(_unbroadcast(dlogits, logits.shape))
-        if values.requires_grad:
-            values._accumulate(_unbroadcast(gw, values.shape))
+        g, flat = g.reshape(len(out), -1), out.reshape(len(out), -1)
+        widest = max(len(members) for members, _ in groups)
+        work = np.empty((u + n + max(u * u, 2 * widest), batch * d))
+        zs = np.stack([r.data for r in used_rows], out=work[:u].reshape(u, batch, d))
+        dlogits, spare = work[u:u + n], work[u + n:]
+        dz = np.zeros((u, batch * d))
+        start = 0
+        for members, slots in groups:
+            s, count = slots.shape
+            dl = dlogits[start:start + s * count]
+            np.multiply(weights[start:start + s * count].reshape(s, count, -1),
+                        np.take(g, members, axis=0, out=spare[:count], mode="clip"),
+                        out=dl.reshape(s, count, -1))
+            start += s * count
+            dz += np.eye(u)[slots.ravel()].T @ dl  # w * g summed per view
+            outs = np.take(flat, members, axis=0, out=spare[:count], mode="clip")
+            for k in range(s):
+                centred = np.take(zs.reshape(u, -1), slots[k], axis=0,
+                                  out=spare[count:2 * count], mode="clip")
+                centred -= outs
+                dl[k * count:(k + 1) * count] *= centred
+        dz = dz.reshape(u, batch, d)
+        dpairs = np.matmul(select.T, dlogits, out=spare[:u * u]).reshape(u, u, batch, d)
+        m = W.shape[0] // d
+        db = np.zeros((d, m))
+        db[:, used] = dpairs.reshape(u * u, batch, d)[::u + 1].sum(axis=1).T
+        b._accumulate(db.reshape(b.shape))
+        dW = np.zeros((m, d, d, m))
+        dW.transpose(3, 0, 1, 2)[used[:, None], used] = np.swapaxes(zs, -1, -2) @ dpairs
+        W._accumulate(dW.reshape(W.shape))
+        blocks = np.swapaxes(_gated_blocks(W.data, used, d), -1, -2)
+        for v in range(u):
+            dz += np.matmul(dpairs[v], blocks[v], out=zs)
+        for r, grad in zip(used_rows, dz):
+            r._accumulate(grad)
 
-    return Tensor._result(out, (logits, values), backward, "softmax_mix")
+    return Tensor._result(out, used_rows + (W, b), backward, "gated_mix")
+
+
+def gated_weights(rows: Sequence[Tensor | None], W: Tensor, b: Tensor,
+                  patterns: np.ndarray) -> np.ndarray:
+    """The per-dimension view weights by which ``gated_mix`` mixes the rows,
+    (K, B, d, m); a missing view's weights are 0."""
+    plan = _gated_plan(rows, W, b, patterns)
+    used, used_rows, groups, _ = plan
+    batch, d = used_rows[0].shape
+    _, weights, _ = _gated_softmax(plan, W.data, b.data, False)
+    full = np.zeros((len(patterns), len(rows), batch, d))
+    start = 0
+    for members, slots in groups:
+        full[members, used[slots]] = weights[start:start + slots.size].reshape(
+            slots.shape + (batch, d))
+        start += slots.size
+    return full.transpose(0, 2, 3, 1)
 
 
 # How far a logit may sit above its row's shared shift before ``attention``

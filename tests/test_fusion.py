@@ -17,7 +17,8 @@ from mvfuse.layers import Affine
 from mvfuse.model import FeatureFusionModel, InputConcatModel, build_model
 from mvfuse import fusion as fusion_module
 from mvfuse import layers as layers_module
-from mvfuse.tensor import Tensor, backward, lstm_scan, stack
+from mvfuse import tensor as tensor_module
+from mvfuse.tensor import Tensor, backward, lstm_scan, no_grad, stack
 
 
 def rows_for(m, d, rng, mask, batch=1):
@@ -206,23 +207,43 @@ class TestGatedPacking:
         assert np.all(got[np.broadcast_to(~patterns[:, None, None, :], got.shape)] == 0.0)
         assert_relative(got, weights)
 
+    def seven_views(self, requires_grad=False):
+        rng = np.random.default_rng(12)
+        m, d, batch = 7, 8, 4
+        rows = [Tensor(rng.normal(size=(batch, d)), requires_grad=requires_grad)
+                for _ in range(m)]
+        return GatedFusion(m, d, rng), rows, pattern_matrix(enumerate_combinations(m), m)
+
     def test_mix_normalizes_only_available_slots(self, monkeypatch):
         # 127 patterns of seven views have 448 available slots of 889
         normalized = []
-        mix = fusion_module.softmax_mix
+        softmax = tensor_module._gated_softmax
 
-        def spied(logits, values):
-            normalized.append(logits.size)
-            return mix(logits, values)
+        def spied(*args):
+            z, weights, spare = softmax(*args)
+            normalized.append(weights.size)
+            return z, weights, spare
 
-        monkeypatch.setattr(fusion_module, "softmax_mix", spied)
-        rng = np.random.default_rng(12)
-        m, d, batch = 7, 8, 4
-        gated = GatedFusion(m, d, rng)
-        rows = [Tensor(rng.normal(size=(batch, d))) for _ in range(m)]
-        available = pattern_matrix(enumerate_combinations(m), m)
-        assert gated.fuse(rows, available).shape == (127, batch, d)
-        assert sum(normalized) == 448 * batch * d
+        monkeypatch.setattr(tensor_module, "_gated_softmax", spied)
+        gated, rows, available = self.seven_views()
+        assert gated.fuse(rows, available).shape == (127, 4, 8)
+        assert normalized == [448 * 4 * 8]
+
+    def test_recorded_fuse_is_one_node(self):
+        # the 127 patterns of seven views recorded 66 nodes as generic ops
+        gated, rows, available = self.seven_views(requires_grad=True)
+        assert len(tensor_module._tape(gated.fuse(rows, available))) == 1
+
+    def test_unrecorded_fuses_are_bit_identical(self):
+        # each call reuses a buffer of its own, so nothing carries over between
+        # calls, and a recorded call (W_G needs a gradient) runs the same path
+        gated, rows, available = self.seven_views()
+        with no_grad():
+            first = gated.fuse(rows, available).data
+            gated.fuse(rows, available[::-1])
+            second = gated.fuse(rows, available).data
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first, gated.fuse(rows, available).data)
 
 
 class TestCrossAttention:

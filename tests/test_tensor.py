@@ -11,8 +11,8 @@ from mvfuse import tensor as tensor_module
 from mvfuse.gradcheck import check_gradients, numerical_gradient, relative_error
 from mvfuse.layers import LSTMCell
 from mvfuse.tensor import (WINDOW_BLOCK, Adam, EmptySupportError, Tensor, attention,
-                           attention_probs, backward, concat, lstm_scan, no_grad, softmax_mix,
-                           stack, window_affine)
+                           attention_probs, backward, concat, lstm_scan, no_grad, stack,
+                           window_affine)
 
 
 def sum_sq(t):
@@ -67,8 +67,7 @@ class TestSoftmax:
         np.testing.assert_allclose(base, softmax(moved, exclude={2}), atol=1e-12)
 
     @pytest.mark.parametrize("exclude", [None, np.array([False, True, False, False]),
-                                         np.array([[[True, False, False, True]],
-                                                   [[False, False, False, False]]])],
+                                         np.array([[True, False, False, True]])],
                              ids=["none", "mask", "broadcast"])
     def test_bit_identical_to_separate_buffers(self, exclude):
         # the softmax as separate where, exp and division buffers
@@ -76,7 +75,7 @@ class TestSoftmax:
         if exclude is None:
             e = np.exp(x - x.max(axis=-1, keepdims=True))
         else:
-            excl = np.broadcast_to(exclude, np.broadcast_shapes(x.shape, exclude.shape))
+            excl = np.broadcast_to(exclude, x.shape)
             mx = np.where(excl, -np.inf, x).max(axis=-1, keepdims=True)
             e = np.where(excl, 0.0, np.exp(np.where(excl, 0.0, x - mx)))
         expected = e / e.sum(axis=-1, keepdims=True)
@@ -98,14 +97,12 @@ class TestSoftmax:
         np.testing.assert_array_equal(Tensor(logits).softmax(axis=-1, exclude=excl).data,
                                       e / e.sum(axis=-1, keepdims=True))
 
-    def test_exclude_broadcasts_the_input(self):
-        # one set of logits under two exclusion patterns, each as its own softmax
-        x = np.array([[0.5, -0.2, 1.0], [2.0, 0.1, -1.0]])
-        patterns = np.array([[False, True, False], [True, False, False]])
-        out = Tensor(x).softmax(axis=-1, exclude=patterns[:, None, :]).data
-        assert out.shape == (2, 2, 3)
-        for pattern, got in zip(patterns, out):
-            np.testing.assert_array_equal(got, Tensor(x).softmax(axis=-1, exclude=pattern).data)
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 1, 3), (1, 1, 3)])
+    def test_exclusion_larger_than_the_input_raises(self, shape):
+        # one softmax per input: an exclusion may broadcast only to its shape
+        with pytest.raises(ValueError, match=r"exclusion of shape .* is larger than the "
+                                             r"input \(2, 3\)"):
+            Tensor(np.ones((2, 3))).softmax(axis=-1, exclude=np.zeros(shape, dtype=bool))
 
     def test_differentiable_through_mask(self):
         x = Tensor(np.array([0.5, -0.2, 1.0]), requires_grad=True)
@@ -228,9 +225,8 @@ OPS = {
     "slice": lambda a, b: a[1:, :2],
     "softmax_rows": lambda a, b: a.softmax(axis=-1),
     "softmax_broadcast_exclude": lambda a, b: (a * b).softmax(
-        axis=-1, exclude=np.array([[[False, True, False]], [[True, False, True]]])),
+        axis=-1, exclude=np.array([[False, True, False]])),
     "log_softmax_rows": lambda a, b: a.log_softmax(axis=-1),
-    "softmax_mix": lambda a, b: softmax_mix(a.reshape((3, 1, 2)), b.reshape((3, 2, 1))),
     "concat": lambda a, b: concat([a, b], axis=1),
     "stack": lambda a, b: stack([a, b], axis=0),
 }
@@ -669,15 +665,6 @@ def test_log_softmax_matches_log_of_softmax():
                                np.log(Tensor(x).softmax(axis=-1).data), rtol=0, atol=1e-12)
 
 
-def test_softmax_mix_matches_composed_ops():
-    rng = np.random.default_rng(7)
-    logits, values = rng.normal(size=(4, 3, 2, 5)), rng.normal(size=(4, 1, 2, 5))
-    out = softmax_mix(Tensor(logits), Tensor(values)).data
-    weights = Tensor(logits).softmax(axis=0).data
-    assert out.shape == (3, 2, 5)
-    np.testing.assert_allclose(out, (weights * values).sum(axis=0), rtol=0, atol=1e-14)
-
-
 # three key sets over four keys, key 0 kept by all, as cross fusion's token is
 KEY_SETS = np.array([[False, True, False, True], [False, False, True, False],
                      [False, False, False, False]])
@@ -685,12 +672,13 @@ KEY_SETS = np.array([[False, True, False, True], [False, False, True, False],
 
 def composed_attention(q, k, v, scale, exclude, keep):
     """The generic ops the attention node replaces: logits, scale, masked
-    softmax (key sets broadcast on a new axis before the query rows), keep
-    mask and value product."""
+    softmax (the logits broadcast to the key sets on a new axis before the
+    query rows), keep mask and value product."""
     logits = (q @ k.transpose((0, 1, 3, 2))) * scale
     if exclude is not None and exclude.ndim > logits.ndim:
         exclude = np.moveaxis(exclude, 0, -3)
         logits = logits.reshape(logits.shape[:-2] + (1,) + logits.shape[-2:])
+        logits = logits + Tensor(np.zeros(np.broadcast_shapes(logits.shape, exclude.shape)))
     probs = logits.softmax(axis=-1, exclude=exclude)
     if keep is not None:
         probs = probs * Tensor(keep)
@@ -791,8 +779,7 @@ def test_operand_without_gradient_gets_no_gradient_work(monkeypatch):
         return unbroadcast(grad, shape)
 
     monkeypatch.setattr(tensor_module, "_unbroadcast", spied)
-    for op in (lambda: x * mask, lambda: x + mask,
-               lambda: softmax_mix(x, mask)):
+    for op in (lambda: x * mask, lambda: x + mask):
         seen.clear()
         op().sum().backward()
         assert seen == [(2, 3)]
