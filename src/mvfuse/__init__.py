@@ -13,7 +13,7 @@ from .data import (MultiViewDataset, SyntheticConfig, SyntheticViewConfig,
 from .encoders import EncoderConfig, ViewSpec
 from .evaluation import (EvalReport, MissingScenario, auc_pr, class_change_ratio,
                          deformation, evaluate_scenarios, f1_macro, mape, prs, r2,
-                         scenario_availability, sweep)
+                         scenario_availability)
 from .fusion import (AverageFusion, ConcatFusion, CrossAttentionFusion, FusionConfig,
                      GatedFusion, MemoryFusion, make_fusion)
 from .model import FeatureFusionModel, InputConcatModel, build_model, load_model, save_model
@@ -32,5 +32,5 @@ __all__ = [
     "deformation", "enumerate_combinations", "evaluate_scenarios", "f1_macro",
     "generate_synthetic", "load_dataset", "load_model", "make_fusion", "mape",
     "no_grad", "prs", "r2", "save_dataset", "save_model", "scenario_availability",
-    "sensd_mask", "sweep", "tempd_mask", "train_model", "zscore_apply", "zscore_fit",
+    "sensd_mask", "tempd_mask", "train_model", "zscore_apply", "zscore_fit",
 ]

@@ -1,10 +1,11 @@
 """Command line front end.
 
-Commands: synth, train, evaluate, sweep, gradcheck, ablate. Each takes a
-config file and an output directory; artifacts land in the output directory
-and embed the resolved config and seed. Exit codes: 0 success, 2 config
-error, 3 runtime error, any OSError included (with a JSON error record on
-stderr).
+Commands: synth, train, evaluate, sweep and ablate take a config file, an
+output directory and an optional seed override; gradcheck takes an output
+directory and a seed count. Artifacts land in the output directory, and those
+of the config-driven commands embed the resolved config and seed. Exit codes:
+0 success, 2 config error, 3 runtime error, any OSError included (with a JSON
+error record on stderr).
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True) -> None:
-    parser.add_argument("--config", required=config_required,
-                        help="experiment config file (YAML or JSON)")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="experiment config file (YAML or JSON)")
     parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="run the finite-difference gradient battery")
-    _add_common(p, config_required=False)
+    p.add_argument("--out", required=True, help="output directory for gradcheck.json")
     p.add_argument("--gradcheck-seeds", type=int, default=20,
                    help="number of random seeds per case")
     return parser

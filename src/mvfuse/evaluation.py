@@ -269,10 +269,3 @@ def evaluate_scenarios(model: _BaseModel, ds: MultiViewDataset,
         for metric, values in columns.items():
             report.add(s.key(), s.view, s.p, metric, fold, seed, values[i])
     return report
-
-
-def sweep(model: _BaseModel, ds: MultiViewDataset, view: str, grid: list[float],
-          seed: int) -> EvalReport:
-    """Fraction sweep over one view; masked sets are nested across the grid."""
-    scenarios = [MissingScenario(kind="fraction", view=view, p=float(p)) for p in grid]
-    return evaluate_scenarios(model, ds, scenarios, seed)

@@ -2,17 +2,24 @@
 
 Central differences are the independent oracle for every differentiable
 operation in this package; nothing here reuses the reverse-mode machinery
-beyond calling the forward pass. ``run_suite`` drives the standard battery
-over all layers and fusion functions and is what the command line
-``gradcheck`` subcommand executes.
+beyond calling the forward pass. ``CASES``, the standard battery over all
+layers and fusion functions, maps each case's name to a builder that takes
+the case's own generator, ``rng.stream(seed, "gradcheck", name)``, and
+returns its forward and named parameters; so a case's numbers depend on the
+seed and its name alone. ``run_suite`` checks every case over a range of
+seeds and is what the command line ``gradcheck`` subcommand executes.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import layers
+from .fusion import FusionConfig, fused_width, make_fusion
+from .rng import stream
 from .tensor import Tensor, backward, gated_mix
 
 STEP = 1e-5
@@ -66,167 +73,158 @@ def _sum_squares(t: Tensor) -> Tensor:
     return (t * t).sum() * 0.5
 
 
+# three patterns over three views that share the prefix (0, 1) and the suffix
+# (1, 2) and have two lengths, so memory fusion shares first-layer states
+MIXED = np.array([[True, True, False], [False, True, True], [True, True, True]])
+
+
+def _unit(rng: np.random.Generator, shape) -> Tensor:
+    return Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True)
+
+
+def _named(rows: list) -> dict[str, Tensor]:
+    return {f"z{i}": r for i, r in enumerate(rows) if r is not None}
+
+
+def _fresh(forward: Callable[[np.random.Generator], Tensor],
+           rng: np.random.Generator) -> Callable[[], Tensor]:
+    """``forward`` under a generator made afresh from one drawn seed on each
+    call, so every loss evaluation draws the same keep masks and permutation."""
+    seed = int(rng.integers(2**63))
+    return lambda: forward(np.random.default_rng(seed))
+
+
+def _linear(layer, shape, d_out: int, rng):
+    """An affine or a same-padded conv1d layer."""
+    x, lin = _unit(rng, shape), layer(shape[-1], d_out, rng)
+    return (lambda: lin(x)), {"x": x, "W": lin.W, "b": lin.b}
+
+
+def _encoder_layer(rng):
+    """Conv1d, ReLU and a fixed keep mask in one node."""
+    x, conv = _unit(rng, (2, 5, 3)), layers.Conv1d(3, 4, rng, kernel=3)
+    keep = (rng.random((2, 5, 4)) < 0.7) / 0.7
+    return (lambda: conv(x, relu=True, keep=keep)), {"x": x, "W": conv.W, "b": conv.b}
+
+
+def _layer_norm(rng):
+    x, ln = _unit(rng, (3, 6)), layers.LayerNorm(6)
+    ln.gain.data = rng.uniform(0.5, 1.5, size=6)
+    ln.shift.data = rng.uniform(-0.5, 0.5, size=6)
+    return (lambda: ln(x)), {"x": x, "gain": ln.gain, "shift": ln.shift}
+
+
+def _lstm(rng):
+    """Three chained steps from a zero state."""
+    cell = layers.LSTMCell(3, 4, rng)
+    xs = [_unit(rng, (2, 3)) for _ in range(3)]
+
+    def forward():
+        h_t = c_t = Tensor(np.zeros((2, 4)))
+        for x_t in xs:
+            h_t, c_t = cell.step(x_t, h_t, c_t)
+        return h_t
+
+    return forward, {"W": cell.W, "b": cell.b, **{f"x{i}": x for i, x in enumerate(xs)}}
+
+
+def _mha(rng, shape, dropout=0.0):
+    z = _unit(rng, shape)
+    mha = layers.MultiHeadAttention(shape[-1], heads=2, rng=rng, dropout=dropout)
+    return z, mha, {"z": z, "W_Q": mha.W_Q, "W_K": mha.W_K, "W_V": mha.W_V}
+
+
+def _attention(shape, dropout: float, rng):
+    """A layer's own forward, at train time if it has dropout."""
+    z, mha, params = _mha(rng, shape, dropout)
+    return _fresh(lambda gen: mha(z, rng=gen), rng), params
+
+
+def _attention_key_sets(rng):
+    """Three key sets on the query axis, the first row's queries alone and a
+    fixed keep mask over the kept keys."""
+    z, mha, params = _mha(rng, (2, 4, 4))
+    sets = np.array([[0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 0]], dtype=bool)
+    keep = (rng.random((2, 2, 3, 1, 4)) < 0.7) / 0.7 * ~sets[:, None, :]
+    return (lambda: mha.attend(z, exclude=sets[:, None, None, None, :], keep=keep,
+                               first_row=True)), params
+
+
+def _masked_softmax(rng):
+    x = _unit(rng, (4, 5))
+    exclude = np.isin(np.arange(5), [1, 3])
+    return (lambda: x.softmax(axis=-1, exclude=exclude)), {"x": x}
+
+
+def _gated_mix(rng):
+    """The gated mix alone over four views, view 2 unused, under patterns of
+    unsorted lengths, one of them repeated."""
+    rows = [_unit(rng, (2, 3)), _unit(rng, (2, 3)), None, _unit(rng, (2, 3))]
+    W, b = _unit(rng, (12, 12)), _unit(rng, (12,))
+    patterns = np.array([[1, 1, 0, 1], [1, 0, 0, 0], [0, 1, 0, 1], [1, 0, 0, 0],
+                         [1, 1, 0, 0]], dtype=bool)
+    return (lambda: gated_mix(rows, W, b, patterns)), {**_named(rows), "W": W, "b": b}
+
+
+def _rows(rng, mixed: bool) -> tuple[list, np.ndarray | None]:
+    """Rows of width 4 over three views: all three under ``MIXED``, one batch
+    fused under each pattern, or views 0 and 2 under their one pattern."""
+    if mixed:
+        return [_unit(rng, (2, 4)) for _ in range(3)], MIXED
+    return [_unit(rng, (2, 4)), None, _unit(rng, (2, 4))], None
+
+
+def _fusion(kind: str, mixed: bool, rng):
+    """A fusion in evaluation mode, the rows' and its own gradients."""
+    rows, available = _rows(rng, mixed)
+    fusion = make_fusion(FusionConfig(kind=kind, heads=2, dropout=0.0), 3, 4, rng)
+    return ((lambda: fusion.fuse(rows, available)),
+            {**_named(rows), **dict(fusion.named_parameters("fusion"))})
+
+
+def _fusion_head(kind: str, rng):
+    """Average or concat with the head folded into their per-view products."""
+    rows, available = _rows(rng, mixed=True)
+    cfg = FusionConfig(kind=kind)
+    fusion, head = make_fusion(cfg, 3, 4, rng), layers.Affine(fused_width(cfg, 3, 4), 3, rng)
+    return ((lambda: fusion.fuse(rows, available, head=head)),
+            {**_named(rows), "W": head.W, "b": head.b})
+
+
+def _fusion_train(kind: str, rng):
+    """Two layers in train mode, the rows' gradients only."""
+    rows, available = _rows(rng, mixed=True)
+    fusion = make_fusion(FusionConfig(kind=kind, heads=2, layers=2, dropout=0.4,
+                                      permute=kind == "memory"), 3, 4, rng)
+    return _fresh(lambda gen: fusion.fuse(rows, available, rng=gen), rng), _named(rows)
+
+
+CASES: dict[str, Callable] = {
+    "affine": partial(_linear, layers.Affine, (3, 4), 5),
+    "conv1d": partial(_linear, layers.Conv1d, (6, 3), 4),
+    "encoder_layer": _encoder_layer, "layer_norm": _layer_norm, "lstm": _lstm,
+    "attention": partial(_attention, (1, 3, 8), 0.0),
+    "attention_train": partial(_attention, (2, 4, 4), 0.4),
+    "attention_key_sets": _attention_key_sets,
+    "masked_softmax": _masked_softmax, "gated_mix": _gated_mix,
+    **{f"fusion_{kind}{suffix}": partial(_fusion, kind, mixed)
+       for kind in ("average", "gated", "cross", "memory", "concat")
+       for suffix, mixed in (("", False), ("_mixed", True))},
+    **{f"fusion_{kind}_head_mixed": partial(_fusion_head, kind) for kind in ("average", "concat")},
+    **{f"fusion_{kind}_train_mixed": partial(_fusion_train, kind) for kind in ("cross", "memory")},
+}
+
+
 def run_suite(seeds: Sequence[int] = tuple(range(20))) -> dict[str, float]:
-    """Gradient-check every layer and fusion path over the given seeds.
+    """Gradient-check every case of ``CASES`` over the given seeds.
 
     Returns the max relative error per case, aggregated over seeds. Shapes
     are kept tiny so the whole battery runs in seconds.
     """
-    from . import layers
-    from .fusion import (AverageFusion, ConcatFusion, CrossAttentionFusion, FusionConfig,
-                         GatedFusion, MemoryFusion, make_fusion)
-
     results: dict[str, float] = {}
-
-    def record(name: str, err: float) -> None:
-        results[name] = max(results.get(name, 0.0), err)
-
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-
-        def unit(shape):
-            return Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True)
-
-        # affine
-        x = unit((3, 4))
-        aff = layers.Affine(4, 5, rng)
-        params = {"x": x, "W": aff.W, "b": aff.b}
-        errs = check_gradients(lambda: _sum_squares(aff(x)), params)
-        record("affine", max(errs.values()))
-
-        # conv1d, same padding
-        x = unit((6, 3))
-        conv = layers.Conv1d(3, 4, rng, kernel=3)
-        params = {"x": x, "W": conv.W, "b": conv.b}
-        errs = check_gradients(lambda: _sum_squares(conv(x)), params)
-        record("conv1d", max(errs.values()))
-
-        # layer norm
-        x = unit((3, 6))
-        ln = layers.LayerNorm(6)
-        ln.gain.data = rng.uniform(0.5, 1.5, size=6)
-        ln.shift.data = rng.uniform(-0.5, 0.5, size=6)
-        params = {"x": x, "gain": ln.gain, "shift": ln.shift}
-        errs = check_gradients(lambda: _sum_squares(ln(x)), params)
-        record("layer_norm", max(errs.values()))
-
-        # lstm cell, three chained steps
-        cell = layers.LSTMCell(3, 4, rng)
-        xs = [unit((2, 3)) for _ in range(3)]
-        params = {"W": cell.W, "b": cell.b}
-        params.update({f"x{i}": x for i, x in enumerate(xs)})
-
-        def lstm_loss():
-            h_t = Tensor(np.zeros((2, 4)))
-            c_t = Tensor(np.zeros((2, 4)))
-            for x_t in xs:
-                h_t, c_t = cell.step(x_t, h_t, c_t)
-            return _sum_squares(h_t)
-
-        errs = check_gradients(lstm_loss, params)
-        record("lstm", max(errs.values()))
-
-        # multi-head attention
-        z = unit((1, 3, 8))
-        mha = layers.MultiHeadAttention(8, heads=2, rng=rng)
-        params = {"z": z, "W_Q": mha.W_Q, "W_K": mha.W_K, "W_V": mha.W_V}
-        errs = check_gradients(lambda: _sum_squares(mha(z)), params)
-        record("attention", max(errs.values()))
-
-        # masked softmax
-        x = unit((4, 5))
-        mask = np.zeros(5, dtype=bool)
-        mask[[1, 3]] = True
-        errs = check_gradients(lambda: _sum_squares(x.softmax(axis=-1, exclude=mask)), {"x": x})
-        record("masked_softmax", max(errs.values()))
-
-        # fusion paths over available subset {0, 2} of 3 views, and over
-        # three views under mixed patterns, one batch fused under each; the
-        # mixed patterns share the prefix (0, 1) and the suffix (1, 2) and
-        # have two lengths, so memory fusion shares first-layer states
-        m, d = 3, 4
-        rows_avail = [unit((2, d)), None, unit((2, d))]
-        rows_all = [unit((2, d)) for _ in range(m)]
-        mixed = np.array([[True, True, False], [False, True, True], [True, True, True]])
-
-        fusions = [("fusion_average", AverageFusion()),
-                   ("fusion_gated", GatedFusion(m, d, rng)),
-                   ("fusion_cross", CrossAttentionFusion(
-                       m, d, FusionConfig(kind="cross", heads=2, layers=1, dropout=0.0), rng)),
-                   ("fusion_memory", MemoryFusion(
-                       d, FusionConfig(kind="memory", layers=2, dropout=0.0), rng))]
-        for name, fusion in fusions:
-            for suffix, rows, available in (("", rows_avail, None),
-                                            ("_mixed", rows_all, mixed)):
-                params = {f"z{i}": r for i, r in enumerate(rows) if r is not None}
-                params.update(dict(fusion.named_parameters(name)))
-                errs = check_gradients(lambda: _sum_squares(fusion.fuse(rows, available)), params)
-                record(name + suffix, max(errs.values()))
-
-        # encoder layer: conv1d, ReLU and a fixed keep mask in one node; last,
-        # so that no other case's data moves
-        x, conv = unit((2, 5, 3)), layers.Conv1d(3, 4, rng, kernel=3)
-        keep = (rng.random((2, 5, 4)) < 0.7) / 0.7
-        errs = check_gradients(lambda: _sum_squares(conv(x, relu=True, keep=keep)),
-                               {"x": x, "W": conv.W, "b": conv.b})
-        record("encoder_layer", max(errs.values()))
-
-        # concat over the same rows, then average and concat with the head
-        # folded into their per-view products; after the encoder layer, so
-        # that no earlier case's data moves
-        concat_fusion = ConcatFusion(m, d)
-        for suffix, rows, available in (("", rows_avail, None), ("_mixed", rows_all, mixed)):
-            params = {f"z{i}": r for i, r in enumerate(rows) if r is not None}
-            errs = check_gradients(
-                lambda: _sum_squares(concat_fusion.fuse(rows, available)), params)
-            record("fusion_concat" + suffix, max(errs.values()))
-        for name, fusion, width in (("fusion_average_head_mixed", AverageFusion(), d),
-                                    ("fusion_concat_head_mixed", concat_fusion, m * d)):
-            head = layers.Affine(width, 3, rng)
-            params = {f"z{i}": r for i, r in enumerate(rows_all)}
-            params.update({"W": head.W, "b": head.b})
-            errs = check_gradients(
-                lambda: _sum_squares(fusion.fuse(rows_all, mixed, head=head)), params)
-            record(name, max(errs.values()))
-
-        # cross and memory in train mode over the mixed patterns, the rows'
-        # gradients only: a freshly seeded generator per loss evaluation fixes
-        # the keep masks and the permutation; last, so no other data moves
-        for kind in ("cross", "memory"):
-            fusion = make_fusion(FusionConfig(kind=kind, heads=2, layers=2, dropout=0.4,
-                                              permute=kind == "memory"), m, d, rng)
-            params = {f"z{i}": r for i, r in enumerate(rows_all)}
-            errs = check_gradients(lambda: _sum_squares(
-                fusion.fuse(rows_all, mixed, rng=np.random.default_rng(seed))), params)
-            record(f"fusion_{kind}_train_mixed", max(errs.values()))
-
-        # attention under three key sets on the query axis, the first row's
-        # queries alone and a fixed keep mask over the kept keys; then a
-        # layer's own train-time forward, a freshly seeded generator per loss
-        # evaluation fixing its keep mask; last, so no other data moves
-        z, mha = unit((2, 4, 4)), layers.MultiHeadAttention(4, heads=2, rng=rng)
-        params = {"z": z, "W_Q": mha.W_Q, "W_K": mha.W_K, "W_V": mha.W_V}
-        sets = np.array([[False, True, False, True], [False, False, True, False],
-                         [False, False, False, False]])
-        exclude = sets[:, None, None, None, :]
-        keep = (rng.random((2, 2, 3, 1, 4)) < 0.7) / 0.7 * ~sets[:, None, :]
-        errs = check_gradients(lambda: _sum_squares(
-            mha.attend(z, exclude=exclude, keep=keep, first_row=True)), params)
-        record("attention_key_sets", max(errs.values()))
-        mha.dropout = layers.Dropout(0.4)
-        errs = check_gradients(lambda: _sum_squares(mha(z, rng=np.random.default_rng(seed))),
-                               params)
-        record("attention_train", max(errs.values()))
-
-        # the gated mix alone over four views, view 2 unused, under patterns
-        # of unsorted lengths, one of them repeated; last, so no other data
-        # moves
-        rows = [unit((2, 3)), unit((2, 3)), None, unit((2, 3))]
-        W, b = unit((12, 12)), unit((12,))
-        patterns = np.array([[1, 1, 0, 1], [1, 0, 0, 0], [0, 1, 0, 1], [1, 0, 0, 0],
-                             [1, 1, 0, 0]], dtype=bool)
-        params = {"z0": rows[0], "z1": rows[1], "z3": rows[3], "W": W, "b": b}
-        errs = check_gradients(lambda: _sum_squares(gated_mix(rows, W, b, patterns)), params)
-        record("gated_mix", max(errs.values()))
-
+        for name, build in CASES.items():
+            forward, params = build(stream(seed, "gradcheck", name))
+            errs = check_gradients(lambda: _sum_squares(forward()), params)
+            results[name] = max(results.get(name, 0.0), *errs.values())
     return results

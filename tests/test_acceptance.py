@@ -19,7 +19,7 @@ from mvfuse.config import parse_config
 from mvfuse.encoders import EncoderConfig, StaticEncoder, ViewSpec
 from mvfuse.evaluation import (MissingScenario, auc_pr, class_change_ratio,
                                deformation, evaluate_scenarios, f1_macro, mape,
-                               prs, r2, sweep)
+                               prs, r2)
 from mvfuse.fusion import AverageFusion, FusionConfig
 from mvfuse.gradcheck import run_suite
 from mvfuse.model import FeatureFusionModel, build_model
@@ -27,7 +27,7 @@ from mvfuse.tensor import Adam, backward
 from mvfuse.training import EarlyStopper, batch_loss, train_step
 from mvfuse.workflows import fit_model, prepare_data
 
-from test_evaluation import brute_force_auc_pr, brute_force_f1
+from test_evaluation import brute_force_auc_pr, brute_force_f1, fraction_sweep
 
 
 @contextmanager
@@ -251,7 +251,7 @@ def test_criterion_6_sweep_consistency():
 
         # endpoint equality at 1e-12 for a classification model
         model, ds_val = fitted("classification", 0)
-        report = sweep(model, ds_val, "optical", grid, seed=0)
+        report = fraction_sweep(model, ds_val, "optical", grid, seed=0)
         reference = evaluate_scenarios(
             model, ds_val,
             [MissingScenario("none"), MissingScenario("only_missing", "optical")],
@@ -265,7 +265,7 @@ def test_criterion_6_sweep_consistency():
         # class-change curve, averaged over five evaluation seeds
         curves = []
         for eval_seed in range(5):
-            rep = sweep(model, ds_val, "optical", grid, seed=eval_seed)
+            rep = fraction_sweep(model, ds_val, "optical", grid, seed=eval_seed)
             curves.append([rep.values(f"fraction:optical:{p:g}", "class_change")[0]
                            for p in grid])
         mean_curve = np.mean(curves, axis=0)
@@ -275,7 +275,7 @@ def test_criterion_6_sweep_consistency():
         model_r, ds_val_r = fitted("regression", 1)
         curves = []
         for eval_seed in range(5):
-            rep = sweep(model_r, ds_val_r, "optical", grid, seed=eval_seed)
+            rep = fraction_sweep(model_r, ds_val_r, "optical", grid, seed=eval_seed)
             curves.append([rep.values(f"fraction:optical:{p:g}", "deformation")[0]
                            for p in grid])
         mean_curve = np.mean(curves, axis=0)

@@ -20,13 +20,14 @@ from mvfuse.cli import main
 from mvfuse.config import parse_config
 from mvfuse.data import (SyntheticConfig, SyntheticViewConfig, generate_synthetic, kfold_indices,
                          load_dataset, save_dataset, zscore_fit)
-from mvfuse.evaluation import evaluate_scenarios, sweep
+from mvfuse.evaluation import evaluate_scenarios
 from mvfuse import workflows
 from mvfuse.model import load_model
 from mvfuse.workflows import (default_scenarios, fit_model, load_raw_dataset, prepare_data,
                               run_evaluate, run_sweep, split_dataset)
 
 from test_data import replace_field, toy_copy
+from test_evaluation import fraction_sweep
 
 
 def base_config(task="classification", aug="com", fusion="average", seed=11):
@@ -307,7 +308,8 @@ class TestScoringLoop:
         cfg = parse_config(with_value(("data.synthetic.n_samples", "train.max_epochs"), (60, 1)))
         report = run_sweep(cfg, tmp_path)
         _, ds_val = prepare_data(cfg)
-        expected = sweep(load_model(tmp_path, ds_val), ds_val, "optical", cfg.eval.grid, cfg.seed)
+        expected = fraction_sweep(load_model(tmp_path, ds_val), ds_val, "optical",
+                                  cfg.eval.grid, cfg.seed)
         assert report.rows == expected.rows
 
     def test_evaluate_on_folds_scores_one_fresh_model_per_fold(self, tmp_path):
@@ -337,6 +339,16 @@ class TestGradcheckCommand:
         out = tmp_path / "gc"
         assert main(["gradcheck", "--out", str(out), "--gradcheck-seeds", seeds]) == 2
         assert not (out / "gradcheck.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--seed"])
+    def test_config_and_seed_are_usage_errors(self, tmp_path, flag):
+        # the battery reads no config and no seed, so both flags are usage errors
+        out = tmp_path / "gc"
+        value = str(tmp_path / "missing.yaml") if flag == "--config" else "99"
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", flag, value, "--out", str(out), "--gradcheck-seeds", "1"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestAblate:

@@ -9,8 +9,7 @@ from mvfuse.data import SyntheticConfig, SyntheticViewConfig, generate_synthetic
 from mvfuse.encoders import EncoderConfig, StaticEncoder, TemporalEncoder, one_hot_batch
 from mvfuse.evaluation import (EvalReport, MissingScenario, auc_pr,
                                class_change_ratio, deformation, evaluate_scenarios,
-                               f1_macro, mape, prs, r2, scenario_availability,
-                               sweep)
+                               f1_macro, mape, prs, r2, scenario_availability)
 from mvfuse.fusion import FusionConfig
 from mvfuse.model import FeatureFusionModel, batch_views, build_model, unique_rows
 from mvfuse.tensor import no_grad
@@ -327,6 +326,14 @@ class TestStackedScoring:
         y, full, preds = regression_stack(S=1)
         assert all(v.shape == (1,) for v in regression_scores(y, full, preds).values())
 
+
+def fraction_sweep(model, ds, view, grid, seed):
+    """The fraction scenarios of ``view`` over ``grid``, scored in one call as
+    ``run_sweep`` scores them."""
+    scenarios = [MissingScenario("fraction", view, float(p)) for p in grid]
+    return evaluate_scenarios(model, ds, scenarios, seed)
+
+
 def fitted_model(task="classification", seed=0):
     cfg = SyntheticConfig(
         n_samples=90, latent_dim=4, task=task, classes=3, seed=seed,
@@ -343,7 +350,7 @@ def fitted_model(task="classification", seed=0):
 class TestSweep:
     def test_grid_rows_and_endpoint_equalities(self):
         model, ds = fitted_model()
-        report = sweep(model, ds, "optical", [0.0, 0.5, 1.0], seed=4)
+        report = fraction_sweep(model, ds, "optical", [0.0, 0.5, 1.0], seed=4)
         f1_rows = [r for r in report.rows if r["metric"] == "f1"]
         assert len(f1_rows) == 3
 
@@ -359,14 +366,14 @@ class TestSweep:
     def test_shift_scores_non_decreasing_in_p(self):
         model, ds = fitted_model(seed=1)
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-        report = sweep(model, ds, "radar", grid, seed=7)
+        report = fraction_sweep(model, ds, "radar", grid, seed=7)
         curve = [report.values(f"fraction:radar:{p:g}", "class_change")[0] for p in grid]
         assert all(b >= a - 1e-15 for a, b in zip(curve, curve[1:]))
         assert curve[0] == 0.0
 
     def test_regression_sweep_metrics(self):
         model, ds = fitted_model(task="regression", seed=2)
-        report = sweep(model, ds, "optical", [0.0, 1.0], seed=5)
+        report = fraction_sweep(model, ds, "optical", [0.0, 1.0], seed=5)
         deform = [report.values(f"fraction:optical:{p:g}", "deformation")[0]
                   for p in (0.0, 1.0)]
         assert deform[0] == 0.0
