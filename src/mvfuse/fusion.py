@@ -44,26 +44,28 @@ for concat), then one (K, u) @ (u, B*n_out) mix and the head's bias. Concat
 never builds its (K, B, m*d) stack. The other kinds apply the head to their
 fused rows.
 
-Memory fusion steps all patterns together, each recurrence as one
-``lstm_scan`` node. Its first layer has no dropout before it, so a state
-there depends only on the views read so far: every distinct ordered prefix
-of the patterns' view sequences is stepped once, and every reversed suffix
-in the backward direction, as one prefix-tree node per direction with all
-prefixes of one length in one step. Later layers step all patterns with the
-same number of views together as one chain node per direction, with no
-padding, and read each position's first-layer output from the prefix and
-suffix tables through one-hot products. Over the 127 patterns of seven views
-that is 7 first-layer steps per direction over 127 prefixes and 28
-later-layer steps over the patterns' 448 view slots.
+Memory fusion steps all patterns together. Its first layer has no dropout
+before it, so a state there depends only on the views read so far: every
+distinct ordered prefix of the patterns' view sequences is stepped once, and
+every reversed suffix in the backward direction, as one ``lstm_scan``
+prefix-tree node per direction with all prefixes of one length in one step.
+The later layers of all patterns with the same number of views are one
+``bilstm_layers`` node, which gathers each position's first-layer states
+from the prefix and suffix tables by block, without padding, and steps both
+directions of every later layer with one GEMM per step. Over the 127
+patterns of seven views that is 7 first-layer steps per direction over 127
+prefixes, and 7 nodes whose 28 positions hold the patterns' 448 view slots.
 
 Random draws (attention dropout, memory's inter-layer dropout and its
 permutation) are made only when ``fuse`` is given a generator, the train
 mode, pattern after pattern in the order of ``available``, with the numbers
 and order of one call per pattern. So ``permute`` draws one permutation per
-pattern, and memory draws each pattern's dropout masks for all layers and
-positions as one array, the same numbers as one draw each. Cross draws the
-numbers of all patterns, layers and positions as one array per call, since
-consecutive draws concatenate, and thresholds only the entries a layer reads.
+pattern. Memory draws the numbers of every pattern's dropout masks, for all
+its later layers and positions, as one array per call, or with ``permute``
+one per pattern after its permutation; cross draws the numbers of all
+patterns, layers and positions as one array per call. Both are the numbers
+of one draw per pattern, since consecutive draws concatenate; cross
+thresholds only the entries a layer reads.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .layers import Affine, Dropout, LSTMCell, Module, MultiHeadAttention, glorot
-from .tensor import (Tensor, concat, gated_mix, gated_weights, lstm_scan, no_grad, stack,
-                     window_affine)
+from .tensor import (Tensor, bilstm_layers, concat, gated_mix, gated_weights, lstm_scan,
+                     no_grad, stack, window_affine)
 
 FUSION_KINDS = ("average", "gated", "cross", "memory", "concat")
 
@@ -390,11 +392,14 @@ class MemoryFusion(Fusion):
     it, so its forward state after t views depends only on the pattern's
     first t views and its backward state only on its last t: every distinct
     ordered prefix, and every reversed suffix, is stepped once, all of one
-    length in one step of one ``lstm_scan`` node per direction. Each group
-    of patterns with s views reads those tables at one list of (forward,
-    backward) positions: (s - 1, 0) for one layer, and (t, t) for each t
-    when later layers step the group together, as one chain node per
-    direction that returns only its last h at the last layer.
+    length in one step of one ``lstm_scan`` node per direction. One layer
+    reads each pattern's forward state after its s views beside its
+    backward one. More layers run each group of patterns with s views as
+    one ``tensor.bilstm_layers`` node: position t reads the forward state
+    after the pattern's first t + 1 views beside the backward one after its
+    last s - t, times the layer's dropout keep masks, and the node returns
+    the last layer's forward h after the last view beside its backward h
+    after the first.
     """
 
     def __init__(self, d: int, cfg: FusionConfig, rng: np.random.Generator):
@@ -407,54 +412,69 @@ class MemoryFusion(Fusion):
         self.permute = cfg.permute
         self.d = d
 
-    def _draws(self, patterns: np.ndarray, batch: int, rng) -> tuple[list[tuple], list]:
-        """Each pattern's view order, permuted only given ``rng``, and its
-        inter-layer dropout masks (layers - 1, s, B, d) for its s views, or
-        None where dropout is the identity.
+    def _draws(self, patterns: np.ndarray, batch: int, rng) -> tuple[list[tuple], np.ndarray | None,
+                                                                     np.ndarray]:
+        """Each pattern's view order, permuted only given ``rng``, the
+        numbers behind the inter-layer dropout masks of all patterns as one
+        flat array, or None where dropout is the identity, and where each
+        pattern's numbers, (layers - 1, s, B, d) over its s views, start.
 
-        Draws are made pattern after pattern: the permutation, then one mask
-        array, the same numbers as one (B, d) draw per later layer and
-        position.
+        Without ``permute`` one draw takes the numbers of every pattern; with
+        it each pattern draws its permutation, then its numbers. Either way
+        they are the numbers of one (B, d) draw per pattern, later layer and
+        position, in that order, since consecutive draws concatenate.
         """
         later = len(self.forward_cells) - 1
-        seqs, masks = [], []
-        for pattern in patterns:
-            seq = np.flatnonzero(pattern)
-            if self.permute and rng is not None:
-                seq = seq[rng.permutation(len(seq))]
-            seqs.append(tuple(seq.tolist()))
-            masks.append(self.dropout.mask((later, len(seq), batch, self.d), rng)
-                         if later else None)
-        return seqs, masks
+        seqs = [np.flatnonzero(pattern) for pattern in patterns]
+        sizes = np.array([later * len(seq) * batch * self.d for seq in seqs])
+        if self.permute and rng is not None:
+            drawn = []
+            for i, seq in enumerate(seqs):
+                seqs[i] = seq[rng.permutation(len(seq))]
+                drawn.append(self.dropout.draw(int(sizes[i]), rng) if later else None)
+            drawn = None if drawn[0] is None else np.concatenate(drawn)
+        else:
+            drawn = self.dropout.draw(int(sizes.sum()), rng) if later else None
+        return [tuple(seq.tolist()) for seq in seqs], drawn, np.cumsum(sizes) - sizes
+
+    def _keep(self, drawn: np.ndarray, starts: np.ndarray, members: np.ndarray, s: int,
+              batch: int) -> np.ndarray:
+        """The scaled keep masks of a group of patterns with s views from the
+        numbers they drew, in ``bilstm_layers``' layout (layers - 1, s, d,
+        G*B); the numbers are a view of ``drawn`` where the members are
+        consecutive patterns, as ``enumerate_combinations`` lists them."""
+        later = len(self.forward_cells) - 1
+        size, first = later * s * batch * self.d, starts[members[0]]
+        numbers = (drawn[first:first + len(members) * size]
+                   if members[-1] - members[0] == len(members) - 1 else
+                   np.concatenate([drawn[starts[k]:starts[k] + size] for k in members]))
+        numbers = numbers.reshape(len(members), later, s, batch, self.d).transpose(1, 2, 4, 0, 3)
+        return self.dropout.keep(numbers).reshape(later, s, self.d, -1)
 
     def _fuse(self, rows, patterns, rng):
         batch = next(r.shape[0] for r in rows if r is not None)
         groups = _by_length(patterns)
-        seqs, masks = self._draws(patterns, batch, rng)
+        seqs, drawn, starts = self._draws(patterns, batch, rng)
         fwd_at, fwd = _prefix_states(self.forward_cells[0], rows, seqs)
         bwd_at, bwd = _prefix_states(self.backward_cells[0], rows, [q[::-1] for q in seqs])
-        outs = [None] * len(groups)
-        for g in range(len(groups)):
-            group = [seqs[k] for k in groups[g]]
+        cells = [(f.W, f.b, b.W, b.b)
+                 for f, b in zip(self.forward_cells[1:], self.backward_cells[1:])]
+        outs = []
+        for members in groups:
+            group = [seqs[k] for k in members]
             s = len(group[0])
-            # first-layer (forward, backward) positions; one layer reads (last, first)
-            positions = ([(s - 1, 0)] if len(self.forward_cells) == 1
-                         else [(t, t) for t in range(s)])
-            seq = [concat([
-                _select(fwd[i + 1], [fwd_at[i + 1][q[:i + 1]] for q in group], batch),
-                _select(bwd[s - j], [bwd_at[s - j][q[j:][::-1]] for q in group], batch)], axis=-1)
-                for i, j in positions]
-            for layer in range(1, len(self.forward_cells)):
-                last = layer == len(self.forward_cells) - 1
-                if masks[0] is not None:
-                    # a group's masks are its patterns' masks stacked along the rows
-                    keep = np.concatenate([masks[k][layer - 1] for k in groups[g]], axis=1)
-                    seq = [x * Tensor(keep[t]) for t, x in enumerate(seq)]
-                fw, bw = self.forward_cells[layer], self.backward_cells[layer]
-                out_fwd = lstm_scan(seq, fw.W, fw.b, last=last)
-                out_bwd = lstm_scan(seq[::-1], bw.W, bw.b, last=last)
-                seq = [concat([f, b], axis=-1) for f, b in zip(out_fwd, out_bwd[::-1])]
-            outs[g] = seq[0]
+            if not cells:  # the forward state after all s views beside the backward one
+                outs.append(concat([_select(fwd[s], [fwd_at[s][q] for q in group], batch),
+                                    _select(bwd[s], [bwd_at[s][q[::-1]] for q in group], batch)],
+                                   axis=-1))
+                continue
+            # position t reads the forward state after the group's first t + 1 views
+            # beside the backward one after its last s - t
+            blocks = np.array([[[fwd_at[t + 1][q[:t + 1]] for q in group],
+                                [bwd_at[s - t][q[t:][::-1]] for q in group]] for t in range(s)])
+            keep = None if drawn is None else self._keep(drawn, starts, members, s, batch)
+            outs.append(bilstm_layers([(fwd[t + 1], bwd[s - t]) for t in range(s)], blocks,
+                                      batch, cells, keep))
         return _ungroup(outs, groups, batch).reshape((len(patterns), batch, self.d))
 
 

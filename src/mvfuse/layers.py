@@ -116,9 +116,10 @@ class Dropout:
         return None if rng is None or self.rate == 0.0 else rng.random(shape)
 
     def keep(self, drawn: np.ndarray) -> np.ndarray:
-        """The scaled keep mask of drawn numbers."""
+        """The scaled keep mask of drawn numbers, C-contiguous in their shape
+        even where they are a transposed view."""
         keep = 1.0 - self.rate
-        return (drawn < keep) / keep
+        return np.less(drawn, keep, order="C") / keep
 
 
 class LSTMCell(Module):
@@ -128,9 +129,10 @@ class LSTMCell(Module):
     forget, output, candidate order. A step of (rows, d_in) inputs from a
     (rows, d_h) state is a one-step ``tensor.lstm_scan`` node, which checks
     the operands and returns C-contiguous h and c. Memory fusion does not
-    step the cell: it runs each whole recurrence on the cell's ``W`` and
-    ``b`` as one ``lstm_scan`` node, whose outputs are bit-identical to a
-    loop of ``step``.
+    step the cell: it runs its first layer's whole recurrences on the cell's
+    ``W`` and ``b`` as one ``lstm_scan`` node, whose outputs are
+    bit-identical to a loop of ``step``, and its later layers as one
+    ``bilstm_layers`` node per pattern length, whose gate math is the same.
     """
 
     def __init__(self, d_in: int, d_h: int, rng: np.random.Generator):

@@ -482,9 +482,78 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
     return Tensor._result(out, parents, backward, "window_affine")
 
 
+def _lstm_gates(gates: np.ndarray, c_prev: np.ndarray | None, c: np.ndarray,
+                spare: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One LSTM step's gate math, feature-major, in place: ``gates`` (4*d,
+    rows) holds the pre-activations, its input, forget and output rows
+    negated so that ``exp`` reads -z, and becomes the gates i, f, o, g; then
+    ``c = f * c_prev + i * g``, or ``i * g`` from a zero state, and ``h = o
+    * tanh(c)`` into ``c`` and ``h`` (d, rows). ``spare`` (d, rows) takes
+    ``i * g`` and then tanh(c), which it returns."""
+    d = len(gates) // 4
+    sig = gates[:3 * d]
+    with np.errstate(over="ignore"):  # exp overflows to inf where a gate is exactly 0
+        np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    np.tanh(gates[3 * d:], out=gates[3 * d:])
+    i, f, o, g = gates[:d], gates[d:2 * d], gates[2 * d:3 * d], gates[3 * d:]
+    if c_prev is None:
+        np.multiply(i, g, out=c)
+    else:
+        np.multiply(f, c_prev, out=c)
+        c += np.multiply(i, g, out=spare)
+    np.tanh(c, out=spare)
+    np.multiply(o, spare, out=h)
+    return spare
+
+
+def _lstm_gates_backward(gates: np.ndarray, c_prev: np.ndarray | None, tanh_c: np.ndarray,
+                         dh: np.ndarray, dc_next: np.ndarray | None, dz: np.ndarray,
+                         carry: bool) -> np.ndarray | None:
+    """The backward of ``_lstm_gates``: from the step's gates, c_prev (None
+    from a zero state) and tanh(c), the gradient ``dh`` of its h and
+    ``dc_next`` of its c (None for none), the gradient of the
+    pre-activations as ``_lstm_gates`` read them into ``dz`` (4*d, rows):
+    by -z at the sigmoid gates, so the weights times ``_gate_signs`` carry
+    it back unchanged. Returns the gradient of c_prev if ``carry``, else
+    None."""
+    d = len(gates) // 4
+    i, f, o, g = gates[:d], gates[d:2 * d], gates[2 * d:3 * d], gates[3 * d:]
+    di, df, do, dg = dz[:d], dz[d:2 * d], dz[2 * d:3 * d], dz[3 * d:]
+    np.multiply(dh, tanh_c, out=do)
+    dc = np.multiply(tanh_c, tanh_c)
+    np.subtract(1.0, dc, out=dc)
+    dc *= o
+    dc *= dh
+    if dc_next is not None:
+        dc += dc_next
+    np.multiply(dc, g, out=di)
+    np.multiply(dc, i, out=dg)
+    if c_prev is None:
+        df.fill(0.0)
+    else:
+        np.multiply(dc, c_prev, out=df)
+    carried = dc * f if carry else None
+    np.multiply(g, g, out=dc)  # dc is spent: it holds 1 - g^2 from here
+    np.subtract(1.0, dc, out=dc)
+    dg *= dc
+    slope = np.subtract(gates[:3 * d], 1.0)  # -sig * (1 - sig), the slope by -z
+    slope *= gates[:3 * d]
+    dz[:3 * d] *= slope
+    return carried
+
+
+def _gate_signs(d: int) -> np.ndarray:
+    """-1 at the input, forget and output gates, 1 at the candidate: gate
+    weights times these give the sigmoid gates' pre-activations negated, to
+    the bit, since negation is exact."""
+    return np.repeat([-1.0, 1.0], (3 * d, d))
+
+
 def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
               inputs: list[list[int]] | None = None, parents: list[list[int]] | None = None,
-              last: bool = False, state: tuple[Tensor, Tensor] | None = None) -> list[Tensor]:
+              state: tuple[Tensor, Tensor] | None = None) -> list[Tensor]:
     """A whole LSTM recurrence as one node: at every step the gates i, f, o,
     g, then ``c = f * c_prev + i * g`` and ``h = o * tanh(c)``.
 
@@ -497,15 +566,17 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
     (rows_0, d), or else starts from zero, so it skips the ``W[k:]`` product
     and its c is i * g. ``W`` is (k + d, 4*d) and ``b`` (4*d,), gates in
     input, forget, output, candidate order. Returns every step's h,
-    (rows_t, d) row-major, or with ``last`` the last step's alone, and after
-    them, given a ``state``, the last step's c. ``LSTMCell.step`` is one
-    step from a state.
+    (rows_t, d) row-major, and after them, given a ``state``, the last
+    step's c. ``LSTMCell.step`` is one step from a state.
 
     The gates are feature-major: a step's pre-activations are one (4*d, rows)
     array ``W[:k].T @ x.T + W[k:].T @ h_prev.T + b``, so ``[x, h_prev]`` is
     never concatenated and each gate is a contiguous block of rows. The
     row-major layout would run the gate math on d-wide strided column
-    slices, several times slower at the small d of memory fusion. h and c
+    slices, several times slower at the small d of memory fusion. W and b
+    are taken times ``_gate_signs``, so the sigmoid gates' rows come out
+    negated, to the bit, for ``_lstm_gates``, the gate math that
+    ``bilstm_layers`` shares, as it shares ``_lstm_gates_backward``. h and c
     stay feature-major between steps, so no step transposes its state; a
     shared parent's state is gathered by block in numpy. The forward takes
     every temporary from ``array``: unrecorded, the front of a buffer
@@ -544,9 +615,9 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
     record = _GRAD_ENABLED and any(p.requires_grad for p in node_parents)
     rows = [len(step) * n for step in steps]
     ends = list(accumulate(rows))
-    keep = record or not last
-    out = np.empty((ends[-1] if keep else rows[-1], d))
-    Wd = W.data
+    out = np.empty((ends[-1], d))
+    signs = _gate_signs(d)
+    Wn, bn = W.data * signs, b.data * signs
     if not record:
         wide = max(rows)  # buffers: gates, product, h and c by turn, stacked inputs
         bufs = [np.empty(size * wide) for size in (4 * d, 4 * d, d, d, d, d, k)]
@@ -562,40 +633,24 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
         X = (blocks[step[0]].data if len(step) == 1 else
              np.concatenate([blocks[i].data for i in step], out=array(6, (R, k))))
         gates = array(0, (4 * d, R))
-        np.matmul(Wd[:k].T, X.T, out=gates)
+        np.matmul(Wn[:k].T, X.T, out=gates)
         Hp, Cp = h, c
         if ups[t] is not None:  # gather each block's parent state, fresh or into the turn's buffers
             Hp, Cp = (np.take(s.reshape(d, -1, n), ups[t], axis=1, mode="clip",
                               out=array(buf, (d, R)).reshape(d, -1, n)).reshape(d, R)
                       for s, buf in ((h, 2 + turn), (c, 4 + turn)))
         if Hp is not None:
-            gates += np.matmul(Wd[k:].T, Hp, out=array(1, (4 * d, R)))
-        gates += b.data[:, None]
-        sig = gates[:3 * d]
-        np.negative(sig, out=sig)
-        with np.errstate(over="ignore"):  # exp overflows to inf where a gate is exactly 0
-            np.exp(sig, out=sig)
-        sig += 1.0
-        np.reciprocal(sig, out=sig)
-        np.tanh(gates[3 * d:], out=gates[3 * d:])
-        i, f, o, g = gates[:d], gates[d:2 * d], gates[2 * d:3 * d], gates[3 * d:]
-        c = array(4 + turn, (d, R))
-        if Cp is not None:
-            np.multiply(f, Cp, out=c)
-            c += np.multiply(i, g, out=array(1, (d, R)))
-        else:
-            np.multiply(i, g, out=c)
-        tanh_c = np.tanh(c, out=array(1, (d, R)))
-        h = (out[ends[t] - R:ends[t]].T if keep else out.T if t == len(steps) - 1
-             else array(2 + turn, (d, R)))
-        np.multiply(o, tanh_c, out=h)
+            gates += np.matmul(Wn[k:].T, Hp, out=array(1, (4 * d, R)))
+        gates += bn[:, None]
+        c, h = array(4 + turn, (d, R)), out[ends[t] - R:ends[t]].T
+        tanh_c = _lstm_gates(gates, Cp, c, array(1, (d, R)), h)
         if record:
             saved.append((X, Hp, Cp, gates, tanh_c))
 
-    shown = [len(steps) - 1] if last else range(len(steps))
-    views = [out[ends[t] - rows[t]:ends[t]] if keep else out for t in shown]
+    shown = list(range(len(steps)))
+    views = [out[ends[t] - rows[t]:ends[t]] for t in shown]
     if state is not None:
-        shown = [*shown, len(steps)]
+        shown.append(len(steps))
         views.append(np.ascontiguousarray(c.T))
     if not record:
         return [Tensor._result(v, (), None, "lstm_scan") for v in views]
@@ -623,30 +678,10 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
                 dh = dh_next if dh is None else dh + dh_next
             if dh is None:
                 dh = np.zeros_like(tanh_c)
-            i, f, o, g = gates[:d], gates[d:2 * d], gates[2 * d:3 * d], gates[3 * d:]
             dz = dzs[t] = np.empty_like(gates)
-            di, df, do, dg = dz[:d], dz[d:2 * d], dz[2 * d:3 * d], dz[3 * d:]
-            np.multiply(dh, tanh_c, out=do)
-            dc = np.multiply(tanh_c, tanh_c)
-            np.subtract(1.0, dc, out=dc)
-            dc *= o
-            dc *= dh
-            if dc_next is not None:
-                dc += dc_next
-            np.multiply(dc, g, out=di)
-            np.multiply(dc, i, out=dg)
-            if Cp is None:
-                df.fill(0.0)
-            else:
-                np.multiply(dc, Cp, out=df)
-            dc_next = dc * f if Cp is not None and (t or state[1].requires_grad) else None
-            np.multiply(g, g, out=dc)  # dc is spent: it holds 1 - g^2 from here
-            np.subtract(1.0, dc, out=dc)
-            dg *= dc
-            slope = np.subtract(1.0, gates[:3 * d])
-            slope *= gates[:3 * d]
-            dz[:3 * d] *= slope
-            dh_next = Wd[k:] @ dz if Hp is not None and (t or state[0].requires_grad) else None
+            dc_next = _lstm_gates_backward(gates, Cp, tanh_c, dh, dc_next, dz,
+                                           Cp is not None and (t or state[1].requires_grad))
+            dh_next = Wn[k:] @ dz if Hp is not None and (t or state[0].requires_grad) else None
             if ups[t] is not None:
                 dh_next, dc_next = (route(a, ups[t], len(steps[t - 1]))
                                     for a in (dh_next, dc_next))
@@ -656,7 +691,7 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
         if wants_x:
             dxs = {}
             for step, dz in zip(steps, dzs):
-                dX = Wd[:k] @ dz
+                dX = Wn[:k] @ dz
                 for j, i in enumerate(step):
                     part = dX[:, j * n:(j + 1) * n]
                     dxs[i] = part if i not in dxs else dxs[i] + part
@@ -668,9 +703,9 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
                 dW[:, :k] += dz @ X
                 if Hp is not None:
                     dW[:, k:] += dz @ Hp.T
-            W._accumulate(dW.T)
+            W._accumulate((dW * signs[:, None]).T)
         if b.requires_grad:
-            b._accumulate(sum(dz.sum(axis=1) for dz in dzs))
+            b._accumulate(sum(dz.sum(axis=1) for dz in dzs) * signs)
 
     node = Tensor._result(out, node_parents, backward, "lstm_scan")
 
@@ -681,6 +716,204 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
 
     return [Tensor._result(v, (node,), hand(t), "lstm_scan_c" if t == len(steps) else "lstm_scan_h")
             for t, v in zip(shown, views)]
+
+
+def bilstm_layers(tables: Sequence[tuple[Tensor, Tensor]], blocks: np.ndarray, n: int,
+                  cells: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]],
+                  keep: np.ndarray | None = None) -> Tensor:
+    """Stacked bidirectional LSTM layers over G sequences of s positions as
+    one node, (G*n, 2*d): the last layer's forward h after position s - 1
+    beside its backward h after position 0.
+
+    Position t's input is G blocks of n rows: the blocks ``blocks[t, 0]``
+    of the table ``tables[t][0]`` beside the blocks ``blocks[t, 1]`` of
+    ``tables[t][1]``, where a table stacks (n, d) blocks along its rows.
+    ``cells`` holds per layer the forward W and b, then the backward W and
+    b, W (3*d, 4*d) and b (4*d,) in ``lstm_scan``'s layout. Each direction
+    runs from a zero state, and a later layer reads the forward h beside the
+    backward h of the layer before. ``keep`` (layers, s, 2*d, G*n) holds the
+    scaled dropout keep masks by which each layer multiplies each
+    position's input, feature-major.
+
+    Everything is feature-major. A layer holds one operand per position t,
+    ``[h_fwd(t-1); x_t; 1; h_bwd(t+1)]`` (4*d + 1, G*n); the first layer's
+    x_t is gathered from the tables by block and times its keep mask in
+    place. The forward direction reads the rows ``[h_fwd(t-1); x_t; 1]``
+    and the backward ``[x_t; 1; h_bwd(t+1)]``, so a step's pre-activations
+    are one GEMM against W and b stacked in that order, bias folded in and
+    sigmoid gates negated for ``_lstm_gates``; a direction's first step
+    reads ``[x_t; 1]`` alone. A step writes its h into the operand that
+    the direction's next step reads and, times the next layer's keep mask,
+    into the next layer's x_t. Unrecorded, the operands and temporaries
+    lie in one buffer per call, two layers' operands used in turn.
+    Recorded, each position's operand and each step's gates, c and tanh(c)
+    are a fresh array that the node keeps, as ``lstm_scan``'s are: one
+    array per kind, up to 18 MB at seven views, was mapped afresh on most
+    calls. The backward runs back through time inside the node, the
+    pre-activations' gradient by -z at the sigmoid gates, so the stacked
+    weights carry it back as they are: per step one GEMM gives the
+    gradients of the h and x rows the step read and one those of W and b,
+    which take the signs once at the end. The first layer's dx times its
+    keep mask is added into the tables' gradients block by block, as one
+    one-hot product per table.
+    """
+    s, layers = len(tables), len(cells)
+    d = cells[0][1].shape[0] // 4 if cells else 0
+    k = 2 * d
+    G = blocks.shape[-1] if np.ndim(blocks) == 3 else 0
+    if not layers or any(W.shape != (k + d, 4 * d) or b.shape != (4 * d,)
+                         for cell in cells for W, b in (cell[:2], cell[2:])):
+        raise ValueError(f"bilstm_layers needs per layer W ({k + d}, {4 * d}) and b ({4 * d},) "
+                         f"twice, got {[tuple(p.shape) for cell in cells for p in cell]}")
+    if not s or np.shape(blocks) != (s, 2, G) or not G or any(
+            table.shape[1:] != (d,) or table.shape[0] % n for pair in tables for table in pair
+            ) or blocks.min() < 0 or (blocks.max(axis=-1) >= [
+                [table.shape[0] // n for table in pair] for pair in tables]).any():
+        raise ValueError(f"bilstm_layers needs blocks (s, 2, G) of (n, {d}) table blocks for "
+                         f"s = {s} positions, got {np.shape(blocks)}")
+    R, P = G * n, 4 * d + 1
+    if keep is not None and keep.shape != (layers, s, k, R):
+        raise ValueError(f"bilstm_layers needs keep masks {(layers, s, k, R)}, "
+                         f"got {keep.shape}")
+    unique = tuple(dict.fromkeys(table for pair in tables for table in pair))
+    params = tuple(p for cell in cells for p in cell)
+    record = _GRAD_ENABLED and any(p.requires_grad for p in unique + params)
+
+    signs = _gate_signs(d)
+
+    def columns(direction: int) -> tuple[slice, slice, int]:
+        """Where x, h and the bias lie among the operand rows a direction
+        reads, and so among its stacked weights' columns."""
+        return ((slice(d, d + k), slice(0, d), d + k) if direction == 0 else
+                (slice(0, k), slice(k + 1, k + 1 + d), k))
+
+    def stacked(W: Tensor, b: Tensor, direction: int) -> np.ndarray:
+        """W and b as (4*d, 3*d + 1) against the rows the direction reads,
+        times ``_gate_signs``; built as its transpose, from W's rows."""
+        x, h, one = columns(direction)
+        out = np.empty((P - d, 4 * d))
+        np.multiply(W.data[:k], signs, out=out[x])
+        np.multiply(W.data[k:], signs, out=out[h])
+        np.multiply(b.data, signs, out=out[one])
+        return out.T
+
+    mats = [(stacked(Wf, bf, 0), stacked(Wb, bb, 1)) for Wf, bf, Wb, bb in cells]
+    if record:  # fresh arrays per position and step, kept for the backward
+        ops = [[np.empty((P, R)) for _ in range(s)] for _ in range(layers)]
+        saved = [[[None] * s for _ in range(2)] for _ in range(layers)]
+    else:
+        turns = min(layers, 2)  # layers' operands in turn
+        work = np.empty((turns * s * P + 7 * d) * R)
+        ops = [work[i * s * P * R:(i + 1) * s * P * R].reshape(s, P, R) for i in range(turns)]
+        spare = work[turns * s * P * R:].reshape(7 * d, R)
+
+    def reads(direction: int, first: bool) -> tuple[slice, slice]:
+        """The operand rows a step reads and the stacked columns they meet:
+        a direction's first step reads no h."""
+        if first:
+            return slice(d, d + k + 1), slice(d, None) if direction == 0 else slice(0, k + 1)
+        return slice(0, d + k + 1) if direction == 0 else slice(d, P), slice(None)
+
+    out = np.empty((R, 2 * d))
+    for t, pair in enumerate(tables):
+        x = ops[0][t][d:d + k]
+        for half, table in enumerate(pair):  # block by block: a (n, d) transpose stays in cache
+            into, rows = x[half * d:(half + 1) * d].reshape(d, G, n), table.data.reshape(-1, n, d)
+            for j, block in enumerate(blocks[t, half]):
+                into[:, j] = rows[block].T
+        if keep is not None:
+            x *= keep[0, t]
+    for layer in range(layers):
+        O = ops[layer % len(ops)]
+        after = None if layer == layers - 1 else ops[(layer + 1) % len(ops)]
+        for operand in O:
+            operand[d + k] = 1.0
+        for direction, W in enumerate(mats[layer]):
+            order = range(s) if direction == 0 else range(s - 1, -1, -1)
+            c_prev = None
+            for j, t in enumerate(order):
+                rows, cols = reads(direction, j == 0)
+                if record:
+                    z, c, tanh_c = saved[layer][direction][t] = tuple(
+                        np.empty((width, R)) for width in (4 * d, d, d))
+                else:
+                    turn = (4 + j % 2) * d  # c in turn
+                    z, c, tanh_c = spare[:4 * d], spare[turn:turn + d], spare[6 * d:]
+                np.matmul(W[:, cols], O[t][rows], out=z)
+                x_next = (None if after is None else
+                          after[t][d + direction * d:d + (direction + 1) * d])
+                if j < s - 1:
+                    h = O[t + 1][:d] if direction == 0 else O[t - 1][d + k + 1:]
+                else:
+                    h = out[:, direction * d:(direction + 1) * d].T if after is None else x_next
+                _lstm_gates(z, c_prev, c, tanh_c, h)
+                c_prev = c
+                if x_next is not None and j < s - 1:
+                    x_next[...] = h
+        if after is not None and keep is not None:
+            for t in range(s):
+                after[t][d:d + k] *= keep[layer + 1, t]
+    if not record:
+        return Tensor._result(out, (), None, "bilstm_layers")
+
+    def backward(g):
+        g = g.reshape(R, 2 * d)
+        # per layer and direction W's gradient above b's, by -z at the sigmoid gates
+        dWb = np.zeros((layers, 2, k + d + 1, 4 * d))
+        step_dW, dz, back = np.empty((P - d, 4 * d)), np.empty((4 * d, R)), np.empty((P - d, R))
+        dh_above = None  # per position the gradient of the layer's h, forward beside backward
+        for layer in reversed(range(layers)):
+            O = ops[layer]
+            grads = [np.empty((d + k, R)) for _ in range(s)]  # the forward's [dh_fwd(t-1); dx_t]
+            for direction, W in enumerate(mats[layer]):
+                order = range(s) if direction == 0 else range(s - 1, -1, -1)
+                (x, h, one), grad = columns(direction), dWb[layer, direction]
+                chain = dc = None
+                for j in reversed(range(s)):
+                    t, first = order[j], j == 0
+                    if dh_above is not None:
+                        dh = dh_above[t][direction * d:(direction + 1) * d]
+                        if chain is not None:
+                            dh += chain
+                    else:
+                        dh = g[:, direction * d:(direction + 1) * d].T if chain is None else chain
+                    z, _, tanh_c = saved[layer][direction][t]
+                    c_prev = None if first else saved[layer][direction][order[j - 1]][1]
+                    dc = _lstm_gates_backward(z, c_prev, tanh_c, dh, dc, dz, not first)
+                    rows, cols = reads(direction, first)
+                    np.matmul(O[t][rows], dz.T, out=step_dW[cols])
+                    grad[:k] += step_dW[x]
+                    grad[k + d] += step_dW[one]
+                    if not first:
+                        grad[k:k + d] += step_dW[h]
+                    if direction == 0:
+                        if first:
+                            np.matmul(W[:, d:d + k].T, dz, out=grads[t][d:])
+                        else:
+                            np.matmul(W[:, :d + k].T, dz, out=grads[t])
+                            chain = grads[t][:d]
+                    else:
+                        np.matmul(W[:, cols].T, dz, out=back[:k + 1] if first else back)
+                        chain = back[k + 1:]
+                        grads[t][d:] += back[:k]
+            dh_above = [dx[d:] for dx in grads]
+            if keep is not None:
+                for t, dx in enumerate(dh_above):
+                    dx *= keep[layer, t]
+        for t, pair in enumerate(tables):
+            for half, table in enumerate(pair):
+                if table.requires_grad:  # the blocks' gradients summed per table block
+                    onehot = np.zeros((table.shape[0] // n, G))
+                    onehot[blocks[t, half], np.arange(G)] = 1.0
+                    dx = dh_above[t][half * d:(half + 1) * d].reshape(d, G, n)
+                    table._accumulate((onehot @ dx).reshape(d, -1).T)
+        dWb *= signs
+        for cell, grads in zip(cells, dWb):
+            for W, b, grad in zip(cell[::2], cell[1::2], grads):
+                W._accumulate(grad[:k + d])
+                b._accumulate(grad[k + d])
+
+    return Tensor._result(out, unique + params, backward, "bilstm_layers")
 
 
 def _gated_plan(rows: Sequence, W: Tensor, b: Tensor, patterns: np.ndarray) -> tuple:

@@ -75,7 +75,8 @@ def test_criterion_1_gradient_suite():
                           "fusion_memory_mixed", "fusion_concat", "fusion_concat_mixed",
                           "fusion_average_head_mixed", "fusion_concat_head_mixed",
                           "fusion_cross_train_mixed", "fusion_memory_train_mixed",
-                          "attention_key_sets", "attention_train", "gated_mix"}
+                          "attention_key_sets", "attention_train", "gated_mix",
+                          "fusion_memory_layers3_train"}
         assert expected_cases <= set(results)
         for name, err in results.items():
             assert err < 1e-4, f"{name}: {err:.3e}"

@@ -1,6 +1,7 @@
 """Merge functions: correctness of each kind and the ignore-missing guarantee."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from mvfuse.model import FeatureFusionModel, InputConcatModel, build_model
 from mvfuse import fusion as fusion_module
 from mvfuse import layers as layers_module
 from mvfuse import tensor as tensor_module
-from mvfuse.tensor import Tensor, backward, lstm_scan, no_grad, stack
+from mvfuse.tensor import Tensor, backward, concat, lstm_scan, no_grad, stack
 
 
 def rows_for(m, d, rng, mask, batch=1):
@@ -395,6 +396,109 @@ class TestMemory:
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
+def chained_memory(fusion, rows, patterns, rng=None):
+    """Memory fusion's fused rows (K, B, d) as it ran before its later layers
+    became one node: each pattern draws its permutation, then its masks; per
+    group of equally long patterns, each later layer is one ``lstm_scan``
+    chain per direction, whose inputs come from the first layer's tables by
+    one-hot products and ``concat`` and meet their dropout in ``mul`` nodes."""
+    batch = next(r.shape[0] for r in rows if r is not None)
+    later = len(fusion.forward_cells) - 1
+    seqs, masks = [], []
+    for pattern in patterns:
+        seq = np.flatnonzero(pattern)
+        if fusion.permute and rng is not None:
+            seq = seq[rng.permutation(len(seq))]
+        seqs.append(tuple(seq.tolist()))
+        masks.append(fusion.dropout.mask((later, len(seq), batch, fusion.d), rng)
+                     if later else None)
+    groups = fusion_module._by_length(patterns)
+    fwd_at, fwd = fusion_module._prefix_states(fusion.forward_cells[0], rows, seqs)
+    bwd_at, bwd = fusion_module._prefix_states(fusion.backward_cells[0], rows,
+                                               [q[::-1] for q in seqs])
+    select = fusion_module._select
+    outs = []
+    for members in groups:
+        group = [seqs[k] for k in members]
+        s = len(group[0])
+        positions = [(s - 1, 0)] if later == 0 else [(t, t) for t in range(s)]
+        seq = [concat([select(fwd[i + 1], [fwd_at[i + 1][q[:i + 1]] for q in group], batch),
+                       select(bwd[s - j], [bwd_at[s - j][q[j:][::-1]] for q in group], batch)],
+                      axis=-1)
+               for i, j in positions]
+        for layer in range(1, later + 1):
+            if masks[0] is not None:
+                keep = np.concatenate([masks[k][layer - 1] for k in members], axis=1)
+                seq = [x * Tensor(keep[t]) for t, x in enumerate(seq)]
+            fw, bw = fusion.forward_cells[layer], fusion.backward_cells[layer]
+            out_fwd = lstm_scan(seq, fw.W, fw.b)
+            out_bwd = lstm_scan(seq[::-1], bw.W, bw.b)
+            seq = [concat([f, b], axis=-1) for f, b in zip(out_fwd, out_bwd[::-1])]
+        # the last layer's forward h after the last view beside the backward h after the first
+        outs.append(seq[0] if later == 0 else concat([seq[-1][:, :fusion.d // 2],
+                                                      seq[0][:, fusion.d // 2:]], axis=-1))
+    return fusion_module._ungroup(outs, groups, batch).reshape((len(patterns), batch, fusion.d))
+
+
+class TestMemoryLayers:
+    """The later layers of a pattern group as one ``bilstm_layers`` node
+    against the per-layer ``lstm_scan`` chains they replace."""
+
+    @staticmethod
+    def fused_and_grads(fuse, params, readout):
+        for p in params:
+            p.grad = None
+        fused = fuse()
+        backward((fused * Tensor(readout)).sum(), params)
+        return fused.data, [p.grad for p in params]
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["no-dropout", "dropout"])
+    @pytest.mark.parametrize("permute", [False, True], ids=["ordered", "permute"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_the_per_layer_chains(self, layers, permute, dropout):
+        # outputs and every row and parameter gradient within 1e-12 relative,
+        # recorded and unrecorded, with the 15 patterns of four views in
+        # enumeration order (groups drawn one after another) and shuffled
+        m, d, batch = 4, 6, 3
+        rng = np.random.default_rng(40 + layers)
+        fusion = make_fusion(FusionConfig(kind="memory", layers=layers, dropout=dropout,
+                                          permute=permute), m, d, rng)
+        rows = [Tensor(rng.normal(size=(batch, d)), requires_grad=True) for _ in range(m)]
+        params = rows + fusion.parameters()
+        available = pattern_matrix(enumerate_combinations(m), m)
+        for patterns in (available, available[rng.permutation(len(available))]):
+            readout = rng.normal(size=(len(patterns), batch, d))
+            got, got_grads = self.fused_and_grads(
+                lambda: fusion.fuse(rows, patterns, rng=np.random.default_rng(7)), params, readout)
+            want, want_grads = self.fused_and_grads(
+                lambda: chained_memory(fusion, rows, patterns, np.random.default_rng(7)),
+                params, readout)
+            assert_relative(got, want)
+            for g, w in zip(got_grads, want_grads):
+                assert_relative(g, w)
+            with no_grad():
+                unrecorded = fusion.fuse(rows, patterns, rng=np.random.default_rng(7))
+                oracle = chained_memory(fusion, rows, patterns, np.random.default_rng(7))
+            assert not unrecorded.requires_grad
+            np.testing.assert_array_equal(unrecorded.data, got)
+            assert_relative(unrecorded.data, oracle.data)
+
+    def test_unrecorded_fuses_are_bit_identical(self):
+        # each call takes its workspace afresh, so nothing carries over from
+        # a call over other patterns and batch in between
+        m, d = 5, 8
+        rng = np.random.default_rng(44)
+        fusion = make_fusion(FusionConfig(kind="memory", layers=3, dropout=0.3), m, d, rng)
+        rows = rows_for(m, d, rng, range(m), batch=4)
+        other = rows_for(m, d, rng, range(m), batch=7)
+        available = pattern_matrix(enumerate_combinations(m), m)
+        with no_grad():
+            first = fusion.fuse(rows, available).data
+            fusion.fuse(other, available[::-1], rng=np.random.default_rng(1))
+            second = fusion.fuse(rows, available).data
+        np.testing.assert_array_equal(first, second)
+
+
 def concat_input(views, pattern):
     """What InputConcatModel's MLP reads under the boolean ``pattern`` for a
     static view of 3 channels followed by a temporal view of 5 steps x 1
@@ -680,52 +784,66 @@ class TestPatterns:
         assert len(nodes) == 33, nodes
 
     def test_memory_steps_each_prefix_and_pattern_length_once(self, monkeypatch):
-        # the 31 patterns of five views hold 80 view slots; the first layer
-        # steps each of the 31 distinct prefixes (and suffixes) once, as one
-        # lstm_scan node per direction with a step per length; the second
-        # steps each pattern length as one chain node per direction, a step
-        # per position: 1 + 2 + 3 + 4 + 5 = 15 steps over 80 row blocks
-        m, batch = 5, 4
+        # the 127 patterns of seven views: the first layer steps each distinct
+        # prefix (and suffix) once, as one lstm_scan node per direction with a
+        # step per length; the second steps each group of equally long
+        # patterns as one bilstm_layers node, with no matmul, concat or mul
+        # node between the layers; one concat joins the groups: 25 nodes
+        m, d, batch = 7, 4, 2
         rng = np.random.default_rng(22)
-        fusion = make_fusion(FusionConfig(kind="memory", layers=2, dropout=0.0), m, 4, rng)
-        keys = {id(cell.W): (layer, direction)
-                for layer, cells in enumerate(zip(fusion.forward_cells, fusion.backward_cells))
-                for direction, cell in enumerate(cells)}
-        scans = []
+        fusion = make_fusion(FusionConfig(kind="memory", layers=2, dropout=0.3), m, d, rng)
+        first = {id(fusion.forward_cells[0].W), id(fusion.backward_cells[0].W)}
+        scans, nodes = [], []
 
-        def counted_scan(xs, W, b, inputs=None, parents=None, last=False, state=None):
+        def counted_scan(xs, W, b, inputs=None, parents=None, state=None):
             steps = [[t] for t in range(len(xs))] if inputs is None else inputs
-            n = next(x for x in xs if x is not None).shape[0]
-            scans.append((keys[id(W)], len(steps), sum(map(len, steps)) * n))
-            return lstm_scan(xs, W, b, inputs, parents, last, state)
+            scans.append((id(W) in first, len(steps), sum(map(len, steps)) * batch))
+            return lstm_scan(xs, W, b, inputs, parents, state)
+
+        result = Tensor._result
+
+        def recorded(data, parents, backward, op):
+            out = result(data, parents, backward, op)
+            if out.requires_grad:
+                nodes.append((op, np.shape(data)))
+            return out
 
         # LSTMCell.step is a one-step scan too, so a stepped cell adds to the count
         monkeypatch.setattr(fusion_module, "lstm_scan", counted_scan)
         monkeypatch.setattr(layers_module, "lstm_scan", counted_scan)
-        rows = rows_for(m, 4, rng, range(m), batch=batch)
-        fusion.fuse(rows, pattern_matrix(enumerate_combinations(m), m))
+        monkeypatch.setattr(Tensor, "_result", staticmethod(recorded))
+        rows = [Tensor(rng.normal(size=(batch, d)), requires_grad=True) for _ in range(m)]
+        available = pattern_matrix(enumerate_combinations(m), m)
+        fusion.fuse(rows, available, rng=np.random.default_rng(23))
 
-        assert len(scans) == 2 + 2 * m
-        for direction in (0, 1):
-            first = [(s, n) for key, s, n in scans if key == (0, direction)]
-            later = [(s, n) for key, s, n in scans if key == (1, direction)]
-            assert first == [(m, 31 * batch)]
-            assert sorted(s for s, _ in later) == [1, 2, 3, 4, 5]
-            assert sum(n for _, n in later) == 80 * batch
+        assert scans == [(True, m, 127 * batch)] * 2
+        ops = [op for op, _ in nodes]
+        assert len(nodes) == 25, nodes
+        assert sorted(set(ops)) == ["bilstm_layers", "concat", "lstm_scan", "lstm_scan_h",
+                                    "reshape"]
+        assert ops.count("lstm_scan") == 2 and ops.count("concat") == 1
+        # one node per group of the patterns with s views, C(7, s) of them
+        assert [shape for op, shape in nodes if op == "bilstm_layers"] == [
+            (math.comb(m, s) * batch, d) for s in range(m, 0, -1)]
 
-    @pytest.mark.parametrize("kind, m", [("memory", 7), ("cross", 3)])
-    def test_each_pattern_draws_its_dropout_once(self, spy, kind, m):
-        # memory draws once per pattern, for every layer and position: 127
-        # draws over seven views, not one per view slot (448); two-layer cross
-        # draws once per call, all 7 patterns' numbers for both layers; the
-        # tests above pin the numbers drawn
+    @pytest.mark.parametrize("kind, m, permute, draws", [
+        pytest.param("memory", 7, False, 1, id="memory-7"),
+        pytest.param("memory", 7, True, 127, id="memory-permute-7"),
+        pytest.param("cross", 3, False, 1, id="cross-3")])
+    def test_each_pattern_draws_its_dropout_once(self, spy, kind, m, permute, draws):
+        # memory draws the numbers of every pattern, later layer and position
+        # once per call, or with permute once per pattern after its
+        # permutation (127 draws over seven views, not one per view slot,
+        # 448); two-layer cross draws once per call, all 7 patterns' numbers
+        # for both layers; the tests above pin the numbers drawn
         rng = np.random.default_rng(13)
-        fusion = make_fusion(FusionConfig(kind=kind, heads=2, layers=2, dropout=0.3), m, 4, rng)
+        fusion = make_fusion(FusionConfig(kind=kind, heads=2, layers=2, dropout=0.3,
+                                          permute=permute), m, 4, rng)
         calls = spy((layers_module.Dropout, "draw"))
         available = pattern_matrix(enumerate_combinations(m), m)
         fusion.fuse(rows_for(m, 4, rng, range(m), batch=2), available,
                     rng=np.random.default_rng(14))
-        assert sum(calls.values()) == (len(available) if kind == "memory" else 1)
+        assert sum(calls.values()) == draws
 
     @pytest.mark.parametrize("kind", ALL_DYNAMIC + ["concat"])
     def test_leading_axes_of_availability_shape_the_output(self, kind):

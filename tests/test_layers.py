@@ -198,6 +198,12 @@ class TestDropout:
         assert abs(keep.mean() - 1.0) < 0.02
         np.testing.assert_allclose(keep[keep != 0.0], 1.0 / 0.6, atol=1e-12)
 
+    def test_keep_of_a_transposed_view_is_c_contiguous(self):
+        drawn = np.random.default_rng(3).random((4, 6))
+        keep = Dropout(0.4).keep(drawn.T)
+        assert keep.flags.c_contiguous
+        np.testing.assert_array_equal(keep, (drawn.T < 0.6) / 0.6)
+
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             Dropout(1.0)

@@ -12,8 +12,8 @@ from mvfuse import tensor as tensor_module
 from mvfuse.gradcheck import check_gradients, numerical_gradient, relative_error
 from mvfuse.layers import LSTMCell
 from mvfuse.tensor import (WINDOW_BLOCK, Adam, EmptySupportError, Tensor, attention,
-                           attention_probs, backward, concat, lstm_scan, no_grad, stack,
-                           window_affine)
+                           attention_probs, backward, bilstm_layers, concat, lstm_scan, no_grad,
+                           stack, window_affine)
 
 
 def sum_sq(t):
@@ -392,12 +392,10 @@ def test_unrecorded_lstm_scan_is_bit_identical_to_step_loop(name):
     with no_grad():
         want = [h.data for h in scan_oracle(cell, xs, inputs, parents)]
         got = lstm_scan(xs, cell.W, cell.b, inputs, parents)
-        last = lstm_scan(xs, cell.W, cell.b, inputs, parents, last=True)
-    assert len(got) == len(want) and len(last) == 1
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g.data, w)
         assert g.data.flags.c_contiguous and not g.requires_grad
-    np.testing.assert_array_equal(last[0].data, want[-1])
 
 
 def test_lstm_scan_defaults_to_a_chain_over_its_blocks():
@@ -413,7 +411,8 @@ def test_lstm_scan_defaults_to_a_chain_over_its_blocks():
 @pytest.mark.parametrize("name", sorted(SCANS))
 def test_recorded_lstm_scan_matches_step_loop(name, last):
     # outputs bit for bit; the gradients of the input blocks (the rows behind
-    # the shared parents of the tree), W and b within 1e-12
+    # the shared parents of the tree), W and b within 1e-12, with every
+    # step's h read or only the last one, so no earlier step hands a gradient
     cell, xs, inputs, parents = scan_case(name, seed=3)
     rng = np.random.default_rng(4)
     params = xs + [cell.W, cell.b]
@@ -428,7 +427,7 @@ def test_recorded_lstm_scan_matches_step_loop(name, last):
 
     want_h, want_g = run(scan_oracle(cell, xs, inputs, parents))
     rng = np.random.default_rng(4)
-    got_h, got_g = run(lstm_scan(xs, cell.W, cell.b, inputs, parents, last=last))
+    got_h, got_g = run(lstm_scan(xs, cell.W, cell.b, inputs, parents))
     for g, w in zip(got_h, want_h):
         np.testing.assert_array_equal(g, w)
     for g, w in zip(got_g, want_g):
@@ -492,6 +491,94 @@ def test_lstm_scan_operand_checks(xs_shape, W_shape, parents, words):
     xs = [Tensor(np.ones(xs_shape)), Tensor(np.ones(xs_shape))]
     with pytest.raises(ValueError, match=words):
         lstm_scan(xs, Tensor(np.ones(W_shape)), Tensor(np.ones(8)), parents=parents)
+
+
+def bilstm_case(seed, layers=2, dropout=True):
+    """Three sequences of three positions over tables of (2, 2) blocks, d = 2:
+    blocks are shared within a position, so their gradients add up."""
+    s, G, n, d = 3, 3, 2, 2
+    rng = np.random.default_rng(seed)
+    tables = [tuple(Tensor(rng.uniform(-1, 1, (count * n, d)), requires_grad=True)
+                    for count in (2, 3)) for _ in range(s)]
+    blocks = np.array([[[0, 1, 0], [2, 2, 1]], [[1, 1, 0], [0, 1, 2]], [[0, 0, 0], [2, 0, 1]]])
+    cells = []
+    for _ in range(layers):
+        f, b = LSTMCell(2 * d, d, rng), LSTMCell(2 * d, d, rng)
+        f.b.data, b.b.data = rng.normal(size=4 * d), rng.normal(size=4 * d)
+        cells.append((f.W, f.b, b.W, b.b))
+    keep = (rng.random((layers, s, 2 * d, G * n)) < 0.7) / 0.7 if dropout else None
+    return tables, blocks, n, cells, keep
+
+
+def composed_bilstm(tables, blocks, n, cells, keep):
+    """``bilstm_layers`` from generic ops and ``lstm_scan`` chains: each
+    position's blocks gathered by one-hot products, the keep masks as ``mul``
+    nodes, one chain per layer and direction."""
+    s, G = len(tables), blocks.shape[-1]
+
+    def gather(table, index):
+        onehot = np.zeros((G, table.shape[0] // n))
+        onehot[np.arange(G), index] = 1.0
+        return (Tensor(onehot) @ table.reshape((table.shape[0] // n, -1))).reshape((G * n, -1))
+
+    seq = [concat([gather(tables[t][0], blocks[t, 0]), gather(tables[t][1], blocks[t, 1])],
+                  axis=-1) for t in range(s)]
+    for layer, (Wf, bf, Wb, bb) in enumerate(cells):
+        if keep is not None:
+            seq = [x * Tensor(keep[layer, t].T) for t, x in enumerate(seq)]
+        fwd, bwd = lstm_scan(seq, Wf, bf), lstm_scan(seq[::-1], Wb, bb)[::-1]
+        seq = [concat([f, b], axis=-1) for f, b in zip(fwd, bwd)]
+    d = cells[0][1].shape[0] // 4
+    return concat([seq[-1][:, :d], seq[0][:, d:]], axis=-1)
+
+
+@pytest.mark.parametrize("layers, dropout", [(1, False), (2, True), (3, True)],
+                         ids=["one-layer", "two-layers-dropout", "three-layers-dropout"])
+def test_bilstm_layers_matches_composed_chains(layers, dropout):
+    # outputs and the gradients of every table, W and b within 1e-12; the
+    # unrecorded call gives the recorded bits
+    case = bilstm_case(4, layers, dropout)
+    tables, _, _, cells, _ = case
+    params = [t for pair in tables for t in pair] + [p for cell in cells for p in cell]
+    weights = np.random.default_rng(5).normal(size=(6, 4))
+
+    def run(node):
+        for p in params:
+            p.grad = None
+        out = node(*case)
+        (out * Tensor(weights)).sum().backward()
+        return out.data, [p.grad for p in params]
+
+    got, got_grads = run(bilstm_layers)
+    want, want_grads = run(composed_bilstm)
+    assert_relative(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert_relative(g, w)
+    with no_grad():
+        np.testing.assert_array_equal(bilstm_layers(*case).data, got)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bilstm_layers_gradients_match_finite_differences(seed):
+    tables, blocks, n, cells, keep = bilstm_case(seed)
+    params = {f"table{t}{half}": table for t, pair in enumerate(tables)
+              for half, table in enumerate(pair)}
+    params.update({f"{name}{i}": p for i, cell in enumerate(cells)
+                   for name, p in zip(("Wf", "bf", "Wb", "bb"), cell)})
+    errs = check_gradients(lambda: sum_sq(bilstm_layers(tables, blocks, n, cells, keep)), params)
+    assert max(errs.values()) < 1e-6, errs
+
+
+def test_bilstm_layers_operand_checks():
+    tables, blocks, n, cells, keep = bilstm_case(0)
+    with pytest.raises(ValueError, match=r"per layer W \(6, 8\) and b \(8,\) twice"):
+        bilstm_layers(tables, blocks, n, [cells[0][:2] + (cells[0][3], cells[0][2])], None)
+    with pytest.raises(ValueError, match=r"blocks \(s, 2, G\) of \(n, 2\) table blocks"):
+        bilstm_layers(tables, blocks[:2], n, cells, keep)
+    with pytest.raises(ValueError, match=r"blocks \(s, 2, G\)"):
+        bilstm_layers(tables, np.where(blocks == 2, 3, blocks), n, cells, keep)
+    with pytest.raises(ValueError, match=r"keep masks \(2, 3, 4, 6\), got \(2, 3, 6, 4\)"):
+        bilstm_layers(tables, blocks, n, cells, np.swapaxes(keep, -1, -2))
 
 
 def composed_unfold(a, kernel):
