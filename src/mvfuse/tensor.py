@@ -16,6 +16,11 @@ validation outputs. Every op output in between is trusted unchecked. On a
 failure the graph is walked in creation order and the error names the op of
 the first non-finite node.
 
+An op is recorded when gradients are enabled and some parent requires one
+(``_records``); an unrecorded output keeps no parents and no backward. The
+hand-written nodes take their temporaries from ``_scratch``: fresh arrays
+the backward may keep when recorded, else slots of one buffer per call.
+
 Gradients are values too: the first contribution to ``.grad`` is assigned
 as is and later ones are added into a new array, so one array may be shared
 by several nodes. Nothing may write into a ``.grad`` in place.
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import accumulate, count
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -112,6 +118,25 @@ def _softmax(data: np.ndarray, axis: int, exclude: np.ndarray | None) -> np.ndar
     return out
 
 
+def _records(parents) -> bool:
+    """Whether an op over ``parents`` is recorded: gradients are enabled and
+    some parent requires one."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
+def _scratch(record: bool, sizes: Sequence[int]):
+    """``array(slot, shape)``, where a node takes its temporaries. Recorded,
+    every call returns a fresh array, which the backward may keep. Else it
+    returns the front of slot ``slot``'s ``sizes[slot]`` elements of one
+    buffer allocated here: arrays of one slot share memory, arrays of
+    different slots never overlap, and the buffer lives while any does."""
+    if record:
+        return lambda slot, shape: np.empty(shape)
+    ends = [0, *accumulate(sizes)]
+    work = np.empty(ends[-1])
+    return lambda slot, shape: work[ends[slot]:ends[slot] + prod(shape)].reshape(shape)
+
+
 class Tensor:
     """A dense float64 array plus the bookkeeping for reverse-mode autodiff.
 
@@ -145,7 +170,7 @@ class Tensor:
         out.op = ""
         out._parents = ()
         out._backward = None
-        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        out.requires_grad = _records(parents)
         if out.requires_grad:
             out.op = op
             out._parents = parents
@@ -443,9 +468,16 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
     taps = [(tau, tau - pad, max(0, pad - tau), min(T, T + pad - tau))
             for tau in range(kernel) if abs(tau - pad) < T] if kernel > 1 else []
     xs = x.data.reshape(-1, T, c)
-    whole = kernel == 1 or (_GRAD_ENABLED and any(p.requires_grad for p in parents))
-    rows = max(1, len(xs) if whole else WINDOW_BLOCK // (T * kernel * c))
-    win = xs if kernel == 1 else np.zeros((min(rows, len(xs)), T, kernel * c))
+    record = _records(parents)
+    rows = max(1, len(xs) if kernel == 1 or record else WINDOW_BLOCK // (T * kernel * c))
+    win = xs
+    if kernel > 1:  # zero outside the series once; every block's taps write the rest
+        shape = (min(rows, len(xs)), T, kernel * c)
+        win = _scratch(record, [prod(shape)])(0, shape)
+        outside = np.ones((T, kernel), dtype=bool)
+        for tau, _, t0, t1 in taps:
+            outside[t0:t1, tau] = False
+        win.reshape(len(win), T, kernel, c)[:, outside] = 0.0
     out = np.empty(x.shape[:-1] + (n,))
     blocks = out.reshape(-1, T, n)
     keeps = None if keep is None else keep.reshape(blocks.shape)
@@ -579,16 +611,14 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
     ``bilstm_layers`` shares, as it shares ``_lstm_gates_backward``. h and c
     stay feature-major between steps, so no step transposes its state; a
     shared parent's state is gathered by block in numpy. The forward takes
-    every temporary from ``array``: unrecorded, the front of a buffer
-    allocated once at the widest step (one gate and one product buffer, two
-    h and two c buffers used in turn, and one for a step's stacked inputs);
-    recorded, a fresh array, so each step's input rows, its parents' h and
-    c, its gates after their nonlinearity and tanh(c) stay for the
-    backward. That runs back through time inside the node, carrying dh and
-    dc feature-major and adding the blocks that share a parent, and takes
-    the x, W and b gradients after the step loop; it skips every gradient
-    that no input needs, such as a constant state's. The outputs hand their
-    gradients to the node, so none allocates a zero array for a slice.
+    every temporary from ``_scratch``, so a recorded node keeps each step's
+    input rows, its parents' h and c, its gates after their nonlinearity
+    and tanh(c). The backward runs back through time inside the node,
+    carrying dh and dc feature-major, adding the blocks that share a parent
+    by one one-hot product per step, and takes the x, W and b gradients
+    after the step loop; it skips every gradient that no input needs, such
+    as a constant state's. The outputs hand their gradients to the node, so
+    none allocates a zero array for a slice.
     """
     steps = [[t] for t in range(len(xs))] if inputs is None else inputs
     d = W.shape[-1] // 4
@@ -612,20 +642,14 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
         ups[1:] = [None if up == list(range(len(prev))) else up
                    for up, prev in zip(parents, steps)]
     node_parents = tuple(blocks.values()) + (W, b) + tuple(state or ())
-    record = _GRAD_ENABLED and any(p.requires_grad for p in node_parents)
     rows = [len(step) * n for step in steps]
     ends = list(accumulate(rows))
     out = np.empty((ends[-1], d))
     signs = _gate_signs(d)
     Wn, bn = W.data * signs, b.data * signs
-    if not record:
-        wide = max(rows)  # buffers: gates, product, h and c by turn, stacked inputs
-        bufs = [np.empty(size * wide) for size in (4 * d, 4 * d, d, d, d, d, k)]
-
-    def array(buf: int, shape: tuple) -> np.ndarray:
-        """A fresh array when recorded, else the front of buffer ``buf``."""
-        return np.empty(shape) if record else bufs[buf][:shape[0] * shape[1]].reshape(shape)
-
+    # slots: gates, product, h and c by turn, stacked inputs
+    array = _scratch(_records(node_parents),
+                     [size * max(rows) for size in (4 * d, 4 * d, d, d, d, d, k)])
     saved = []
     h, c = (None, None) if state is None else (s.data.T for s in state)
     for t, step in enumerate(steps):
@@ -635,7 +659,7 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
         gates = array(0, (4 * d, R))
         np.matmul(Wn[:k].T, X.T, out=gates)
         Hp, Cp = h, c
-        if ups[t] is not None:  # gather each block's parent state, fresh or into the turn's buffers
+        if ups[t] is not None:  # gather each block's parent state into the turn's slots
             Hp, Cp = (np.take(s.reshape(d, -1, n), ups[t], axis=1, mode="clip",
                               out=array(buf, (d, R)).reshape(d, -1, n)).reshape(d, R)
                       for s, buf in ((h, 2 + turn), (c, 4 + turn)))
@@ -644,26 +668,14 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
         gates += bn[:, None]
         c, h = array(4 + turn, (d, R)), out[ends[t] - R:ends[t]].T
         tanh_c = _lstm_gates(gates, Cp, c, array(1, (d, R)), h)
-        if record:
-            saved.append((X, Hp, Cp, gates, tanh_c))
+        saved.append((X, Hp, Cp, gates, tanh_c))
 
     shown = list(range(len(steps)))
     views = [out[ends[t] - rows[t]:ends[t]] for t in shown]
     if state is not None:
         shown.append(len(steps))
-        views.append(np.ascontiguousarray(c.T))
-    if not record:
-        return [Tensor._result(v, (), None, "lstm_scan") for v in views]
+        views.append(c.T.copy())  # c lies in the scratch; a (1, d) c.T is contiguous
     handed = [None] * (len(steps) + 1)  # each step's h, then the last c
-
-    def route(a: np.ndarray, up: list[int], count: int) -> np.ndarray:
-        """Feature-major block gradients (r, blocks * n) added into their
-        parents' blocks, (r, count * n)."""
-        total = np.zeros((a.shape[0], count, n))
-        for j, p in enumerate(up):
-            total[:, p] += a[:, j * n:(j + 1) * n]
-        return total.reshape(a.shape[0], -1)
-
     wants_x = any(x.requires_grad for x in blocks.values())
 
     def backward(_):
@@ -682,8 +694,9 @@ def lstm_scan(xs: Sequence[Tensor | None], W: Tensor, b: Tensor,
             dc_next = _lstm_gates_backward(gates, Cp, tanh_c, dh, dc_next, dz,
                                            Cp is not None and (t or state[1].requires_grad))
             dh_next = Wn[k:] @ dz if Hp is not None and (t or state[0].requires_grad) else None
-            if ups[t] is not None:
-                dh_next, dc_next = (route(a, ups[t], len(steps[t - 1]))
+            if ups[t] is not None:  # blocks' dh and dc added into their parents' blocks
+                onehot = np.eye(len(steps[t - 1]))[ups[t]].T
+                dh_next, dc_next = ((onehot @ a.reshape(d, -1, n)).reshape(d, -1)
                                     for a in (dh_next, dc_next))
         for s, ds in zip(state or (), (dh_next, dc_next)):
             if s.requires_grad:
@@ -744,12 +757,9 @@ def bilstm_layers(tables: Sequence[tuple[Tensor, Tensor]], blocks: np.ndarray, n
     sigmoid gates negated for ``_lstm_gates``; a direction's first step
     reads ``[x_t; 1]`` alone. A step writes its h into the operand that
     the direction's next step reads and, times the next layer's keep mask,
-    into the next layer's x_t. Unrecorded, the operands and temporaries
-    lie in one buffer per call, two layers' operands used in turn.
-    Recorded, each position's operand and each step's gates, c and tanh(c)
-    are a fresh array that the node keeps, as ``lstm_scan``'s are: one
-    array per kind, up to 18 MB at seven views, was mapped afresh on most
-    calls. The backward runs back through time inside the node, the
+    into the next layer's x_t. The operands and each step's gates, c and
+    tanh(c) come from ``_scratch``; unrecorded, two layers' operands are
+    used in turn. The backward runs back through time inside the node, the
     pre-activations' gradient by -z at the sigmoid gates, so the stacked
     weights carry it back as they are: per step one GEMM gives the
     gradients of the h and x rows the step read and one those of W and b,
@@ -777,8 +787,6 @@ def bilstm_layers(tables: Sequence[tuple[Tensor, Tensor]], blocks: np.ndarray, n
                          f"got {keep.shape}")
     unique = tuple(dict.fromkeys(table for pair in tables for table in pair))
     params = tuple(p for cell in cells for p in cell)
-    record = _GRAD_ENABLED and any(p.requires_grad for p in unique + params)
-
     signs = _gate_signs(d)
 
     def columns(direction: int) -> tuple[slice, slice, int]:
@@ -798,14 +806,12 @@ def bilstm_layers(tables: Sequence[tuple[Tensor, Tensor]], blocks: np.ndarray, n
         return out.T
 
     mats = [(stacked(Wf, bf, 0), stacked(Wb, bb, 1)) for Wf, bf, Wb, bb in cells]
-    if record:  # fresh arrays per position and step, kept for the backward
-        ops = [[np.empty((P, R)) for _ in range(s)] for _ in range(layers)]
-        saved = [[[None] * s for _ in range(2)] for _ in range(layers)]
-    else:
-        turns = min(layers, 2)  # layers' operands in turn
-        work = np.empty((turns * s * P + 7 * d) * R)
-        ops = [work[i * s * P * R:(i + 1) * s * P * R].reshape(s, P, R) for i in range(turns)]
-        spare = work[turns * s * P * R:].reshape(7 * d, R)
+    # slots: per turn of layers its operands by position, then gates, c by turn and tanh(c)
+    turns = min(layers, 2)
+    spare = turns * s
+    array = _scratch(_records(unique + params), [P * R] * spare + [4 * d * R] + [d * R] * 3)
+    ops = [[array(layer % turns * s + t, (P, R)) for t in range(s)] for layer in range(layers)]
+    saved = [[[None] * s for _ in range(2)] for _ in range(layers)]
 
     def reads(direction: int, first: bool) -> tuple[slice, slice]:
         """The operand rows a step reads and the stacked columns they meet:
@@ -824,8 +830,8 @@ def bilstm_layers(tables: Sequence[tuple[Tensor, Tensor]], blocks: np.ndarray, n
         if keep is not None:
             x *= keep[0, t]
     for layer in range(layers):
-        O = ops[layer % len(ops)]
-        after = None if layer == layers - 1 else ops[(layer + 1) % len(ops)]
+        O = ops[layer]
+        after = None if layer == layers - 1 else ops[layer + 1]
         for operand in O:
             operand[d + k] = 1.0
         for direction, W in enumerate(mats[layer]):
@@ -833,12 +839,9 @@ def bilstm_layers(tables: Sequence[tuple[Tensor, Tensor]], blocks: np.ndarray, n
             c_prev = None
             for j, t in enumerate(order):
                 rows, cols = reads(direction, j == 0)
-                if record:
-                    z, c, tanh_c = saved[layer][direction][t] = tuple(
-                        np.empty((width, R)) for width in (4 * d, d, d))
-                else:
-                    turn = (4 + j % 2) * d  # c in turn
-                    z, c, tanh_c = spare[:4 * d], spare[turn:turn + d], spare[6 * d:]
+                z, c, tanh_c = saved[layer][direction][t] = (
+                    array(spare, (4 * d, R)), array(spare + 1 + j % 2, (d, R)),
+                    array(spare + 3, (d, R)))
                 np.matmul(W[:, cols], O[t][rows], out=z)
                 x_next = (None if after is None else
                           after[t][d + direction * d:d + (direction + 1) * d])
@@ -853,8 +856,6 @@ def bilstm_layers(tables: Sequence[tuple[Tensor, Tensor]], blocks: np.ndarray, n
         if after is not None and keep is not None:
             for t in range(s):
                 after[t][d:d + k] *= keep[layer + 1, t]
-    if not record:
-        return Tensor._result(out, (), None, "bilstm_layers")
 
     def backward(g):
         g = g.reshape(R, 2 * d)
@@ -903,8 +904,7 @@ def bilstm_layers(tables: Sequence[tuple[Tensor, Tensor]], blocks: np.ndarray, n
         for t, pair in enumerate(tables):
             for half, table in enumerate(pair):
                 if table.requires_grad:  # the blocks' gradients summed per table block
-                    onehot = np.zeros((table.shape[0] // n, G))
-                    onehot[blocks[t, half], np.arange(G)] = 1.0
+                    onehot = np.eye(table.shape[0] // n)[blocks[t, half]].T
                     dx = dh_above[t][half * d:(half + 1) * d].reshape(d, G, n)
                     table._accumulate((onehot @ dx).reshape(d, -1).T)
         dWb *= signs
@@ -957,10 +957,10 @@ def _gated_blocks(W: np.ndarray, used: np.ndarray, d: int) -> np.ndarray:
     return W.reshape(m, d, d, m).transpose(3, 0, 1, 2)[used[:, None], used]
 
 
-def _gated_softmax(plan: tuple, W: np.ndarray, b: np.ndarray, fresh: bool) -> tuple:
+def _gated_softmax(plan: tuple, W: np.ndarray, b: np.ndarray, record: bool) -> tuple:
     """The used rows z (u, B*d), the gate weights of every slot of ``plan``
     (n, B*d) in its slot order, and spare rows, at least 2G for the widest
-    group's G. All but ``fresh`` weights lie in one buffer allocated here.
+    group's G, each from ``_scratch``.
 
     A slot of view v under a pattern has the logits sum over the pattern's
     views w of z_w @ W[w, v], plus v's bias: the u*u pair products are
@@ -972,13 +972,13 @@ def _gated_softmax(plan: tuple, W: np.ndarray, b: np.ndarray, fresh: bool) -> tu
     """
     used, used_rows, groups, select = plan
     (u, n), (batch, d) = (len(used), len(select)), used_rows[0].shape
-    spare = max(u * u, 2 * max(len(members) for members, _ in groups))
-    work = np.empty((u + spare + (0 if fresh else n), batch * d))
-    z = np.stack([r.data for r in used_rows], out=work[:u].reshape(u, batch, d))
-    pairs = work[u:u + u * u].reshape(u, u, batch, d)
-    np.matmul(z, _gated_blocks(W, used, d), out=pairs)
+    sizes = (u, max(u * u, 2 * max(len(members) for members, _ in groups)), n)
+    array = _scratch(record, [size * batch * d for size in sizes])
+    z, spare, weights = (array(slot, (size, batch * d)) for slot, size in enumerate(sizes))
+    np.stack([r.data for r in used_rows], out=z.reshape(u, batch, d))
+    pairs = spare[:u * u].reshape(u, u, batch, d)
+    np.matmul(z.reshape(u, batch, d), _gated_blocks(W, used, d), out=pairs)
     pairs.reshape(u * u, batch, d)[::u + 1] += b.reshape(d, -1)[:, used].T[:, None]
-    weights = np.empty((n, batch * d)) if fresh else work[u + spare:]
     multi = n - sum(len(members) for members, slots in groups if len(slots) == 1)
     np.matmul(select[:multi], pairs.reshape(u * u, -1), out=weights[:multi])
     weights[multi:] = 1.0
@@ -989,12 +989,12 @@ def _gated_softmax(plan: tuple, W: np.ndarray, b: np.ndarray, fresh: bool) -> tu
             break
         logits = weights[start:start + s * count].reshape(s, count, -1)
         start += s * count
-        shift = work[u:u + count]
+        shift = spare[:count]
         np.max(logits, axis=0, out=shift)
         logits -= shift
         np.exp(logits, out=logits)
         logits *= np.reciprocal(np.sum(logits, axis=0, out=shift), out=shift)
-    return work[:u], weights, work[u:u + spare]
+    return z, weights, spare
 
 
 def gated_mix(rows: Sequence[Tensor | None], W: Tensor, b: Tensor, patterns: np.ndarray) -> Tensor:
@@ -1010,19 +1010,17 @@ def gated_mix(rows: Sequence[Tensor | None], W: Tensor, b: Tensor, patterns: np.
 
     Patterns are grouped by their number of views (see ``_gated_plan`` and
     ``_gated_softmax``). Per group the mix reads each slot's row straight
-    from the rows and its result is written at its patterns' positions. The
-    graph keeps only the weights; an unrecorded call keeps nothing and its
-    weights, like every temporary, lie in the one buffer that the call
-    allocates. The backward forms w * g per slot, whose sum per view is the
-    rows' gradient through the mix, and from it dlogits = w * g * (z - out);
-    one transposed selection product gives the pair products' gradients,
-    whence W's, the rows' through the logits, and b's from the pairs (v, v).
+    from the rows and its result is written at its patterns' positions.
+    Temporaries come from ``_scratch`` and the graph keeps only the weights.
+    The backward forms w * g per slot, whose sum per view is the rows'
+    gradient through the mix, and from it dlogits = w * g * (z - out); one
+    transposed selection product gives the pair products' gradients, whence
+    W's, the rows' through the logits, and b's from the pairs (v, v).
     """
     plan = _gated_plan(rows, W, b, patterns)
     used, used_rows, groups, select = plan
     (u, n), (batch, d) = (len(used), len(select)), used_rows[0].shape
-    record = _GRAD_ENABLED and any(p.requires_grad for p in used_rows + (W, b))
-    z, weights, spare = _gated_softmax(plan, W.data, b.data, record)
+    z, weights, spare = _gated_softmax(plan, W.data, b.data, _records(used_rows + (W, b)))
     out = np.empty((len(patterns), batch * d))
     start = 0
     for members, slots in groups:

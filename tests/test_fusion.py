@@ -483,12 +483,14 @@ class TestMemoryLayers:
             np.testing.assert_array_equal(unrecorded.data, got)
             assert_relative(unrecorded.data, oracle.data)
 
-    def test_unrecorded_fuses_are_bit_identical(self):
-        # each call takes its workspace afresh, so nothing carries over from
-        # a call over other patterns and batch in between
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_unrecorded_fuses_are_bit_identical(self, layers):
+        # each call takes its scratch afresh, so nothing carries over from a
+        # call over other patterns and batch in between; one layer runs
+        # lstm_scan's scratch alone, more also bilstm_layers'
         m, d = 5, 8
         rng = np.random.default_rng(44)
-        fusion = make_fusion(FusionConfig(kind="memory", layers=3, dropout=0.3), m, d, rng)
+        fusion = make_fusion(FusionConfig(kind="memory", layers=layers, dropout=0.3), m, d, rng)
         rows = rows_for(m, d, rng, range(m), batch=4)
         other = rows_for(m, d, rng, range(m), batch=7)
         available = pattern_matrix(enumerate_combinations(m), m)

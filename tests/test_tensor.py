@@ -12,8 +12,8 @@ from mvfuse import tensor as tensor_module
 from mvfuse.gradcheck import check_gradients, numerical_gradient, relative_error
 from mvfuse.layers import LSTMCell
 from mvfuse.tensor import (WINDOW_BLOCK, Adam, EmptySupportError, Tensor, attention,
-                           attention_probs, backward, bilstm_layers, concat, lstm_scan, no_grad,
-                           stack, window_affine)
+                           attention_probs, backward, bilstm_layers, concat, gated_mix, lstm_scan,
+                           no_grad, stack, window_affine)
 
 
 def sum_sq(t):
@@ -373,6 +373,7 @@ SCANS = {
     "chain-d32": (64, 32, 24, [[0], [1], [2], [3], [4]], [[0], [0], [0], [0]]),
     # step 1's blocks 0 and 1 share parent 0, step 2's blocks both continue block 1
     "tree": (6, 4, 5, [[0, 1, 2], [1, 2, 2, 0], [0, 2]], [[0, 0, 1, 2], [1, 1]]),
+    "one-row": (2, 3, 1, [[0], [1], [2]], [[0], [0]]),
 }
 
 
@@ -579,6 +580,82 @@ def test_bilstm_layers_operand_checks():
         bilstm_layers(tables, np.where(blocks == 2, 3, blocks), n, cells, keep)
     with pytest.raises(ValueError, match=r"keep masks \(2, 3, 4, 6\), got \(2, 3, 6, 4\)"):
         bilstm_layers(tables, blocks, n, cells, np.swapaxes(keep, -1, -2))
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+def test_scratch_slots(record):
+    # unrecorded, arrays of one slot share memory and arrays of different
+    # slots never overlap; recorded, every array is fresh
+    sizes = [6, 4, 8]
+    array = tensor_module._scratch(record, sizes)
+    first = [array(slot, (size,)) for slot, size in enumerate(sizes)]
+    again = [array(slot, (2, size // 2)) for slot, size in enumerate(sizes)]
+    for slot, arrays in enumerate(zip(first, again)):
+        assert np.shares_memory(*arrays) == (not record)
+        for a in arrays:
+            assert not any(np.shares_memory(a, b) for b in first[slot + 1:] + again[slot + 1:])
+
+
+def scan_call(name, state=False):
+    cell, xs, inputs, parents = scan_case(name)
+    rng = np.random.default_rng(9)
+    rows = len(inputs[0]) * xs[0].shape[0]
+    states = tuple(Tensor(rng.normal(size=(rows, cell.d_h)), requires_grad=True) for _ in "hc")
+    return lstm_scan(xs, cell.W, cell.b, inputs, parents, state=states if state else None)
+
+
+def gated_call():
+    m, d = 3, 2
+    rng = np.random.default_rng(6)
+    rows = [Tensor(rng.normal(size=(4, d)), requires_grad=True) for _ in range(m)]
+    W, b = (Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((m * d, d * m), (d * m,)))
+    patterns = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1], [1, 1, 1]], dtype=bool)
+    return gated_mix(rows, W, b, patterns)
+
+
+def conv_call(kernel):
+    rng = np.random.default_rng(kernel)  # K=3 runs three blocks unrecorded
+    x = Tensor(rng.normal(size=(400, 16, 8)), requires_grad=True)
+    W = Tensor(rng.normal(size=(kernel, 8, 5) if kernel > 1 else (8, 5)), requires_grad=True)
+    return window_affine(x, W, Tensor(rng.normal(size=5), requires_grad=True), relu=True)
+
+
+NODE_CALLS = {
+    "window_affine_k1": lambda: conv_call(1),
+    "window_affine_k3": lambda: conv_call(3),
+    "lstm_scan_tree": lambda: scan_call("tree"),
+    "lstm_scan_tree_state": lambda: scan_call("tree", state=True),
+    # one block of one row: its last c is (1, d) in either layout
+    "lstm_scan_one_row_state": lambda: scan_call("one-row", state=True),
+    "bilstm_layers": lambda: bilstm_layers(*bilstm_case(0, layers=3)),
+    "gated_mix": gated_call,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_CALLS))
+def test_unrecorded_node_outputs_hold_no_graph_and_no_scratch(name, monkeypatch):
+    # under no_grad every output drops its parents and backward, so none
+    # keeps what a recorded call saves, and no output lies in the scratch
+    taken = []
+    scratch = tensor_module._scratch
+
+    def spied(record, sizes):
+        array = scratch(record, sizes)
+        return lambda slot, shape: taken.append(array(slot, shape)) or taken[-1]
+
+    def outputs():
+        outs = NODE_CALLS[name]()
+        return outs if isinstance(outs, list) else [outs]
+
+    assert all(out.requires_grad for out in outputs())  # operands that need gradients
+    monkeypatch.setattr(tensor_module, "_scratch", spied)
+    with no_grad():
+        outs = outputs()
+    assert taken or name == "window_affine_k1"  # K = 1 reads its input as the window
+    for out in outs:
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert not any(np.shares_memory(out.data, a) for a in taken)
 
 
 def composed_unfold(a, kernel):
