@@ -22,9 +22,10 @@ missing views are left out of its normalization, never imputed:
   views some pattern uses;
 - gated: one ``tensor.gated_mix`` node. Each used view is multiplied by
   its blocks of ``W_G`` once per call; patterns are grouped by their number
-  of views s, one selection product gives the logits of the available
-  slots only, (s, G, B, d) per group, the softmax over the s slots runs in
-  place and the mix reads each slot's row straight from the rows;
+  of views s (``tensor.pattern_groups``), one selection product gives the
+  logits of the available slots only, (s, G, B, d) per group, the softmax
+  over the s slots runs in place and the mix reads each slot's row straight
+  from the rows;
 - cross: one token-plus-views sequence and one Q/K/V projection per layer
   for all patterns; a pattern's missing views are excluded keys, and the
   final layer computes only the token's queries. Each layer is one
@@ -49,12 +50,13 @@ before it, so a state there depends only on the views read so far: every
 distinct ordered prefix of the patterns' view sequences is stepped once, and
 every reversed suffix in the backward direction, as one ``lstm_scan``
 prefix-tree node per direction with all prefixes of one length in one step.
-The later layers of all patterns with the same number of views are one
-``bilstm_layers`` node, which gathers each position's first-layer states
-from the prefix and suffix tables by block, without padding, and steps both
-directions of every later layer with one GEMM per step. Over the 127
-patterns of seven views that is 7 first-layer steps per direction over 127
-prefixes, and 7 nodes whose 28 positions hold the patterns' 448 view slots.
+The later layers of each group of ``tensor.pattern_groups``, the patterns
+with the same number of views, are one ``bilstm_layers`` node, which
+gathers each position's first-layer states from the prefix and suffix
+tables by block, without padding, and steps both directions of every later
+layer with one GEMM per step. Over the 127 patterns of seven views that is
+7 first-layer steps per direction over 127 prefixes, and 7 nodes whose 28
+positions hold the patterns' 448 view slots.
 
 Random draws (attention dropout, memory's inter-layer dropout and its
 permutation) are made only when ``fuse`` is given a generator, the train
@@ -77,7 +79,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .layers import Affine, Dropout, LSTMCell, Module, MultiHeadAttention, glorot
 from .tensor import (Tensor, bilstm_layers, concat, gated_mix, gated_weights, lstm_scan,
-                     no_grad, stack, window_affine)
+                     no_grad, pattern_groups, stack, window_affine)
 
 FUSION_KINDS = ("average", "gated", "cross", "memory", "concat")
 
@@ -278,14 +280,13 @@ class CrossAttentionFusion(Fusion):
         since every block has the fusion's dropout rate. One draw takes all
         of them, the same numbers in the same order, and only the entries a
         layer reads are thresholded: its query rows at the pattern's keys,
-        read for all patterns with n_k keys at once through a strided view.
+        read for each group of ``pattern_groups`` through one strided view.
         """
         dropout = self.blocks[0].dropout
         count, n = keys.shape
         layers, heads = len(self.blocks), self.blocks[0].heads
         rows = batch * heads
-        size = keys.sum(axis=1)
-        block = layers * rows * size**2  # each pattern's numbers
+        block = layers * rows * keys.sum(axis=1)**2  # each pattern's numbers
         drawn = dropout.draw(int(block.sum()), rng)
         if drawn is None:
             return [None] * layers
@@ -294,8 +295,8 @@ class CrossAttentionFusion(Fusion):
         for i in range(layers):
             width = 1 if i == layers - 1 else n  # query rows
             keep = np.zeros((count, rows, width * n))
-            for s in np.unique(size).tolist():
-                group = np.flatnonzero(size == s)
+            for group, pos in pattern_groups(keys):
+                s = pos.shape[1]
                 queries = min(width, s)
                 # at every offset, the (B * heads, queries, s) entries read
                 # from a (B * heads, s, s) block starting there
@@ -303,7 +304,6 @@ class CrossAttentionFusion(Fusion):
                                             rows, queries, s),
                                     (step, step * s * s, step * s, step), writeable=False)
                 values = dropout.keep(window[starts[group] + i * rows * s * s])
-                pos = np.nonzero(keys[group])[1].reshape(len(group), s)
                 at = (pos[:, :queries, None] * n + pos[:, None, :]).reshape(len(group), -1)
                 keep[group[:, None], :, at] = np.swapaxes(values.reshape(len(group), rows, -1), 1, 2)
             keep = keep.reshape((count, batch, heads, width, n))
@@ -347,14 +347,6 @@ def _select(table: Tensor, index: list[int], batch: int) -> Tensor:
     return (Tensor(onehot) @ table.reshape((n, -1))).reshape((len(index) * batch, -1))
 
 
-def _by_length(patterns: np.ndarray) -> list[np.ndarray]:
-    """The indices of the patterns with each number of views, groups in the
-    order their length first appears, so patterns already grouped by
-    length, as enumerate_combinations lists them, keep their order."""
-    sizes = patterns.sum(axis=1)
-    return [np.flatnonzero(sizes == s) for s in dict.fromkeys(sizes.tolist())]
-
-
 def _ungroup(outs: list[Tensor], groups: list[np.ndarray], batch: int) -> Tensor:
     """Per-group outputs, ``batch`` rows per pattern of each group in
     ``groups``, as one table in the patterns' order."""
@@ -394,8 +386,8 @@ class MemoryFusion(Fusion):
     ordered prefix, and every reversed suffix, is stepped once, all of one
     length in one step of one ``lstm_scan`` node per direction. One layer
     reads each pattern's forward state after its s views beside its
-    backward one. More layers run each group of patterns with s views as
-    one ``tensor.bilstm_layers`` node: position t reads the forward state
+    backward one. More layers run each group of ``pattern_groups``, the
+    patterns with s views, as one ``tensor.bilstm_layers`` node: position t reads the forward state
     after the pattern's first t + 1 views beside the backward one after its
     last s - t, times the layer's dropout keep masks, and the node returns
     the last layer's forward h after the last view beside its backward h
@@ -453,7 +445,7 @@ class MemoryFusion(Fusion):
 
     def _fuse(self, rows, patterns, rng):
         batch = next(r.shape[0] for r in rows if r is not None)
-        groups = _by_length(patterns)
+        groups = [members for members, _ in pattern_groups(patterns)]
         seqs, drawn, starts = self._draws(patterns, batch, rng)
         fwd_at, fwd = _prefix_states(self.forward_cells[0], rows, seqs)
         bwd_at, bwd = _prefix_states(self.backward_cells[0], rows, [q[::-1] for q in seqs])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, attention, attention_probs, lstm_scan, window_affine
+from .tensor import Tensor, attention, lstm_scan, window_affine
 
 
 class Module:
@@ -193,11 +193,12 @@ class MultiHeadAttention(Module):
 
     def probs(self, z: Tensor, exclude: np.ndarray | None = None,
               first_row: bool = False) -> np.ndarray:
-        """Attention probabilities of an input (..., n, d), shape
-        (..., heads, n_q, n), or (..., heads, K, n_q, n) under K key sets on
-        the query axis; n_q is 1 when only the first row queries."""
+        """Attention probabilities of an input (..., n, d), the ``attention``
+        node's output on identity values: (..., heads, n_q, n), or (..., heads,
+        K, n_q, n) under K key sets on the query axis; n_q is 1 for the first row alone."""
         q, k = self._queries_keys(z, first_row)
-        return attention_probs(q.data, k.data, self.scale, exclude)
+        eye = np.broadcast_to(np.eye(k.shape[-2]), k.shape[:-1] + k.shape[-2:-1])
+        return attention(q, k, Tensor(eye), self.scale, exclude).data
 
     def attend(self, z: Tensor, exclude: np.ndarray | None = None,
                keep: np.ndarray | None = None, first_row: bool = False) -> Tensor:

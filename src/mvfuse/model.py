@@ -276,9 +276,20 @@ def save_model(model: _BaseModel, encoder_cfg: EncoderConfig, fusion_cfg: Fusion
     return out / "model.json"
 
 
+class _Unallocated:
+    """A generator stand-in whose draws are zero-stride zeros: the
+    architecture ``load_model`` builds allocates no weight before the
+    archive's arrays replace them."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
+
+
 def load_model(model_dir: str | Path, data: MultiViewDataset) -> _BaseModel:
-    """The snapshot in ``model_dir``, checked to fit ``data`` before any
-    parameter is allocated. A fault is a ValueError naming its file."""
+    """The snapshot in ``model_dir``, checked to fit ``data`` before the
+    architecture is built, and with weights that are only the archive's
+    arrays. A fault is a ValueError naming its file."""
     from .config import ConfigError, _build
     model_dir = Path(model_dir)
     arch_path = model_dir / "model.json"
@@ -298,7 +309,7 @@ def load_model(model_dir: str | Path, data: MultiViewDataset) -> _BaseModel:
                              f"its {name} is {have!r}, the data's is {want!r}")
     try:
         model = build_model(snap.views, snap.encoder, snap.fusion, snap.task, snap.n_outputs,
-                            snap.level, np.random.default_rng(0))
+                            snap.level, _Unallocated())
     except ValueError as exc:
         raise ValueError(f"{arch_path}: {exc}") from exc
     npz = model_dir / "model.npz"

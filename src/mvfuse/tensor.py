@@ -916,17 +916,26 @@ def bilstm_layers(tables: Sequence[tuple[Tensor, Tensor]], blocks: np.ndarray, n
     return Tensor._result(out, unique + params, backward, "bilstm_layers")
 
 
+def pattern_groups(on: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The rows of a boolean (K, n) array grouped by their number s of True
+    entries, in the order each s first appears: per group its G members (G,)
+    and each member's True columns (G, s), both ascending. The one grouping
+    of availability patterns, for the gated, memory and cross fusions."""
+    sizes = on.sum(axis=1)
+    groups = [np.flatnonzero(sizes == s) for s in dict.fromkeys(sizes.tolist())]
+    return [(members, np.nonzero(on[members])[1].reshape(len(members), -1)) for members in groups]
+
+
 def _gated_plan(rows: Sequence, W: Tensor, b: Tensor, patterns: np.ndarray) -> tuple:
     """The used views, their rows, the patterns' groups and their slots'
     selection, for ``gated_mix`` and ``gated_weights``.
 
-    Patterns are grouped by their number of views s, groups in the order
-    their length first appears but single views last; a group is its G
-    member patterns and each slot's view among the used ones, (s, G), slot
-    k holding each member's k-th view. Over all slots in group order (slot
-    after slot, member after member), ``select`` (n, u*u) holds each slot's
-    pattern's views in the row block of its own view: a slot of view v sums
-    the pair products (v, w) over the pattern's views w.
+    The groups are ``pattern_groups``' with single views last; a group is
+    its G member patterns and each slot's view among the used ones, (s, G),
+    slot k holding each member's k-th view. Over all slots in group order
+    (slot after slot, member after member), ``select`` (n, u*u) holds each
+    slot's pattern's views in the row block of its own view: a slot of view
+    v sums the pair products (v, w) over the pattern's views w.
     """
     patterns = np.asarray(patterns, dtype=bool)
     m = len(rows)
@@ -937,11 +946,8 @@ def _gated_plan(rows: Sequence, W: Tensor, b: Tensor, patterns: np.ndarray) -> t
                          f"(K, {m}) for {m} views of width {d}, got {W.shape}, {b.shape} "
                          f"and {patterns.shape}")
     on = patterns[:, used]
-    sizes = on.sum(axis=1)
-    groups = []
-    for s in sorted(dict.fromkeys(sizes.tolist()), key=lambda s: s == 1):
-        members = np.flatnonzero(sizes == s)
-        groups.append((members, np.nonzero(on[members])[1].reshape(len(members), s).T))
+    groups = [(members, columns.T) for members, columns in
+              sorted(pattern_groups(on), key=lambda group: group[1].shape[1] == 1)]
     views = np.concatenate([slots.ravel() for _, slots in groups])
     select = np.zeros((len(views), len(used), len(used)))
     select[np.arange(len(views)), views] = on[np.concatenate(
@@ -1008,10 +1014,11 @@ def gated_mix(rows: Sequence[Tensor | None], W: Tensor, b: Tensor, patterns: np.
     dimension j, plus b's. The softmax over each pattern's available views
     weighs them per dimension, so a missing view's weight is an exact zero.
 
-    Patterns are grouped by their number of views (see ``_gated_plan`` and
-    ``_gated_softmax``). Per group the mix reads each slot's row straight
-    from the rows and its result is written at its patterns' positions.
-    Temporaries come from ``_scratch`` and the graph keeps only the weights.
+    Patterns are grouped by their number of views by ``pattern_groups``,
+    single views last (see ``_gated_plan`` and ``_gated_softmax``). Per
+    group the mix reads each slot's row straight from the rows and its
+    result is written at its patterns' positions. Temporaries come from
+    ``_scratch`` and the graph keeps only the weights.
     The backward forms w * g per slot, whose sum per view is the rows'
     gradient through the mix, and from it dlogits = w * g * (z - out); one
     transposed selection product gives the pair products' gradients, whence
@@ -1142,16 +1149,6 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, scale: float,
             kept.astype(float))
 
 
-def attention_probs(q: np.ndarray, k: np.ndarray, scale: float,
-                    exclude: np.ndarray | None = None) -> np.ndarray:
-    """The probabilities by which ``attention`` weights the values, before
-    any keep mask: (..., K, n_q, n) under K key sets, else (..., n_q, n)."""
-    e, den, kept = _attention_weights(q, k, scale, exclude)
-    if den is not None:
-        e = e * kept[:, None, :] / den[..., None]
-    return e if kept is not None else e[..., 0, :, :]
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, exclude: np.ndarray | None = None,
               keep: np.ndarray | None = None) -> Tensor:
     """``softmax(scale * q @ k^T) @ v`` as one node, with keys excluded from
@@ -1162,8 +1159,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, exclude: np.ndarray
     (..., n_q, n) excludes keys per row, and the output is (..., n_q, c_v).
     One of shape (K, 1, ..., 1, n), an axis more than the logits, holds K
     key sets of the shared input, laid out on the query axis: the output is
-    (..., K, n_q, c_v). ``keep`` is in the layout of the probabilities that
-    ``attention_probs`` returns.
+    (..., K, n_q, c_v). ``keep`` is in the layout of the probabilities,
+    the output on identity values (n, n): (..., K, n_q, n) or (..., n_q, n).
 
     Key sets that share a shift (see ``_attention_weights``) never form
     their probabilities. The one (..., K, n_q, n) array is e times the
@@ -1238,15 +1235,19 @@ class Adam:
     """Adam with bias correction over a list of leaf parameter tensors.
 
     State holds the step count plus first- and second-moment accumulators,
-    one pair per parameter, shapes matching the parameters. The update is
+    one pair per parameter, shapes matching the parameters. ``names``, such
+    as a module's ``named_parameters()`` names, name a parameter whose
+    gradient is rejected; by default it is named by its index. The update is
     ``p -= lr * m_hat / (sqrt(v_hat) + EPS)``; a zero gradient from a fresh
     state therefore leaves the parameter untouched.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
+                 names: Sequence[str] | None = None):
         self.params = list(params)
+        self.names = list(names or (f"parameter {i}" for i in range(len(self.params))))
         self.lr = lr
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -1259,12 +1260,12 @@ class Adam:
     def step(self) -> None:
         """One update; every gradient is checked before any parameter moves."""
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        for i, (p, g) in enumerate(zip(self.params, grads)):
+        for name, p, g in zip(self.names, self.params, grads):
             if g.shape != p.data.shape:
                 raise ValueError(
                     f"gradient shape {g.shape} does not match parameter shape {p.data.shape}")
             if not np.isfinite(g).all():
-                raise ValueError(f"gradient of parameter {i} (shape {p.data.shape}) is not finite")
+                raise ValueError(f"gradient of {name} (shape {p.data.shape}) is not finite")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.BETA1**t

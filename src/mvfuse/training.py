@@ -191,13 +191,13 @@ def train_model(model: _BaseModel, ds_train: MultiViewDataset,
     if task == "classification" and cfg.class_weighting:
         weights = class_weights(ds_train.y, ds_train.n_classes)
 
-    optimizer = Adam(model.parameters(), lr=cfg.lr)
+    named = model.named_parameters()
+    optimizer = Adam([p for _, p in named], lr=cfg.lr, names=[name for name, _ in named])
     shuffle_rng = stream(cfg.seed, "aug", "shuffle")
     mask_rng = stream(cfg.seed, "aug", "masks")
     dropout_rng = stream(cfg.seed, "aug", "dropout")
     stopper = EarlyStopper(cfg.patience)
     result = TrainResult()
-    named = model.named_parameters()
     best_snapshot = [p.data.copy() for _, p in named]
 
     n = ds_train.n_samples

@@ -412,7 +412,7 @@ def chained_memory(fusion, rows, patterns, rng=None):
         seqs.append(tuple(seq.tolist()))
         masks.append(fusion.dropout.mask((later, len(seq), batch, fusion.d), rng)
                      if later else None)
-    groups = fusion_module._by_length(patterns)
+    groups = [members for members, _ in tensor_module.pattern_groups(patterns)]
     fwd_at, fwd = fusion_module._prefix_states(fusion.forward_cells[0], rows, seqs)
     bwd_at, bwd = fusion_module._prefix_states(fusion.backward_cells[0], rows,
                                                [q[::-1] for q in seqs])

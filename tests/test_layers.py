@@ -313,6 +313,41 @@ class TestMultiHeadAttention:
         with pytest.raises(ValueError):
             MultiHeadAttention(6, heads=4, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("case", ["no-exclusion", "per-row", "key-sets", "far-logit"])
+    def test_probs_match_the_reference_softmax(self, case):
+        # K = 3 key sets over 4 keys, all keeping key 0: per row, each row of
+        # a leading pattern axis under its set; as key sets, the shared input
+        # under all three on the query axis, the first row querying
+        sets = np.array([[False, True, False, True], [False, False, False, False],
+                         [False, False, True, True]])
+        rng = np.random.default_rng(6)
+        mha = MultiHeadAttention(8, 2, rng)
+        z = rng.normal(size=(2, 4, 8))
+        exclude, first_row = None, case in ("key-sets", "far-logit")
+        if case == "per-row":
+            z = np.stack([z + i for i in range(3)])
+            exclude = sets[:, None, None, None, :]
+        if first_row:
+            exclude = sets[:, None, None, None, :]
+        if case == "far-logit":  # key 3 sits about 100 above the token: no shared shift
+            mha.W_Q.data = mha.W_K.data = np.eye(8)
+            z[:, 0], z[:, 3] = 1.0, 50.0
+        got = mha.probs(Tensor(z), exclude, first_row)
+
+        def heads(x):  # (..., n, 8) -> (..., 2, n, 4)
+            return np.moveaxis(x.reshape(x.shape[:-1] + (2, 4)), -2, -3)
+
+        q = heads((z[..., :1, :] if first_row else z) @ mha.W_Q.data)
+        logits = q @ np.swapaxes(heads(z @ mha.W_K.data), -1, -2) * mha.scale
+        if first_row:  # (B, heads, 1, n) under the sets: (B, heads, K, 1, n)
+            logits, exclude = logits[..., None, :, :], np.moveaxis(exclude, 0, -3)
+        shape = np.broadcast_shapes(logits.shape, () if exclude is None else exclude.shape)
+        want = Tensor(np.broadcast_to(logits, shape)).softmax(axis=-1, exclude=exclude).data
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        if exclude is not None:
+            assert np.all(got[np.broadcast_to(exclude, shape)] == 0.0)
+
     def test_gradients_through_attention(self):
         rng = np.random.default_rng(4)
         mha = MultiHeadAttention(4, heads=2, rng=rng)

@@ -12,8 +12,8 @@ from mvfuse import tensor as tensor_module
 from mvfuse.gradcheck import check_gradients, numerical_gradient, relative_error
 from mvfuse.layers import LSTMCell
 from mvfuse.tensor import (WINDOW_BLOCK, Adam, EmptySupportError, Tensor, attention,
-                           attention_probs, backward, bilstm_layers, concat, gated_mix, lstm_scan,
-                           no_grad, stack, window_affine)
+                           backward, bilstm_layers, concat, gated_mix, lstm_scan, no_grad,
+                           stack, window_affine)
 
 
 def sum_sq(t):
@@ -614,6 +614,32 @@ def gated_call():
     return gated_mix(rows, W, b, patterns)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_pattern_groups_partition_the_rows_by_count_in_first_appearance_order(seed):
+    rng = np.random.default_rng(seed)
+    on = rng.random((40, 6)) < 0.4
+    on[~on.any(axis=1), 0] = True
+    on[0] = np.arange(6) == 2  # single views first
+    sizes = on.sum(axis=1)
+    groups = tensor_module.pattern_groups(on)
+    assert [columns.shape[1] for _, columns in groups] == list(dict.fromkeys(sizes.tolist()))
+    assert sorted(np.concatenate([members for members, _ in groups]).tolist()) == list(range(40))
+    for members, columns in groups:
+        assert np.all(np.diff(members) > 0)
+        assert columns.shape == (len(members), sizes[members[0]])
+        assert np.all(sizes[members] == columns.shape[1])
+        for member, row in zip(members, columns):
+            np.testing.assert_array_equal(row, np.flatnonzero(on[member]))
+    # the gated plan takes the same groups with single views last
+    rows = [Tensor(np.zeros((2, 3))) for _ in range(6)]
+    W, b = Tensor(np.zeros((18, 18))), Tensor(np.zeros(18))
+    plan = tensor_module._gated_plan(rows, W, b, on)[2]
+    assert [len(slots) for _, slots in plan] == sorted(dict.fromkeys(sizes.tolist()),
+                                                       key=lambda s: s == 1)
+    assert [members.tolist() for members, _ in plan] == [
+        members.tolist() for members, _ in sorted(groups, key=lambda g: g[1].shape[1] == 1)]
+
+
 def conv_call(kernel):
     rng = np.random.default_rng(kernel)  # K=3 runs three blocks unrecorded
     x = Tensor(rng.normal(size=(400, 16, 8)), requires_grad=True)
@@ -902,7 +928,7 @@ def test_attention_far_logits_match_reference_softmax(far):
         warnings.simplefilter("error")
         out = attention(q, k, v, 1.0, exclude)
         out.sum().backward()
-        probs = attention_probs(q.data, k.data, 1.0, exclude)
+        probs = attention(q, k, Tensor(np.eye(4).reshape(1, 1, 4, 4)), 1.0, exclude).data
     for s, kept in enumerate(~KEY_SETS):
         e = np.exp(keys[kept] - keys[kept].max())
         want = e / e.sum()

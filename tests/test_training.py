@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -501,6 +502,23 @@ def test_nan_parameter_fails_training_naming_the_epoch_and_step():
         train_model(tiny_model(ds), ds, ds_val, AugPolicy(kind="com"), TrainConfig(batch_size=10))
 
 
+def test_non_finite_gradient_fails_training_naming_the_parameter(monkeypatch):
+    ds = tiny_dataset(n=20)
+    model = tiny_model(ds, kind="gated")
+    backward = Tensor.backward
+
+    def backward_then_overflow(self):
+        backward(self)
+        model.fusion.W_G.grad = np.full_like(model.fusion.W_G.data, np.inf)
+
+    monkeypatch.setattr(Tensor, "backward", backward_then_overflow)
+    before = [p.data.copy() for p in model.parameters()]
+    with pytest.raises(ValueError, match=r"^epoch 1, step 1: gradient of fusion\.W_G "
+                                         r"\(shape \(16, 16\)\) is not finite$"):
+        train_model(model, ds, ds, AugPolicy(kind="com"), TrainConfig(batch_size=10))
+    assert all(np.array_equal(p.data, b) for p, b in zip(model.parameters(), before))
+
+
 def test_nan_parameter_fails_predict_and_validation_naming_the_op():
     ds = tiny_dataset(n=20)
     model = tiny_model(ds)
@@ -561,6 +579,27 @@ def test_snapshot_that_does_not_fit_fails_before_building(tmp_path, monkeypatch)
         load_model(tmp_path, ds)
     assert str(err.value) == (f"snapshot {tmp_path} does not fit the data: "
                               "its head width is 4, the data's is 3")
+
+
+def test_oversized_snapshot_is_rejected_without_allocating_its_weights(tmp_path):
+    # model.json edited to sizes whose weights would take about 127 MB; the
+    # archive's small arrays are rejected before any of them is allocated
+    ds = tiny_dataset(n=10)
+    enc_cfg = EncoderConfig(latent_dim=8, layers=1)
+    fusion_cfg = FusionConfig(kind="cross", heads=2)
+    save_model(build_model(ds.view_specs, enc_cfg, fusion_cfg, ds.task, ds.n_outputs, "feature",
+                           np.random.default_rng(3)), enc_cfg, fusion_cfg, tmp_path)
+    arch = json.loads((tmp_path / "model.json").read_text())
+    arch["encoder"].update(encoder_layers=4, latent_dim=1024)
+    (tmp_path / "model.json").write_text(json.dumps(arch))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="does not match the architecture: missing "):
+            load_model(tmp_path, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def three_kind_views():
