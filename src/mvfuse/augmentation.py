@@ -13,7 +13,7 @@ training layer; ``pattern_matrix`` is the one conversion into the boolean
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -55,8 +55,8 @@ def pattern_matrix(masks: list[tuple[int, ...]], m: int) -> np.ndarray:
     """Index-tuple masks as the boolean (K, m) availability patterns the
     model and the fusions take."""
     patterns = np.zeros((len(masks), m), dtype=bool)
-    for k, mask in enumerate(masks):
-        patterns[k, list(mask)] = True
+    patterns[np.repeat(np.arange(len(masks)), [len(mask) for mask in masks]),
+             np.fromiter(chain.from_iterable(masks), dtype=np.intp)] = True
     return patterns
 
 

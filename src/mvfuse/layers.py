@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, attention, lstm_scan, window_affine
+from .tensor import Tensor, attention, layer_norm, lstm_scan, window_affine
 
 
 class Module:
@@ -72,7 +72,8 @@ class Conv1d(Affine):
 
 
 class LayerNorm(Module):
-    """Normalize the last axis to zero mean and unit variance, then scale and shift.
+    """Normalize the last axis to zero mean and unit variance, then scale and
+    shift, as one ``tensor.layer_norm`` node.
 
     The variance guard is tiny (1e-12) so normalized variance is 1 up to
     1e-9 on ordinary inputs; a constant input maps to the shift vector.
@@ -83,13 +84,7 @@ class LayerNorm(Module):
         self.shift = Tensor(np.zeros(dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] < 2:
-            raise ValueError("layer norm needs at least two features")
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normalized = centered * (var + 1e-12) ** -0.5
-        return normalized * self.gain + self.shift
+        return layer_norm(x, self.gain, self.shift)
 
 
 class Dropout:

@@ -17,9 +17,13 @@ failure the graph is walked in creation order and the error names the op of
 the first non-finite node.
 
 An op is recorded when gradients are enabled and some parent requires one
-(``_records``); an unrecorded output keeps no parents and no backward. The
-hand-written nodes take their temporaries from ``_scratch``: fresh arrays
-the backward may keep when recorded, else slots of one buffer per call.
+(``_records``); an unrecorded output keeps no parents and no backward.
+Besides the generic ops, seven nodes have a hand-written backward:
+``window_affine``, ``lstm_scan``, ``bilstm_layers``, ``gated_mix``,
+``attention``, ``layer_norm`` and ``cross_entropy``. The first four take
+their temporaries from ``_scratch``: fresh arrays the backward may keep when
+recorded, else slots of one buffer per call. The other three allocate only
+what their graphs keep.
 
 Gradients are values too: the first contribution to ``.grad`` is assigned
 as is and later ones are added into a new array, so one array may be shared
@@ -115,6 +119,14 @@ def _softmax(data: np.ndarray, axis: int, exclude: np.ndarray | None) -> np.ndar
         out -= _shift(out, axis)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _log_softmax(data: np.ndarray, axis: int) -> np.ndarray:
+    """The log of the softmax along ``axis`` as a shifted log-sum-exp, in a
+    new array, for ``Tensor.log_softmax`` and ``cross_entropy``."""
+    out = data - _shift(data, axis)
+    out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
     return out
 
 
@@ -348,8 +360,7 @@ class Tensor:
     def log_softmax(self, axis: int = -1) -> "Tensor":
         """Log of the softmax along ``axis`` as a shifted log-sum-exp."""
         a = self
-        out_data = a.data - _shift(a.data, axis)
-        out_data -= np.log(np.exp(out_data).sum(axis=axis, keepdims=True))
+        out_data = _log_softmax(a.data, axis)
 
         def backward(g):
             a._accumulate(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
@@ -512,6 +523,78 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
         x._accumulate(dx.reshape(x.shape))
 
     return Tensor._result(out, parents, backward, "window_affine")
+
+
+def layer_norm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
+    """``(x - mu) * (var + 1e-12) ** -0.5 * gain + shift`` over the last axis
+    of x (..., n >= 2) as one node, gain and shift (n,). mu and var are
+    means over that axis taken as ``Tensor.mean`` takes them, so the output
+    is the composed ops' bit for bit. The graph keeps the normalized input
+    xn and the inverse deviation s; the backward is the closed form
+    ``dx = s * (dn - mean(dn) - xn * mean(dn * xn))`` of ``dn = g * gain``,
+    as mean(xn) is 0."""
+    n = x.shape[-1]
+    if n < 2:
+        raise ValueError("layer norm needs at least two features")
+    if gain.shape != (n,) or shift.shape != (n,):
+        raise ValueError(f"layer norm needs gain and shift ({n},) for input {x.shape}, "
+                         f"got {gain.shape} and {shift.shape}")
+    scale = 1.0 / n
+    normalized = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    inv = ((normalized * normalized).sum(axis=-1, keepdims=True) * scale + 1e-12) ** -0.5
+    normalized *= inv
+    out = normalized * gain.data
+    out += shift.data
+
+    def backward(g):
+        if shift.requires_grad:
+            shift._accumulate(g.reshape(-1, n).sum(axis=0))
+        if gain.requires_grad:
+            gain._accumulate((g * normalized).reshape(-1, n).sum(axis=0))
+        if x.requires_grad:
+            dn = g * gain.data
+            dx = dn - dn.sum(axis=-1, keepdims=True) * scale
+            dn *= normalized
+            dx -= normalized * (dn.sum(axis=-1, keepdims=True) * scale)
+            dx *= inv
+            x._accumulate(dx)
+
+    return Tensor._result(out, (x, gain, shift), backward, "layer_norm")
+
+
+def cross_entropy(logits: Tensor, y: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+    """Mean weighted cross-entropy over a batch of logits (B, K) and integer
+    labels (B,) in [0, K) as one node: ``-mean(w[y] * log_softmax(logits)[y])``
+    over the rows, where ``weights`` (K,) gives w, by default 1.
+
+    The value is the composed ops' bit for bit: the log-softmax of
+    ``Tensor.log_softmax``, each row's label entry times its weight, and
+    ``-(sum * (1.0 / B))``. So is the logits' gradient: with ``row = -g *
+    (1.0 / B)`` times w[y], it is ``exp(logp) * -row`` plus row at each
+    label. The graph keeps the log-probabilities.
+    """
+    y = np.asarray(y, dtype=int)
+    if logits.ndim != 2 or y.shape != logits.shape[:1] or not len(y):
+        raise ValueError(f"cross_entropy needs logits (B >= 1, K) and labels (B,), "
+                         f"got {logits.shape} and {y.shape}")
+    B, K = logits.shape
+    if y.min() < 0 or y.max() >= K:
+        raise ValueError(f"label out of range [0, {K})")
+    logp = _log_softmax(logits.data, -1)
+    rows = np.arange(B)
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)[y]
+    picked = logp[rows, y] if w is None else logp[rows, y] * w
+    scale = 1.0 / B
+
+    def backward(g):
+        row = -g * scale
+        row = np.broadcast_to(row, (B,)) if w is None else row * w
+        dlogits = np.exp(logp)
+        dlogits *= -row[:, None]
+        dlogits[rows, y] += row
+        logits._accumulate(dlogits)
+
+    return Tensor._result(-(picked.sum() * scale), (logits,), backward, "cross_entropy")
 
 
 def _lstm_gates(gates: np.ndarray, c_prev: np.ndarray | None, c: np.ndarray,
@@ -1235,7 +1318,10 @@ class Adam:
     """Adam with bias correction over a list of leaf parameter tensors.
 
     State holds the step count plus first- and second-moment accumulators,
-    one pair per parameter, shapes matching the parameters. ``names``, such
+    one pair per parameter, shapes matching the parameters, updated in
+    place: ``m = BETA1 * m + (1 - BETA1) * g`` and likewise v, in that
+    order of operations. Each step gives a parameter a new array, so values
+    that a graph or a snapshot holds never change. ``names``, such
     as a module's ``named_parameters()`` names, name a parameter whose
     gradient is rejected; by default it is named by its index. The update is
     ``p -= lr * m_hat / (sqrt(v_hat) + EPS)``; a zero gradient from a fresh
@@ -1270,9 +1356,14 @@ class Adam:
         t = self.step_count
         bc1 = 1.0 - self.BETA1**t
         bc2 = 1.0 - self.BETA2**t
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.BETA1 * self.m[i] + (1.0 - self.BETA1) * g
-            self.v[i] = self.BETA2 * self.v[i] + (1.0 - self.BETA2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            denom = np.sqrt(v / bc2)
+            denom += self.EPS
+            update = m / bc1
+            update *= self.lr
+            update /= denom
+            p.data = np.subtract(p.data, update, out=update)

@@ -3,7 +3,9 @@
 The core step encodes each view once per batch, then fuses and predicts all
 view combinations in one call; the step loss is the mean per-sample loss
 over the stacked combinations, which is the mean over combinations of the
-mean per-sample loss, so every availability pattern weighs the same. Early
+mean per-sample loss, so every availability pattern weighs the same. The
+classification loss is ``tensor.cross_entropy``, one autodiff node, which
+this module exports as its own; regression's ``mse`` is composed. Early
 stopping watches the unweighted full-view validation loss.
 
 Combinations and masks are index tuples here: they name the patterns in the
@@ -21,10 +23,9 @@ import numpy as np
 from .augmentation import (AugPolicy, enumerate_combinations, pattern_matrix, sensd_mask,
                            tempd_mask)
 from .data import MultiViewDataset
-from .encoders import one_hot_batch
 from .model import _BaseModel, batch_views
 from .rng import stream
-from .tensor import Adam, Tensor
+from .tensor import Adam, Tensor, cross_entropy
 
 
 @dataclass
@@ -62,17 +63,6 @@ def class_weights(labels: np.ndarray, n_classes: int | None = None) -> np.ndarra
     return w * (k / w.sum())
 
 
-def cross_entropy(logits: Tensor, y: np.ndarray,
-                  weights: np.ndarray | None = None) -> Tensor:
-    """Mean weighted cross-entropy over a batch of logits (B, K)."""
-    y = np.asarray(y, dtype=int)
-    one_hot = Tensor(one_hot_batch(y, logits.shape[-1]))
-    picked = (logits.log_softmax(axis=-1) * one_hot).sum(axis=-1)
-    if weights is not None:
-        picked = picked * Tensor(weights[y])
-    return -picked.mean()
-
-
 def mse(pred: Tensor, y: np.ndarray) -> Tensor:
     diff = pred - Tensor(np.asarray(y, dtype=np.float64))
     return (diff * diff).mean()
@@ -80,6 +70,9 @@ def mse(pred: Tensor, y: np.ndarray) -> Tensor:
 
 def batch_loss(outputs: Tensor, y: np.ndarray, task: str,
                weights: np.ndarray | None = None) -> Tensor:
+    """The mean loss over a batch of outputs: ``tensor.cross_entropy``, one
+    node, for classification; the composed ``mse`` of the first output
+    column for regression."""
     if task == "classification":
         return cross_entropy(outputs, y, weights)
     return mse(outputs[:, 0], y)

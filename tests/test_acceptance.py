@@ -76,7 +76,7 @@ def test_criterion_1_gradient_suite():
                           "fusion_average_head_mixed", "fusion_concat_head_mixed",
                           "fusion_cross_train_mixed", "fusion_memory_train_mixed",
                           "attention_key_sets", "attention_train", "gated_mix",
-                          "fusion_memory_layers3_train"}
+                          "fusion_memory_layers3_train", "cross_entropy"}
         assert expected_cases <= set(results)
         for name, err in results.items():
             assert err < 1e-4, f"{name}: {err:.3e}"

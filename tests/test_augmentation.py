@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvfuse.augmentation import (AugPolicy, enumerate_combinations, sensd_mask,
-                                 tempd_mask)
+from mvfuse.augmentation import (AugPolicy, enumerate_combinations, pattern_matrix,
+                                 sensd_mask, tempd_mask)
 
 
 def bitmask_oracle(m):
@@ -44,6 +44,27 @@ class TestEnumerateCombinations:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             enumerate_combinations(0)
+
+
+def pattern_loop(masks, m):
+    """Index-tuple masks as boolean patterns, one mask at a time."""
+    patterns = np.zeros((len(masks), m), dtype=bool)
+    for k, mask in enumerate(masks):
+        patterns[k, list(mask)] = True
+    return patterns
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pattern_matrix_matches_the_mask_loop(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 8))
+    combos = enumerate_combinations(m)
+    for count in (0, 1, 5, 40):
+        masks = [combos[i] for i in rng.integers(0, len(combos), count)]
+        masks += [(int(v),) for v in rng.integers(0, m, count // 4)]  # single views
+        got = pattern_matrix(masks, m)
+        assert got.dtype == bool and got.shape == (len(masks), m)
+        np.testing.assert_array_equal(got, pattern_loop(masks, m))
 
 
 class TestSensdMask:

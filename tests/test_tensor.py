@@ -12,8 +12,8 @@ from mvfuse import tensor as tensor_module
 from mvfuse.gradcheck import check_gradients, numerical_gradient, relative_error
 from mvfuse.layers import LSTMCell
 from mvfuse.tensor import (WINDOW_BLOCK, Adam, EmptySupportError, Tensor, attention,
-                           backward, bilstm_layers, concat, gated_mix, lstm_scan, no_grad,
-                           stack, window_affine)
+                           backward, bilstm_layers, concat, cross_entropy, gated_mix,
+                           layer_norm, lstm_scan, no_grad, stack, window_affine)
 
 
 def sum_sq(t):
@@ -640,6 +640,41 @@ def test_pattern_groups_partition_the_rows_by_count_in_first_appearance_order(se
         members.tolist() for members, _ in sorted(groups, key=lambda g: g[1].shape[1] == 1)]
 
 
+def norm_operands(shape, seed):
+    """x (..., n) and a gain and shift (n,) off their initial values, all
+    requiring gradients."""
+    rng = np.random.default_rng(seed)
+    n = shape[-1]
+    return tuple(Tensor(v, requires_grad=True) for v in (
+        rng.normal(2.0, 3.0, size=shape), rng.uniform(0.5, 1.5, size=n), rng.normal(size=n)))
+
+
+def composed_layer_norm(x, gain, shift):
+    """The layer norm as the composed ops the ``layer_norm`` node replaced."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * (var + 1e-12) ** -0.5 * gain + shift
+
+
+def loss_operands(weighted, rows=12, seed=0):
+    """Logits (rows, 3) requiring gradients, labels and optional class weights."""
+    rng = np.random.default_rng(seed)
+    logits = Tensor(rng.normal(scale=2.0, size=(rows, 3)), requires_grad=True)
+    return logits, rng.integers(0, 3, rows), rng.uniform(0.5, 2.0, 3) if weighted else None
+
+
+def composed_cross_entropy(logits, y, weights=None):
+    """The mean weighted cross-entropy as the composed ops the
+    ``cross_entropy`` node replaced."""
+    one_hot = np.zeros(logits.shape)
+    one_hot[np.arange(len(y)), y] = 1.0
+    picked = (logits.log_softmax(axis=-1) * Tensor(one_hot)).sum(axis=-1)
+    if weights is not None:
+        picked = picked * Tensor(weights[y])
+    return -picked.mean()
+
+
 def conv_call(kernel):
     rng = np.random.default_rng(kernel)  # K=3 runs three blocks unrecorded
     x = Tensor(rng.normal(size=(400, 16, 8)), requires_grad=True)
@@ -656,7 +691,12 @@ NODE_CALLS = {
     "lstm_scan_one_row_state": lambda: scan_call("one-row", state=True),
     "bilstm_layers": lambda: bilstm_layers(*bilstm_case(0, layers=3)),
     "gated_mix": gated_call,
+    "layer_norm": lambda: layer_norm(*norm_operands((4, 3, 5), seed=0)),
+    "cross_entropy": lambda: cross_entropy(*loss_operands(weighted=True)),
 }
+# nodes that take no temporary from the scratch: K = 1 reads its input as the
+# window, and the layer norm and the loss allocate what their graphs keep
+NO_SCRATCH = {"window_affine_k1", "layer_norm", "cross_entropy"}
 
 
 @pytest.mark.parametrize("name", sorted(NODE_CALLS))
@@ -678,7 +718,7 @@ def test_unrecorded_node_outputs_hold_no_graph_and_no_scratch(name, monkeypatch)
     monkeypatch.setattr(tensor_module, "_scratch", spied)
     with no_grad():
         outs = outputs()
-    assert taken or name == "window_affine_k1"  # K = 1 reads its input as the window
+    assert bool(taken) == (name not in NO_SCRATCH)
     for out in outs:
         assert not out.requires_grad and out._parents == () and out._backward is None
         assert not any(np.shares_memory(out.data, a) for a in taken)
@@ -958,6 +998,67 @@ def test_attention_key_set_excluding_every_key_raises():
         attention(q, k, v, 1.0, sets[:, None, None, None, :])
 
 
+@pytest.mark.parametrize("shape", [(6, 5), (3, 4, 7)], ids=["2d", "3d"])
+def test_layer_norm_matches_composed_ops(shape):
+    # bit-identical outputs; x, gain and shift gradients within 1e-12 relative,
+    # the backward being the closed form
+    readout = np.random.default_rng(1).normal(size=shape)
+    results = []
+    for norm in (layer_norm, composed_layer_norm):
+        operands = norm_operands(shape, seed=2)
+        out = norm(*operands)
+        (out * Tensor(readout)).sum().backward()
+        results.append([out.data] + [t.grad for t in operands])
+    (fused, *grads), (composed, *expected) = results
+    np.testing.assert_array_equal(fused, composed)
+    for got, want in zip(grads, expected):
+        assert_relative(got, want)
+
+
+@pytest.mark.parametrize("x_shape, gain_shape, shift_shape, words", [
+    ((3, 1), (1,), (1,), "at least two features"),
+    ((3, 4), (5,), (4,), r"gain and shift \(4,\) for input \(3, 4\), got \(5,\) and \(4,\)"),
+    ((3, 4), (4,), (1, 4), r"got \(4,\) and \(1, 4\)")],
+    ids=["narrow", "gain", "shift"])
+def test_layer_norm_operand_checks(x_shape, gain_shape, shift_shape, words):
+    with pytest.raises(ValueError, match=words):
+        layer_norm(*(Tensor(np.ones(shape)) for shape in (x_shape, gain_shape, shift_shape)))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("root", [True, False], ids=["root", "scaled-part"])
+def test_cross_entropy_matches_composed_ops(weighted, root):
+    # value and logits gradient bit-identical, as the backward root or, as
+    # sensd builds its loss, as parts scaled by their share of the batch
+    results = []
+    for loss in (cross_entropy, composed_cross_entropy):
+        logits, y, weights = loss_operands(weighted, rows=12, seed=3)
+        if root:
+            total = loss(logits, y, weights)
+        else:
+            halves = [logits[:5], logits[5:]]
+            total = None
+            for part, labels in zip(halves, (y[:5], y[5:])):
+                scaled = loss(part, labels, weights) * (len(labels) / len(y))
+                total = scaled if total is None else total + scaled
+        total.backward()
+        results.append((total.data, logits.grad))
+    (value, grad), (want_value, want_grad) = results
+    assert value.tobytes() == want_value.tobytes()
+    np.testing.assert_array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("labels, shape, words", [
+    ([0, 3], (2, 3), r"label out of range \[0, 3\)"),
+    ([-1, 0], (2, 3), "label out of range"),
+    ([0, 1, 2], (2, 3), r"logits \(B >= 1, K\) and labels \(B,\), got \(2, 3\) and \(3,\)"),
+    ([], (0, 3), r"got \(0, 3\) and \(0,\)")],
+    ids=["above", "negative", "rows", "empty"])
+def test_cross_entropy_rejects_bad_labels(labels, shape, words):
+    with pytest.raises(ValueError, match=words):
+        cross_entropy(Tensor(np.zeros(shape)), np.array(labels, dtype=int))
+
+
 def test_operand_without_gradient_gets_no_gradient_work(monkeypatch):
     # the mask of a product needs no gradient, so its side is never computed
     x = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -1035,6 +1136,32 @@ class TestAdam:
             opt.step()
         assert [p.data.tobytes(), x.data.tobytes()] == before
         assert opt.step_count == 0
+
+    def test_three_steps_match_the_allocating_update(self):
+        # moments updated in place give the bits of the formula that made new
+        # arrays; a parameter without a gradient steps as one with a zero
+        # gradient. Parameters smaller than a step keep each update's last bits.
+        rng = np.random.default_rng(4)
+        start = [rng.normal(scale=1e-3, size=shape) for shape in ((6, 5), (8,), (4,))]
+        params = [Tensor(v.copy(), requires_grad=True) for v in start]
+        opt = Adam(params, lr=0.01)
+        want = [a.copy() for a in start]
+        m, v = [np.zeros_like(a) for a in start], [np.zeros_like(a) for a in start]
+        for t in range(1, 4):
+            grads = [rng.normal(size=a.shape) for a in start]
+            grads[2] = grads[2] if t == 1 else None  # moments from step 1 decay without one
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            bc1, bc2 = 1.0 - Adam.BETA1**t, 1.0 - Adam.BETA2**t
+            for i, g in enumerate(grads):
+                g = np.zeros_like(want[i]) if g is None else g
+                m[i] = Adam.BETA1 * m[i] + (1.0 - Adam.BETA1) * g
+                v[i] = Adam.BETA2 * v[i] + (1.0 - Adam.BETA2) * g * g
+                want[i] = want[i] - 0.01 * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + Adam.EPS)
+        for got, expected in zip((params, opt.m, opt.v), (want, m, v)):
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(getattr(a, "data", a), b)
 
     def test_step_counter_and_decay(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
