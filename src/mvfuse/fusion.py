@@ -34,14 +34,17 @@ missing views are left out of its normalization, never imputed:
   logits are exponentiated once, normalized under all K key sets by one
   (..., n) @ (n, K) product and weight one (K, n) @ (n, d/heads) value
   product per row and head; later layers carry their own pattern axis;
-- concat: the zero-filled concatenation times each pattern's mask.
+- concat: each used view times its (d, m*d) row block of the identity,
+  mixed under the patterns' 0/1 weights: the zero-filled concatenation.
 
 ``fuse(rows, available, head=head)`` returns the outputs of the model's
 prediction head ``Affine`` instead, ``available.shape[:-1] + (B, n_out)``.
-Average and concat are linear in the views, so they fold the head into the
-per-view products: one product of the (u, B, d) used views with each view's
-(d, n_out) weights (all of ``head.W`` for average, view v's row block of it
-for concat), then one (K, u) @ (u, B*n_out) mix and the head's bias. Concat
+Average and concat are linear in the views, so each has one algorithm, the
+fold of the head into the per-view products: one product of the (u, B, d)
+used views with each view's (d, n_out) weights (all of ``head.W`` for
+average, view v's row block of it for concat), then one (K, u) @
+(u, B*n_out) mix and the head's bias; without a head the mix takes
+average's rows themselves and concat's identity blocks. With a head concat
 never builds its (K, B, m*d) stack. The other kinds apply the head to their
 fused rows.
 
@@ -158,8 +161,7 @@ class Fusion(Module):
         patterns and defaults to the views that have a row.
         """
         available, patterns = _patterns(rows, available)
-        out = (self._fuse(rows, patterns, rng) if head is None
-               else self._fuse_head(rows, patterns, rng, head))
+        out = self._fuse_head(rows, patterns, rng, head)
         shape = available.shape[:-1] + out.shape[1:]
         return out if out.shape == shape else out.reshape(shape)
 
@@ -167,9 +169,11 @@ class Fusion(Module):
         """Fused rows (K, B, width) for the (K, m) boolean ``patterns``."""
         raise NotImplementedError
 
-    def _fuse_head(self, rows: list, patterns: np.ndarray, rng, head: Affine) -> Tensor:
-        """The head's outputs (K, B, n_out) on the fused rows."""
-        return head(self._fuse(rows, patterns, rng))
+    def _fuse_head(self, rows: list, patterns: np.ndarray, rng, head: Affine | None) -> Tensor:
+        """The fused rows (K, B, width), or with a ``head`` its outputs
+        (K, B, n_out) on them."""
+        out = self._fuse(rows, patterns, rng)
+        return out if head is None else head(out)
 
 
 def _used(rows: list, patterns: np.ndarray) -> tuple[np.ndarray, Tensor, np.ndarray]:
@@ -191,16 +195,15 @@ class AverageFusion(Fusion):
 
     All patterns are one (K, u) @ (u, B*d) product with weights 1/|pattern|.
     With a head, ``head.W`` multiplies the used views once and the same
-    product mixes their (u, B, n_out) outputs.
+    product mixes their (u, B, n_out) outputs; without one it mixes the rows.
     """
-
-    def _fuse(self, rows, patterns, rng):
-        _, z, on = _used(rows, patterns)
-        return _mix(on / on.sum(axis=1, keepdims=True), z)
 
     def _fuse_head(self, rows, patterns, rng, head):
         _, z, on = _used(rows, patterns)
-        return _mix(on / on.sum(axis=1, keepdims=True), window_affine(z, head.W)) + head.b
+        if head is not None:
+            z = window_affine(z, head.W)
+        out = _mix(on / on.sum(axis=1, keepdims=True), z)
+        return out if head is None else out + head.b
 
 
 class GatedFusion(Fusion):
@@ -473,26 +476,22 @@ class MemoryFusion(Fusion):
 class ConcatFusion(Fusion):
     """Feature-level concatenation with zero imputation; output width m*d.
 
-    All patterns are one product of the zero-filled concatenation with the
-    patterns' (K, 1, m*d) masks. With a head, each used view is multiplied by
-    its row block of ``head.W`` once and the patterns' 0/1 weights mix the
-    (u, B, n_out) products, so the (K, B, m*d) stack is never built.
+    Each used view is multiplied by its row block of ``head.W`` once and the
+    patterns' 0/1 weights mix the (u, B, n_out) products, so with a head the
+    (K, B, m*d) stack is never built. Without one the blocks are those of
+    the identity, which gives the zero-filled concatenation itself.
     """
 
     def __init__(self, m: int, d: int):
         self.m = m
         self.d = d
 
-    def _fuse(self, rows, patterns, rng):
-        batch = next(r.shape[0] for r in rows if r is not None)
-        zero = Tensor(np.zeros((batch, self.d)))
-        flat = concat([zero if r is None else r for r in rows], axis=-1)
-        return flat * Tensor(np.repeat(patterns, self.d, axis=1)[:, None, :].astype(float))
-
     def _fuse_head(self, rows, patterns, rng, head):
         used, z, on = _used(rows, patterns)
-        blocks = _select(head.W, used.tolist(), self.d).reshape((len(used), self.d, -1))
-        return _mix(on.astype(float), z @ blocks) + head.b
+        W = Tensor(np.eye(self.m * self.d)) if head is None else head.W
+        blocks = _select(W, used.tolist(), self.d).reshape((len(used), self.d, -1))
+        out = _mix(on.astype(float), z @ blocks)
+        return out if head is None else out + head.b
 
 
 def make_fusion(cfg: FusionConfig, m: int, d: int, rng: np.random.Generator) -> Fusion:

@@ -68,10 +68,10 @@ def _coerce(x) -> "Tensor":
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient down to ``shape``, undoing numpy broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+    """Sum a gradient down to ``shape``, undoing numpy broadcasting. Extra
+    leading axes go one at a time, each a fast sum over whole rows."""
+    for _ in range(grad.ndim - len(shape)):
+        grad = grad.sum(axis=0)
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)

@@ -1,12 +1,13 @@
 """Training loop with combination augmentation and baselines.
 
 The core step encodes each view once per batch, then fuses and predicts all
-view combinations in one call; the step loss is the mean per-sample loss
-over the stacked combinations, which is the mean over combinations of the
-mean per-sample loss, so every availability pattern weighs the same. The
-classification loss is ``tensor.cross_entropy``, one autodiff node, which
-this module exports as its own; regression's ``mse`` is composed. Early
-stopping watches the unweighted full-view validation loss.
+view combinations in one call. Every augmentation kind's step loss is one
+``batch_loss``, the mean per-sample loss over the rows it stacks: for
+``com`` the mean over combinations of the mean per-sample loss, so every
+availability pattern weighs the same. The classification loss is
+``tensor.cross_entropy``, one autodiff node, which this module exports as
+its own; regression's ``mse`` is composed. Early stopping watches the
+unweighted full-view validation loss.
 
 Combinations and masks are index tuples here: they name the patterns in the
 validation losses and the training log, and fix the order of ``sensd``'s
@@ -25,7 +26,7 @@ from .augmentation import (AugPolicy, enumerate_combinations, pattern_matrix, se
 from .data import MultiViewDataset
 from .model import _BaseModel, batch_views
 from .rng import stream
-from .tensor import Adam, Tensor, cross_entropy
+from .tensor import Adam, Tensor, concat, cross_entropy
 
 
 @dataclass
@@ -121,13 +122,13 @@ def train_step(model: _BaseModel, views: dict[str, np.ndarray], y: np.ndarray,
     """One optimizer update; returns the step loss.
 
     View dropping (``sensd``) draws a mask per sample and runs each mask's
-    samples as one batch, masks ascending; the loss is the per-sample mean.
-    Every other kind runs one ``model.forward_masks`` over the combinations
-    (``com``) or the full mask alone and takes the per-sample loss over all
-    (combination, sample) rows, so every combination weighs the same: at
-    feature level the encoders run once per step and all combinations are
-    fused together, at input level every combination is a full forward over
-    zero-imputed inputs.
+    samples as one batch, masks ascending, stacking the outputs in that
+    order. Every other kind runs one ``model.forward_masks`` over the
+    combinations (``com``) or the full mask alone and stacks its
+    (combination, sample) rows: at feature level the encoders run once per
+    step and all combinations are fused together, at input level every
+    combination is a full forward over zero-imputed inputs. The loss is one
+    ``batch_loss`` over the stacked rows, so every row weighs the same.
     """
     if aug.kind == "tempd":
         views = _apply_tempd(model, views, aug.tempd_ratio, mask_rng)
@@ -137,18 +138,16 @@ def train_step(model: _BaseModel, views: dict[str, np.ndarray], y: np.ndarray,
         groups: dict[tuple[int, ...], list[int]] = {}
         for i in range(y.shape[0]):
             groups.setdefault(sensd_mask(m, mask_rng), []).append(i)
-        loss = None
         masks = sorted(groups)
-        for mask, pattern in zip(masks, pattern_matrix(masks, m)):
-            idx = groups[mask]
-            out = model.forward_masked(batch_views(views, idx), pattern, rng=dropout_rng)
-            part = batch_loss(out, y[idx], task, weights) * (len(idx) / y.shape[0])
-            loss = part if loss is None else loss + part
+        outs = concat([model.forward_masked(batch_views(views, groups[mask]), pattern,
+                                            rng=dropout_rng)
+                       for mask, pattern in zip(masks, pattern_matrix(masks, m))])
+        y = y[np.concatenate([groups[mask] for mask in masks])]
     else:
         masks = combos if aug.kind == "com" else [tuple(range(m))]
         outs = model.forward_masks(views, pattern_matrix(masks, m), rng=dropout_rng)
-        loss = batch_loss(outs.reshape((-1, outs.shape[-1])), np.tile(y, len(masks)),
-                          task, weights)
+        outs, y = outs.reshape((-1, outs.shape[-1])), np.tile(y, len(masks))
+    loss = batch_loss(outs, y, task, weights)
     loss.backward()
     optimizer.step()
     return loss.item()

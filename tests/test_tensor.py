@@ -1077,6 +1077,32 @@ def test_operand_without_gradient_gets_no_gradient_work(monkeypatch):
         assert seen == [(2, 3)]
 
 
+def summed_at_once(grad, shape):
+    """A gradient summed down to ``shape`` with one sum over all extra leading
+    axes, then one over the size-1 axes that broadcast."""
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    return grad.sum(axis=axes, keepdims=True) if axes else grad
+
+
+@pytest.mark.parametrize("grad_shape, shape", [
+    ((4, 3), (4, 3)), ((5, 4, 3), (5, 1, 3)), ((128, 32), (32,)), ((6, 5, 7), (1, 7)),
+    ((127, 128, 3), (3,)), ((3, 5, 6, 2), (6, 1)), ((1, 9, 4), (4,)), ((2, 1, 3), (1,))],
+    ids=["none", "size-1-axis", "one-extra", "one-extra-size-1", "head-bias", "two-extra-size-1",
+         "size-1-extra", "to-one-element"])
+def test_unbroadcast_matches_one_sum_over_the_extra_axes(grad_shape, shape):
+    # one sum over axis 0 per extra axis adds in another order than one sum
+    # over all of them, so two extra axes may move the last bits
+    grad = np.random.default_rng(3).normal(size=grad_shape)
+    got, want = tensor_module._unbroadcast(grad, shape), summed_at_once(grad, shape)
+    assert got.shape == want.shape == shape
+    if len(grad_shape) - len(shape) < 2:
+        assert np.array_equal(got, want)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_ops_are_deterministic():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 3))

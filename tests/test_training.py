@@ -17,7 +17,7 @@ from mvfuse.encoders import EncoderConfig, StaticEncoder, TemporalEncoder, ViewS
 from mvfuse.fusion import FUSION_KINDS, AverageFusion, FusionConfig
 from mvfuse.model import (LEVELS, FeatureFusionModel, Snapshot, batch_views, build_model,
                           load_model, save_model)
-from mvfuse.tensor import Adam, Tensor, backward
+from mvfuse.tensor import Adam, Tensor, backward, concat
 from mvfuse.model import PATTERN_ROWS
 from mvfuse.training import (EarlyStopper, TrainConfig, batch_loss, class_weights,
                              cross_entropy, train_model, train_step, validation_losses)
@@ -262,17 +262,26 @@ class TestComStepMechanics:
         loss = train_step(model, ds.views, ds.y, AugPolicy(kind="sensd", level=level), None,
                           Adam(model.parameters()), ds.task, None, mask_rng, dropout_rng)
         # oracle: samples grouped by mask, groups in ascending tuple order, each
-        # group's samples in ascending order, dropout drawn group after group
+        # group's samples in ascending order, dropout drawn group after group;
+        # the groups' outputs stacked with their targets, and one batch loss
         masks = [sensd_mask(2, twin_mask_rng) for _ in range(24)]
-        expected = None
+        outs, order = [], []
         for mask in sorted(set(masks)):
-            idx = np.array([i for i, drawn in enumerate(masks) if drawn == mask])
-            out = twin.forward_masked(batch_views(ds.views, idx), pattern_matrix([mask], 2)[0],
-                                      rng=twin_dropout_rng)
-            part = batch_loss(out, ds.y[idx], ds.task, None) * (len(idx) / 24)
-            expected = part if expected is None else expected + part
+            idx = [i for i, drawn in enumerate(masks) if drawn == mask]
+            outs.append(twin.forward_masked(batch_views(ds.views, idx),
+                                            pattern_matrix([mask], 2)[0], rng=twin_dropout_rng))
+            order += idx
+        expected = batch_loss(concat(outs), ds.y[order], ds.task, None).item()
         assert len(set(masks)) == 3
-        assert loss.hex() == expected.item().hex()
+        assert loss.hex() == expected.hex()
+        # the groups' losses weighted by their share of the batch give the same
+        # loss up to the order of the sum
+        start, parts = 0, 0.0
+        for out in outs:
+            rows = order[start:start + out.shape[0]]
+            parts += batch_loss(out, ds.y[rows], ds.task, None).item() * (len(rows) / 24)
+            start += out.shape[0]
+        assert abs(parts - expected) <= 1e-15 * abs(expected)
 
     def test_tempd_step_runs(self):
         ds = tiny_dataset(n=24)
