@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,17 @@ def _int_field(text: str, where: str) -> int:
     return int(value)
 
 
+INT64 = np.iinfo(np.int64)
+
+
+def _int64_field(text: str, where: str) -> int:
+    """``_int_field`` for a value stored as int64: a categorical code or a class label."""
+    value = _int_field(text, where)
+    if not INT64.min <= value <= INT64.max:
+        raise MalformedFieldError(f"{where}: {text!r} is outside the int64 range")
+    return value
+
+
 def write_json(path: str | Path, payload: dict) -> None:
     """``payload`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", newline="\n") as fh:
@@ -404,8 +416,101 @@ def _csv_rows(path: Path, width: int, expected: str):
             yield f"{path}:{ln}", row
 
 
+CSV_BLOCK = 1024  # data rows converted by one np.fromiter call
+
+
+def _bulk_blocks(path: Path, width: int) -> list[np.ndarray] | None:
+    """The data rows of a view CSV as ``(rows, width)`` float64 blocks of up
+    to ``CSV_BLOCK`` rows, or None when the file has no header, a row has
+    another field count, or a field is not a finite number. Each field goes
+    through ``float``, as in ``_float_field``."""
+    blocks = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) is None:
+                return None
+            while rows := list(islice(reader, CSV_BLOCK)):
+                if set(map(len, rows)) != {width}:
+                    return None
+                block = np.fromiter(map(float, chain.from_iterable(rows)), np.float64,
+                                    count=len(rows) * width).reshape(len(rows), width)
+                if not np.isfinite(block).all():
+                    return None
+                blocks.append(block)
+    except (ValueError, csv.Error):  # a field float rejects, or a file csv or utf-8 rejects
+        return None
+    return blocks
+
+
+def _bulk_static(path: Path, c: int) -> np.ndarray | None:
+    """A static view file as its ``(rows, c)`` array, or None when the file
+    has any fault ``_static_rows`` names."""
+    blocks = _bulk_blocks(path, c)
+    if blocks is None:
+        return None
+    return np.concatenate(blocks) if blocks else np.empty((0, c))
+
+
+def _bulk_temporal(path: Path, n: int, T: int, c: int) -> np.ndarray | None:
+    """A temporal view file as its ``(n, T, c)`` array, or None when the file
+    has any fault ``_temporal_rows`` names. Nothing of size ``n * T`` is
+    allocated before the file is known to hold that many rows. Those rows
+    fill every (sample, step) slot exactly once when they fill them all."""
+    blocks = _bulk_blocks(path, c + 2)
+    if blocks is None or sum(map(len, blocks)) != n * T:
+        return None
+    arr = np.empty((n * T, c))
+    filled = np.zeros(n * T, dtype=bool)
+    for block in blocks:
+        ids, steps = block[:, 0], block[:, 1]
+        if not (np.array_equal(ids, np.floor(ids)) and np.array_equal(steps, np.floor(steps))
+                and 0 <= ids.min() and ids.max() < n and 0 <= steps.min() and steps.max() < T):
+            return None
+        keys = ids.astype(np.int64) * T + steps.astype(np.int64)
+        arr[keys] = block[:, 2:]
+        filled[keys] = True
+    return arr.reshape(n, T, c) if filled.all() else None
+
+
+def _temporal_rows(path: Path, vid: str, n: int, T: int, c: int) -> None:
+    """Raise the first fault of a temporal view file, in file order: a row's
+    field count, its sample id, step and values, a repeated (sample, step)
+    pair, and last any pair no row holds."""
+    seen = set()
+    for where, row in _csv_rows(path, c + 2, f"sample_id, t and {c} values"):
+        i, t = _int_field(row[0], where), _int_field(row[1], where)
+        if not 0 <= i < n:
+            raise RowCountError(f"view {vid!r} references sample {i}, targets have {n} rows")
+        if not 0 <= t < T:
+            raise RowCountError(f"view {vid!r} has step {t} outside 0..{T - 1}")
+        if (i, t) in seen:
+            raise RowCountError(f"{where}: view {vid!r} repeats sample {i}, step {t}")
+        seen.add((i, t))
+        for v in row[2:]:
+            _float_field(v, where)
+    if len(seen) < n * T:
+        raise RowCountError(f"view {vid!r} is missing (sample, step) rows")
+
+
+def _static_rows(path: Path, c: int) -> None:
+    """Raise the first fault of a static view file, in file order."""
+    for where, row in _csv_rows(path, c, f"{c} values"):
+        for v in row:
+            _float_field(v, where)
+
+
 def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
-    """Load a dataset from its manifest; all view files must agree on row count."""
+    """Load a dataset from its manifest; all view files must agree on row count.
+
+    Temporal and static view files are parsed in bulk, ``CSV_BLOCK`` rows per
+    ``np.fromiter`` over Python's ``float``, and checked as whole arrays. When
+    that finds any fault, the row checks (``_temporal_rows``, ``_static_rows``)
+    read the file again only to raise its first fault in file order, with its
+    file and line; they are the one definition of what a view file may hold.
+    Categorical codes and targets are read row by row. A code or a
+    classification label must fit in int64.
+    """
     from .config import ConfigError, _build  # config imports this module
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -428,7 +533,7 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
         reader = csv.DictReader(fh)
         if "y" not in (reader.fieldnames or []):
             raise DataError(f"targets file {target_file} has no 'y' column")
-        label = _int_field if task == "classification" else _float_field
+        label = _int64_field if task == "classification" else _float_field
         for ln, row in enumerate(reader, start=2):
             if row["y"] is None:  # the row is shorter than the header
                 raise DataError(f"{target_file}:{ln}: expected a 'y' field")
@@ -445,26 +550,18 @@ def load_dataset(manifest_path: str | Path) -> MultiViewDataset:
         if not path.exists():
             raise FileNotFoundError(f"view file not found: {path}")
         if entry.kind == "temporal":
-            arr = np.full((n, T, c), np.nan)
-            for where, row in _csv_rows(path, c + 2, f"sample_id, t and {c} values"):
-                i, t = _int_field(row[0], where), _int_field(row[1], where)
-                if not 0 <= i < n:
-                    raise RowCountError(
-                        f"view {vid!r} references sample {i}, targets have {n} rows")
-                if not 0 <= t < T:
-                    raise RowCountError(f"view {vid!r} has step {t} outside 0..{T - 1}")
-                if not math.isnan(arr[i, t, 0]):
-                    raise RowCountError(f"{where}: view {vid!r} repeats sample {i}, step {t}")
-                arr[i, t] = [_float_field(v, where) for v in row[2:]]
-            if np.isnan(arr).any():
-                raise RowCountError(f"view {vid!r} is missing (sample, step) rows")
+            arr = _bulk_temporal(path, n, T, c)
+            if arr is None:
+                _temporal_rows(path, vid, n, T, c)
         elif entry.kind == "static":
-            rows = [[_float_field(v, where) for v in row]
-                    for where, row in _csv_rows(path, c, f"{c} values")]
-            arr = np.asarray(rows).reshape(len(rows), c)
+            arr = _bulk_static(path, c)
+            if arr is None:
+                _static_rows(path, c)
         else:
-            arr = np.asarray([_int_field(row[0], where)
+            arr = np.asarray([_int64_field(row[0], where)
                               for where, row in _csv_rows(path, 1, "1 code")], dtype=np.int64)
+        if arr is None:
+            raise AssertionError(f"{path}: the bulk parse found a fault the row checks did not")
         views[vid] = arr
 
     n_classes = manifest.targets.classes

@@ -587,6 +587,14 @@ BROKEN_DATA = [
                  "{m}: views[0].id must be str, got 7", id="id-int"),
     pytest.param(lambda d: replace_field(d / "targets.csv", 3, 0, "2"), "DataError",
                  "targets have labels outside [0, 2) for classes 2", id="label-beyond-classes"),
+    pytest.param(lambda d: replace_field(d / "targets.csv", 3, 0, "9223372036854775808"),
+                 "MalformedFieldError",
+                 "{d}/targets.csv:3: '9223372036854775808' is outside the int64 range",
+                 id="label-beyond-int64"),
+    pytest.param(lambda d: (add_categorical(d, 4),
+                            replace_field(d / "view_cover.csv", 4, 0, "-1e19")),
+                 "MalformedFieldError", "{d}/view_cover.csv:4: '-1e19' is outside the int64 range",
+                 id="code-beyond-int64"),
     pytest.param(lambda d: append_line(d / "view_optical.csv", "0,0,0.1,1.0"), "RowCountError",
                  "{d}/view_optical.csv:14: view 'optical' repeats sample 0, step 0",
                  id="repeated-row"),

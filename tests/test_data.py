@@ -1,17 +1,20 @@
 """Synthetic generation, normalization, CSV round trip, loader errors."""
 
 import json
+import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvfuse.config import _build, resolved_dict
-from mvfuse.data import (DataError, MalformedFieldError, Manifest, MultiViewDataset, NormStats,
-                         RowCountError, SyntheticConfig, SyntheticViewConfig, Targets,
-                         UnknownViewError, ViewFile, generate_synthetic, kfold_indices,
-                         load_dataset, save_dataset, train_val_split, validation_size,
-                         zscore_apply, zscore_fit)
+from mvfuse.data import (CSV_BLOCK, DataError, MalformedFieldError, Manifest, MultiViewDataset,
+                         NormStats, RowCountError, SyntheticConfig, SyntheticViewConfig, Targets,
+                         UnknownViewError, ViewFile, _csv_rows, _float_field, _int_field,
+                         generate_synthetic, kfold_indices, load_dataset, save_dataset,
+                         train_val_split, validation_size, zscore_apply, zscore_fit)
 from mvfuse.encoders import ViewSpec
 
 FIXTURE = Path(__file__).parent / "fixtures" / "toy"
@@ -490,6 +493,44 @@ class TestLoaderErrors:
         with pytest.raises(ValueError, match="view id 'optical' is declared more than once"):
             SyntheticConfig(views=views + [views[0]])
 
+    @pytest.mark.parametrize("file, line, text", [
+        ("view_cover.csv", 3, "9223372036854775808"),
+        ("view_cover.csv", 4, "-9223372036854775809"),
+        ("targets.csv", 2, "9223372036854775808"), ("targets.csv", 5, "1e19")],
+        ids=["code-above", "code-below", "label-above", "label-float-above"])
+    def test_integer_beyond_int64_names_file_and_line(self, tmp_path, file, line, text):
+        manifest = self._write_broken(
+            tmp_path, lambda base: replace_field(base / file, line, 0, text))
+        with pytest.raises(MalformedFieldError,
+                           match=rf"{file}:{line}: '{text}' is outside the int64 range"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("file, message", [
+        ("view_cover.csv", r"'cover' has codes outside \[0, 4\)"),
+        ("targets.csv", r"labels outside \[0, 3\)")], ids=["code", "label"])
+    def test_int64_maximum_reaches_the_range_check(self, tmp_path, file, message):
+        manifest = self._write_broken(
+            tmp_path, lambda base: replace_field(base / file, 2, 0, str(2**63 - 1)))
+        with pytest.raises(DataError, match=message) as info:
+            load_dataset(manifest)
+        assert type(info.value) is DataError
+
+    def test_oversized_time_steps_fail_without_allocating_the_view(self, tmp_path):
+        # 10**6 steps of 2 channels for 4 samples would take 64 MB; the file holds 12 rows
+        manifest = toy_copy(tmp_path)
+        data = json.loads(manifest.read_text())
+        data["views"][0]["time_steps"] = 10**6
+        manifest.write_text(json.dumps(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(RowCountError,
+                               match=r"^view 'optical' is missing \(sample, step\) rows$"):
+                load_dataset(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 class TestViewLayout:
     """Each view array must match its ViewSpec: (N, T, c), (N, c) or (N,) codes."""
@@ -524,3 +565,177 @@ class TestViewLayout:
         views["cover"] = ds.views["cover"].astype(float)
         with pytest.raises(DataError, match="'cover' needs integer codes"):
             MultiViewDataset(ds.view_specs, views, ds.y, ds.task, ds.n_classes)
+
+
+# -- bulk parse against the row loop ---------------------------------------------
+
+LARGE_SAMPLES = CSV_BLOCK + 100  # the static file spans two blocks, the temporal one three
+FIRST, LATER = 7, CSV_BLOCK + 60  # a line in the first block and one in the second
+
+
+def row_loop_load(base, ds):
+    """The views of the dataset saved from ``ds`` in ``base``, read as the
+    loader read them before the bulk parse: one field at a time, its row loop
+    kept as it was. The oracle for the bulk parse's arrays and errors."""
+    n = ds.n_samples
+    views = {}
+    for spec in ds.view_specs:
+        vid, T, c = spec.id, spec.time_steps, spec.channels
+        path = base / f"view_{vid}.csv"
+        if spec.kind == "temporal":
+            arr = np.full((n, T, c), np.nan)
+            for where, row in _csv_rows(path, c + 2, f"sample_id, t and {c} values"):
+                i, t = _int_field(row[0], where), _int_field(row[1], where)
+                if not 0 <= i < n:
+                    raise RowCountError(
+                        f"view {vid!r} references sample {i}, targets have {n} rows")
+                if not 0 <= t < T:
+                    raise RowCountError(f"view {vid!r} has step {t} outside 0..{T - 1}")
+                if not math.isnan(arr[i, t, 0]):
+                    raise RowCountError(f"{where}: view {vid!r} repeats sample {i}, step {t}")
+                arr[i, t] = [_float_field(v, where) for v in row[2:]]
+            if np.isnan(arr).any():
+                raise RowCountError(f"view {vid!r} is missing (sample, step) rows")
+        else:
+            rows = [[_float_field(v, where) for v in row]
+                    for where, row in _csv_rows(path, c, f"{c} values")]
+            arr = np.asarray(rows).reshape(len(rows), c)
+        views[vid] = arr
+    return MultiViewDataset(ds.view_specs, views, ds.y, ds.task, ds.n_classes)
+
+
+def outcome(load):
+    """The views ``load()`` gives, as (dtype, shape, bytes), or its DataError's type and text."""
+    try:
+        ds = load()
+    except DataError as exc:
+        return type(exc), str(exc)
+    return {vid: (arr.dtype, arr.shape, arr.tobytes()) for vid, arr in ds.views.items()}
+
+
+@pytest.fixture(scope="module")
+def large_dataset(tmp_path_factory):
+    """A temporal and a static view of ``LARGE_SAMPLES`` samples, and their saved files."""
+    ds = generate_synthetic(SyntheticConfig(
+        n_samples=LARGE_SAMPLES, latent_dim=3, seed=4, views=[
+            SyntheticViewConfig(id="optical", kind="temporal", time_steps=2, channels=2,
+                                loading_seed=1),
+            SyntheticViewConfig(id="radar", kind="static", channels=3, loading_seed=2)]))
+    base = tmp_path_factory.mktemp("large")
+    save_dataset(ds, base)
+    return ds, {path.name: path.read_text() for path in base.iterdir()}
+
+
+def write_large(tmp_path, large_dataset, edits):
+    """The large dataset written to ``tmp_path`` after ``edits``, a list of
+    (file, 1-based line, edit of that line's fields or None to drop it)."""
+    files = {name: text.splitlines() for name, text in large_dataset[1].items()}
+    for name, line, edit in edits:
+        lines = files[name]
+        if edit is None:
+            del lines[line - 1]
+        else:
+            lines[line - 1] = ",".join(edit(lines[line - 1].split(","), lines))
+    for name, lines in files.items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    return tmp_path / "manifest.json"
+
+
+def set_field(index, text):
+    """An edit that sets field ``index`` of its line to ``text``."""
+    def edit(fields, lines):
+        fields[index] = text
+        return fields
+    return edit
+
+
+def previous_pair(line):
+    """An edit giving ``line`` the (sample, step) pair of the line above it."""
+    def edit(fields, lines):
+        return lines[line - 2].split(",")[:2] + fields[2:]
+    return edit
+
+
+# each fault kind of a view file: its name and, given a 1-based line, the edit
+# of that line for write_large (None drops the line)
+SHARED_FAULTS = {
+    "extra-field": lambda line: lambda fields, lines: fields + ["0.5"],
+    "missing-field": lambda line: lambda fields, lines: fields[:-1],
+    "blank-line": lambda line: lambda fields, lines: [""],
+    "missing-row": lambda line: None,
+}
+TEMPORAL_FAULTS = {
+    **SHARED_FAULTS,
+    "unparsable-value": lambda line: set_field(2, "0.5x"),
+    "unparsable-sample": lambda line: set_field(0, "one"),
+    "non-finite-value": lambda line: set_field(3, "inf"),
+    "non-finite-step": lambda line: set_field(1, "nan"),
+    "non-integral-sample": lambda line: set_field(0, "2.5"),
+    "non-integral-step": lambda line: set_field(1, "0.5"),
+    "sample-out-of-range": lambda line: set_field(0, str(LARGE_SAMPLES)),
+    "negative-sample": lambda line: set_field(0, "-1"),
+    "step-out-of-range": lambda line: set_field(1, "2"),
+    "huge-sample": lambda line: set_field(0, "1e300"),
+    "repeated-pair": previous_pair,
+}
+STATIC_FAULTS = {
+    **SHARED_FAULTS,
+    "unparsable-value": lambda line: set_field(1, "1.2.3"),
+    "non-finite-value": lambda line: set_field(2, "-inf"),
+}
+FAULTS = ([("view_optical.csv", kind, make) for kind, make in TEMPORAL_FAULTS.items()]
+          + [("view_radar.csv", kind, make) for kind, make in STATIC_FAULTS.items()])
+
+
+class TestBulkParse:
+    """The bulk parse loads what the row loop loaded and raises what it raised."""
+
+    @pytest.mark.parametrize("line", [FIRST, LATER], ids=["first-block", "later-block"])
+    @pytest.mark.parametrize("file, kind, make", [
+        pytest.param(*fault, id=f"{fault[0][5:-4]}-{fault[1]}") for fault in FAULTS])
+    def test_fault_raises_the_row_loops_error(self, tmp_path, large_dataset, file, kind, make,
+                                              line):
+        manifest = write_large(tmp_path, large_dataset, [(file, line, make(line))])
+        expected = outcome(lambda: row_loop_load(tmp_path, large_dataset[0]))
+        assert isinstance(expected, tuple)
+        assert outcome(lambda: load_dataset(manifest)) == expected
+
+    @pytest.mark.parametrize("file, earlier, later", [
+        ("view_optical.csv", ("repeated-pair", FIRST), ("unparsable-value", LATER)),
+        ("view_optical.csv", ("non-finite-value", LATER), ("extra-field", LATER + 1)),
+        ("view_optical.csv", ("non-integral-step", FIRST), ("sample-out-of-range", FIRST + 1)),
+        ("view_optical.csv", ("sample-out-of-range", FIRST), ("non-finite-value", FIRST + 1)),
+        ("view_radar.csv", ("unparsable-value", FIRST), ("missing-field", LATER)),
+        ("view_radar.csv", ("extra-field", LATER), ("non-finite-value", LATER + 7))],
+        ids=["repeat-then-unparsable", "non-finite-then-width", "step-then-sample",
+             "sample-then-value", "static-unparsable-then-width",
+             "static-width-then-non-finite"])
+    def test_two_faults_raise_the_earlier_lines_error(self, tmp_path, large_dataset, file,
+                                                      earlier, later):
+        faults = TEMPORAL_FAULTS if file == "view_optical.csv" else STATIC_FAULTS
+        (kind, line), (other, other_line) = earlier, later
+        alone = outcome(lambda: load_dataset(write_large(
+            tmp_path, large_dataset, [(file, line, faults[kind](line))])))
+        both = outcome(lambda: load_dataset(write_large(
+            tmp_path, large_dataset, [(file, line, faults[kind](line)),
+                                      (file, other_line, faults[other](other_line))])))
+        assert both == alone == outcome(lambda: row_loop_load(tmp_path, large_dataset[0]))
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda text: re.sub(r"[^,\n]+", r'"\g<0>"', text),
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: re.sub(r"[^,\n]+", r" \g<0> ", text),
+        lambda text: re.sub(r"(?<=\d)(?=\d)", "_", text),
+        lambda text: re.sub(r"^(\d+),(\d+),", r"\1.0,\2.0,", text, flags=re.M)],
+        ids=["quoted", "crlf", "spaces", "underscores", "float-ids"])
+    def test_accepted_syntax_loads_the_plain_files_arrays(self, tmp_path, large_dataset,
+                                                          rewrite):
+        ds, files = large_dataset
+        expected = outcome(lambda: load_dataset(write_large(tmp_path, large_dataset, [])))
+        assert expected == outcome(lambda: row_loop_load(tmp_path, ds))
+        views = ("view_optical.csv", "view_radar.csv")
+        rewritten = {file: rewrite(files[file]) for file in views}
+        assert any(rewritten[file] != files[file] for file in views)
+        for file, text in rewritten.items():
+            (tmp_path / file).write_bytes(text.encode())
+        assert outcome(lambda: load_dataset(tmp_path / "manifest.json")) == expected
