@@ -33,7 +33,8 @@ missing views are left out of its normalization, never imputed:
   patterns' key sets lie on its query axis: the token's (B, heads, 1, n)
   logits are exponentiated once, normalized under all K key sets by one
   (..., n) @ (n, K) product and weight one (K, n) @ (n, d/heads) value
-  product per row and head; later layers carry their own pattern axis;
+  product per row and head; later layers carry their own pattern axis.
+  The final layer computes the token's row through the head (below);
 - concat: each used view times its (d, m*d) row block of the identity,
   mixed under the patterns' 0/1 weights: the zero-filled concatenation.
 
@@ -45,8 +46,13 @@ used views with each view's (d, n_out) weights (all of ``head.W`` for
 average, view v's row block of it for concat), then one (K, u) @
 (u, B*n_out) mix and the head's bias; without a head the mix takes
 average's rows themselves and concat's identity blocks. With a head concat
-never builds its (K, B, m*d) stack. The other kinds apply the head to their
-fused rows.
+never builds its (K, B, m*d) stack. Cross's attention is linear in its
+values, so the head folds into its final layer's value projection: per
+head, M_h = W_V[:, head h] @ head.W[rows of head h], the values z @ M_h are
+n_out wide, the heads' outputs are summed and the bias added once; without
+a head the identity (d, d) and a zero bias fold the same way, and the
+(K, B, d) token rows are never built. Gated and memory apply the head to
+their fused rows.
 
 Memory fusion steps all patterns together. Its first layer has no dropout
 before it, so a state there depends only on the views read so far: every
@@ -70,7 +76,7 @@ its later layers and positions, as one array per call, or with ``permute``
 one per pattern after its permutation; cross draws the numbers of all
 patterns, layers and positions as one array per call. Both are the numbers
 of one draw per pattern, since consecutive draws concatenate; cross
-thresholds only the entries a layer reads.
+thresholds them once at byte width and gathers only the bytes a layer reads.
 """
 
 from __future__ import annotations
@@ -246,9 +252,11 @@ class CrossAttentionFusion(Fusion):
     excluded as keys from every softmax, so they are never attended and
     their attention weights are exact zeros. The fused vector is the token's
     row after the final attention layer, so the final layer computes only
-    the token's queries. The first layer attends the shared sequence under
-    every pattern's key set at once, the patterns on its query axis; its
-    output, and every later layer, is (K, B, n_q, d).
+    the token's queries, through the head: ``MultiHeadAttention.attend_first``
+    folds ``head.W`` into its value projection, and the bias is added once.
+    The first layer attends the shared sequence under every pattern's key
+    set at once, the patterns on its query axis; its output, and every later
+    layer, is (K, B, n_q, d).
     """
 
     def __init__(self, m: int, d: int, cfg: FusionConfig, rng: np.random.Generator):
@@ -281,9 +289,9 @@ class CrossAttentionFusion(Fusion):
         Pattern after pattern, each stands for one (layers, B * heads, n_k,
         n_k) draw over its n_k keys, the same numbers as one draw per layer,
         since every block has the fusion's dropout rate. One draw takes all
-        of them, the same numbers in the same order, and only the entries a
-        layer reads are thresholded: its query rows at the pattern's keys,
-        read for each group of ``pattern_groups`` through one strided view.
+        of them, the same numbers in the same order, thresholded once at byte
+        width; a layer reads only its query rows at the pattern's keys, as
+        bytes, for each group of ``pattern_groups`` through one strided view.
         """
         dropout = self.blocks[0].dropout
         count, n = keys.shape
@@ -293,7 +301,7 @@ class CrossAttentionFusion(Fusion):
         drawn = dropout.draw(int(block.sum()), rng)
         if drawn is None:
             return [None] * layers
-        starts, step = np.cumsum(block) - block, drawn.itemsize
+        kept, starts = dropout.kept(drawn), np.cumsum(block) - block
         keeps = []
         for i in range(layers):
             width = 1 if i == layers - 1 else n  # query rows
@@ -303,24 +311,24 @@ class CrossAttentionFusion(Fusion):
                 queries = min(width, s)
                 # at every offset, the (B * heads, queries, s) entries read
                 # from a (B * heads, s, s) block starting there
-                window = as_strided(drawn, (drawn.size - ((rows - 1) * s + queries) * s + 1,
-                                            rows, queries, s),
-                                    (step, step * s * s, step * s, step), writeable=False)
-                values = dropout.keep(window[starts[group] + i * rows * s * s])
+                window = as_strided(kept, (kept.size - ((rows - 1) * s + queries) * s + 1,
+                                           rows, queries, s), (1, s * s, s, 1), writeable=False)
+                values = dropout.scaled(window[starts[group] + i * rows * s * s])
                 at = (pos[:, :queries, None] * n + pos[:, None, :]).reshape(len(group), -1)
                 keep[group[:, None], :, at] = np.swapaxes(values.reshape(len(group), rows, -1), 1, 2)
             keep = keep.reshape((count, batch, heads, width, n))
             keeps.append(np.moveaxis(keep, 0, 2) if i == 0 else keep)
         return keeps
 
-    def _fuse(self, rows, patterns, rng):
+    def _fuse_head(self, rows, patterns, rng, head):
         used, z, keys = self._sequence(rows, patterns)
         keeps = self._keep_masks(keys, z.shape[0], rng)
         exclude = ~keys[:, None, None, None, :]
-        last = len(self.blocks) - 1
-        for i, (block, keep) in enumerate(zip(self.blocks, keeps)):
-            z = block.attend(z, exclude=exclude, keep=keep, first_row=i == last)
-        return z[..., 0, :]
+        for block, keep in zip(self.blocks[:-1], keeps):
+            z = block.attend(z, exclude=exclude, keep=keep)
+        W, b = ((Tensor(np.eye(self.d)), Tensor(np.zeros(self.d))) if head is None
+                else (head.W, head.b))
+        return self.blocks[-1].attend_first(z, W, exclude, keeps[-1]) + b
 
     def token_attention(self, rows: list, available=None) -> np.ndarray:
         """First-layer token attention in evaluation mode, shape

@@ -192,12 +192,14 @@ def _fusion(kind: str, mixed: bool, rng):
 
 
 def _fusion_head(kind: str, rng):
-    """Average or concat with the head folded into their per-view products."""
+    """Average or concat with the head folded into their per-view products,
+    or cross in evaluation mode with it folded into its final layer's values."""
     rows, available = _rows(rng, mixed=True)
-    cfg = FusionConfig(kind=kind)
+    cfg = FusionConfig(kind=kind, heads=2)
     fusion, head = make_fusion(cfg, 3, 4, rng), layers.Affine(fused_width(cfg, 3, 4), 3, rng)
     return ((lambda: fusion.fuse(rows, available, head=head)),
-            {**_named(rows), "W": head.W, "b": head.b})
+            {**_named(rows), **dict(fusion.named_parameters("fusion")), "W": head.W,
+             "b": head.b})
 
 
 def _fusion_train(kind: str, rng):
@@ -234,7 +236,7 @@ CASES: dict[str, Callable] = {
     **{f"fusion_{kind}{suffix}": partial(_fusion, kind, mixed)
        for kind in ("average", "gated", "cross", "memory", "concat")
        for suffix, mixed in (("", False), ("_mixed", True))},
-    **{f"fusion_{kind}_head_mixed": partial(_fusion_head, kind) for kind in ("average", "concat")},
+    **{f"fusion_{kind}_head_mixed": partial(_fusion_head, kind) for kind in ("average", "concat", "cross")},
     **{f"fusion_{kind}_train_mixed": partial(_fusion_train, kind) for kind in ("cross", "memory")},
     "fusion_memory_layers3_train": _memory_layers3_train,
 }

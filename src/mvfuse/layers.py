@@ -110,11 +110,21 @@ class Dropout:
         where dropout is the identity."""
         return None if rng is None or self.rate == 0.0 else rng.random(shape)
 
+    def kept(self, drawn: np.ndarray) -> np.ndarray:
+        """Where drawn numbers keep their unit, as bytes in the draw's own
+        memory order."""
+        return np.less(drawn, 1.0 - self.rate, order="K")
+
+    def scaled(self, kept: np.ndarray) -> np.ndarray:
+        """The scaled keep mask of ``kept`` bytes, C-contiguous in their shape."""
+        return np.ascontiguousarray(kept) / (1.0 - self.rate)
+
     def keep(self, drawn: np.ndarray) -> np.ndarray:
         """The scaled keep mask of drawn numbers, C-contiguous in their shape
-        even where they are a transposed view."""
-        keep = 1.0 - self.rate
-        return np.less(drawn, keep, order="C") / keep
+        even where they are a transposed view: thresholded in their memory
+        order, so a transposed view is read in one pass, and made contiguous
+        at byte width."""
+        return self.scaled(self.kept(drawn))
 
 
 class LSTMCell(Module):
@@ -155,7 +165,8 @@ class MultiHeadAttention(Module):
     product are one ``tensor.attention`` node; ``probs`` reads the same
     probabilities. ``attend`` also takes keys to exclude and a keep mask, so
     one input is attended under several key sets at once, and can compute
-    the first row's queries alone. An exclusion that broadcasts with the
+    the first row's queries alone; ``attend_first`` computes that row times
+    a weight through the value projection. An exclusion that broadcasts with the
     probabilities (..., heads, n_q, n) applies to each row of an input that
     carries its key sets on a leading axis. One of shape (K, 1, ..., 1, n),
     an axis more than the probabilities, holds K key sets of one shared
@@ -177,10 +188,10 @@ class MultiHeadAttention(Module):
         self.dropout = Dropout(dropout)
 
     def _heads(self, z: Tensor, W: Tensor) -> Tensor:
-        """z @ W split into heads: (..., n, d) -> (..., heads, n, d/heads)."""
+        """z @ W split into heads: (..., n, d) -> (..., heads, n, width/heads)."""
         t = window_affine(z, W)
         lead = t.ndim - 2
-        split = t.reshape(t.shape[:-1] + (self.heads, self.d // self.heads))
+        split = t.reshape(t.shape[:-1] + (self.heads, t.shape[-1] // self.heads))
         return split.transpose(tuple(range(lead)) + (lead + 1, lead, lead + 2))
 
     def _queries_keys(self, z: Tensor, first_row: bool) -> tuple[Tensor, Tensor]:
@@ -209,6 +220,27 @@ class MultiHeadAttention(Module):
         out = out.transpose(tuple(range(lead + 1, lead + 1 + sets)) + tuple(range(lead))
                             + (lead + 1 + sets, lead, lead + 2 + sets))
         return out.reshape(out.shape[:-2] + (self.d,))
+
+    def attend_first(self, z: Tensor, W: Tensor, exclude: np.ndarray | None = None,
+                     keep: np.ndarray | None = None) -> Tensor:
+        """The first row's ``attend`` output times ``W`` (d, n_out): (...,
+        n_out), or (K, ..., n_out) under K key sets, without forming the (...,
+        d) rows. Attention is linear in its values, so ``W`` folds into the
+        value projection: head h's values are z @ M_h, where M_h = W_V[:, h] @
+        W[rows of h] is one (heads, d, d/heads) @ (heads, d/heads, n_out)
+        product, and the heads' n_out-wide outputs are summed."""
+        heads, width, n_out = self.heads, self.d // self.heads, W.shape[-1]
+        per_head = self.W_V.reshape((self.d, heads, width)).transpose((1, 0, 2))
+        M = (per_head @ W.reshape((heads, width, n_out))).transpose((1, 0, 2))
+        q, k = self._queries_keys(z, first_row=True)
+        v = self._heads(z, M.reshape((self.d, heads * n_out)))
+        out = attention(q, k, v, self.scale, exclude, keep)
+        lead, sets = v.ndim - 3, out.ndim - v.ndim
+        # (..., heads, [K,] 1, n_out) -> ([K,] ..., n_out)
+        out = out.sum(axis=lead)
+        if sets:
+            out = out.transpose((lead,) + tuple(range(lead)) + (lead + 1, lead + 2))
+        return out.reshape(out.shape[:-2] + (n_out,))
 
     def __call__(self, z: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         n = z.shape[-2]

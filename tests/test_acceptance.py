@@ -74,6 +74,7 @@ def test_criterion_1_gradient_suite():
                           "fusion_gated_mixed", "fusion_cross_mixed",
                           "fusion_memory_mixed", "fusion_concat", "fusion_concat_mixed",
                           "fusion_average_head_mixed", "fusion_concat_head_mixed",
+                          "fusion_cross_head_mixed",
                           "fusion_cross_train_mixed", "fusion_memory_train_mixed",
                           "attention_key_sets", "attention_train", "gated_mix",
                           "fusion_memory_layers3_train", "cross_entropy"}

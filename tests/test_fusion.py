@@ -760,12 +760,13 @@ class TestPatterns:
     @staticmethod
     def recorded_cross_nodes(monkeypatch):
         """The (op, shape) of every node recorded by one train-time one-layer
-        cross ``fuse`` over the 127 patterns of seven views, and its
-        dimensions."""
-        m, d, heads, batch = 7, 16, 4, 3
+        cross ``fuse`` with a 3-output head over the 127 patterns of seven
+        views, and its dimensions."""
+        m, d, heads, batch, n_out = 7, 16, 4, 3, 3
         rng = np.random.default_rng(15)
         fusion = make_fusion(FusionConfig(kind="cross", heads=heads, layers=1, dropout=0.3),
                              m, d, rng)
+        head = Affine(d, n_out, rng)
         available = pattern_matrix(enumerate_combinations(m), m)
         nodes = []
         result = Tensor._result
@@ -778,17 +779,18 @@ class TestPatterns:
 
         monkeypatch.setattr(Tensor, "_result", staticmethod(recorded))
         rows = [Tensor(rng.normal(size=(batch, d)), requires_grad=True) for _ in range(m)]
-        fused = fusion.fuse(rows, available, rng=np.random.default_rng(16))
-        assert fused.shape == (len(available), batch, d)
-        return nodes, (len(available), batch, heads, d // heads)
+        fused = fusion.fuse(rows, available, rng=np.random.default_rng(16), head=head)
+        assert fused.shape == (len(available), batch, n_out)
+        return nodes, (len(available), batch, heads, n_out)
 
     def test_cross_lays_the_patterns_on_the_query_axis(self, monkeypatch):
         # one attention node per layer, the patterns on the first layer's
-        # query axis: its output is (B, heads, K, 1, d/heads), with no
-        # (K, B, heads, ...) node broadcast over the patterns
-        nodes, (patterns, batch, heads, width) = self.recorded_cross_nodes(monkeypatch)
+        # query axis: its output is (B, heads, K, 1, n_out), the head folded
+        # into the values, with no (K, B, heads, ...) node broadcast over the
+        # patterns
+        nodes, (patterns, batch, heads, n_out) = self.recorded_cross_nodes(monkeypatch)
         attention = [shape for op, shape in nodes if op == "attention"]
-        assert attention == [(batch, heads, patterns, 1, width)]
+        assert attention == [(batch, heads, patterns, 1, n_out)]
         broadcast = [(op, shape) for op, shape in nodes
                      if len(shape) == 5 and shape[0] == patterns and shape[1:3] == (batch, heads)]
         assert not broadcast, broadcast
@@ -796,11 +798,12 @@ class TestPatterns:
     def test_one_layer_cross_records_a_fixed_node_count(self, monkeypatch):
         # the sequence: the token row (4 nodes), each of the 7 views plus its
         # positional row (2 each) and their stack (1); the layer: the token's
-        # query row (1), Q, K and V projections split into heads (3 each),
-        # the attention node (1) and the heads merged back (2); the token's
-        # output row (1): 33 nodes for all 127 patterns
+        # query row (1), Q and K projections split into heads (3 each), the
+        # head folded into W_V (6), the values split into heads (3), the
+        # attention node (1), the heads summed and the patterns moved to the
+        # front (3) and the head's bias (1): 40 nodes for all 127 patterns
         nodes, _ = self.recorded_cross_nodes(monkeypatch)
-        assert len(nodes) == 33, nodes
+        assert len(nodes) == 40, nodes
 
     def test_memory_steps_each_prefix_and_pattern_length_once(self, monkeypatch):
         # the 127 patterns of seven views: the first layer steps each distinct
@@ -991,10 +994,28 @@ class TestNoHeadFold:
                 assert relative(got, oracle) <= 4e-15
 
 
+def unfolded_cross(fusion, rows, available, rng, head=None):
+    """Cross fusion with an unfolded final layer: every layer attends, the
+    final one on the token's queries alone, then the token's (K, B, d) rows
+    are taken and the head, if any, applied to them; shaped as ``fuse``
+    shapes its output."""
+    if available is None:
+        available = np.array([r is not None for r in rows])
+    _, z, keys = fusion._sequence(rows, available.reshape(-1, len(rows)))
+    keeps = fusion._keep_masks(keys, z.shape[0], rng)
+    exclude = ~keys[:, None, None, None, :]
+    last = len(fusion.blocks) - 1
+    for i, (block, keep) in enumerate(zip(fusion.blocks, keeps)):
+        z = block.attend(z, exclude=exclude, keep=keep, first_row=i == last)
+    out = z[..., 0, :] if head is None else head(z[..., 0, :])
+    return out.reshape(available.shape[:-1] + out.shape[1:])
+
+
 class TestHeadFold:
-    """Average and concat fold the head into their per-view products: the
-    outputs and gradients of ``fuse(..., head=head)`` equal those of the
-    head on the no-head oracles."""
+    """Average and concat fold the head into their per-view products, cross
+    into its final layer's value projection: the outputs and gradients of
+    ``fuse(..., head=head)`` equal those of the head on the no-head oracles,
+    and for cross on the unfolded final layer's token rows."""
 
     @pytest.mark.parametrize("kind", ["average", "concat"])
     @pytest.mark.parametrize("case", list(FOLD_CASES))
@@ -1019,6 +1040,36 @@ class TestHeadFold:
         assert relative(folded.data, plain.data) <= 1e-12
         for got, expected in zip(grads, want):
             assert relative(got, expected) <= 1e-10
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("case", list(FOLD_CASES))
+    def test_cross_fold_matches_head_of_the_token_rows(self, case, layers, heads, dropout):
+        m, present, available = FOLD_CASES[case]
+        d, batch = 4, 3
+        rng = np.random.default_rng(43)
+        fusion = make_fusion(FusionConfig(kind="cross", heads=heads, layers=layers,
+                                          dropout=dropout), m, d, rng)
+        rows = [Tensor(rng.normal(size=(batch, d)), requires_grad=True) if v in present
+                else None for v in range(m)]
+        for head in (Affine(d, 3, rng), None):
+            params = ([r for r in rows if r is not None] + fusion.parameters()
+                      + ([] if head is None else head.parameters()))
+            for p in params:
+                p.grad = None
+            folded = fusion.fuse(rows, available, rng=np.random.default_rng(44), head=head)
+            readout = Tensor(rng.normal(size=folded.shape))
+            grads = backward((folded * readout).sum(), params)
+            for p in params:
+                p.grad = None
+            plain = unfolded_cross(fusion, rows, available, np.random.default_rng(44), head)
+            want = backward((plain * readout).sum(), params)
+
+            assert folded.shape == plain.shape
+            assert relative(folded.data, plain.data) <= 1e-12
+            for got, expected in zip(grads, want):
+                assert relative(got, expected) <= 1e-10
 
     def test_concat_com_step_never_builds_the_stack(self, monkeypatch):
         # the head is folded, so an m = 7 concat step has no zero-filled
@@ -1047,3 +1098,36 @@ class TestHeadFold:
 
         assert (127, batch, 1) in shapes
         assert (127, batch, m * d) not in shapes
+
+    def test_cross_com_step_never_builds_the_token_rows(self, monkeypatch):
+        # the head is folded into the final layer's values, so an m = 7
+        # cross step slices no (127, B, d) token rows out of the final
+        # layer's output and runs no head over 127 * B rows
+        from mvfuse.augmentation import AugPolicy
+        from mvfuse.tensor import Adam
+        from mvfuse.training import train_step
+
+        m, d, batch = 7, 4, 5
+        rng = np.random.default_rng(45)
+        specs = [ViewSpec(id=f"v{i}", kind="static", channels=2) for i in range(m)]
+        model = FeatureFusionModel(specs, EncoderConfig(latent_dim=d, layers=1, dropout=0.0),
+                                   FusionConfig(kind="cross", heads=2), "classification", 3,
+                                   rng)
+        views = {spec.id: rng.normal(size=(batch, 2)) for spec in specs}
+        nodes = []
+        result = Tensor._result
+
+        def recorded(data, parents, backward, op):
+            nodes.append((op, np.shape(data)))
+            return result(data, parents, backward, op)
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(recorded))
+        train_step(model, views, rng.integers(0, 3, size=batch), AugPolicy(kind="com"),
+                   enumerate_combinations(m), Adam(model.parameters()), "classification",
+                   None, np.random.default_rng(0), np.random.default_rng(0))
+
+        ops = {op for op, _ in nodes}
+        assert "attention" in ops and "cross_entropy" in ops
+        pattern_rows = [(op, shape) for op, shape in nodes
+                        if op in ("slice", "window_affine") and shape[:2] == (127, batch)]
+        assert not pattern_rows, pattern_rows

@@ -204,6 +204,19 @@ class TestDropout:
         assert keep.flags.c_contiguous
         np.testing.assert_array_equal(keep, (drawn.T < 0.6) / 0.6)
 
+    @pytest.mark.parametrize("axes", [(1, 0, 2, 3), (2, 3, 0, 1), (3, 1, 2, 0)])
+    def test_keep_of_a_view_equals_keep_of_its_copy(self, axes):
+        # thresholded in the draw's memory order, made contiguous as bytes:
+        # the same mask as the contiguous copy's, in C order
+        dropout = Dropout(0.3)
+        drawn = np.random.default_rng(4).random((3, 5, 4, 6)).transpose(axes)
+        keep = dropout.keep(drawn)
+        assert keep.flags.c_contiguous and keep.dtype == np.float64
+        np.testing.assert_array_equal(keep, dropout.keep(np.ascontiguousarray(drawn)))
+        np.testing.assert_array_equal(keep, (drawn < 0.7) / 0.7)
+        kept = dropout.kept(drawn)
+        assert kept.dtype == bool and kept.strides != np.ascontiguousarray(kept).strides
+
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             Dropout(1.0)

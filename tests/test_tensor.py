@@ -98,6 +98,29 @@ class TestSoftmax:
         np.testing.assert_array_equal(Tensor(logits).softmax(axis=-1, exclude=excl).data,
                                       e / e.sum(axis=-1, keepdims=True))
 
+    @pytest.mark.parametrize("lead", [(20000,), (16, 8, 11, 1)], ids=["rows", "attention"])
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_normalizer_is_numpy_sum_bit_for_bit(self, lead, width):
+        # below 8 entries numpy sums the last axis as one left fold, so the
+        # fold of np.add is bit-identical; from 8 the normalizer is that sum
+        rng = np.random.default_rng(width)
+        data = rng.random(lead + (width,)) * np.exp(rng.normal(size=lead + (width,)) * 5)
+        folded = tensor_module._fold(data, -1, np.add, tensor_module.SEQUENTIAL_SUM)
+        assert (folded is None) == (width >= 8)
+        for axis in (-1, data.ndim - 1, 0):
+            np.testing.assert_array_equal(tensor_module._normalizer(data, axis),
+                                          data.sum(axis=axis, keepdims=True))
+        if folded is not None:
+            np.testing.assert_array_equal(folded, data.sum(axis=-1, keepdims=True))
+        logits = np.log(data)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(Tensor(logits).softmax(axis=-1).data,
+                                      e / e.sum(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(
+            Tensor(logits).log_softmax(axis=-1).data,
+            logits - logits.max(axis=-1, keepdims=True)
+            - np.log(e.sum(axis=-1, keepdims=True)))
+
     @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 1, 3), (1, 1, 3)])
     def test_exclusion_larger_than_the_input_raises(self, shape):
         # one softmax per input: an exclusion may broadcast only to its shape
