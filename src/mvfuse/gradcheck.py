@@ -236,7 +236,8 @@ CASES: dict[str, Callable] = {
     **{f"fusion_{kind}{suffix}": partial(_fusion, kind, mixed)
        for kind in ("average", "gated", "cross", "memory", "concat")
        for suffix, mixed in (("", False), ("_mixed", True))},
-    **{f"fusion_{kind}_head_mixed": partial(_fusion_head, kind) for kind in ("average", "concat", "cross")},
+    **{f"fusion_{kind}_head_mixed": partial(_fusion_head, kind)
+       for kind in ("average", "concat", "cross")},
     **{f"fusion_{kind}_train_mixed": partial(_fusion_train, kind) for kind in ("cross", "memory")},
     "fusion_memory_layers3_train": _memory_layers3_train,
 }
