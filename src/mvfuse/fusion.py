@@ -76,7 +76,7 @@ its later layers and positions, as one array per call, or with ``permute``
 one per pattern after its permutation; cross draws the numbers of all
 patterns, layers and positions as one array per call. Both are the numbers
 of one draw per pattern, since consecutive draws concatenate; cross
-thresholds them once at byte width and gathers only the bytes a layer reads.
+thresholds only the entries a layer reads.
 """
 
 from __future__ import annotations
@@ -289,9 +289,9 @@ class CrossAttentionFusion(Fusion):
         Pattern after pattern, each stands for one (layers, B * heads, n_k,
         n_k) draw over its n_k keys, the same numbers as one draw per layer,
         since every block has the fusion's dropout rate. One draw takes all
-        of them, the same numbers in the same order, thresholded once at byte
-        width; a layer reads only its query rows at the pattern's keys, as
-        bytes, for each group of ``pattern_groups`` through one strided view.
+        of them, the same numbers in the same order, and only the entries a
+        layer reads are thresholded: its query rows at the pattern's keys,
+        read for each group of ``pattern_groups`` through one strided view.
         """
         dropout = self.blocks[0].dropout
         count, n = keys.shape
@@ -301,7 +301,7 @@ class CrossAttentionFusion(Fusion):
         drawn = dropout.draw(int(block.sum()), rng)
         if drawn is None:
             return [None] * layers
-        kept, starts = dropout.kept(drawn), np.cumsum(block) - block
+        starts, step = np.cumsum(block) - block, drawn.itemsize
         keeps = []
         for i in range(layers):
             width = 1 if i == layers - 1 else n  # query rows
@@ -311,9 +311,10 @@ class CrossAttentionFusion(Fusion):
                 queries = min(width, s)
                 # at every offset, the (B * heads, queries, s) entries read
                 # from a (B * heads, s, s) block starting there
-                window = as_strided(kept, (kept.size - ((rows - 1) * s + queries) * s + 1,
-                                           rows, queries, s), (1, s * s, s, 1), writeable=False)
-                values = dropout.scaled(window[starts[group] + i * rows * s * s])
+                window = as_strided(drawn, (drawn.size - ((rows - 1) * s + queries) * s + 1,
+                                            rows, queries, s),
+                                    (step, step * s * s, step * s, step), writeable=False)
+                values = dropout.keep(window[starts[group] + i * rows * s * s])
                 at = (pos[:, :queries, None] * n + pos[:, None, :]).reshape(len(group), -1)
                 keep[group[:, None], :, at] = np.swapaxes(values.reshape(len(group), rows, -1), 1, 2)
             keep = keep.reshape((count, batch, heads, width, n))

@@ -110,21 +110,13 @@ class Dropout:
         where dropout is the identity."""
         return None if rng is None or self.rate == 0.0 else rng.random(shape)
 
-    def kept(self, drawn: np.ndarray) -> np.ndarray:
-        """Where drawn numbers keep their unit, as bytes in the draw's own
-        memory order."""
-        return np.less(drawn, 1.0 - self.rate, order="K")
-
-    def scaled(self, kept: np.ndarray) -> np.ndarray:
-        """The scaled keep mask of ``kept`` bytes, C-contiguous in their shape."""
-        return np.ascontiguousarray(kept) / (1.0 - self.rate)
-
     def keep(self, drawn: np.ndarray) -> np.ndarray:
         """The scaled keep mask of drawn numbers, C-contiguous in their shape
         even where they are a transposed view: thresholded in their memory
         order, so a transposed view is read in one pass, and made contiguous
         at byte width."""
-        return self.scaled(self.kept(drawn))
+        keep = 1.0 - self.rate
+        return np.ascontiguousarray(np.less(drawn, keep, order="K")) / keep
 
 
 class LSTMCell(Module):

@@ -1068,8 +1068,13 @@ class TestHeadFold:
 
             assert folded.shape == plain.shape
             assert relative(folded.data, plain.data) <= 1e-12
+            # a gradient near zero (the final layer's W_K, whose logits'
+            # gradient cancels) is only ~1e-12 of its own largest entry
+            # apart, but within 1e-12 of the largest entry of any gradient
+            scale = max(np.max(np.abs(expected)) for expected in want)
             for got, expected in zip(grads, want):
                 assert relative(got, expected) <= 1e-10
+                assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
     def test_concat_com_step_never_builds_the_stack(self, monkeypatch):
         # the head is folded, so an m = 7 concat step has no zero-filled
