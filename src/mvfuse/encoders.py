@@ -85,17 +85,20 @@ def one_hot_batch(indices: np.ndarray, cardinality: int) -> np.ndarray:
 
 
 def _run_layers(layers: list[Affine], dropout: Dropout, x: Tensor,
-                rng: np.random.Generator | None) -> Tensor:
-    """Each layer as one node with ReLU and a keep mask drawn on its output shape."""
-    for layer in layers:
+                rng: np.random.Generator | None, pool: bool = False) -> Tensor:
+    """Each layer as one node with ReLU and a keep mask drawn on its output
+    shape; with ``pool`` the last one also returns its mean over time."""
+    for i, layer in enumerate(layers, 1):
         keep = dropout.mask(x.shape[:-1] + (layer.W.shape[-1],), rng)
-        x = layer(x, relu=True, keep=keep)
+        x = layer(x, relu=True, keep=keep, pool=pool and i == len(layers))
     return x
 
 
 class TemporalEncoder(Module):
     """Conv1d stack with ReLU and dropout, mean-pooled over time, layer normalized;
-    each layer is one ``window_affine`` node with its dropout keep mask."""
+    each layer is one ``window_affine`` node with its dropout keep mask, and
+    the last one pools: it returns the (..., d) mean over time, so an
+    unrecorded encode never holds the last layer's (..., T, d) output."""
 
     def __init__(self, channels: int, cfg: EncoderConfig, rng: np.random.Generator):
         d = cfg.latent_dim
@@ -105,7 +108,7 @@ class TemporalEncoder(Module):
         self.dropout = Dropout(cfg.dropout)
 
     def __call__(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
-        return self.norm(_run_layers(self.convs, self.dropout, x, rng).mean(axis=-2))
+        return self.norm(_run_layers(self.convs, self.dropout, x, rng, pool=True))
 
 
 class StaticEncoder(Module):

@@ -102,11 +102,13 @@ def _linear(layer, shape, d_out: int, rng):
     return (lambda: lin(x)), {"x": x, "W": lin.W, "b": lin.b}
 
 
-def _encoder_layer(rng):
-    """Conv1d, ReLU and a fixed keep mask in one node."""
+def _encoder_layer(rng, pool: bool = False):
+    """Conv1d, ReLU and a fixed keep mask in one node; with ``pool``, a
+    temporal encoder's last layer, which returns its mean over time."""
     x, conv = _unit(rng, (2, 5, 3)), layers.Conv1d(3, 4, rng, kernel=3)
     keep = (rng.random((2, 5, 4)) < 0.7) / 0.7
-    return (lambda: conv(x, relu=True, keep=keep)), {"x": x, "W": conv.W, "b": conv.b}
+    return ((lambda: conv(x, relu=True, keep=keep, pool=pool)),
+            {"x": x, "W": conv.W, "b": conv.b})
 
 
 def _layer_norm(rng):
@@ -228,7 +230,8 @@ def _scaled(scale: float, build: Callable, rng: np.random.Generator):
 CASES: dict[str, Callable] = {
     "affine": partial(_linear, layers.Affine, (3, 4), 5),
     "conv1d": partial(_linear, layers.Conv1d, (6, 3), 4),
-    "encoder_layer": _encoder_layer, "layer_norm": _layer_norm, "lstm": _lstm,
+    "encoder_layer": _encoder_layer, "encoder_layer_pool": partial(_encoder_layer, pool=True),
+    "layer_norm": _layer_norm, "lstm": _lstm,
     "attention": partial(_attention, (1, 3, 8), 0.0),
     "attention_train": partial(_attention, (2, 4, 4), 0.4),
     "attention_key_sets": _attention_key_sets,

@@ -47,15 +47,17 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> Tensor
 
 class Affine(Module):
     """y = x @ W + b over the last axis, as one ``window_affine`` node; an
-    encoder layer also passes its rectifier and dropout keep mask into it.
-    The node checks the operands and reads a (K, c, n) ``W`` as taps."""
+    encoder layer also passes its rectifier and dropout keep mask into it,
+    and a temporal encoder's last layer its mean over time. The node checks
+    the operands and reads a (K, c, n) ``W`` as taps."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.W = glorot(rng, d_in, d_out, (d_in, d_out))
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
-    def __call__(self, x: Tensor, relu: bool = False, keep: np.ndarray | None = None) -> Tensor:
-        return window_affine(x, self.W, self.b, relu, keep)
+    def __call__(self, x: Tensor, relu: bool = False, keep: np.ndarray | None = None,
+                 pool: bool = False) -> Tensor:
+        return window_affine(x, self.W, self.b, relu, keep, pool)
 
 
 class Conv1d(Affine):

@@ -470,7 +470,7 @@ WINDOW_BLOCK = 2**16
 
 
 def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = False,
-                  keep: np.ndarray | None = None) -> Tensor:
+                  keep: np.ndarray | None = None, pool: bool = False) -> Tensor:
     """``window_K(x) @ W + b`` as one node of single 2-D GEMMs, then optionally
     a rectifier and a scaled dropout keep mask of the output's shape. By rank,
     ``W`` is (c, n), a weight over the last axis, or the (K, c, n) taps of a
@@ -482,7 +482,15 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
     row at K = 1, where the window is the input itself, and when recorded,
     as the backward reads the whole window for the weight gradient; else
     about ``WINDOW_BLOCK`` window elements. The graph keeps only the window
-    and the output; the backward folds into the input's gradient."""
+    and the output; the backward folds into the input's gradient.
+
+    ``pool``, for taps only, returns the (..., n) mean of that output over T
+    instead, as ``Tensor.mean(axis=-2)`` takes it: the sum over T times 1/T,
+    bit for bit. Unrecorded, every call is blocked, each block's output is a
+    scratch slot of at most about ``WINDOW_BLOCK`` elements summed into the
+    result, and the (..., T, n) output never exists; recorded, the graph keeps
+    it for the rectifier's support and the backward spreads ``g * (1/T)``
+    over T."""
     if W.ndim not in (2, 3) or (b is not None and b.shape != W.shape[-1:]):
         raise ValueError(f"window_affine needs W (c, n) or (K, c, n) and b (n,), "
                          f"got {W.shape} and {None if b is None else b.shape}")
@@ -491,6 +499,8 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
                          f"got K={W.shape[0]}")
     if W.ndim == 3 and (x.ndim < 2 or x.shape[-2] < 1):
         raise ValueError("conv1d needs at least one time step")
+    if pool and W.ndim != 3:
+        raise ValueError("window_affine pools over time only with (K, c, n) taps")
     n, c = W.shape[-1], x.shape[-1]
     if W.shape[-2] != c:
         raise ValueError(f"affine expects last dim {W.shape[-2]}, got {c}")
@@ -505,20 +515,29 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
             for tau in range(kernel) if abs(tau - pad) < T] if kernel > 1 else []
     xs = x.data.reshape(-1, T, c)
     record = _records(parents)
-    rows = max(1, len(xs) if kernel == 1 or record else WINDOW_BLOCK // (T * kernel * c))
+    summed = pool and not record  # each block's output is summed over time in scratch
+    width = max(kernel * c, n) if summed else kernel * c
+    rows = max(1, len(xs) if record or (kernel == 1 and not summed)
+               else WINDOW_BLOCK // (T * width))
+    block = min(rows, len(xs)) * T
+    work = _scratch(record, [block * kernel * c if kernel > 1 else 0, block * n if summed else 0])
     win = xs
     if kernel > 1:  # zero outside the series once; every block's taps write the rest
-        shape = (min(rows, len(xs)), T, kernel * c)
-        win = _scratch(record, [prod(shape)])(0, shape)
+        win = work(0, (block // T, T, kernel * c))
         outside = np.ones((T, kernel), dtype=bool)
         for tau, _, t0, t1 in taps:
             outside[t0:t1, tau] = False
         win.reshape(len(win), T, kernel, c)[:, outside] = 0.0
-    out = np.empty(x.shape[:-1] + (n,))
-    blocks = out.reshape(-1, T, n)
-    keeps = None if keep is None else keep.reshape(blocks.shape)
+    if summed:
+        pooled = np.empty(x.shape[:-2] + (n,))
+        sums = pooled.reshape(-1, n)
+    else:
+        out = np.empty(x.shape[:-1] + (n,))
+        blocks = out.reshape(-1, T, n)
+    keeps = None if keep is None else keep.reshape(len(xs), T, n)
     for lo in range(0, len(xs), rows):
-        z, part = blocks[lo:lo + rows], win[:len(xs) - lo]
+        part = win[:len(xs) - lo] if kernel > 1 else xs[lo:lo + rows]
+        z = work(1, (len(part), T, n)) if summed else blocks[lo:lo + rows]
         for tau, shift, t0, t1 in taps:
             part[:, t0:t1, tau * c:(tau + 1) * c] = xs[lo:lo + rows, t0 + shift:t1 + shift]
         np.matmul(part.reshape(-1, kernel * c), Wm, out=z.reshape(-1, n))
@@ -528,9 +547,17 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
             np.maximum(z, 0.0, out=z)
         if keeps is not None:
             z *= keeps[lo:lo + rows]
+        if summed:
+            np.sum(z, axis=-2, out=sums[lo:lo + rows])
+    if pool:
+        if not summed:
+            pooled = out.sum(axis=-2)
+        pooled *= 1.0 / T
     win = win.reshape(-1, kernel * c)
 
     def backward(g):
+        if pool:  # the mean's gradient, the same for every step
+            g = np.broadcast_to(np.expand_dims(g * (1.0 / T), -2), out.shape)
         dz = g if keep is None else g * keep
         if relu:  # out > 0 is the rectifier's support wherever a unit is kept
             dz = np.multiply(dz, out > 0.0, out=None if keep is None else dz)
@@ -547,7 +574,7 @@ def window_affine(x: Tensor, W: Tensor, b: Tensor | None = None, relu: bool = Fa
                 dx[..., lo + shift:hi + shift, :] += dwin[..., lo:hi, tau * c:(tau + 1) * c]
         x._accumulate(dx.reshape(x.shape))
 
-    return Tensor._result(out, parents, backward, "window_affine")
+    return Tensor._result(pooled if pool else out, parents, backward, "window_affine")
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:

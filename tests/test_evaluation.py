@@ -93,6 +93,18 @@ def brute_force_auc_pr(y, scores):
     return area
 
 
+def one_hot_f1_macro(y_true, y_pred):
+    """``f1_macro`` as one-hot comparisons over the union of the classes, the
+    way it was counted before ``bincount``."""
+    y_true, y_pred = np.asarray(y_true, dtype=int), np.asarray(y_pred, dtype=int)
+    classes = np.union1d(y_true, y_pred)
+    true, pred = y_true[..., None] == classes, y_pred[..., None] == classes
+    tp = (true & pred).sum(axis=-2)
+    denom = true.sum(axis=-2) + pred.sum(axis=-2)
+    scores = np.divide(2 * tp, denom, out=np.zeros(denom.shape), where=denom > 0)
+    return scores.sum(axis=-1) / (denom > 0).sum(axis=-1)
+
+
 class TestMetricOracles:
     def test_perfect_classification_scores_one(self):
         y = np.array([0, 1, 2, 1, 0])
@@ -110,6 +122,25 @@ class TestMetricOracles:
             y = rng.integers(0, k, n)
             yhat = rng.integers(0, k, n)
             assert abs(f1_macro(y, yhat) - brute_force_f1(list(y), list(yhat))) <= 1e-10
+
+    # label sets: dense from 0, with negative labels, with more than 8 classes
+    # (whose per-row sum is numpy's pairwise one), with 16 classes among 31
+    # labels, which count absent labels too, and spread wider than a row is
+    # long, which counts by rank
+    @pytest.mark.parametrize("low, high, scale", [(0, 3, 1), (-4, 3, 1), (0, 12, 1),
+                                                  (0, 16, 2), (0, 4, 10**9), (-5, 20, 7)],
+                             ids=["dense", "negative", "twelve-classes", "gapped", "sparse",
+                                  "mixed"])
+    def test_f1_counts_match_the_one_hot_oracle_bit_for_bit(self, low, high, scale):
+        rng = np.random.default_rng(high - low)
+        for n in (1, 2, 7, 40):
+            for t_shape, p_shape in [((n,), (n,)), ((1, n), (5, n)), ((3, 1, n), (1, 4, n)),
+                                     ((2, n), (2, n))]:
+                y = rng.integers(low, high, t_shape) * scale
+                yhat = rng.integers(low, high, p_shape) * scale
+                got, want = f1_macro(y, yhat), one_hot_f1_macro(y, yhat)
+                assert np.array_equal(got, want), (t_shape, p_shape)
+                assert isinstance(got, float) == (len(t_shape) == 1)
 
     def test_mean_predictor_has_zero_r2(self):
         y = np.array([1.0, 2.0, 3.0, 6.0])
@@ -165,6 +196,31 @@ class TestMetricOracles:
         per_class = [brute_force_auc_pr(list((y == c).astype(int)), list(scores[:, c]))
                      for c in range(3)]
         assert abs(auc_pr(y, scores) - np.mean(per_class)) <= 1e-12
+
+    # (scenario axes, classes): binary, multi-class, and both stacked
+    @pytest.mark.parametrize("stack, classes", [((), 2), ((), 3), ((3,), 2), ((2,), 3)],
+                             ids=["binary", "multiclass", "stacked-binary",
+                                  "stacked-multiclass"])
+    def test_auc_pr_is_bit_identical_under_permutations_inside_ties(self, stack, classes):
+        # any order of the labels of samples that tie in every (scenario,
+        # class) score gives the same bits: the property that lets the sort
+        # be unstable
+        rng = np.random.default_rng(len(stack) * 10 + classes)
+        n = 300
+        y = np.r_[np.arange(classes), rng.integers(0, classes, n - classes)]
+        y = y[None] if stack else y
+        scores = rng.integers(0, 2, stack + (n,) + ((classes,) if classes > 2 else ())) / 2.0
+        rows = np.moveaxis(scores, len(stack), 0).reshape(n, -1)
+        _, tie = np.unique(rows, axis=0, return_inverse=True)
+        assert tie.max() + 1 <= 64  # 300 samples in at most 2^6 tied blocks
+        want = auc_pr(y, scores)
+        for _ in range(8):
+            perm = np.arange(n)
+            for block in range(tie.max() + 1):
+                members = np.flatnonzero(tie == block)
+                perm[members] = rng.permutation(members)
+            assert not np.array_equal(y[..., perm], y)
+            assert np.array_equal(auc_pr(y[..., perm], scores), want)
 
     def test_auc_pr_single_class_rejected(self):
         with pytest.raises(ValueError):
@@ -501,6 +557,36 @@ class TestReport:
         lines = path.read_text().splitlines()
         assert lines[0] == "scenario,view,p,metric,fold,seed,value"
         assert len(lines) == 3
+
+    def test_summary_matches_the_per_key_loop_bit_for_bit(self):
+        # the per-key loop summary ran before it reduced keys of one value
+        # count together; counts 1-20 cover numpy's short sums and, from 8
+        # values, its pairwise ones
+        def per_key_summary(report):
+            groups = {}
+            for r in report.rows:
+                groups.setdefault((r["scenario"], r["view"], r["p"], r["metric"]),
+                                  []).append(r["value"])
+            out = []
+            for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
+                vals = np.asarray(groups[key])
+                out.append({"scenario": key[0], "view": key[1], "p": key[2],
+                            "metric": key[3], "mean": float(vals.mean()),
+                            "std": float(vals.std()), "n": int(vals.size)})
+            return out
+
+        rng = np.random.default_rng(5)
+        report = EvalReport()
+        keys = [(f"s{k % 7}", f"v{k % 3}" if k % 2 else None, None if k % 4 else 0.25 * (k % 3),
+                 f"m{k}", k % 20 + 1) for k in range(60)]
+        for fold in range(20):  # fold-major, as a k-fold evaluation adds its rows
+            for scenario, view, p, metric, count in keys:
+                if fold < count:
+                    report.add(scenario, view, p, metric, fold, 3,
+                               rng.normal() * 10.0 ** rng.integers(-3, 4))
+        summary = report.summary()
+        assert sorted({row["n"] for row in summary}) == list(range(1, 21))
+        assert summary == per_key_summary(report)
 
     def test_summary_json_is_deterministic(self, tmp_path):
         report = EvalReport()

@@ -698,16 +698,21 @@ def composed_cross_entropy(logits, y, weights=None):
     return -picked.mean()
 
 
-def conv_call(kernel):
+def conv_call(kernel, pool=False):
     rng = np.random.default_rng(kernel)  # K=3 runs three blocks unrecorded
     x = Tensor(rng.normal(size=(400, 16, 8)), requires_grad=True)
-    W = Tensor(rng.normal(size=(kernel, 8, 5) if kernel > 1 else (8, 5)), requires_grad=True)
-    return window_affine(x, W, Tensor(rng.normal(size=5), requires_grad=True), relu=True)
+    W = Tensor(rng.normal(size=(kernel, 8, 5) if kernel > 1 or pool else (8, 5)),
+               requires_grad=True)
+    return window_affine(x, W, Tensor(rng.normal(size=5), requires_grad=True), relu=True,
+                         pool=pool)
 
 
 NODE_CALLS = {
     "window_affine_k1": lambda: conv_call(1),
     "window_affine_k3": lambda: conv_call(3),
+    # pooled, each block's output is a scratch slot, K = 1 included
+    "window_affine_k1_pool": lambda: conv_call(1, pool=True),
+    "window_affine_k3_pool": lambda: conv_call(3, pool=True),
     "lstm_scan_tree": lambda: scan_call("tree"),
     "lstm_scan_tree_state": lambda: scan_call("tree", state=True),
     # one block of one row: its last c is (1, d) in either layout
@@ -878,6 +883,86 @@ def test_unrecorded_convolution_never_holds_the_whole_window():
     unrecorded, recorded = peaks
     assert recorded > whole
     assert unrecorded < out.data.nbytes + 4 * 8 * WINDOW_BLOCK < whole / 2
+
+# (shape, K, n, blocks): an unrecorded pooled call blocks at K = 1 too, by
+# the wider of its window (K c) and its output (n) per step; every
+# multi-block case ends ragged
+@pytest.mark.parametrize("shape, kernel, n, blocks", [
+    ((400, 16, 8), 3, 5, 3), ((7, 60, 16, 8), 3, 5, 3), ((1000, 2, 8), 5, 5, 2),
+    ((3, 5, 8), 3, 5, 1), ((1200, 16, 8), 1, 5, 3), ((300, 6, 2), 3, 40, 2),
+    ((2, 7, 3, 4), 5, 3, 1), ((4, 3), 3, 2, 1)],
+    ids=["ragged-blocks", "two-leading-axes", "T-below-K", "one-block", "k1-blocks",
+         "output-wider-than-window", "k5-leading-axes", "no-leading-axis"])
+@pytest.mark.parametrize("bias, relu, keep", [(False, False, False), (True, False, False),
+                                              (False, True, False), (False, False, True),
+                                              (True, True, True)],
+                         ids=["plain", "bias", "relu", "keep", "bias-relu-keep"])
+def test_pooled_window_affine_is_the_composed_time_mean_bit_for_bit(shape, kernel, n, blocks,
+                                                                    bias, relu, keep):
+    # the oracle is the graph the temporal encoder ran before: the node's
+    # (..., T, n) output, then Tensor.mean(axis=-2), a sum and a mul node
+    T, c = shape[-2:]
+    rows = int(np.prod(shape[:-2]))
+    assert -(-rows // (WINDOW_BLOCK // (T * max(kernel * c, n)))) == blocks
+    rng = np.random.default_rng(sum(shape) + kernel)
+    x, W, b = rng.normal(size=shape), rng.normal(size=(kernel, c, n)), rng.normal(size=n)
+    mask = (rng.random(shape[:-1] + (n,)) < 0.8) / 0.8 if keep else None
+    readout = rng.normal(size=shape[:-2] + (n,))
+
+    def pooled(*ts):
+        return window_affine(*ts, relu=relu, keep=mask, pool=True)
+
+    def composed(*ts):
+        return window_affine(*ts, relu=relu, keep=mask).mean(axis=-2)
+
+    results = []
+    for layer in (pooled, composed):
+        ts = [Tensor(v, requires_grad=True) for v in ((x, W, b) if bias else (x, W))]
+        out = layer(*ts)
+        (out * Tensor(readout)).sum().backward()
+        with no_grad():
+            unrecorded = layer(*ts)
+        results.append([out.data, unrecorded.data] + [t.grad for t in ts])
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
+    assert results[0][0].shape == shape[:-2] + (n,)
+
+
+def test_pooled_node_replaces_the_mean_nodes():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(4, 6, 3)), requires_grad=True)
+    W = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
+    out = window_affine(x, W, relu=True, pool=True)
+    assert out.op == "window_affine" and out._parents == (x, W)
+
+
+def test_pooling_needs_taps():
+    with pytest.raises(ValueError, match=r"pools over time only with \(K, c, n\) taps"):
+        window_affine(Tensor(np.ones((5, 3))), Tensor(np.ones((3, 2))), pool=True)
+
+
+def test_unrecorded_pooled_call_never_holds_its_output_over_time():
+    # the last temporal layer of an eval-m5 encode, (512, 24, 64) -> 64 at
+    # K = 3: its (512, 24, 64) output over time is 6.3 MB, its pooled one
+    # 0.26 MB; a block holds 14 rows
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    x, W, b = (Tensor(rng.normal(size=s)) for s in ((512, 24, 64), (3, 64, 64), (64,)))
+    over_time = 512 * 24 * 64 * 8
+    peaks = []
+    for requires_grad in (False, True):
+        W.requires_grad = requires_grad
+        tracemalloc.start()
+        try:
+            out = window_affine(x, W, b, relu=True, pool=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    unrecorded, recorded = peaks
+    assert out.shape == (512, 64)
+    assert recorded > over_time
+    assert unrecorded < out.data.nbytes + 2 * 8 * WINDOW_BLOCK < over_time / 4
+
 
 def test_batched_matmul_gradients():
     rng = np.random.default_rng(3)
